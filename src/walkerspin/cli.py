@@ -277,7 +277,11 @@ def cmd_verify(args, out) -> int:
 
 def cmd_congruence(args, out) -> int:
     w = _load_metric(args.spec)
-    v0 = tuple(float(c) for c in _parse_tuple(args.v0, "--v0"))
+    exact_v0 = _parse_tuple(args.v0, "--v0")
+    try:
+        v0 = tuple(float(c) for c in exact_v0)
+    except OverflowError as err:
+        raise InputError(f"bad value in --v0: {err}") from err
     base = _parse_tuple(args.base, "--base")
     path = integrate_connecting(w, v0, v_end=args.end, step=args.step, base=base)
 

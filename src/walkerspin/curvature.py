@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import ONE, ZERO, Poly, RationalFunction
+from .poly import HALF, ONE, RF_ZERO, Poly, RationalFunction, as_rf
 from .spincoeff import Frame
 from .walker import (
     COORDS,
@@ -24,17 +24,7 @@ from .walker import (
     WalkerMetric,
 )
 
-HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
-
-_RF_ZERO = RationalFunction(ZERO)
-
-
-def _rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
-
 
 # ---------------------------------------------------------------------------
 # Tensor route.
@@ -153,20 +143,20 @@ class CurvatureSpinors:
     """Curvature dyad components: both quartic families, the mixed 3x3
     block, and the scalar pieces."""
 
-    Psi0: RationalFunction = _RF_ZERO
-    Psi1: RationalFunction = _RF_ZERO
-    Psi2: RationalFunction = _RF_ZERO
-    Psi3: RationalFunction = _RF_ZERO
-    Psi4: RationalFunction = _RF_ZERO
-    PsiT0: RationalFunction = _RF_ZERO
-    PsiT1: RationalFunction = _RF_ZERO
-    PsiT2: RationalFunction = _RF_ZERO
-    PsiT3: RationalFunction = _RF_ZERO
-    PsiT4: RationalFunction = _RF_ZERO
-    Phi: tuple = ((_RF_ZERO,) * 3,) * 3
-    Lambda: RationalFunction = _RF_ZERO
-    Pi: RationalFunction = _RF_ZERO
-    S: RationalFunction = _RF_ZERO
+    Psi0: RationalFunction = RF_ZERO
+    Psi1: RationalFunction = RF_ZERO
+    Psi2: RationalFunction = RF_ZERO
+    Psi3: RationalFunction = RF_ZERO
+    Psi4: RationalFunction = RF_ZERO
+    PsiT0: RationalFunction = RF_ZERO
+    PsiT1: RationalFunction = RF_ZERO
+    PsiT2: RationalFunction = RF_ZERO
+    PsiT3: RationalFunction = RF_ZERO
+    PsiT4: RationalFunction = RF_ZERO
+    Phi: tuple = ((RF_ZERO,) * 3,) * 3
+    Lambda: RationalFunction = RF_ZERO
+    Pi: RationalFunction = RF_ZERO
+    S: RationalFunction = RF_ZERO
 
     def psi(self, k: int) -> RationalFunction:
         return getattr(self, f"Psi{k}")
@@ -233,7 +223,7 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame | None = None) -> 
         "Psi2",
         (D(s.gamma) + A(s.beta - s.tau)) * THIRD,
         (D(s.gamma + s.rho_p) + A(s.beta)) * THIRD,
-        _rf((a11 + b22 - 4 * c12) * Fraction(1, 12)),
+        as_rf((a11 + b22 - 4 * c12) * Fraction(1, 12)),
     )
     Psi3 = _check("Psi3", A(s.gamma), (A(s.rho_p) - D(s.kappa_p)) * HALF)
     Psi4 = -A(s.kappa_p)
@@ -242,7 +232,7 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame | None = None) -> 
         "scalar",
         4 * (D(s.gamma) + A(s.beta + 2 * s.tau)),
         4 * (D(s.gamma - 2 * s.rho_p) + A(s.beta)),
-        _rf(a11 + b22 + 2 * c12),
+        as_rf(a11 + b22 + 2 * c12),
     )
     PsiT2 = _check(
         "PsiT2",
@@ -270,7 +260,7 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame | None = None) -> 
         "Phi11",
         (D(s.gamma) - A(s.beta)) * HALF,
         (D(s.gamma_t) + A(s.alpha_t)) * HALF,
-        _rf((a11 - b22) * Fraction(1, 8)),
+        as_rf((a11 - b22) * Fraction(1, 8)),
     )
     Phi12 = _check(
         "Phi12",
@@ -284,17 +274,17 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame | None = None) -> 
         2 * (s.rho_p * s.epsilon_p - s.kappa_p * s.alpha_p) - dl(s.kappa_p) - Dp(s.rho_p),
     )
 
-    _check("Psi1+Phi01", Psi1 + Phi01, _rf(c11 * -HALF))
+    _check("Psi1+Phi01", Psi1 + Phi01, as_rf(c11 * -HALF))
 
     Lambda = S * Fraction(-1, 24)
     phi = (
-        (_RF_ZERO, Phi01, Phi02),
-        (_RF_ZERO, Phi11, Phi12),
-        (_RF_ZERO, Phi21, Phi22),
+        (RF_ZERO, Phi01, Phi02),
+        (RF_ZERO, Phi11, Phi12),
+        (RF_ZERO, Phi21, Phi22),
     )
     return CurvatureSpinors(
         Psi0=Psi0, Psi1=Psi1, Psi2=Psi2, Psi3=Psi3, Psi4=Psi4,
-        PsiT0=_RF_ZERO, PsiT1=_RF_ZERO, PsiT2=PsiT2, PsiT3=PsiT3, PsiT4=PsiT4,
+        PsiT0=RF_ZERO, PsiT1=RF_ZERO, PsiT2=PsiT2, PsiT3=PsiT3, PsiT4=PsiT4,
         Phi=phi, Lambda=Lambda, Pi=Lambda, S=S,
     )
 
@@ -309,14 +299,14 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
         raise InputError("Ricci dyad components require unit normalization")
     phi_ab = [
         [
-            _rf((ricci[a][b_] - scalar * Fraction(1, 4) * mt.g[a][b_]) * HALF)
+            as_rf((ricci[a][b_] - scalar * Fraction(1, 4) * mt.g[a][b_]) * HALF)
             for b_ in range(4)
         ]
         for a in range(4)
     ]
 
     def pairing(V, W):
-        total = _RF_ZERO
+        total = RF_ZERO
         for a in range(4):
             if V[a].is_zero:
                 continue
@@ -338,7 +328,7 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
         (pairing(l, mtld), phi11, pairing(m, n)),
         (pairing(mtld, mtld), pairing(mtld, n), pairing(n, n)),
     )
-    lam = _rf(scalar * Fraction(-1, 24))
+    lam = as_rf(scalar * Fraction(-1, 24))
     return phi, lam
 
 
@@ -615,7 +605,7 @@ def commutator_residuals(frame: Frame, f):
     expansions; six residuals, one per operator pair."""
     ops = frame.ops
     s = frame.coeffs
-    f = _rf(f)
+    f = as_rf(f)
     D = {name: ops.apply(name, f) for name in ops.NAMES}
     second = {
         (p, q): ops.apply(p, D[q]) for p in ops.NAMES for q in ops.NAMES

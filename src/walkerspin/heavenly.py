@@ -12,13 +12,12 @@ from fractions import Fraction
 
 from .curvature import walker_curvature_components
 from .errors import InputError, InternalInconsistencyError
-from .poly import ONE, Poly, RationalFunction, VARIABLES, ZERO
+from .poly import HALF, ONE, Poly, RationalFunction, VARIABLES, ZERO
 from .walker import WalkerMetric
 
 _U = Poly.parse("u")
 _V = Poly.parse("v")
 _UUVV = Poly.parse("u^2*v^2")
-_HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 # which coordinates each chain function may depend on
@@ -193,7 +192,7 @@ def invariants(p: HeavenlyPotential) -> HeavenlyInvariants:
         + _d(p.theta, "u", "u") * _d(p.theta, "v", "v")
         - _d(p.theta, "u", "v") * _d(p.theta, "u", "v")
     )
-    big_q = _HALF * (
+    big_q = HALF * (
         p.g * p.theta.diff("v")
         - p.G * _d(p.theta, "v", "v")
         + p.f * p.theta.diff("u")
@@ -256,11 +255,11 @@ def psi_components(p: HeavenlyPotential) -> tuple:
     w = build_metric(p)
     sixth = Fraction(1, 6)
     direct = (
-        _HALF * _d(w.b, "u", "u"),
-        _HALF * _d(w.b, "u", "v"),
+        HALF * _d(w.b, "u", "u"),
+        HALF * _d(w.b, "u", "v"),
         sixth * (_d(w.b, "v", "v") - 2 * _d(w.c, "u", "v")),
-        _HALF * _d(w.a, "u", "v"),
-        _HALF * _d(w.a, "v", "v"),
+        HALF * _d(w.a, "u", "v"),
+        HALF * _d(w.a, "v", "v"),
     )
     shifted = p.theta - Fraction(1, 24) * _UUVV * p.h
     operator = tuple(
@@ -301,7 +300,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
     big_r = inv.R
     diff = f4 - g3
     psi_t4 = (
-        -_HALF * wave_operator(w, big_r)
+        -HALF * wave_operator(w, big_r)
         - p.f * big_r.diff("u")
         - p.g * big_r.diff("v")
         + Fraction(1, 8) * (_U * p.g - _V * p.f) * diff

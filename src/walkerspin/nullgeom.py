@@ -16,7 +16,7 @@ from math import comb
 
 from .curvature import CurvatureSpinors, walker_curvature_components
 from .errors import InputError, InternalInconsistencyError
-from .poly import ONE, ZERO, RationalFunction
+from .poly import ONE, RF_ONE, RF_ZERO, ZERO, RationalFunction, as_rf
 from .spincoeff import (
     DIR_OF,
     DN,
@@ -32,18 +32,9 @@ from .spincoeff import (
 )
 from .walker import COORDS, WalkerMetric, tetrad_covectors
 
-_RF_ZERO = RationalFunction(ZERO)
-_RF_ONE = RationalFunction(ONE)
-
-
-def _rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
-
 
 def _rf_pow(base: RationalFunction, n: int) -> RationalFunction:
-    out = _RF_ONE
+    out = RF_ONE
     for _ in range(n):
         out = out * base
     return out
@@ -73,7 +64,7 @@ class PrimedSpinor:
 
 
 def primed_spinor(p, q) -> PrimedSpinor:
-    p, q = _rf(p), _rf(q)
+    p, q = as_rf(p), as_rf(q)
     if p.is_zero and q.is_zero:
         raise InputError("direction spinor must not vanish identically")
     return PrimedSpinor(p=p, q=q)
@@ -96,7 +87,7 @@ def integrability_residual(pi: PrimedSpinor, frame: Frame) -> DyadSpinorField:
     dpi = dyad_covariant_derivative(pi_up, frame)
     comps = {}
     for B in (0, 1):
-        total = _RF_ZERO
+        total = RF_ZERO
         for bp in (0, 1):
             for c in (0, 1):
                 total = total + (
@@ -160,12 +151,12 @@ def recurrence_forms(
     for pair in product((0, 1), repeat=2):
         s_vals[pair] = sum(
             (pi_low.component(c) * dpi.component(*pair, c) for c in (0, 1)),
-            _RF_ZERO,
+            RF_ZERO,
         )
         t_vals[pair] = sum(
             (pi_up.component(b) * dpi_low.component(pair[0], b, pair[1])
              for b in (0, 1)),
-            _RF_ZERO,
+            RF_ZERO,
         )
 
     if check_integrable:
@@ -178,13 +169,13 @@ def recurrence_forms(
 
     xi = pi.dual()
     omega = tuple(
-        sum((s_vals[(A, a)] * xi[a] for a in (0, 1)), _RF_ZERO) for A in (0, 1)
+        sum((s_vals[(A, a)] * xi[a] for a in (0, 1)), RF_ZERO) for A in (0, 1)
     )
     eta = tuple(
-        sum((t_vals[(A, a)] * xi[a] for a in (0, 1)), _RF_ZERO) for A in (0, 1)
+        sum((t_vals[(A, a)] * xi[a] for a in (0, 1)), RF_ZERO) for A in (0, 1)
     )
     div = tuple(
-        sum((dpi.component(A, d, d) for d in (0, 1)), _RF_ZERO) for A in (0, 1)
+        sum((dpi.component(A, d, d) for d in (0, 1)), RF_ZERO) for A in (0, 1)
     )
     for A in (0, 1):
         if omega[A] + eta[A] != div[A]:
@@ -196,7 +187,7 @@ def recurrence_forms(
     # symmetric object, hence identically zero; a nonzero value would
     # mean broken index algebra.
     raised = raise_index(raise_index(dpi, 0), 1)
-    square = _RF_ZERO
+    square = RF_ZERO
     for key in product((0, 1), repeat=3):
         square = square + dpi_low.component(*key) * raised.component(*key)
     if not square.is_zero:
@@ -205,7 +196,7 @@ def recurrence_forms(
     eta_up = (eta[1], -eta[0])
     pairing = 2 * (eta_up[0] * omega[0] + eta_up[1] * omega[1])
 
-    unit = frame.tetrad.chi * frame.tetrad.chi_t == _RF_ONE
+    unit = frame.tetrad.chi * frame.tetrad.chi_t == RF_ONE
     s_one = _covector_from_pairs(s_vals, frame) if unit else None
     t_one = _covector_from_pairs(t_vals, frame) if unit else None
 
@@ -229,7 +220,7 @@ def recurrence_forms(
 def weyl_quartic(pi: PrimedSpinor, curv: CurvatureSpinors) -> RationalFunction:
     """Full contraction of the second quartic family with the field;
     zero exactly when the field is a principal direction."""
-    total = _RF_ZERO
+    total = RF_ZERO
     for k in range(5):
         total = total + comb(4, k) * curv.psi_t(k) * _rf_pow(pi.p, 4 - k) * _rf_pow(pi.q, k)
     return total
@@ -240,7 +231,7 @@ def principal_spinor_residual(pi: PrimedSpinor, curv: CurvatureSpinors) -> tuple
     is a repeated root of the quartic."""
     out = []
     for i in (0, 1):
-        total = _RF_ZERO
+        total = RF_ZERO
         for j in range(4):
             total = total + comb(3, j) * curv.psi_t(j + i) * _rf_pow(pi.p, 3 - j) * _rf_pow(pi.q, j)
         out.append(total)
@@ -262,7 +253,7 @@ def _contract_primed(field: DyadSpinorField, pos: int, pi: PrimedSpinor) -> Dyad
     indices = tuple(field.indices[i] for i in keep)
     comps = {}
     for key in product((0, 1), repeat=len(indices)):
-        total = _RF_ZERO
+        total = RF_ZERO
         for i in (0, 1):
             full = [0] * len(field.indices)
             for slot, value in zip(keep, key):
@@ -319,7 +310,7 @@ def ricci_conditions(
             single[(i, k)] = pi.p * curv.Phi[i][k] + pi.q * curv.Phi[i][k + 1]
     double = []
     for i in range(3):
-        total = _RF_ZERO
+        total = RF_ZERO
         for j in range(3):
             total = total + comb(2, j) * curv.Phi[i][j] * _rf_pow(pi.p, 2 - j) * _rf_pow(pi.q, j)
         double.append(total)
@@ -331,19 +322,19 @@ def ricci_conditions(
             "single contraction vanished but the double contraction did not"
         )
     coord = None
-    if w is not None and pi.p == _RF_ONE and pi.q.is_zero:
+    if w is not None and pi.p == RF_ONE and pi.q.is_zero:
         a, b, c = w.a, w.b, w.c
         pairs = {
             "a_uu - b_vv": (
-                _rf(a.diff("u").diff("u") - b.diff("v").diff("v")),
+                as_rf(a.diff("u").diff("u") - b.diff("v").diff("v")),
                 8 * curv.Phi[1][1],
             ),
             "b_uv + c_uu": (
-                _rf(b.diff("u").diff("v") + c.diff("u").diff("u")),
+                as_rf(b.diff("u").diff("v") + c.diff("u").diff("u")),
                 -4 * curv.Phi[0][1],
             ),
             "a_uv + c_vv": (
-                _rf(a.diff("u").diff("v") + c.diff("v").diff("v")),
+                as_rf(a.diff("u").diff("v") + c.diff("v").diff("v")),
                 4 * curv.Phi[2][1],
             ),
         }
@@ -413,7 +404,7 @@ def kerr_check(pi: PrimedSpinor, frame: Frame, curv: CurvatureSpinors) -> KerrRe
 def frobenius_residual(cov) -> dict:
     """Components of d(omega) wedge omega for a covector field; all four
     vanish exactly when the orthogonal distribution is integrable."""
-    cov = tuple(_rf(c) for c in cov)
+    cov = tuple(as_rf(c) for c in cov)
     if len(cov) != 4:
         raise InputError("covector must have four components")
     d = [
@@ -479,7 +470,7 @@ def relation_suite(
             raise InputError("the affine-section suite needs curvature components")
         return {
             "beta~": s.beta_t,
-            "alpha + 1": s.alpha + _RF_ONE,
+            "alpha + 1": s.alpha + RF_ONE,
             "PsiT2 + 2*Lambda - 2*alpha~": curv.PsiT2 + 2 * curv.Lambda - 2 * s.alpha_t,
         }
     raise InputError(

@@ -2,8 +2,17 @@
 
 Everything downstream manipulates polynomial or rational-function data in
 four fixed coordinates, so this module pins down one canonical
-representation: a mapping from exponent 4-tuples to nonzero ``Fraction``
-coefficients.  There are no floats anywhere and equality is exact.
+representation: integer numerators keyed by exponent 4-tuples, over one
+positive integer denominator shared by every term.  No numerator is zero,
+the denominator and the numerators have no common factor, and the zero
+polynomial is ``{}`` over 1, so each polynomial has exactly one
+representation and equality compares the two fields.  Arithmetic stays in
+integers, after Monagan and Pearce's sparse integer arithmetic: a product
+is one integer convolution followed by one reduction by the common factor
+of its denominator and numerators.  There are no floats anywhere.
+
+``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
+It is built on first access, cached, and read-only by convention.
 
 ``RationalFunction`` is a thin quotient wrapper.  Denominators are not
 reduced by polynomial gcd; equality goes through cross-multiplication, and
@@ -13,6 +22,7 @@ the common case of a unit denominator is special-cased throughout.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 VARIABLES = ("u", "v", "x", "y")
@@ -20,6 +30,13 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 Exponents = tuple[int, int, int, int]
 Scalar = Union[int, Fraction]
+
+HALF = Fraction(1, 2)
+
+# Parser limits: parentheses nest at most this deep, and an exponent
+# literal is at most this large.
+MAX_NESTING = 100
+MAX_EXPONENT = 1000
 
 
 class ExprSyntaxError(ValueError):
@@ -38,14 +55,20 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class Poly:
-    """Polynomial in u, v, x, y with Fraction coefficients, kept canonical.
+def _term_order(exps: Exponents):
+    """Sort key: total degree descending, then exponents descending."""
+    return (-sum(exps), tuple(-k for k in exps))
 
-    Canonical means: the term dict never stores a zero coefficient.  All
-    operations return new objects; instances are treated as immutable.
+
+class Poly:
+    """Polynomial in u, v, x, y: integer numerators over one denominator.
+
+    ``_num`` maps exponent tuples to nonzero ints and ``_den`` is a
+    positive int with gcd(den, all numerators) = 1.  All operations return
+    new objects; instances are treated as immutable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_num", "_den", "_terms")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
         clean: dict[Exponents, Fraction] = {}
@@ -62,7 +85,11 @@ class Poly:
                         clean[key] = c
                     elif key in clean:
                         del clean[key]
-        self.terms = clean
+        # the lcm of reduced denominators leaves no factor common to all
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
+        self._terms = None
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -70,7 +97,8 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        return cls({(0, 0, 0, 0): _as_fraction(value)})
+        c = _as_fraction(value)
+        return _poly({(0, 0, 0, 0): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
@@ -81,96 +109,110 @@ class Poly:
         return cls({tuple(exps): 1})
 
     @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """Exponent tuple -> Fraction coefficient; cached, do not mutate."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = self._terms = {e: Fraction(n, den) for e, n in self._num.items()}
+        return terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
 
     def constant_value(self) -> Fraction | None:
         """The value as a Fraction if constant, else None."""
-        if not self.terms:
+        if not self._num:
             return Fraction(0)
-        if len(self.terms) == 1 and (0, 0, 0, 0) in self.terms:
-            return self.terms[(0, 0, 0, 0)]
+        if len(self._num) == 1 and (0, 0, 0, 0) in self._num:
+            return Fraction(self._num[(0, 0, 0, 0)], self._den)
         return None
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.terms == other.terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def __neg__(self) -> "Poly":
-        out = Poly()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly({e: -n for e, n in self._num.items()}, self._den)
+
+    # Poly operands are tested first: isinstance against Fraction, an ABC,
+    # is slow when it fails.
 
     def __add__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly.const(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = merged.get(exps)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                merged[exps] = total
-            elif exps in merged:
-                del merged[exps]
-        out = Poly()
-        out.terms = merged
-        return out
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        return self + (-other if isinstance(other, Poly) else Poly.const(-_as_fraction(other)))
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other: Scalar) -> "Poly":
-        return Poly.const(other) + (-self)
+        return _combine(Poly.const(other), self, -1)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Poly.zero()
-            out = Poly()
-            out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
         if not isinstance(other, Poly):
-            return NotImplemented
-        product: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                acc = product.get(key)
-                total = c1 * c2 if acc is None else acc + c1 * c2
-                if total:
-                    product[key] = total
-                elif key in product:
-                    del product[key]
-        out = Poly()
-        out.terms = product
-        return out
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scaled(other.numerator, other.denominator)
+        outer, inner = self._num, other._num
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        product: dict[Exponents, int] = {}
+        get = product.get
+        for (a0, a1, a2, a3), m in outer.items():
+            for (b0, b1, b2, b3), n in inner.items():
+                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                product[key] = get(key, 0) + m * n
+        return _reduced({e: n for e, n in product.items() if n}, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, a: int, b: int) -> "Poly":
+        """self * (a/b) for coprime ints a and b > 0."""
+        num, den = self._num, self._den
+        if not a or not num:
+            return ZERO
+        g = gcd(a, den)
+        if g != 1:
+            a //= g
+            den //= g
+        if b != 1:
+            # gcd(a, b) = 1 and gcd(den, content) = 1, so only the content
+            # of the numerators can share a factor with b
+            h = gcd(b, *num.values())
+            if h != 1:
+                b //= h
+                return _poly({e: n // h * a for e, n in num.items()}, den * b)
+        return _poly({e: n * a for e, n in num.items()}, den * b)
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.const(1)
+        result = ONE
         for _ in range(exponent):
             result = result * self
         return result
@@ -180,39 +222,45 @@ class Poly:
         if var not in _VAR_INDEX:
             raise ValueError(f"unknown variable {var!r}")
         i = _VAR_INDEX[var]
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        out: dict[Exponents, int] = {}
+        for exps, n in self._num.items():
             e = exps[i]
-            if e == 0:
-                continue
-            lowered = list(exps)
-            lowered[i] = e - 1
-            out[tuple(lowered)] = coeff * e
-        p = Poly()
-        p.terms = out
-        return p
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1:]] = n * e
+        return _reduced(out, self._den)
 
     def eval_at(self, point: Iterable[Scalar]) -> Fraction:
-        """Exact evaluation at a 4-tuple of rationals, in coordinate order."""
+        """Exact evaluation at a 4-tuple of rationals, in coordinate order.
+
+        With p/q a coordinate and d the highest power of it present, each
+        power (p/q)^k is taken as p^k * q^(d-k) over q^d, so the sum runs in
+        integers over the one denominator den * prod(q^d).
+        """
         pt = [_as_fraction(c) for c in point]
         if len(pt) != 4:
             raise ValueError("evaluation point must have four coordinates")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for base, e in zip(pt, exps):
-                if e:
-                    term *= base ** e
-            total += term
-        return total
+        num = self._num
+        if not num:
+            return Fraction(0)
+        scale = self._den
+        tables = []
+        for c, top in zip(pt, map(max, zip(*num))):
+            p, q = c.numerator, c.denominator
+            tables.append([p**k * q ** (top - k) for k in range(top + 1)])
+            scale *= q**top
+        t0, t1, t2, t3 = tables
+        total = 0
+        for (a, b, c, d), n in num.items():
+            total += n * t0[a] * t1[b] * t2[c] * t3[d]
+        return Fraction(total, scale)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
-        ordered = sorted(self.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
+        terms = self.terms
         pieces: list[str] = []
-        for exps in ordered:
-            coeff = self.terms[exps]
+        for exps in sorted(terms, key=_term_order):
+            coeff = terms[exps]
             factors = []
             for name, e in zip(VARIABLES, exps):
                 if e == 1:
@@ -240,9 +288,52 @@ class Poly:
         """Parse arithmetic text such as ``3*u^2*v - x + 2/3``.
 
         Division is only permitted between integer literals (rational
-        coefficients); ``u/v`` is rejected.
+        coefficients); ``u/v`` is rejected.  Parentheses may nest
+        ``MAX_NESTING`` deep and exponents are at most ``MAX_EXPONENT``.
         """
         return _Parser(text).run()
+
+
+def _poly(num: dict[Exponents, int], den: int) -> Poly:
+    """Wrap parts that are already canonical."""
+    p = object.__new__(Poly)
+    p._num = num
+    p._den = den
+    p._terms = None
+    return p
+
+
+def _reduced(num: dict[Exponents, int], den: int) -> Poly:
+    """Canonical Poly from nonzero numerators over den > 0."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
+    return _poly(num, den)
+
+
+def _combine(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q, with sign 1 or -1."""
+    if not q._num:
+        return p
+    den = p._den
+    if den == q._den:
+        out = dict(p._num)
+        scale = sign
+    else:
+        den = lcm(den, q._den)
+        lift = den // p._den
+        out = {e: n * lift for e, n in p._num.items()}
+        scale = sign * (den // q._den)
+    get = out.get
+    for e, n in q._num.items():
+        total = get(e, 0) + n * scale
+        if total:
+            out[e] = total
+        else:
+            del out[e]
+    return _reduced(out, den)
 
 
 class _Parser:
@@ -251,6 +342,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def run(self) -> Poly:
         value = self.expr()
@@ -313,6 +405,9 @@ class _Parser:
             digits = self.read_digits()
             if digits is None:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", exp_pos)
+            # digit count first: int() refuses literals over 4300 digits
+            if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
             base = base ** int(digits)
         return base if sign > 0 else -base
 
@@ -321,12 +416,18 @@ class _Parser:
         start = self.pos
         ch = self.peek()
         if ch == "(":
+            if self.depth >= MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.pos
+                )
+            self.depth += 1
             self.pos += 1
             inner = self.expr()
             self.skip_ws()
             if self.peek() != ")":
                 raise ExprSyntaxError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch.isdigit():
             numerator = int(self.read_digits())
@@ -400,10 +501,12 @@ class RationalFunction:
         if num.is_zero:
             num, den = ZERO, ONE
         elif den != ONE:
-            lead = sorted(den.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))[0]
-            scale = 1 / den.terms[lead]
-            num = num * scale
-            den = den * scale
+            # scale both by den._den / lead so the leading coefficient is one
+            lead = den._num[min(den._num, key=_term_order)]
+            a, b = (den._den, lead) if lead > 0 else (-den._den, -lead)
+            g = gcd(a, b)
+            num = num._scaled(a // g, b // g)
+            den = den._scaled(a // g, b // g)
         self.num = num
         self.den = den
 
@@ -425,10 +528,10 @@ class RationalFunction:
         return self.num
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Poly, int, Fraction)):
-            other = RationalFunction(_as_poly(other))
         if not isinstance(other, RationalFunction):
-            return NotImplemented
+            if not isinstance(other, (Poly, int, Fraction)):
+                return NotImplemented
+            other = RationalFunction(_as_poly(other))
         if self.den == other.den:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
@@ -519,6 +622,13 @@ def _as_rational(value) -> RationalFunction | None:
     if isinstance(value, (Poly, int, Fraction)):
         return RationalFunction(_as_poly(value))
     return None
+
+
+def as_rf(value) -> RationalFunction:
+    """A RationalFunction as is; a Poly, int or Fraction over one."""
+    if isinstance(value, RationalFunction):
+        return value
+    return RationalFunction(value)
 
 
 RF_ZERO = RationalFunction(ZERO)

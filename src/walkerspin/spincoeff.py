@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import ONE, ZERO, RationalFunction
+from .poly import HALF, ONE, RF_ZERO, ZERO, RationalFunction, as_rf
 from .walker import (
     COORDS,
     Christoffel,
@@ -33,56 +33,47 @@ from .walker import (
     walker_tetrad,
 )
 
-HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 _FAMILIES = ("kappa", "sigma", "rho", "tau", "epsilon", "alpha", "beta", "gamma")
 _FLAVOURS = ("", "_p", "_t", "_tp")
 COEFF_NAMES = tuple(f"{fam}{fl}" for fam in _FAMILIES for fl in _FLAVOURS)
 
-_RF_ZERO = RationalFunction(ZERO)
-
-
-def _rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
-
 
 @dataclass(frozen=True)
 class SpinCoefficientSet:
-    kappa: RationalFunction = _RF_ZERO
-    kappa_p: RationalFunction = _RF_ZERO
-    kappa_t: RationalFunction = _RF_ZERO
-    kappa_tp: RationalFunction = _RF_ZERO
-    sigma: RationalFunction = _RF_ZERO
-    sigma_p: RationalFunction = _RF_ZERO
-    sigma_t: RationalFunction = _RF_ZERO
-    sigma_tp: RationalFunction = _RF_ZERO
-    rho: RationalFunction = _RF_ZERO
-    rho_p: RationalFunction = _RF_ZERO
-    rho_t: RationalFunction = _RF_ZERO
-    rho_tp: RationalFunction = _RF_ZERO
-    tau: RationalFunction = _RF_ZERO
-    tau_p: RationalFunction = _RF_ZERO
-    tau_t: RationalFunction = _RF_ZERO
-    tau_tp: RationalFunction = _RF_ZERO
-    epsilon: RationalFunction = _RF_ZERO
-    epsilon_p: RationalFunction = _RF_ZERO
-    epsilon_t: RationalFunction = _RF_ZERO
-    epsilon_tp: RationalFunction = _RF_ZERO
-    alpha: RationalFunction = _RF_ZERO
-    alpha_p: RationalFunction = _RF_ZERO
-    alpha_t: RationalFunction = _RF_ZERO
-    alpha_tp: RationalFunction = _RF_ZERO
-    beta: RationalFunction = _RF_ZERO
-    beta_p: RationalFunction = _RF_ZERO
-    beta_t: RationalFunction = _RF_ZERO
-    beta_tp: RationalFunction = _RF_ZERO
-    gamma: RationalFunction = _RF_ZERO
-    gamma_p: RationalFunction = _RF_ZERO
-    gamma_t: RationalFunction = _RF_ZERO
-    gamma_tp: RationalFunction = _RF_ZERO
+    kappa: RationalFunction = RF_ZERO
+    kappa_p: RationalFunction = RF_ZERO
+    kappa_t: RationalFunction = RF_ZERO
+    kappa_tp: RationalFunction = RF_ZERO
+    sigma: RationalFunction = RF_ZERO
+    sigma_p: RationalFunction = RF_ZERO
+    sigma_t: RationalFunction = RF_ZERO
+    sigma_tp: RationalFunction = RF_ZERO
+    rho: RationalFunction = RF_ZERO
+    rho_p: RationalFunction = RF_ZERO
+    rho_t: RationalFunction = RF_ZERO
+    rho_tp: RationalFunction = RF_ZERO
+    tau: RationalFunction = RF_ZERO
+    tau_p: RationalFunction = RF_ZERO
+    tau_t: RationalFunction = RF_ZERO
+    tau_tp: RationalFunction = RF_ZERO
+    epsilon: RationalFunction = RF_ZERO
+    epsilon_p: RationalFunction = RF_ZERO
+    epsilon_t: RationalFunction = RF_ZERO
+    epsilon_tp: RationalFunction = RF_ZERO
+    alpha: RationalFunction = RF_ZERO
+    alpha_p: RationalFunction = RF_ZERO
+    alpha_t: RationalFunction = RF_ZERO
+    alpha_tp: RationalFunction = RF_ZERO
+    beta: RationalFunction = RF_ZERO
+    beta_p: RationalFunction = RF_ZERO
+    beta_t: RationalFunction = RF_ZERO
+    beta_tp: RationalFunction = RF_ZERO
+    gamma: RationalFunction = RF_ZERO
+    gamma_p: RationalFunction = RF_ZERO
+    gamma_t: RationalFunction = RF_ZERO
+    gamma_tp: RationalFunction = RF_ZERO
 
     def get(self, name: str) -> RationalFunction:
         if name not in COEFF_NAMES:
@@ -93,7 +84,7 @@ class SpinCoefficientSet:
         return {name: getattr(self, name) for name in COEFF_NAMES}
 
     def with_values(self, **updates) -> "SpinCoefficientSet":
-        return replace(self, **{k: _rf(v) for k, v in updates.items()})
+        return replace(self, **{k: as_rf(v) for k, v in updates.items()})
 
 
 def prime(s: SpinCoefficientSet) -> SpinCoefficientSet:
@@ -235,20 +226,20 @@ def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
     b1, b2 = d["b1"], d["b2"]
     c1, c2 = d["c1"], d["c2"]
     return SpinCoefficientSet(
-        kappa_p=_rf(a2 * -HALF),
-        kappa_tp=_rf(-d["kc"]),
-        rho_p=_rf(c2 * -HALF),
-        sigma=_rf(b1 * -HALF),
-        sigma_tp=_rf(d["kd"]),
-        tau=_rf(c1 * HALF),
-        epsilon_p=_rf((c2 - a1) * QUARTER),
-        epsilon_tp=_rf((a1 + c2) * -QUARTER),
-        alpha_p=_rf((b2 - c1) * QUARTER),
-        alpha_t=_rf((b2 + c1) * -QUARTER),
-        beta=_rf((b2 - c1) * QUARTER),
-        beta_tp=_rf((b2 + c1) * -QUARTER),
-        gamma=_rf((a1 - c2) * QUARTER),
-        gamma_t=_rf((a1 + c2) * QUARTER),
+        kappa_p=as_rf(a2 * -HALF),
+        kappa_tp=as_rf(-d["kc"]),
+        rho_p=as_rf(c2 * -HALF),
+        sigma=as_rf(b1 * -HALF),
+        sigma_tp=as_rf(d["kd"]),
+        tau=as_rf(c1 * HALF),
+        epsilon_p=as_rf((c2 - a1) * QUARTER),
+        epsilon_tp=as_rf((a1 + c2) * -QUARTER),
+        alpha_p=as_rf((b2 - c1) * QUARTER),
+        alpha_t=as_rf((b2 + c1) * -QUARTER),
+        beta=as_rf((b2 - c1) * QUARTER),
+        beta_tp=as_rf((b2 + c1) * -QUARTER),
+        gamma=as_rf((a1 - c2) * QUARTER),
+        gamma_t=as_rf((a1 + c2) * QUARTER),
     )
 
 
@@ -301,7 +292,7 @@ def transform_coefficients(
     they are checked here against full recomputation from the transformed
     tetrad, and a mismatch raises InternalInconsistencyError.
     """
-    lam, lam_t, mu, mu_t = _rf(lam), _rf(lam_t), _rf(mu), _rf(mu_t)
+    lam, lam_t, mu, mu_t = as_rf(lam), as_rf(lam_t), as_rf(mu), as_rf(mu_t)
     new_t = tetrad_transform(frame.tetrad, lam, lam_t, mu, mu_t)
     full = spin_coefficients_from_tetrad(frame.connection, new_t, frame.metric)
 
@@ -363,18 +354,18 @@ class DyadSpinorField:
         if not hasattr(comps, "items"):
             raise InputError("components must be a mapping from index tuples")
         n = len(indices)
-        table = {key: _rf(ZERO) for key in product((0, 1), repeat=n)}
+        table = {key: as_rf(ZERO) for key in product((0, 1), repeat=n)}
         for key, value in comps.items():
             key = tuple(key)
             if len(key) != n or any(i not in (0, 1) for i in key):
                 raise InputError(f"component key {key} does not match valence {n}")
-            table[key] = _rf(value)
+            table[key] = as_rf(value)
         self.indices = indices
         self.comps = table
 
     @classmethod
     def scalar(cls, value) -> "DyadSpinorField":
-        return cls((), {(): _rf(value)})
+        return cls((), {(): as_rf(value)})
 
     def component(self, *key) -> RationalFunction:
         return self.comps[tuple(key)]
@@ -405,7 +396,7 @@ class DyadSpinorField:
         )
 
     def scale(self, factor) -> "DyadSpinorField":
-        factor = _rf(factor)
+        factor = as_rf(factor)
         return DyadSpinorField(self.indices, {k: factor * v for k, v in self.comps.items()})
 
     def __repr__(self) -> str:
@@ -465,7 +456,7 @@ def contract(field: DyadSpinorField, pos_up: int, pos_dn: int) -> DyadSpinorFiel
     indices = tuple(field.indices[i] for i in keep)
     comps: dict[tuple[int, ...], RationalFunction] = {}
     for key in product((0, 1), repeat=len(indices)):
-        total = _rf(ZERO)
+        total = as_rf(ZERO)
         for i in (0, 1):
             full = [0] * len(field.indices)
             for slot, value in zip(keep, key):
@@ -560,7 +551,7 @@ def first_form_residuals(frame: Frame):
     mtn = wedge(mt_dn, n_dn)
 
     def expand(terms):
-        out = [[_rf(ZERO) for _ in range(4)] for _ in range(4)]
+        out = [[as_rf(ZERO) for _ in range(4)] for _ in range(4)]
         for coeff, grid in terms:
             if coeff.is_zero:
                 continue

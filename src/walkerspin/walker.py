@@ -11,12 +11,9 @@ layer stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DegenerateTetradError, InputError
-from .poly import ONE, ZERO, Poly, RationalFunction
-
-HALF = Fraction(1, 2)
+from .poly import HALF, ONE, ZERO, Poly, RationalFunction, as_rf
 
 Vector = tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]
 Matrix4 = tuple[tuple[Poly, ...], ...]
@@ -24,14 +21,8 @@ Matrix4 = tuple[tuple[Poly, ...], ...]
 COORDS = ("u", "v", "x", "y")
 
 
-def _rf(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
-
-
 def _vec(components) -> Vector:
-    out = tuple(_rf(c) for c in components)
+    out = tuple(as_rf(c) for c in components)
     if len(out) != 4:
         raise ValueError("vectors have four components")
     return out
@@ -84,17 +75,17 @@ class MetricTensor:
 
     def lower(self, V: Vector) -> Vector:
         return _vec(
-            [sum((_rf(self.g[a][b]) * V[b] for b in range(4)), _rf(ZERO)) for a in range(4)]
+            [sum((as_rf(self.g[a][b]) * V[b] for b in range(4)), as_rf(ZERO)) for a in range(4)]
         )
 
     def inner(self, V: Vector, W: Vector) -> RationalFunction:
-        total = _rf(ZERO)
+        total = as_rf(ZERO)
         for a in range(4):
             for b in range(4):
                 entry = self.g[a][b]
                 if entry.is_zero:
                     continue
-                total = total + _rf(entry) * V[a] * W[b]
+                total = total + as_rf(entry) * V[a] * W[b]
         return total
 
 
@@ -156,8 +147,8 @@ class Tetrad:
     n: Vector
     m: Vector
     mt: Vector
-    chi: RationalFunction = field(default_factory=lambda: _rf(ONE))
-    chi_t: RationalFunction = field(default_factory=lambda: _rf(ONE))
+    chi: RationalFunction = field(default_factory=lambda: as_rf(ONE))
+    chi_t: RationalFunction = field(default_factory=lambda: as_rf(ONE))
 
 
 def walker_tetrad(w: WalkerMetric) -> Tetrad:
@@ -175,14 +166,14 @@ def validate_tetrad(mt: MetricTensor, t: Tetrad) -> None:
     if unit.is_zero:
         raise DegenerateTetradError("chi * chi_t vanishes identically")
     pairs = [
-        (t.l, t.l, _rf(ZERO)),
-        (t.n, t.n, _rf(ZERO)),
-        (t.m, t.m, _rf(ZERO)),
-        (t.mt, t.mt, _rf(ZERO)),
-        (t.l, t.m, _rf(ZERO)),
-        (t.l, t.mt, _rf(ZERO)),
-        (t.n, t.m, _rf(ZERO)),
-        (t.n, t.mt, _rf(ZERO)),
+        (t.l, t.l, as_rf(ZERO)),
+        (t.n, t.n, as_rf(ZERO)),
+        (t.m, t.m, as_rf(ZERO)),
+        (t.mt, t.mt, as_rf(ZERO)),
+        (t.l, t.m, as_rf(ZERO)),
+        (t.l, t.mt, as_rf(ZERO)),
+        (t.n, t.m, as_rf(ZERO)),
+        (t.n, t.mt, as_rf(ZERO)),
         (t.l, t.n, unit),
         (t.m, t.mt, -unit),
     ]
@@ -221,7 +212,7 @@ def ivdw_symbols(w: WalkerMetric) -> IvdWSymbols:
 
 def vector_to_spinor_matrix(symbols: IvdWSymbols, V: Vector):
     """V^a -> V^{AA'} as a 2x2 matrix of rational functions."""
-    out = [[_rf(ZERO), _rf(ZERO)], [_rf(ZERO), _rf(ZERO)]]
+    out = [[as_rf(ZERO), as_rf(ZERO)], [as_rf(ZERO), as_rf(ZERO)]]
     for a in range(4):
         for A in range(2):
             for Ap in range(2):
@@ -235,13 +226,13 @@ def vector_to_spinor_matrix(symbols: IvdWSymbols, V: Vector):
 def spinor_matrix_to_vector(symbols: IvdWSymbols, M) -> Vector:
     comps = []
     for a in range(4):
-        total = _rf(ZERO)
+        total = as_rf(ZERO)
         for A in range(2):
             for Ap in range(2):
                 entry = symbols.down[a][A][Ap]
                 if entry.is_zero:
                     continue
-                total = total + _rf(M[A][Ap]) * entry
+                total = total + as_rf(M[A][Ap]) * entry
         comps.append(total)
     return _vec(comps)
 
@@ -258,7 +249,7 @@ def covariant_derivative_vector(ch: Christoffel, V: Vector):
                 coeff = ch.gamma[a][b][c]
                 if coeff.is_zero or V[c].is_zero:
                     continue
-                total = total + _rf(coeff) * V[c]
+                total = total + as_rf(coeff) * V[c]
             row.append(total)
         out.append(tuple(row))
     return tuple(out)
@@ -268,7 +259,7 @@ def directional_vector_derivative(nabla, W: Vector) -> Vector:
     """Contract a covariant derivative grid with a direction vector W^b."""
     comps = []
     for a in range(4):
-        total = _rf(ZERO)
+        total = as_rf(ZERO)
         for b in range(4):
             if W[b].is_zero:
                 continue
@@ -288,8 +279,8 @@ class DirectionalOps:
 
     def apply(self, name: str, f) -> RationalFunction:
         vec = self._dirs[name]
-        f = _rf(f)
-        total = _rf(ZERO)
+        f = as_rf(f)
+        total = as_rf(ZERO)
         for b in range(4):
             if vec[b].is_zero:
                 continue
@@ -318,7 +309,7 @@ def tetrad_transform(t: Tetrad, lam, lam_t, mu, mu_t) -> Tetrad:
     terms, and m, mt mix accordingly.  lam and lam_t must be invertible
     (not identically zero); mu, mu_t are unrestricted.
     """
-    lam, lam_t, mu, mu_t = _rf(lam), _rf(lam_t), _rf(mu), _rf(mu_t)
+    lam, lam_t, mu, mu_t = as_rf(lam), as_rf(lam_t), as_rf(mu), as_rf(mu_t)
     if lam.is_zero or lam_t.is_zero:
         raise InputError("lam and lam_t must not vanish identically")
     ll = lam * lam_t
@@ -329,7 +320,7 @@ def tetrad_transform(t: Tetrad, lam, lam_t, mu, mu_t) -> Tetrad:
     def comb(*pairs) -> Vector:
         comps = []
         for i in range(4):
-            total = _rf(ZERO)
+            total = as_rf(ZERO)
             for coeff, vec in pairs:
                 if vec[i].is_zero:
                     continue
@@ -350,7 +341,7 @@ def scale_normalization(t: Tetrad, f, f_t) -> Tetrad:
     Unlike tetrad_transform this leaves the normalization scalars non-unit,
     which exercises the derivative terms in the coefficient extraction.
     """
-    f, f_t = _rf(f), _rf(f_t)
+    f, f_t = as_rf(f), as_rf(f_t)
     if f.is_zero or f_t.is_zero:
         raise InputError("scale factors must not vanish identically")
 

@@ -52,6 +52,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", spec({"a": "u +* v", "b": "0", "c": "0"}))
         assert code == 2
         assert "position 3" in err
+        deep = "(" * 3000 + "u" + ")" * 3000
+        code, _, err = run(capsys, "analyze", spec({"a": deep, "b": "0", "c": "0"}))
+        assert code == 2
+        assert err.startswith("error:") and "nested deeper" in err
+        code, _, err = run(capsys, "analyze", spec({"a": "u^1000000000", "b": "0", "c": "0"}))
+        assert code == 2
+        assert err.startswith("error:") and "exponent exceeds" in err and "position 2" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
@@ -155,6 +162,9 @@ class TestCongruence:
         code, _, err = run(capsys, "congruence", path, "--v0", "0,0,0,1",
                            "--end", "1", "--step", "0", "--out", "-")
         assert code == 2
+        code, _, err = run(capsys, "congruence", path, "--v0=0,0,1e400,0",
+                           "--end", "1", "--step", "0.1", "--out", "-")
+        assert code == 2 and err.startswith("error:") and "--v0" in err
 
 
 class TestHeavenly:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkerspin.poly import (
+    MAX_EXPONENT,
+    MAX_NESTING,
     ExprSyntaxError,
     Poly,
     RationalFunction,
@@ -27,7 +30,138 @@ coeffs = st.fractions(
 )
 exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * 4)
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(Poly)
-points = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=2)] * 4)
+# exact small rationals, and float-derived ones with 2^-k denominators as
+# the congruence integrator produces
+coords = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False).map(Fraction),
+)
+points = st.tuples(*[coords] * 4)
+
+
+# Reference: schoolbook arithmetic on dicts of Fraction coefficients,
+# independent of Poly's integer storage.
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    merged = dict(p)
+    for exps, coeff in q.items():
+        acc = merged.get(exps)
+        total = coeff if acc is None else acc + coeff
+        if total:
+            merged[exps] = total
+        elif exps in merged:
+            del merged[exps]
+    return merged
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    product = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            acc = product.get(key)
+            total = c1 * c2 if acc is None else acc + c1 * c2
+            if total:
+                product[key] = total
+            elif key in product:
+                del product[key]
+    return product
+
+
+def ref_diff(p: dict, i: int) -> dict:
+    out = {}
+    for exps, coeff in p.items():
+        e = exps[i]
+        if e == 0:
+            continue
+        lowered = list(exps)
+        lowered[i] = e - 1
+        out[tuple(lowered)] = coeff * e
+    return out
+
+
+def ref_eval(p: dict, pt) -> Fraction:
+    total = Fraction(0)
+    for exps, coeff in p.items():
+        term = coeff
+        for base, e in zip(pt, exps):
+            if e:
+                term *= base ** e
+        total += term
+    return total
+
+
+def canonical(p: Poly) -> Poly:
+    """Assert the storage invariant and that ``terms`` matches it."""
+    assert p._den > 0
+    assert all(p._num.values())
+    # also forces the zero polynomial to be {} over 1
+    assert gcd(p._den, *p._num.values()) == 1
+    assert p.terms == {e: Fraction(n, p._den) for e, n in p._num.items()}
+    return p
+
+
+@given(polys, polys)
+def test_ring_ops_match_reference(p, q):
+    canonical(p)
+    assert canonical(p + q).terms == ref_add(p.terms, q.terms)
+    assert canonical(p - q).terms == ref_add(p.terms, {e: -c for e, c in q.terms.items()})
+    assert canonical(-p).terms == {e: -c for e, c in p.terms.items()}
+    assert canonical(p * q).terms == ref_mul(p.terms, q.terms)
+
+
+@given(polys, coeffs)
+def test_scalar_ops_match_reference(p, c):
+    const = {(0, 0, 0, 0): c} if c else {}
+    assert canonical(p * c).terms == ref_mul(p.terms, const)
+    assert canonical(c * p).terms == ref_mul(p.terms, const)
+    assert canonical(p + c).terms == ref_add(p.terms, const)
+    assert canonical(c - p).terms == ref_add(const, {e: -k for e, k in p.terms.items()})
+    assert canonical(Poly.const(c)).terms == const
+
+
+@given(polys)
+def test_diff_matches_reference(p):
+    for i, var in enumerate(("u", "v", "x", "y")):
+        assert canonical(p.diff(var)).terms == ref_diff(p.terms, i)
+
+
+@given(polys, polys, points)
+def test_eval_matches_reference(p, q, pt):
+    assert p.eval_at(pt) == ref_eval(p.terms, pt)
+    assert (p * q).eval_at(pt) == ref_eval(ref_mul(p.terms, q.terms), pt)
+
+
+@given(polys, polys)
+def test_equal_copies_hash_equal(p, q):
+    copies = [
+        Poly.parse(str(p)),
+        Poly(p.terms),
+        (p + q) - q,
+        (p * q + p) - p * q,
+        -(-p),
+        p * Fraction(2, 3) * Fraction(3, 2),
+    ]
+    for copy in copies:
+        assert canonical(copy) == p
+        assert hash(copy) == hash(p)
+
+
+@given(polys, polys)
+def test_rational_function_normalization(p, q):
+    if q.is_zero:
+        return
+    f = RationalFunction(p, q)
+    canonical(f.num)
+    canonical(f.den)
+    if p.is_zero:
+        assert f.num.is_zero and f.den == Poly.const(1)
+        return
+    lead = min(f.den.terms, key=lambda e: (-sum(e), tuple(-k for k in e)))
+    assert f.den.terms[lead] == 1
+    # f.num / f.den is p / q
+    assert ref_mul(f.num.terms, q.terms) == ref_mul(p.terms, f.den.terms)
 
 
 @given(polys, polys)
@@ -125,6 +259,20 @@ def test_parse_reports_positions():
         parse_poly("1/0")
     with pytest.raises(ExprSyntaxError):
         parse_poly("u v")
+
+
+def test_parse_limits():
+    nested = "(" * MAX_NESTING + "u" + ")" * MAX_NESTING
+    assert parse_poly(nested) == Poly.variable("u")
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_poly("(" + nested + ")")
+    assert err.value.position == MAX_NESTING
+    assert parse_poly(f"u^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    assert parse_poly(f"u^000{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    for text in (f"u^{MAX_EXPONENT + 1}", "u^" + "9" * 5000):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(text)
+        assert err.value.position == 2
 
 
 def test_arith_dispatch():
