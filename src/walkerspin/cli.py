@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .congruence import connecting_oracle, integrate_connecting, write_trace_csv
@@ -72,20 +70,6 @@ def _parse_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(p.strip()) for p in parts)
     except (ValueError, ZeroDivisionError) as err:
         raise InputError(f"bad value in {flag}: {err}") from err
-
-
-def _workers(n_tasks: int) -> int:
-    raw = os.environ.get("NP_THREADS")
-    if raw is None:
-        limit = os.cpu_count() or 1
-    else:
-        try:
-            limit = int(raw)
-        except ValueError as err:
-            raise InputError("NP_THREADS must be an integer") from err
-        if limit < 1:
-            raise InputError("NP_THREADS must be positive")
-    return max(1, min(limit, n_tasks))
 
 
 def _metric_header(w: WalkerMetric, out) -> None:
@@ -238,31 +222,24 @@ def cmd_verify(args, out) -> int:
         frame = dataclasses.replace(frame, coeffs=bumped)
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    tasks = []
-    bounds = []
-    for suite in suites:
-        items = _suite_items(suite, frame, curv)
-        bounds.append((suite, len(items)))
-        tasks.extend(items)
-
-    with ThreadPoolExecutor(max_workers=_workers(len(tasks))) as pool:
-        results = list(pool.map(lambda kv: kv[1](), tasks))
+    results = [
+        (suite, [run() for _, run in _suite_items(suite, frame, curv)])
+        for suite in suites
+    ]
 
     _metric_header(w, out)
     if args.perturb is not None:
         print(f"perturbation: {args.perturb} + 1", file=out)
     failed_total = 0
-    cursor = 0
-    for suite, count in bounds:
+    for suite, residual_maps in results:
         checked = 0
         failed = 0
-        for residuals in results[cursor:cursor + count]:
+        for residuals in residual_maps:
             for key, value in residuals.items():
                 checked += 1
                 if not _is_zero(value):
                     failed += 1
                     print(f"FAIL {suite} {key} = {value}", file=out)
-        cursor += count
         verdict = "all zero" if failed == 0 else f"{failed} nonzero"
         print(f"suite {suite}: {checked} residuals, {verdict}", file=out)
         failed_total += failed
@@ -286,9 +263,8 @@ def cmd_congruence(args, out) -> int:
     path = integrate_connecting(w, v0, v_end=args.end, step=args.step, base=base)
 
     worst = 0.0
-    for k, t in enumerate(path.grid):
-        exact = connecting_oracle(w, base, v0, t)
-        got = path.states[k].astuple()
+    for state, exact in zip(path.states, connecting_oracle(w, base, v0, path.grid)):
+        got = state.astuple()
         want = exact.astuple()
         worst = max(worst, max(abs(g - e) for g, e in zip(got, want)))
 

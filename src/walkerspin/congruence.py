@@ -2,10 +2,15 @@
 null congruence.
 
 The integral curves of the first tetrad vector run along the u coordinate,
-so a curve is fixed by its base point and an affine parameter offset.
-Coefficient data is sampled by exact evaluation on a half-step grid and
-only then converted to floats: integration error is the only numerical
-error in a trace.
+so a curve is fixed by its base point and an affine parameter offset t:
+it is the line (u0 + t, v0, x0, y0).  Every sampled quantity is a
+polynomial in u, v, x, y on a canonical frame, so it is restricted to the
+curve once, exactly, as a polynomial in t with integer coefficients over
+one denominator.  Each sample on the half-step grid is then that
+polynomial's exact value at the float-derived rational t, computed by
+integer Horner and rounded to a float once.  The closed-form oracle
+restricts two polynomials in a, b and c the same way.  Integration error
+is the only numerical error in a trace.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import (
     InternalInconsistencyError,
     PatternError,
 )
-from .poly import RationalFunction
+from .poly import HALF, RationalFunction
 from .spincoeff import Frame
 from .walker import WalkerMetric
 
@@ -44,6 +49,9 @@ CSV_HEADER = "v,eta,zeta,zetatilde,nu,rho,rhotilde,sigma,sigmatilde"
 
 FLOW_KINDS = ("dilation", "rotation", "boost", "inverse-scale")
 
+# Largest number of integration steps v_end / step may ask for.
+MAX_STEPS = 1_000_000
+
 
 def _fraction(x) -> Fraction:
     try:
@@ -64,6 +72,14 @@ def _curve_point(base, t):
     return (base[0] + _fraction(t), base[1], base[2], base[3])
 
 
+def _ratios(grid) -> list[tuple[int, int]]:
+    """Each curve parameter as an exact (p, q) pair; a float converts exactly."""
+    return [
+        (t if isinstance(t, float) and math.isfinite(t) else _fraction(t)).as_integer_ratio()
+        for t in grid
+    ]
+
+
 def _check_span(v_end, step) -> None:
     for name, val in (("v_end", v_end), ("step", step)):
         if not math.isfinite(val):
@@ -72,10 +88,14 @@ def _check_span(v_end, step) -> None:
         raise InputError("step must be positive")
     if v_end <= 0:
         raise InputError("v_end must be positive")
+    # also catches an infinite quotient, which round() would refuse
+    if not v_end / step < MAX_STEPS + 0.5:
+        raise InputError(f"v_end / step asks for more than {MAX_STEPS} steps")
 
 
 def _half_grid(v_end: float, step: float):
-    """Uniform grid with midpoints, ending exactly at v_end."""
+    """Uniform grid with midpoints, ending exactly at v_end; callers bound
+    the step count with _check_span first."""
     n = max(1, round(v_end / step))
     h2 = (v_end / n) / 2
     grid = [j * h2 for j in range(2 * n + 1)]
@@ -152,14 +172,7 @@ class CoefficientTrace:
             "kappa": s.kappa,
             "kappa_t": s.kappa_t,
         }
-        pt0 = _point(base)
-        pts = [_curve_point(pt0, t) for t in grid]
-        values = {}
-        for key, rf in combos.items():
-            if rf.is_zero:
-                values[key] = (0.0,) * len(pts)
-            else:
-                values[key] = tuple(float(rf.eval_at(p)) for p in pts)
+        values = _sample_columns(combos, base, grid)
         return cls(grid=tuple(float(t) for t in grid), values=values)
 
     @classmethod
@@ -265,20 +278,26 @@ def integrate_connecting(
     return ConnectingPath(grid=grid[::2], states=tuple(states), trace=trace)
 
 
-def connecting_oracle(w: WalkerMetric, base, V0, t) -> ConnectingState:
-    """Closed-form connecting state: the last two components are constant
-    and the first two integrate metric-function differences exactly."""
+def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, ...]:
+    """Closed-form connecting states at each curve parameter in `ts`.
+
+    The last two components are constant and the first two integrate
+    metric-function differences exactly: as polynomials,
+    eta = eta0 + ((c(base) - c) zeta~0 + (a - a(base)) nu0) / 2 and
+    zeta = zeta0 + ((b(base) - b) zeta~0 + (c - c(base)) nu0) / 2,
+    each restricted to the curve once and rounded once per parameter.
+    """
     s0 = _as_state(V0)
     pt0 = _point(base)
-    ptt = _curve_point(pt0, t)
-    a0, at = w.a.eval_at(pt0), w.a.eval_at(ptt)
-    b0, bt = w.b.eval_at(pt0), w.b.eval_at(ptt)
-    c0, ct = w.c.eval_at(pt0), w.c.eval_at(ptt)
+    a0, b0, c0 = (f.eval_at(pt0) for f in (w.a, w.b, w.c))
     zt0 = Fraction(s0.zeta_t)
     nu0 = Fraction(s0.nu)
-    zeta = Fraction(s0.zeta) + (b0 - bt) / 2 * zt0 + (ct - c0) / 2 * nu0
-    eta = Fraction(s0.eta) + (c0 - ct) / 2 * zt0 + (at - a0) / 2 * nu0
-    return ConnectingState(float(eta), float(zeta), s0.zeta_t, s0.nu)
+    eta = Fraction(s0.eta) + ((c0 - w.c) * zt0 + (w.a - a0) * nu0) * HALF
+    zeta = Fraction(s0.zeta) + ((b0 - w.b) * zt0 + (w.c - c0) * nu0) * HALF
+    ratios = _ratios(ts)
+    etas = _curve_floats(eta.along_u(pt0), ratios, "eta")
+    zetas = _curve_floats(zeta.along_u(pt0), ratios, "zeta")
+    return tuple(ConnectingState(e, z, s0.zeta_t, s0.nu) for e, z in zip(etas, zetas))
 
 
 def _curvature_columns(curv: CurvatureSpinors) -> dict[str, RationalFunction]:
@@ -308,15 +327,24 @@ def _curvature_matrix_sym(curv: CurvatureSpinors):
     )
 
 
-def _sample_columns(columns, base, grid):
+def _curve_floats(curve, ratios, name) -> tuple[float, ...]:
+    try:
+        return curve.floats(ratios)
+    except OverflowError as exc:
+        raise InputError(f"{name} overflows a float along the curve") from exc
+
+
+def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
+    """Float samples of each column at every grid parameter along the curve
+    through `base`.  Canonical-frame columns are polynomials; each is
+    restricted to the curve once and evaluated exactly per sample."""
     pt0 = _point(base)
-    pts = [_curve_point(pt0, t) for t in grid]
+    ratios = _ratios(grid)
     out = {}
     for key, rf in columns.items():
-        if rf.is_zero:
-            out[key] = (0.0,) * len(pts)
-        else:
-            out[key] = tuple(float(rf.eval_at(p)) for p in pts)
+        if not rf.is_polynomial:
+            raise InternalInconsistencyError(f"{key} not polynomial on a canonical frame")
+        out[key] = _curve_floats(rf.num.along_u(pt0), ratios, key)
     return out
 
 

@@ -12,13 +12,12 @@ from fractions import Fraction
 
 from .curvature import walker_curvature_components
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, Poly, RationalFunction, VARIABLES, ZERO
+from .poly import HALF, ONE, QUARTER, Poly, RationalFunction, VARIABLES, ZERO
 from .walker import WalkerMetric
 
 _U = Poly.parse("u")
 _V = Poly.parse("v")
 _UUVV = Poly.parse("u^2*v^2")
-_QUARTER = Fraction(1, 4)
 
 # which coordinates each chain function may depend on
 _ALLOWED = {
@@ -199,7 +198,7 @@ def invariants(p: HeavenlyPotential) -> HeavenlyInvariants:
         - p.F * _d(p.theta, "u", "u")
         - p.h * p.theta
     )
-    big_t = -_QUARTER * (_V * p.F.diff("y") + _U * p.G.diff("x"))
+    big_t = -QUARTER * (_V * p.F.diff("y") + _U * p.G.diff("x"))
     big_r = big_p + big_q + big_t
     pq = big_p + big_q
     a_pair = (_d(pq, "u", "u"), _d(big_r, "u", "v"), _d(pq, "v", "v"))
@@ -294,7 +293,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
     w = _require_scalar_flat(p)
     f4 = p.f.diff("y")
     g3 = p.g.diff("x")
-    psi_t3 = _QUARTER * (g3 - f4)
+    psi_t3 = QUARTER * (g3 - f4)
 
     inv = invariants(p)
     big_r = inv.R
@@ -304,7 +303,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
         - p.f * big_r.diff("u")
         - p.g * big_r.diff("v")
         + Fraction(1, 8) * (_U * p.g - _V * p.f) * diff
-        + _QUARTER * (_U * diff.diff("y") - _V * diff.diff("x"))
+        + QUARTER * (_U * diff.diff("y") - _V * diff.diff("x"))
     )
 
     curv = walker_curvature_components(w)

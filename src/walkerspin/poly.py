@@ -9,10 +9,15 @@ polynomial is ``{}`` over 1, so each polynomial has exactly one
 representation and equality compares the two fields.  Arithmetic stays in
 integers, after Monagan and Pearce's sparse integer arithmetic: a product
 is one integer convolution followed by one reduction by the common factor
-of its denominator and numerators.  There are no floats anywhere.
+of its denominator and numerators.
 
 ``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
 It is built on first access, cached, and read-only by convention.
+
+``Poly.along_u`` restricts a polynomial to a line in the u direction,
+t -> p(u0 + t, v0, x0, y0), as a ``CurvePoly``: integer coefficients of
+t^k over one denominator.  It evaluates exactly by integer Horner, and its
+float values, rounded once from the exact value, are the only floats here.
 
 ``RationalFunction`` is a thin quotient wrapper.  Denominators are not
 reduced by polynomial gcd; equality goes through cross-multiplication, and
@@ -22,7 +27,7 @@ the common case of a unit denominator is special-cased throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Union
 
 VARIABLES = ("u", "v", "x", "y")
@@ -32,11 +37,13 @@ Exponents = tuple[int, int, int, int]
 Scalar = Union[int, Fraction]
 
 HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
 
-# Parser limits: parentheses nest at most this deep, and an exponent
-# literal is at most this large.
+# Parser limits: parentheses nest at most this deep, an exponent literal is
+# at most this large, and no sum or product the parser forms has more terms.
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_TERMS = 10_000
 
 
 class ExprSyntaxError(ValueError):
@@ -254,6 +261,40 @@ class Poly:
             total += n * t0[a] * t1[b] * t2[c] * t3[d]
         return Fraction(total, scale)
 
+    def along_u(self, base: Iterable[Scalar]) -> "CurvePoly":
+        """The exact univariate restriction t -> self(u0 + t, v0, x0, y0).
+
+        The v, x, y factors of each term evaluate as in ``eval_at``, which
+        leaves integers g_a over one scale for each u exponent a.  With
+        u0 = p/q and top the highest u exponent, (u0 + t)^a expands by the
+        binomial theorem, so t^k has numerator
+        sum_a g_a C(a, k) p^(a-k) q^(top-a+k) over scale * q^top.
+        """
+        pt = [_as_fraction(c) for c in base]
+        if len(pt) != 4:
+            raise ValueError("base point must have four coordinates")
+        num = self._num
+        if not num:
+            return CurvePoly((), 1)
+        top, *tops = map(max, zip(*num))
+        scale = self._den
+        tables = []
+        for c, d in zip(pt[1:], tops):
+            p, q = c.numerator, c.denominator
+            tables.append([p**k * q ** (d - k) for k in range(d + 1)])
+            scale *= q**d
+        t1, t2, t3 = tables
+        by_u = [0] * (top + 1)
+        for (a, b, c, d), n in num.items():
+            by_u[a] += n * t1[b] * t2[c] * t3[d]
+        p, q = pt[0].numerator, pt[0].denominator
+        shift = [p**j * q ** (top - j) for j in range(top + 1)]
+        coeffs = [
+            sum(by_u[a] * comb(a, k) * shift[a - k] for a in range(k, top + 1))
+            for k in range(top + 1)
+        ]
+        return CurvePoly(coeffs, scale * q**top)
+
     def __str__(self) -> str:
         if not self._num:
             return "0"
@@ -289,7 +330,8 @@ class Poly:
 
         Division is only permitted between integer literals (rational
         coefficients); ``u/v`` is rejected.  Parentheses may nest
-        ``MAX_NESTING`` deep and exponents are at most ``MAX_EXPONENT``.
+        ``MAX_NESTING`` deep, exponents are at most ``MAX_EXPONENT``, and
+        no sum or product formed on the way may exceed ``MAX_TERMS`` terms.
         """
         return _Parser(text).run()
 
@@ -301,6 +343,63 @@ def _poly(num: dict[Exponents, int], den: int) -> Poly:
     p._den = den
     p._terms = None
     return p
+
+
+def _ratio(t) -> tuple[int, int]:
+    """(p, q) in lowest terms with t = p/q and q > 0; a float converts exactly."""
+    if isinstance(t, float):
+        return t.as_integer_ratio()
+    t = _as_fraction(t)
+    return t.numerator, t.denominator
+
+
+class CurvePoly:
+    """Univariate polynomial in t: integer numerators over one denominator.
+
+    ``coeffs[k]`` is the numerator of t^k and ``den`` a positive int with
+    gcd(den, all numerators) = 1; the top coefficient is nonzero, so zero
+    has no coefficients.  ``Poly.along_u`` builds these.
+    """
+
+    __slots__ = ("coeffs", "den")
+
+    def __init__(self, coeffs: Iterable[int], den: int):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        g = gcd(den, *coeffs)
+        self.coeffs = tuple(c // g for c in coeffs)
+        self.den = den // g
+
+    def ratio_at(self, p: int, q: int) -> tuple[int, int]:
+        """The value at t = p/q, q > 0, as (numerator, denominator).
+
+        Homogenised Horner, acc = acc*p + c_k*q^j, keeps every step in
+        integers over the one denominator den * q^degree.
+        """
+        coeffs = self.coeffs
+        if not coeffs:
+            return 0, 1
+        acc = coeffs[-1]
+        qj = 1
+        for c in coeffs[-2::-1]:
+            qj *= q
+            acc = acc * p + c * qj
+        return acc, self.den * qj
+
+    def value_at(self, t: Scalar | float) -> Fraction:
+        """The exact value at t; a float t counts as the rational it holds."""
+        return Fraction(*self.ratio_at(*_ratio(t)))
+
+    def floats(self, ratios) -> tuple[float, ...]:
+        """The value at each t = p/q of a sequence of (p, q) pairs, rounded
+        once: int true division rounds correctly, so each equals
+        float(value_at(p/q)) bit for bit."""
+        if len(self.coeffs) <= 1:
+            num, den = self.ratio_at(0, 1)
+            return (num / den,) * len(ratios)
+        ratio_at = self.ratio_at
+        return tuple(num / den for num, den in (ratio_at(p, q) for p, q in ratios))
 
 
 def _reduced(num: dict[Exponents, int], den: int) -> Poly:
@@ -367,10 +466,10 @@ class _Parser:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                value = value + self.term()
+                value = self.bounded(value + self.term())
             elif ch == "-":
                 self.pos += 1
-                value = value - self.term()
+                value = self.bounded(value - self.term())
             else:
                 return value
 
@@ -380,7 +479,7 @@ class _Parser:
             self.skip_ws()
             if self.peek() == "*":
                 self.pos += 1
-                value = value * self.factor()
+                value = self.bounded(value * self.factor())
             elif self.peek() == "/":
                 raise ExprSyntaxError(
                     "division is only allowed between integer literals", self.pos
@@ -408,8 +507,16 @@ class _Parser:
             # digit count first: int() refuses literals over 4300 digits
             if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
-            base = base ** int(digits)
+            power = ONE
+            for _ in range(int(digits)):
+                power = self.bounded(power * base)
+            base = power
         return base if sign > 0 else -base
+
+    def bounded(self, value: Poly) -> Poly:
+        if len(value._num) > MAX_TERMS:
+            raise ExprSyntaxError(f"expression expands past {MAX_TERMS} terms", self.pos)
+        return value
 
     def atom(self) -> Poly:
         self.skip_ws()

@@ -11,11 +11,10 @@ derivative terms of chi and chi_t appear in the diagonal entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, RF_ZERO, ZERO, RationalFunction, as_rf
+from .poly import HALF, ONE, QUARTER, RF_ZERO, ZERO, RationalFunction, as_rf
 from .walker import (
     COORDS,
     Christoffel,
@@ -32,8 +31,6 @@ from .walker import (
     validate_tetrad,
     walker_tetrad,
 )
-
-QUARTER = Fraction(1, 4)
 
 _FAMILIES = ("kappa", "sigma", "rho", "tau", "epsilon", "alpha", "beta", "gamma")
 _FLAVOURS = ("", "_p", "_t", "_tp")

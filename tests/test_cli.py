@@ -1,5 +1,6 @@
 """End-to-end command-line runs: report content, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -59,6 +60,9 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", spec({"a": "u^1000000000", "b": "0", "c": "0"}))
         assert code == 2
         assert err.startswith("error:") and "exponent exceeds" in err and "position 2" in err
+        code, _, err = run(capsys, "analyze", spec({"a": "(u+v+x+y+1)^1000", "b": "0", "c": "0"}))
+        assert code == 2
+        assert err.startswith("error:") and "terms" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
@@ -101,20 +105,6 @@ class TestVerify:
         assert code == 2
         assert "unknown coefficient" in err
 
-    def test_thread_count_does_not_change_output(self, spec, capsys, monkeypatch):
-        path = spec(MIXED)
-        monkeypatch.setenv("NP_THREADS", "1")
-        _, serial, _ = run(capsys, "verify", path)
-        monkeypatch.setenv("NP_THREADS", "4")
-        _, parallel, _ = run(capsys, "verify", path)
-        assert serial == parallel
-
-    def test_bad_thread_env(self, spec, capsys, monkeypatch):
-        monkeypatch.setenv("NP_THREADS", "zero")
-        code, _, err = run(capsys, "verify", spec(FLAT))
-        assert code == 2
-        assert "NP_THREADS" in err
-
 
 def oracle_error(out: str) -> float:
     for line in out.splitlines():
@@ -154,6 +144,26 @@ class TestCongruence:
         ratio = oracle_error(coarse) / oracle_error(fine)
         assert 12 <= ratio <= 20
 
+    def test_golden_trace(self, spec, capsys, tmp_path):
+        # digests recorded with per-point Fraction evaluation of every sample
+        # and of the oracle, before curve restriction replaced it
+        metric = {"a": "u^3*v - 2/3*x*y + u*y^2", "b": "u^4 - x*v + 1/2",
+                  "c": "u^2*x - 3*v*y^2 + u", "label": "golden"}
+        csv_path = tmp_path / "trace.csv"
+        code, out, _ = run(
+            capsys, "congruence", spec(metric), "--v0", "1,-2,1/2,3",
+            "--base", "1/3,-1/2,2,-3/4", "--end", "1", "--step", "1e-3",
+            "--out", str(csv_path),
+        )
+        assert code == 0
+        out = out.replace(str(csv_path), "trace.csv")
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "db2bb30fb44536fe008404066ce402cf60ec271c6dccf32b3628d796bbcadbb9"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e65583a3dec77a19839b46c431b5c9ceb290894332dd935325a65e2efe4dff64"
+        )
+
     def test_flag_validation(self, spec, capsys):
         path = spec(FLAT)
         code, _, err = run(capsys, "congruence", path, "--v0", "1,2",
@@ -165,6 +175,11 @@ class TestCongruence:
         code, _, err = run(capsys, "congruence", path, "--v0=0,0,1e400,0",
                            "--end", "1", "--step", "0.1", "--out", "-")
         assert code == 2 and err.startswith("error:") and "--v0" in err
+        for end, step in (("1e300", "1e-300"), ("1", "1e-9")):
+            code, out, err = run(capsys, "congruence", path, "--v0", "0,0,1,0",
+                                 "--end", end, "--step", step, "--out", "-")
+            assert code == 2 and not out
+            assert err.startswith("error:") and "steps" in err
 
 
 class TestHeavenly:

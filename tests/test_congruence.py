@@ -3,12 +3,14 @@ integrator order, matrix closures, closed-form flows, and shape data."""
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from walkerspin.congruence import (
     CSV_HEADER,
+    MAX_STEPS,
     CoefficientTrace,
     ConnectingState,
     connecting_oracle,
@@ -21,12 +23,22 @@ from walkerspin.congruence import (
     sigma_omega_forms,
     special_flows,
     write_trace_csv,
+    _check_span,
+    _half_grid,
+    _sample_columns,
 )
 from walkerspin.curvature import walker_curvature_components
-from walkerspin.errors import CausticError, InputError, PatternError
-from walkerspin.poly import ZERO, parse_poly
+from walkerspin.errors import (
+    CausticError,
+    InputError,
+    InternalInconsistencyError,
+    PatternError,
+)
+from walkerspin.poly import ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame
 from walkerspin.walker import WalkerMetric
+
+from support import random_metric_functions
 
 P = parse_poly
 
@@ -38,13 +50,82 @@ ORIGIN = (0, 0, 0, 0)
 def oracle_error(w, V0, step, v_end=1.0, base=ORIGIN):
     path = integrate_connecting(w, V0, v_end=v_end, step=step, base=base)
     worst = 0.0
-    for t, state in zip(path.grid, path.states):
-        exact = connecting_oracle(w, base, V0, t)
+    for state, exact in zip(path.states, connecting_oracle(w, base, V0, path.grid)):
         worst = max(
             worst,
             max(abs(x - y) for x, y in zip(state.astuple(), exact.astuple())),
         )
     return worst
+
+
+def reference_oracle(w, base, V0, t) -> ConnectingState:
+    """The closed-form state at one parameter, by per-point Fraction
+    arithmetic on the metric functions at the base and at the curve point."""
+    s0 = ConnectingState(*(float(c) for c in V0))
+    pt0 = tuple(Fraction(c) for c in base)
+    ptt = (pt0[0] + Fraction(t),) + pt0[1:]
+    a0, at = w.a.eval_at(pt0), w.a.eval_at(ptt)
+    b0, bt = w.b.eval_at(pt0), w.b.eval_at(ptt)
+    c0, ct = w.c.eval_at(pt0), w.c.eval_at(ptt)
+    zt0 = Fraction(s0.zeta_t)
+    nu0 = Fraction(s0.nu)
+    zeta = Fraction(s0.zeta) + (b0 - bt) / 2 * zt0 + (ct - c0) / 2 * nu0
+    eta = Fraction(s0.eta) + (c0 - ct) / 2 * zt0 + (at - a0) / 2 * nu0
+    return ConnectingState(float(eta), float(zeta), s0.zeta_t, s0.nu)
+
+
+def random_curves(seed, count):
+    """(metric, base, V0) triples with rational and negative base points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        w = WalkerMetric(*random_metric_functions(rng))
+        base = tuple(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(4))
+        V0 = tuple(rng.choice([-2, -0.5, 0, 1, 1.25]) for _ in range(4))
+        yield w, base, V0
+
+
+class TestExactSampling:
+    def test_grid_oracle_matches_per_point_reference(self):
+        grid = _half_grid(1.0, 0.05)
+        for w, base, V0 in random_curves(11, 12):
+            got = connecting_oracle(w, base, V0, grid)
+            assert got == tuple(reference_oracle(w, base, V0, t) for t in grid)
+
+    def test_samples_match_pointwise_eval(self):
+        grid = _half_grid(0.5, 0.1)
+        for w, base, _ in random_curves(12, 8):
+            s = Frame.walker(w).coeffs
+            columns = {"rho": s.rho, "sigma": s.sigma, "aplus": s.alpha + s.beta_t}
+            samples = _sample_columns(columns, base, grid)
+            pt0 = tuple(Fraction(c) for c in base)
+            for key, rf in columns.items():
+                want = [float(rf.eval_at((pt0[0] + Fraction(t),) + pt0[1:])) for t in grid]
+                assert [x.hex() for x in samples[key]] == [x.hex() for x in want]
+
+    def test_trace_and_jacobi_sampling_agree(self):
+        w = WalkerMetric(a=P("u*y^2 - 1/3*v"), b=P("u^3 - x"), c=P("u^2*v"))
+        base = (Fraction(-1, 2), Fraction(2, 3), -1, Fraction(5, 4))
+        trace = CoefficientTrace.from_metric(w, base, _half_grid(1.0, 0.1))
+        jac = integrate_jacobi(w, (0, 1, 0, 0), (0, 0, 0, 0), 1.0, 0.1, base=base)
+        assert jac.trace == trace
+
+    def test_non_polynomial_column_is_an_inconsistency(self):
+        rf = RationalFunction(P("u"), P("1 + v"))
+        with pytest.raises(InternalInconsistencyError):
+            _sample_columns({"rho": rf}, ORIGIN, (0.0, 0.5, 1.0))
+
+    def test_overflowing_sample_is_input_error(self):
+        # sigma = -3/2 u^2 reaches 10^400 here
+        w = WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO)
+        with pytest.raises(InputError):
+            CoefficientTrace.from_metric(w, (10**200, 0, 0, 0), (0.0, 0.5, 1.0))
+
+    def test_step_count_bound(self):
+        # checked on the span alone: a broken bound would build the grid
+        _check_span(float(MAX_STEPS), 1.0)
+        for v_end, step in ((MAX_STEPS + 1.0, 1.0), (1.0, 1e-9), (1e300, 1e-300)):
+            with pytest.raises(InputError):
+                _check_span(v_end, step)
 
 
 class TestTraces:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from walkerspin.poly import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
+    CurvePoly,
     ExprSyntaxError,
     Poly,
     RationalFunction,
@@ -37,6 +39,8 @@ coords = st.one_of(
     st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False).map(Fraction),
 )
 points = st.tuples(*[coords] * 4)
+# curve parameters: exact rationals, float-derived Fractions, and raw floats
+params = st.one_of(coords, st.floats(min_value=-3, max_value=3, allow_nan=False))
 
 
 # Reference: schoolbook arithmetic on dicts of Fraction coefficients,
@@ -131,6 +135,49 @@ def test_diff_matches_reference(p):
 def test_eval_matches_reference(p, q, pt):
     assert p.eval_at(pt) == ref_eval(p.terms, pt)
     assert (p * q).eval_at(pt) == ref_eval(ref_mul(p.terms, q.terms), pt)
+
+
+def curve_checks(p: Poly, base, t) -> None:
+    """The restriction of p to the u line through base against eval_at:
+    exact at t, and rounded to the same float bit for bit."""
+    curve = p.along_u(base)
+    assert curve.den > 0 and gcd(curve.den, *curve.coeffs) == 1
+    assert not curve.coeffs or curve.coeffs[-1]
+    exact = p.eval_at((base[0] + Fraction(t), *base[1:]))
+    assert curve.value_at(t) == exact
+    ratio = Fraction(t).as_integer_ratio()
+    assert [x.hex() for x in curve.floats([ratio, ratio])] == [float(exact).hex()] * 2
+
+
+@given(polys, points, params)
+def test_curve_restriction_matches_eval(p, base, t):
+    curve_checks(p, base, t)
+
+
+def test_curve_restriction_on_corpus_polys():
+    rng = random.Random(7)
+    for _ in range(60):
+        p = random_poly(rng, max_degree=6, max_terms=8)
+        base = tuple(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for _ in range(4))
+        for t in (0.0, 1e-3, 0.1 * rng.randint(-10, 10), rng.uniform(-2, 2)):
+            curve_checks(p, base, t)
+
+
+def test_curve_restriction_edge_cases():
+    base = (Fraction(-1, 3), Fraction(5, 2), -2, Fraction(-7, 4))
+    for t in (0, 0.5, Fraction(-1, 3), 2.0 ** -60):
+        curve_checks(Poly.zero(), base, t)
+        curve_checks(Poly.const(Fraction(-5, 6)), base, t)
+        curve_checks(parse_poly("v*x^2*y - 1/3"), base, t)
+    zero = Poly.zero().along_u(base)
+    assert zero.coeffs == () and zero.den == 1
+    assert zero.floats([(1, 2)] * 3) == (0.0, 0.0, 0.0)
+    # (u0 + t)^2 * v with u0 = -1/3, v = 5/2: 5/18 - 5/3 t + 5/2 t^2
+    curve = parse_poly("u^2*v").along_u(base)
+    assert (curve.coeffs, curve.den) == ((5, -30, 45), 18)
+    # u*x + 2*u vanishes on the line, where x = -2
+    assert parse_poly("u*x + 2*u").along_u(base).coeffs == ()
+    assert CurvePoly([2, 4, 0, 0], 6).coeffs == (1, 2)
 
 
 @given(polys, polys)
@@ -273,6 +320,22 @@ def test_parse_limits():
         with pytest.raises(ExprSyntaxError) as err:
             parse_poly(text)
         assert err.value.position == 2
+
+
+def test_parse_term_limit():
+    def line(var, n):
+        return "(" + "+".join(f"{var}^{k}" for k in range(n)) + ")"
+
+    # 100 * 100 = MAX_TERMS products, and 73 * 137 = MAX_TERMS + 1
+    assert MAX_TERMS == 100 * 100 == 73 * 137 - 1
+    assert len(parse_poly(line("u", 100) + "*" + line("v", 100))._num) == MAX_TERMS
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_poly(line("u", 73) + "*" + line("v", 137))
+    assert "terms" in str(err.value)
+    # powers are bounded product by product, so this fails early
+    with pytest.raises(ExprSyntaxError):
+        parse_poly("(u+v+x+y+1)^1000")
+    assert len(parse_poly("(u+v+x+y+1)^5")._num) == 126
 
 
 def test_arith_dispatch():
