@@ -6,7 +6,7 @@ text, assembled in a fixed order so identical inputs give identical
 bytes.  Timing goes to stderr and only when asked for.
 
 Exit codes: 0 success, 1 a verified quantity is nonzero, 2 bad input,
-3 two internal routes disagree.
+3 two internal routes disagree or another internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -22,7 +23,8 @@ from .congruence import connecting_oracle, integrate_connecting, write_trace_csv
 from .curvature import (
     bianchi_contracted_residual,
     classify_sd_weyl,
-    commutator_residuals,
+    commutator_residuals_from_fields,
+    commutator_vector_fields,
     field_equation_residuals,
     ricci_tensor,
     scalar_curvature,
@@ -50,6 +52,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path} is not valid UTF-8: {err}") from err
     except json.JSONDecodeError as err:
         raise InputError(f"{path} is not valid JSON: {err}") from err
 
@@ -154,27 +158,21 @@ def _monomials_to_degree(limit: int):
     return out
 
 
-def _monomial_name(p: Poly) -> str:
-    return str(p)
-
-
 def _suite_items(name: str, frame: Frame, curv):
     """Ordered (key, thunk) pairs; each thunk returns a zero-testable value."""
     if name == "3.4":
         return [("3.4", lambda: field_equation_residuals(frame, curv))]
     if name == "3.1":
-        items = []
-        for mono in _monomials_to_degree(3):
-            label = _monomial_name(mono)
+        def run_commutators():
+            fields = commutator_vector_fields(frame)
+            out = {}
+            for mono in _monomials_to_degree(3):
+                label = str(mono)
+                for key, value in commutator_residuals_from_fields(fields, mono).items():
+                    out[f"{key} @ {label}"] = value
+            return out
 
-            def run(m=mono, lab=label):
-                return {
-                    f"{key} @ {lab}": value
-                    for key, value in commutator_residuals(frame, m).items()
-                }
-
-            items.append((f"3.1 @ {label}", run))
-        return items
+        return [("3.1", run_commutators)]
     if name == "bianchi":
         def run_bianchi():
             ricci = ricci_tensor(frame.connection)
@@ -197,12 +195,6 @@ def _suite_items(name: str, frame: Frame, curv):
             items.append((f"relations/{family}", run))
         return items
     raise InputError(f"unknown suite {name!r}; available: all, {', '.join(SUITES)}")
-
-
-def _is_zero(value) -> bool:
-    if isinstance(value, Poly):
-        return not value.terms
-    return value.is_zero
 
 
 def cmd_verify(args, out) -> int:
@@ -237,7 +229,7 @@ def cmd_verify(args, out) -> int:
         for residuals in residual_maps:
             for key, value in residuals.items():
                 checked += 1
-                if not _is_zero(value):
+                if not value.is_zero:
                     failed += 1
                     print(f"FAIL {suite} {key} = {value}", file=out)
         verdict = "all zero" if failed == 0 else f"{failed} nonzero"
@@ -399,6 +391,19 @@ def main(argv=None) -> int:
         return 2
     except InternalInconsistencyError as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
+        return 3
+    except Exception as err:
+        # an engine fault, not a failed identity: report where it was
+        # raised on one line, never a traceback or exit 1; traceback is
+        # imported only here, as it costs start-up time on every run
+        import traceback
+
+        where = traceback.extract_tb(err.__traceback__)[-1]
+        print(
+            f"internal error: {type(err).__name__}: {err} "
+            f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})",
+            file=sys.stderr,
+        )
         return 3
     if args.timing:
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)

@@ -602,7 +602,12 @@ def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
 
 def commutator_residuals(frame: Frame, f):
     """Second-derivative commutators of a scalar minus their first-order
-    expansions; six residuals, one per operator pair."""
+    expansions; six residuals, one per operator pair.
+
+    This is the direct route, one call per scalar.  ``verify`` derives its
+    3.1 suite from ``commutator_vector_fields`` instead; the tests compare
+    the two routes and keep this one as the guard.
+    """
     ops = frame.ops
     s = frame.coeffs
     f = as_rf(f)
@@ -652,6 +657,32 @@ def commutator_residuals(frame: Frame, f):
             + (s.alpha - s.alpha_tp) * D["delta"]
         ),
     }
+    return out
+
+
+def commutator_vector_fields(frame: Frame):
+    """The six commutator residuals as vector fields: operator pair -> the
+    residual's components along d/du, d/dv, d/dx, d/dy.
+
+    Each residual is a first-order operator for any coefficient values (the
+    second derivatives cancel), so its components are its values on the
+    coordinate functions.
+    """
+    on_coords = [commutator_residuals(frame, Poly.variable(name)) for name in COORDS]
+    return {key: tuple(r[key] for r in on_coords) for key in on_coords[0]}
+
+
+def commutator_residuals_from_fields(fields, f):
+    """The six residuals of ``commutator_residuals(frame, f)``, derived from
+    ``fields = commutator_vector_fields(frame)`` as sum_i V^i * df/dx^i."""
+    grad = [as_rf(f).diff(name) for name in COORDS]
+    out = {}
+    for key, comps in fields.items():
+        total = RF_ZERO
+        for comp, df in zip(comps, grad):
+            if not (comp.is_zero or df.is_zero):
+                total = total + comp * df
+        out[key] = total
     return out
 
 

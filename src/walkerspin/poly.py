@@ -40,10 +40,13 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 # Parser limits: parentheses nest at most this deep, an exponent literal is
-# at most this large, and no sum or product the parser forms has more terms.
+# at most this large, no sum or product the parser forms has more terms, and
+# no product it forms multiplies more term pairs (checked before the product
+# is formed, so a refused product costs nothing).
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
+MAX_TERM_PAIRS = 1_000_000
 
 
 class ExprSyntaxError(ValueError):
@@ -479,7 +482,7 @@ class _Parser:
             self.skip_ws()
             if self.peek() == "*":
                 self.pos += 1
-                value = self.bounded(value * self.factor())
+                value = self.product(value, self.factor())
             elif self.peek() == "/":
                 raise ExprSyntaxError(
                     "division is only allowed between integer literals", self.pos
@@ -509,9 +512,18 @@ class _Parser:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
             power = ONE
             for _ in range(int(digits)):
-                power = self.bounded(power * base)
+                power = self.product(power, base)
             base = power
         return base if sign > 0 else -base
+
+    def product(self, p: Poly, q: Poly) -> Poly:
+        pairs = len(p._num) * len(q._num)
+        if pairs > MAX_TERM_PAIRS:
+            raise ExprSyntaxError(
+                f"product of {len(p._num)} and {len(q._num)} terms exceeds "
+                f"{MAX_TERM_PAIRS} term pairs", self.pos
+            )
+        return self.bounded(p * q)
 
     def bounded(self, value: Poly) -> Poly:
         if len(value._num) > MAX_TERMS:

@@ -35,6 +35,25 @@ def random_metric_functions(rng: random.Random, max_degree: int = 4):
     )
 
 
+def corpus_metrics():
+    """The acceptance corpus: 25 seeded random metrics of degree at most 4."""
+    from walkerspin.walker import WalkerMetric
+
+    rng = random.Random(20260823)
+    return [WalkerMetric(*random_metric_functions(rng, 4)) for _ in range(25)]
+
+
+def monomials_to_degree(limit: int):
+    """Every monic monomial in u, v, x, y of total degree at most limit."""
+    out = []
+    for total in range(limit + 1):
+        for eu in range(total + 1):
+            for ev in range(total - eu + 1):
+                for ex in range(total - eu - ev + 1):
+                    out.append(Poly({(eu, ev, ex, total - eu - ev - ex): Fraction(1)}))
+    return out
+
+
 def random_point(rng: random.Random):
     return tuple(Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(4))
 

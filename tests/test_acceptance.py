@@ -57,7 +57,11 @@ from walkerspin.walker import (
     tetrad_covectors,
 )
 
-from support import random_metric_functions, random_potential
+from support import (
+    corpus_metrics,
+    monomials_to_degree,
+    random_potential,
+)
 
 P = Poly.parse
 RF_ZERO = RationalFunction(ZERO)
@@ -69,8 +73,7 @@ _corpus = {}
 def corpus():
     """25 seeded random metrics with their frames, built once."""
     if "frames" not in _corpus:
-        rng = random.Random(20260823)
-        metrics = [WalkerMetric(*random_metric_functions(rng, 4)) for _ in range(25)]
+        metrics = corpus_metrics()
         _corpus["metrics"] = metrics
         _corpus["frames"] = [Frame.walker(w) for w in metrics]
     return _corpus["metrics"], _corpus["frames"]
@@ -138,21 +141,11 @@ def test_criterion_03_field_equations():
         assert dirty
 
 
-def _monomials_to_degree(limit):
-    out = []
-    for total in range(limit + 1):
-        for eu in range(total + 1):
-            for ev in range(total - eu + 1):
-                for ex in range(total - eu - ev + 1):
-                    out.append(Poly({(eu, ev, ex, total - eu - ev - ex): Fraction(1)}))
-    return out
-
-
 def test_criterion_04_commutators():
     """The six operator commutators vanish on every monomial of degree
     at most 3, and their expansion coefficients collapse to the
     metric-derivative forms of the canonical frame."""
-    monomials = _monomials_to_degree(3)
+    monomials = monomials_to_degree(3)
     assert len(monomials) == 35
     metrics, frames = corpus()
     for w, frame in zip(metrics, frames):

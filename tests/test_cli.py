@@ -68,6 +68,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
         assert code == 2
         assert "cannot read" in err
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert err.startswith("error:") and "not valid UTF-8" in err
+        assert "Traceback" not in err
 
     def test_byte_identical(self, spec, capsys):
         path = spec(MIXED)
@@ -104,6 +110,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", spec(FLAT), "--perturb", "bogus")
         assert code == 2
         assert "unknown coefficient" in err
+
+    # SHA-256 of the full report and the exit code; alpha_tp and the others
+    # make FAIL lines in suite 3.1, so their content is pinned too
+    GOLDEN = {
+        None: (0, "9c9b3d08dd27047f9345acfeca4739f61e87072ff5970fd3f60e8dd90fc29824"),
+        "gamma": (1, "f8ebfd926c9337194efc73c1cf553ee9ba339841b047c79779b5df8c74db867d"),
+        "tau_p": (1, "fc3cde7d51e89446102f1aa2ff73ea856d9506635d32b7b88bd610bc1827e0f8"),
+        "kappa_t": (1, "bc8c3c86e5391433f0f06679a1374f5a8fcb42800e5845defb99f49e1bfc9155"),
+        "alpha_tp": (1, "a34f72ddf06283a10868b608d3e198d03d602795b7b60af7976c4608883e2b42"),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_report(self, spec, capsys, name):
+        extra = [] if name is None else ["--perturb", name]
+        code, out, _ = run(capsys, "verify", spec(MIXED), *extra)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.GOLDEN[name]
+        assert ("FAIL 3.1 " in out) == (name is not None)
 
 
 def oracle_error(out: str) -> float:
@@ -230,6 +253,17 @@ class TestClassify:
 
 
 class TestParser:
+    def test_internal_error_exit_3(self, spec, capsys, monkeypatch):
+        def boom(args, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("walkerspin.cli.cmd_classify", boom)
+        code, out, err = run(capsys, "classify", spec(CUBIC))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: boom")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from walkerspin.curvature import (
     bianchi_contracted_residual,
     classify_sd_weyl,
     commutator_residuals,
+    commutator_residuals_from_fields,
+    commutator_vector_fields,
     field_equation_residuals,
     phi_lambda_from_ricci,
     prime_curvature,
@@ -19,7 +22,7 @@ from walkerspin.curvature import (
 )
 from walkerspin.errors import InputError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
-from walkerspin.spincoeff import Frame
+from walkerspin.spincoeff import COEFF_NAMES, Frame
 from walkerspin.walker import (
     WalkerMetric,
     assemble_metric,
@@ -27,7 +30,7 @@ from walkerspin.walker import (
     walker_tetrad,
 )
 
-from support import random_metric_functions
+from support import corpus_metrics, monomials_to_degree, random_metric_functions
 
 RF_ZERO = RationalFunction(ZERO)
 
@@ -161,6 +164,32 @@ def test_commutator_residuals_vanish_on_monomials():
             assert len(residuals) == 6
             for label, value in residuals.items():
                 assert value == RF_ZERO, (label, str(f))
+
+
+def test_commutator_residuals_from_fields_match_direct_route():
+    # verify's 3.1 suite takes the derived route; the direct route per
+    # monomial is the reference, on the corpus and on frames bumped by each
+    # coefficient, where the residuals are nonzero
+    mons = monomials_to_degree(3)
+    frames = [Frame.walker(w) for w in corpus_metrics()]
+    cases = list(frames)
+    for i, name in enumerate(COEFF_NAMES):
+        frame = frames[i % len(frames)]
+        bumped = frame.coeffs.with_values(**{name: frame.coeffs.get(name) + 1})
+        cases.append(dataclasses.replace(frame, coeffs=bumped))
+    nonzero = 0
+    for frame in cases:
+        fields = commutator_vector_fields(frame)
+        assert all(len(comps) == 4 for comps in fields.values())
+        for f in mons:
+            direct = commutator_residuals(frame, f)
+            derived = commutator_residuals_from_fields(fields, f)
+            assert list(derived) == list(direct)
+            for key, value in direct.items():
+                assert derived[key] == value, (key, str(f))
+                assert str(derived[key]) == str(value), (key, str(f))
+                nonzero += not value.is_zero
+    assert nonzero > 1000
 
 
 def test_commutator_coefficients_close_on_distribution():

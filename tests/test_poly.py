@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from walkerspin.poly import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERM_PAIRS,
     MAX_TERMS,
     CurvePoly,
     ExprSyntaxError,
@@ -336,6 +338,13 @@ def test_parse_term_limit():
     with pytest.raises(ExprSyntaxError):
         parse_poly("(u+v+x+y+1)^1000")
     assert len(parse_poly("(u+v+x+y+1)^5")._num) == 126
+    # 1820 * 1820 term pairs are refused before the product is formed
+    assert MAX_TERM_PAIRS < 1820 * 1820
+    start = time.perf_counter()
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_poly("(u+v+x+y+1)^12*(u-v+x-y+2)^12")
+    assert "term pairs" in str(err.value)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_arith_dispatch():
