@@ -15,10 +15,17 @@ from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, ONE, RF_ZERO, Poly, RationalFunction, as_rf
-from .spincoeff import Frame
+from .spincoeff import (
+    Frame,
+    prime,
+    priming_companion_tetrad,
+    tilde_companion_tetrad,
+    tilde_relabel,
+)
 from .walker import (
     COORDS,
     Christoffel,
+    DirectionalOps,
     MetricTensor,
     Tetrad,
     WalkerMetric,
@@ -167,9 +174,10 @@ class CurvatureSpinors:
 
 def prime_curvature(c: CurvatureSpinors) -> CurvatureSpinors:
     """Component relabelling under the priming involution."""
-    sign = lambda k: 1 if k % 2 == 0 else -1
+    # negation, not a product with -1 or 1: this runs in every suite 3.4 call
+    signed = lambda k, value: value if k % 2 == 0 else -value
     phi = tuple(
-        tuple(sign(i + j) * c.Phi[2 - i][2 - j] for j in range(3)) for i in range(3)
+        tuple(signed(i + j, c.Phi[2 - i][2 - j]) for j in range(3)) for i in range(3)
     )
     return CurvatureSpinors(
         Psi0=c.Psi4, Psi1=-c.Psi3, Psi2=c.Psi2, Psi3=-c.Psi1, Psi4=c.Psi0,
@@ -337,267 +345,122 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
 # ---------------------------------------------------------------------------
 
 
-_TILDE_NAME = {}
-for _fam in ("kappa", "sigma", "rho", "tau", "epsilon", "alpha", "beta", "gamma"):
-    _TILDE_NAME[_fam] = f"{_fam}_t"
-    _TILDE_NAME[f"{_fam}_t"] = _fam
-    _TILDE_NAME[f"{_fam}_p"] = f"{_fam}_tp"
-    _TILDE_NAME[f"{_fam}_tp"] = f"{_fam}_p"
-
-
 def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
     """Left minus right side of all 48 first-order curvature equations.
 
-    Keys are a..l with a prime marker for the partner equation and a ~
-    marker for the equations of the second dyad.
+    Twelve equations a..l are written once; the other 36 are the same
+    twelve on companion frames.  Their primed partners (marker ') hold on
+    the priming companion tetrad (n, l, -mt, -m) with primed coefficients
+    and curvature; the equations of the second dyad (marker ~) hold on
+    the tetrad with m and mt exchanged, with tilde-relabelled data; and
+    the primed partners of those on the priming companion of that tetrad.
+    Keys run a, a', ..., l, l', a~, a'~, ..., l'~.
     """
-    ops = frame.ops
-    s = frame.coeffs
-    Pi = curv.Pi
 
-    def build(get, psi, phi, op_map, mark):
-        def dop(op, name):
-            return ops.apply(op_map.get(op, op), get(name))
+    def build(ops, s, c):
+        D, A, dl, Dp = ops.D, ops.Delta, ops.delta, ops.Dp
+        phi = c.Phi
+        return {
+            "a": (A(s.kappa) - D(s.rho)) - (
+                s.rho * s.rho + s.sigma * s.sigma_t - s.kappa_t * s.tau
+                + s.kappa * (s.tau_p + 2 * s.alpha + s.beta_t + s.beta_p)
+                - s.rho * (s.epsilon + s.epsilon_t) + phi[0][0]
+            ),
+            "b": (dl(s.kappa) - D(s.sigma)) - (
+                s.sigma * (s.rho + s.rho_t - s.gamma_tp + s.gamma_p - 2 * s.epsilon)
+                - s.kappa * (s.tau - s.tau_tp - s.alpha_t - s.alpha_p - 2 * s.beta)
+                + c.Psi0
+            ),
+            "c": (Dp(s.kappa) - D(s.tau)) - (
+                s.rho * (s.tau + s.tau_tp) + s.sigma * (s.tau_t + s.tau_p)
+                - s.tau * (s.gamma_tp + s.epsilon)
+                + s.kappa * (s.gamma_t + 2 * s.gamma - s.epsilon_p)
+                + c.Psi1 + phi[0][1]
+            ),
+            "d": (A(s.sigma) - dl(s.rho)) - (
+                s.tau * (s.rho - s.rho_t) + s.kappa * (s.rho_tp - s.rho_p)
+                - s.rho * (s.alpha_t + s.beta)
+                + s.sigma * (2 * s.alpha - s.alpha_tp + s.beta_p)
+                - c.Psi1 + phi[0][1]
+            ),
+            "e": (Dp(s.sigma) - dl(s.tau)) - (
+                -s.rho_p * s.sigma - s.sigma_tp * s.rho
+                + s.tau * s.tau - s.kappa * s.kappa_tp
+                - s.tau * (s.beta - s.beta_tp)
+                + s.sigma * (2 * s.gamma - s.epsilon_p + s.epsilon_tp)
+                + phi[0][2]
+            ),
+            "f": (A(s.tau) - Dp(s.rho)) - (
+                s.rho * s.rho_tp + s.sigma * s.sigma_p
+                - s.tau * s.tau_t + s.kappa * s.kappa_p
+                - s.rho * (s.gamma + s.gamma_t)
+                + s.tau * (s.alpha - s.alpha_tp)
+                - c.Psi2 - 2 * c.Pi
+            ),
+            "g": (Dp(s.beta) - dl(s.gamma)) - (
+                s.tau * s.rho_p + s.kappa_p * s.sigma
+                - s.kappa_tp * s.epsilon - s.alpha * s.sigma_tp
+                + s.beta * (s.epsilon_tp - s.rho_p + s.gamma)
+                + s.gamma * (s.beta_tp + s.alpha_p + s.tau)
+                - phi[1][2]
+            ),
+            "h": (A(s.epsilon) - D(s.alpha)) - (
+                -s.tau_p * s.rho - s.kappa * s.sigma_p
+                - s.kappa_t * s.gamma + s.beta * s.sigma_t
+                - s.alpha * (s.epsilon_t - s.rho + s.gamma_p)
+                + s.epsilon * (s.beta_t + s.alpha + s.tau_p)
+                - phi[1][0]
+            ),
+            "i": (D(s.beta) - dl(s.epsilon)) - (
+                s.kappa * (s.rho_p + s.gamma)
+                + s.sigma * (s.tau_p - s.alpha)
+                + s.beta * (s.gamma_tp - s.rho_t)
+                - s.epsilon * (s.tau_tp + s.alpha_t)
+                + c.Psi1
+            ),
+            "j": (A(s.gamma) - Dp(s.alpha)) - (
+                s.kappa_p * (s.epsilon - s.rho)
+                + s.sigma_p * (s.beta - s.tau)
+                + s.alpha * (s.rho_tp - s.gamma_t)
+                - s.gamma * (s.tau_t + s.alpha_tp)
+                - (s.gamma * s.beta_p + s.alpha * s.epsilon_p)
+                + c.Psi3
+            ),
+            "k": (D(s.gamma) - Dp(s.epsilon)) - (
+                s.tau * s.tau_p - s.kappa * s.kappa_p
+                - s.beta * (s.tau_p + s.tau_t)
+                - s.alpha * (s.tau_tp + s.tau)
+                - s.epsilon * (s.gamma + s.gamma_t)
+                + s.gamma * (s.gamma_p + s.gamma_tp)
+                + c.Psi2 + phi[1][1] - c.Pi
+            ),
+            "l": (A(s.beta) - dl(s.alpha)) - (
+                s.rho * s.rho_p - s.sigma * s.sigma_p
+                - s.alpha * s.alpha_t - s.beta * s.alpha_tp
+                + s.alpha * (s.beta + s.alpha_p)
+                + s.gamma * (s.rho - s.rho_t)
+                + s.epsilon * (s.rho_tp - s.rho_p)
+                + c.Psi2 - phi[1][1] - c.Pi
+            ),
+        }
 
-        g = get
-        eqs = {}
-        eqs["a"] = (
-            dop("Delta", "kappa") - dop("D", "rho")
-        ) - (
-            g("rho") * g("rho") + g("sigma") * g("sigma_t") - g("kappa_t") * g("tau")
-            + g("kappa") * (g("tau_p") + 2 * g("alpha") + g("beta_t") + g("beta_p"))
-            - g("rho") * (g("epsilon") + g("epsilon_t")) + phi(0, 0)
+    def with_primed(mark, ops, t, s, c):
+        plain = build(ops, s, c)
+        primed = build(
+            DirectionalOps(priming_companion_tetrad(t)), prime(s), prime_curvature(c)
         )
-        eqs["a'"] = (
-            -dop("delta", "kappa_p") - dop("Dp", "rho_p")
-        ) - (
-            g("rho_p") * g("rho_p") + g("sigma_p") * g("sigma_tp")
-            - g("kappa_tp") * g("tau_p")
-            + g("kappa_p") * (g("tau") + 2 * g("alpha_p") + g("beta_tp") + g("beta"))
-            - g("rho_p") * (g("epsilon_p") + g("epsilon_tp")) + phi(2, 2)
-        )
-        eqs["b"] = (
-            dop("delta", "kappa") - dop("D", "sigma")
-        ) - (
-            g("sigma") * (g("rho") + g("rho_t") - g("gamma_tp") + g("gamma_p")
-                          - 2 * g("epsilon"))
-            - g("kappa") * (g("tau") - g("tau_tp") - g("alpha_t") - g("alpha_p")
-                            - 2 * g("beta"))
-            + psi(0)
-        )
-        eqs["b'"] = (
-            -dop("Delta", "kappa_p") - dop("Dp", "sigma_p")
-        ) - (
-            g("sigma_p") * (g("rho_p") + g("rho_tp") - g("gamma_t") + g("gamma")
-                            - 2 * g("epsilon_p"))
-            - g("kappa_p") * (g("tau_p") - g("tau_t") - g("alpha_tp") - g("alpha")
-                              - 2 * g("beta_p"))
-            + psi(4)
-        )
-        eqs["c"] = (
-            dop("Dp", "kappa") - dop("D", "tau")
-        ) - (
-            g("rho") * (g("tau") + g("tau_tp")) + g("sigma") * (g("tau_t") + g("tau_p"))
-            - g("tau") * (g("gamma_tp") + g("epsilon"))
-            + g("kappa") * (g("gamma_t") + 2 * g("gamma") - g("epsilon_p"))
-            + psi(1) + phi(0, 1)
-        )
-        eqs["c'"] = (
-            dop("D", "kappa_p") - dop("Dp", "tau_p")
-        ) - (
-            g("rho_p") * (g("tau_p") + g("tau_t"))
-            + g("sigma_p") * (g("tau_tp") + g("tau"))
-            - g("tau_p") * (g("gamma_t") + g("epsilon_p"))
-            + g("kappa_p") * (g("gamma_tp") + 2 * g("gamma_p") - g("epsilon"))
-            - psi(3) - phi(2, 1)
-        )
-        eqs["d"] = (
-            dop("Delta", "sigma") - dop("delta", "rho")
-        ) - (
-            g("tau") * (g("rho") - g("rho_t")) + g("kappa") * (g("rho_tp") - g("rho_p"))
-            - g("rho") * (g("alpha_t") + g("beta"))
-            + g("sigma") * (2 * g("alpha") - g("alpha_tp") + g("beta_p"))
-            - psi(1) + phi(0, 1)
-        )
-        eqs["d'"] = (
-            -dop("delta", "sigma_p") + dop("Delta", "rho_p")
-        ) - (
-            g("tau_p") * (g("rho_p") - g("rho_tp"))
-            + g("kappa_p") * (g("rho_t") - g("rho"))
-            - g("rho_p") * (g("alpha_tp") + g("beta_p"))
-            + g("sigma_p") * (2 * g("alpha_p") - g("alpha_t") + g("beta"))
-            + psi(3) - phi(2, 1)
-        )
-        eqs["e"] = (
-            dop("Dp", "sigma") - dop("delta", "tau")
-        ) - (
-            -g("rho_p") * g("sigma") - g("sigma_tp") * g("rho")
-            + g("tau") * g("tau") - g("kappa") * g("kappa_tp")
-            - g("tau") * (g("beta") - g("beta_tp"))
-            + g("sigma") * (2 * g("gamma") - g("epsilon_p") + g("epsilon_tp"))
-            + phi(0, 2)
-        )
-        eqs["e'"] = (
-            dop("D", "sigma_p") + dop("Delta", "tau_p")
-        ) - (
-            -g("rho") * g("sigma_p") - g("sigma_t") * g("rho_p")
-            + g("tau_p") * g("tau_p") - g("kappa_p") * g("kappa_t")
-            - g("tau_p") * (g("beta_p") - g("beta_t"))
-            + g("sigma_p") * (2 * g("gamma_p") - g("epsilon") + g("epsilon_t"))
-            + phi(2, 0)
-        )
-        eqs["f"] = (
-            dop("Delta", "tau") - dop("Dp", "rho")
-        ) - (
-            g("rho") * g("rho_tp") + g("sigma") * g("sigma_p")
-            - g("tau") * g("tau_t") + g("kappa") * g("kappa_p")
-            - g("rho") * (g("gamma") + g("gamma_t"))
-            + g("tau") * (g("alpha") - g("alpha_tp"))
-            - psi(2) - 2 * Pi
-        )
-        eqs["f'"] = (
-            -dop("delta", "tau_p") - dop("D", "rho_p")
-        ) - (
-            g("rho_p") * g("rho_t") + g("sigma_p") * g("sigma")
-            - g("tau_p") * g("tau_tp") + g("kappa_p") * g("kappa")
-            - g("rho_p") * (g("gamma_p") + g("gamma_tp"))
-            + g("tau_p") * (g("alpha_p") - g("alpha_t"))
-            - psi(2) - 2 * Pi
-        )
-        eqs["g"] = (
-            dop("Dp", "beta") - dop("delta", "gamma")
-        ) - (
-            g("tau") * g("rho_p") + g("kappa_p") * g("sigma")
-            - g("kappa_tp") * g("epsilon") - g("alpha") * g("sigma_tp")
-            + g("beta") * (g("epsilon_tp") - g("rho_p") + g("gamma"))
-            + g("gamma") * (g("beta_tp") + g("alpha_p") + g("tau"))
-            - phi(1, 2)
-        )
-        eqs["g'"] = (
-            dop("D", "beta_p") + dop("Delta", "gamma_p")
-        ) - (
-            g("tau_p") * g("rho") + g("kappa") * g("sigma_p")
-            - g("kappa_t") * g("epsilon_p") - g("alpha_p") * g("sigma_t")
-            + g("beta_p") * (g("epsilon_t") - g("rho") + g("gamma_p"))
-            + g("gamma_p") * (g("beta_t") + g("alpha") + g("tau_p"))
-            + phi(1, 0)
-        )
-        eqs["h"] = (
-            dop("Delta", "epsilon") - dop("D", "alpha")
-        ) - (
-            -g("tau_p") * g("rho") - g("kappa") * g("sigma_p")
-            - g("kappa_t") * g("gamma") + g("beta") * g("sigma_t")
-            - g("alpha") * (g("epsilon_t") - g("rho") + g("gamma_p"))
-            + g("epsilon") * (g("beta_t") + g("alpha") + g("tau_p"))
-            - phi(1, 0)
-        )
-        eqs["h'"] = (
-            -dop("delta", "epsilon_p") - dop("Dp", "alpha_p")
-        ) - (
-            -g("tau") * g("rho_p") - g("kappa_p") * g("sigma")
-            - g("kappa_tp") * g("gamma_p") + g("beta_p") * g("sigma_tp")
-            - g("alpha_p") * (g("epsilon_tp") - g("rho_p") + g("gamma"))
-            + g("epsilon_p") * (g("beta_tp") + g("alpha_p") + g("tau"))
-            + phi(1, 2)
-        )
-        eqs["i"] = (
-            dop("D", "beta") - dop("delta", "epsilon")
-        ) - (
-            g("kappa") * (g("rho_p") + g("gamma"))
-            + g("sigma") * (g("tau_p") - g("alpha"))
-            + g("beta") * (g("gamma_tp") - g("rho_t"))
-            - g("epsilon") * (g("tau_tp") + g("alpha_t"))
-            + psi(1)
-        )
-        eqs["i'"] = (
-            dop("Dp", "beta_p") + dop("Delta", "epsilon_p")
-        ) - (
-            g("kappa_p") * (g("rho") + g("gamma_p"))
-            + g("sigma_p") * (g("tau") - g("alpha_p"))
-            + g("beta_p") * (g("gamma_t") - g("rho_tp"))
-            - g("epsilon_p") * (g("tau_t") + g("alpha_tp"))
-            - psi(3)
-        )
-        eqs["j"] = (
-            dop("Delta", "gamma") - dop("Dp", "alpha")
-        ) - (
-            g("kappa_p") * (g("epsilon") - g("rho"))
-            + g("sigma_p") * (g("beta") - g("tau"))
-            + g("alpha") * (g("rho_tp") - g("gamma_t"))
-            - g("gamma") * (g("tau_t") + g("alpha_tp"))
-            - (g("gamma") * g("beta_p") + g("alpha") * g("epsilon_p"))
-            + psi(3)
-        )
-        eqs["j'"] = (
-            -dop("delta", "gamma_p") - dop("D", "alpha_p")
-        ) - (
-            g("kappa") * (g("epsilon_p") - g("rho_p"))
-            + g("sigma") * (g("beta_p") - g("tau_p"))
-            + g("alpha_p") * (g("rho_t") - g("gamma_tp"))
-            - g("gamma_p") * (g("tau_tp") + g("alpha_t"))
-            - (g("gamma_p") * g("beta") + g("alpha_p") * g("epsilon"))
-            - psi(1)
-        )
-        eqs["k"] = (
-            dop("D", "gamma") - dop("Dp", "epsilon")
-        ) - (
-            g("tau") * g("tau_p") - g("kappa") * g("kappa_p")
-            - g("beta") * (g("tau_p") + g("tau_t"))
-            - g("alpha") * (g("tau_tp") + g("tau"))
-            - g("epsilon") * (g("gamma") + g("gamma_t"))
-            + g("gamma") * (g("gamma_p") + g("gamma_tp"))
-            + psi(2) + phi(1, 1) - Pi
-        )
-        eqs["k'"] = (
-            dop("Dp", "gamma_p") - dop("D", "epsilon_p")
-        ) - (
-            g("tau") * g("tau_p") - g("kappa") * g("kappa_p")
-            - g("beta_p") * (g("tau") + g("tau_tp"))
-            - g("alpha_p") * (g("tau_t") + g("tau_p"))
-            - g("epsilon_p") * (g("gamma_p") + g("gamma_tp"))
-            + g("gamma_p") * (g("gamma") + g("gamma_t"))
-            + psi(2) + phi(1, 1) - Pi
-        )
-        eqs["l"] = (
-            dop("Delta", "beta") - dop("delta", "alpha")
-        ) - (
-            g("rho") * g("rho_p") - g("sigma") * g("sigma_p")
-            - g("alpha") * g("alpha_t") - g("beta") * g("alpha_tp")
-            + g("alpha") * (g("beta") + g("alpha_p"))
-            + g("gamma") * (g("rho") - g("rho_t"))
-            + g("epsilon") * (g("rho_tp") - g("rho_p"))
-            + psi(2) - phi(1, 1) - Pi
-        )
-        eqs["l'"] = (
-            -dop("delta", "beta_p") + dop("Delta", "alpha_p")
-        ) - (
-            g("rho") * g("rho_p") - g("sigma") * g("sigma_p")
-            - g("alpha_p") * g("alpha_tp") - g("beta_p") * g("alpha_t")
-            + g("alpha_p") * (g("beta_p") + g("alpha"))
-            + g("gamma_p") * (g("rho_p") - g("rho_tp"))
-            + g("epsilon_p") * (g("rho_t") - g("rho"))
-            + psi(2) - phi(1, 1) - Pi
-        )
-        return {f"{key}{mark}": value for key, value in eqs.items()}
+        out = {}
+        for key in plain:
+            out[key + mark] = plain[key]
+            out[key + "'" + mark] = primed[key]
+        return out
 
-    plain = build(
-        s.get,
-        lambda k: curv.psi(k),
-        lambda i, j: curv.Phi[i][j],
-        {},
-        "",
-    )
-    # For the second dyad the transverse operators trade places along
-    # with the coefficient families and the mixed-block transpose.
-    tilded = build(
-        lambda name: s.get(_TILDE_NAME[name]),
-        lambda k: curv.psi_t(k),
-        lambda i, j: curv.Phi[j][i],
-        {"Delta": "delta", "delta": "Delta"},
-        "~",
-    )
-    plain.update(tilded)
-    return plain
+    out = with_primed("", frame.ops, frame.tetrad, frame.coeffs, curv)
+    t = tilde_companion_tetrad(frame.tetrad)
+    out.update(with_primed(
+        "~", DirectionalOps(t), t, tilde_relabel(frame.coeffs), tilde_curvature(curv)
+    ))
+    return out
 
 
 def commutator_residuals(frame: Frame, f):

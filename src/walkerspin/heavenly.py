@@ -37,8 +37,7 @@ def _d(p: Poly, *vars: str) -> Poly:
 
 
 def _depends_on(p: Poly, var: str) -> bool:
-    i = VARIABLES.index(var)
-    return any(exps[i] for exps in p.terms)
+    return not p.diff(var).is_zero
 
 
 def _as_poly(rf: RationalFunction) -> Poly:
@@ -219,12 +218,9 @@ def master_identity_residual(p: HeavenlyPotential) -> Poly:
     potential side (derivatives of the chain data). Identically zero."""
     w = build_metric(p)
     curv = walker_curvature_components(w)
-    s_val = _as_poly(curv.S)
-    psi_t3 = _as_poly(curv.PsiT3)
-    psi_t4 = _as_poly(curv.PsiT4)
-    big_b = -8 * psi_t3 - s_val * w.c
-    big_a = 6 * big_b * w.c + s_val * (3 * w.c * w.c - Poly.parse("1")) - 24 * psi_t4
-    lhs = big_a - 6 * big_b * w.c - s_val * (3 * w.c * w.c - Poly.parse("1"))
+    # the paper's A - 6*B*c - S*(3*c^2 - 1), with A and B expanded in PsiT3,
+    # PsiT4 and S, is exactly -24*PsiT4
+    lhs = -24 * _as_poly(curv.PsiT4)
 
     inv = invariants(p)
     big_r = inv.R

@@ -754,24 +754,5 @@ RF_ZERO = RationalFunction(ZERO)
 RF_ONE = RationalFunction(ONE)
 
 
-def poly_arith(p: Poly, q: Poly, op: str) -> Poly:
-    """Binary arithmetic dispatch used by the command layer."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def poly_diff(p: Poly, var: str) -> Poly:
-    return p.diff(var)
-
-
-def poly_eval(p: Poly, point: Iterable[Scalar]) -> Fraction:
-    return p.eval_at(point)
-
-
 def parse_poly(text: str) -> Poly:
     return Poly.parse(text)

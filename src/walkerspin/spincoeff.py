@@ -115,6 +115,12 @@ def priming_companion_tetrad(t: Tetrad) -> Tetrad:
     return Tetrad(l=t.n, n=t.l, m=neg(t.mt), mt=neg(t.m), chi=t.chi, chi_t=t.chi_t)
 
 
+def tilde_companion_tetrad(t: Tetrad) -> Tetrad:
+    """The tetrad with m, mt and chi, chi_t exchanged; its coefficients
+    are ``tilde_relabel`` of the original ones."""
+    return Tetrad(l=t.l, n=t.n, m=t.mt, mt=t.m, chi=t.chi_t, chi_t=t.chi)
+
+
 def spin_coefficients_from_tetrad(
     ch: Christoffel, t: Tetrad, mt: MetricTensor
 ) -> SpinCoefficientSet:

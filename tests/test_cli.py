@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from walkerspin.cli import main
+from walkerspin.spincoeff import COEFF_NAMES
 
 FLAT = {"a": "0", "b": "0", "c": "0", "label": "flat"}
 CUBIC = {"a": "0", "b": "u^3", "c": "0"}
@@ -127,6 +128,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", spec(MIXED), *extra)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.GOLDEN[name]
         assert ("FAIL 3.1 " in out) == (name is not None)
+
+    def test_golden_field_equations(self, spec, capsys):
+        # SHA-256 of suite 3.4's reports and exit codes, unperturbed and
+        # with each coefficient bumped in turn; pins the FAIL lines of all
+        # 48 equations and their order
+        path = spec(MIXED)
+        digest = hashlib.sha256()
+        for name in (None,) + COEFF_NAMES:
+            extra = [] if name is None else ["--perturb", name]
+            code, out, _ = run(capsys, "verify", path, "--suite", "3.4", *extra)
+            digest.update(out.encode() + f"exit {code}\n".encode())
+        assert digest.hexdigest() == "77aa8f2ed3adaa10ba8685d3edc26b387d0fdad6586c61accccc7fd90fad3832"
 
 
 def oracle_error(out: str) -> float:

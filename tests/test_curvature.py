@@ -22,15 +22,24 @@ from walkerspin.curvature import (
 )
 from walkerspin.errors import InputError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
-from walkerspin.spincoeff import COEFF_NAMES, Frame
+from walkerspin.spincoeff import (
+    COEFF_NAMES,
+    Frame,
+    SpinCoefficientSet,
+    prime,
+    priming_companion_tetrad,
+    tilde_companion_tetrad,
+    tilde_relabel,
+)
 from walkerspin.walker import (
+    DirectionalOps,
     WalkerMetric,
     assemble_metric,
     christoffel,
     walker_tetrad,
 )
 
-from support import corpus_metrics, monomials_to_degree, random_metric_functions
+from support import corpus_metrics, monomials_to_degree, random_metric_functions, random_poly
 
 RF_ZERO = RationalFunction(ZERO)
 
@@ -152,6 +161,47 @@ def test_field_equations_detect_perturbation():
     residuals = field_equation_residuals(bad, curv)
     dirty = [label for label, value in residuals.items() if value != RF_ZERO]
     assert dirty
+
+
+def test_field_equations_covariant_under_priming_and_dyad_swap():
+    # With every coefficient and curvature component an unrelated random
+    # polynomial, each primed and second-dyad equation is still the
+    # unprimed one on the companion frame, and priming twice or swapping
+    # the dyads twice gives back the unprimed equation.
+    rng = random.Random(210)
+
+    def rand():
+        return RationalFunction(random_poly(rng, max_degree=3, max_terms=3))
+
+    def on(frame, t, s, c):
+        return field_equation_residuals(
+            dataclasses.replace(frame, tetrad=t, ops=DirectionalOps(t), coeffs=s), c
+        )
+
+    for w in corpus_metrics()[:4]:
+        frame = Frame.walker(w)
+        t = frame.tetrad
+        for _ in range(2):
+            s = SpinCoefficientSet(**{name: rand() for name in COEFF_NAMES})
+            c = CurvatureSpinors(
+                **{f"Psi{k}": rand() for k in range(5)},
+                **{f"PsiT{k}": rand() for k in range(5)},
+                Phi=tuple(tuple(rand() for _ in range(3)) for _ in range(3)),
+                Lambda=rand(), Pi=rand(), S=rand(),
+            )
+            res = on(frame, t, s, c)
+            primed = on(frame, priming_companion_tetrad(t), prime(s), prime_curvature(c))
+            t_t = tilde_companion_tetrad(t)
+            s_t, c_t = tilde_relabel(s), tilde_curvature(c)
+            tilded = on(frame, t_t, s_t, c_t)
+            both = on(frame, priming_companion_tetrad(t_t), prime(s_t), prime_curvature(c_t))
+            for k in "abcdefghijkl":
+                assert res[k + "'"] == primed[k], k
+                assert res[k + "~"] == tilded[k], k
+                assert res[k + "'~"] == both[k], k
+                assert primed[k + "'"] == res[k], k
+                assert tilded[k + "~"] == res[k], k
+                assert not res[k].is_zero
 
 
 def test_commutator_residuals_vanish_on_monomials():

@@ -21,9 +21,6 @@ from walkerspin.poly import (
     Poly,
     RationalFunction,
     parse_poly,
-    poly_arith,
-    poly_diff,
-    poly_eval,
 )
 
 from support import random_poly
@@ -251,8 +248,8 @@ def test_mixed_partials_commute(p, q):
 
 @given(polys, polys, points)
 def test_evaluation_is_ring_homomorphism(p, q, pt):
-    assert poly_eval(p + q, pt) == poly_eval(p, pt) + poly_eval(q, pt)
-    assert poly_eval(p * q, pt) == poly_eval(p, pt) * poly_eval(q, pt)
+    assert (p + q).eval_at(pt) == p.eval_at(pt) + q.eval_at(pt)
+    assert (p * q).eval_at(pt) == p.eval_at(pt) * q.eval_at(pt)
 
 
 @given(polys)
@@ -347,22 +344,12 @@ def test_parse_term_limit():
     assert time.perf_counter() - start < 1.0
 
 
-def test_arith_dispatch():
-    p = parse_poly("u + 1")
-    q = parse_poly("u - 1")
-    assert poly_arith(p, q, "add") == parse_poly("2*u")
-    assert poly_arith(p, q, "sub") == Poly.const(2)
-    assert poly_arith(p, q, "mul") == parse_poly("u^2 - 1")
-    with pytest.raises(ValueError):
-        poly_arith(p, q, "div")
-
-
 def test_diff_and_eval_basics():
     p = parse_poly("u^2*v + 3*x*y")
-    assert poly_diff(p, "u") == parse_poly("2*u*v")
-    assert poly_diff(p, "y") == parse_poly("3*x")
-    assert poly_eval(p, (2, 1, 1, 1)) == Fraction(7)
-    assert poly_eval(p, (Fraction(1, 2), 4, 0, 0)) == Fraction(1)
+    assert p.diff("u") == parse_poly("2*u*v")
+    assert p.diff("y") == parse_poly("3*x")
+    assert p.eval_at((2, 1, 1, 1)) == Fraction(7)
+    assert p.eval_at((Fraction(1, 2), 4, 0, 0)) == Fraction(1)
 
 
 def test_degree_and_constants():

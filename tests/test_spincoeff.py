@@ -23,6 +23,7 @@ from walkerspin.spincoeff import (
     priming_companion_tetrad,
     raise_index,
     spin_coefficients_from_tetrad,
+    tilde_companion_tetrad,
     tilde_relabel,
     transform_coefficients,
     walker_closed_form,
@@ -124,11 +125,13 @@ def test_tilde_relabel_matches_swapped_tetrad():
     for w in sample_metrics(4, seed=106):
         mt = assemble_metric(w)
         ch = christoffel(mt)
+        # a non-unit chi checks that the normalization scalars swap too
         t = walker_tetrad(w)
-        s = spin_coefficients_from_tetrad(ch, t, mt)
-        swapped = Tetrad(l=t.l, n=t.n, m=t.mt, mt=t.m, chi=t.chi_t, chi_t=t.chi)
-        s_swapped = spin_coefficients_from_tetrad(ch, swapped, mt)
-        assert_sets_equal(tilde_relabel(s), s_swapped, "(tilde oracle)")
+        scaled = scale_normalization(t, RationalFunction(parse_poly("u + 2")), RF_ONE)
+        for tetrad in (t, scaled):
+            s = spin_coefficients_from_tetrad(ch, tetrad, mt)
+            s_swapped = spin_coefficients_from_tetrad(ch, tilde_companion_tetrad(tetrad), mt)
+            assert_sets_equal(tilde_relabel(s), s_swapped, "(tilde oracle)")
 
 
 def reconstruction_residuals(frame):
