@@ -38,7 +38,7 @@ from .heavenly import (
     master_identity_residual,
 )
 from .nullgeom import distribution_report, relation_suite
-from .poly import Poly
+from .poly import MAX_EXPONENT, Poly
 from .spincoeff import COEFF_NAMES, Frame
 from .walker import WalkerMetric
 
@@ -65,14 +65,57 @@ def _load_potential(path: str) -> HeavenlyPotential:
     return HeavenlyPotential.from_dict(_load_json(path))
 
 
+def _parse_value(text: str, flag: str) -> Fraction:
+    """One rational literal, with at most ``MAX_EXPONENT`` digits and a
+    decimal exponent of at most ``MAX_EXPONENT`` in magnitude; both are
+    checked before the value is formed."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if sum(ch.isdigit() for ch in mantissa) > MAX_EXPONENT:
+        raise InputError(f"bad value in {flag}: more than {MAX_EXPONENT} digits")
+    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    # digit count first: int() refuses literals over 4300 digits
+    if len(magnitude) > len(str(MAX_EXPONENT)) or (
+        magnitude.isdigit() and int(magnitude) > MAX_EXPONENT
+    ):
+        raise InputError(f"bad value in {flag}: exponent exceeds {MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f"bad value in {flag}: {err}") from err
+
+
 def _parse_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
     parts = text.split(",")
     if len(parts) != 4:
         raise InputError(f"{flag} needs four comma-separated values")
+    return tuple(_parse_value(p.strip(), flag) for p in parts)
+
+
+def _classify_at(w: WalkerMetric, point, curv=None) -> tuple[str, dict[str, str]]:
+    """Label and printed values of the classification at --point.
+
+    The values are rendered before any output is written, so a point
+    whose values are too large to print is refused with nothing printed.
+    """
     try:
-        return tuple(Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"bad value in {flag}: {err}") from err
+        rep = classify_sd_weyl(w, point, curv)
+    except ZeroDivisionError as err:
+        raise InputError(str(err)) from err
+    try:
+        text = {
+            "point": ", ".join(str(c) for c in rep.point),
+            "S": str(rep.scalar),
+            "A": str(rep.invariant_a),
+            "B": str(rep.invariant_b),
+            "PsiT3": str(rep.psi_t3),
+            "PsiT4": str(rep.psi_t4),
+        }
+    except ValueError as err:
+        # str() refuses integers past the interpreter's digit limit
+        raise InputError(
+            f"a value at --point has more than {sys.get_int_max_str_digits()} digits"
+        ) from err
+    return rep.label, text
 
 
 def _metric_header(w: WalkerMetric, out) -> None:
@@ -90,9 +133,10 @@ def _metric_header(w: WalkerMetric, out) -> None:
 
 def cmd_analyze(args, out) -> int:
     w = _load_metric(args.spec)
+    point = _parse_tuple(args.point, "--point")
     frame = Frame.walker(w)
     curv = walker_curvature_components(w, frame)
-    point = _parse_tuple(args.point, "--point")
+    label, typed = _classify_at(w, point, curv)
 
     _metric_header(w, out)
     print("", file=out)
@@ -112,17 +156,11 @@ def cmd_analyze(args, out) -> int:
     print(f"  Pi = {curv.Pi}", file=out)
     print(f"  S = {curv.S}", file=out)
 
-    try:
-        rep = classify_sd_weyl(w, point, curv)
-    except ZeroDivisionError as err:
-        raise InputError(str(err)) from err
-    coords = ", ".join(str(c) for c in rep.point)
     print("", file=out)
-    print(f"type at ({coords})", file=out)
-    print(f"  label = {rep.label}", file=out)
-    print(f"  S = {rep.scalar}", file=out)
-    print(f"  A = {rep.invariant_a}", file=out)
-    print(f"  B = {rep.invariant_b}", file=out)
+    print(f"type at ({typed['point']})", file=out)
+    print(f"  label = {label}", file=out)
+    for key in ("S", "A", "B"):
+        print(f"  {key} = {typed[key]}", file=out)
 
     dist = distribution_report(w, frame, curv)
     flags = (
@@ -310,20 +348,12 @@ def cmd_heavenly(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     w = _load_metric(args.spec)
-    point = _parse_tuple(args.point, "--point")
-    try:
-        rep = classify_sd_weyl(w, point)
-    except ZeroDivisionError as err:
-        raise InputError(str(err)) from err
+    label, typed = _classify_at(w, _parse_tuple(args.point, "--point"))
     _metric_header(w, out)
-    coords = ", ".join(str(c) for c in rep.point)
-    print(f"point = ({coords})", file=out)
-    print(f"label = {rep.label}", file=out)
-    print(f"S = {rep.scalar}", file=out)
-    print(f"A = {rep.invariant_a}", file=out)
-    print(f"B = {rep.invariant_b}", file=out)
-    print(f"PsiT3 = {rep.psi_t3}", file=out)
-    print(f"PsiT4 = {rep.psi_t4}", file=out)
+    print(f"point = ({typed['point']})", file=out)
+    print(f"label = {label}", file=out)
+    for key in ("S", "A", "B", "PsiT3", "PsiT4"):
+        print(f"{key} = {typed[key]}", file=out)
     return 0
 
 

@@ -28,7 +28,7 @@ from .errors import (
     PatternError,
 )
 from .poly import HALF, RationalFunction
-from .spincoeff import Frame
+from .spincoeff import Frame, SpinCoefficientSet
 from .walker import WalkerMetric
 
 TRACE_KEYS = (
@@ -151,7 +151,11 @@ class CoefficientTrace:
 
     @classmethod
     def from_metric(cls, w: WalkerMetric, base, grid) -> "CoefficientTrace":
-        s = Frame.walker(w).coeffs
+        return cls.from_frame(Frame.walker(w), base, grid)
+
+    @classmethod
+    def from_frame(cls, frame: Frame, base, grid) -> "CoefficientTrace":
+        s = frame.coeffs
         # parallel-dyad transport data: these vanish for the frames built
         # here, and the transport matrix below silently assumes it
         for name in ("epsilon", "tau_p", "epsilon_t", "tau_tp"):
@@ -316,6 +320,16 @@ def _curvature_columns(curv: CurvatureSpinors) -> dict[str, RationalFunction]:
     }
 
 
+def _transport_matrix(s: SpinCoefficientSet):
+    zero = s.rho - s.rho
+    return (
+        (zero, s.alpha + s.beta_t, s.alpha_t + s.beta, s.gamma + s.gamma_t),
+        (zero, s.rho, s.sigma, s.tau),
+        (zero, s.sigma_t, s.rho_t, s.tau_t),
+        (zero, -1 * s.kappa_t, -1 * s.kappa, zero),
+    )
+
+
 def _curvature_matrix_sym(curv: CurvatureSpinors):
     c = _curvature_columns(curv)
     zero = curv.Psi0 - curv.Psi0
@@ -366,8 +380,8 @@ def integrate_jacobi(
     y0 = _as_state(V0p)
     _check_span(v_end, step)
     grid = _half_grid(v_end, step)
-    trace = CoefficientTrace.from_metric(w, base, grid)
     frame = Frame.walker(w)
+    trace = CoefficientTrace.from_frame(frame, base, grid)
     samples = _sample_columns(
         _curvature_columns(walker_curvature_components(w, frame)), base, grid
     )
@@ -415,22 +429,11 @@ def propagation_matrices(w: WalkerMetric, point) -> PropagationMatrices:
     s = frame.coeffs
     curv = walker_curvature_components(w, frame)
     ev = lambda rf: float(rf.eval_at(pt))
-    m = (
-        (0.0, ev(s.alpha + s.beta_t), ev(s.alpha_t + s.beta), ev(s.gamma + s.gamma_t)),
-        (0.0, ev(s.rho), ev(s.sigma), ev(s.tau)),
-        (0.0, ev(s.sigma_t), ev(s.rho_t), ev(s.tau_t)),
-        (0.0, -ev(s.kappa_t), -ev(s.kappa), 0.0),
-    )
+    m = tuple(tuple(ev(e) for e in row) for row in _transport_matrix(s))
     p = ((ev(s.rho), ev(s.sigma)), (ev(s.sigma_t), ev(s.rho_t)))
     if p != ((m[1][1], m[1][2]), (m[2][1], m[2][2])):
         raise InternalInconsistencyError("screen block disagrees with transport matrix")
-    cols = _curvature_columns(curv)
-    n = (
-        (0.0, ev(cols["n01"]), ev(cols["n02"]), ev(cols["n03"])),
-        (0.0, ev(cols["n11"]), ev(cols["n12"]), ev(cols["n13"])),
-        (0.0, ev(cols["n21"]), ev(cols["n22"]), ev(cols["n23"])),
-        (0.0, 0.0, 0.0, 0.0),
-    )
+    n = tuple(tuple(ev(e) for e in row) for row in _curvature_matrix_sym(curv))
     q = ((ev(curv.Phi[0][0]), ev(curv.Psi0)), (ev(curv.PsiT0), ev(curv.Phi[0][0])))
     if q != ((n[1][1], n[1][2]), (n[2][1], n[2][2])):
         raise InternalInconsistencyError("screen curvature block disagrees")
@@ -458,12 +461,7 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
     s = frame.coeffs
     curv = walker_curvature_components(w, frame)
     zero = s.rho - s.rho
-    m = (
-        (zero, s.alpha + s.beta_t, s.alpha_t + s.beta, s.gamma + s.gamma_t),
-        (zero, s.rho, s.sigma, s.tau),
-        (zero, s.sigma_t, s.rho_t, s.tau_t),
-        (zero, -1 * s.kappa_t, -1 * s.kappa, zero),
-    )
+    m = _transport_matrix(s)
     n = _curvature_matrix_sym(curv)
     # the derivative along the congruence is the first-coordinate partial
     m_res = tuple(

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .curvature import walker_curvature_components
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, ONE, QUARTER, Poly, RationalFunction, VARIABLES, ZERO
-from .walker import WalkerMetric
+from .walker import WalkerMetric, aligned_ricci_residuals
 
 _U = Poly.parse("u")
 _V = Poly.parse("v")
@@ -62,11 +62,14 @@ class HeavenlyPotential:
     def from_dict(cls, data) -> "HeavenlyPotential":
         if not isinstance(data, dict):
             raise InputError("potential specification must be a JSON object")
-        missing = [k for k in ("theta", "f", "g", "F", "G", "h") if k not in data]
+        missing = [k for k in _ALLOWED if k not in data]
         if missing:
             raise InputError(f"potential specification missing keys: {missing}")
+        unknown = sorted(set(data) - set(_ALLOWED) - {"label"})
+        if unknown:
+            raise InputError(f"potential specification has unknown keys: {unknown}")
         parsed = {}
-        for key in ("theta", "f", "g", "F", "G", "h"):
+        for key in _ALLOWED:
             text = data[key]
             if not isinstance(text, str):
                 raise InputError(f"potential field {key!r} must be a string")
@@ -141,14 +144,11 @@ def build_metric(p: HeavenlyPotential) -> WalkerMetric:
     a = -2 * _d(p.theta, "v", "v") + p.F
     b = -2 * _d(p.theta, "u", "u") + p.G
     c = 2 * _d(p.theta, "u", "v")
-    for name, res in (
-        ("a_uu - b_vv", _d(a, "u", "u") - _d(b, "v", "v")),
-        ("b_uv + c_uu", _d(b, "u", "v") + _d(c, "u", "u")),
-        ("a_uv + c_vv", _d(a, "u", "v") + _d(c, "v", "v")),
-    ):
+    w = WalkerMetric(a=a, b=b, c=c, label=p.label)
+    for name, res in aligned_ricci_residuals(w).items():
         if res != ZERO:
             raise InternalInconsistencyError(f"built metric violates {name}")
-    return WalkerMetric(a=a, b=b, c=c, label=p.label)
+    return w
 
 
 def wave_operator(w: WalkerMetric, H: Poly) -> Poly:

@@ -30,7 +30,7 @@ from .spincoeff import (
     lower_index,
     raise_index,
 )
-from .walker import COORDS, WalkerMetric, tetrad_covectors
+from .walker import COORDS, WalkerMetric, aligned_ricci_residuals, tetrad_covectors
 
 
 def _rf_pow(base: RationalFunction, n: int) -> RationalFunction:
@@ -70,11 +70,8 @@ def primed_spinor(p, q) -> PrimedSpinor:
     return PrimedSpinor(p=p, q=q)
 
 
-_OP_OF_PAIR = DIR_OF
-
-
 def _pair_dict(values) -> dict:
-    return {_OP_OF_PAIR[pair]: value for pair, value in values.items()}
+    return {DIR_OF[pair]: value for pair, value in values.items()}
 
 
 def integrability_residual(pi: PrimedSpinor, frame: Frame) -> DyadSpinorField:
@@ -323,24 +320,15 @@ def ricci_conditions(
         )
     coord = None
     if w is not None and pi.p == RF_ONE and pi.q.is_zero:
-        a, b, c = w.a, w.b, w.c
-        pairs = {
-            "a_uu - b_vv": (
-                as_rf(a.diff("u").diff("u") - b.diff("v").diff("v")),
-                8 * curv.Phi[1][1],
-            ),
-            "b_uv + c_uu": (
-                as_rf(b.diff("u").diff("v") + c.diff("u").diff("u")),
-                -4 * curv.Phi[0][1],
-            ),
-            "a_uv + c_vv": (
-                as_rf(a.diff("u").diff("v") + c.diff("v").diff("v")),
-                4 * curv.Phi[2][1],
-            ),
+        via_phi = {
+            "a_uu - b_vv": 8 * curv.Phi[1][1],
+            "b_uv + c_uu": -4 * curv.Phi[0][1],
+            "a_uv + c_vv": 4 * curv.Phi[2][1],
         }
         coord = {}
-        for name, (direct, via_phi) in pairs.items():
-            if direct != via_phi:
+        for name, residual in aligned_ricci_residuals(w).items():
+            direct = as_rf(residual)
+            if direct != via_phi[name]:
                 raise InternalInconsistencyError(
                     f"coordinate form of the null-alignment condition {name} "
                     "disagrees with the dyad route"

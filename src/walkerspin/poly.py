@@ -629,10 +629,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p: PolyLike) -> "RationalFunction":
-        return cls(_as_poly(p))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

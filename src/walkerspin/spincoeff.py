@@ -121,21 +121,37 @@ def tilde_companion_tetrad(t: Tetrad) -> Tetrad:
     return Tetrad(l=t.l, n=t.n, m=t.mt, mt=t.m, chi=t.chi_t, chi_t=t.chi)
 
 
+# One row per directional operator: the plain and primed coefficients it
+# carries, and the sign of the primed pair.
+_ROWS = (
+    ("D", "epsilon", "kappa", "tau_p", "gamma_p", 1),
+    ("Delta", "alpha", "rho", "sigma_p", "beta_p", -1),
+    ("delta", "beta", "sigma", "rho_p", "alpha_p", -1),
+    ("Dp", "gamma", "tau", "kappa_p", "epsilon_p", 1),
+)
+# Legs and operators of the tetrad with m and mt exchanged: its Delta follows
+# the original m, so it is the original delta.
+_SAME = {name: name for name in ("l", "n", "m", "mt") + DirectionalOps.NAMES}
+_SWAP = {**_SAME, "m": "mt", "mt": "m", "Delta": "delta", "delta": "Delta"}
+
+
 def spin_coefficients_from_tetrad(
     ch: Christoffel, t: Tetrad, mt: MetricTensor
 ) -> SpinCoefficientSet:
-    """Extract all 32 coefficients from directional tetrad derivatives."""
+    """Extract all 32 coefficients from directional tetrad derivatives.
+
+    The table of ``_ROWS`` gives the plain and primed families.  The tilde
+    families are the same table on the tilde companion tetrad (m and mt,
+    Delta and delta, chi and chi_t exchanged), read from the derivatives
+    of this tetrad and named by ``tilde_relabel``.
+    """
     validate_tetrad(mt, t)
     ops = DirectionalOps(t)
     unit = t.chi * t.chi_t
     X = RationalFunction(ONE) / unit
 
-    nabla = {
-        "l": covariant_derivative_vector(ch, t.l),
-        "n": covariant_derivative_vector(ch, t.n),
-        "m": covariant_derivative_vector(ch, t.m),
-        "mt": covariant_derivative_vector(ch, t.mt),
-    }
+    legs = {"l": t.l, "n": t.n, "m": t.m, "mt": t.mt}
+    nabla = {name: covariant_derivative_vector(ch, vec) for name, vec in legs.items()}
     dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
     deriv = {
         (op, name): directional_vector_derivative(nabla[name], dirs[op])
@@ -145,65 +161,24 @@ def spin_coefficients_from_tetrad(
     dchi = {op: ops.apply(op, t.chi) for op in DirectionalOps.NAMES}
     dchi_t = {op: ops.apply(op, t.chi_t) for op in DirectionalOps.NAMES}
 
-    def ip(vec, op, name):
-        return mt.inner(vec, deriv[(op, name)])
+    def table(rn, chi_t, dchi):
+        """Plain and primed coefficients of the tetrad whose legs and
+        operators are those of ``t`` renamed by ``rn``."""
 
-    values: dict[str, RationalFunction] = {}
+        def ip(vec, op, name):
+            return mt.inner(legs[rn[vec]], deriv[(rn[op], rn[name])])
 
-    # Plain and primed families, one operator row at a time.
-    rows = (
-        ("D", "epsilon", "kappa", "tau_p", "gamma_p", 1, 1),
-        ("Delta", "alpha", "rho", "sigma_p", "beta_p", -1, -1),
-        ("delta", "beta", "sigma", "rho_p", "alpha_p", -1, -1),
-        ("Dp", "gamma", "tau", "kappa_p", "epsilon_p", 1, 1),
-    )
-    for op, diag1, offdiag1, offdiag2, diag2, sgn2, sgn_d2 in rows:
-        values[diag1] = (
-            HALF * X * (ip(t.n, op, "l") + ip(t.m, op, "mt") + t.chi_t * dchi[op])
-        )
-        values[offdiag1] = -(X * ip(t.m, op, "l"))
-        values[offdiag2] = sgn2 * X * ip(t.mt, op, "n")
-        values[diag2] = sgn_d2 * (
-            HALF * X * (ip(t.l, op, "n") + ip(t.mt, op, "m") + t.chi_t * dchi[op])
-        )
-        # Tilde family: swap the roles of m and mt, chi and chi_t.
-        tdiag1, toff1, toff2, tdiag2 = (
-            _TILDE_ROW[diag1],
-            _TILDE_ROW[offdiag1],
-            _TILDE_ROW[offdiag2],
-            _TILDE_ROW[diag2],
-        )
-        values[tdiag1] = (
-            HALF * X * (ip(t.n, op, "l") + ip(t.mt, op, "m") + t.chi * dchi_t[op])
-        )
-        values[toff1] = -(X * ip(t.mt, op, "l"))
-        values[toff2] = sgn2 * X * ip(t.m, op, "n")
-        values[tdiag2] = sgn_d2 * (
-            HALF * X * (ip(t.l, op, "n") + ip(t.m, op, "mt") + t.chi * dchi_t[op])
-        )
-    return SpinCoefficientSet(**values)
+        values = {}
+        for op, diag1, offdiag1, offdiag2, diag2, sgn in _ROWS:
+            dnorm = chi_t * dchi[rn[op]]
+            values[diag1] = HALF * X * (ip("n", op, "l") + ip("m", op, "mt") + dnorm)
+            values[offdiag1] = -(X * ip("m", op, "l"))
+            values[offdiag2] = sgn * X * ip("mt", op, "n")
+            values[diag2] = sgn * (HALF * X * (ip("l", op, "n") + ip("mt", op, "m") + dnorm))
+        return values
 
-
-# In the tilde table the Delta row carries beta_t where the plain table's
-# Delta row carries alpha, and vice versa on the delta row.
-_TILDE_ROW = {
-    "epsilon": "epsilon_t",
-    "kappa": "kappa_t",
-    "tau_p": "tau_tp",
-    "gamma_p": "gamma_tp",
-    "alpha": "beta_t",
-    "rho": "sigma_t",
-    "sigma_p": "rho_tp",
-    "beta_p": "alpha_tp",
-    "beta": "alpha_t",
-    "sigma": "rho_t",
-    "rho_p": "sigma_tp",
-    "alpha_p": "beta_tp",
-    "gamma": "gamma_t",
-    "tau": "tau_t",
-    "kappa_p": "kappa_tp",
-    "epsilon_p": "epsilon_tp",
-}
+    tilde = tilde_relabel(SpinCoefficientSet(**table(_SWAP, t.chi, dchi_t)))
+    return replace(tilde, **table(_SAME, t.chi_t, dchi))
 
 
 def _walker_auxiliaries(w: WalkerMetric):
@@ -286,25 +261,11 @@ def directional(t: Tetrad, f, which: str) -> RationalFunction:
     return DirectionalOps(t).apply(which, f)
 
 
-def transform_coefficients(
-    frame: Frame, lam, lam_t, mu, mu_t
-) -> tuple[SpinCoefficientSet, Tetrad]:
-    """Coefficients after a normalization-preserving tetrad change.
-
-    The kappa, rho, sigma, tau families admit closed transformation laws;
-    they are checked here against full recomputation from the transformed
-    tetrad, and a mismatch raises InternalInconsistencyError.
-    """
-    lam, lam_t, mu, mu_t = as_rf(lam), as_rf(lam_t), as_rf(mu), as_rf(mu_t)
-    new_t = tetrad_transform(frame.tetrad, lam, lam_t, mu, mu_t)
-    full = spin_coefficients_from_tetrad(frame.connection, new_t, frame.metric)
-
-    s = frame.coeffs
+def _transformation_laws(s: SpinCoefficientSet, lam, lam_t, mu, mu_t):
+    """The kappa, rho, sigma and tau of the transformed tetrad."""
     lam2, lam3 = lam * lam, lam * lam * lam
-    lam_t2, lam_t3 = lam_t * lam_t, lam_t * lam_t * lam_t
-    inv_lam = RationalFunction(ONE) / lam
     inv_lam_t = RationalFunction(ONE) / lam_t
-    expected = {
+    return {
         "kappa": lam3 * lam_t * s.kappa,
         "rho": lam * lam_t * s.rho + lam2 * lam_t * mu * s.kappa,
         "sigma": lam3 * inv_lam_t * s.sigma + lam3 * mu_t * s.kappa,
@@ -312,19 +273,35 @@ def transform_coefficients(
         + lam * mu_t * s.rho
         + lam2 * inv_lam_t * mu * s.sigma
         + lam2 * mu * mu_t * s.kappa,
-        "kappa_t": lam_t3 * lam * s.kappa_t,
-        "rho_t": lam_t * lam * s.rho_t + lam_t2 * lam * mu_t * s.kappa_t,
-        "sigma_t": lam_t3 * inv_lam * s.sigma_t + lam_t3 * mu * s.kappa_t,
-        "tau_t": lam_t * inv_lam * s.tau_t
-        + lam_t * mu * s.rho_t
-        + lam_t2 * inv_lam * mu_t * s.sigma_t
-        + lam_t2 * mu * mu_t * s.kappa_t,
     }
-    for name, want in expected.items():
-        if full.get(name) != want:
-            raise InternalInconsistencyError(
-                f"closed-form transformation for {name} disagrees with recomputation"
-            )
+
+
+def transform_coefficients(
+    frame: Frame, lam, lam_t, mu, mu_t
+) -> tuple[SpinCoefficientSet, Tetrad]:
+    """Coefficients after a normalization-preserving tetrad change.
+
+    The kappa, rho, sigma, tau families admit closed transformation laws;
+    they are checked here against full recomputation from the transformed
+    tetrad, and a mismatch raises InternalInconsistencyError.  The laws
+    are written for the first dyad; the tilde families obey the same laws
+    on ``tilde_relabel`` of both sets, with lam, lam_t and mu, mu_t
+    exchanged.
+    """
+    lam, lam_t, mu, mu_t = as_rf(lam), as_rf(lam_t), as_rf(mu), as_rf(mu_t)
+    new_t = tetrad_transform(frame.tetrad, lam, lam_t, mu, mu_t)
+    full = spin_coefficients_from_tetrad(frame.connection, new_t, frame.metric)
+
+    s = frame.coeffs
+    for mark, old, new, params in (
+        ("", s, full, (lam, lam_t, mu, mu_t)),
+        ("_t", tilde_relabel(s), tilde_relabel(full), (lam_t, lam, mu_t, mu)),
+    ):
+        for name, want in _transformation_laws(old, *params).items():
+            if new.get(name) != want:
+                raise InternalInconsistencyError(
+                    f"closed-form transformation for {name}{mark} disagrees with recomputation"
+                )
     return full, new_t
 
 
@@ -528,6 +505,11 @@ def first_form_residuals(frame: Frame):
     """Exterior derivatives of the tetrad covectors minus their
     coefficient expansions; all four grids vanish for a correct set.
 
+    Only the dl and dm expansions are written.  dmt is dm on the tilde
+    companion tetrad with ``tilde_relabel`` coefficients, and dn is dl on
+    the priming companion tetrad with ``prime`` coefficients.  Keys run
+    dl, dm, dmt, dn.
+
     Requires unit normalization (chi * chi_t = 1).
     """
     t = frame.tetrad
@@ -535,7 +517,6 @@ def first_form_residuals(frame: Frame):
         raise InputError("first-form expansion requires unit normalization")
     mt = frame.metric
     s = frame.coeffs
-    l_dn, n_dn, m_dn, mt_dn = tetrad_covectors(mt, t)
 
     def d(cov):
         return [
@@ -545,13 +526,6 @@ def first_form_residuals(frame: Frame):
 
     def wedge(P, Q):
         return [[P[a_] * Q[b_] - P[b_] * Q[a_] for b_ in range(4)] for a_ in range(4)]
-
-    lm = wedge(l_dn, m_dn)
-    lmt = wedge(l_dn, mt_dn)
-    ln = wedge(l_dn, n_dn)
-    mmt = wedge(m_dn, mt_dn)
-    mn = wedge(m_dn, n_dn)
-    mtn = wedge(mt_dn, n_dn)
 
     def expand(terms):
         out = [[as_rf(ZERO) for _ in range(4)] for _ in range(4)]
@@ -563,45 +537,35 @@ def first_form_residuals(frame: Frame):
                     out[a_][b_] = out[a_][b_] + coeff * grid[a_][b_]
         return out
 
-    expected = {
-        "dl": expand([
-            (s.tau_t + s.beta_t + s.alpha, lm),
-            (s.tau + s.alpha_t + s.beta, lmt),
-            (-(s.epsilon + s.epsilon_t), ln),
-            (s.rho_t - s.rho, mmt),
-            (-s.kappa_t, mn),
-            (-s.kappa, mtn),
-        ]),
-        "dm": expand([
-            (s.gamma + s.epsilon_tp + s.rho_tp, lm),
-            (s.sigma_tp, lmt),
-            (s.tau + s.tau_tp, ln),
-            (s.beta - s.beta_tp, mmt),
-            (-(s.rho + s.epsilon + s.gamma_tp), mn),
-            (-s.sigma, mtn),
-        ]),
-        "dmt": expand([
-            (s.sigma_p, lm),
-            (s.gamma_t + s.epsilon_p + s.rho_p, lmt),
-            (s.tau_t + s.tau_p, ln),
-            (s.beta_p - s.beta_t, mmt),
-            (-s.sigma_t, mn),
-            (-(s.rho_t + s.epsilon_t + s.gamma_p), mtn),
-        ]),
-        "dn": expand([
-            (-s.kappa_p, lm),
-            (-s.kappa_tp, lmt),
-            (s.epsilon_p + s.epsilon_tp, ln),
-            (s.rho_p - s.rho_tp, mmt),
-            (s.alpha_tp + s.beta_p + s.tau_p, mn),
-            (s.alpha_p + s.beta_tp + s.tau_tp, mtn),
-        ]),
+    def residual(t, s, leg):
+        """d of the covector of leg l or m minus its expansion."""
+        l_dn, n_dn, m_dn, mt_dn = tetrad_covectors(mt, t)
+        lm, lmt, ln = wedge(l_dn, m_dn), wedge(l_dn, mt_dn), wedge(l_dn, n_dn)
+        mmt, mn, mtn = wedge(m_dn, mt_dn), wedge(m_dn, n_dn), wedge(mt_dn, n_dn)
+        if leg == "l":
+            cov, terms = l_dn, [
+                (s.tau_t + s.beta_t + s.alpha, lm),
+                (s.tau + s.alpha_t + s.beta, lmt),
+                (-(s.epsilon + s.epsilon_t), ln),
+                (s.rho_t - s.rho, mmt),
+                (-s.kappa_t, mn),
+                (-s.kappa, mtn),
+            ]
+        else:
+            cov, terms = m_dn, [
+                (s.gamma + s.epsilon_tp + s.rho_tp, lm),
+                (s.sigma_tp, lmt),
+                (s.tau + s.tau_tp, ln),
+                (s.beta - s.beta_tp, mmt),
+                (-(s.rho + s.epsilon + s.gamma_tp), mn),
+                (-s.sigma, mtn),
+            ]
+        direct, expected = d(cov), expand(terms)
+        return [[direct[a_][b_] - expected[a_][b_] for b_ in range(4)] for a_ in range(4)]
+
+    return {
+        "dl": residual(t, s, "l"),
+        "dm": residual(t, s, "m"),
+        "dmt": residual(tilde_companion_tetrad(t), tilde_relabel(s), "m"),
+        "dn": residual(priming_companion_tetrad(t), prime(s), "l"),
     }
-    direct = {"dl": d(l_dn), "dm": d(m_dn), "dmt": d(mt_dn), "dn": d(n_dn)}
-    residuals = {}
-    for name in ("dl", "dm", "dmt", "dn"):
-        residuals[name] = [
-            [direct[name][a_][b_] - expected[name][a_][b_] for b_ in range(4)]
-            for a_ in range(4)
-        ]
-    return residuals

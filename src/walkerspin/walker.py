@@ -28,9 +28,6 @@ def _vec(components) -> Vector:
     return out
 
 
-ZERO_VEC: Vector = _vec([ZERO, ZERO, ZERO, ZERO])
-
-
 @dataclass(frozen=True)
 class WalkerMetric:
     """The three metric functions, plus an optional display label."""
@@ -47,6 +44,9 @@ class WalkerMetric:
         missing = [k for k in ("a", "b", "c") if k not in data]
         if missing:
             raise InputError(f"metric specification missing keys: {missing}")
+        unknown = sorted(set(data) - {"a", "b", "c", "label"})
+        if unknown:
+            raise InputError(f"metric specification has unknown keys: {unknown}")
         parsed = {}
         for key in ("a", "b", "c"):
             text = data[key]
@@ -66,6 +66,17 @@ class WalkerMetric:
         if self.label:
             out["label"] = self.label
         return out
+
+
+def aligned_ricci_residuals(w: WalkerMetric) -> dict[str, Poly]:
+    """The three coordinate conditions on a, b, c of the aligned-Ricci
+    family, as residuals that vanish when the condition holds."""
+    a, b, c = w.a, w.b, w.c
+    return {
+        "a_uu - b_vv": a.diff("u").diff("u") - b.diff("v").diff("v"),
+        "b_uv + c_uu": b.diff("u").diff("v") + c.diff("u").diff("u"),
+        "a_uv + c_vv": a.diff("u").diff("v") + c.diff("v").diff("v"),
+    }
 
 
 @dataclass(frozen=True)

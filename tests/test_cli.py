@@ -76,6 +76,11 @@ class TestAnalyze:
         assert err.startswith("error:") and "not valid UTF-8" in err
         assert "Traceback" not in err
 
+    def test_unknown_key(self, spec, capsys):
+        code, out, err = run(capsys, "analyze", spec({**CUBIC, "d": "y"}))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "unknown keys: ['d']" in err
+
     def test_byte_identical(self, spec, capsys):
         path = spec(MIXED)
         _, first, _ = run(capsys, "analyze", path)
@@ -239,6 +244,11 @@ class TestHeavenly:
         assert code == 2
         assert "f_u - h = 1" in err
 
+    def test_unknown_key(self, spec, capsys):
+        code, out, err = run(capsys, "heavenly", spec({**UVX_POT, "H": "0", "label": "uvx"}))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "unknown keys: ['H']" in err
+
     def test_identity_only(self, spec, capsys):
         code, out, _ = run(capsys, "heavenly", spec(UVX_POT), "--check", "identity")
         assert code == 0
@@ -263,6 +273,28 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", spec(CUBIC), "--point", "1/3,0,0,1/2")
         assert code == 0
         assert "point = (1/3, 0, 0, 1/2)" in out
+
+
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    def test_point_literal_bounds(self, spec, capsys, command):
+        # MAX_EXPONENT digits and an exponent of magnitude MAX_EXPONENT are
+        # accepted; one more of either is refused before any work
+        path = spec(CUBIC)
+        for value in ("1e1000", "1e-1000", "-1E+1000", "1" * 1000, "1/" + "7" * 999):
+            code, _, err = run(capsys, command, path, f"--point={value},0,0,0")
+            assert code == 0, (value, err)
+        for value in ("1e1001", "1e-1001", "1e100000", "1e10000000", "1e1_0000",
+                      "1" * 1001, "1/" + "7" * 1000, "1.5" + "0" * 999):
+            code, out, err = run(capsys, command, path, "--point", f"0,{value},0,0")
+            assert code == 2 and out == "", value
+            assert err.startswith("error: bad value in --point") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    def test_value_too_large_to_print(self, spec, capsys, command):
+        path = spec({"a": "u^6*v", "b": "u^4*x^3", "c": "u*y"})
+        code, out, err = run(capsys, command, path, "--point", "1e1000,1e1000,0,0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "digits" in err and len(err.splitlines()) == 1
 
 
 class TestParser:

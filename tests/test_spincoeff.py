@@ -37,6 +37,7 @@ from walkerspin.walker import (
     covariant_derivative_vector,
     directional_vector_derivative,
     scale_normalization,
+    tetrad_transform,
     walker_tetrad,
 )
 
@@ -44,6 +45,10 @@ from support import random_metric_functions
 
 RF_ZERO = RationalFunction(ZERO)
 RF_ONE = RationalFunction(ONE)
+
+
+def P(text):
+    return RationalFunction(parse_poly(text))
 
 
 def sample_metrics(count, seed, max_degree=3):
@@ -198,13 +203,23 @@ def test_extraction_with_nonunit_normalization():
     assert s.epsilon != -s.gamma_p
 
 
+def generic_frame(w):
+    """A unit-normalized frame on which none of the 32 coefficients
+    vanishes: null rotations on both sides of a priming."""
+    mt = assemble_metric(w)
+    t = tetrad_transform(walker_tetrad(w), RF_ONE, RF_ONE, P("v"), P("x"))
+    t = tetrad_transform(priming_companion_tetrad(t), RF_ONE, RF_ONE, P("y"), P("u"))
+    return Frame.from_tetrad(mt, christoffel(mt), t)
+
+
 def test_first_form_residuals_vanish():
     for w in sample_metrics(3, seed=109):
-        frame = extraction_frame(w)
-        residuals = first_form_residuals(frame)
-        for name, grid in residuals.items():
-            for row in grid:
-                assert all(entry == RF_ZERO for entry in row), name
+        for frame in (extraction_frame(w), generic_frame(w)):
+            residuals = first_form_residuals(frame)
+            for name, grid in residuals.items():
+                for row in grid:
+                    assert all(entry == RF_ZERO for entry in row), name
+    assert not any(value.is_zero for value in generic_frame(w).coeffs.as_dict().values())
 
 
 def test_first_form_residuals_detect_bad_coefficient():
@@ -217,6 +232,26 @@ def test_first_form_residuals_detect_bad_coefficient():
     assert any(
         entry != RF_ZERO for grid in residuals.values() for row in grid for entry in row
     )
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("kappa", "dl"), ("sigma", "dm"), ("sigma_t", "dmt"), ("kappa_p", "dn"),
+])
+def test_first_form_bump_shows_in_its_grid(name, grid):
+    # dmt and dn are derived from the dm and dl expansions on companion
+    # tetrads; each of these coefficients enters exactly one grid.
+    w = sample_metrics(1, seed=115)[0]
+    frame = extraction_frame(w)
+    bumped = Frame(metric=frame.metric, connection=frame.connection,
+                   tetrad=frame.tetrad, ops=frame.ops,
+                   coeffs=frame.coeffs.with_values(**{name: frame.coeffs.get(name) + RF_ONE}))
+    residuals = first_form_residuals(bumped)
+    assert list(residuals) == ["dl", "dm", "dmt", "dn"]
+    nonzero = {
+        key for key, rows in residuals.items()
+        if any(entry != RF_ZERO for row in rows for entry in row)
+    }
+    assert nonzero == {grid}
 
 
 def test_first_form_requires_unit_normalization():
@@ -245,6 +280,27 @@ def test_transform_coefficients_closed_forms():
     assert s_new.sigma == lam * lam * lam / lam_t * s.sigma
     assert s_new.tau == lam / lam_t * s.tau + lam * mu_t * s.rho + lam * lam / lam_t * mu * s.sigma
     assert new_t.chi == frame.tetrad.chi
+
+
+def test_transform_coefficients_second_dyad():
+    # On the tilde companion of the canonical tetrad the tilde kappa, rho,
+    # sigma and tau families are the nonzero ones, so the derived laws of
+    # the second dyad are checked with lam != lam_t and mu != mu_t.
+    w = sample_metrics(1, seed=116)[0]
+    mt = assemble_metric(w)
+    ch = christoffel(mt)
+    frame = Frame.from_tetrad(mt, ch, tilde_companion_tetrad(walker_tetrad(w)))
+    s = frame.coeffs
+    assert not s.sigma_t.is_zero and not s.tau_t.is_zero
+    lam = RationalFunction(parse_poly("u + 2"))
+    lam_t = RationalFunction(Poly.const(3))
+    mu = RationalFunction(parse_poly("v"))
+    mu_t = RationalFunction(parse_poly("x - 1"))
+    s_new, _ = transform_coefficients(frame, lam, lam_t, mu, mu_t)
+    assert s_new.sigma_t == lam_t * lam_t * lam_t / lam * s.sigma_t
+    assert s_new.tau_t == (
+        lam_t / lam * s.tau_t + lam_t * mu * s.rho_t + lam_t * lam_t / lam * mu_t * s.sigma_t
+    )
 
 
 def test_transform_rejects_vanishing_scale():
