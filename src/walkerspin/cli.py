@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .congruence import connecting_oracle, integrate_connecting, write_trace_csv
 from .curvature import (
+    Analysis,
     bianchi_contracted_residual,
     classify_sd_weyl,
     commutator_residuals_from_fields,
@@ -28,41 +29,48 @@ from .curvature import (
     field_equation_residuals,
     ricci_tensor,
     scalar_curvature,
-    walker_curvature_components,
 )
 from .errors import InputError, InternalInconsistencyError
-from .heavenly import (
-    HeavenlyPotential,
-    build_metric,
-    einstein_check,
-    master_identity_residual,
-)
+from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
 from .nullgeom import distribution_report, relation_suite
 from .poly import MAX_EXPONENT, Poly
 from .spincoeff import COEFF_NAMES, Frame
-from .walker import WalkerMetric
+from .walker import WalkerMetric, christoffel
 
 SUITES = ("3.4", "3.1", "bianchi", "relations")
 RELATION_FAMILIES = ("canonical", "surface-orthogonal", "distribution-parallel")
 
+def _json_object(pairs) -> dict:
+    """A JSON object with distinct keys and printable (UTF-8) strings."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"duplicate key {key!r} in JSON object")
+        try:
+            (key + value if isinstance(value, str) else key).encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"key {key!r} holds a lone surrogate") from None
+        out[key] = value
+    return out
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
     except UnicodeDecodeError as err:
         raise InputError(f"{path} is not valid UTF-8: {err}") from err
-    except json.JSONDecodeError as err:
+    except RecursionError as err:
+        raise InputError(f"{path} is nested too deeply") from err
+    except ValueError as err:
+        # malformed JSON, or an integer literal past the digit limit
         raise InputError(f"{path} is not valid JSON: {err}") from err
 
 
 def _load_metric(path: str) -> WalkerMetric:
     return WalkerMetric.from_dict(_load_json(path))
-
-
-def _load_potential(path: str) -> HeavenlyPotential:
-    return HeavenlyPotential.from_dict(_load_json(path))
 
 
 def _parse_value(text: str, flag: str) -> Fraction:
@@ -91,14 +99,14 @@ def _parse_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
     return tuple(_parse_value(p.strip(), flag) for p in parts)
 
 
-def _classify_at(w: WalkerMetric, point, curv=None) -> tuple[str, dict[str, str]]:
+def _classify_at(an: Analysis, point) -> tuple[str, dict[str, str]]:
     """Label and printed values of the classification at --point.
 
     The values are rendered before any output is written, so a point
     whose values are too large to print is refused with nothing printed.
     """
     try:
-        rep = classify_sd_weyl(w, point, curv)
+        rep = classify_sd_weyl(an, point)
     except ZeroDivisionError as err:
         raise InputError(str(err)) from err
     try:
@@ -132,11 +140,11 @@ def _metric_header(w: WalkerMetric, out) -> None:
 
 
 def cmd_analyze(args, out) -> int:
-    w = _load_metric(args.spec)
+    an = Analysis(_load_metric(args.spec))
     point = _parse_tuple(args.point, "--point")
-    frame = Frame.walker(w)
-    curv = walker_curvature_components(w, frame)
-    label, typed = _classify_at(w, point, curv)
+    w, frame, curv = an.w, an.frame, an.curvature
+    label, typed = _classify_at(an, point)
+    dist = distribution_report(an)
 
     _metric_header(w, out)
     print("", file=out)
@@ -162,7 +170,6 @@ def cmd_analyze(args, out) -> int:
     for key in ("S", "A", "B"):
         print(f"  {key} = {typed[key]}", file=out)
 
-    dist = distribution_report(w, frame, curv)
     flags = (
         ("surface-forming", dist.alpha_integrable),
         ("recurrent", dist.walker),
@@ -212,11 +219,10 @@ def _suite_items(name: str, frame: Frame, curv):
         return [("3.1", run_commutators)]
     if name == "bianchi":
         def run_bianchi():
-            ricci = ricci_tensor(frame.connection)
+            ch = christoffel(frame.metric)
+            ricci = ricci_tensor(ch)
             scalar = scalar_curvature(frame.metric, ricci)
-            resid = bianchi_contracted_residual(
-                frame.metric, frame.connection, ricci, scalar
-            )
+            resid = bianchi_contracted_residual(frame.metric, ch, ricci, scalar)
             return {f"component {i}": value for i, value in enumerate(resid)}
 
         return [("bianchi", run_bianchi)]
@@ -235,11 +241,10 @@ def _suite_items(name: str, frame: Frame, curv):
 
 
 def cmd_verify(args, out) -> int:
-    w = _load_metric(args.spec)
-    frame = Frame.walker(w)
-    # cross-checked against the untouched frame so an injected error shows
-    # up as failed identities, not as an engine fault
-    curv = walker_curvature_components(w, frame)
+    an = Analysis(_load_metric(args.spec))
+    # curvature of the untouched frame, so an injected error shows up as
+    # failed identities, not as an engine fault
+    w, frame, curv = an.w, an.frame, an.curvature
     if args.perturb is not None:
         if args.perturb not in COEFF_NAMES:
             raise InputError(
@@ -318,20 +323,21 @@ def cmd_congruence(args, out) -> int:
 
 
 def cmd_heavenly(args, out) -> int:
-    p = _load_potential(args.potential)
-    w = build_metric(p)
-    print("metric = " + json.dumps(w.to_dict(), sort_keys=True), file=out)
+    p = HeavenlyPotential.from_dict(_load_json(args.potential))
+    w = p.metric
+    # every check runs before anything is printed
+    residual = master_identity_residual(p) if args.check in ("identity", "all") else None
+    rep = einstein_check(p) if args.check in ("einstein", "all") else None
 
+    print("metric = " + json.dumps(w.to_dict(), sort_keys=True), file=out)
     failures = 0
     if args.check in ("all",):
         print("aligned Ricci conditions: pass", file=out)
-    if args.check in ("identity", "all"):
-        residual = master_identity_residual(p)
+    if residual is not None:
         print(f"master identity residual = {residual}", file=out)
         if not residual.is_zero:
             failures += 1
-    if args.check in ("einstein", "all"):
-        rep = einstein_check(p)
+    if rep is not None:
         print(f"Einstein: {'true' if rep.einstein else 'false'}", file=out)
         if not rep.einstein:
             for key in ("R_uu", "R_uv", "R_vv"):
@@ -348,7 +354,7 @@ def cmd_heavenly(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     w = _load_metric(args.spec)
-    label, typed = _classify_at(w, _parse_tuple(args.point, "--point"))
+    label, typed = _classify_at(Analysis(w), _parse_tuple(args.point, "--point"))
     _metric_header(w, out)
     print(f"point = ({typed['point']})", file=out)
     print(f"label = {label}", file=out)

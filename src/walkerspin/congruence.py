@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curvature import CurvatureSpinors, walker_curvature_components
+from .curvature import Analysis, CurvatureSpinors
 from .errors import (
     CausticError,
     InputError,
@@ -380,11 +380,9 @@ def integrate_jacobi(
     y0 = _as_state(V0p)
     _check_span(v_end, step)
     grid = _half_grid(v_end, step)
-    frame = Frame.walker(w)
-    trace = CoefficientTrace.from_frame(frame, base, grid)
-    samples = _sample_columns(
-        _curvature_columns(walker_curvature_components(w, frame)), base, grid
-    )
+    an = Analysis(w)
+    trace = CoefficientTrace.from_frame(an.frame, base, grid)
+    samples = _sample_columns(_curvature_columns(an.curvature), base, grid)
 
     z = list(z0.astuple())
     y = list(y0.astuple())
@@ -425,9 +423,8 @@ def integrate_jacobi(
 def propagation_matrices(w: WalkerMetric, point) -> PropagationMatrices:
     """All four matrices of the transport/deviation systems at one point."""
     pt = _point(point)
-    frame = Frame.walker(w)
-    s = frame.coeffs
-    curv = walker_curvature_components(w, frame)
+    an = Analysis(w)
+    s, curv = an.frame.coeffs, an.curvature
     ev = lambda rf: float(rf.eval_at(pt))
     m = tuple(tuple(ev(e) for e in row) for row in _transport_matrix(s))
     p = ((ev(s.rho), ev(s.sigma)), (ev(s.sigma_t), ev(s.rho_t)))
@@ -457,9 +454,8 @@ class RiccatiReport:
 def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
     """Exact residual of the matrix transport closures: the parameter
     derivative of each matrix plus its square plus the curvature matrix."""
-    frame = Frame.walker(w)
-    s = frame.coeffs
-    curv = walker_curvature_components(w, frame)
+    an = Analysis(w)
+    s, curv = an.frame.coeffs, an.curvature
     zero = s.rho - s.rho
     m = _transport_matrix(s)
     n = _curvature_matrix_sym(curv)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, ONE, RF_ZERO, Poly, RationalFunction, as_rf
@@ -205,14 +206,12 @@ def _check(label: str, value, *alternates):
     return value
 
 
-def walker_curvature_components(w: WalkerMetric, frame: Frame | None = None) -> CurvatureSpinors:
-    """All curvature dyad components of the canonical frame.
+def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpinors:
+    """All curvature dyad components of the canonical frame of ``w``.
 
     Every component that admits more than one first-order expression is
     computed along each route and compared exactly.
     """
-    if frame is None:
-        frame = Frame.walker(w)
     s = frame.coeffs
     D = frame.ops.D
     A = frame.ops.Delta
@@ -295,6 +294,21 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame | None = None) -> 
         PsiT0=RF_ZERO, PsiT1=RF_ZERO, PsiT2=PsiT2, PsiT3=PsiT3, PsiT4=PsiT4,
         Phi=phi, Lambda=Lambda, Pi=Lambda, S=S,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Owner of a metric's canonical frame and curvature, each built once."""
+
+    w: WalkerMetric
+
+    @cached_property
+    def frame(self) -> Frame:
+        return Frame.walker(self.w)
+
+    @cached_property
+    def curvature(self) -> CurvatureSpinors:
+        return walker_curvature_components(self.w, self.frame)
 
 
 def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
@@ -565,22 +579,21 @@ class WeylTypeReport:
     psi_t4: Fraction
 
 
-def classify_sd_weyl(w: WalkerMetric, point, curv: CurvatureSpinors | None = None) -> WeylTypeReport:
+def classify_sd_weyl(an: Analysis, point) -> WeylTypeReport:
     """Pointwise root-multiplicity class of the second quartic family.
 
     The two scalar invariants are recovered from the nonzero components,
     so the classification applies to any metric in canonical form, not
     just those built from a potential.
     """
-    if curv is None:
-        curv = walker_curvature_components(w)
     pt = tuple(Fraction(coord) for coord in point)
     if len(pt) != 4:
         raise InputError("point must have four coordinates")
+    curv = an.curvature
     s_val = curv.S.eval_at(pt)
     psi_t3 = curv.PsiT3.eval_at(pt)
     psi_t4 = curv.PsiT4.eval_at(pt)
-    c_val = w.c.eval_at(pt)
+    c_val = an.w.c.eval_at(pt)
     inv_b = -8 * psi_t3 - s_val * c_val
     inv_a = 6 * inv_b * c_val + s_val * (3 * c_val * c_val - 1) - 24 * psi_t4
     if s_val != 0:

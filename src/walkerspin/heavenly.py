@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .curvature import walker_curvature_components
+from .curvature import Analysis
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, ONE, QUARTER, Poly, RationalFunction, VARIABLES, ZERO
 from .walker import WalkerMetric, aligned_ricci_residuals
@@ -89,6 +90,19 @@ class HeavenlyPotential:
             h=parsed["h"],
             label=label,
         )
+
+    # the layers every check reads, each built once per potential
+    @cached_property
+    def metric(self) -> WalkerMetric:
+        return build_metric(self)
+
+    @cached_property
+    def analysis(self) -> Analysis:
+        return Analysis(self.metric)
+
+    @cached_property
+    def scalars(self) -> HeavenlyInvariants:
+        return invariants(self)
 
 
 @dataclass(frozen=True)
@@ -177,7 +191,7 @@ class HeavenlyInvariants:
 
 def invariants(p: HeavenlyPotential) -> HeavenlyInvariants:
     """The scalar building blocks of the curvature of the built metric."""
-    w = build_metric(p)
+    w = p.metric
     s_metric = (
         _d(w.a, "u", "u") + _d(w.b, "v", "v") + 2 * _d(w.c, "u", "v")
     )
@@ -216,14 +230,13 @@ def master_identity_residual(p: HeavenlyPotential) -> Poly:
     """Difference of the two routes to the deepest scalar identity: the
     curvature side (recovered from the quartic components) minus the
     potential side (derivatives of the chain data). Identically zero."""
-    w = build_metric(p)
-    curv = walker_curvature_components(w)
+    w = p.metric
+    curv = p.analysis.curvature
     # the paper's A - 6*B*c - S*(3*c^2 - 1), with A and B expanded in PsiT3,
     # PsiT4 and S, is exactly -24*PsiT4
     lhs = -24 * _as_poly(curv.PsiT4)
 
-    inv = invariants(p)
-    big_r = inv.R
+    big_r = p.scalars.R
     f4 = p.f.diff("y")
     g3 = p.g.diff("x")
     rhs = (
@@ -247,7 +260,7 @@ def psi_components(p: HeavenlyPotential) -> tuple:
     functions; the operator route applies four parameter derivatives to
     a shifted potential. Both are computed and compared.
     """
-    w = build_metric(p)
+    w = p.metric
     sixth = Fraction(1, 6)
     direct = (
         HALF * _d(w.b, "u", "u"),
@@ -272,7 +285,7 @@ def _require_scalar_flat(p: HeavenlyPotential) -> WalkerMetric:
         raise InputError("scalar-flat analysis requires f, g free of u, v")
     if p.F != _U * p.f or p.G != _V * p.g:
         raise InputError("scalar-flat analysis requires F = u f and G = v g")
-    return build_metric(p)
+    return p.metric
 
 
 @dataclass(frozen=True)
@@ -291,7 +304,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
     g3 = p.g.diff("x")
     psi_t3 = QUARTER * (g3 - f4)
 
-    inv = invariants(p)
+    inv = p.scalars
     big_r = inv.R
     diff = f4 - g3
     psi_t4 = (
@@ -302,7 +315,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
         + QUARTER * (_U * diff.diff("y") - _V * diff.diff("x"))
     )
 
-    curv = walker_curvature_components(w)
+    curv = p.analysis.curvature
     if _as_poly(curv.PsiT3) != psi_t3 or _as_poly(curv.PsiT4) != psi_t4:
         raise InternalInconsistencyError("scalar-flat quartic routes disagree")
 
@@ -331,8 +344,8 @@ class EinsteinReport:
 def einstein_check(p: HeavenlyPotential) -> EinsteinReport:
     """Affine-in-parameters test on the scalar R, cross-checked against
     the vanishing of the mixed curvature of the built metric."""
-    w = _require_scalar_flat(p)
-    big_r = invariants(p).R
+    _require_scalar_flat(p)
+    big_r = p.scalars.R
     residuals = {
         "R_uu": _d(big_r, "u", "u"),
         "R_uv": _d(big_r, "u", "v"),
@@ -340,7 +353,7 @@ def einstein_check(p: HeavenlyPotential) -> EinsteinReport:
     }
     verdict = all(res == ZERO for res in residuals.values())
 
-    curv = walker_curvature_components(w)
+    curv = p.analysis.curvature
     tensor_flat = all(
         curv.Phi[i][k].is_zero for i in range(3) for k in range(3)
     ) and curv.Lambda.is_zero

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .curvature import CurvatureSpinors, walker_curvature_components
+from .curvature import Analysis, CurvatureSpinors
 from .errors import InputError, InternalInconsistencyError
 from .poly import ONE, RF_ONE, RF_ZERO, ZERO, RationalFunction, as_rf
 from .spincoeff import (
@@ -562,15 +562,10 @@ class DistributionReport:
     frobenius: dict
 
 
-def distribution_report(
-    w: WalkerMetric, frame: Frame | None = None, curv: CurvatureSpinors | None = None
-) -> DistributionReport:
+def distribution_report(an: Analysis) -> DistributionReport:
     """Full diagnostic sheet for the canonical distribution of a metric
     in Walker form, with the two independent recurrence routes compared."""
-    if frame is None:
-        frame = Frame.walker(w)
-    if curv is None:
-        curv = walker_curvature_components(w, frame)
+    w, frame, curv = an.w, an.frame, an.curvature
     s = frame.coeffs
     pi = primed_spinor(ONE, ZERO)
     integ = integrability_residual(pi, frame)

@@ -223,10 +223,10 @@ def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
 
 @dataclass(frozen=True)
 class Frame:
-    """A tetrad bundled with its metric context and coefficient set."""
+    """A tetrad bundled with its metric context and coefficient set; the
+    Christoffel symbols are built only by the routes that read them."""
 
     metric: MetricTensor
-    connection: Christoffel
     tetrad: Tetrad
     ops: DirectionalOps
     coeffs: SpinCoefficientSet
@@ -237,7 +237,6 @@ class Frame:
         t = walker_tetrad(w)
         return cls(
             metric=mt,
-            connection=christoffel(mt),
             tetrad=t,
             ops=DirectionalOps(t),
             coeffs=walker_closed_form(w),
@@ -247,7 +246,6 @@ class Frame:
     def from_tetrad(cls, mt: MetricTensor, ch: Christoffel, t: Tetrad) -> "Frame":
         return cls(
             metric=mt,
-            connection=ch,
             tetrad=t,
             ops=DirectionalOps(t),
             coeffs=spin_coefficients_from_tetrad(ch, t, mt),
@@ -290,7 +288,7 @@ def transform_coefficients(
     """
     lam, lam_t, mu, mu_t = as_rf(lam), as_rf(lam_t), as_rf(mu), as_rf(mu_t)
     new_t = tetrad_transform(frame.tetrad, lam, lam_t, mu, mu_t)
-    full = spin_coefficients_from_tetrad(frame.connection, new_t, frame.metric)
+    full = spin_coefficients_from_tetrad(christoffel(frame.metric), new_t, frame.metric)
 
     s = frame.coeffs
     for mark, old, new, params in (
@@ -374,10 +372,6 @@ class DyadSpinorField:
         return DyadSpinorField(
             self.indices, {k: self.comps[k] - other.comps[k] for k in self.comps}
         )
-
-    def scale(self, factor) -> "DyadSpinorField":
-        factor = as_rf(factor)
-        return DyadSpinorField(self.indices, {k: factor * v for k, v in self.comps.items()})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v}" for k, v in sorted(self.comps.items()))

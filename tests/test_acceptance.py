@@ -17,6 +17,7 @@ from walkerspin.congruence import (
     sigma_omega_forms,
 )
 from walkerspin.curvature import (
+    Analysis,
     bianchi_contracted_residual,
     classify_sd_weyl,
     commutator_residuals,
@@ -95,7 +96,7 @@ def test_criterion_01_route_equality():
     start = time.perf_counter()
     for w, frame in zip(metrics, frames):
         geometric = spin_coefficients_from_tetrad(
-            frame.connection, frame.tetrad, frame.metric
+            christoffel(frame.metric), frame.tetrad, frame.metric
         )
         closed = walker_closed_form(w)
         for name in COEFF_NAMES:
@@ -129,8 +130,7 @@ def test_criterion_03_field_equations():
     bump = RationalFunction(P("u"))
     for frame, curv in zip(frames, curvatures()):
         bad = Frame(
-            metric=frame.metric, connection=frame.connection,
-            tetrad=frame.tetrad, ops=frame.ops,
+            metric=frame.metric, tetrad=frame.tetrad, ops=frame.ops,
             coeffs=frame.coeffs.with_values(sigma=frame.coeffs.sigma + bump),
         )
         dirty = [
@@ -177,7 +177,8 @@ def test_criterion_05_curvature_cross_route():
     scalar twice over; the contracted divergence identity is zero."""
     metrics, frames = corpus()
     for w, frame, curv in zip(metrics, frames, curvatures()):
-        ricci = ricci_tensor(frame.connection)
+        ch = christoffel(frame.metric)
+        ricci = ricci_tensor(ch)
         scalar = scalar_curvature(frame.metric, ricci)
         phi, lam = phi_lambda_from_ricci(ricci, scalar, frame.metric, frame.tetrad)
         for i in range(3):
@@ -187,9 +188,7 @@ def test_criterion_05_curvature_cross_route():
         twelve = Fraction(1, 12)
         assert curv.PsiT2 == twelve * curv.S
         assert curv.PsiT2 == -2 * curv.Lambda
-        for entry in bianchi_contracted_residual(
-            frame.metric, frame.connection, ricci, scalar
-        ):
+        for entry in bianchi_contracted_residual(frame.metric, ch, ricci, scalar):
             assert entry == ZERO
 
 
@@ -295,26 +294,27 @@ def test_criterion_09_classification():
     rep = scalar_flat_case(chain)
     assert rep.psi_t3 == -HALF * P("y")
     assert rep.label == "{31}III"
-    built = build_metric(chain)
+    built = Analysis(build_metric(chain))
     assert classify_sd_weyl(built, (0, 0, 0, 1)).label == "{31}III"
     assert classify_sd_weyl(built, (2, -1, 3, -2)).label == "{31}III"
 
-    cubic = WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO)
-    curv = walker_curvature_components(cubic)
+    cubic = Analysis(WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO))
+    curv = cubic.curvature
     assert curv.Psi0 == RationalFunction(P("3*u"))
     for k in range(5):
         assert curv.psi_t(k) == RF_ZERO
-    assert classify_sd_weyl(cubic, (5, 1, 2, 3), curv).label == "SD-flat"
+    assert classify_sd_weyl(cubic, (5, 1, 2, 3)).label == "SD-flat"
 
     flat = WalkerMetric(a=ZERO, b=ZERO, c=ZERO)
     coeffs = walker_closed_form(flat)
     assert all(coeffs.get(name) == RF_ZERO for name in COEFF_NAMES)
-    flat_curv = walker_curvature_components(flat)
+    flat_an = Analysis(flat)
+    flat_curv = flat_an.curvature
     for k in range(5):
         assert flat_curv.psi(k) == RF_ZERO
         assert flat_curv.psi_t(k) == RF_ZERO
     assert flat_curv.Lambda == RF_ZERO
-    assert classify_sd_weyl(flat, (0, 0, 0, 0), flat_curv).label == "SD-flat"
+    assert classify_sd_weyl(flat_an, (0, 0, 0, 0)).label == "SD-flat"
 
 
 def test_criterion_10_null_geometry_checkers():

@@ -1,20 +1,31 @@
 """End-to-end command-line runs: report content, exit codes, determinism."""
 
+import collections
+import contextlib
 import hashlib
+import importlib
+import io
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import walkerspin
 from walkerspin.cli import main
-from walkerspin.spincoeff import COEFF_NAMES
+from walkerspin.spincoeff import COEFF_NAMES, Frame
 
 FLAT = {"a": "0", "b": "0", "c": "0", "label": "flat"}
 CUBIC = {"a": "0", "b": "u^3", "c": "0"}
 MIXED = {"a": "u*v", "b": "x^3", "c": "u*y", "label": "mixed"}
 UVX_POT = {"theta": "u*v*x", "f": "0", "g": "0", "F": "0", "G": "0", "h": "0"}
 QUARTIC_POT = {"theta": "1/4*u^2*v^2", "f": "0", "g": "0", "F": "0", "G": "0", "h": "0"}
+# a valid chain, but not scalar-flat: h = 1
+CURVED_POT = {"theta": "u*v*x", "f": "u", "g": "v", "F": "1/2*u^2", "G": "1/2*v^2", "h": "1"}
 
 
 @pytest.fixture
@@ -254,6 +265,15 @@ class TestHeavenly:
         assert code == 0
         assert "Einstein" not in out
 
+    def test_not_scalar_flat_prints_nothing(self, spec, capsys):
+        path = spec(CURVED_POT)
+        for check in ("all", "einstein"):
+            code, out, err = run(capsys, "heavenly", path, "--check", check)
+            assert code == 2 and out == "", check
+            assert err == "error: scalar-flat analysis requires h = 0\n"
+        code, out, _ = run(capsys, "heavenly", path, "--check", "identity")
+        assert code == 0 and "master identity residual = 0" in out
+
 
 class TestClassify:
     def test_cubic_is_self_dual_flat(self, spec, capsys):
@@ -319,13 +339,139 @@ class TestParser:
             main(["verify", spec(FLAT), "--suite", "9.9"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ('{"a": "0", "b": "0", "c": "0", "label": ' + "9" * 5000 + "}", "digits"),
+        ('{"a": "0", "b": "0", "c": "0", "label": "\\ud800"}', "lone surrogate"),
+        ('{"a": "0", "b": "0", "c": "0", "a": "u"}', "duplicate key 'a'"),
+    ], ids=["deep", "long-int", "surrogate", "duplicate"])
+    def test_bad_json(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+
+# Every layer a command may build, by module; "Frame.walker" is a classmethod.
+LAYERS = {
+    "walker": ("christoffel",),
+    "curvature": ("walker_curvature_components",),
+    "heavenly": ("build_metric", "validate_potential", "invariants"),
+}
+
+
+@pytest.fixture
+def layer_counts(monkeypatch):
+    """Calls of each layer builder, counted through every module's binding."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("walkerspin")]
+    for mod, names in LAYERS.items():
+        for name in names:
+            original = getattr(importlib.import_module(f"walkerspin.{mod}"), name)
+            for m in modules:
+                for attr, value in list(vars(m).items()):
+                    if value is original:
+                        monkeypatch.setattr(m, attr, counted(name, original))
+    walker = Frame.__dict__["walker"].__func__
+    monkeypatch.setattr(Frame, "walker", classmethod(counted("Frame.walker", walker)))
+    return counts
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["analyze", "metric"], {"Frame.walker": 1, "walker_curvature_components": 1}),
+    (["classify", "metric"], {"Frame.walker": 1, "walker_curvature_components": 1}),
+    (["verify", "metric"],
+     {"Frame.walker": 1, "walker_curvature_components": 1, "christoffel": 1}),
+    (["congruence", "metric", "--v0", "0,0,1,0", "--end", "0.2", "--step", "0.1",
+      "--out", "-"], {"Frame.walker": 1}),
+    (["heavenly", "potential", "--check", "all"],
+     {"build_metric": 1, "validate_potential": 1, "invariants": 1,
+      "Frame.walker": 1, "walker_curvature_components": 1}),
+], ids=["analyze", "classify", "verify", "congruence", "heavenly"])
+def test_each_layer_built_once(spec, capsys, layer_counts, argv, built):
+    paths = {"metric": spec(MIXED), "potential": spec(UVX_POT, "potential.json")}
+    code, _, _ = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 0
+    names = ["Frame.walker"] + [name for names in LAYERS.values() for name in names]
+    assert {name: layer_counts[name] for name in names} == {
+        name: built.get(name, 0) for name in names
+    }
+
+
+_monomial = st.builds(
+    "*".join,
+    st.lists(st.sampled_from(["u", "v", "x", "y", "2", "1/3", "u^2", "y^3"]),
+             min_size=1, max_size=3),
+)
+_poly = st.builds(" + ".join, st.lists(_monomial, min_size=1, max_size=3))
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | _poly,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+_metric = st.fixed_dictionaries(
+    {"a": _poly, "b": _poly, "c": _poly},
+    optional={"label": st.text(max_size=6), "d": _json_value},
+)
+_document = st.one_of(
+    st.binary(max_size=40),
+    st.text(max_size=40).map(str.encode),
+    st.one_of(_metric, _json_value).map(lambda doc: json.dumps(doc).encode()),
+)
+_literal = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.fractions(max_denominator=100).map(str),
+    st.sampled_from(["1e1000", "1e-1001", "1/0", "nan", "", "0x10", "1_0"]),
+    st.text(max_size=6),
+)
+_point = st.one_of(st.lists(_literal, min_size=3, max_size=5).map(",".join), st.text(max_size=20))
+
+
+@settings(max_examples=80, deadline=None)
+@given(document=_document, point=_point)
+@example(document=b"[" * 100_000 + b"]" * 100_000, point="0,0,0,0")
+@example(document=b'{"a": "0", "b": "0", "c": "0", "label": ' + b"9" * 5000 + b"}",
+         point="0,0,0,0")
+@example(document=b'{"a": "0", "b": "0", "c": "0", "label": "\\ud800"}', point="0,0,0,0")
+@example(document=b'{"a": "u", "b": "v", "c": "x", "a": "y"}', point="1,2,3,4")
+def test_metric_input_is_accepted_or_refused(tmp_path_factory, document, point):
+    """Any metric file and --point is a report (exit 0) or one error line
+    (exit 2): never an internal error."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(document)
+    for command in ("classify", "analyze"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), f"--point={point}"])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")
+            assert len(err.getvalue().splitlines()) == 1
+
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(CUBIC))
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(walkerspin.__file__))
+    pythonpath = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     proc = subprocess.run(
         [sys.executable, "-m", "walkerspin", "classify", str(path)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
     )
     assert proc.returncode == 0
     assert "SD-flat" in proc.stdout

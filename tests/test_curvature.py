@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from walkerspin.curvature import (
+    Analysis,
     CurvatureSpinors,
     bianchi_contracted_residual,
     classify_sd_weyl,
@@ -61,7 +62,7 @@ def test_scalar_curvature_calibration():
     ch = christoffel(mt)
     ricci = ricci_tensor(ch)
     assert scalar_curvature(mt, ricci) == Poly.const(2)
-    curv = walker_curvature_components(w)
+    curv = Analysis(w).curvature
     assert curv.S == RationalFunction(Poly.const(2))
 
 
@@ -102,7 +103,7 @@ def test_tensor_route_matches_coefficient_route():
         ricci = ricci_tensor(ch)
         scalar = scalar_curvature(mt, ricci)
         phi, lam = phi_lambda_from_ricci(ricci, scalar, mt, t)
-        curv = walker_curvature_components(w)
+        curv = Analysis(w).curvature
         for i in range(3):
             for j in range(3):
                 assert phi[i][j] == curv.Phi[i][j], (i, j)
@@ -150,12 +151,19 @@ def test_field_equation_residuals_vanish():
             assert value == RF_ZERO, label
 
 
+def test_analysis_builds_each_layer_once():
+    w = WalkerMetric(a=parse_poly("u*v"), b=parse_poly("x^3"), c=parse_poly("u*y"))
+    an = Analysis(w)
+    assert an.frame is an.frame
+    assert an.curvature is an.curvature
+    assert an.curvature == walker_curvature_components(w, Frame.walker(w))
+
+
 def test_field_equations_detect_perturbation():
     w = WalkerMetric(a=parse_poly("u^2"), b=Poly.zero(), c=Poly.zero())
     frame = Frame.walker(w)
     curv = walker_curvature_components(w, frame)
-    bad = Frame(metric=frame.metric, connection=frame.connection,
-                tetrad=frame.tetrad, ops=frame.ops,
+    bad = Frame(metric=frame.metric, tetrad=frame.tetrad, ops=frame.ops,
                 coeffs=frame.coeffs.with_values(
                     sigma=frame.coeffs.sigma + RationalFunction(ONE)))
     residuals = field_equation_residuals(bad, curv)
@@ -276,7 +284,7 @@ def test_commutator_coefficients_close_on_distribution():
 
 def test_prime_and_tilde_relabellings():
     w = sample_metrics(1, seed=209)[0]
-    curv = walker_curvature_components(w)
+    curv = Analysis(w).curvature
     p = prime_curvature(curv)
     assert p.Psi0 == curv.Psi4
     assert p.Psi1 == -curv.Psi3
@@ -294,30 +302,33 @@ def test_prime_and_tilde_relabellings():
 
 def test_classification_cubic_profile():
     w = WalkerMetric(a=Poly.zero(), b=parse_poly("u^3"), c=Poly.zero())
-    curv = walker_curvature_components(w)
+    an = Analysis(w)
+    curv = an.curvature
     assert curv.Psi0 == RationalFunction(parse_poly("3*u"))
     assert curv.S == RF_ZERO
-    report = classify_sd_weyl(w, (1, 2, 0, 0), curv)
+    report = classify_sd_weyl(an, (1, 2, 0, 0))
     assert report.label == "SD-flat"
 
 
 def test_classification_flat_metric():
     w = WalkerMetric(a=Poly.zero(), b=Poly.zero(), c=Poly.zero())
-    curv = walker_curvature_components(w)
+    an = Analysis(w)
+    curv = an.curvature
     assert curv == CurvatureSpinors()
-    assert classify_sd_weyl(w, (0, 0, 0, 0), curv).label == "SD-flat"
+    assert classify_sd_weyl(an, (0, 0, 0, 0)).label == "SD-flat"
 
 
 def test_classification_depends_on_point():
     # c = u*v has scalar curvature 2 everywhere but the discriminant
     # 12*u^2*v^2 vanishes exactly on the coordinate planes.
     w = WalkerMetric(a=Poly.zero(), b=Poly.zero(), c=parse_poly("u*v"))
-    curv = walker_curvature_components(w)
+    an = Analysis(w)
+    curv = an.curvature
     assert curv.PsiT3 == RF_ZERO
     assert curv.PsiT4 == RationalFunction(parse_poly("-1/4*u^2*v^2"))
-    on_plane = classify_sd_weyl(w, (1, 0, 0, 0), curv)
+    on_plane = classify_sd_weyl(an, (1, 0, 0, 0))
     assert on_plane.label == "{2,2}Ia"
-    generic = classify_sd_weyl(w, (1, 1, 0, 0), curv)
+    generic = classify_sd_weyl(an, (1, 1, 0, 0))
     assert generic.label == "{211}II/{1 1bar 2}II"
     assert generic.scalar == 2
     assert generic.invariant_a == -2
@@ -328,10 +339,11 @@ def test_classification_quartic_profile():
     # b depending on x alone leaves the second family with only its top
     # component; that is the one-root class until it vanishes.
     w = WalkerMetric(a=Poly.zero(), b=parse_poly("x^2"), c=Poly.zero())
-    curv = walker_curvature_components(w)
+    an = Analysis(w)
+    curv = an.curvature
     assert curv.S == RF_ZERO
     assert curv.PsiT3 == RF_ZERO
-    report = classify_sd_weyl(w, (0, 0, 1, 0), curv)
+    report = classify_sd_weyl(an, (0, 0, 1, 0))
     assert report.label in ("{4}II", "SD-flat")
     if curv.PsiT4 != RF_ZERO:
         assert report.label == "{4}II"
@@ -340,4 +352,4 @@ def test_classification_quartic_profile():
 def test_classification_rejects_bad_point():
     w = WalkerMetric(a=Poly.zero(), b=Poly.zero(), c=Poly.zero())
     with pytest.raises(InputError):
-        classify_sd_weyl(w, (0, 0, 0))
+        classify_sd_weyl(Analysis(w), (0, 0, 0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkerspin.curvature import classify_sd_weyl, walker_curvature_components
+from walkerspin.curvature import Analysis, classify_sd_weyl
 from walkerspin.errors import InputError
 from walkerspin.heavenly import (
     HeavenlyPotential,
@@ -130,7 +130,7 @@ class TestInvariants:
     def test_mixed_curvature_matches_tensor_route(self):
         for p in (QUARTIC, CHAINED, SCALAR_FLAT):
             inv = invariants(p)
-            curv = walker_curvature_components(build_metric(p))
+            curv = Analysis(build_metric(p)).curvature
             for i in range(3):
                 assert curv.Phi[i][2] == RationalFunction(inv.A[i])
                 assert curv.Phi[i][1].is_zero
@@ -183,7 +183,7 @@ class TestPsiComponents:
         rng = random.Random(13)
         p = random_potential(rng, max_degree=4)
         psi = psi_components(p)
-        curv = walker_curvature_components(build_metric(p))
+        curv = Analysis(build_metric(p)).curvature
         for k in range(5):
             assert curv.psi(k) == RationalFunction(psi[k])
 
@@ -197,8 +197,8 @@ class TestScalarFlat:
         assert rep.A == (ZERO, Fraction(-1, 2) * P("y"), ZERO)
 
     def test_pointwise_label_agrees(self):
-        w = build_metric(SCALAR_FLAT)
-        assert classify_sd_weyl(w, (0, 0, 0, 1)).label == "{31}III"
+        an = Analysis(build_metric(SCALAR_FLAT))
+        assert classify_sd_weyl(an, (0, 0, 0, 1)).label == "{31}III"
 
     def test_product_potential_is_self_dual_flat(self):
         rep = scalar_flat_case(UVX)
@@ -210,7 +210,7 @@ class TestScalarFlat:
         assert rep.psi_t3 == ZERO
         assert rep.psi_t4 == Fraction(-9, 2) * P("u^2*v^2")
         assert rep.label == "{4}II"
-        assert classify_sd_weyl(build_metric(QUARTIC), (1, 1, 0, 0)).label == "{4}II"
+        assert classify_sd_weyl(Analysis(build_metric(QUARTIC)), (1, 1, 0, 0)).label == "{4}II"
 
     def test_preconditions(self):
         with pytest.raises(InputError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkerspin.curvature import walker_curvature_components
+from walkerspin.curvature import Analysis, walker_curvature_components
 from walkerspin.errors import InputError
 from walkerspin.nullgeom import (
     KerrReport,
@@ -28,7 +28,7 @@ from walkerspin.nullgeom import (
 )
 from walkerspin.poly import ONE, ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame
-from walkerspin.walker import WalkerMetric
+from walkerspin.walker import WalkerMetric, christoffel
 
 from support import random_metric_functions
 
@@ -129,7 +129,7 @@ class TestRecurrenceForms:
         w = WalkerMetric(a=P("u^2"), b=P("x*y"), c=P("v*x"))
         frame = Frame.walker(w)
         _, t_new = transform_coefficients(frame, P("1"), P("v+1"), ZERO, ZERO)
-        scaled = Frame.from_tetrad(frame.metric, frame.connection, t_new)
+        scaled = Frame.from_tetrad(frame.metric, christoffel(frame.metric), t_new)
         rec = recurrence_forms(primed_spinor(ONE, ZERO), scaled)
         s = scaled.coeffs
         assert rec.omega == (s.rho_t, s.tau_t)
@@ -139,14 +139,14 @@ class TestRecurrenceForms:
 
 class TestWeylPrincipalTests:
     def test_flat_everything_vanishes(self):
-        curv = walker_curvature_components(FLAT)
+        curv = Analysis(FLAT).curvature
         pi = primed_spinor(P("u+1"), P("x*y"))
         assert weyl_quartic(pi, curv).is_zero
         assert all(v.is_zero for v in principal_spinor_residual(pi, curv))
 
     def test_canonical_direction_is_repeated_root(self):
         w = WalkerMetric(a=P("u*y^2"), b=ZERO, c=ZERO)
-        curv = walker_curvature_components(w)
+        curv = Analysis(w).curvature
         pi = primed_spinor(ONE, ZERO)
         assert weyl_quartic(pi, curv).is_zero
         assert all(v.is_zero for v in principal_spinor_residual(pi, curv))
@@ -155,7 +155,7 @@ class TestWeylPrincipalTests:
 
     def test_quartic_expansion_generic_direction(self):
         w = WalkerMetric(a=P("u*y^2"), b=ZERO, c=ZERO)
-        curv = walker_curvature_components(w)
+        curv = Analysis(w).curvature
         p, q = RF(P("v")), RF(P("x"))
         expected = (
             4 * curv.PsiT3 * p * q * q * q + curv.PsiT4 * q * q * q * q
@@ -165,7 +165,7 @@ class TestWeylPrincipalTests:
 
 class TestDifferentialMultiplicity:
     def test_multiplicity_validation(self):
-        curv = walker_curvature_components(FLAT)
+        curv = Analysis(FLAT).curvature
         frame = Frame.walker(FLAT)
         with pytest.raises(InputError):
             multiple_spinor_differential_test(primed_spinor(ONE, ZERO), 5, curv, frame)
@@ -195,26 +195,26 @@ class TestRicciConditions:
         for _ in range(3):
             a, b, c = random_metric_functions(rng, 3)
             w = WalkerMetric(a=a, b=b, c=c)
-            rep = ricci_conditions(primed_spinor(ONE, ZERO), walker_curvature_components(w), w)
+            rep = ricci_conditions(primed_spinor(ONE, ZERO), Analysis(w).curvature, w)
             assert rep.aligned
 
     def test_null_condition_dual_route(self):
         w = WalkerMetric(a=P("u*v"), b=ZERO, c=ZERO)
-        rep = ricci_conditions(primed_spinor(ONE, ZERO), walker_curvature_components(w), w)
+        rep = ricci_conditions(primed_spinor(ONE, ZERO), Analysis(w).curvature, w)
         assert rep.aligned and not rep.null
         assert rep.coordinate_residuals["a_uv + c_vv"] == RF(ONE)
         assert rep.coordinate_residuals["a_uu - b_vv"].is_zero
 
     def test_quartic_metric_is_null(self):
         w = WalkerMetric(a=P("v^4"), b=ZERO, c=ZERO)
-        rep = ricci_conditions(primed_spinor(ONE, ZERO), walker_curvature_components(w), w)
+        rep = ricci_conditions(primed_spinor(ONE, ZERO), Analysis(w).curvature, w)
         assert rep.null
         assert all(v.is_zero for v in rep.coordinate_residuals.values())
 
 
 class TestKerrCheck:
     def test_flat_instance(self, flat_frame):
-        curv = walker_curvature_components(FLAT)
+        curv = Analysis(FLAT).curvature
         rep = kerr_check(primed_spinor(P("v"), P("x")), flat_frame, curv)
         assert isinstance(rep, KerrReport)
         assert rep.hypothesis_holds and rep.conclusion_holds
@@ -227,7 +227,7 @@ class TestKerrCheck:
         assert rep.hypothesis_holds and rep.conclusion_holds
 
     def test_recurrent_direction_refused(self, flat_frame):
-        curv = walker_curvature_components(FLAT)
+        curv = Analysis(FLAT).curvature
         with pytest.raises(InputError):
             kerr_check(primed_spinor(ONE, ZERO), flat_frame, curv)
 
@@ -302,7 +302,7 @@ class TestTypeClassification:
         assert curv.Psi1 == curv.Phi[0][1] == RF(P("-1/2"))
 
         flat_flags = classify_type_III(
-            Frame.walker(FLAT).coeffs, walker_curvature_components(FLAT)
+            Frame.walker(FLAT).coeffs, Analysis(FLAT).curvature
         )
         assert flat_flags.parallel
 
@@ -310,7 +310,7 @@ class TestTypeClassification:
         # auto-parallel but non-parallel plane: the stronger scalar
         # identity genuinely fails, so it must not be asserted there.
         w = WalkerMetric(a=ZERO, b=ZERO, c=P("u*v"))
-        curv = walker_curvature_components(w)
+        curv = Analysis(w).curvature
         ids = null_plane_curvature_identities(curv, parallel=True)
         assert ids["Psi2 + 2*Lambda"] == RF(P("-1/2"))
         flags = classify_type_III(Frame.walker(w).coeffs, curv)
@@ -319,19 +319,19 @@ class TestTypeClassification:
 
 class TestDistributionReport:
     def test_flat(self):
-        rep = distribution_report(FLAT)
+        rep = distribution_report(Analysis(FLAT))
         assert rep.alpha_integrable and rep.walker and rep.parallel
         assert rep.type_iii_integrable and rep.ricci_null and rep.ricci_aligned
 
     def test_cubic_profile(self):
-        rep = distribution_report(WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO))
+        rep = distribution_report(Analysis(WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO)))
         assert rep.walker and rep.alpha_integrable
         assert rep.auto_parallel and not rep.parallel
         assert rep.type_iii_integrable and rep.ricci_null
         assert all(v.is_zero for v in rep.frobenius.values())
 
     def test_mixed_profile(self):
-        rep = distribution_report(WalkerMetric(a=P("u*v"), b=ZERO, c=ZERO))
+        rep = distribution_report(Analysis(WalkerMetric(a=P("u*v"), b=ZERO, c=ZERO)))
         assert rep.ricci_aligned and not rep.ricci_null
 
 

@@ -141,7 +141,7 @@ def test_tilde_relabel_matches_swapped_tetrad():
 
 def reconstruction_residuals(frame):
     """Residuals of all sixteen first-derivative expansions of the tetrad."""
-    t, s, ch = frame.tetrad, frame.coeffs, frame.connection
+    t, s, ch = frame.tetrad, frame.coeffs, christoffel(frame.metric)
     legs = {"l": t.l, "n": t.n, "m": t.m, "mt": t.mt}
     nabla = {name: covariant_derivative_vector(ch, vec) for name, vec in legs.items()}
     dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
@@ -194,8 +194,7 @@ def test_extraction_with_nonunit_normalization():
     assert scaled.chi == f
     assert scaled.chi_t == f_t
     s = spin_coefficients_from_tetrad(ch, scaled, mt)
-    frame = Frame(metric=mt, connection=ch, tetrad=scaled,
-                  ops=DirectionalOps(scaled), coeffs=s)
+    frame = Frame(metric=mt, tetrad=scaled, ops=DirectionalOps(scaled), coeffs=s)
     for key, res in reconstruction_residuals(frame).items():
         assert all(c == RF_ZERO for c in res), key
     # The normalization derivative enters the diagonal entries; D chi = f'
@@ -225,8 +224,7 @@ def test_first_form_residuals_vanish():
 def test_first_form_residuals_detect_bad_coefficient():
     w = WalkerMetric(a=parse_poly("u^2"), b=Poly.zero(), c=Poly.zero())
     frame = extraction_frame(w)
-    bad = Frame(metric=frame.metric, connection=frame.connection,
-                tetrad=frame.tetrad, ops=frame.ops,
+    bad = Frame(metric=frame.metric, tetrad=frame.tetrad, ops=frame.ops,
                 coeffs=frame.coeffs.with_values(sigma=frame.coeffs.sigma + RF_ONE))
     residuals = first_form_residuals(bad)
     assert any(
@@ -242,8 +240,7 @@ def test_first_form_bump_shows_in_its_grid(name, grid):
     # tetrads; each of these coefficients enters exactly one grid.
     w = sample_metrics(1, seed=115)[0]
     frame = extraction_frame(w)
-    bumped = Frame(metric=frame.metric, connection=frame.connection,
-                   tetrad=frame.tetrad, ops=frame.ops,
+    bumped = Frame(metric=frame.metric, tetrad=frame.tetrad, ops=frame.ops,
                    coeffs=frame.coeffs.with_values(**{name: frame.coeffs.get(name) + RF_ONE}))
     residuals = first_form_residuals(bumped)
     assert list(residuals) == ["dl", "dm", "dmt", "dn"]
@@ -260,8 +257,7 @@ def test_first_form_requires_unit_normalization():
     ch = christoffel(mt)
     scaled = scale_normalization(walker_tetrad(w), RationalFunction(Poly.const(2)), RF_ONE)
     s = spin_coefficients_from_tetrad(ch, scaled, mt)
-    frame = Frame(metric=mt, connection=ch, tetrad=scaled,
-                  ops=DirectionalOps(scaled), coeffs=s)
+    frame = Frame(metric=mt, tetrad=scaled, ops=DirectionalOps(scaled), coeffs=s)
     with pytest.raises(InputError):
         first_form_residuals(frame)
 
