@@ -11,6 +11,12 @@ polynomial's exact value at the float-derived rational t, computed by
 integer Horner and rounded to a float once.  The closed-form oracle
 restricts two polynomials in a, b and c the same way.  Integration error
 is the only numerical error in a trace.
+
+The transport matrix M (z' = M z) and the curvature matrix N (z'' = -N z)
+are each written once, as a table of nonzero entries that the sampling,
+the float right-hand sides, the Riccati closures and the pointwise
+matrices all read.  One RK4 stepper integrates both systems, the deviation
+one in its 8-dimensional first-order form.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import (
@@ -27,7 +34,7 @@ from .errors import (
     InternalInconsistencyError,
     PatternError,
 )
-from .poly import HALF, RationalFunction
+from .poly import HALF, RF_ZERO, RationalFunction, _ratio
 from .spincoeff import Frame, SpinCoefficientSet
 from .walker import WalkerMetric
 
@@ -52,12 +59,38 @@ FLOW_KINDS = ("dilation", "rotation", "boost", "inverse-scale")
 # Largest number of integration steps v_end / step may ask for.
 MAX_STEPS = 1_000_000
 
+# The nonzero entries of M and N in the basis l, m~, m, n, row by row, as
+# (column, sign, column name); M's names are TRACE_KEYS and N's are the
+# keys of _curvature_columns.  Column 0 of both and row 3 of N vanish.
+_M_ENTRIES = (
+    ((1, 1, "aplus"), (2, 1, "atplus"), (3, 1, "gplus")),
+    ((1, 1, "rho"), (2, 1, "sigma"), (3, 1, "tau")),
+    ((1, 1, "sigma_t"), (2, 1, "rho_t"), (3, 1, "tau_t")),
+    ((1, -1, "kappa_t"), (2, -1, "kappa")),
+)
+_N_ENTRIES = (
+    ((1, -1, "psit1c"), (2, -1, "psi1c"), (3, 1, "psi2c")),
+    ((1, 1, "phi00"), (2, 1, "psi0"), (3, 1, "psi1c")),
+    ((1, 1, "psit0"), (2, 1, "phi00"), (3, 1, "psit1c")),
+    (),
+)
+
 
 def _fraction(x) -> Fraction:
     try:
         return Fraction(x)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"not a rational coordinate: {x!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"not a finite rational: {x!r}") from exc
+
+
+def _finite(values, what) -> tuple[float, ...]:
+    try:
+        out = tuple(float(x) for x in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what}: not a float") from exc
+    if not all(map(math.isfinite, out)):
+        raise InputError(f"{what}: nonfinite value")
+    return out
 
 
 def _point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -67,23 +100,16 @@ def _point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return pt
 
 
-def _curve_point(base, t):
-    # the congruence flows along the first coordinate only
-    return (base[0] + _fraction(t), base[1], base[2], base[3])
-
-
 def _ratios(grid) -> list[tuple[int, int]]:
-    """Each curve parameter as an exact (p, q) pair; a float converts exactly."""
-    return [
-        (t if isinstance(t, float) and math.isfinite(t) else _fraction(t)).as_integer_ratio()
-        for t in grid
-    ]
+    """Each curve parameter as an exact (p, q) pair."""
+    try:
+        return [_ratio(t if isinstance(t, float) else _fraction(t)) for t in grid]
+    except (ValueError, OverflowError) as exc:
+        raise InputError("nonfinite curve parameter") from exc
 
 
-def _check_span(v_end, step) -> None:
-    for name, val in (("v_end", v_end), ("step", step)):
-        if not math.isfinite(val):
-            raise InputError(f"{name} must be finite")
+def _check_span(v_end, step) -> tuple[float, float]:
+    v_end, step = _finite((v_end, step), "v_end and step")
     if step <= 0:
         raise InputError("step must be positive")
     if v_end <= 0:
@@ -91,15 +117,16 @@ def _check_span(v_end, step) -> None:
     # also catches an infinite quotient, which round() would refuse
     if not v_end / step < MAX_STEPS + 0.5:
         raise InputError(f"v_end / step asks for more than {MAX_STEPS} steps")
+    return v_end, step
 
 
-def _half_grid(v_end: float, step: float):
-    """Uniform grid with midpoints, ending exactly at v_end; callers bound
-    the step count with _check_span first."""
+def _half_grid(v_end, step):
+    """Uniform grid with midpoints, ending exactly at v_end."""
+    v_end, step = _check_span(v_end, step)
     n = max(1, round(v_end / step))
     h2 = (v_end / n) / 2
     grid = [j * h2 for j in range(2 * n + 1)]
-    grid[-1] = float(v_end)
+    grid[-1] = v_end
     return tuple(grid)
 
 
@@ -117,14 +144,10 @@ class ConnectingState:
 
 
 def _as_state(v) -> ConnectingState:
-    if not isinstance(v, ConnectingState):
-        comps = tuple(v)
-        if len(comps) != 4:
-            raise InputError("a connecting state needs four components")
-        v = ConnectingState(*(float(c) for c in comps))
-    if not all(math.isfinite(c) for c in v.astuple()):
-        raise InputError("nonfinite connecting-state component")
-    return v
+    comps = _finite(v.astuple() if isinstance(v, ConnectingState) else v, "connecting state")
+    if len(comps) != 4:
+        raise InputError("a connecting state needs four components")
+    return ConnectingState(*comps)
 
 
 @dataclass(frozen=True)
@@ -155,28 +178,7 @@ class CoefficientTrace:
 
     @classmethod
     def from_frame(cls, frame: Frame, base, grid) -> "CoefficientTrace":
-        s = frame.coeffs
-        # parallel-dyad transport data: these vanish for the frames built
-        # here, and the transport matrix below silently assumes it
-        for name in ("epsilon", "tau_p", "epsilon_t", "tau_tp"):
-            if not s.get(name).is_zero:
-                raise InternalInconsistencyError(f"{name} nonzero on a canonical frame")
-        if not (s.gamma_p + s.gamma_tp).is_zero:
-            raise InternalInconsistencyError("gamma' + gamma~' nonzero on a canonical frame")
-        combos = {
-            "rho": s.rho,
-            "rho_t": s.rho_t,
-            "sigma": s.sigma,
-            "sigma_t": s.sigma_t,
-            "tau": s.tau,
-            "tau_t": s.tau_t,
-            "gplus": s.gamma + s.gamma_t,
-            "aplus": s.alpha + s.beta_t,
-            "atplus": s.alpha_t + s.beta,
-            "kappa": s.kappa,
-            "kappa_t": s.kappa_t,
-        }
-        values = _sample_columns(combos, base, grid)
+        values = _sample_columns(_transport_columns(frame.coeffs), base, grid)
         return cls(grid=tuple(float(t) for t in grid), values=values)
 
     @classmethod
@@ -184,7 +186,6 @@ class CoefficientTrace:
         unknown = sorted(set(values) - set(TRACE_KEYS))
         if unknown:
             raise InputError(f"unknown trace keys: {unknown}")
-        _check_span(v_end, step)
         grid = _half_grid(v_end, step)
         cols = {k: (float(values.get(k, 0.0)),) * len(grid) for k in TRACE_KEYS}
         return cls(grid=grid, values=cols)
@@ -216,18 +217,112 @@ class PropagationMatrices:
     point: tuple
 
 
-def _transport_row_data(tr: CoefficientTrace, j: int):
-    v = tr.values
+def _transport_columns(s: SpinCoefficientSet) -> dict[str, RationalFunction]:
+    """The entries of M, named as in _M_ENTRIES."""
+    # parallel-dyad transport data: these vanish for the frames built
+    # here, and M silently assumes it
+    for name in ("epsilon", "tau_p", "epsilon_t", "tau_tp"):
+        if not s.get(name).is_zero:
+            raise InternalInconsistencyError(f"{name} nonzero on a canonical frame")
+    if not (s.gamma_p + s.gamma_tp).is_zero:
+        raise InternalInconsistencyError("gamma' + gamma~' nonzero on a canonical frame")
+    return {
+        "rho": s.rho,
+        "rho_t": s.rho_t,
+        "sigma": s.sigma,
+        "sigma_t": s.sigma_t,
+        "tau": s.tau,
+        "tau_t": s.tau_t,
+        "gplus": s.gamma + s.gamma_t,
+        "aplus": s.alpha + s.beta_t,
+        "atplus": s.alpha_t + s.beta,
+        "kappa": s.kappa,
+        "kappa_t": s.kappa_t,
+    }
+
+
+def _curvature_columns(curv: CurvatureSpinors) -> dict[str, RationalFunction]:
+    """The entries of N, named as in _N_ENTRIES."""
+    return {
+        "phi00": curv.Phi[0][0],
+        "psi0": curv.Psi0,
+        "psit0": curv.PsiT0,
+        "psi1c": curv.Psi1 + curv.Phi[0][1],
+        "psit1c": curv.PsiT1 + curv.Phi[1][0],
+        "psi2c": 2 * curv.Lambda - 2 * curv.Phi[1][1] - curv.Psi2 - curv.PsiT2,
+    }
+
+
+def _matrix(entries, columns):
+    """The 4x4 symbolic matrix laid out by `entries` over `columns`."""
+    rows = []
+    for row in entries:
+        out = [RF_ZERO] * 4
+        for k, sign, key in row:
+            out[k] = columns[key] if sign > 0 else -columns[key]
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+def _matrices(an: Analysis):
+    """The symbolic M and N on a metric's canonical frame."""
     return (
-        (0.0, v["aplus"][j], v["atplus"][j], v["gplus"][j]),
-        (0.0, v["rho"][j], v["sigma"][j], v["tau"][j]),
-        (0.0, v["sigma_t"][j], v["rho_t"][j], v["tau_t"][j]),
-        (0.0, -v["kappa_t"][j], -v["kappa"][j], 0.0),
+        _matrix(_M_ENTRIES, _transport_columns(an.frame.coeffs)),
+        _matrix(_N_ENTRIES, _curvature_columns(an.curvature)),
     )
 
 
-def _matvec(m, z):
-    return [sum(m[i][k] * z[k] for k in range(len(z))) for i in range(len(m))]
+def _evaluate(a, pt) -> tuple:
+    return tuple(tuple(float(e.eval_at(pt)) for e in row) for row in a)
+
+
+def _screen(a):
+    """The screen block (rows and columns m~, m) of a 4x4 matrix."""
+    return tuple(row[1:3] for row in a[1:3])
+
+
+def _float_rows(entries, samples):
+    """Each row of `entries` as (column, signed samples) pairs."""
+    return [
+        [(k, samples[key] if sign > 0 else tuple(-x for x in samples[key]))
+         for k, sign, key in row]
+        for row in entries
+    ]
+
+
+def _row_sums(rows, j, z) -> list[float]:
+    """The matrix of `rows` at grid index j times z.  Each sum starts from
+    0.0 and adds the nonzero entries in column order: a partial sum that
+    starts from +0.0 is never -0.0, so a skipped zero entry, which would
+    add a signed zero, leaves it unchanged."""
+    out = []
+    for row in rows:
+        acc = 0.0
+        for k, col in row:
+            acc += col[j] * z[k]
+        out.append(acc)
+    return out
+
+
+def _rk4(rhs, z0, grid) -> list[list[float]]:
+    """Classical RK4 for z' = rhs(j, z) over a half-step grid: steps run
+    between even indices j and sample the midpoint at the odd one between.
+    Returns the state at each even index."""
+    z = list(z0)
+    states = [z]
+    for k in range(0, len(grid) - 2, 2):
+        h = grid[k + 2] - grid[k]
+        hh = 0.5 * h
+        k1 = rhs(k, z)
+        k2 = rhs(k + 1, [a + hh * b for a, b in zip(z, k1)])
+        k3 = rhs(k + 1, [a + hh * b for a, b in zip(z, k2)])
+        k4 = rhs(k + 2, [a + h * b for a, b in zip(z, k3)])
+        h6 = h / 6
+        z = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, z)):
+            raise InputError("integration produced nonfinite values")
+        states.append(z)
+    return states
 
 
 def _check_midpoints(grid) -> None:
@@ -249,37 +344,17 @@ def integrate_connecting(
     if isinstance(source, WalkerMetric):
         if v_end is None or step is None:
             raise InputError("v_end and step are required with a metric source")
-        _check_span(v_end, step)
         trace = CoefficientTrace.from_metric(source, base, _half_grid(v_end, step))
     elif isinstance(source, CoefficientTrace):
         trace = source
     else:
         raise InputError("source must be a WalkerMetric or a CoefficientTrace")
     _check_midpoints(trace.grid)
-
-    # zero last transport row: nu admits no forcing and is pinned exactly
-    auto_parallel = all(x == 0.0 for x in trace.values["kappa"]) and all(
-        x == 0.0 for x in trace.values["kappa_t"]
+    rows = _float_rows(_M_ENTRIES, trace.values)
+    states = _rk4(partial(_row_sums, rows), state0.astuple(), trace.grid)
+    return ConnectingPath(
+        grid=trace.grid[::2], states=tuple(ConnectingState(*z) for z in states), trace=trace
     )
-    z = list(state0.astuple())
-    states = [state0]
-    grid = trace.grid
-    for k in range(0, len(grid) - 2, 2):
-        h = grid[k + 2] - grid[k]
-        m0 = _transport_row_data(trace, k)
-        mm = _transport_row_data(trace, k + 1)
-        m1 = _transport_row_data(trace, k + 2)
-        k1 = _matvec(m0, z)
-        k2 = _matvec(mm, [z[i] + 0.5 * h * k1[i] for i in range(4)])
-        k3 = _matvec(mm, [z[i] + 0.5 * h * k2[i] for i in range(4)])
-        k4 = _matvec(m1, [z[i] + h * k3[i] for i in range(4)])
-        z = [z[i] + h / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(4)]
-        if auto_parallel:
-            z[3] = state0.nu
-        if not all(math.isfinite(c) for c in z):
-            raise InputError("integration produced nonfinite values")
-        states.append(ConnectingState(*z))
-    return ConnectingPath(grid=grid[::2], states=tuple(states), trace=trace)
 
 
 def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, ...]:
@@ -304,43 +379,6 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     return tuple(ConnectingState(e, z, s0.zeta_t, s0.nu) for e, z in zip(etas, zetas))
 
 
-def _curvature_columns(curv: CurvatureSpinors) -> dict[str, RationalFunction]:
-    psi1c = curv.Psi1 + curv.Phi[0][1]
-    psit1c = curv.PsiT1 + curv.Phi[1][0]
-    return {
-        "n01": -psit1c,
-        "n02": -psi1c,
-        "n03": 2 * curv.Lambda - 2 * curv.Phi[1][1] - curv.Psi2 - curv.PsiT2,
-        "n11": curv.Phi[0][0],
-        "n12": curv.Psi0,
-        "n13": psi1c,
-        "n21": curv.PsiT0,
-        "n22": curv.Phi[0][0],
-        "n23": psit1c,
-    }
-
-
-def _transport_matrix(s: SpinCoefficientSet):
-    zero = s.rho - s.rho
-    return (
-        (zero, s.alpha + s.beta_t, s.alpha_t + s.beta, s.gamma + s.gamma_t),
-        (zero, s.rho, s.sigma, s.tau),
-        (zero, s.sigma_t, s.rho_t, s.tau_t),
-        (zero, -1 * s.kappa_t, -1 * s.kappa, zero),
-    )
-
-
-def _curvature_matrix_sym(curv: CurvatureSpinors):
-    c = _curvature_columns(curv)
-    zero = curv.Psi0 - curv.Psi0
-    return (
-        (zero, c["n01"], c["n02"], c["n03"]),
-        (zero, c["n11"], c["n12"], c["n13"]),
-        (zero, c["n21"], c["n22"], c["n23"]),
-        (zero, zero, zero, zero),
-    )
-
-
 def _curve_floats(curve, ratios, name) -> tuple[float, ...]:
     try:
         return curve.floats(ratios)
@@ -362,15 +400,6 @@ def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
     return out
 
 
-def _curvature_row_data(samples, j):
-    return (
-        (0.0, samples["n01"][j], samples["n02"][j], samples["n03"][j]),
-        (0.0, samples["n11"][j], samples["n12"][j], samples["n13"][j]),
-        (0.0, samples["n21"][j], samples["n22"][j], samples["n23"][j]),
-        (0.0, 0.0, 0.0, 0.0),
-    )
-
-
 def integrate_jacobi(
     w: WalkerMetric, V0, V0p, v_end, step, base=(0, 0, 0, 0)
 ) -> JacobiPath:
@@ -378,63 +407,31 @@ def integrate_jacobi(
     first-order one; returns states and their parameter derivatives."""
     z0 = _as_state(V0)
     y0 = _as_state(V0p)
-    _check_span(v_end, step)
     grid = _half_grid(v_end, step)
     an = Analysis(w)
     trace = CoefficientTrace.from_frame(an.frame, base, grid)
-    samples = _sample_columns(_curvature_columns(an.curvature), base, grid)
-
-    z = list(z0.astuple())
-    y = list(y0.astuple())
-    states = [z0]
-    derivs = [y0]
-    for k in range(0, len(grid) - 2, 2):
-        h = grid[k + 2] - grid[k]
-        n0 = _curvature_row_data(samples, k)
-        nm = _curvature_row_data(samples, k + 1)
-        n1 = _curvature_row_data(samples, k + 2)
-        k1z, k1y = y, [-v for v in _matvec(n0, z)]
-        za = [z[i] + 0.5 * h * k1z[i] for i in range(4)]
-        ya = [y[i] + 0.5 * h * k1y[i] for i in range(4)]
-        k2z, k2y = ya, [-v for v in _matvec(nm, za)]
-        zb = [z[i] + 0.5 * h * k2z[i] for i in range(4)]
-        yb = [y[i] + 0.5 * h * k2y[i] for i in range(4)]
-        k3z, k3y = yb, [-v for v in _matvec(nm, zb)]
-        zc = [z[i] + h * k3z[i] for i in range(4)]
-        yc = [y[i] + h * k3y[i] for i in range(4)]
-        k4z, k4y = yc, [-v for v in _matvec(n1, zc)]
-        z = [
-            z[i] + h / 6 * (k1z[i] + 2 * k2z[i] + 2 * k3z[i] + k4z[i])
-            for i in range(4)
-        ]
-        y = [
-            y[i] + h / 6 * (k1y[i] + 2 * k2y[i] + 2 * k3y[i] + k4y[i])
-            for i in range(4)
-        ]
-        if not all(math.isfinite(c) for c in z + y):
-            raise InputError("integration produced nonfinite values")
-        states.append(ConnectingState(*z))
-        derivs.append(ConnectingState(*y))
+    rows = _float_rows(_N_ENTRIES, _sample_columns(_curvature_columns(an.curvature), base, grid))
+    # (z, y)' = (y, -N z), where y = z'
+    states = _rk4(
+        lambda j, s: s[4:] + [-x for x in _row_sums(rows, j, s)],
+        z0.astuple() + y0.astuple(),
+        grid,
+    )
     return JacobiPath(
-        grid=grid[::2], states=tuple(states), derivatives=tuple(derivs), trace=trace
+        grid=grid[::2],
+        states=tuple(ConnectingState(*s[:4]) for s in states),
+        derivatives=tuple(ConnectingState(*s[4:]) for s in states),
+        trace=trace,
     )
 
 
 def propagation_matrices(w: WalkerMetric, point) -> PropagationMatrices:
     """All four matrices of the transport/deviation systems at one point."""
     pt = _point(point)
-    an = Analysis(w)
-    s, curv = an.frame.coeffs, an.curvature
-    ev = lambda rf: float(rf.eval_at(pt))
-    m = tuple(tuple(ev(e) for e in row) for row in _transport_matrix(s))
-    p = ((ev(s.rho), ev(s.sigma)), (ev(s.sigma_t), ev(s.rho_t)))
-    if p != ((m[1][1], m[1][2]), (m[2][1], m[2][2])):
-        raise InternalInconsistencyError("screen block disagrees with transport matrix")
-    n = tuple(tuple(ev(e) for e in row) for row in _curvature_matrix_sym(curv))
-    q = ((ev(curv.Phi[0][0]), ev(curv.Psi0)), (ev(curv.PsiT0), ev(curv.Phi[0][0])))
-    if q != ((n[1][1], n[1][2]), (n[2][1], n[2][2])):
-        raise InternalInconsistencyError("screen curvature block disagrees")
-    return PropagationMatrices(m=m, p=p, n=n, q=q, point=tuple(float(c) for c in pt))
+    m, n = (_evaluate(a, pt) for a in _matrices(Analysis(w)))
+    return PropagationMatrices(
+        m=m, p=_screen(m), n=n, q=_screen(n), point=tuple(float(c) for c in pt)
+    )
 
 
 @dataclass(frozen=True)
@@ -454,33 +451,28 @@ class RiccatiReport:
 def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
     """Exact residual of the matrix transport closures: the parameter
     derivative of each matrix plus its square plus the curvature matrix."""
-    an = Analysis(w)
-    s, curv = an.frame.coeffs, an.curvature
-    zero = s.rho - s.rho
-    m = _transport_matrix(s)
-    n = _curvature_matrix_sym(curv)
-    # the derivative along the congruence is the first-coordinate partial
-    m_res = tuple(
-        tuple(
-            m[i][j].diff("u") + sum((m[i][k] * m[k][j] for k in range(4)), zero) + n[i][j]
-            for j in range(4)
+    m, n = _matrices(Analysis(w))
+
+    def closure(a, b):
+        # dA/du + A^2 + B: the derivative along the congruence is the
+        # first-coordinate partial
+        size = range(len(a))
+        return tuple(
+            tuple(
+                a[i][j].diff("u") + sum((a[i][k] * a[k][j] for k in size), RF_ZERO) + b[i][j]
+                for j in size
+            )
+            for i in size
         )
-        for i in range(4)
-    )
-    p = ((s.rho, s.sigma), (s.sigma_t, s.rho_t))
-    q = ((curv.Phi[0][0], curv.Psi0), (curv.PsiT0, curv.Phi[0][0]))
-    p_res = tuple(
-        tuple(
-            p[i][j].diff("u") + sum((p[i][k] * p[k][j] for k in range(2)), zero) + q[i][j]
-            for j in range(2)
-        )
-        for i in range(2)
-    )
+
+    m_res = closure(m, n)
+    p_res = closure(_screen(m), _screen(n))
     m_sample = p_sample = None
     if base is not None and v is not None:
-        pt = _curve_point(_point(base), v)
-        m_sample = tuple(tuple(float(e.eval_at(pt)) for e in row) for row in m_res)
-        p_sample = tuple(tuple(float(e.eval_at(pt)) for e in row) for row in p_res)
+        # the congruence flows along the first coordinate only
+        pt = _point(base)
+        pt = (pt[0] + _fraction(v),) + pt[1:]
+        m_sample, p_sample = _evaluate(m_res, pt), _evaluate(p_res, pt)
     return RiccatiReport(m_res, p_res, m_sample, p_sample)
 
 
@@ -565,20 +557,26 @@ def special_flows(kind: str, integrals, X0, trace: CoefficientTrace | None = Non
     """
     if kind not in FLOW_KINDS:
         raise InputError(f"unknown flow kind {kind!r}; expected one of {FLOW_KINDS}")
-    x0 = tuple(float(x) for x in X0)
-    if len(x0) != 2 or not all(math.isfinite(x) for x in x0):
+    x0 = _finite(X0, "X0")
+    if len(x0) != 2:
         raise InputError("X0 must be two finite screen components")
     if trace is not None:
         violation = _pattern_violation(kind, trace)
         if violation is not None:
             raise PatternError(f"{kind} pattern violated: {violation}")
+    ints = _finite(integrals if kind == "inverse-scale" else (integrals,), "integrals")
+    if kind == "inverse-scale" and len(ints) != 2:
+        raise InputError("inverse-scale needs a pair of integrals")
+    try:
+        return _finite(_screen_flow(kind, ints, x0), "flowed screen vector")
+    except OverflowError as exc:
+        raise InputError("flowed screen vector: not a float") from exc
+
+
+def _screen_flow(kind, ints, x0) -> tuple[float, float]:
     if kind == "inverse-scale":
-        try:
-            ir, irt = (float(x) for x in integrals)
-        except (TypeError, ValueError) as exc:
-            raise InputError("inverse-scale needs a pair of integrals") from exc
-        return (math.exp(ir) * x0[0], math.exp(irt) * x0[1])
-    t = float(integrals)
+        return (math.exp(ints[0]) * x0[0], math.exp(ints[1]) * x0[1])
+    t = ints[0]
     if kind == "dilation":
         scale = math.exp(t)
         return (scale * x0[0], scale * x0[1])
@@ -656,7 +654,7 @@ class ShapeReport:
 def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
     vals = (rho, rho_t, sigma, sigma_t)
     if any(isinstance(x, float) for x in vals):
-        rho, rho_t, sigma, sigma_t = (float(x) for x in vals)
+        rho, rho_t, sigma, sigma_t = _finite(vals, "shape data")
         half = 0.5
         close = lambda x, y: abs(x - y) <= 1e-12 * (abs(x) + abs(y) + 1.0)
     else:
@@ -679,8 +677,11 @@ def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
             if not close(total, p[a][b]):
                 raise InternalInconsistencyError("shape parts do not rebuild the matrix")
 
-    trace = float(rho + rho_t)
-    disc = float((rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t)
+    try:
+        trace = float(rho + rho_t)
+        disc = float((rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t)
+    except OverflowError as exc:
+        raise InputError("shape data: not a float") from exc
     if disc >= 0:
         root = math.sqrt(disc)
         eigenvalues = ((trace - root) / 2, (trace + root) / 2)
@@ -727,20 +728,7 @@ def write_trace_csv(path, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     tr = path.trace.values
+    columns = (tr["rho"], tr["rho_t"], tr["sigma"], tr["sigma_t"])
     for k, t in enumerate(path.grid):
-        st = path.states[k]
-        j = 2 * k
-        writer.writerow(
-            repr(float(x))
-            for x in (
-                t,
-                st.eta,
-                st.zeta,
-                st.zeta_t,
-                st.nu,
-                tr["rho"][j],
-                tr["rho_t"][j],
-                tr["sigma"][j],
-                tr["sigma_t"][j],
-            )
-        )
+        row = (t, *path.states[k].astuple(), *(col[2 * k] for col in columns))
+        writer.writerow(repr(float(x)) for x in row)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import walkerspin
 from walkerspin.cli import main
+from walkerspin.congruence import MAX_STEPS
 from walkerspin.spincoeff import COEFF_NAMES, Frame
 
 FLAT = {"a": "0", "b": "0", "c": "0", "label": "flat"}
@@ -460,6 +461,58 @@ def test_metric_input_is_accepted_or_refused(tmp_path_factory, document, point):
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error:")
             assert len(err.getvalue().splitlines()) == 1
+
+
+def _mostly(valid, refused):
+    """A `valid` draw three times in four, else a `refused` one."""
+    return st.tuples(st.sampled_from([0, 0, 0, 1]), valid, refused).map(lambda t: t[1 + t[0]])
+
+
+_refused_span = st.sampled_from(["nan", "inf", "-inf", "1e1000", "-1", "0", "", "1/3", "x"])
+
+
+@st.composite
+def _span(draw):
+    """--end and --step for at most 10^3 steps, or for more than MAX_STEPS;
+    either may be a refused value instead."""
+    end = draw(st.floats(1e-3, 10))
+    count = draw(_mostly(st.integers(1, 1000), st.floats(MAX_STEPS + 1, 1e12)))
+    return tuple(draw(_mostly(st.just(repr(x)), _refused_span)) for x in (end, end / count))
+
+
+_tuple = _mostly(
+    st.lists(st.fractions(max_denominator=10).map(str), min_size=4, max_size=4).map(",".join),
+    st.one_of(
+        st.lists(_literal | st.sampled_from(["inf", "-0", "1e-1000", "-1e1000"]),
+                 min_size=3, max_size=5).map(",".join),
+        st.text(max_size=20),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(metric=st.sampled_from([FLAT, CUBIC, MIXED]), v0=_tuple, base=_tuple, span=_span())
+@example(metric=MIXED, v0="nan,0,0,0", base="0,0,0,0", span=("1", "0.1"))
+@example(metric=MIXED, v0="1,0,0,0", base="1e1000,0,0,0", span=("1", "0.1"))
+@example(metric=MIXED, v0="1,2,3,4", base="1/3,0,-2,1", span=("1", "1e-9"))
+def test_congruence_flags_are_accepted_or_refused(tmp_path_factory, metric, v0, base, span):
+    """Any --v0, --base, --end and --step is a trace (exit 0) or one error
+    (exit 2): never an internal error."""
+    path = tmp_path_factory.getbasetemp() / "congruence.json"
+    path.write_text(json.dumps(metric))
+    argv = ["congruence", str(path), f"--v0={v0}", f"--base={base}",
+            f"--end={span[0]}", f"--step={span[1]}", "--out=-"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse refuses a value that is not a float
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    assert "internal error:" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue()
 
 
 def test_module_entry_point(tmp_path):

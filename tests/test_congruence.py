@@ -1,6 +1,7 @@
 """Connecting-field and deviation-field propagation: oracle accuracy,
 integrator order, matrix closures, closed-form flows, and shape data."""
 
+import hashlib
 import io
 import math
 import random
@@ -232,6 +233,25 @@ class TestJacobiIntegration:
         assert all(d.nu == 0.0 for d in path.derivatives)
         assert all(s.nu == 1.0 for s in path.states)
 
+    def test_golden_states(self):
+        # float.hex of every state and derivative, recorded with the
+        # deviation system's own hand-written RK4 loop
+        w = WalkerMetric(
+            a=P("u^3*v - 2/3*x*y + u*y^2"), b=P("u^4 - x*v + 1/2"), c=P("u^2*x - 3*v*y^2 + u")
+        )
+        base = (Fraction(1, 3), Fraction(-1, 2), 2, Fraction(-3, 4))
+        path = integrate_jacobi(
+            w, (1.0, -2.0, 0.5, 3.0), (0.25, 0.0, -1.0, 0.5), 1.0, 1e-2, base=base
+        )
+        assert len(path.states) == 101
+        text = "\n".join(
+            " ".join(float.hex(x) for x in s.astuple() + d.astuple())
+            for s, d in zip(path.states, path.derivatives)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e4bf4d96f8fd79bc61c318eea00814d973b384db5495ccd72697c4001d375b65"
+        )
+
 
 class TestPropagationMatrices:
     def test_cubic_profile_entries(self):
@@ -417,6 +437,56 @@ class TestShapes:
     def test_real_distinct_spectrum(self):
         rep = shape_decompositions(1.0, 0.0, 0.0, 0.0)
         assert rep.eigenvalues == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [(math.inf, 0, 0, 0), (0.0, math.nan, 0, 0), (1.0, 0, 10**400, 0), (10**400, 0, 0, 0)],
+    )
+    def test_unrepresentable_data_is_input_error(self, vals):
+        with pytest.raises(InputError):
+            shape_decompositions(*vals)
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: connecting_oracle(QUADRATIC, ORIGIN, (0, 0, 1, 0), [math.inf]),
+        lambda: riccati_residual(QUADRATIC, ORIGIN, math.inf),
+        lambda: curvature_free_solution(((1, 0), (0, 1)), math.inf),
+        lambda: propagation_matrices(QUADRATIC, (math.inf, 0, 0, 0)),
+        lambda: integrate_connecting(QUADRATIC, (HUGE, 0, 0, 0), v_end=1.0, step=0.1),
+        lambda: integrate_jacobi(QUADRATIC, ORIGIN, (HUGE, 0, 0, 0), 1.0, 0.1),
+        lambda: special_flows("dilation", 1.0, (HUGE, 0)),
+    ],
+    ids=[
+        "connecting_oracle",
+        "riccati_residual",
+        "curvature_free_solution",
+        "propagation_matrices",
+        "integrate_connecting",
+        "integrate_jacobi",
+        "special_flows",
+    ],
+)
+def test_unrepresentable_input_is_input_error(call):
+    """Infinite parameters and integers past the float range are bad input,
+    not an escaping OverflowError."""
+    with pytest.raises(InputError):
+        call()
+
+
+def test_unrepresentable_span_and_flow_are_input_errors():
+    for v_end, step in ((HUGE, 1.0), (1.0, HUGE), ("x", 0.1), (None, 0.1)):
+        with pytest.raises(InputError):
+            integrate_connecting(QUADRATIC, (0, 0, 1, 0), v_end=v_end, step=step)
+    for kind, integrals in (("dilation", 1e3), ("boost", -1e3), ("inverse-scale", (1e3, 0))):
+        with pytest.raises(InputError):
+            special_flows(kind, integrals, (1.0, 0.0))
+    with pytest.raises(InputError):
+        special_flows("rotation", math.inf, (1.0, 0.0))
 
 
 class TestCsv:
