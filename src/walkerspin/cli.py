@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -89,6 +90,13 @@ def _parse_value(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f"bad value in {flag}: {err}") from err
+
+
+def _as_float(value: Fraction, flag: str) -> float:
+    try:
+        return float(value)
+    except OverflowError as err:
         raise InputError(f"bad value in {flag}: {err}") from err
 
 
@@ -288,13 +296,11 @@ def cmd_verify(args, out) -> int:
 
 def cmd_congruence(args, out) -> int:
     w = _load_metric(args.spec)
-    exact_v0 = _parse_tuple(args.v0, "--v0")
-    try:
-        v0 = tuple(float(c) for c in exact_v0)
-    except OverflowError as err:
-        raise InputError(f"bad value in --v0: {err}") from err
+    v0 = tuple(_as_float(c, "--v0") for c in _parse_tuple(args.v0, "--v0"))
+    end = _as_float(_parse_value(args.end, "--end"), "--end")
+    step = _as_float(_parse_value(args.step, "--step"), "--step")
     base = _parse_tuple(args.base, "--base")
-    path = integrate_connecting(w, v0, v_end=args.end, step=args.step, base=base)
+    path = integrate_connecting(w, v0, v_end=end, step=step, base=base)
 
     worst = 0.0
     for state, exact in zip(path.states, connecting_oracle(w, base, v0, path.grid)):
@@ -368,7 +374,9 @@ def cmd_classify(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="walkerspin",
         description="Exact spin-coefficient engine for Walker metrics in canonical form.",
@@ -382,33 +390,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="coefficients, curvature, classification")
     p.add_argument("spec", help="metric JSON file with fields a, b, c")
     p.add_argument("--point", default="0,0,0,0", help="evaluation point u,v,x,y")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="identity suites as polynomial residuals")
     p.add_argument("spec", help="metric JSON file")
     p.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p.add_argument("--perturb", metavar="NAME", default=None,
                    help="add 1 to the named coefficient before checking")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("congruence", help="propagate a connecting state, write CSV")
     p.add_argument("spec", help="metric JSON file")
     p.add_argument("--v0", required=True, help="initial state eta,zeta,zetatilde,nu")
-    p.add_argument("--end", required=True, type=float, help="parameter span")
-    p.add_argument("--step", required=True, type=float, help="step size")
+    p.add_argument("--end", required=True, help="parameter span")
+    p.add_argument("--step", required=True, help="step size")
     p.add_argument("--base", default="0,0,0,0", help="base point u,v,x,y")
     p.add_argument("--out", required=True, help="CSV path, or - for stdout")
-    p.set_defaults(func=cmd_congruence)
 
     p = sub.add_parser("heavenly", help="build a metric from a potential and test it")
     p.add_argument("potential", help="potential JSON file: theta, f, g, F, G, h")
     p.add_argument("--check", default="all", choices=("einstein", "identity", "all"))
-    p.set_defaults(func=cmd_heavenly)
 
     p = sub.add_parser("classify", help="pointwise type of the second quartic family")
     p.add_argument("spec", help="metric JSON file")
     p.add_argument("--point", default="0,0,0,0", help="evaluation point u,v,x,y")
-    p.set_defaults(func=cmd_classify)
 
     return parser
 
@@ -417,7 +420,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args, sys.stdout)
+        # looked up by name on each call, as the parser is built only once
+        code = globals()[f"cmd_{args.command}"](args, sys.stdout)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

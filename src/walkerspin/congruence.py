@@ -34,7 +34,7 @@ from .errors import (
     InternalInconsistencyError,
     PatternError,
 )
-from .poly import HALF, RF_ZERO, RationalFunction, _ratio
+from .poly import HALF, ZERO, Poly, Value, _ratio
 from .spincoeff import Frame, SpinCoefficientSet
 from .walker import WalkerMetric
 
@@ -217,7 +217,7 @@ class PropagationMatrices:
     point: tuple
 
 
-def _transport_columns(s: SpinCoefficientSet) -> dict[str, RationalFunction]:
+def _transport_columns(s: SpinCoefficientSet) -> dict[str, Value]:
     """The entries of M, named as in _M_ENTRIES."""
     # parallel-dyad transport data: these vanish for the frames built
     # here, and M silently assumes it
@@ -241,7 +241,7 @@ def _transport_columns(s: SpinCoefficientSet) -> dict[str, RationalFunction]:
     }
 
 
-def _curvature_columns(curv: CurvatureSpinors) -> dict[str, RationalFunction]:
+def _curvature_columns(curv: CurvatureSpinors) -> dict[str, Value]:
     """The entries of N, named as in _N_ENTRIES."""
     return {
         "phi00": curv.Phi[0][0],
@@ -257,7 +257,7 @@ def _matrix(entries, columns):
     """The 4x4 symbolic matrix laid out by `entries` over `columns`."""
     rows = []
     for row in entries:
-        out = [RF_ZERO] * 4
+        out = [ZERO] * 4
         for k, sign, key in row:
             out[k] = columns[key] if sign > 0 else -columns[key]
         rows.append(tuple(out))
@@ -393,10 +393,10 @@ def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
     pt0 = _point(base)
     ratios = _ratios(grid)
     out = {}
-    for key, rf in columns.items():
-        if not rf.is_polynomial:
+    for key, col in columns.items():
+        if not isinstance(col, Poly):
             raise InternalInconsistencyError(f"{key} not polynomial on a canonical frame")
-        out[key] = _curve_floats(rf.num.along_u(pt0), ratios, key)
+        out[key] = _curve_floats(col.along_u(pt0), ratios, key)
     return out
 
 
@@ -459,7 +459,7 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
         size = range(len(a))
         return tuple(
             tuple(
-                a[i][j].diff("u") + sum((a[i][k] * a[k][j] for k in size), RF_ZERO) + b[i][j]
+                a[i][j].diff("u") + sum((a[i][k] * a[k][j] for k in size), ZERO) + b[i][j]
                 for j in size
             )
             for i in size
@@ -477,7 +477,10 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
 
 
 def _fraction_matrix(m0):
-    rows = [tuple(_fraction(x) for x in row) for row in m0]
+    try:
+        rows = [tuple(_fraction(x) for x in row) for row in m0]
+    except TypeError as exc:
+        raise InputError("matrix must be a sequence of rows") from exc
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
         raise InputError("matrix must be square")
@@ -653,7 +656,8 @@ class ShapeReport:
 
 def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
     vals = (rho, rho_t, sigma, sigma_t)
-    if any(isinstance(x, float) for x in vals):
+    floats = any(isinstance(x, float) for x in vals)
+    if floats:
         rho, rho_t, sigma, sigma_t = _finite(vals, "shape data")
         half = 0.5
         close = lambda x, y: abs(x - y) <= 1e-12 * (abs(x) + abs(y) + 1.0)
@@ -667,6 +671,17 @@ def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
     s = half * (rho - rho_t)
     i = half * (sigma_t - sigma)
     hc = half * (sigma_t + sigma)
+    divergence = rho + rho_t
+    skew_square = -half * (rho - rho_t) * (rho - rho_t)
+    sym_square = 2 * sigma * sigma_t + half * (rho + rho_t) * (rho + rho_t)
+    try:
+        trace = float(rho + rho_t)
+        disc = float((rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t)
+    except OverflowError as exc:
+        raise InputError("shape data: not a float") from exc
+    if floats:
+        # finite inputs can still overflow a half-sum or a square
+        _finite((d, s, i, hc, skew_square, sym_square, disc), "shape data")
     dilation = ((d, 0 * d), (0 * d, d))
     shear = ((s, 0 * s), (0 * s, -s))
     rot = ((0 * i, -i), (i, 0 * i))
@@ -677,21 +692,12 @@ def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
             if not close(total, p[a][b]):
                 raise InternalInconsistencyError("shape parts do not rebuild the matrix")
 
-    try:
-        trace = float(rho + rho_t)
-        disc = float((rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t)
-    except OverflowError as exc:
-        raise InputError("shape data: not a float") from exc
     if disc >= 0:
         root = math.sqrt(disc)
         eigenvalues = ((trace - root) / 2, (trace + root) / 2)
     else:
         root = math.sqrt(-disc)
         eigenvalues = (complex(trace, -root) / 2, complex(trace, root) / 2)
-
-    divergence = rho + rho_t
-    skew_square = -half * (rho - rho_t) * (rho - rho_t)
-    sym_square = 2 * sigma * sigma_t + half * (rho + rho_t) * (rho + rho_t)
 
     t_matrix = ((-sigma_t, -rho), (-rho_t, -sigma))
     t_shear = ((-sigma_t, 0 * sigma), (0 * sigma, -sigma))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, RF_ZERO, Poly, RationalFunction, as_rf
+from .poly import HALF, ONE, ZERO, Poly, Value
 from .spincoeff import (
     Frame,
     prime,
@@ -151,25 +151,25 @@ class CurvatureSpinors:
     """Curvature dyad components: both quartic families, the mixed 3x3
     block, and the scalar pieces."""
 
-    Psi0: RationalFunction = RF_ZERO
-    Psi1: RationalFunction = RF_ZERO
-    Psi2: RationalFunction = RF_ZERO
-    Psi3: RationalFunction = RF_ZERO
-    Psi4: RationalFunction = RF_ZERO
-    PsiT0: RationalFunction = RF_ZERO
-    PsiT1: RationalFunction = RF_ZERO
-    PsiT2: RationalFunction = RF_ZERO
-    PsiT3: RationalFunction = RF_ZERO
-    PsiT4: RationalFunction = RF_ZERO
-    Phi: tuple = ((RF_ZERO,) * 3,) * 3
-    Lambda: RationalFunction = RF_ZERO
-    Pi: RationalFunction = RF_ZERO
-    S: RationalFunction = RF_ZERO
+    Psi0: Value = ZERO
+    Psi1: Value = ZERO
+    Psi2: Value = ZERO
+    Psi3: Value = ZERO
+    Psi4: Value = ZERO
+    PsiT0: Value = ZERO
+    PsiT1: Value = ZERO
+    PsiT2: Value = ZERO
+    PsiT3: Value = ZERO
+    PsiT4: Value = ZERO
+    Phi: tuple = ((ZERO,) * 3,) * 3
+    Lambda: Value = ZERO
+    Pi: Value = ZERO
+    S: Value = ZERO
 
-    def psi(self, k: int) -> RationalFunction:
+    def psi(self, k: int) -> Value:
         return getattr(self, f"Psi{k}")
 
-    def psi_t(self, k: int) -> RationalFunction:
+    def psi_t(self, k: int) -> Value:
         return getattr(self, f"PsiT{k}")
 
 
@@ -230,7 +230,7 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
         "Psi2",
         (D(s.gamma) + A(s.beta - s.tau)) * THIRD,
         (D(s.gamma + s.rho_p) + A(s.beta)) * THIRD,
-        as_rf((a11 + b22 - 4 * c12) * Fraction(1, 12)),
+        (a11 + b22 - 4 * c12) * Fraction(1, 12),
     )
     Psi3 = _check("Psi3", A(s.gamma), (A(s.rho_p) - D(s.kappa_p)) * HALF)
     Psi4 = -A(s.kappa_p)
@@ -239,7 +239,7 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
         "scalar",
         4 * (D(s.gamma) + A(s.beta + 2 * s.tau)),
         4 * (D(s.gamma - 2 * s.rho_p) + A(s.beta)),
-        as_rf(a11 + b22 + 2 * c12),
+        a11 + b22 + 2 * c12,
     )
     PsiT2 = _check(
         "PsiT2",
@@ -267,7 +267,7 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
         "Phi11",
         (D(s.gamma) - A(s.beta)) * HALF,
         (D(s.gamma_t) + A(s.alpha_t)) * HALF,
-        as_rf((a11 - b22) * Fraction(1, 8)),
+        (a11 - b22) * Fraction(1, 8),
     )
     Phi12 = _check(
         "Phi12",
@@ -281,17 +281,17 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
         2 * (s.rho_p * s.epsilon_p - s.kappa_p * s.alpha_p) - dl(s.kappa_p) - Dp(s.rho_p),
     )
 
-    _check("Psi1+Phi01", Psi1 + Phi01, as_rf(c11 * -HALF))
+    _check("Psi1+Phi01", Psi1 + Phi01, c11 * -HALF)
 
     Lambda = S * Fraction(-1, 24)
     phi = (
-        (RF_ZERO, Phi01, Phi02),
-        (RF_ZERO, Phi11, Phi12),
-        (RF_ZERO, Phi21, Phi22),
+        (ZERO, Phi01, Phi02),
+        (ZERO, Phi11, Phi12),
+        (ZERO, Phi21, Phi22),
     )
     return CurvatureSpinors(
         Psi0=Psi0, Psi1=Psi1, Psi2=Psi2, Psi3=Psi3, Psi4=Psi4,
-        PsiT0=RF_ZERO, PsiT1=RF_ZERO, PsiT2=PsiT2, PsiT3=PsiT3, PsiT4=PsiT4,
+        PsiT0=ZERO, PsiT1=ZERO, PsiT2=PsiT2, PsiT3=PsiT3, PsiT4=PsiT4,
         Phi=phi, Lambda=Lambda, Pi=Lambda, S=S,
     )
 
@@ -317,18 +317,18 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
     Valid only for unit normalization; the dyad dictionary used here
     presumes it, so anything else is refused.
     """
-    if t.chi * t.chi_t != RationalFunction(ONE):
+    if t.chi * t.chi_t != ONE:
         raise InputError("Ricci dyad components require unit normalization")
     phi_ab = [
         [
-            as_rf((ricci[a][b_] - scalar * Fraction(1, 4) * mt.g[a][b_]) * HALF)
+            (ricci[a][b_] - scalar * Fraction(1, 4) * mt.g[a][b_]) * HALF
             for b_ in range(4)
         ]
         for a in range(4)
     ]
 
     def pairing(V, W):
-        total = RF_ZERO
+        total = ZERO
         for a in range(4):
             if V[a].is_zero:
                 continue
@@ -350,7 +350,7 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
         (pairing(l, mtld), phi11, pairing(m, n)),
         (pairing(mtld, mtld), pairing(mtld, n), pairing(n, n)),
     )
-    lam = as_rf(scalar * Fraction(-1, 24))
+    lam = scalar * Fraction(-1, 24)
     return phi, lam
 
 
@@ -487,7 +487,6 @@ def commutator_residuals(frame: Frame, f):
     """
     ops = frame.ops
     s = frame.coeffs
-    f = as_rf(f)
     D = {name: ops.apply(name, f) for name in ops.NAMES}
     second = {
         (p, q): ops.apply(p, D[q]) for p in ops.NAMES for q in ops.NAMES
@@ -552,10 +551,10 @@ def commutator_vector_fields(frame: Frame):
 def commutator_residuals_from_fields(fields, f):
     """The six residuals of ``commutator_residuals(frame, f)``, derived from
     ``fields = commutator_vector_fields(frame)`` as sum_i V^i * df/dx^i."""
-    grad = [as_rf(f).diff(name) for name in COORDS]
+    grad = [f.diff(name) for name in COORDS]
     out = {}
     for key, comps in fields.items():
-        total = RF_ZERO
+        total = ZERO
         for comp, df in zip(comps, grad):
             if not (comp.is_zero or df.is_zero):
                 total = total + comp * df

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .curvature import Analysis
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, QUARTER, Poly, RationalFunction, VARIABLES, ZERO
+from .poly import HALF, QUARTER, Poly, VARIABLES, ZERO
 from .walker import WalkerMetric, aligned_ricci_residuals
 
 _U = Poly.parse("u")
@@ -39,12 +39,6 @@ def _d(p: Poly, *vars: str) -> Poly:
 
 def _depends_on(p: Poly, var: str) -> bool:
     return not p.diff(var).is_zero
-
-
-def _as_poly(rf: RationalFunction) -> Poly:
-    if rf.den != ONE:
-        raise InternalInconsistencyError("expected a polynomial curvature component")
-    return rf.num
 
 
 @dataclass(frozen=True)
@@ -234,7 +228,9 @@ def master_identity_residual(p: HeavenlyPotential) -> Poly:
     curv = p.analysis.curvature
     # the paper's A - 6*B*c - S*(3*c^2 - 1), with A and B expanded in PsiT3,
     # PsiT4 and S, is exactly -24*PsiT4
-    lhs = -24 * _as_poly(curv.PsiT4)
+    if not isinstance(curv.PsiT4, Poly):
+        raise InternalInconsistencyError("expected a polynomial curvature component")
+    lhs = -24 * curv.PsiT4
 
     big_r = p.scalars.R
     f4 = p.f.diff("y")
@@ -316,7 +312,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
     )
 
     curv = p.analysis.curvature
-    if _as_poly(curv.PsiT3) != psi_t3 or _as_poly(curv.PsiT4) != psi_t4:
+    if curv.PsiT3 != psi_t3 or curv.PsiT4 != psi_t4:
         raise InternalInconsistencyError("scalar-flat quartic routes disagree")
 
     a_pair = (_d(big_r, "u", "u"), _d(big_r, "u", "v"), _d(big_r, "v", "v"))

@@ -16,7 +16,7 @@ from math import comb
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import InputError, InternalInconsistencyError
-from .poly import ONE, RF_ONE, RF_ZERO, ZERO, RationalFunction, as_rf
+from .poly import ONE, ZERO, Value, _as_poly
 from .spincoeff import (
     DIR_OF,
     DN,
@@ -33,19 +33,12 @@ from .spincoeff import (
 from .walker import COORDS, WalkerMetric, aligned_ricci_residuals, tetrad_covectors
 
 
-def _rf_pow(base: RationalFunction, n: int) -> RationalFunction:
-    out = RF_ONE
-    for _ in range(n):
-        out = out * base
-    return out
-
-
 @dataclass(frozen=True)
 class PrimedSpinor:
     """Spinor with one upper primed index, components over the dyad."""
 
-    p: RationalFunction
-    q: RationalFunction
+    p: Value
+    q: Value
 
     def field(self) -> DyadSpinorField:
         return DyadSpinorField((UP_P,), {(0,): self.p, (1,): self.q})
@@ -64,7 +57,7 @@ class PrimedSpinor:
 
 
 def primed_spinor(p, q) -> PrimedSpinor:
-    p, q = as_rf(p), as_rf(q)
+    p, q = _as_poly(p), _as_poly(q)
     if p.is_zero and q.is_zero:
         raise InputError("direction spinor must not vanish identically")
     return PrimedSpinor(p=p, q=q)
@@ -84,7 +77,7 @@ def integrability_residual(pi: PrimedSpinor, frame: Frame) -> DyadSpinorField:
     dpi = dyad_covariant_derivative(pi_up, frame)
     comps = {}
     for B in (0, 1):
-        total = RF_ZERO
+        total = ZERO
         for bp in (0, 1):
             for c in (0, 1):
                 total = total + (
@@ -112,7 +105,7 @@ class RecurrenceForms:
     divergence: tuple
     s_one_form: tuple
     t_one_form: tuple
-    pairing: RationalFunction
+    pairing: Value
 
     @property
     def s_form_vanishes(self) -> bool:
@@ -148,12 +141,12 @@ def recurrence_forms(
     for pair in product((0, 1), repeat=2):
         s_vals[pair] = sum(
             (pi_low.component(c) * dpi.component(*pair, c) for c in (0, 1)),
-            RF_ZERO,
+            ZERO,
         )
         t_vals[pair] = sum(
             (pi_up.component(b) * dpi_low.component(pair[0], b, pair[1])
              for b in (0, 1)),
-            RF_ZERO,
+            ZERO,
         )
 
     if check_integrable:
@@ -166,13 +159,13 @@ def recurrence_forms(
 
     xi = pi.dual()
     omega = tuple(
-        sum((s_vals[(A, a)] * xi[a] for a in (0, 1)), RF_ZERO) for A in (0, 1)
+        sum((s_vals[(A, a)] * xi[a] for a in (0, 1)), ZERO) for A in (0, 1)
     )
     eta = tuple(
-        sum((t_vals[(A, a)] * xi[a] for a in (0, 1)), RF_ZERO) for A in (0, 1)
+        sum((t_vals[(A, a)] * xi[a] for a in (0, 1)), ZERO) for A in (0, 1)
     )
     div = tuple(
-        sum((dpi.component(A, d, d) for d in (0, 1)), RF_ZERO) for A in (0, 1)
+        sum((dpi.component(A, d, d) for d in (0, 1)), ZERO) for A in (0, 1)
     )
     for A in (0, 1):
         if omega[A] + eta[A] != div[A]:
@@ -184,7 +177,7 @@ def recurrence_forms(
     # symmetric object, hence identically zero; a nonzero value would
     # mean broken index algebra.
     raised = raise_index(raise_index(dpi, 0), 1)
-    square = RF_ZERO
+    square = ZERO
     for key in product((0, 1), repeat=3):
         square = square + dpi_low.component(*key) * raised.component(*key)
     if not square.is_zero:
@@ -193,7 +186,7 @@ def recurrence_forms(
     eta_up = (eta[1], -eta[0])
     pairing = 2 * (eta_up[0] * omega[0] + eta_up[1] * omega[1])
 
-    unit = frame.tetrad.chi * frame.tetrad.chi_t == RF_ONE
+    unit = frame.tetrad.chi * frame.tetrad.chi_t == ONE
     s_one = _covector_from_pairs(s_vals, frame) if unit else None
     t_one = _covector_from_pairs(t_vals, frame) if unit else None
 
@@ -214,12 +207,12 @@ def recurrence_forms(
 # ---------------------------------------------------------------------------
 
 
-def weyl_quartic(pi: PrimedSpinor, curv: CurvatureSpinors) -> RationalFunction:
+def weyl_quartic(pi: PrimedSpinor, curv: CurvatureSpinors) -> Value:
     """Full contraction of the second quartic family with the field;
     zero exactly when the field is a principal direction."""
-    total = RF_ZERO
+    total = ZERO
     for k in range(5):
-        total = total + comb(4, k) * curv.psi_t(k) * _rf_pow(pi.p, 4 - k) * _rf_pow(pi.q, k)
+        total = total + comb(4, k) * curv.psi_t(k) * pi.p ** (4 - k) * pi.q**k
     return total
 
 
@@ -228,9 +221,9 @@ def principal_spinor_residual(pi: PrimedSpinor, curv: CurvatureSpinors) -> tuple
     is a repeated root of the quartic."""
     out = []
     for i in (0, 1):
-        total = RF_ZERO
+        total = ZERO
         for j in range(4):
-            total = total + comb(3, j) * curv.psi_t(j + i) * _rf_pow(pi.p, 3 - j) * _rf_pow(pi.q, j)
+            total = total + comb(3, j) * curv.psi_t(j + i) * pi.p ** (3 - j) * pi.q**j
         out.append(total)
     return tuple(out)
 
@@ -250,7 +243,7 @@ def _contract_primed(field: DyadSpinorField, pos: int, pi: PrimedSpinor) -> Dyad
     indices = tuple(field.indices[i] for i in keep)
     comps = {}
     for key in product((0, 1), repeat=len(indices)):
-        total = RF_ZERO
+        total = ZERO
         for i in (0, 1):
             full = [0] * len(field.indices)
             for slot, value in zip(keep, key):
@@ -307,9 +300,9 @@ def ricci_conditions(
             single[(i, k)] = pi.p * curv.Phi[i][k] + pi.q * curv.Phi[i][k + 1]
     double = []
     for i in range(3):
-        total = RF_ZERO
+        total = ZERO
         for j in range(3):
-            total = total + comb(2, j) * curv.Phi[i][j] * _rf_pow(pi.p, 2 - j) * _rf_pow(pi.q, j)
+            total = total + comb(2, j) * curv.Phi[i][j] * pi.p ** (2 - j) * pi.q**j
         double.append(total)
     double = tuple(double)
     is_null = all(v.is_zero for v in single.values())
@@ -319,7 +312,7 @@ def ricci_conditions(
             "single contraction vanished but the double contraction did not"
         )
     coord = None
-    if w is not None and pi.p == RF_ONE and pi.q.is_zero:
+    if w is not None and pi.p == ONE and pi.q.is_zero:
         via_phi = {
             "a_uu - b_vv": 8 * curv.Phi[1][1],
             "b_uv + c_uu": -4 * curv.Phi[0][1],
@@ -327,7 +320,7 @@ def ricci_conditions(
         }
         coord = {}
         for name, residual in aligned_ricci_residuals(w).items():
-            direct = as_rf(residual)
+            direct = residual
             if direct != via_phi[name]:
                 raise InternalInconsistencyError(
                     f"coordinate form of the null-alignment condition {name} "
@@ -392,7 +385,7 @@ def kerr_check(pi: PrimedSpinor, frame: Frame, curv: CurvatureSpinors) -> KerrRe
 def frobenius_residual(cov) -> dict:
     """Components of d(omega) wedge omega for a covector field; all four
     vanish exactly when the orthogonal distribution is integrable."""
-    cov = tuple(as_rf(c) for c in cov)
+    cov = tuple(_as_poly(c) for c in cov)
     if len(cov) != 4:
         raise InputError("covector must have four components")
     d = [
@@ -458,7 +451,7 @@ def relation_suite(
             raise InputError("the affine-section suite needs curvature components")
         return {
             "beta~": s.beta_t,
-            "alpha + 1": s.alpha + RF_ONE,
+            "alpha + 1": s.alpha + ONE,
             "PsiT2 + 2*Lambda - 2*alpha~": curv.PsiT2 + 2 * curv.Lambda - 2 * s.alpha_t,
         }
     raise InputError(

@@ -19,9 +19,11 @@ t -> p(u0 + t, v0, x0, y0), as a ``CurvePoly``: integer coefficients of
 t^k over one denominator.  It evaluates exactly by integer Horner, and its
 float values, rounded once from the exact value, are the only floats here.
 
-``RationalFunction`` is a thin quotient wrapper.  Denominators are not
-reduced by polynomial gcd; equality goes through cross-multiplication, and
-the common case of a unit denominator is special-cased throughout.
+A value with denominator one is always a ``Poly``: ``Poly`` division and
+every ``RationalFunction`` operation go through ``_quotient``, which makes
+a quotient only when the normalized denominator is not constant.
+Denominators are not reduced by polynomial gcd; equality with a quotient
+goes through cross-multiplication.
 """
 
 from __future__ import annotations
@@ -200,6 +202,9 @@ class Poly:
         return _reduced({e: n for e, n in product.items() if n}, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other: "Poly"):
+        return _quotient(self, other) if isinstance(other, Poly) else NotImplemented
 
     def _scaled(self, a: int, b: int) -> "Poly":
         """self * (a/b) for coprime ints a and b > 0."""
@@ -592,13 +597,60 @@ class _Parser:
 ZERO = Poly.zero()
 ONE = Poly.const(1)
 
-PolyLike = Union[Poly, int, Fraction]
 
-
-def _as_poly(value: PolyLike) -> Poly:
-    if isinstance(value, Poly):
+def _as_poly(value):
+    """A Poly or RationalFunction as is; an int or Fraction as a constant
+    Poly.  The one coercion, for entry points that take bare scalars."""
+    if isinstance(value, (Poly, RationalFunction)):
         return value
-    return Poly.const(_as_fraction(value))
+    return Poly.const(value)
+
+
+def _quotient(num: Poly, den: Poly):
+    """num / den: a Poly when den is a constant, else a RationalFunction
+    with both parts scaled so den's leading coefficient is one."""
+    terms = den._num
+    if not terms:
+        raise ZeroDivisionError("zero denominator in rational function")
+    if not num._num:
+        return ZERO
+    top = min(terms, key=_term_order)
+    lead = terms[top]
+    a, b = (den._den, lead) if lead > 0 else (-den._den, -lead)
+    g = gcd(a, b)
+    num = num._scaled(a // g, b // g)
+    if len(terms) == 1 and top == (0, 0, 0, 0):
+        return num
+    rf = object.__new__(RationalFunction)
+    rf.num, rf.den = num, den._scaled(a // g, b // g)
+    return rf
+
+
+def _parts(value) -> tuple[Poly, Poly] | None:
+    """(numerator, denominator) of a RationalFunction, Poly or scalar."""
+    if isinstance(value, RationalFunction):
+        return value.num, value.den
+    if isinstance(value, Poly):
+        return value, ONE
+    if isinstance(value, (int, Fraction)):
+        return Poly.const(value), ONE
+    return None
+
+
+def _on_parts(method):
+    """A binary RationalFunction operator on the other operand's parts."""
+
+    def operator(self, other):
+        parts = _parts(other)
+        return NotImplemented if parts is None else method(self, *parts)
+
+    return operator
+
+
+def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly):
+    if d1 == d2:
+        return _quotient(n1 + n2, d1)
+    return _quotient(n1 * d2 + n2 * d1, d1 * d2)
 
 
 class RationalFunction:
@@ -606,111 +658,74 @@ class RationalFunction:
 
     The representation is normalized so the denominator's leading
     coefficient (in the canonical term order) is one; full polynomial gcd
-    reduction is deliberately not attempted.  Equality is decided by
-    cross-multiplication, so different representatives compare equal.
+    reduction is deliberately not attempted.  Only the constructor wraps
+    a polynomial over one; arithmetic returns it as a ``Poly``.  Equality,
+    also with a ``Poly`` or a scalar, is decided by cross-multiplication,
+    so different representatives compare equal.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyLike, den: PolyLike = ONE):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in rational function")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        elif den != ONE:
-            # scale both by den._den / lead so the leading coefficient is one
-            lead = den._num[min(den._num, key=_term_order)]
-            a, b = (den._den, lead) if lead > 0 else (-den._den, -lead)
-            g = gcd(a, b)
-            num = num._scaled(a // g, b // g)
-            den = den._scaled(a // g, b // g)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=ONE):
+        num, den = _as_poly(num), _as_poly(den)
+        if not (isinstance(num, Poly) and isinstance(den, Poly)):
+            raise TypeError("a RationalFunction is a quotient of two polynomials")
+        value = _quotient(num, den)
+        self.num, self.den = (value, ONE) if isinstance(value, Poly) else (value.num, value.den)
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def as_poly(self) -> Poly:
-        if self.den != ONE:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            if not isinstance(other, (Poly, int, Fraction)):
-                return NotImplemented
-            other = RationalFunction(_as_poly(other))
-        if self.den == other.den:
-            return self.num == other.num
-        return self.num * other.den == other.num * self.den
+    @_on_parts
+    def __eq__(self, num: Poly, den: Poly) -> bool:
+        if self.den == den:
+            return self.num == num
+        return self.num * den == num * self.den
 
     def __hash__(self) -> int:
         # Representatives of the same quotient can differ, so hashing by
         # parts would break the hash/eq contract; polynomials hash fine.
         raise TypeError("RationalFunction is unhashable")
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+    def __neg__(self):
+        return _quotient(-self.num, self.den)
 
-    def __add__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+    @_on_parts
+    def __add__(self, num: Poly, den: Poly):
+        return _sum(self.num, self.den, num, den)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    @_on_parts
+    def __sub__(self, num: Poly, den: Poly):
+        return _sum(self.num, self.den, -num, den)
 
-    def __rsub__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    @_on_parts
+    def __rsub__(self, num: Poly, den: Poly):
+        return _sum(num, den, -self.num, self.den)
 
-    def __mul__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalFunction(ZERO)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+    @_on_parts
+    def __mul__(self, num: Poly, den: Poly):
+        return _quotient(self.num * num, self.den * den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
+    @_on_parts
+    def __truediv__(self, num: Poly, den: Poly):
+        if num.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _quotient(self.num * den, self.den * num)
 
-    def __rtruediv__(self, other) -> "RationalFunction":
-        other = _as_rational(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+    @_on_parts
+    def __rtruediv__(self, num: Poly, den: Poly):
+        return _quotient(num * self.den, den * self.num)
 
-    def diff(self, var: str) -> "RationalFunction":
-        if self.den == ONE:
-            return RationalFunction(self.num.diff(var))
-        return RationalFunction(
+    def __pow__(self, exponent: int):
+        return _quotient(self.num**exponent, self.den**exponent)
+
+    def diff(self, var: str):
+        return _quotient(
             self.num.diff(var) * self.den - self.num * self.den.diff(var),
             self.den * self.den,
         )
@@ -723,31 +738,14 @@ class RationalFunction:
         return self.num.eval_at(pt) / bottom
 
     def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
 
 
-def _as_rational(value) -> RationalFunction | None:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, (Poly, int, Fraction)):
-        return RationalFunction(_as_poly(value))
-    return None
-
-
-def as_rf(value) -> RationalFunction:
-    """A RationalFunction as is; a Poly, int or Fraction over one."""
-    if isinstance(value, RationalFunction):
-        return value
-    return RationalFunction(value)
-
-
-RF_ZERO = RationalFunction(ZERO)
-RF_ONE = RationalFunction(ONE)
+# A computed value: a Poly, or a RationalFunction where a denominator survives.
+Value = Union[Poly, RationalFunction]
 
 
 def parse_poly(text: str) -> Poly:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, QUARTER, RF_ZERO, ZERO, RationalFunction, as_rf
+from .poly import HALF, ONE, QUARTER, ZERO, Value, _as_poly
 from .walker import (
     COORDS,
     Christoffel,
@@ -39,49 +39,49 @@ COEFF_NAMES = tuple(f"{fam}{fl}" for fam in _FAMILIES for fl in _FLAVOURS)
 
 @dataclass(frozen=True)
 class SpinCoefficientSet:
-    kappa: RationalFunction = RF_ZERO
-    kappa_p: RationalFunction = RF_ZERO
-    kappa_t: RationalFunction = RF_ZERO
-    kappa_tp: RationalFunction = RF_ZERO
-    sigma: RationalFunction = RF_ZERO
-    sigma_p: RationalFunction = RF_ZERO
-    sigma_t: RationalFunction = RF_ZERO
-    sigma_tp: RationalFunction = RF_ZERO
-    rho: RationalFunction = RF_ZERO
-    rho_p: RationalFunction = RF_ZERO
-    rho_t: RationalFunction = RF_ZERO
-    rho_tp: RationalFunction = RF_ZERO
-    tau: RationalFunction = RF_ZERO
-    tau_p: RationalFunction = RF_ZERO
-    tau_t: RationalFunction = RF_ZERO
-    tau_tp: RationalFunction = RF_ZERO
-    epsilon: RationalFunction = RF_ZERO
-    epsilon_p: RationalFunction = RF_ZERO
-    epsilon_t: RationalFunction = RF_ZERO
-    epsilon_tp: RationalFunction = RF_ZERO
-    alpha: RationalFunction = RF_ZERO
-    alpha_p: RationalFunction = RF_ZERO
-    alpha_t: RationalFunction = RF_ZERO
-    alpha_tp: RationalFunction = RF_ZERO
-    beta: RationalFunction = RF_ZERO
-    beta_p: RationalFunction = RF_ZERO
-    beta_t: RationalFunction = RF_ZERO
-    beta_tp: RationalFunction = RF_ZERO
-    gamma: RationalFunction = RF_ZERO
-    gamma_p: RationalFunction = RF_ZERO
-    gamma_t: RationalFunction = RF_ZERO
-    gamma_tp: RationalFunction = RF_ZERO
+    kappa: Value = ZERO
+    kappa_p: Value = ZERO
+    kappa_t: Value = ZERO
+    kappa_tp: Value = ZERO
+    sigma: Value = ZERO
+    sigma_p: Value = ZERO
+    sigma_t: Value = ZERO
+    sigma_tp: Value = ZERO
+    rho: Value = ZERO
+    rho_p: Value = ZERO
+    rho_t: Value = ZERO
+    rho_tp: Value = ZERO
+    tau: Value = ZERO
+    tau_p: Value = ZERO
+    tau_t: Value = ZERO
+    tau_tp: Value = ZERO
+    epsilon: Value = ZERO
+    epsilon_p: Value = ZERO
+    epsilon_t: Value = ZERO
+    epsilon_tp: Value = ZERO
+    alpha: Value = ZERO
+    alpha_p: Value = ZERO
+    alpha_t: Value = ZERO
+    alpha_tp: Value = ZERO
+    beta: Value = ZERO
+    beta_p: Value = ZERO
+    beta_t: Value = ZERO
+    beta_tp: Value = ZERO
+    gamma: Value = ZERO
+    gamma_p: Value = ZERO
+    gamma_t: Value = ZERO
+    gamma_tp: Value = ZERO
 
-    def get(self, name: str) -> RationalFunction:
+    def get(self, name: str) -> Value:
         if name not in COEFF_NAMES:
             raise KeyError(f"unknown coefficient {name!r}")
         return getattr(self, name)
 
-    def as_dict(self) -> dict[str, RationalFunction]:
+    def as_dict(self) -> dict[str, Value]:
         return {name: getattr(self, name) for name in COEFF_NAMES}
 
     def with_values(self, **updates) -> "SpinCoefficientSet":
-        return replace(self, **{k: as_rf(v) for k, v in updates.items()})
+        return replace(self, **{k: _as_poly(v) for k, v in updates.items()})
 
 
 def prime(s: SpinCoefficientSet) -> SpinCoefficientSet:
@@ -148,13 +148,12 @@ def spin_coefficients_from_tetrad(
     validate_tetrad(mt, t)
     ops = DirectionalOps(t)
     unit = t.chi * t.chi_t
-    X = RationalFunction(ONE) / unit
+    X = ONE / unit
 
     legs = {"l": t.l, "n": t.n, "m": t.m, "mt": t.mt}
     nabla = {name: covariant_derivative_vector(ch, vec) for name, vec in legs.items()}
-    dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
     deriv = {
-        (op, name): directional_vector_derivative(nabla[name], dirs[op])
+        (op, name): directional_vector_derivative(nabla[name], ops.dirs[op])
         for op in DirectionalOps.NAMES
         for name in nabla
     }
@@ -204,20 +203,20 @@ def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
     b1, b2 = d["b1"], d["b2"]
     c1, c2 = d["c1"], d["c2"]
     return SpinCoefficientSet(
-        kappa_p=as_rf(a2 * -HALF),
-        kappa_tp=as_rf(-d["kc"]),
-        rho_p=as_rf(c2 * -HALF),
-        sigma=as_rf(b1 * -HALF),
-        sigma_tp=as_rf(d["kd"]),
-        tau=as_rf(c1 * HALF),
-        epsilon_p=as_rf((c2 - a1) * QUARTER),
-        epsilon_tp=as_rf((a1 + c2) * -QUARTER),
-        alpha_p=as_rf((b2 - c1) * QUARTER),
-        alpha_t=as_rf((b2 + c1) * -QUARTER),
-        beta=as_rf((b2 - c1) * QUARTER),
-        beta_tp=as_rf((b2 + c1) * -QUARTER),
-        gamma=as_rf((a1 - c2) * QUARTER),
-        gamma_t=as_rf((a1 + c2) * QUARTER),
+        kappa_p=a2 * -HALF,
+        kappa_tp=-d["kc"],
+        rho_p=c2 * -HALF,
+        sigma=b1 * -HALF,
+        sigma_tp=d["kd"],
+        tau=c1 * HALF,
+        epsilon_p=(c2 - a1) * QUARTER,
+        epsilon_tp=(a1 + c2) * -QUARTER,
+        alpha_p=(b2 - c1) * QUARTER,
+        alpha_t=(b2 + c1) * -QUARTER,
+        beta=(b2 - c1) * QUARTER,
+        beta_tp=(b2 + c1) * -QUARTER,
+        gamma=(a1 - c2) * QUARTER,
+        gamma_t=(a1 + c2) * QUARTER,
     )
 
 
@@ -252,17 +251,17 @@ class Frame:
         )
 
 
-def directional(t: Tetrad, f, which: str) -> RationalFunction:
+def directional(t: Tetrad, f, which: str) -> Value:
     """Directional derivative of a scalar along one tetrad leg."""
     if which not in DirectionalOps.NAMES:
         raise InputError(f"unknown direction {which!r}; use one of {DirectionalOps.NAMES}")
-    return DirectionalOps(t).apply(which, f)
+    return DirectionalOps(t).apply(which, _as_poly(f))
 
 
 def _transformation_laws(s: SpinCoefficientSet, lam, lam_t, mu, mu_t):
     """The kappa, rho, sigma and tau of the transformed tetrad."""
     lam2, lam3 = lam * lam, lam * lam * lam
-    inv_lam_t = RationalFunction(ONE) / lam_t
+    inv_lam_t = ONE / lam_t
     return {
         "kappa": lam3 * lam_t * s.kappa,
         "rho": lam * lam_t * s.rho + lam2 * lam_t * mu * s.kappa,
@@ -286,7 +285,6 @@ def transform_coefficients(
     on ``tilde_relabel`` of both sets, with lam, lam_t and mu, mu_t
     exchanged.
     """
-    lam, lam_t, mu, mu_t = as_rf(lam), as_rf(lam_t), as_rf(mu), as_rf(mu_t)
     new_t = tetrad_transform(frame.tetrad, lam, lam_t, mu, mu_t)
     full = spin_coefficients_from_tetrad(christoffel(frame.metric), new_t, frame.metric)
 
@@ -332,20 +330,20 @@ class DyadSpinorField:
         if not hasattr(comps, "items"):
             raise InputError("components must be a mapping from index tuples")
         n = len(indices)
-        table = {key: as_rf(ZERO) for key in product((0, 1), repeat=n)}
+        table = {key: ZERO for key in product((0, 1), repeat=n)}
         for key, value in comps.items():
             key = tuple(key)
             if len(key) != n or any(i not in (0, 1) for i in key):
                 raise InputError(f"component key {key} does not match valence {n}")
-            table[key] = as_rf(value)
+            table[key] = _as_poly(value)
         self.indices = indices
         self.comps = table
 
     @classmethod
     def scalar(cls, value) -> "DyadSpinorField":
-        return cls((), {(): as_rf(value)})
+        return cls((), {(): value})
 
-    def component(self, *key) -> RationalFunction:
+    def component(self, *key) -> Value:
         return self.comps[tuple(key)]
 
     @property
@@ -428,9 +426,9 @@ def contract(field: DyadSpinorField, pos_up: int, pos_dn: int) -> DyadSpinorFiel
         raise InputError("contraction needs an upper and a lower index of the same kind")
     keep = [i for i in range(len(field.indices)) if i not in (pos_up, pos_dn)]
     indices = tuple(field.indices[i] for i in keep)
-    comps: dict[tuple[int, ...], RationalFunction] = {}
+    comps: dict[tuple[int, ...], Value] = {}
     for key in product((0, 1), repeat=len(indices)):
-        total = as_rf(ZERO)
+        total = ZERO
         for i in (0, 1):
             full = [0] * len(field.indices)
             for slot, value in zip(keep, key):
@@ -447,20 +445,18 @@ def connection_matrices(s: SpinCoefficientSet):
 
     Column j of gamma[op] is the component vector of the op-derivative of
     the j-th dyad element; same for the tilde matrices and the primed dyad.
+    Each row of ``_ROWS`` lays out one matrix; the tilde matrix along an
+    operator is the plain one of ``tilde_relabel(s)`` along its ``_SWAP``.
     """
-    gamma = {
-        "D": ((s.epsilon, -s.tau_p), (s.kappa, s.gamma_p)),
-        "Delta": ((s.alpha, s.sigma_p), (s.rho, -s.beta_p)),
-        "delta": ((s.beta, s.rho_p), (s.sigma, -s.alpha_p)),
-        "Dp": ((s.gamma, -s.kappa_p), (s.tau, s.epsilon_p)),
-    }
-    gamma_t = {
-        "D": ((s.epsilon_t, -s.tau_tp), (s.kappa_t, s.gamma_tp)),
-        "Delta": ((s.beta_t, s.rho_tp), (s.sigma_t, -s.alpha_tp)),
-        "delta": ((s.alpha_t, s.sigma_tp), (s.rho_t, -s.beta_tp)),
-        "Dp": ((s.gamma_t, -s.kappa_tp), (s.tau_t, s.epsilon_tp)),
-    }
-    return gamma, gamma_t
+
+    def matrices(s):
+        return {
+            op: ((s.get(d1), -sgn * s.get(o2)), (s.get(o1), sgn * s.get(d2)))
+            for op, d1, o1, o2, d2, sgn in _ROWS
+        }
+
+    gamma, tilde = matrices(s), matrices(tilde_relabel(s))
+    return gamma, {op: tilde[_SWAP[op]] for op in DirectionalOps.NAMES}
 
 
 def dyad_covariant_derivative(field: DyadSpinorField, frame: Frame) -> DyadSpinorField:
@@ -474,7 +470,7 @@ def dyad_covariant_derivative(field: DyadSpinorField, frame: Frame) -> DyadSpino
     gamma, gamma_t = connection_matrices(frame.coeffs)
     ops = frame.ops
     n = len(field.indices)
-    out: dict[tuple[int, ...], RationalFunction] = {}
+    out: dict[tuple[int, ...], Value] = {}
     for B, Bp in product((0, 1), repeat=2):
         op = DIR_OF[(B, Bp)]
         for key in product((0, 1), repeat=n):
@@ -507,7 +503,7 @@ def first_form_residuals(frame: Frame):
     Requires unit normalization (chi * chi_t = 1).
     """
     t = frame.tetrad
-    if t.chi * t.chi_t != RationalFunction(ONE):
+    if t.chi * t.chi_t != ONE:
         raise InputError("first-form expansion requires unit normalization")
     mt = frame.metric
     s = frame.coeffs
@@ -522,7 +518,7 @@ def first_form_residuals(frame: Frame):
         return [[P[a_] * Q[b_] - P[b_] * Q[a_] for b_ in range(4)] for a_ in range(4)]
 
     def expand(terms):
-        out = [[as_rf(ZERO) for _ in range(4)] for _ in range(4)]
+        out = [[ZERO] * 4 for _ in range(4)]
         for coeff, grid in terms:
             if coeff.is_zero:
                 continue

@@ -10,19 +10,19 @@ layer stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DegenerateTetradError, InputError
-from .poly import HALF, ONE, ZERO, Poly, RationalFunction, as_rf
+from .poly import HALF, ONE, ZERO, Poly, Value, _as_poly
 
-Vector = tuple[RationalFunction, RationalFunction, RationalFunction, RationalFunction]
+Vector = tuple[Value, Value, Value, Value]
 Matrix4 = tuple[tuple[Poly, ...], ...]
 
 COORDS = ("u", "v", "x", "y")
 
 
 def _vec(components) -> Vector:
-    out = tuple(as_rf(c) for c in components)
+    out = tuple(components)
     if len(out) != 4:
         raise ValueError("vectors have four components")
     return out
@@ -86,17 +86,17 @@ class MetricTensor:
 
     def lower(self, V: Vector) -> Vector:
         return _vec(
-            [sum((as_rf(self.g[a][b]) * V[b] for b in range(4)), as_rf(ZERO)) for a in range(4)]
+            [sum((self.g[a][b] * V[b] for b in range(4)), ZERO) for a in range(4)]
         )
 
-    def inner(self, V: Vector, W: Vector) -> RationalFunction:
-        total = as_rf(ZERO)
+    def inner(self, V: Vector, W: Vector) -> Value:
+        total = ZERO
         for a in range(4):
             for b in range(4):
                 entry = self.g[a][b]
                 if entry.is_zero:
                     continue
-                total = total + as_rf(entry) * V[a] * W[b]
+                total = total + entry * V[a] * W[b]
         return total
 
 
@@ -158,8 +158,8 @@ class Tetrad:
     n: Vector
     m: Vector
     mt: Vector
-    chi: RationalFunction = field(default_factory=lambda: as_rf(ONE))
-    chi_t: RationalFunction = field(default_factory=lambda: as_rf(ONE))
+    chi: Value = ONE
+    chi_t: Value = ONE
 
 
 def walker_tetrad(w: WalkerMetric) -> Tetrad:
@@ -177,14 +177,14 @@ def validate_tetrad(mt: MetricTensor, t: Tetrad) -> None:
     if unit.is_zero:
         raise DegenerateTetradError("chi * chi_t vanishes identically")
     pairs = [
-        (t.l, t.l, as_rf(ZERO)),
-        (t.n, t.n, as_rf(ZERO)),
-        (t.m, t.m, as_rf(ZERO)),
-        (t.mt, t.mt, as_rf(ZERO)),
-        (t.l, t.m, as_rf(ZERO)),
-        (t.l, t.mt, as_rf(ZERO)),
-        (t.n, t.m, as_rf(ZERO)),
-        (t.n, t.mt, as_rf(ZERO)),
+        (t.l, t.l, ZERO),
+        (t.n, t.n, ZERO),
+        (t.m, t.m, ZERO),
+        (t.mt, t.mt, ZERO),
+        (t.l, t.m, ZERO),
+        (t.l, t.mt, ZERO),
+        (t.n, t.m, ZERO),
+        (t.n, t.mt, ZERO),
         (t.l, t.n, unit),
         (t.m, t.mt, -unit),
     ]
@@ -223,7 +223,7 @@ def ivdw_symbols(w: WalkerMetric) -> IvdWSymbols:
 
 def vector_to_spinor_matrix(symbols: IvdWSymbols, V: Vector):
     """V^a -> V^{AA'} as a 2x2 matrix of rational functions."""
-    out = [[as_rf(ZERO), as_rf(ZERO)], [as_rf(ZERO), as_rf(ZERO)]]
+    out = [[ZERO, ZERO], [ZERO, ZERO]]
     for a in range(4):
         for A in range(2):
             for Ap in range(2):
@@ -237,13 +237,13 @@ def vector_to_spinor_matrix(symbols: IvdWSymbols, V: Vector):
 def spinor_matrix_to_vector(symbols: IvdWSymbols, M) -> Vector:
     comps = []
     for a in range(4):
-        total = as_rf(ZERO)
+        total = ZERO
         for A in range(2):
             for Ap in range(2):
                 entry = symbols.down[a][A][Ap]
                 if entry.is_zero:
                     continue
-                total = total + as_rf(M[A][Ap]) * entry
+                total = total + M[A][Ap] * entry
         comps.append(total)
     return _vec(comps)
 
@@ -260,7 +260,7 @@ def covariant_derivative_vector(ch: Christoffel, V: Vector):
                 coeff = ch.gamma[a][b][c]
                 if coeff.is_zero or V[c].is_zero:
                     continue
-                total = total + as_rf(coeff) * V[c]
+                total = total + coeff * V[c]
             row.append(total)
         out.append(tuple(row))
     return tuple(out)
@@ -270,7 +270,7 @@ def directional_vector_derivative(nabla, W: Vector) -> Vector:
     """Contract a covariant derivative grid with a direction vector W^b."""
     comps = []
     for a in range(4):
-        total = as_rf(ZERO)
+        total = ZERO
         for b in range(4):
             if W[b].is_zero:
                 continue
@@ -286,12 +286,11 @@ class DirectionalOps:
     """
 
     def __init__(self, t: Tetrad):
-        self._dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
+        self.dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
 
-    def apply(self, name: str, f) -> RationalFunction:
-        vec = self._dirs[name]
-        f = as_rf(f)
-        total = as_rf(ZERO)
+    def apply(self, name: str, f: Value) -> Value:
+        vec = self.dirs[name]
+        total = ZERO
         for b in range(4):
             if vec[b].is_zero:
                 continue
@@ -320,18 +319,18 @@ def tetrad_transform(t: Tetrad, lam, lam_t, mu, mu_t) -> Tetrad:
     terms, and m, mt mix accordingly.  lam and lam_t must be invertible
     (not identically zero); mu, mu_t are unrestricted.
     """
-    lam, lam_t, mu, mu_t = as_rf(lam), as_rf(lam_t), as_rf(mu), as_rf(mu_t)
+    lam, lam_t, mu, mu_t = map(_as_poly, (lam, lam_t, mu, mu_t))
     if lam.is_zero or lam_t.is_zero:
         raise InputError("lam and lam_t must not vanish identically")
     ll = lam * lam_t
-    inv_ll = RationalFunction(ONE) / ll
-    inv_lam = RationalFunction(ONE) / lam
-    inv_lam_t = RationalFunction(ONE) / lam_t
+    inv_ll = ONE / ll
+    inv_lam = ONE / lam
+    inv_lam_t = ONE / lam_t
 
     def comb(*pairs) -> Vector:
         comps = []
         for i in range(4):
-            total = as_rf(ZERO)
+            total = ZERO
             for coeff, vec in pairs:
                 if vec[i].is_zero:
                     continue
@@ -352,11 +351,11 @@ def scale_normalization(t: Tetrad, f, f_t) -> Tetrad:
     Unlike tetrad_transform this leaves the normalization scalars non-unit,
     which exercises the derivative terms in the coefficient extraction.
     """
-    f, f_t = as_rf(f), as_rf(f_t)
+    f, f_t = _as_poly(f), _as_poly(f_t)
     if f.is_zero or f_t.is_zero:
         raise InputError("scale factors must not vanish identically")
 
-    def scale(vec: Vector, factor: RationalFunction) -> Vector:
+    def scale(vec: Vector, factor: Value) -> Vector:
         return _vec([factor * comp for comp in vec])
 
     return Tetrad(

@@ -344,3 +344,22 @@ def test_criterion_10_null_geometry_checkers():
     curv = walker_curvature_components(rich, frame)
     assert not all(curv.psi_t(k) == RF_ZERO for k in range(5))
     assert multiple_spinor_differential_test(pi, 2, curv, frame).is_zero
+
+
+def test_canonical_values_are_polys():
+    """On every corpus metric each value the canonical frame and its
+    curvature hold is a Poly: no polynomial is wrapped as a quotient."""
+    metrics, _ = corpus()
+    for w in metrics:
+        an = Analysis(w)
+        t, s, curv = an.frame.tetrad, an.frame.coeffs, an.curvature
+        values = {name: s.get(name) for name in COEFF_NAMES}
+        values.update((f"Psi{k}", curv.psi(k)) for k in range(5))
+        values.update((f"PsiT{k}", curv.psi_t(k)) for k in range(5))
+        values.update((f"Phi{i}{j}", curv.Phi[i][j]) for i in range(3) for j in range(3))
+        values.update({"Lambda": curv.Lambda, "Pi": curv.Pi, "S": curv.S})
+        for leg in ("l", "n", "m", "mt"):
+            values.update((f"{leg}[{a}]", c) for a, c in enumerate(getattr(t, leg)))
+        values.update({"chi": t.chi, "chi_t": t.chi_t})
+        for name, value in values.items():
+            assert type(value) is Poly, (name, w)

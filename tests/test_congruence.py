@@ -321,6 +321,11 @@ class TestCurvatureFreeSolution:
         with pytest.raises(InputError):
             curvature_free_solution(((1, 0, 0), (0, 1, 0)), 1)
 
+    @pytest.mark.parametrize("m0", [5, (1, 2), None])
+    def test_rejects_non_iterable(self, m0):
+        with pytest.raises(InputError):
+            curvature_free_solution(m0, 1)
+
 
 class TestSpecialFlows:
     def test_quarter_turn(self):
@@ -440,7 +445,9 @@ class TestShapes:
 
     @pytest.mark.parametrize(
         "vals",
-        [(math.inf, 0, 0, 0), (0.0, math.nan, 0, 0), (1.0, 0, 10**400, 0), (10**400, 0, 0, 0)],
+        [(math.inf, 0, 0, 0), (0.0, math.nan, 0, 0), (1.0, 0, 10**400, 0), (10**400, 0, 0, 0),
+         # finite floats whose half-sums or squares overflow
+         (1e308, 1e308, 0.0, 0.0), (1e200, 0, 1e200, 1e200)],
     )
     def test_unrepresentable_data_is_input_error(self, vals):
         with pytest.raises(InputError):

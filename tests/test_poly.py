@@ -384,13 +384,34 @@ class TestRationalFunction:
             f / RationalFunction(Poly.zero())
 
     def test_polynomial_fast_path(self):
-        p = RationalFunction(parse_poly("u^2 - v"))
-        assert p.is_polynomial
-        assert p.as_poly() == parse_poly("u^2 - v")
-        q = RationalFunction(parse_poly("u"), parse_poly("v"))
-        assert not q.is_polynomial
-        with pytest.raises(ValueError):
-            q.as_poly()
+        """Arithmetic whose denominator normalizes to a constant returns a
+        Poly; a denominator that survives stays a RationalFunction."""
+        u, v = parse_poly("u"), parse_poly("v")
+        p = parse_poly("u^2 - v")
+        wrapped = RationalFunction(p)
+        f = RationalFunction(u * u, v)
+        cases = {
+            "wrapped + 1": (wrapped + 1, p + 1),
+            "v - wrapped": (v - wrapped, v - p),
+            "2 * wrapped": (2 * wrapped, 2 * p),
+            "wrapped * u": (wrapped * u, p * u),
+            "wrapped / 2": (wrapped / 2, p * Fraction(1, 2)),
+            "-wrapped": (-wrapped, -p),
+            "wrapped ** 2": (wrapped**2, p * p),
+            "d/du wrapped": (wrapped.diff("u"), 2 * u),
+            "f - f": (f - f, Poly.zero()),
+            "f * 0": (f * 0, Poly.zero()),
+            "d/dx f": (f.diff("x"), Poly.zero()),
+            "u / -2": (u / Poly.const(-2), u * Fraction(-1, 2)),
+            "u / (3/2)": (u / Poly.const(Fraction(3, 2)), u * Fraction(2, 3)),
+        }
+        for label, (got, want) in cases.items():
+            assert type(got) is Poly, label
+            assert got == want, label
+        q = u / (2 * v)
+        assert type(q) is RationalFunction
+        assert q.den == v and q.num == u * Fraction(1, 2)
+        assert q * v == u * Fraction(1, 2)
 
     def test_diff_quotient_rule(self):
         u = Poly.variable("u")

@@ -299,6 +299,27 @@ def test_transform_coefficients_second_dyad():
     )
 
 
+@pytest.mark.parametrize(
+    "params",
+    [("1+u", "1", "x", "0"), ("1", "1", "x", "y"), ("1+x", "1", "0", "y"), ("1+u", "1+v", "0", "0")],
+)
+def test_transform_quotients_keep_their_denominators(params):
+    """Every RationalFunction of a transformed frame, coefficient or tetrad
+    leg, has a nonconstant denominator; every other value is a Poly."""
+    w = WalkerMetric(a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y"))
+    coeffs, t = transform_coefficients(Frame.walker(w), *map(parse_poly, params))
+    values = [coeffs.get(name) for name in COEFF_NAMES]
+    values += [*t.l, *t.n, *t.m, *t.mt, t.chi, t.chi_t]
+    for value in values:
+        if isinstance(value, RationalFunction):
+            assert value.den.constant_value() is None, value
+        else:
+            assert type(value) is Poly, value
+    # constant lam and lam_t leave no denominator at all
+    quotients = [value for value in values if isinstance(value, RationalFunction)]
+    assert (not quotients) == (params[:2] == ("1", "1"))
+
+
 def test_transform_rejects_vanishing_scale():
     w = sample_metrics(1, seed=112)[0]
     frame = extraction_frame(w)
