@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, ZERO, Poly, Value
+from .poly import HALF, ONE, ZERO, Poly, Value, dot
 from .spincoeff import (
     Frame,
     prime,
@@ -30,6 +30,7 @@ from .walker import (
     MetricTensor,
     Tetrad,
     WalkerMetric,
+    bilinear,
 )
 
 THIRD = Fraction(1, 3)
@@ -57,11 +58,7 @@ def ricci_tensor(ch: Christoffel):
 
 
 def scalar_curvature(mt: MetricTensor, ricci) -> Poly:
-    total = Poly.zero()
-    for b in range(4):
-        for d in range(4):
-            total = total + mt.ginv[b][d] * ricci[b][d]
-    return total
+    return dot((mt.ginv[b][d], ricci[b][d]) for b in range(4) for d in range(4))
 
 
 @dataclass(frozen=True)
@@ -89,13 +86,7 @@ def riemann(mt: MetricTensor, ch: Christoffel) -> RiemannData:
     lowered = tuple(
         tuple(
             tuple(
-                tuple(
-                    sum(
-                        (mt.g[a][e] * up[e][b][c][d] for e in range(4)),
-                        Poly.zero(),
-                    )
-                    for d in range(4)
-                )
+                tuple(dot((mt.g[a][e], up[e][b][c][d]) for e in range(4)) for d in range(4))
                 for c in range(4)
             )
             for b in range(4)
@@ -131,14 +122,11 @@ def bianchi_contracted_residual(mt: MetricTensor, ch: Christoffel, ricci, scalar
                 for d in range(4):
                     entry = entry - g[d][a][b] * ricci[d][c] - g[d][a][c] * ricci[b][d]
                 nabla[a][b][c] = entry
-    out = []
-    for b in range(4):
-        entry = Poly.zero()
-        for a in range(4):
-            for e in range(4):
-                entry = entry + mt.ginv[a][e] * nabla[e][a][b]
-        out.append(entry - scalar.diff(COORDS[b]) * HALF)
-    return tuple(out)
+    return tuple(
+        dot((mt.ginv[a][e], nabla[e][a][b]) for a in range(4) for e in range(4))
+        - scalar.diff(COORDS[b]) * HALF
+        for b in range(4)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +316,7 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
     ]
 
     def pairing(V, W):
-        total = ZERO
-        for a in range(4):
-            if V[a].is_zero:
-                continue
-            for b_ in range(4):
-                entry = phi_ab[a][b_]
-                if entry.is_zero:
-                    continue
-                total = total + entry * V[a] * W[b_]
-        return total
+        return bilinear(phi_ab, V, W)
 
     l, n, m, mtld = t.l, t.n, t.m, t.mt
     phi11 = pairing(l, n)
@@ -552,14 +531,7 @@ def commutator_residuals_from_fields(fields, f):
     """The six residuals of ``commutator_residuals(frame, f)``, derived from
     ``fields = commutator_vector_fields(frame)`` as sum_i V^i * df/dx^i."""
     grad = [f.diff(name) for name in COORDS]
-    out = {}
-    for key, comps in fields.items():
-        total = ZERO
-        for comp, df in zip(comps, grad):
-            if not (comp.is_zero or df.is_zero):
-                total = total + comp * df
-        out[key] = total
-    return out
+    return {key: dot(zip(comps, grad)) for key, comps in fields.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property
 from .curvature import Analysis
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, QUARTER, Poly, VARIABLES, ZERO
-from .walker import WalkerMetric, aligned_ricci_residuals
+from .walker import WalkerMetric, aligned_ricci_residuals, read_spec
 
 _U = Poly.parse("u")
 _V = Poly.parse("v")
@@ -55,35 +55,8 @@ class HeavenlyPotential:
 
     @classmethod
     def from_dict(cls, data) -> "HeavenlyPotential":
-        if not isinstance(data, dict):
-            raise InputError("potential specification must be a JSON object")
-        missing = [k for k in _ALLOWED if k not in data]
-        if missing:
-            raise InputError(f"potential specification missing keys: {missing}")
-        unknown = sorted(set(data) - set(_ALLOWED) - {"label"})
-        if unknown:
-            raise InputError(f"potential specification has unknown keys: {unknown}")
-        parsed = {}
-        for key in _ALLOWED:
-            text = data[key]
-            if not isinstance(text, str):
-                raise InputError(f"potential field {key!r} must be a string")
-            try:
-                parsed[key] = Poly.parse(text)
-            except ValueError as err:
-                raise InputError(f"bad polynomial for {key!r}: {err}") from err
-        label = data.get("label", "")
-        if not isinstance(label, str):
-            raise InputError("label must be a string")
-        return cls(
-            theta=parsed["theta"],
-            f=parsed["f"],
-            g=parsed["g"],
-            F=parsed["F"],
-            G=parsed["G"],
-            h=parsed["h"],
-            label=label,
-        )
+        parsed, label = read_spec(data, "potential", "potential field", _ALLOWED)
+        return cls(**parsed, label=label)
 
     # the layers every check reads, each built once per potential
     @cached_property

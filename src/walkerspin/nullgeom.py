@@ -16,7 +16,7 @@ from math import comb
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import InputError, InternalInconsistencyError
-from .poly import ONE, ZERO, Value, _as_poly
+from .poly import ONE, ZERO, Value, _as_poly, dot
 from .spincoeff import (
     DIR_OF,
     DN,
@@ -30,7 +30,12 @@ from .spincoeff import (
     lower_index,
     raise_index,
 )
-from .walker import COORDS, WalkerMetric, aligned_ricci_residuals, tetrad_covectors
+from .walker import (
+    WalkerMetric,
+    aligned_ricci_residuals,
+    exterior_derivative,
+    tetrad_covectors,
+)
 
 
 @dataclass(frozen=True)
@@ -73,17 +78,19 @@ def integrability_residual(pi: PrimedSpinor, frame: Frame) -> DyadSpinorField:
     copies of itself.  Zero also characterizes the planes as recurrent
     along themselves."""
     pi_up = pi.field()
-    pi_low = lower_index(pi_up, 0)
-    dpi = dyad_covariant_derivative(pi_up, frame)
-    comps = {}
-    for B in (0, 1):
-        total = ZERO
-        for bp in (0, 1):
-            for c in (0, 1):
-                total = total + (
-                    (pi.p, pi.q)[bp] * pi_low.component(c) * dpi.component(B, bp, c)
-                )
-        comps[(B,)] = total
+    return _integrability(pi, lower_index(pi_up, 0), dyad_covariant_derivative(pi_up, frame))
+
+
+def _integrability(pi: PrimedSpinor, pi_low, dpi) -> DyadSpinorField:
+    """``integrability_residual`` from the lowered field and its derivative."""
+    comps = {
+        (B,): dot(
+            ((pi.p, pi.q)[bp] * pi_low.component(c), dpi.component(B, bp, c))
+            for bp in (0, 1)
+            for c in (0, 1)
+        )
+        for B in (0, 1)
+    }
     return DyadSpinorField((DN,), comps)
 
 
@@ -112,25 +119,24 @@ class RecurrenceForms:
         return all(v.is_zero for v in self.s_form.values())
 
 
-def _covector_from_pairs(vals: dict, frame: Frame) -> tuple:
-    """Coordinate components from dyad-pair components, valid for
-    unit-normalized tetrads."""
-    covs = tetrad_covectors(frame.metric, frame.tetrad)
-    l_dn, n_dn, m_dn, mt_dn = covs
-    out = []
-    for a in range(4):
-        out.append(
-            vals[(1, 1)] * l_dn[a]
-            + vals[(0, 0)] * n_dn[a]
-            - vals[(1, 0)] * m_dn[a]
-            - vals[(0, 1)] * mt_dn[a]
-        )
-    return tuple(out)
+def _covector_from_pairs(vals: dict, covs) -> tuple:
+    """Coordinate components from dyad-pair components over the tetrad
+    covectors ``covs``, valid for unit-normalized tetrads."""
+    weights = (vals[(1, 1)], vals[(0, 0)], -vals[(1, 0)], -vals[(0, 1)])
+    return tuple(dot(zip(weights, legs)) for legs in zip(*covs))
 
 
 def recurrence_forms(
     pi: PrimedSpinor, frame: Frame, check_integrable: bool = True
 ) -> RecurrenceForms:
+    return _recurrence(pi, frame, check_integrable)[0]
+
+
+def _recurrence(
+    pi: PrimedSpinor, frame: Frame, check_integrable: bool
+) -> tuple[RecurrenceForms, DyadSpinorField]:
+    """``recurrence_forms`` and ``integrability_residual`` of the field,
+    from one covariant derivative of it."""
     pi_up = pi.field()
     pi_low = lower_index(pi_up, 0)
     dpi = dyad_covariant_derivative(pi_up, frame)
@@ -139,31 +145,21 @@ def recurrence_forms(
     s_vals = {}
     t_vals = {}
     for pair in product((0, 1), repeat=2):
-        s_vals[pair] = sum(
-            (pi_low.component(c) * dpi.component(*pair, c) for c in (0, 1)),
-            ZERO,
-        )
-        t_vals[pair] = sum(
-            (pi_up.component(b) * dpi_low.component(pair[0], b, pair[1])
-             for b in (0, 1)),
-            ZERO,
+        s_vals[pair] = dot((pi_low.component(c), dpi.component(*pair, c)) for c in (0, 1))
+        t_vals[pair] = dot(
+            (pi_up.component(b), dpi_low.component(pair[0], b, pair[1])) for b in (0, 1)
         )
 
-    if check_integrable:
-        integ = integrability_residual(pi, frame)
-        if not integ.is_zero:
-            raise InputError(
-                "direction field is not surface-forming; its recurrence "
-                "covectors do not factor over the field"
-            )
+    integ = _integrability(pi, pi_low, dpi)
+    if check_integrable and not integ.is_zero:
+        raise InputError(
+            "direction field is not surface-forming; its recurrence "
+            "covectors do not factor over the field"
+        )
 
     xi = pi.dual()
-    omega = tuple(
-        sum((s_vals[(A, a)] * xi[a] for a in (0, 1)), ZERO) for A in (0, 1)
-    )
-    eta = tuple(
-        sum((t_vals[(A, a)] * xi[a] for a in (0, 1)), ZERO) for A in (0, 1)
-    )
+    omega = tuple(dot((s_vals[(A, a)], xi[a]) for a in (0, 1)) for A in (0, 1))
+    eta = tuple(dot((t_vals[(A, a)], xi[a]) for a in (0, 1)) for A in (0, 1))
     div = tuple(
         sum((dpi.component(A, d, d) for d in (0, 1)), ZERO) for A in (0, 1)
     )
@@ -177,20 +173,19 @@ def recurrence_forms(
     # symmetric object, hence identically zero; a nonzero value would
     # mean broken index algebra.
     raised = raise_index(raise_index(dpi, 0), 1)
-    square = ZERO
-    for key in product((0, 1), repeat=3):
-        square = square + dpi_low.component(*key) * raised.component(*key)
+    square = dot((dpi_low.comps[key], raised.comps[key]) for key in product((0, 1), repeat=3))
     if not square.is_zero:
         raise InternalInconsistencyError("derivative square failed to vanish")
 
     eta_up = (eta[1], -eta[0])
-    pairing = 2 * (eta_up[0] * omega[0] + eta_up[1] * omega[1])
+    pairing = 2 * dot(zip(eta_up, omega))
 
-    unit = frame.tetrad.chi * frame.tetrad.chi_t == ONE
-    s_one = _covector_from_pairs(s_vals, frame) if unit else None
-    t_one = _covector_from_pairs(t_vals, frame) if unit else None
+    s_one = t_one = None
+    if frame.tetrad.chi * frame.tetrad.chi_t == ONE:
+        covs = tetrad_covectors(frame.metric, frame.tetrad)
+        s_one, t_one = _covector_from_pairs(s_vals, covs), _covector_from_pairs(t_vals, covs)
 
-    return RecurrenceForms(
+    forms = RecurrenceForms(
         s_form=_pair_dict(s_vals),
         t_form=_pair_dict(t_vals),
         omega=omega,
@@ -200,6 +195,7 @@ def recurrence_forms(
         t_one_form=t_one,
         pairing=pairing,
     )
+    return forms, integ
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +206,16 @@ def recurrence_forms(
 def weyl_quartic(pi: PrimedSpinor, curv: CurvatureSpinors) -> Value:
     """Full contraction of the second quartic family with the field;
     zero exactly when the field is a principal direction."""
-    total = ZERO
-    for k in range(5):
-        total = total + comb(4, k) * curv.psi_t(k) * pi.p ** (4 - k) * pi.q**k
-    return total
+    return dot((comb(4, k) * curv.psi_t(k), pi.p ** (4 - k) * pi.q**k) for k in range(5))
 
 
 def principal_spinor_residual(pi: PrimedSpinor, curv: CurvatureSpinors) -> tuple:
     """Triple contraction; both components vanish exactly when the field
     is a repeated root of the quartic."""
-    out = []
-    for i in (0, 1):
-        total = ZERO
-        for j in range(4):
-            total = total + comb(3, j) * curv.psi_t(j + i) * pi.p ** (3 - j) * pi.q**j
-        out.append(total)
-    return tuple(out)
+    return tuple(
+        dot((comb(3, j) * curv.psi_t(j + i), pi.p ** (3 - j) * pi.q**j) for j in range(4))
+        for i in (0, 1)
+    )
 
 
 def _psi_t_field(curv: CurvatureSpinors) -> DyadSpinorField:
@@ -238,19 +228,11 @@ def _psi_t_field(curv: CurvatureSpinors) -> DyadSpinorField:
 def _contract_primed(field: DyadSpinorField, pos: int, pi: PrimedSpinor) -> DyadSpinorField:
     if field.indices[pos] != DN_P:
         raise InputError("can only contract the field onto a lower primed index")
-    comps_pi = (pi.p, pi.q)
-    keep = [i for i in range(len(field.indices)) if i != pos]
-    indices = tuple(field.indices[i] for i in keep)
-    comps = {}
-    for key in product((0, 1), repeat=len(indices)):
-        total = ZERO
-        for i in (0, 1):
-            full = [0] * len(field.indices)
-            for slot, value in zip(keep, key):
-                full[slot] = value
-            full[pos] = i
-            total = total + comps_pi[i] * field.comps[tuple(full)]
-        comps[key] = total
+    indices = field.indices[:pos] + field.indices[pos + 1:]
+    comps = {
+        key: dot(zip((pi.p, pi.q), (field.comps[key[:pos] + (i,) + key[pos:]] for i in (0, 1))))
+        for key in product((0, 1), repeat=len(indices))
+    }
     return DyadSpinorField(indices, comps)
 
 
@@ -298,13 +280,10 @@ def ricci_conditions(
     for i in range(3):
         for k in (0, 1):
             single[(i, k)] = pi.p * curv.Phi[i][k] + pi.q * curv.Phi[i][k + 1]
-    double = []
-    for i in range(3):
-        total = ZERO
-        for j in range(3):
-            total = total + comb(2, j) * curv.Phi[i][j] * pi.p ** (2 - j) * pi.q**j
-        double.append(total)
-    double = tuple(double)
+    double = tuple(
+        dot((comb(2, j) * curv.Phi[i][j], pi.p ** (2 - j) * pi.q**j) for j in range(3))
+        for i in range(3)
+    )
     is_null = all(v.is_zero for v in single.values())
     is_aligned = all(v.is_zero for v in double)
     if is_null and not is_aligned:
@@ -388,10 +367,7 @@ def frobenius_residual(cov) -> dict:
     cov = tuple(_as_poly(c) for c in cov)
     if len(cov) != 4:
         raise InputError("covector must have four components")
-    d = [
-        [cov[b].diff(COORDS[a]) - cov[a].diff(COORDS[b]) for b in range(4)]
-        for a in range(4)
-    ]
+    d = exterior_derivative(cov)
     out = {}
     for a in range(4):
         for b in range(a + 1, 4):
@@ -561,8 +537,7 @@ def distribution_report(an: Analysis) -> DistributionReport:
     w, frame, curv = an.w, an.frame, an.curvature
     s = frame.coeffs
     pi = primed_spinor(ONE, ZERO)
-    integ = integrability_residual(pi, frame)
-    rec = recurrence_forms(pi, frame, check_integrable=False)
+    rec, integ = _recurrence(pi, frame, check_integrable=False)
     coeff_res = relation_suite(s, "distribution-parallel")
     coeff_zero = all(v.is_zero for v in coeff_res.values())
     if rec.s_form_vanishes != coeff_zero:

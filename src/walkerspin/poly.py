@@ -24,6 +24,13 @@ every ``RationalFunction`` operation go through ``_quotient``, which makes
 a quotient only when the normalized denominator is not constant.
 Denominators are not reduced by polynomial gcd; equality with a quotient
 goes through cross-multiplication.
+
+``dot`` is the one sum of products: it adds x * y over its pairs, left to
+right after its start term, and skips a pair with a zero factor.  A sum of
+quotients depends on its order through the equal-denominator shortcut of
+``_sum``, so each caller lists its terms in one fixed order; a skipped term
+changes nothing, since zero times anything is ``ZERO`` and a quotient plus
+``ZERO`` keeps its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -604,6 +611,16 @@ def _as_poly(value):
     if isinstance(value, (Poly, RationalFunction)):
         return value
     return Poly.const(value)
+
+
+def dot(pairs, start=ZERO):
+    """start + sum of x * y over the pairs (x, y) whose factors are both
+    nonzero, added left to right."""
+    total = start
+    for x, y in pairs:
+        if not (x.is_zero or y.is_zero):
+            total = total + x * y
+    return total
 
 
 def _quotient(num: Poly, den: Poly):

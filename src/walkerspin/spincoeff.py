@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, QUARTER, ZERO, Value, _as_poly
+from .poly import HALF, ONE, QUARTER, ZERO, Value, _as_poly, dot
 from .walker import (
-    COORDS,
     Christoffel,
     DirectionalOps,
     MetricTensor,
@@ -26,6 +25,7 @@ from .walker import (
     christoffel,
     covariant_derivative_vector,
     directional_vector_derivative,
+    exterior_derivative,
     tetrad_covectors,
     tetrad_transform,
     validate_tetrad,
@@ -474,20 +474,14 @@ def dyad_covariant_derivative(field: DyadSpinorField, frame: Frame) -> DyadSpino
     for B, Bp in product((0, 1), repeat=2):
         op = DIR_OF[(B, Bp)]
         for key in product((0, 1), repeat=n):
-            total = ops.apply(op, field.comps[key])
+            terms = []
             for pos, kind in enumerate(field.indices):
                 i = key[pos]
                 mat = gamma[op] if kind in (UP, DN) else gamma_t[op]
                 for j in (0, 1):
-                    other = key[:pos] + (j,) + key[pos + 1:]
-                    if kind in (UP, UP_P):
-                        coeff = mat[i][j]
-                    else:
-                        coeff = -mat[j][i]
-                    if coeff.is_zero:
-                        continue
-                    total = total + coeff * field.comps[other]
-            out[(B, Bp) + key] = total
+                    coeff = mat[i][j] if kind in (UP, UP_P) else -mat[j][i]
+                    terms.append((coeff, field.comps[key[:pos] + (j,) + key[pos + 1:]]))
+            out[(B, Bp) + key] = dot(terms, ops.apply(op, field.comps[key]))
     return DyadSpinorField((DN, DN_P) + field.indices, out)
 
 
@@ -508,24 +502,14 @@ def first_form_residuals(frame: Frame):
     mt = frame.metric
     s = frame.coeffs
 
-    def d(cov):
-        return [
-            [cov[b_].diff(COORDS[a_]) - cov[a_].diff(COORDS[b_]) for b_ in range(4)]
-            for a_ in range(4)
-        ]
-
     def wedge(P, Q):
         return [[P[a_] * Q[b_] - P[b_] * Q[a_] for b_ in range(4)] for a_ in range(4)]
 
     def expand(terms):
-        out = [[ZERO] * 4 for _ in range(4)]
-        for coeff, grid in terms:
-            if coeff.is_zero:
-                continue
-            for a_ in range(4):
-                for b_ in range(4):
-                    out[a_][b_] = out[a_][b_] + coeff * grid[a_][b_]
-        return out
+        return [
+            [dot((coeff, grid[a_][b_]) for coeff, grid in terms) for b_ in range(4)]
+            for a_ in range(4)
+        ]
 
     def residual(t, s, leg):
         """d of the covector of leg l or m minus its expansion."""
@@ -550,7 +534,7 @@ def first_form_residuals(frame: Frame):
                 (-(s.rho + s.epsilon + s.gamma_tp), mn),
                 (-s.sigma, mtn),
             ]
-        direct, expected = d(cov), expand(terms)
+        direct, expected = exterior_derivative(cov), expand(terms)
         return [[direct[a_][b_] - expected[a_][b_] for b_ in range(4)] for a_ in range(4)]
 
     return {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateTetradError, InputError
-from .poly import HALF, ONE, ZERO, Poly, Value, _as_poly
+from .poly import HALF, ONE, ZERO, Poly, Value, _as_poly, dot
 
 Vector = tuple[Value, Value, Value, Value]
 Matrix4 = tuple[tuple[Poly, ...], ...]
@@ -28,6 +28,36 @@ def _vec(components) -> Vector:
     return out
 
 
+def read_spec(data, kind: str, noun: str, keys) -> tuple[dict[str, Poly], str]:
+    """The polynomials named by ``keys`` and the optional label of a JSON
+    specification object; anything else is an InputError.  The label is
+    printed as is in reports, so it must be printable text: a line break
+    in it could forge a report line."""
+    if not isinstance(data, dict):
+        raise InputError(f"{kind} specification must be a JSON object")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise InputError(f"{kind} specification missing keys: {missing}")
+    unknown = sorted(set(data) - set(keys) - {"label"})
+    if unknown:
+        raise InputError(f"{kind} specification has unknown keys: {unknown}")
+    parsed = {}
+    for key in keys:
+        text = data[key]
+        if not isinstance(text, str):
+            raise InputError(f"{noun} {key!r} must be a string")
+        try:
+            parsed[key] = Poly.parse(text)
+        except ValueError as err:
+            raise InputError(f"bad polynomial for {key!r}: {err}") from err
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise InputError("label must be a string")
+    if not label.isprintable():
+        raise InputError("label must be printable text, without line breaks or control characters")
+    return parsed, label
+
+
 @dataclass(frozen=True)
 class WalkerMetric:
     """The three metric functions, plus an optional display label."""
@@ -39,27 +69,8 @@ class WalkerMetric:
 
     @classmethod
     def from_dict(cls, data) -> "WalkerMetric":
-        if not isinstance(data, dict):
-            raise InputError("metric specification must be a JSON object")
-        missing = [k for k in ("a", "b", "c") if k not in data]
-        if missing:
-            raise InputError(f"metric specification missing keys: {missing}")
-        unknown = sorted(set(data) - {"a", "b", "c", "label"})
-        if unknown:
-            raise InputError(f"metric specification has unknown keys: {unknown}")
-        parsed = {}
-        for key in ("a", "b", "c"):
-            text = data[key]
-            if not isinstance(text, str):
-                raise InputError(f"metric function {key!r} must be a string")
-            try:
-                parsed[key] = Poly.parse(text)
-            except ValueError as err:
-                raise InputError(f"bad polynomial for {key!r}: {err}") from err
-        label = data.get("label", "")
-        if not isinstance(label, str):
-            raise InputError("label must be a string")
-        return cls(parsed["a"], parsed["b"], parsed["c"], label)
+        parsed, label = read_spec(data, "metric", "metric function", ("a", "b", "c"))
+        return cls(**parsed, label=label)
 
     def to_dict(self) -> dict:
         out = {"a": str(self.a), "b": str(self.b), "c": str(self.c)}
@@ -85,19 +96,20 @@ class MetricTensor:
     ginv: Matrix4
 
     def lower(self, V: Vector) -> Vector:
-        return _vec(
-            [sum((self.g[a][b] * V[b] for b in range(4)), ZERO) for a in range(4)]
-        )
+        return _vec(dot(zip(row, V)) for row in self.g)
 
     def inner(self, V: Vector, W: Vector) -> Value:
-        total = ZERO
-        for a in range(4):
-            for b in range(4):
-                entry = self.g[a][b]
-                if entry.is_zero:
-                    continue
-                total = total + entry * V[a] * W[b]
-        return total
+        return bilinear(self.g, V, W)
+
+
+def bilinear(form: Matrix4, V: Vector, W: Vector) -> Value:
+    """form_ab V^a W^b, summed as (form_ab V^a) W^b with b fastest."""
+    return dot(
+        (entry * V[a], W[b])
+        for a, row in enumerate(form)
+        for b, entry in enumerate(row)
+        if not entry.is_zero
+    )
 
 
 def assemble_metric(w: WalkerMetric) -> MetricTensor:
@@ -129,22 +141,19 @@ class Christoffel:
 def christoffel(mt: MetricTensor) -> Christoffel:
     g, ginv = mt.g, mt.ginv
     dg = [[[g[i][j].diff(COORDS[k]) for j in range(4)] for i in range(4)] for k in range(4)]
-    gamma = []
-    for k in range(4):
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                total = ZERO
-                for d in range(4):
-                    factor = ginv[k][d]
-                    if factor.is_zero:
-                        continue
-                    total = total + factor * (dg[i][d][j] + dg[j][d][i] - dg[d][i][j])
-                row.append(total * HALF)
-            rows.append(tuple(row))
-        gamma.append(tuple(rows))
-    return Christoffel(gamma=tuple(gamma))
+
+    def symbol(k, i, j):
+        # the bracket is formed only where the inverse metric is nonzero
+        return dot(
+            (factor, dg[i][d][j] + dg[j][d][i] - dg[d][i][j])
+            for d, factor in enumerate(ginv[k])
+            if not factor.is_zero
+        ) * HALF
+
+    gamma = tuple(
+        tuple(tuple(symbol(k, i, j) for j in range(4)) for i in range(4)) for k in range(4)
+    )
+    return Christoffel(gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -223,60 +232,31 @@ def ivdw_symbols(w: WalkerMetric) -> IvdWSymbols:
 
 def vector_to_spinor_matrix(symbols: IvdWSymbols, V: Vector):
     """V^a -> V^{AA'} as a 2x2 matrix of rational functions."""
-    out = [[ZERO, ZERO], [ZERO, ZERO]]
-    for a in range(4):
-        for A in range(2):
-            for Ap in range(2):
-                entry = symbols.up[a][A][Ap]
-                if entry.is_zero:
-                    continue
-                out[A][Ap] = out[A][Ap] + V[a] * entry
-    return tuple(tuple(row) for row in out)
+    return tuple(
+        tuple(dot((V[a], symbols.up[a][A][Ap]) for a in range(4)) for Ap in range(2))
+        for A in range(2)
+    )
 
 
 def spinor_matrix_to_vector(symbols: IvdWSymbols, M) -> Vector:
-    comps = []
-    for a in range(4):
-        total = ZERO
-        for A in range(2):
-            for Ap in range(2):
-                entry = symbols.down[a][A][Ap]
-                if entry.is_zero:
-                    continue
-                total = total + M[A][Ap] * entry
-        comps.append(total)
-    return _vec(comps)
+    return _vec(
+        dot((M[A][Ap], symbols.down[a][A][Ap]) for A in range(2) for Ap in range(2))
+        for a in range(4)
+    )
 
 
 def covariant_derivative_vector(ch: Christoffel, V: Vector):
     """nabla[b][a] = (d_b V^a) + Gamma^a_{bc} V^c, returned as a 4x4 grid."""
     V = _vec(V)
-    out = []
-    for b in range(4):
-        row = []
-        for a in range(4):
-            total = V[a].diff(COORDS[b])
-            for c in range(4):
-                coeff = ch.gamma[a][b][c]
-                if coeff.is_zero or V[c].is_zero:
-                    continue
-                total = total + coeff * V[c]
-            row.append(total)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(
+        tuple(dot(zip(ch.gamma[a][b], V), V[a].diff(COORDS[b])) for a in range(4))
+        for b in range(4)
+    )
 
 
 def directional_vector_derivative(nabla, W: Vector) -> Vector:
     """Contract a covariant derivative grid with a direction vector W^b."""
-    comps = []
-    for a in range(4):
-        total = ZERO
-        for b in range(4):
-            if W[b].is_zero:
-                continue
-            total = total + W[b] * nabla[b][a]
-        comps.append(total)
-    return _vec(comps)
+    return _vec(dot((W[b], nabla[b][a]) for b in range(4)) for a in range(4))
 
 
 class DirectionalOps:
@@ -289,13 +269,10 @@ class DirectionalOps:
         self.dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
 
     def apply(self, name: str, f: Value) -> Value:
-        vec = self.dirs[name]
-        total = ZERO
-        for b in range(4):
-            if vec[b].is_zero:
-                continue
-            total = total + vec[b] * f.diff(COORDS[b])
-        return total
+        # f is not differentiated along a coordinate the leg does not move
+        return dot(
+            (comp, f.diff(x)) for comp, x in zip(self.dirs[name], COORDS) if not comp.is_zero
+        )
 
     def D(self, f):
         return self.apply("D", f)
@@ -328,15 +305,7 @@ def tetrad_transform(t: Tetrad, lam, lam_t, mu, mu_t) -> Tetrad:
     inv_lam_t = ONE / lam_t
 
     def comb(*pairs) -> Vector:
-        comps = []
-        for i in range(4):
-            total = ZERO
-            for coeff, vec in pairs:
-                if vec[i].is_zero:
-                    continue
-                total = total + coeff * vec[i]
-            comps.append(total)
-        return _vec(comps)
+        return _vec(dot((coeff, vec[i]) for coeff, vec in pairs) for i in range(4))
 
     new_l = comb((ll, t.l))
     new_n = comb((inv_ll, t.n), (inv_lam * mu_t, t.mt), (mu * inv_lam_t, t.m), ((mu * mu_t), t.l))
@@ -371,3 +340,11 @@ def scale_normalization(t: Tetrad, f, f_t) -> Tetrad:
 def tetrad_covectors(mt: MetricTensor, t: Tetrad):
     """Lowered one-forms (l_a, n_a, m_a, mt_a)."""
     return mt.lower(t.l), mt.lower(t.n), mt.lower(t.m), mt.lower(t.mt)
+
+
+def exterior_derivative(cov) -> list[list[Value]]:
+    """(d omega)[a][b] = d_a omega_b - d_b omega_a of a covector field."""
+    return [
+        [cov[b].diff(COORDS[a]) - cov[a].diff(COORDS[b]) for b in range(4)]
+        for a in range(4)
+    ]

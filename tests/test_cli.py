@@ -23,6 +23,8 @@ from walkerspin.spincoeff import COEFF_NAMES, Frame
 FLAT = {"a": "0", "b": "0", "c": "0", "label": "flat"}
 CUBIC = {"a": "0", "b": "u^3", "c": "0"}
 MIXED = {"a": "u*v", "b": "x^3", "c": "u*y", "label": "mixed"}
+# a label that would print a FAIL line of its own
+FORGED = {"a": "u", "b": "v", "c": "x", "label": "x\nFAIL 3.4 a = 1"}
 UVX_POT = {"theta": "u*v*x", "f": "0", "g": "0", "F": "0", "G": "0", "h": "0"}
 QUARTIC_POT = {"theta": "1/4*u^2*v^2", "f": "0", "g": "0", "F": "0", "G": "0", "h": "0"}
 # a valid chain, but not scalar-flat: h = 1
@@ -335,6 +337,19 @@ class TestParser:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, data", [
+        (["analyze"], FORGED),
+        (["verify", "--suite", "relations"], FORGED),
+        (["classify"], FORGED),
+        (["heavenly"], {**UVX_POT, "label": "uvx\x1b[2J"}),
+    ], ids=["analyze", "verify", "classify", "heavenly"])
+    def test_label_must_be_printable(self, spec, capsys, argv, data):
+        """A label is printed as is, so one with a line break could print
+        a FAIL line under exit 0."""
+        code, out, err = run(capsys, argv[0], spec(data), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: label must be printable") and len(err.splitlines()) == 1
+
     def test_unknown_suite_value(self, spec, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", spec(FLAT), "--suite", "9.9"])
@@ -362,6 +377,11 @@ LAYERS = {
     "curvature": ("walker_curvature_components",),
     "heavenly": ("build_metric", "validate_potential", "invariants"),
 }
+# What one derivative of a direction field builds, counted beside LAYERS.
+FIELD_LAYERS = {
+    "spincoeff": ("dyad_covariant_derivative", "connection_matrices"),
+    "walker": ("tetrad_covectors",),
+}
 
 
 @pytest.fixture
@@ -377,7 +397,7 @@ def layer_counts(monkeypatch):
         return wrapper
 
     modules = [m for name, m in sys.modules.items() if name.startswith("walkerspin")]
-    for mod, names in LAYERS.items():
+    for mod, names in [*LAYERS.items(), *FIELD_LAYERS.items()]:
         for name in names:
             original = getattr(importlib.import_module(f"walkerspin.{mod}"), name)
             for m in modules:
@@ -408,6 +428,17 @@ def test_each_layer_built_once(spec, capsys, layer_counts, argv, built):
     assert {name: layer_counts[name] for name in names} == {
         name: built.get(name, 0) for name in names
     }
+
+
+def test_distribution_report_derives_the_field_once(spec, capsys, layer_counts):
+    """The integrability residual and the recurrence forms share one
+    derivative of the field, and the two one-forms one set of covectors;
+    the other derivative is of the lowered field, the other covector set
+    is read by the Frobenius test."""
+    code, _, _ = run(capsys, "analyze", spec(MIXED))
+    assert code == 0
+    names = [name for names in FIELD_LAYERS.values() for name in names]
+    assert {name: layer_counts[name] for name in names} == dict.fromkeys(names, 2)
 
 
 _monomial = st.builds(
@@ -447,16 +478,23 @@ _point = st.one_of(st.lists(_literal, min_size=3, max_size=5).map(",".join), st.
          point="0,0,0,0")
 @example(document=b'{"a": "0", "b": "0", "c": "0", "label": "\\ud800"}', point="0,0,0,0")
 @example(document=b'{"a": "u", "b": "v", "c": "x", "a": "y"}', point="1,2,3,4")
+@example(document=b'{"a": "u", "b": "v", "c": "x", "label": "x\\nFAIL 3.4 a = 1"}',
+         point="1,2,3,4")
 def test_metric_input_is_accepted_or_refused(tmp_path_factory, document, point):
     """Any metric file and --point is a report (exit 0) or one error line
-    (exit 2): never an internal error."""
+    (exit 2): never an internal error.  ``verify`` may also exit 1, exactly
+    when its report has a FAIL line."""
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_bytes(document)
-    for command in ("classify", "analyze"):
+    for argv in (["classify", f"--point={point}"], ["analyze", f"--point={point}"],
+                 ["verify", "--suite", "relations"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path), f"--point={point}"])
-        assert code in (0, 2), err.getvalue()
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), err.getvalue()
+        assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines())
+        failed = any(line.startswith("FAIL ") for line in out.getvalue().splitlines())
+        assert (code == 1) == failed, out.getvalue()
         if code == 2:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error:")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -497,3 +498,42 @@ def test_coefficient_set_helpers():
     r = tilde_relabel(s)
     assert r.kappa_t == s.kappa
     assert r.gamma_p == s.gamma_tp
+
+
+def _frame_digest(coeffs, t) -> str:
+    """SHA-256 of the printed coefficients and tetrad legs: it pins the
+    representative of every quotient, not just its value."""
+    values = [coeffs.get(name) for name in COEFF_NAMES]
+    values += [*t.l, *t.n, *t.m, *t.mt]
+    return hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
+
+
+_GOLDEN_TRANSFORMS = {
+    ("1+u", "1", "x", "0"):
+        "90c937a68f58c6554be7287297567b8a8c027ab9808a67ef8f5ba820dae0ba01",
+    ("1", "1", "x", "y"):
+        "b8400659f3397472c55bef1cb42262b448392d048c76ec954ef8cd7a88d88c92",
+    ("1+x", "1", "0", "y"):
+        "cac55f0a2795c53cabd792558fc49c2ed9dcbd0d75f010ed69ba8450f25635b7",
+    ("1+u", "1+v", "0", "0"):
+        "428e3c8b824c670e1634172ee50160713f30db844c5b38c3efa2c30a3b0acaef",
+}
+
+
+@pytest.mark.parametrize("params", list(_GOLDEN_TRANSFORMS))
+def test_transform_representatives_are_pinned(params):
+    """A sum of quotients depends on its order through the equal-denominator
+    shortcut, so these digests change if any contraction reorders its terms."""
+    w = WalkerMetric(a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y"))
+    coeffs, t = transform_coefficients(Frame.walker(w), *map(parse_poly, params))
+    assert _frame_digest(coeffs, t) == _GOLDEN_TRANSFORMS[params]
+
+
+def test_scaled_frame_representatives_are_pinned():
+    w = WalkerMetric(a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y"))
+    mt = assemble_metric(w)
+    t = scale_normalization(walker_tetrad(w), parse_poly("1+u"), ONE)
+    coeffs = spin_coefficients_from_tetrad(christoffel(mt), t, mt)
+    assert _frame_digest(coeffs, t) == (
+        "416349969e87e0cb4da045c0ba7732f389cbb2926b08084802bf01c067e86593"
+    )
