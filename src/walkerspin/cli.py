@@ -227,10 +227,9 @@ def _suite_items(name: str, frame: Frame, curv):
         return [("3.1", run_commutators)]
     if name == "bianchi":
         def run_bianchi():
-            ch = christoffel(frame.metric)
-            ricci = ricci_tensor(ch)
+            ricci = ricci_tensor(christoffel(frame.metric))
             scalar = scalar_curvature(frame.metric, ricci)
-            resid = bianchi_contracted_residual(frame.metric, ch, ricci, scalar)
+            resid = bianchi_contracted_residual(frame.metric, ricci, scalar)
             return {f"component {i}": value for i, value in enumerate(resid)}
 
         return [("bianchi", run_bianchi)]

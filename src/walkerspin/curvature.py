@@ -3,9 +3,11 @@ field-equation and commutator residuals connecting them.
 
 The coefficient route computes every curvature dyad component from first
 derivatives of the 32 connection scalars; the tensor route goes through
-Christoffel symbols and the Ricci tensor.  Wherever a quantity is
-expressible both ways the two are compared and a disagreement raises
-InternalInconsistencyError, so a passing run certifies the whole chain.
+Christoffel symbols and the Ricci tensor, whose contracted Bianchi identity
+is checked by a divergence that needs no connection, since det g = 1.
+Wherever a quantity is expressible both ways the two are compared and a
+disagreement raises InternalInconsistencyError, so a passing run
+certifies the whole chain.
 """
 
 from __future__ import annotations
@@ -111,20 +113,35 @@ def riemann(mt: MetricTensor, ch: Christoffel) -> RiemannData:
                        scalar=scalar_curvature(mt, direct))
 
 
-def bianchi_contracted_residual(mt: MetricTensor, ch: Christoffel, ricci, scalar):
-    """Components of div(Ricci) - grad(scalar)/2; identically zero."""
-    g = ch.gamma
-    nabla = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                entry = ricci[b][c].diff(COORDS[a])
-                for d in range(4):
-                    entry = entry - g[d][a][b] * ricci[d][c] - g[d][a][c] * ricci[b][d]
-                nabla[a][b][c] = entry
+_WALKER_ROWS = ((ZERO, ZERO, ONE, ZERO), (ZERO, ZERO, ZERO, ONE))
+
+
+def bianchi_contracted_residual(mt: MetricTensor, ricci, scalar):
+    """Components of div(Ricci) - grad(scalar)/2; identically zero.
+
+    A metric in Walker block form ((0, I), (I, W)) has det g = 1, so the
+    divergence of a symmetric tensor needs no connection (Landau &
+    Lifshitz, *Classical Theory of Fields*, section 86).  Applied to
+    T = Ric - (R/2) g this gives
+
+        res_b = sum_a d_a(g^ac R_cb) - 1/2 sum_cd (d_b g_cd) R^cd - 1/2 d_b R,
+
+    where the trace term g^cd d_b g_cd = d_b ln|det g| is zero.  Only the
+    block W of g varies, so c and d run over x and y.  Any other metric,
+    for which the formula would be wrong, is refused with InputError.
+    """
+    g, ginv = mt.g, mt.ginv
+    if any(g[i][j] != row[j] or g[j][i] != row[j]
+           for i, row in enumerate(_WALKER_ROWS) for j in range(4)):
+        raise InputError("the contracted Bianchi residual needs a metric in Walker form")
+    mixed = [[dot((ginv[a][c], ricci[c][b]) for c in range(4)) for b in range(4)]
+             for a in range(4)]
+    block = [(c, d) for c in (2, 3) for d in (2, 3)]
+    raised = [dot((mixed[c][e], ginv[e][d]) for e in range(4)) for c, d in block]
     return tuple(
-        dot((mt.ginv[a][e], nabla[e][a][b]) for a in range(4) for e in range(4))
-        - scalar.diff(COORDS[b]) * HALF
+        sum((mixed[a][b].diff(COORDS[a]) for a in range(4)), ZERO)
+        - (dot((g[c][d].diff(COORDS[b]), up) for (c, d), up in zip(block, raised))
+           + scalar.diff(COORDS[b])) * HALF
         for b in range(4)
     )
 

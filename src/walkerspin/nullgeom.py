@@ -133,10 +133,11 @@ def recurrence_forms(
 
 
 def _recurrence(
-    pi: PrimedSpinor, frame: Frame, check_integrable: bool
+    pi: PrimedSpinor, frame: Frame, check_integrable: bool, covs=None
 ) -> tuple[RecurrenceForms, DyadSpinorField]:
     """``recurrence_forms`` and ``integrability_residual`` of the field,
-    from one covariant derivative of it."""
+    from one covariant derivative of it; ``covs``, if given, are the
+    frame's ``tetrad_covectors``, which are otherwise lowered here."""
     pi_up = pi.field()
     pi_low = lower_index(pi_up, 0)
     dpi = dyad_covariant_derivative(pi_up, frame)
@@ -182,7 +183,7 @@ def _recurrence(
 
     s_one = t_one = None
     if frame.tetrad.chi * frame.tetrad.chi_t == ONE:
-        covs = tetrad_covectors(frame.metric, frame.tetrad)
+        covs = covs or tetrad_covectors(frame.metric, frame.tetrad)
         s_one, t_one = _covector_from_pairs(s_vals, covs), _covector_from_pairs(t_vals, covs)
 
     forms = RecurrenceForms(
@@ -537,7 +538,8 @@ def distribution_report(an: Analysis) -> DistributionReport:
     w, frame, curv = an.w, an.frame, an.curvature
     s = frame.coeffs
     pi = primed_spinor(ONE, ZERO)
-    rec, integ = _recurrence(pi, frame, check_integrable=False)
+    covs = tetrad_covectors(frame.metric, frame.tetrad)
+    rec, integ = _recurrence(pi, frame, check_integrable=False, covs=covs)
     coeff_res = relation_suite(s, "distribution-parallel")
     coeff_zero = all(v.is_zero for v in coeff_res.values())
     if rec.s_form_vanishes != coeff_zero:
@@ -551,8 +553,7 @@ def distribution_report(an: Analysis) -> DistributionReport:
     type_i = classify_type_I(s)
     type_iii = classify_type_III(s, curv)
     ricci = ricci_conditions(pi, curv, w)
-    l_dn = tetrad_covectors(frame.metric, frame.tetrad)[0]
-    frob = frobenius_residual(l_dn)
+    frob = frobenius_residual(covs[0])
     residuals = {
         "integrability": integ,
         "s_form": rec.s_form,

@@ -48,10 +48,11 @@ Scalar = Union[int, Fraction]
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
-# Parser limits: parentheses nest at most this deep, an exponent literal is
-# at most this large, no sum or product the parser forms has more terms, and
-# no product it forms multiplies more term pairs (checked before the product
-# is formed, so a refused product costs nothing).
+# Parser limits: parentheses nest at most this deep, no exponent, whether a
+# literal or built by a product, is larger, no sum or product the parser forms
+# has more terms, and no product it forms multiplies more term pairs (each
+# product bound is checked before the product is formed, so a refused product
+# costs nothing).
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_TERMS = 10_000
@@ -345,8 +346,10 @@ class Poly:
 
         Division is only permitted between integer literals (rational
         coefficients); ``u/v`` is rejected.  Parentheses may nest
-        ``MAX_NESTING`` deep, exponents are at most ``MAX_EXPONENT``, and
-        no sum or product formed on the way may exceed ``MAX_TERMS`` terms.
+        ``MAX_NESTING`` deep, and no sum or product formed on the way may
+        exceed ``MAX_TERMS`` terms.  No exponent of the result, whether
+        written as a literal or built by products and powers, exceeds
+        ``MAX_EXPONENT``.
         """
         return _Parser(text).run()
 
@@ -450,6 +453,12 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     return _reduced(out, den)
 
 
+def _top_exponents(p: Poly) -> tuple[int, ...]:
+    """The largest exponent of each variable over the terms of p; empty
+    for the zero polynomial, which bounds no product."""
+    return tuple(map(max, zip(*p._num)))
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses and rational literals."""
 
@@ -529,6 +538,11 @@ class _Parser:
         return base if sign > 0 else -base
 
     def product(self, p: Poly, q: Poly) -> Poly:
+        for name, i, j in zip(VARIABLES, _top_exponents(p), _top_exponents(q)):
+            if i + j > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent of {name} exceeds {MAX_EXPONENT}", self.pos
+                )
         pairs = len(p._num) * len(q._num)
         if pairs > MAX_TERM_PAIRS:
             raise ExprSyntaxError(

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from walkerspin.poly import Poly
+from walkerspin.poly import HALF, Poly, dot
+from walkerspin.walker import COORDS
 
 
 def random_poly(
@@ -41,6 +42,36 @@ def corpus_metrics():
 
     rng = random.Random(20260823)
     return [WalkerMetric(*random_metric_functions(rng, 4)) for _ in range(25)]
+
+
+def bianchi_residual_by_connection(mt, ch, ricci, scalar):
+    """Reference route for ``bianchi_contracted_residual``: the components
+    of div(Ricci) - grad(scalar)/2 from the full grid of covariant
+    derivatives of Ricci, built from Christoffel symbols."""
+    g = ch.gamma
+    nabla = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                entry = ricci[b][c].diff(COORDS[a])
+                for d in range(4):
+                    entry = entry - g[d][a][b] * ricci[d][c] - g[d][a][c] * ricci[b][d]
+                nabla[a][b][c] = entry
+    return tuple(
+        dot((mt.ginv[a][e], nabla[e][a][b]) for a in range(4) for e in range(4))
+        - scalar.diff(COORDS[b]) * HALF
+        for b in range(4)
+    )
+
+
+def random_symmetric_tensor(rng: random.Random, max_degree: int = 3):
+    """A random symmetric 4x4 tensor of polynomials, some entries zero."""
+    rows = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            entry = random_poly(rng, max_degree) if rng.random() < 0.8 else Poly.zero()
+            rows[i][j] = rows[j][i] = entry
+    return tuple(tuple(row) for row in rows)
 
 
 def monomials_to_degree(limit: int):

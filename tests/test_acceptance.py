@@ -188,7 +188,7 @@ def test_criterion_05_curvature_cross_route():
         twelve = Fraction(1, 12)
         assert curv.PsiT2 == twelve * curv.S
         assert curv.PsiT2 == -2 * curv.Lambda
-        for entry in bianchi_contracted_residual(frame.metric, ch, ricci, scalar):
+        for entry in bianchi_contracted_residual(frame.metric, ricci, scalar):
             assert entry == ZERO
 
 

@@ -79,6 +79,15 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:") and "terms" in err
 
+    def test_composed_exponent_refused(self, spec, capsys):
+        tower = {"a": "((u^1000)^1000)^1000*v", "b": "(x^1000)^1000", "c": "y"}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", spec(tower))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exponent of u exceeds 1000" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", str(tmp_path / "absent.json"))
         assert code == 2
@@ -125,6 +134,22 @@ class TestVerify:
         assert "perturbation: sigma + 1" in out
         assert "FAIL 3.4 " in out
         assert "verdict: fail" in out
+
+    def test_corrupted_ricci_fails_bianchi(self, spec, capsys, monkeypatch):
+        ricci_tensor = walkerspin.cli.ricci_tensor
+        bump = walkerspin.Poly.parse("u*x")
+
+        def corrupted(ch):
+            rows = [list(row) for row in ricci_tensor(ch)]
+            rows[2][3] = rows[2][3] + bump
+            rows[3][2] = rows[3][2] + bump
+            return rows
+
+        monkeypatch.setattr(walkerspin.cli, "ricci_tensor", corrupted)
+        code, out, _ = run(capsys, "verify", spec(MIXED), "--suite", "bianchi")
+        assert code == 1
+        assert "FAIL bianchi component " in out
+        assert out.rstrip().endswith("verdict: fail")
 
     def test_unknown_coefficient(self, spec, capsys):
         code, _, err = run(capsys, "verify", spec(FLAT), "--perturb", "bogus")
@@ -432,13 +457,14 @@ def test_each_layer_built_once(spec, capsys, layer_counts, argv, built):
 
 def test_distribution_report_derives_the_field_once(spec, capsys, layer_counts):
     """The integrability residual and the recurrence forms share one
-    derivative of the field, and the two one-forms one set of covectors;
-    the other derivative is of the lowered field, the other covector set
-    is read by the Frobenius test."""
+    derivative of the field; the other derivative is of the lowered field.
+    The two one-forms and the Frobenius test share one set of covectors."""
     code, _, _ = run(capsys, "analyze", spec(MIXED))
     assert code == 0
     names = [name for names in FIELD_LAYERS.values() for name in names]
-    assert {name: layer_counts[name] for name in names} == dict.fromkeys(names, 2)
+    assert {name: layer_counts[name] for name in names} == {
+        **dict.fromkeys(names, 2), "tetrad_covectors": 1
+    }
 
 
 _monomial = st.builds(

@@ -40,9 +40,19 @@ from walkerspin.walker import (
     walker_tetrad,
 )
 
-from support import corpus_metrics, monomials_to_degree, random_metric_functions, random_poly
+from support import (
+    bianchi_residual_by_connection,
+    corpus_metrics,
+    monomials_to_degree,
+    random_metric_functions,
+    random_poly,
+    random_symmetric_tensor,
+)
 
 RF_ZERO = RationalFunction(ZERO)
+FRAMES_METRIC = WalkerMetric(
+    a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y")
+)
 
 
 def sample_metrics(count, seed, max_degree=3):
@@ -91,8 +101,78 @@ def test_ricci_routes_agree_and_bianchi_holds():
             for d in range(4):
                 assert ricci[b][d] == ricci[d][b]
         scalar = scalar_curvature(mt, ricci)
-        residual = bianchi_contracted_residual(mt, ch, ricci, scalar)
+        residual = bianchi_contracted_residual(mt, ricci, scalar)
         assert all(entry == Poly.zero() for entry in residual)
+
+
+def _ricci_and_scalar(w):
+    mt = assemble_metric(w)
+    ch = christoffel(mt)
+    ricci = ricci_tensor(ch)
+    return mt, ch, ricci, scalar_curvature(mt, ricci)
+
+
+def test_bianchi_divergence_matches_connection_route_on_corpus():
+    for w in corpus_metrics():
+        mt, ch, ricci, scalar = _ricci_and_scalar(w)
+        assert bianchi_contracted_residual(mt, ricci, scalar) == (
+            bianchi_residual_by_connection(mt, ch, ricci, scalar)
+        ), w
+
+
+def test_bianchi_divergence_matches_connection_route_on_any_symmetric_tensor():
+    # The divergence formula holds for every symmetric tensor and scalar,
+    # so the two routes must agree even where the residual is nonzero.
+    rng = random.Random(205)
+    nonzero = 0
+    for w in sample_metrics(24, seed=206):
+        mt = assemble_metric(w)
+        ch = christoffel(mt)
+        tensor = random_symmetric_tensor(rng)
+        scalar = random_poly(rng)
+        residual = bianchi_contracted_residual(mt, tensor, scalar)
+        assert residual == bianchi_residual_by_connection(mt, ch, tensor, scalar), w
+        nonzero += any(not entry.is_zero for entry in residual)
+    assert nonzero >= 20
+
+
+def test_bianchi_detects_a_corrupted_ricci_entry():
+    mt, _, ricci, scalar = _ricci_and_scalar(FRAMES_METRIC)
+    bump = parse_poly("u*x")
+    rows = [list(row) for row in ricci]
+    rows[2][3] = rows[2][3] + bump
+    rows[3][2] = rows[3][2] + bump
+    assert all(entry.is_zero for entry in bianchi_contracted_residual(mt, ricci, scalar))
+    assert any(not entry.is_zero for entry in bianchi_contracted_residual(mt, rows, scalar))
+
+
+def test_bianchi_refuses_a_metric_not_in_walker_form():
+    mt, _, ricci, scalar = _ricci_and_scalar(FRAMES_METRIC)
+    one, zero = Poly.const(1), Poly.zero()
+    identity = tuple(tuple(one if i == j else zero for j in range(4)) for i in range(4))
+    skew = (mt.g[0], mt.g[1], (one, one) + mt.g[2][2:], mt.g[3])
+    for g in (identity, skew):
+        with pytest.raises(InputError):
+            bianchi_contracted_residual(dataclasses.replace(mt, g=g), ricci, scalar)
+
+
+@pytest.mark.parametrize("spec", [
+    {"a": "u*v+x^2", "b": "y^3-u", "c": "u*y"},
+    {"a": "(u+v+x+y+1)^5", "b": "(u-2*v+x+1/2)^5", "c": "(u*v+x-y)^2"},
+], ids=["frames", "dense-5"])
+def test_bianchi_divergence_makes_few_products(monkeypatch, spec):
+    mt, _, ricci, scalar = _ricci_and_scalar(WalkerMetric.from_dict(spec))
+    calls = 0
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    bianchi_contracted_residual(mt, ricci, scalar)
+    assert 0 < calls < 100
 
 
 def test_tensor_route_matches_coefficient_route():

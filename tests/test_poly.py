@@ -321,6 +321,18 @@ def test_parse_limits():
         assert err.value.position == 2
 
 
+def test_parse_bounds_composed_exponents():
+    # each operand within the bound, but not the product: refused before
+    # the product is formed, so a tower of powers costs nothing
+    both = parse_poly(f"u^{MAX_EXPONENT}*v^{MAX_EXPONENT}")
+    assert both == Poly({(MAX_EXPONENT, MAX_EXPONENT, 0, 0): 1})
+    for text in (f"u^{MAX_EXPONENT}*u", f"(x^2)^{MAX_EXPONENT // 2 + 1}",
+                 "((u^1000)^1000)^1000*v"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_poly(text)
+        assert f"exceeds {MAX_EXPONENT}" in str(err.value)
+
+
 def test_parse_term_limit():
     def line(var, n):
         return "(" + "+".join(f"{var}^{k}" for k in range(n)) + ")"
