@@ -2,7 +2,7 @@
 
 Everything downstream manipulates polynomial or rational-function data in
 four fixed coordinates, so this module pins down one canonical
-representation: integer numerators keyed by exponent 4-tuples, over one
+representation: integer numerators keyed by packed exponents, over one
 positive integer denominator shared by every term.  No numerator is zero,
 the denominator and the numerators have no common factor, and the zero
 polynomial is ``{}`` over 1, so each polynomial has exactly one
@@ -10,6 +10,17 @@ representation and equality compares the two fields.  Arithmetic stays in
 integers, after Monagan and Pearce's sparse integer arithmetic: a product
 is one integer convolution followed by one reduction by the common factor
 of its denominator and numerators.
+
+Each term is keyed by one int holding its exponents in four 16-bit fields,
+u << 48 | v << 32 | x << 16 | y, after Monagan and Pearce's packed exponent
+vectors: the key of a product of two terms is the sum of their keys, and
+with u in the highest field, comparing keys compares exponent tuples
+lexicographically.  An exponent must stay below ``EXPONENT_LIMIT`` = 2^16,
+or a sum of keys would carry into the next field.  So every polynomial
+keeps ``_top``, an upper bound on its largest exponent: a product's bound
+is the sum of its factors' bounds, a sum's the larger of its parts'.  The
+constructor refuses an exponent at or above the limit, and a product, or a
+power, whose bound would reach it is refused before any term is formed.
 
 ``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
 It is built on first access, cached, and read-only by convention.
@@ -75,40 +86,73 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-def _term_order(exps: Exponents):
+# Packed exponents: the exponent of u, v, x, y sits in the field at shift
+# 48, 32, 16, 0 of a term's key, and stays below EXPONENT_LIMIT.
+EXPONENT_LIMIT = 1 << 16
+_MASK = EXPONENT_LIMIT - 1
+_SHIFTS = (48, 32, 16, 0)
+
+
+class ExponentLimitError(ValueError):
+    """Raised when an exponent, or the bound of a product or power, reaches
+    ``EXPONENT_LIMIT``."""
+
+
+def _pack(exps: Exponents) -> int:
+    a, b, c, d = exps
+    return a << 48 | b << 32 | c << 16 | d
+
+
+def _unpack(key: int) -> Exponents:
+    return (key >> 48, key >> 32 & _MASK, key >> 16 & _MASK, key & _MASK)
+
+
+def _degree(key: int) -> int:
+    return (key >> 48) + (key >> 32 & _MASK) + (key >> 16 & _MASK) + (key & _MASK)
+
+
+def _term_order(key: int):
     """Sort key: total degree descending, then exponents descending."""
-    return (-sum(exps), tuple(-k for k in exps))
+    return (-_degree(key), -key)
 
 
 class Poly:
     """Polynomial in u, v, x, y: integer numerators over one denominator.
 
-    ``_num`` maps exponent tuples to nonzero ints and ``_den`` is a
-    positive int with gcd(den, all numerators) = 1.  All operations return
-    new objects; instances are treated as immutable.
+    ``_num`` maps packed exponent keys to nonzero ints, ``_den`` is a
+    positive int with gcd(den, all numerators) = 1, and ``_top`` bounds
+    every exponent from above.  All operations return new objects;
+    instances are treated as immutable.
     """
 
-    __slots__ = ("_num", "_den", "_terms")
+    __slots__ = ("_num", "_den", "_top", "_terms")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Fraction] = {}
+        top = 0
         if terms:
             for exps, coeff in terms.items():
-                if len(exps) != 4 or any(e < 0 for e in exps):
+                if len(exps) != 4 or not all(isinstance(e, int) and e >= 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps!r}")
+                if max(exps) >= EXPONENT_LIMIT:
+                    raise ExponentLimitError(
+                        f"exponent in {exps!r} reaches the limit {EXPONENT_LIMIT}"
+                    )
                 c = _as_fraction(coeff)
                 if c:
-                    key = (int(exps[0]), int(exps[1]), int(exps[2]), int(exps[3]))
+                    key = _pack(exps)
                     acc = clean.get(key)
                     c = c if acc is None else acc + c
                     if c:
                         clean[key] = c
+                        top = max(top, *exps)
                     elif key in clean:
                         del clean[key]
         # the lcm of reduced denominators leaves no factor common to all
         den = lcm(*(c.denominator for c in clean.values()))
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den = den
+        self._top = top
         self._terms = None
 
     @classmethod
@@ -118,15 +162,13 @@ class Poly:
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
         c = _as_fraction(value)
-        return _poly({(0, 0, 0, 0): c.numerator} if c else {}, c.denominator)
+        return _poly({0: c.numerator} if c else {}, c.denominator, 0)
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}")
-        exps = [0, 0, 0, 0]
-        exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): 1})
+        return _poly({1 << _SHIFTS[_VAR_INDEX[name]]: 1}, 1, 1)
 
     @property
     def terms(self) -> dict[Exponents, Fraction]:
@@ -134,7 +176,9 @@ class Poly:
         terms = self._terms
         if terms is None:
             den = self._den
-            terms = self._terms = {e: Fraction(n, den) for e, n in self._num.items()}
+            terms = self._terms = {
+                _unpack(k): Fraction(n, den) for k, n in self._num.items()
+            }
         return terms
 
     @property
@@ -145,14 +189,14 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self._num:
             return -1
-        return max(sum(e) for e in self._num)
+        return max(map(_degree, self._num))
 
     def constant_value(self) -> Fraction | None:
         """The value as a Fraction if constant, else None."""
         if not self._num:
             return Fraction(0)
-        if len(self._num) == 1 and (0, 0, 0, 0) in self._num:
-            return Fraction(self._num[(0, 0, 0, 0)], self._den)
+        if len(self._num) == 1 and 0 in self._num:
+            return Fraction(self._num[0], self._den)
         return None
 
     def __bool__(self) -> bool:
@@ -169,7 +213,7 @@ class Poly:
         return hash((self._den, frozenset(self._num.items())))
 
     def __neg__(self) -> "Poly":
-        return _poly({e: -n for e, n in self._num.items()}, self._den)
+        return _poly({k: -n for k, n in self._num.items()}, self._den, self._top)
 
     # Poly operands are tested first: isinstance against Fraction, an ABC,
     # is slow when it fails.
@@ -198,16 +242,27 @@ class Poly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self._scaled(other.numerator, other.denominator)
+        top = self._top + other._top
+        if top >= EXPONENT_LIMIT:
+            raise ExponentLimitError(
+                f"product exponent bound {top} reaches the limit {EXPONENT_LIMIT}"
+            )
         outer, inner = self._num, other._num
+        # a single constant term scales the other factor
+        if len(outer) == 1 and 0 in outer:
+            return other._scaled(outer[0], self._den)
+        if len(inner) == 1 and 0 in inner:
+            return self._scaled(inner[0], other._den)
         if len(outer) > len(inner):
             outer, inner = inner, outer
-        product: dict[Exponents, int] = {}
+        pairs = list(inner.items())
+        product: dict[int, int] = {}
         get = product.get
-        for (a0, a1, a2, a3), m in outer.items():
-            for (b0, b1, b2, b3), n in inner.items():
-                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+        for a, m in outer.items():
+            for b, n in pairs:
+                key = a + b
                 product[key] = get(key, 0) + m * n
-        return _reduced({e: n for e, n in product.items() if n}, self._den * other._den)
+        return _reduced({k: n for k, n in product.items() if n}, self._den * other._den, top)
 
     __rmul__ = __mul__
 
@@ -216,7 +271,7 @@ class Poly:
 
     def _scaled(self, a: int, b: int) -> "Poly":
         """self * (a/b) for coprime ints a and b > 0."""
-        num, den = self._num, self._den
+        num, den, top = self._num, self._den, self._top
         if not a or not num:
             return ZERO
         g = gcd(a, den)
@@ -229,12 +284,20 @@ class Poly:
             h = gcd(b, *num.values())
             if h != 1:
                 b //= h
-                return _poly({e: n // h * a for e, n in num.items()}, den * b)
-        return _poly({e: n * a for e, n in num.items()}, den * b)
+                return _poly({k: n // h * a for k, n in num.items()}, den * b, top)
+        return _poly({k: n * a for k, n in num.items()}, den * b, top)
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        c = self.constant_value()
+        if c is not None:
+            return Poly.const(c**exponent)
+        if self._top * exponent >= EXPONENT_LIMIT:
+            raise ExponentLimitError(
+                f"power exponent bound {self._top} * {exponent} reaches the "
+                f"limit {EXPONENT_LIMIT}"
+            )
         result = ONE
         for _ in range(exponent):
             result = result * self
@@ -244,13 +307,14 @@ class Poly:
         """Partial derivative with respect to one of u, v, x, y."""
         if var not in _VAR_INDEX:
             raise ValueError(f"unknown variable {var!r}")
-        i = _VAR_INDEX[var]
-        out: dict[Exponents, int] = {}
-        for exps, n in self._num.items():
-            e = exps[i]
+        shift = _SHIFTS[_VAR_INDEX[var]]
+        step = 1 << shift
+        out: dict[int, int] = {}
+        for k, n in self._num.items():
+            e = k >> shift & _MASK
             if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1:]] = n * e
-        return _reduced(out, self._den)
+                out[k - step] = n * e
+        return _reduced(out, self._den, self._top)
 
     def eval_at(self, point: Iterable[Scalar]) -> Fraction:
         """Exact evaluation at a 4-tuple of rationals, in coordinate order.
@@ -265,15 +329,16 @@ class Poly:
         num = self._num
         if not num:
             return Fraction(0)
+        exps = list(map(_unpack, num))
         scale = self._den
         tables = []
-        for c, top in zip(pt, map(max, zip(*num))):
+        for c, top in zip(pt, map(max, zip(*exps))):
             p, q = c.numerator, c.denominator
             tables.append([p**k * q ** (top - k) for k in range(top + 1)])
             scale *= q**top
         t0, t1, t2, t3 = tables
         total = 0
-        for (a, b, c, d), n in num.items():
+        for (a, b, c, d), n in zip(exps, num.values()):
             total += n * t0[a] * t1[b] * t2[c] * t3[d]
         return Fraction(total, scale)
 
@@ -292,7 +357,8 @@ class Poly:
         num = self._num
         if not num:
             return CurvePoly((), 1)
-        top, *tops = map(max, zip(*num))
+        exps = list(map(_unpack, num))
+        top, *tops = map(max, zip(*exps))
         scale = self._den
         tables = []
         for c, d in zip(pt[1:], tops):
@@ -301,7 +367,7 @@ class Poly:
             scale *= q**d
         t1, t2, t3 = tables
         by_u = [0] * (top + 1)
-        for (a, b, c, d), n in num.items():
+        for (a, b, c, d), n in zip(exps, num.values()):
             by_u[a] += n * t1[b] * t2[c] * t3[d]
         p, q = pt[0].numerator, pt[0].denominator
         shift = [p**j * q ** (top - j) for j in range(top + 1)]
@@ -314,27 +380,29 @@ class Poly:
     def __str__(self) -> str:
         if not self._num:
             return "0"
-        terms = self.terms
+        num, den = self._num, self._den
         pieces: list[str] = []
-        for exps in sorted(terms, key=_term_order):
-            coeff = terms[exps]
+        for key in sorted(num, key=_term_order):
+            n = num[key]
             factors = []
-            for name, e in zip(VARIABLES, exps):
+            for name, e in zip(VARIABLES, _unpack(key)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            mag = abs(coeff)
+            # |n| / den in lowest terms, printed as str(Fraction) would
+            g = gcd(n, den)
+            mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([mag] + factors)
             if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(body if n > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -354,11 +422,13 @@ class Poly:
         return _Parser(text).run()
 
 
-def _poly(num: dict[Exponents, int], den: int) -> Poly:
-    """Wrap parts that are already canonical."""
+def _poly(num: dict[int, int], den: int, top: int) -> Poly:
+    """Wrap parts that are already canonical, with top bounding every
+    exponent."""
     p = object.__new__(Poly)
     p._num = num
     p._den = den
+    p._top = top
     p._terms = None
     return p
 
@@ -420,14 +490,14 @@ class CurvePoly:
         return tuple(num / den for num, den in (ratio_at(p, q) for p, q in ratios))
 
 
-def _reduced(num: dict[Exponents, int], den: int) -> Poly:
+def _reduced(num: dict[int, int], den: int, top: int) -> Poly:
     """Canonical Poly from nonzero numerators over den > 0."""
     if den != 1:
         g = gcd(den, *num.values())
         if g != 1:
-            num = {e: n // g for e, n in num.items()}
+            num = {k: n // g for k, n in num.items()}
             den //= g
-    return _poly(num, den)
+    return _poly(num, den, top)
 
 
 def _combine(p: Poly, q: Poly, sign: int) -> Poly:
@@ -441,22 +511,22 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     else:
         den = lcm(den, q._den)
         lift = den // p._den
-        out = {e: n * lift for e, n in p._num.items()}
+        out = {k: n * lift for k, n in p._num.items()}
         scale = sign * (den // q._den)
     get = out.get
-    for e, n in q._num.items():
-        total = get(e, 0) + n * scale
+    for k, n in q._num.items():
+        total = get(k, 0) + n * scale
         if total:
-            out[e] = total
+            out[k] = total
         else:
-            del out[e]
-    return _reduced(out, den)
+            del out[k]
+    return _reduced(out, den, max(p._top, q._top))
 
 
 def _top_exponents(p: Poly) -> tuple[int, ...]:
     """The largest exponent of each variable over the terms of p; empty
     for the zero polynomial, which bounds no product."""
-    return tuple(map(max, zip(*p._num)))
+    return tuple(map(max, zip(*map(_unpack, p._num))))
 
 
 class _Parser:
@@ -645,12 +715,12 @@ def _quotient(num: Poly, den: Poly):
         raise ZeroDivisionError("zero denominator in rational function")
     if not num._num:
         return ZERO
-    top = min(terms, key=_term_order)
-    lead = terms[top]
+    key = min(terms, key=_term_order)
+    lead = terms[key]
     a, b = (den._den, lead) if lead > 0 else (-den._den, -lead)
     g = gcd(a, b)
     num = num._scaled(a // g, b // g)
-    if len(terms) == 1 and top == (0, 0, 0, 0):
+    if len(terms) == 1 and key == 0:
         return num
     rf = object.__new__(RationalFunction)
     rf.num, rf.den = num, den._scaled(a // g, b // g)

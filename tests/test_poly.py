@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkerspin.poly import (
+    EXPONENT_LIMIT,
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_TERM_PAIRS,
     MAX_TERMS,
     CurvePoly,
+    ExponentLimitError,
     ExprSyntaxError,
     Poly,
     RationalFunction,
@@ -95,13 +97,26 @@ def ref_eval(p: dict, pt) -> Fraction:
     return total
 
 
+def unpack(key: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed key: four fields of EXPONENT_LIMIT,
+    u in the highest, and nothing above them."""
+    fields = []
+    for _ in range(4):
+        key, e = divmod(key, EXPONENT_LIMIT)
+        fields.append(e)
+    assert key == 0
+    return tuple(reversed(fields))
+
+
 def canonical(p: Poly) -> Poly:
     """Assert the storage invariant and that ``terms`` matches it."""
     assert p._den > 0
     assert all(p._num.values())
     # also forces the zero polynomial to be {} over 1
     assert gcd(p._den, *p._num.values()) == 1
-    assert p.terms == {e: Fraction(n, p._den) for e, n in p._num.items()}
+    assert p.terms == {unpack(k): Fraction(n, p._den) for k, n in p._num.items()}
+    # the exponent bound that guards the packed fields holds
+    assert all(max(e) <= p._top for e in p.terms)
     return p
 
 
@@ -119,6 +134,9 @@ def test_scalar_ops_match_reference(p, c):
     const = {(0, 0, 0, 0): c} if c else {}
     assert canonical(p * c).terms == ref_mul(p.terms, const)
     assert canonical(c * p).terms == ref_mul(p.terms, const)
+    # a one-term constant Poly operand, on either side
+    assert canonical(p * Poly.const(c)).terms == ref_mul(p.terms, const)
+    assert canonical(Poly.const(c) * p).terms == ref_mul(p.terms, const)
     assert canonical(p + c).terms == ref_add(p.terms, const)
     assert canonical(c - p).terms == ref_add(const, {e: -k for e, k in p.terms.items()})
     assert canonical(Poly.const(c)).terms == const
@@ -257,6 +275,30 @@ def test_str_parse_round_trip(p):
     assert Poly.parse(str(p)) == p
 
 
+def ref_str(terms: dict) -> str:
+    """Terms by total degree descending, then exponent tuples descending,
+    each from its Fraction coefficient."""
+    pieces = []
+    for exps in sorted(terms, key=lambda e: (-sum(e), tuple(-k for k in e))):
+        coeff = terms[exps]
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip("uvxy", exps) if e]
+        mag = abs(coeff)
+        body = "*".join(([] if factors and mag == 1 else [str(mag)]) + factors)
+        sign = ("" if coeff > 0 else "-") if not pieces else ("+ " if coeff > 0 else "- ")
+        pieces.append(sign + body)
+    return " ".join(pieces) or "0"
+
+
+wide_exponents = st.tuples(*[st.integers(min_value=0, max_value=EXPONENT_LIMIT - 1)] * 4)
+wide_polys = st.dictionaries(wide_exponents, coeffs, max_size=6).map(Poly)
+
+
+@given(st.one_of(polys, wide_polys))
+def test_str_order_matches_reference(p):
+    assert str(p) == ref_str(p.terms)
+
+
 def test_round_trip_on_random_polys():
     rng = random.Random(7)
     for _ in range(200):
@@ -370,6 +412,53 @@ def test_degree_and_constants():
     assert parse_poly("u*v*x*y").degree() == 4
     assert parse_poly("7").constant_value() == 7
     assert parse_poly("u").constant_value() is None
+
+
+def test_constructor_refuses_bad_exponents():
+    for exps in ((1.5, 0, 0, 0), (0, 0, 1.0, 0), (0, Fraction(1), 0, 0), (0, 0, 0, "1")):
+        with pytest.raises(ValueError):
+            Poly({exps: 1})
+    for exps in ((EXPONENT_LIMIT, 0, 0, 0), (0, 0, 0, EXPONENT_LIMIT), (0, 2**70, 0, 0)):
+        with pytest.raises(ExponentLimitError):
+            Poly({exps: 1})
+    top = Poly({(0, EXPONENT_LIMIT - 1, 0, 0): 3})
+    assert top.terms == {(0, EXPONENT_LIMIT - 1, 0, 0): 3}
+
+
+def test_product_refused_before_a_field_carries():
+    big = Poly({(40000, 0, 0, 0): 1})
+    start = time.perf_counter()
+    with pytest.raises(ExponentLimitError):
+        big * big
+    with pytest.raises(ExponentLimitError):
+        (big + Poly.variable("v")) * (big - 1)
+    assert time.perf_counter() - start < 1.0
+    # the largest product that fits keeps its exponent in the u field
+    a = Poly({(EXPONENT_LIMIT // 2, 0, 0, 0): 2})
+    b = Poly({(EXPONENT_LIMIT // 2 - 1, 0, 0, 0): 3, (0, 0, 0, 1): 1})
+    assert (a * b).terms == {
+        (EXPONENT_LIMIT - 1, 0, 0, 0): 6,
+        (EXPONENT_LIMIT // 2, 0, 0, 1): 2,
+    }
+    assert (a * b).diff("u").terms == {
+        (EXPONENT_LIMIT - 2, 0, 0, 0): 6 * (EXPONENT_LIMIT - 1),
+        (EXPONENT_LIMIT // 2 - 1, 0, 0, 1): EXPONENT_LIMIT,
+    }
+
+
+def test_powers_are_bounded():
+    u = Poly.variable("u")
+    start = time.perf_counter()
+    assert Poly.const(2) ** 10**6 == Poly.const(2**10**6)
+    assert Poly.const(Fraction(-2, 3)) ** 3 == Poly.const(Fraction(-8, 27))
+    assert Poly.zero() ** 0 == Poly.const(1) and Poly.zero() ** 5 == Poly.zero()
+    with pytest.raises(ExponentLimitError):
+        u**70000
+    with pytest.raises(ExponentLimitError):
+        (u * u) ** (EXPONENT_LIMIT // 2)
+    assert time.perf_counter() - start < 1.0
+    assert (u + 1) ** 3 == parse_poly("u^3 + 3*u^2 + 3*u + 1")
+    assert u**0 == Poly.const(1)
 
 
 class TestRationalFunction:
