@@ -30,18 +30,21 @@ t -> p(u0 + t, v0, x0, y0), as a ``CurvePoly``: integer coefficients of
 t^k over one denominator.  It evaluates exactly by integer Horner, and its
 float values, rounded once from the exact value, are the only floats here.
 
-A value with denominator one is always a ``Poly``: ``Poly`` division and
-every ``RationalFunction`` operation go through ``_quotient``, which makes
-a quotient only when the normalized denominator is not constant.
-Denominators are not reduced by polynomial gcd; equality with a quotient
-goes through cross-multiplication.
+A ``RationalFunction`` keeps its denominator as a map from factor to
+multiplicity: a product adds multiplicities, a sum works over each factor
+at its larger multiplicity, and division by a ``Poly`` first divides out
+every known factor, and what is left becomes one new factor.  Each result
+divides its numerator by each factor as often as it goes, by exact sparse
+trial division in integers (``_exact_quotient``); no polynomial gcd is
+taken.  The division keeps the carry guard: a quotient exponent above the
+dividend's ends it, so no remainder key reaches the limit, and a pair whose
+bounds sum to the limit is left undivided.  The engine's denominators are products of the scale factors it
+divides by, such as lam, lam_t, chi, chi_t and p^2 + q^2, so their factors
+stay few and small.  A value with denominator one is always a ``Poly``.
 
 ``dot`` is the one sum of products: it adds x * y over its pairs, left to
-right after its start term, and skips a pair with a zero factor.  A sum of
-quotients depends on its order through the equal-denominator shortcut of
-``_sum``, so each caller lists its terms in one fixed order; a skipped term
-changes nothing, since zero times anything is ``ZERO`` and a quotient plus
-``ZERO`` keeps its numerator and denominator.
+right after its start term, and skips a pair with a zero factor, which
+changes nothing, since zero times anything is ``ZERO``.
 """
 
 from __future__ import annotations
@@ -267,7 +270,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Poly"):
-        return _quotient(self, other) if isinstance(other, Poly) else NotImplemented
+        return _quotient(self, {}, other) if isinstance(other, Poly) else NotImplemented
 
     def _scaled(self, a: int, b: int) -> "Poly":
         """self * (a/b) for coprime ints a and b > 0."""
@@ -707,34 +710,138 @@ def dot(pairs, start=ZERO):
     return total
 
 
-def _quotient(num: Poly, den: Poly):
-    """num / den: a Poly when den is a constant, else a RationalFunction
-    with both parts scaled so den's leading coefficient is one."""
-    terms = den._num
-    if not terms:
-        raise ZeroDivisionError("zero denominator in rational function")
+# Packed keys whose difference borrowed from the v, x or y field: the lowest
+# bit of each field above it.
+_BORROWS = 1 << 16 | 1 << 32 | 1 << 48
+# A one in every field: n * _FIELD_ONES packs the exponent n in all four.
+_FIELD_ONES = 1 | 1 << 16 | 1 << 32 | 1 << 48
+
+
+def _exact_quotient(p: Poly, f: Poly) -> Poly | None:
+    """p / f when the nonconstant f divides p exactly, else None.
+
+    Sparse division in integers by the primitive part of f, in lex order on
+    the packed keys, so each leading term is ``max`` of the remainder's
+    keys.  If f divides p, the quotient has integer coefficients (Gauss's
+    lemma) and no exponent above p's in any variable, so the first leading
+    term that f's does not divide, as a monomial, by its coefficient or
+    within that bound, proves that f does not divide p.  Under the bound
+    every remainder exponent stays below p._top + f._top; a pair whose sum
+    reaches EXPONENT_LIMIT is not tried (None), so no field can carry.
+    """
+    num = p._num
+    if not num:
+        return ZERO
+    if p._top + f._top >= EXPONENT_LIMIT:
+        return None
+    ceiling = p._top * _FIELD_ONES
+    div = f._num
+    content = gcd(*div.values())
+    lead = max(div)
+    lead_coeff = div[lead] // content
+    others = [(k - lead, n // content) for k, n in div.items() if k != lead]
+    rem = dict(num)
+    get = rem.get
+    quot: dict[int, int] = {}
+    while rem:
+        key = max(rem)
+        shift = key - lead
+        # a field of key below the same field of lead borrows, and so does
+        # a field of the ceiling below the same field of shift
+        if shift < 0 or (key ^ lead ^ shift) & _BORROWS:
+            return None
+        room = ceiling - shift
+        if room < 0 or (ceiling ^ shift ^ room) & _BORROWS:
+            return None
+        c, r = divmod(rem.pop(key), lead_coeff)
+        if r:
+            return None
+        quot[shift] = c
+        for k, n in others:
+            k += key
+            total = get(k, 0) - c * n
+            if total:
+                rem[k] = total
+            else:
+                del rem[k]
+    # p / f = (num / p._den) / (div / f._den) and div = content * primitive
+    scale = f._den
+    return _reduced({k: n * scale for k, n in quot.items()}, content * p._den, p._top)
+
+
+def _cancelled(num: Poly, factors: dict):
+    """num / prod(f^m for f, m in factors), with each factor divided out of
+    num as often as it goes: a Poly when no factor is left."""
     if not num._num:
         return ZERO
-    key = min(terms, key=_term_order)
-    lead = terms[key]
-    a, b = (den._den, lead) if lead > 0 else (-den._den, -lead)
-    g = gcd(a, b)
-    num = num._scaled(a // g, b // g)
-    if len(terms) == 1 and key == 0:
+    left = {}
+    for f, m in factors.items():
+        while m:
+            q = _exact_quotient(num, f)
+            if q is None:
+                break
+            num, m = q, m - 1
+        if m:
+            left[f] = m
+    return _rf(num, left)
+
+
+def _rf(num: Poly, factors: dict):
+    """Wrap parts that are already reduced: a Poly when no factor is left."""
+    if not factors:
         return num
     rf = object.__new__(RationalFunction)
-    rf.num, rf.den = num, den._scaled(a // g, b // g)
+    rf.num, rf.factors, rf._den = num, factors, None
     return rf
 
 
-def _parts(value) -> tuple[Poly, Poly] | None:
-    """(numerator, denominator) of a RationalFunction, Poly or scalar."""
+def _quotient(num: Poly, factors: dict, divisor: Poly):
+    """num / (prod(f^m) * divisor): a Poly when no factor is left, else a
+    RationalFunction.  Each known factor is first divided out of divisor as
+    often as it goes; what is left, if not constant, becomes one more
+    factor."""
+    if not divisor._num:
+        raise ZeroDivisionError("zero denominator in rational function")
+    factors = dict(factors)
+    for f in factors:
+        while True:
+            q = _exact_quotient(divisor, f)
+            if q is None:
+                break
+            divisor = q
+            factors[f] += 1
+    lead = divisor.constant_value()
+    if lead is None:
+        terms = divisor._num
+        lead = Fraction(terms[min(terms, key=_term_order)], divisor._den)
+        factors[divisor * (1 / lead)] = 1
+    return _cancelled(num * (1 / lead), factors)
+
+
+def _lifted(num: Poly, part: dict, common: dict) -> Poly:
+    """num * prod(f^(m - part[f]) for f, m in common): a numerator over
+    ``part`` brought over the multiple ``common``."""
+    for f, m in common.items():
+        for _ in range(m - part.get(f, 0)):
+            num = num * f
+    return num
+
+
+def _product(factors: dict) -> Poly:
+    den = ONE
+    for f, m in factors.items():
+        den = den * f**m
+    return den
+
+
+def _parts(value) -> tuple[Poly, dict] | None:
+    """(numerator, factor map) of a RationalFunction, Poly or scalar."""
     if isinstance(value, RationalFunction):
-        return value.num, value.den
+        return value.num, value.factors
     if isinstance(value, Poly):
-        return value, ONE
+        return value, {}
     if isinstance(value, (int, Fraction)):
-        return Poly.const(value), ONE
+        return Poly.const(value), {}
     return None
 
 
@@ -748,92 +855,140 @@ def _on_parts(method):
     return operator
 
 
-def _sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly):
-    if d1 == d2:
-        return _quotient(n1 + n2, d1)
-    return _quotient(n1 * d2 + n2 * d1, d1 * d2)
+def _sum(n1: Poly, f1: dict, n2: Poly, f2: dict):
+    """n1 / prod(f1) + n2 / prod(f2), over each factor at its larger
+    multiplicity."""
+    common = dict(f1)
+    for f, m in f2.items():
+        if m > common.get(f, 0):
+            common[f] = m
+    return _cancelled(_lifted(n1, f1, common) + _lifted(n2, f2, common), common)
+
+
+def _merged(f1: dict, f2: dict) -> dict:
+    """The factor map of a product: multiplicities add."""
+    out = dict(f1)
+    for f, m in f2.items():
+        out[f] = out.get(f, 0) + m
+    return out
 
 
 class RationalFunction:
-    """Quotient of two polynomials, denominator nonzero.
+    """Quotient of a polynomial by a product of factors.
 
-    The representation is normalized so the denominator's leading
-    coefficient (in the canonical term order) is one; full polynomial gcd
-    reduction is deliberately not attempted.  Only the constructor wraps
-    a polynomial over one; arithmetic returns it as a ``Poly``.  Equality,
-    also with a ``Poly`` or a scalar, is decided by cross-multiplication,
-    so different representatives compare equal.
+    ``num`` is a ``Poly`` and ``factors`` maps each nonconstant factor of
+    the denominator, scaled so its first coefficient in the canonical term
+    order is one, to its multiplicity (read-only by convention).  Every
+    operation divides the numerator by each factor as often as it goes, so
+    over factors that are irreducible and pairwise distinct the form is
+    reduced, and one value has one representative.  ``den`` is the product
+    of the factors, whose first coefficient is then also one.
+
+    Only the constructor wraps a polynomial over one (an empty map);
+    arithmetic returns it as a ``Poly``.  A factor made from a divisor
+    that no known factor divides need not be irreducible, so two
+    representatives of one value can still differ: equality compares the
+    parts when the factor maps agree and cross-multiplies otherwise, and
+    ``__hash__`` stays refused.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "factors", "_den")
 
     def __init__(self, num, den=ONE):
         num, den = _as_poly(num), _as_poly(den)
         if not (isinstance(num, Poly) and isinstance(den, Poly)):
             raise TypeError("a RationalFunction is a quotient of two polynomials")
-        value = _quotient(num, den)
-        self.num, self.den = (value, ONE) if isinstance(value, Poly) else (value.num, value.den)
+        value = _quotient(num, {}, den)
+        self.num, self.factors = (value, {}) if isinstance(value, Poly) else (
+            value.num, value.factors)
+        self._den = None
+
+    @property
+    def den(self) -> Poly:
+        """The product of the factors; cached."""
+        den = self._den
+        if den is None:
+            den = self._den = _product(self.factors)
+        return den
 
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
     @_on_parts
-    def __eq__(self, num: Poly, den: Poly) -> bool:
-        if self.den == den:
+    def __eq__(self, num: Poly, factors: dict) -> bool:
+        if self.factors == factors:
             return self.num == num
-        return self.num * den == num * self.den
+        return self.num * _product(factors) == num * self.den
 
     def __hash__(self) -> int:
-        # Representatives of the same quotient can differ, so hashing by
+        # Representatives over a reducible factor can differ, so hashing by
         # parts would break the hash/eq contract; polynomials hash fine.
         raise TypeError("RationalFunction is unhashable")
 
     def __neg__(self):
-        return _quotient(-self.num, self.den)
+        return _rf(-self.num, self.factors)
 
     @_on_parts
-    def __add__(self, num: Poly, den: Poly):
-        return _sum(self.num, self.den, num, den)
+    def __add__(self, num: Poly, factors: dict):
+        return _sum(self.num, self.factors, num, factors)
 
     __radd__ = __add__
 
     @_on_parts
-    def __sub__(self, num: Poly, den: Poly):
-        return _sum(self.num, self.den, -num, den)
+    def __sub__(self, num: Poly, factors: dict):
+        return _sum(self.num, self.factors, -num, factors)
 
     @_on_parts
-    def __rsub__(self, num: Poly, den: Poly):
-        return _sum(num, den, -self.num, self.den)
+    def __rsub__(self, num: Poly, factors: dict):
+        return _sum(num, factors, -self.num, self.factors)
 
     @_on_parts
-    def __mul__(self, num: Poly, den: Poly):
-        return _quotient(self.num * num, self.den * den)
+    def __mul__(self, num: Poly, factors: dict):
+        return _cancelled(self.num * num, _merged(self.factors, factors))
 
     __rmul__ = __mul__
 
     @_on_parts
-    def __truediv__(self, num: Poly, den: Poly):
+    def __truediv__(self, num: Poly, factors: dict):
         if num.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return _quotient(self.num * den, self.den * num)
+        return _quotient(_lifted(self.num, {}, factors), self.factors, num)
 
     @_on_parts
-    def __rtruediv__(self, num: Poly, den: Poly):
-        return _quotient(num * self.den, den * self.num)
+    def __rtruediv__(self, num: Poly, factors: dict):
+        return _quotient(_lifted(num, {}, self.factors), factors, self.num)
 
     def __pow__(self, exponent: int):
-        return _quotient(self.num**exponent, self.den**exponent)
+        return _cancelled(self.num**exponent, {f: m * exponent for f, m in self.factors.items()})
 
     def diff(self, var: str):
-        return _quotient(
-            self.num.diff(var) * self.den - self.num * self.den.diff(var),
-            self.den * self.den,
-        )
+        """By the radical rule over the factors that depend on var:
+        d(n / prod f_i^m_i) = (n' prod f_i - n sum m_i f_i' prod_{j != i} f_j)
+        / prod f_i^(m_i + 1)."""
+        num = self.num
+        moving = [
+            (f, m, df) for f, m in self.factors.items() if not (df := f.diff(var)).is_zero
+        ]
+        top = num.diff(var)
+        for f, _, _ in moving:
+            top = top * f
+        for i, (_, m, df) in enumerate(moving):
+            term = num * df * m
+            for j, (f, _, _) in enumerate(moving):
+                if j != i:
+                    term = term * f
+            top = top - term
+        factors = dict(self.factors)
+        for f, m, _ in moving:
+            factors[f] = m + 1
+        return _cancelled(top, factors)
 
     def eval_at(self, point: Iterable[Scalar]) -> Fraction:
         pt = tuple(point)
-        bottom = self.den.eval_at(pt)
+        bottom = Fraction(1)
+        for f, m in self.factors.items():
+            bottom *= f.eval_at(pt) ** m
         if bottom == 0:
             raise ZeroDivisionError(f"denominator vanishes at {pt}")
         return self.num.eval_at(pt) / bottom

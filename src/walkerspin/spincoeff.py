@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 from .errors import InputError, InternalInconsistencyError
-from .poly import HALF, ONE, QUARTER, ZERO, Value, _as_poly, dot
+from .poly import HALF, ONE, QUARTER, ZERO, RationalFunction, Value, _as_poly, dot
 from .walker import (
     Christoffel,
     DirectionalOps,
@@ -147,8 +147,8 @@ def spin_coefficients_from_tetrad(
     """
     validate_tetrad(mt, t)
     ops = DirectionalOps(t)
-    unit = t.chi * t.chi_t
-    X = ONE / unit
+    # a product of the two inverses keeps chi and chi_t apart as factors
+    X = (ONE / t.chi) * (ONE / t.chi_t)
 
     legs = {"l": t.l, "n": t.n, "m": t.m, "mt": t.mt}
     nabla = {name: covariant_derivative_vector(ch, vec) for name, vec in legs.items()}
@@ -280,7 +280,8 @@ def transform_coefficients(
 
     The kappa, rho, sigma, tau families admit closed transformation laws;
     they are checked here against full recomputation from the transformed
-    tetrad, and a mismatch raises InternalInconsistencyError.  The laws
+    tetrad, and a mismatch raises InternalInconsistencyError, which names
+    the size of the difference and a point where it is nonzero.  The laws
     are written for the first dyad; the tilde families obey the same laws
     on ``tilde_relabel`` of both sets, with lam, lam_t and mu, mu_t
     exchanged.
@@ -294,11 +295,33 @@ def transform_coefficients(
         ("_t", tilde_relabel(s), tilde_relabel(full), (lam_t, lam, mu_t, mu)),
     ):
         for name, want in _transformation_laws(old, *params).items():
-            if new.get(name) != want:
+            got = new.get(name)
+            if got != want:
+                diff = got - want
+                terms = len((diff.num if isinstance(diff, RationalFunction) else diff).terms)
+                point = _witness(diff, (got, want))
+                where = (f"nonzero at (u, v, x, y) = {point}" if point else
+                         "nonzero at no integer point in [-2, 2]^4")
                 raise InternalInconsistencyError(
-                    f"closed-form transformation for {name}{mark} disagrees with recomputation"
+                    f"closed-form transformation for {name}{mark} disagrees with "
+                    f"recomputation: the difference has {terms} numerator terms and is {where}"
                 )
     return full, new_t
+
+
+def _witness(diff: Value, operands) -> tuple[int, ...] | None:
+    """The first point of small integers, each coordinate tried in the order
+    0, 1, -1, 2, -2, where diff is nonzero and no denominator of diff or of
+    an operand vanishes."""
+    for point in product((0, 1, -1, 2, -2), repeat=4):
+        try:
+            for value in operands:
+                value.eval_at(point)
+            if diff.eval_at(point):
+                return point
+        except ZeroDivisionError:
+            continue
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -300,9 +300,10 @@ def tetrad_transform(t: Tetrad, lam, lam_t, mu, mu_t) -> Tetrad:
     if lam.is_zero or lam_t.is_zero:
         raise InputError("lam and lam_t must not vanish identically")
     ll = lam * lam_t
-    inv_ll = ONE / ll
     inv_lam = ONE / lam
     inv_lam_t = ONE / lam_t
+    # a product of the two inverses keeps lam and lam_t apart as factors
+    inv_ll = inv_lam * inv_lam_t
 
     def comb(*pairs) -> Vector:
         return _vec(dot((coeff, vec[i]) for coeff, vec in pairs) for i in range(4))

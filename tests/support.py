@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from walkerspin.poly import HALF, Poly, dot
+from walkerspin.poly import HALF, ONE, Poly, RationalFunction, dot
 from walkerspin.walker import COORDS
 
 
@@ -25,6 +25,31 @@ def random_poly(
         den = rng.choice([1, 1, 2, 3]) if with_fractions else 1
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + Fraction(num, den)
     return Poly(terms)
+
+
+def value_parts(value) -> tuple[Poly, Poly]:
+    """(numerator, denominator) of a Poly or RationalFunction."""
+    if isinstance(value, RationalFunction):
+        return value.num, value.den
+    return value, ONE
+
+
+def frame_values(coeffs, t) -> list:
+    """The 32 coefficients in COEFF_NAMES order, then the four legs."""
+    from walkerspin.spincoeff import COEFF_NAMES
+
+    return [coeffs.get(name) for name in COEFF_NAMES] + [*t.l, *t.n, *t.m, *t.mt]
+
+
+def scaled_frame(w, f: Poly, f_t: Poly):
+    """(coefficients, tetrad) of the Walker tetrad of w rescaled by
+    scale_normalization(f, f_t), recomputed from the tetrad."""
+    from walkerspin.spincoeff import spin_coefficients_from_tetrad
+    from walkerspin.walker import assemble_metric, christoffel, scale_normalization, walker_tetrad
+
+    mt = assemble_metric(w)
+    t = scale_normalization(walker_tetrad(w), f, f_t)
+    return spin_coefficients_from_tetrad(christoffel(mt), t, mt), t
 
 
 def random_metric_functions(rng: random.Random, max_degree: int = 4):

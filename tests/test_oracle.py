@@ -1,12 +1,15 @@
 """The tensor route checked against SymPy: Christoffel symbols, Ricci tensor
-and scalar curvature by the textbook formulas, from the metric strings."""
+and scalar curvature by the textbook formulas, from the metric strings; and
+the denominators of non-canonical frames against SymPy's ``cancel``."""
 
 import pytest
 
 from walkerspin.curvature import ricci_tensor, scalar_curvature
+from walkerspin.poly import parse_poly
+from walkerspin.spincoeff import Frame, transform_coefficients
 from walkerspin.walker import WalkerMetric, assemble_metric, christoffel
 
-from support import corpus_metrics
+from support import corpus_metrics, frame_values, scaled_frame, value_parts
 
 sympy = pytest.importorskip("sympy")
 
@@ -50,3 +53,31 @@ def test_ricci_and_scalar_match_sympy(w):
         for j in range(4):
             assert sympy.expand(_sympy(str(ricci[i][j])) - theirs[i][j]) == 0, (i, j)
     assert sympy.expand(_sympy(str(scalar)) - their_scalar) == 0
+
+
+FRAME_METRIC = WalkerMetric.from_dict({"a": "u*v+x^2", "b": "y^3-u", "c": "u*y"})
+
+
+def _frame_values(params):
+    """Coefficients and legs of a transformed frame, or, for ("scaled", f,
+    f_t), of the canonical frame rescaled by scale_normalization."""
+    if params[0] == "scaled":
+        coeffs, t = scaled_frame(FRAME_METRIC, *map(parse_poly, params[1:]))
+    else:
+        coeffs, t = transform_coefficients(Frame.walker(FRAME_METRIC), *map(parse_poly, params))
+    return frame_values(coeffs, t)
+
+
+@pytest.mark.parametrize("params", [
+    ("1+u", "1", "x", "0"), ("1", "1", "x", "y"), ("1+x", "1", "0", "y"),
+    ("1+u", "1+v", "0", "0"), ("1+u", "1+v", "x", "y"),
+    ("scaled", "1+u", "1"), ("scaled", "1+u", "1+v"),
+], ids=lambda p: ",".join(p))
+def test_denominators_match_sympy_cancel(params):
+    """Every denominator is the one SymPy's cancel leaves, up to a constant;
+    a value that is a Poly has a constant denominator there."""
+    for value in _frame_values(params):
+        num, den = value_parts(value)
+        _, their_den = sympy.fraction(sympy.cancel(_sympy(str(num)) / _sympy(str(den))))
+        ratio = sympy.cancel(_sympy(str(den)) / their_den)
+        assert ratio.is_number and ratio != 0, (str(value), their_den)

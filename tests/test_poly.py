@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -22,10 +24,11 @@ from walkerspin.poly import (
     ExprSyntaxError,
     Poly,
     RationalFunction,
+    _exact_quotient,
     parse_poly,
 )
 
-from support import random_poly
+from support import random_poly, value_parts
 
 
 coeffs = st.fractions(
@@ -226,6 +229,145 @@ def test_rational_function_normalization(p, q):
     assert f.den.terms[lead] == 1
     # f.num / f.den is p / q
     assert ref_mul(f.num.terms, q.terms) == ref_mul(p.terms, f.den.terms)
+
+
+nonconstant = polys.filter(lambda f: f.constant_value() is None)
+
+
+@given(polys, nonconstant)
+def test_trial_division_recovers_the_cofactor(p, f):
+    """p*f divided by f is exactly p, and a Poly; p*f + 1, which f does not
+    divide, is refused and stays a quotient."""
+    assert canonical(_exact_quotient(p * f, f)) == p
+    q = (p * f) / f
+    assert type(q) is Poly and q == p
+    assert _exact_quotient(p * f + 1, f) is None
+    r = (p * f + 1) / f
+    assert type(r) is RationalFunction and r * f == p * f + 1
+    # a repeated factor cancels one multiplicity at a time
+    s = RationalFunction(p * f + 1) / f / f
+    assert type(s) is RationalFunction and list(s.factors.values()) == [2]
+    assert s * f * f == p * f + 1
+    assert s * (f * f) == p * f + 1
+
+
+@given(polys, nonconstant, polys)
+def test_trial_division_is_sound(p, f, r):
+    """A quotient that trial division returns multiplies back exactly."""
+    q = _exact_quotient(p * f + r, f)
+    assert q is None or q * f == p * f + r
+
+
+def test_trial_division_refuses_a_coefficient_it_cannot_divide():
+    """Every leading monomial of 3u + 1 and 2u^2 + 3u + 2 is divisible by
+    that of 2u + 1, but no coefficient of the quotient is an integer."""
+    f = parse_poly("2*u + 1")
+    for text in ("3*u + 1", "2*u^2 + 3*u + 2"):
+        p = parse_poly(text)
+        assert _exact_quotient(p, f) is None
+        q = p / f
+        assert type(q) is RationalFunction and q * f == p
+    assert _exact_quotient(parse_poly("2*u^2 + 3*u + 1"), f) == parse_poly("u + 1")
+
+
+def test_trial_division_keeps_quotient_exponents_within_the_dividend():
+    """Lex division of u^256 - x by u - y^256 never ends: its remainder
+    reaches y^65536, which packed into the y field would carry into x and
+    cancel the x term.  A quotient exponent above the dividend's is refused
+    first, so the quotient stays irreducible."""
+    p, f = parse_poly("u^256 - x"), parse_poly("u - y^256")
+    assert _exact_quotient(p, f) is None
+    r = p / f
+    assert type(r) is RationalFunction and r * f == p
+    assert _exact_quotient(p * f, f) == p
+
+
+def test_trial_division_is_not_tried_where_a_remainder_could_carry():
+    """Dividend and divisor bounds summing to EXPONENT_LIMIT could carry in
+    a remainder key: the division is refused and the quotient stays
+    correct, unreduced."""
+    half = EXPONENT_LIMIT // 2
+    f = Poly({(half, 0, 0, 0): 1, (0, 0, 0, 0): 1})
+    assert _exact_quotient(f, f) is None
+    r = f / f
+    assert type(r) is RationalFunction and r.num == f and r.eval_at((2, 0, 0, 0)) == 1
+    g = Poly({(half - 1, 0, 0, 0): 1, (0, 0, 0, 0): 1})
+    assert _exact_quotient(g * parse_poly("u + 1"), parse_poly("u + 1")) == g
+
+
+U, V = parse_poly("1 + u"), parse_poly("1 + v")
+
+
+def over_uv(p, a: int, b: int):
+    """p / ((1+u)^a * (1+v)^b), one division at a time."""
+    for _ in range(a):
+        p = p / U
+    for _ in range(b):
+        p = p / V
+    return p
+
+
+uv_terms = st.lists(
+    st.tuples(polys, st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=5
+)
+
+
+@given(uv_terms, st.randoms(use_true_random=False), points)
+@settings(max_examples=60)
+def test_sums_over_known_factors_are_canonical(terms, rnd, pt):
+    """A sum of quotients over powers of 1+u and 1+v has one numerator and
+    one denominator whatever order it is added in, and the right value."""
+    values = [over_uv(p, a, b) for p, a, b in terms]
+    shuffled = list(values)
+    rnd.shuffle(shuffled)
+    forward = reduce(operator.add, values)
+    other = reduce(operator.add, shuffled)
+    assert type(forward) is type(other)
+    num, den = value_parts(forward)
+    assert value_parts(other) == (num, den)
+    if isinstance(forward, RationalFunction):
+        assert forward.factors == other.factors
+        assert set(forward.factors) <= {U, V}
+        # reduced: no factor left divides the numerator
+        assert all(_exact_quotient(num, f) is None for f in forward.factors)
+    if U.eval_at(pt) and V.eval_at(pt):
+        assert forward.eval_at(pt) == sum(v.eval_at(pt) for v in values)
+
+
+FACTOR_POOL = [parse_poly(t) for t in ("1 + u", "1 + v", "2 - x", "u*v + 1", "x^2 + y^2")]
+quotients = st.tuples(polys, st.lists(st.sampled_from(FACTOR_POOL), max_size=3)).map(
+    lambda t: reduce(operator.truediv, t[1], t[0])
+)
+
+
+@given(quotients, quotients, points)
+@settings(max_examples=60)
+def test_quotient_arithmetic_matches_evaluation(f, g, pt):
+    """Sums, differences, products and quotients evaluate to the same
+    operation on the values, wherever no denominator vanishes."""
+    try:
+        a, b = f.eval_at(pt), g.eval_at(pt)
+    except ZeroDivisionError:
+        return
+    assert (f + g).eval_at(pt) == a + b
+    assert (f - g).eval_at(pt) == a - b
+    assert (f * g).eval_at(pt) == a * b
+    if not g.is_zero and b:
+        try:
+            value = (f / g).eval_at(pt)
+        except ZeroDivisionError:
+            # the product of a denominator and g's numerator may vanish here
+            return
+        assert value == a / b
+
+
+@given(quotients, st.sampled_from("uvxy"))
+@settings(max_examples=60)
+def test_quotient_diff_matches_quotient_rule(f, var):
+    """d(n/d) * d^2 = n' d - n d', cross-multiplied in Poly arithmetic."""
+    num, den = value_parts(f)
+    dnum, dden = value_parts(f.diff(var))
+    assert dnum * den * den == (num.diff(var) * den - num * den.diff(var)) * dden
 
 
 @given(polys, polys)

@@ -1,10 +1,14 @@
 import hashlib
+import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from walkerspin.errors import InputError
+from walkerspin import spincoeff
+from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
 from walkerspin.spincoeff import (
     COEFF_NAMES,
@@ -42,7 +46,7 @@ from walkerspin.walker import (
     walker_tetrad,
 )
 
-from support import random_metric_functions
+from support import frame_values, random_metric_functions, scaled_frame, value_parts
 
 RF_ZERO = RationalFunction(ZERO)
 RF_ONE = RationalFunction(ONE)
@@ -503,27 +507,27 @@ def test_coefficient_set_helpers():
 def _frame_digest(coeffs, t) -> str:
     """SHA-256 of the printed coefficients and tetrad legs: it pins the
     representative of every quotient, not just its value."""
-    values = [coeffs.get(name) for name in COEFF_NAMES]
-    values += [*t.l, *t.n, *t.m, *t.mt]
+    values = frame_values(coeffs, t)
     return hashlib.sha256("\n".join(map(str, values)).encode()).hexdigest()
 
 
 _GOLDEN_TRANSFORMS = {
     ("1+u", "1", "x", "0"):
-        "90c937a68f58c6554be7287297567b8a8c027ab9808a67ef8f5ba820dae0ba01",
+        "ae29b4ba02733b2c6ed85694cd4675e90cf39ece5c5d7aa7de75e720b58838f2",
     ("1", "1", "x", "y"):
         "b8400659f3397472c55bef1cb42262b448392d048c76ec954ef8cd7a88d88c92",
     ("1+x", "1", "0", "y"):
-        "cac55f0a2795c53cabd792558fc49c2ed9dcbd0d75f010ed69ba8450f25635b7",
+        "f178b7513917086df5e2cb4f25146899fb29a4e055ed18a19cf5c50a641b12b3",
     ("1+u", "1+v", "0", "0"):
-        "428e3c8b824c670e1634172ee50160713f30db844c5b38c3efa2c30a3b0acaef",
+        "3e4c5311abe541f630a5c507b89aa91895dde75ae74b92e9486cb2d4d73abfa2",
 }
 
 
 @pytest.mark.parametrize("params", list(_GOLDEN_TRANSFORMS))
 def test_transform_representatives_are_pinned(params):
-    """A sum of quotients depends on its order through the equal-denominator
-    shortcut, so these digests change if any contraction reorders its terms."""
+    """Each quotient is reduced over the factors 1+u, 1+v and 1+x, so these
+    digests pin its one representative.  The values themselves are checked
+    against the unreduced representatives by the test below."""
     w = WalkerMetric(a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y"))
     coeffs, t = transform_coefficients(Frame.walker(w), *map(parse_poly, params))
     assert _frame_digest(coeffs, t) == _GOLDEN_TRANSFORMS[params]
@@ -531,9 +535,87 @@ def test_transform_representatives_are_pinned(params):
 
 def test_scaled_frame_representatives_are_pinned():
     w = WalkerMetric(a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y"))
-    mt = assemble_metric(w)
-    t = scale_normalization(walker_tetrad(w), parse_poly("1+u"), ONE)
-    coeffs = spin_coefficients_from_tetrad(christoffel(mt), t, mt)
+    coeffs, t = scaled_frame(w, parse_poly("1+u"), ONE)
     assert _frame_digest(coeffs, t) == (
-        "416349969e87e0cb4da045c0ba7732f389cbb2926b08084802bf01c067e86593"
+        "93a1c775fc0ebb868825abe72d32e380cd2014b9fd0d0805a18e13e812965eb6"
     )
+
+
+def _printed_parts(text: str):
+    """(numerator, denominator) of a printed Poly or RationalFunction."""
+    if ") / (" not in text:
+        return parse_poly(text), ONE
+    num, den = text[1:-1].split(") / (")
+    return parse_poly(num), parse_poly(den)
+
+
+def test_representatives_equal_the_parents():
+    """The coefficients and legs printed before denominators were reduced
+    (tests/data/parent_representatives.json: the four golden transforms and
+    the scaled frame) equal today's values as rational functions, by
+    cross-multiplication."""
+    data = json.loads(
+        (Path(__file__).parent / "data" / "parent_representatives.json").read_text()
+    )
+    w = WalkerMetric(**{k: parse_poly(v) for k, v in data["metric"].items()})
+    cases = []
+    for entry in data["transforms"]:
+        coeffs, t = transform_coefficients(Frame.walker(w), *map(parse_poly, entry["params"]))
+        cases.append((entry["values"], frame_values(coeffs, t)))
+    scaled = data["scaled"]
+    coeffs, t = scaled_frame(w, parse_poly(scaled["f"]), parse_poly(scaled["f_t"]))
+    cases.append((scaled["values"], frame_values(coeffs, t)))
+    assert len(cases) == 5
+    for texts, values in cases:
+        assert len(texts) == len(values) == 48
+        for text, value in zip(texts, values):
+            num, den = value_parts(value)
+            parent_num, parent_den = _printed_parts(text)
+            assert num * parent_den == parent_num * den, text[:80]
+
+
+@pytest.mark.parametrize("params", [("1+u", "1+v", "x", "0"), ("1+u", "1+v", "x", "y")])
+def test_large_frames_keep_only_the_scale_factors(params):
+    """The frames that took seconds while denominators were multiplied out:
+    every denominator is a product of powers of lam = 1+u and lam_t = 1+v."""
+    w = WalkerMetric(a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y"))
+    coeffs, t = transform_coefficients(Frame.walker(w), *map(parse_poly, params))
+    allowed = {parse_poly("1+u"), parse_poly("1+v")}
+    quotients = [v for v in frame_values(coeffs, t) if isinstance(v, RationalFunction)]
+    assert len(quotients) > 16
+    for value in quotients:
+        assert value.factors and set(value.factors) <= allowed, value
+
+
+def test_law_mismatch_names_a_witness(monkeypatch):
+    """A law that disagrees with recomputation raises an error naming the
+    coefficient, the size of the difference and a point where it is
+    nonzero; the difference re-evaluates to nonzero there."""
+    laws = spincoeff._transformation_laws
+    u = parse_poly("u")
+
+    def broken(s, *params):
+        out = laws(s, *params)
+        out["kappa"] = out["kappa"] + u
+        return out
+
+    monkeypatch.setattr(spincoeff, "_transformation_laws", broken)
+    w = WalkerMetric(a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y"))
+    frame = Frame.walker(w)
+    params = tuple(map(parse_poly, ("1+u", "1+v", "x", "0")))
+    with pytest.raises(InternalInconsistencyError) as err:
+        transform_coefficients(frame, *params)
+    message = str(err.value)
+    assert "transformation for kappa disagrees" in message
+    match = re.search(
+        r"has (\d+) numerator terms and is nonzero at \(u, v, x, y\) = \(([-\d, ]+)\)$",
+        message,
+    )
+    assert match, message
+    point = tuple(int(c) for c in match.group(2).split(","))
+    new_t = tetrad_transform(frame.tetrad, *params)
+    full = spin_coefficients_from_tetrad(christoffel(frame.metric), new_t, frame.metric)
+    diff = full.kappa - broken(frame.coeffs, *params)["kappa"]
+    num, _ = value_parts(diff)
+    assert int(match.group(1)) == len(num.terms)
+    assert diff.eval_at(point) != 0
