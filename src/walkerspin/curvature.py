@@ -18,17 +18,10 @@ from functools import cached_property
 
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, ONE, ZERO, Poly, Value, dot
-from .spincoeff import (
-    Frame,
-    prime,
-    priming_companion_tetrad,
-    tilde_companion_tetrad,
-    tilde_relabel,
-)
+from .spincoeff import Frame, describe_difference, prime, tilde_relabel
 from .walker import (
     COORDS,
     Christoffel,
-    DirectionalOps,
     MetricTensor,
     Tetrad,
     WalkerMetric,
@@ -43,20 +36,33 @@ THIRD = Fraction(1, 3)
 
 
 def ricci_tensor(ch: Christoffel):
-    """Ricci tensor from the connection alone, no rank-four intermediate."""
+    """Ricci tensor from the connection alone, no rank-four intermediate.
+
+    The contracted connection T_e = sum_a Gamma^a_ae is formed once, and
+
+        R_bd = sum_a d_a Gamma^a_bd - d_d T_b + sum_e T_e Gamma^e_bd
+               - sum_{a,e} Gamma^a_de Gamma^e_ab,
+
+    so the products Gamma^a_ae Gamma^e_db, which cancel only in their sum,
+    are never formed.  The premise is a Levi-Civita connection, the only
+    kind ``christoffel`` builds: it is symmetric in its lower indices, and
+    T_b = d_b ln sqrt|det g| is a gradient, so R_bd is symmetric and only
+    the entries b <= d are formed.  A Walker metric has det g = 1, so T is
+    zero and ``dot`` skips its terms.
+    """
     g = ch.gamma
-    out = []
+    trace = [sum((g[a][a][e] for a in range(4)), ZERO) for e in range(4)]
+    out = [[ZERO] * 4 for _ in range(4)]
     for b in range(4):
-        row = []
-        for d in range(4):
-            entry = Poly.zero()
-            for a in range(4):
-                entry = entry + g[a][d][b].diff(COORDS[a]) - g[a][a][b].diff(COORDS[d])
-                for e in range(4):
-                    entry = entry + g[a][a][e] * g[e][d][b] - g[a][d][e] * g[e][a][b]
-            row.append(entry)
-        out.append(tuple(row))
-    return tuple(out)
+        for d in range(b, 4):
+            linear = dot(
+                zip(trace, (g[e][b][d] for e in range(4))),
+                sum((g[a][b][d].diff(COORDS[a]) for a in range(4)), ZERO)
+                - trace[b].diff(COORDS[d]),
+            )
+            quadratic = dot((g[a][d][e], g[e][a][b]) for a in range(4) for e in range(4))
+            out[b][d] = out[d][b] = linear - quadratic
+    return tuple(tuple(row) for row in out)
 
 
 def scalar_curvature(mt: MetricTensor, ricci) -> Poly:
@@ -104,11 +110,8 @@ def riemann(mt: MetricTensor, ch: Christoffel) -> RiemannData:
     direct = ricci_tensor(ch)
     for b in range(4):
         for d in range(4):
-            if traced[b][d] != direct[b][d]:
-                raise InternalInconsistencyError(
-                    "Ricci trace of the curvature tensor disagrees with the "
-                    "direct contraction formula"
-                )
+            _check(f"Ricci entry ({b}, {d}) by trace and by contraction",
+                   traced[b][d], direct[b][d])
     return RiemannData(lowered=lowered, ricci=direct,
                        scalar=scalar_curvature(mt, direct))
 
@@ -206,7 +209,7 @@ def _check(label: str, value, *alternates):
     for alt in alternates:
         if value != alt:
             raise InternalInconsistencyError(
-                f"redundant routes for {label} disagree"
+                f"redundant routes for {label} disagree: {describe_difference(value, alt)}"
             )
     return value
 
@@ -355,6 +358,16 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
 # ---------------------------------------------------------------------------
 
 
+# The operators D, Delta, delta, Dp of each companion tetrad of a frame, as
+# signed operators of the frame itself, by the marker of its equations.
+_COMPANION_OPS = {
+    "": {"D": ("D", 1), "Delta": ("Delta", 1), "delta": ("delta", 1), "Dp": ("Dp", 1)},
+    "'": {"D": ("Dp", 1), "Delta": ("delta", -1), "delta": ("Delta", -1), "Dp": ("D", 1)},
+    "~": {"D": ("D", 1), "Delta": ("delta", 1), "delta": ("Delta", 1), "Dp": ("Dp", 1)},
+    "'~": {"D": ("Dp", 1), "Delta": ("Delta", -1), "delta": ("delta", -1), "Dp": ("D", 1)},
+}
+
+
 def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
     """Left minus right side of all 48 first-order curvature equations.
 
@@ -363,12 +376,20 @@ def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
     the priming companion tetrad (n, l, -mt, -m) with primed coefficients
     and curvature; the equations of the second dyad (marker ~) hold on
     the tetrad with m and mt exchanged, with tilde-relabelled data; and
-    the primed partners of those on the priming companion of that tetrad.
-    Keys run a, a', ..., l, l', a~, a'~, ..., l'~.
+    the primed partners of those (marker '~) on the priming companion of
+    that tetrad.  Keys run a, a', ..., l, l', a~, a'~, ..., l'~.
+
+    Each companion's operators are signed relabellings of the frame's own
+    (``_COMPANION_OPS``), so all 48 equations share the memo of
+    ``frame.ops``:
+
+        primed        D -> Dp,  Delta -> -delta,  delta -> -Delta,  Dp -> D
+        tilde         D -> D,   Delta -> delta,   delta -> Delta,   Dp -> Dp
+        tilde-primed  D -> Dp,  Delta -> -Delta,  delta -> -delta,  Dp -> D
     """
 
     def build(ops, s, c):
-        D, A, dl, Dp = ops.D, ops.Delta, ops.delta, ops.Dp
+        D, A, dl, Dp = ops
         phi = c.Phi
         return {
             "a": (A(s.kappa) - D(s.rho)) - (
@@ -454,22 +475,19 @@ def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
             ),
         }
 
-    def with_primed(mark, ops, t, s, c):
-        plain = build(ops, s, c)
-        primed = build(
-            DirectionalOps(priming_companion_tetrad(t)), prime(s), prime_curvature(c)
-        )
-        out = {}
+    def on(mark, s, c):
+        return build(frame.ops.signed(_COMPANION_OPS[mark]), s, c)
+
+    out = {}
+    for mark, s, c in (
+        ("", frame.coeffs, curv),
+        ("~", tilde_relabel(frame.coeffs), tilde_curvature(curv)),
+    ):
+        plain = on(mark, s, c)
+        primed = on("'" + mark, prime(s), prime_curvature(c))
         for key in plain:
             out[key + mark] = plain[key]
             out[key + "'" + mark] = primed[key]
-        return out
-
-    out = with_primed("", frame.ops, frame.tetrad, frame.coeffs, curv)
-    t = tilde_companion_tetrad(frame.tetrad)
-    out.update(with_primed(
-        "~", DirectionalOps(t), t, tilde_relabel(frame.coeffs), tilde_curvature(curv)
-    ))
     return out
 
 

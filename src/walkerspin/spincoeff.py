@@ -297,16 +297,22 @@ def transform_coefficients(
         for name, want in _transformation_laws(old, *params).items():
             got = new.get(name)
             if got != want:
-                diff = got - want
-                terms = len((diff.num if isinstance(diff, RationalFunction) else diff).terms)
-                point = _witness(diff, (got, want))
-                where = (f"nonzero at (u, v, x, y) = {point}" if point else
-                         "nonzero at no integer point in [-2, 2]^4")
                 raise InternalInconsistencyError(
                     f"closed-form transformation for {name}{mark} disagrees with "
-                    f"recomputation: the difference has {terms} numerator terms and is {where}"
+                    f"recomputation: {describe_difference(got, want)}"
                 )
     return full, new_t
+
+
+def describe_difference(got: Value, want: Value) -> str:
+    """The size of got - want and a point where it is nonzero, for the
+    message of a disagreement between two routes."""
+    diff = got - want
+    terms = len((diff.num if isinstance(diff, RationalFunction) else diff).terms)
+    point = _witness(diff, (got, want))
+    where = (f"nonzero at (u, v, x, y) = {point}" if point else
+             "nonzero at no integer point in [-2, 2]^4")
+    return f"the difference has {terms} numerator terms and is {where}"
 
 
 def _witness(diff: Value, operands) -> tuple[int, ...] | None:

@@ -263,16 +263,44 @@ class DirectionalOps:
     """Scalar directional derivatives D, Delta, delta, Dp of a tetrad.
 
     D follows l, Delta follows mt, delta follows m, and Dp follows n.
+    Each instance remembers the derivative of every Poly it was given,
+    keyed on (operator name, value), so the routes that share one frame
+    differentiate each value once.  A RationalFunction has no hash, as
+    one value can have two representatives, so it is differentiated anew.
     """
 
     def __init__(self, t: Tetrad):
         self.dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
+        self.memo: dict[tuple[str, Poly], Value] = {}
 
     def apply(self, name: str, f: Value) -> Value:
+        if type(f) is not Poly:
+            return self.derive(name, f)
+        key = (name, f)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self.derive(name, f)
+        return out
+
+    def derive(self, name: str, f: Value) -> Value:
+        """The derivative itself, without the memo."""
         # f is not differentiated along a coordinate the leg does not move
         return dot(
             (comp, f.diff(x)) for comp, x in zip(self.dirs[name], COORDS) if not comp.is_zero
         )
+
+    def signed(self, table) -> tuple:
+        """D, Delta, delta, Dp of a tetrad whose legs are signed legs of this
+        one, as callables that share this memo; ``table`` maps each name to
+        (the name of the operator here, +1 or -1)."""
+
+        def view(name, sign):
+            apply = self.apply
+            if sign > 0:
+                return lambda f: apply(name, f)
+            return lambda f: -apply(name, f)
+
+        return tuple(view(*table[name]) for name in self.NAMES)
 
     def D(self, f):
         return self.apply("D", f)

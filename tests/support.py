@@ -89,6 +89,27 @@ def bianchi_residual_by_connection(mt, ch, ricci, scalar):
     )
 
 
+def ricci_by_sixteen_entries(ch):
+    """Reference route for ``ricci_tensor``: every one of the 16 entries
+    from the textbook contraction, 32 connection products each,
+
+        R_bd = sum_a (d_a G^a_db - d_d G^a_ab
+                      + sum_e (G^a_ae G^e_db - G^a_de G^e_ab))."""
+    g = ch.gamma
+    out = []
+    for b in range(4):
+        row = []
+        for d in range(4):
+            entry = Poly.zero()
+            for a in range(4):
+                entry = entry + g[a][d][b].diff(COORDS[a]) - g[a][a][b].diff(COORDS[d])
+                for e in range(4):
+                    entry = entry + g[a][a][e] * g[e][d][b] - g[a][d][e] * g[e][a][b]
+            row.append(entry)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def random_symmetric_tensor(rng: random.Random, max_degree: int = 3):
     """A random symmetric 4x4 tensor of polynomials, some entries zero."""
     rows = [[None] * 4 for _ in range(4)]

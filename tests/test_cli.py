@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +20,8 @@ import walkerspin
 from walkerspin.cli import main
 from walkerspin.congruence import MAX_STEPS
 from walkerspin.spincoeff import COEFF_NAMES, Frame
+
+from support import value_parts
 
 FLAT = {"a": "0", "b": "0", "c": "0", "label": "flat"}
 CUBIC = {"a": "0", "b": "u^3", "c": "0"}
@@ -150,6 +153,43 @@ class TestVerify:
         assert code == 1
         assert "FAIL bianchi component " in out
         assert out.rstrip().endswith("verdict: fail")
+
+    def test_route_disagreement_names_a_witness(self, spec, capsys, monkeypatch):
+        # a closed form whose gamma_t is off by u*x makes the two PsiT2
+        # routes disagree; the one error line names the quantity, the size
+        # of the difference and a point where the difference is nonzero
+        closed_form = walkerspin.spincoeff.walker_closed_form
+        bump = walkerspin.Poly.parse("u*x")
+
+        def broken(w):
+            s = closed_form(w)
+            return s.with_values(gamma_t=s.gamma_t + bump)
+
+        checks = []
+        check = walkerspin.curvature._check
+
+        def recorded(label, value, *alternates):
+            checks.append((label, value, alternates))
+            return check(label, value, *alternates)
+
+        monkeypatch.setattr(walkerspin.spincoeff, "walker_closed_form", broken)
+        monkeypatch.setattr(walkerspin.curvature, "_check", recorded)
+        code, out, err = run(capsys, "verify", spec(MIXED))
+        assert code == 3
+        assert out == ""
+        [line] = err.splitlines()
+        match = re.fullmatch(
+            r"internal inconsistency: redundant routes for (\S+) disagree: the difference "
+            r"has (\d+) numerator terms and is nonzero at \(u, v, x, y\) = \(([-\d, ]+)\)",
+            line,
+        )
+        assert match, line
+        label, value, alternates = checks[-1]
+        assert match.group(1) == label == "PsiT2"
+        diff = next(value - alt for alt in alternates if value != alt)
+        assert int(match.group(2)) == len(value_parts(diff)[0].terms)
+        point = tuple(int(c) for c in match.group(3).split(","))
+        assert diff.eval_at(point) != 0
 
     def test_unknown_coefficient(self, spec, capsys):
         code, _, err = run(capsys, "verify", spec(FLAT), "--perturb", "bogus")

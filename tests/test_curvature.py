@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walkerspin import curvature
 from walkerspin.curvature import (
     Analysis,
     CurvatureSpinors,
@@ -22,6 +25,7 @@ from walkerspin.curvature import (
     walker_curvature_components,
 )
 from walkerspin.errors import InputError
+from walkerspin.heavenly import build_metric
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
 from walkerspin.spincoeff import (
     COEFF_NAMES,
@@ -34,9 +38,11 @@ from walkerspin.spincoeff import (
 )
 from walkerspin.walker import (
     DirectionalOps,
+    MetricTensor,
     WalkerMetric,
     assemble_metric,
     christoffel,
+    tetrad_transform,
     walker_tetrad,
 )
 
@@ -46,13 +52,21 @@ from support import (
     monomials_to_degree,
     random_metric_functions,
     random_poly,
+    random_potential,
     random_symmetric_tensor,
+    ricci_by_sixteen_entries,
 )
 
 RF_ZERO = RationalFunction(ZERO)
 FRAMES_METRIC = WalkerMetric(
     a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y")
 )
+
+
+def dense_metric(d):
+    return WalkerMetric.from_dict(
+        {"a": f"(u+v+x+y+1)^{d}", "b": f"(u-2*v+x+1/2)^{d}", "c": "(u*v+x-y)^2"}
+    )
 
 
 def sample_metrics(count, seed, max_degree=3):
@@ -103,6 +117,72 @@ def test_ricci_routes_agree_and_bianchi_holds():
         scalar = scalar_curvature(mt, ricci)
         residual = bianchi_contracted_residual(mt, ricci, scalar)
         assert all(entry == Poly.zero() for entry in residual)
+
+
+def test_ricci_matches_the_sixteen_entry_reference():
+    # the contracted-connection route against the textbook one, on the
+    # corpus, the dense metrics and metrics built from potentials
+    rng = random.Random(211)
+    metrics = corpus_metrics() + [dense_metric(d) for d in (2, 3, 4)]
+    metrics += [build_metric(random_potential(rng, max_degree=4)) for _ in range(6)]
+    nonzero = 0
+    for w in metrics:
+        ch = christoffel(assemble_metric(w))
+        ricci = ricci_tensor(ch)
+        assert ricci == ricci_by_sixteen_entries(ch), w
+        nonzero += any(not entry.is_zero for row in ricci for entry in row)
+    assert nonzero >= len(metrics) - 2
+
+
+def test_ricci_matches_the_reference_where_the_contracted_connection_is_nonzero():
+    # A Walker metric has det g = 1, so sum_a G^a_ae vanishes and the terms
+    # of ricci_tensor that carry it are never formed; the conformally
+    # rescaled metric (1 + u*x) g has det g = (1 + u*x)^4 and forms them.
+    scale = parse_poly("1+u*x")
+    for w in corpus_metrics()[:4]:
+        mt = assemble_metric(w)
+        inverse = ONE / scale
+        ch = christoffel(MetricTensor(
+            g=tuple(tuple(scale * entry for entry in row) for row in mt.g),
+            ginv=tuple(tuple(inverse * entry for entry in row) for row in mt.ginv),
+        ))
+        assert any(not sum((ch.gamma[a][a][e] for a in range(4)), ZERO).is_zero
+                   for e in range(4))
+        assert ricci_tensor(ch) == ricci_by_sixteen_entries(ch), w
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap owner.name; the returned list gets one entry per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("w, fresh, products", [
+    (FRAMES_METRIC, 6, 12),
+    (dense_metric(5), 12, 24),
+], ids=["frames", "dense-5"])
+def test_verify_work_counts(monkeypatch, w, fresh, products):
+    # Upper bounds at the counts measured when the derivative memo and the
+    # contracted Ricci route went in: suite 3.4 differentiates only what
+    # the curvature routes of the same frame did not (96 derivatives
+    # before), and ricci_tensor forms neither the products that cancel in
+    # their sum nor the mirrored entries (512 products before).
+    an = Analysis(w)
+    an.curvature
+    derived = counting(monkeypatch, DirectionalOps, "derive")
+    field_equation_residuals(an.frame, an.curvature)
+    assert 0 < len(derived) <= fresh
+    ch = christoffel(an.frame.metric)
+    multiplied = counting(monkeypatch, Poly, "__mul__")
+    ricci_tensor(ch)
+    assert 0 < len(multiplied) <= products
 
 
 def _ricci_and_scalar(w):
@@ -290,6 +370,52 @@ def test_field_equations_covariant_under_priming_and_dyad_swap():
                 assert primed[k + "'"] == res[k], k
                 assert tilded[k + "~"] == res[k], k
                 assert not res[k].is_zero
+
+
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    max_size=4,
+).map(Poly)
+_LAMBDA = parse_poly("1+u")
+_CANONICAL = walker_tetrad(FRAMES_METRIC)
+_TRANSFORMED = tetrad_transform(_CANONICAL, _LAMBDA, *map(parse_poly, ("1+v", "x", "y")))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_polys)
+def test_companion_operators_are_signed_views(f):
+    # each companion tetrad's operators, built from its own legs, equal the
+    # signed relabelling of the frame's operators that field_equation_residuals
+    # uses; on the transformed tetrad the quotient f / lam takes the path
+    # that bypasses the memo
+    for t, values in ((_CANONICAL, (f,)), (_TRANSFORMED, (f, f / _LAMBDA))):
+        companions = {
+            "": t,
+            "'": priming_companion_tetrad(t),
+            "~": tilde_companion_tetrad(t),
+            "'~": priming_companion_tetrad(tilde_companion_tetrad(t)),
+        }
+        ops = DirectionalOps(t)
+        for mark, table in curvature._COMPANION_OPS.items():
+            direct = DirectionalOps(companions[mark])
+            for op, name in zip(ops.signed(table), DirectionalOps.NAMES):
+                for value in values:
+                    assert op(value) == direct.apply(name, value), (mark, name)
+
+
+def test_derivative_memo_belongs_to_its_frame():
+    ops = Frame.walker(FRAMES_METRIC).ops
+    assert ops.memo == {}
+    f = parse_poly("u*x")
+    first = ops.apply("Dp", f)
+    assert ops.apply("Dp", f) is first
+    assert list(ops.memo) == [("Dp", f)]
+    quotient = f / parse_poly("1+u")
+    assert isinstance(quotient, RationalFunction)
+    assert ops.apply("Dp", quotient) == ops.derive("Dp", quotient)
+    assert len(ops.memo) == 1
+    assert Frame.walker(FRAMES_METRIC).ops.memo == {}
 
 
 def test_commutator_residuals_vanish_on_monomials():
