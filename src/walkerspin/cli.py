@@ -15,12 +15,19 @@ import argparse
 import dataclasses
 import functools
 import json
+import operator
 import os
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
 
-from .congruence import connecting_oracle, integrate_connecting, write_trace_csv
+from .congruence import (
+    _oracle_columns,
+    _state_columns,
+    integrate_connecting,
+    write_trace_csv,
+)
 from .curvature import (
     Analysis,
     bianchi_contracted_residual,
@@ -301,11 +308,14 @@ def cmd_congruence(args, out) -> int:
     base = _parse_tuple(args.base, "--base")
     path = integrate_connecting(w, v0, v_end=end, step=step, base=base)
 
-    worst = 0.0
-    for state, exact in zip(path.states, connecting_oracle(w, base, v0, path.grid)):
-        got = state.astuple()
-        want = exact.astuple()
-        worst = max(worst, max(abs(g - e) for g, e in zip(got, want)))
+    start = path.states[0]
+    want = (*_oracle_columns(w, base, start, path.grid), repeat(start.zeta_t), repeat(start.nu))
+    # max is exact: the largest per component, then over the components, is
+    # the largest over every state and component
+    worst = max(0.0, *(
+        max(map(abs, map(operator.sub, got, exact)))
+        for got, exact in zip(_state_columns(path.states), want)
+    ))
 
     if args.out == "-":
         write_trace_csv(path, out)

@@ -15,17 +15,20 @@ is the only numerical error in a trace.
 The transport matrix M (z' = M z) and the curvature matrix N (z'' = -N z)
 are each written once, as a table of nonzero entries that the sampling,
 the float right-hand sides, the Riccati closures and the pointwise
-matrices all read.  One RK4 stepper integrates both systems, the deviation
-one in its 8-dimensional first-order form.
+matrices all read.  Each table's float right-hand side is one straight-line
+row function over the sampled columns, with no per-sample loop over
+entries.  One RK4 stepper integrates both systems, the deviation one in its
+8-dimensional first-order form.  The oracle check and the CSV writer work
+column by column, and the CSV is streamed row by row.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import islice
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import (
@@ -102,8 +105,12 @@ def _point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 def _ratios(grid) -> list[tuple[int, int]]:
     """Each curve parameter as an exact (p, q) pair."""
+    grid = tuple(grid)
     try:
-        return [_ratio(t if isinstance(t, float) else _fraction(t)) for t in grid]
+        try:
+            return list(map(float.as_integer_ratio, grid))
+        except TypeError:  # not every parameter is a float
+            return [_ratio(t if isinstance(t, float) else _fraction(t)) for t in grid]
     except (ValueError, OverflowError) as exc:
         raise InputError("nonfinite curve parameter") from exc
 
@@ -143,6 +150,13 @@ class ConnectingState:
         return (self.eta, self.zeta, self.zeta_t, self.nu)
 
 
+def _state_columns(states) -> tuple:
+    """The eta, zeta, zeta~ and nu of each state, as four lazy columns."""
+    return tuple(
+        map(operator.attrgetter(name), states) for name in ("eta", "zeta", "zeta_t", "nu")
+    )
+
+
 def _as_state(v) -> ConnectingState:
     comps = _finite(v.astuple() if isinstance(v, ConnectingState) else v, "connecting state")
     if len(comps) != 4:
@@ -163,13 +177,12 @@ class CoefficientTrace:
         npts = len(self.grid)
         if npts < 3 or npts % 2 == 0:
             raise InputError("trace grid must hold an odd number (>= 3) of samples")
-        for left, right in zip(self.grid, self.grid[1:]):
-            if not right > left:
-                raise InputError("trace grid must be strictly increasing")
+        if not all(map(operator.lt, self.grid, self.grid[1:])):
+            raise InputError("trace grid must be strictly increasing")
         for key, samples in self.values.items():
             if len(samples) != npts:
                 raise InputError(f"trace column {key!r} does not match the grid")
-            if not all(math.isfinite(s) for s in samples):
+            if not all(map(math.isfinite, samples)):
                 raise InputError(f"nonfinite sample in trace column {key!r}")
 
     @classmethod
@@ -281,27 +294,42 @@ def _screen(a):
     return tuple(row[1:3] for row in a[1:3])
 
 
-def _float_rows(entries, samples):
-    """Each row of `entries` as (column, signed samples) pairs."""
-    return [
-        [(k, samples[key] if sign > 0 else tuple(-x for x in samples[key]))
-         for k, sign, key in row]
-        for row in entries
-    ]
+def _row_function(entries, samples):
+    """rhs(j, z): the matrix of `entries` at grid index j times z, over the
+    float columns `samples`.
 
+    Column 0 of M and N vanishes and no row has more than three entries,
+    so each row is one straight-line sum
+    ((0.0 + a1[j]*z[1]) + a2[j]*z[2]) + a3[j]*z[3], where a missing entry
+    reads a shared column of 0.0.  For finite z that is the sum of the
+    row's nonzero entries in column order: a partial sum that starts from
+    +0.0 is never -0.0, so the signed zero a missing entry adds leaves it
+    unchanged.  A nonfinite z[k] also reaches a row with an entry in
+    column k, so either way the stepper refuses that step."""
+    if len(entries) != 4:
+        raise InternalInconsistencyError("a transport table needs four rows")
+    zero = (0.0,) * len(next(iter(samples.values())))
+    cols = []
+    for row in entries:
+        row_cols = [zero] * 3
+        for k, sign, key in row:
+            if k not in (1, 2, 3) or row_cols[k - 1] is not zero:
+                raise InternalInconsistencyError(f"entry {key!r} not in a free column 1-3")
+            col = samples[key]
+            row_cols[k - 1] = col if sign > 0 else tuple(-x for x in col)
+        cols += row_cols
+    a1, a2, a3, b1, b2, b3, c1, c2, c3, d1, d2, d3 = cols
 
-def _row_sums(rows, j, z) -> list[float]:
-    """The matrix of `rows` at grid index j times z.  Each sum starts from
-    0.0 and adds the nonzero entries in column order: a partial sum that
-    starts from +0.0 is never -0.0, so a skipped zero entry, which would
-    add a signed zero, leaves it unchanged."""
-    out = []
-    for row in rows:
-        acc = 0.0
-        for k, col in row:
-            acc += col[j] * z[k]
-        out.append(acc)
-    return out
+    def rhs(j, z) -> list[float]:
+        z1, z2, z3 = z[1], z[2], z[3]
+        return [
+            ((0.0 + a1[j] * z1) + a2[j] * z2) + a3[j] * z3,
+            ((0.0 + b1[j] * z1) + b2[j] * z2) + b3[j] * z3,
+            ((0.0 + c1[j] * z1) + c2[j] * z2) + c3[j] * z3,
+            ((0.0 + d1[j] * z1) + d2[j] * z2) + d3[j] * z3,
+        ]
+
+    return rhs
 
 
 def _rk4(rhs, z0, grid) -> list[list[float]]:
@@ -326,9 +354,9 @@ def _rk4(rhs, z0, grid) -> list[list[float]]:
 
 
 def _check_midpoints(grid) -> None:
-    for k in range(0, len(grid) - 2, 2):
-        t0, tm, t1 = grid[k], grid[k + 1], grid[k + 2]
-        if abs(tm - (t0 + t1) / 2) > 1e-9 * (abs(t1 - t0) + 1.0):
+    # halving before adding: (t0 + t1) / 2 overflows near the float maximum
+    for t0, tm, t1 in zip(grid[::2], grid[1::2], grid[2::2]):
+        if abs(tm - (t0 / 2 + t1 / 2)) > 1e-9 * (abs(t1 - t0) + 1.0):
             raise InputError("trace grid must sample step midpoints")
 
 
@@ -350,8 +378,8 @@ def integrate_connecting(
     else:
         raise InputError("source must be a WalkerMetric or a CoefficientTrace")
     _check_midpoints(trace.grid)
-    rows = _float_rows(_M_ENTRIES, trace.values)
-    states = _rk4(partial(_row_sums, rows), state0.astuple(), trace.grid)
+    rhs = _row_function(_M_ENTRIES, trace.values)
+    states = _rk4(rhs, state0.astuple(), trace.grid)
     return ConnectingPath(
         grid=trace.grid[::2], states=tuple(ConnectingState(*z) for z in states), trace=trace
     )
@@ -367,6 +395,13 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     each restricted to the curve once and rounded once per parameter.
     """
     s0 = _as_state(V0)
+    etas, zetas = _oracle_columns(w, base, s0, ts)
+    return tuple(ConnectingState(e, z, s0.zeta_t, s0.nu) for e, z in zip(etas, zetas))
+
+
+def _oracle_columns(w: WalkerMetric, base, s0: ConnectingState, ts):
+    """The closed-form eta and zeta of `connecting_oracle`, as two float
+    columns over `ts`; the other two components stay those of s0."""
     pt0 = _point(base)
     a0, b0, c0 = (f.eval_at(pt0) for f in (w.a, w.b, w.c))
     zt0 = Fraction(s0.zeta_t)
@@ -374,9 +409,10 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     eta = Fraction(s0.eta) + ((c0 - w.c) * zt0 + (w.a - a0) * nu0) * HALF
     zeta = Fraction(s0.zeta) + ((b0 - w.b) * zt0 + (w.c - c0) * nu0) * HALF
     ratios = _ratios(ts)
-    etas = _curve_floats(eta.along_u(pt0), ratios, "eta")
-    zetas = _curve_floats(zeta.along_u(pt0), ratios, "zeta")
-    return tuple(ConnectingState(e, z, s0.zeta_t, s0.nu) for e, z in zip(etas, zetas))
+    return (
+        _curve_floats(eta.along_u(pt0), ratios, "eta"),
+        _curve_floats(zeta.along_u(pt0), ratios, "zeta"),
+    )
 
 
 def _curve_floats(curve, ratios, name) -> tuple[float, ...]:
@@ -410,10 +446,12 @@ def integrate_jacobi(
     grid = _half_grid(v_end, step)
     an = Analysis(w)
     trace = CoefficientTrace.from_frame(an.frame, base, grid)
-    rows = _float_rows(_N_ENTRIES, _sample_columns(_curvature_columns(an.curvature), base, grid))
+    rows = _row_function(
+        _N_ENTRIES, _sample_columns(_curvature_columns(an.curvature), base, grid)
+    )
     # (z, y)' = (y, -N z), where y = z'
     states = _rk4(
-        lambda j, s: s[4:] + [-x for x in _row_sums(rows, j, s)],
+        lambda j, s: s[4:] + [-x for x in rows(j, s)],
         z0.astuple() + y0.astuple(),
         grid,
     )
@@ -730,11 +768,15 @@ def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
 
 def write_trace_csv(path, stream) -> None:
     """One row per accepted step; floats printed in shortest
-    round-trip form so identical runs give identical bytes."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    round-trip form so identical runs give identical bytes.  Rows are
+    streamed, not built into one string.  A finite float's repr holds no
+    comma, quote or line break, so no field needs CSV quoting."""
     tr = path.trace.values
-    columns = (tr["rho"], tr["rho_t"], tr["sigma"], tr["sigma_t"])
-    for k, t in enumerate(path.grid):
-        row = (t, *path.states[k].astuple(), *(col[2 * k] for col in columns))
-        writer.writerow(repr(float(x)) for x in row)
+    columns = (
+        path.grid,
+        *_state_columns(path.states),
+        *(islice(tr[key], 0, None, 2) for key in ("rho", "rho_t", "sigma", "sigma_t")),
+    )
+    rows = zip(*(map(float, col) for col in columns))
+    stream.write(CSV_HEADER + "\n")
+    stream.writelines(",".join(map(repr, row)) + "\n" for row in rows)

@@ -128,7 +128,7 @@ class Poly:
     instances are treated as immutable.
     """
 
-    __slots__ = ("_num", "_den", "_top", "_terms")
+    __slots__ = ("_num", "_den", "_top", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
         clean: dict[int, Fraction] = {}
@@ -213,7 +213,12 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._num.items())))
+        # cached in a slot that __init__ and _poly leave unset
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self._den, frozenset(self._num.items())))
+            return h
 
     def __neg__(self) -> "Poly":
         return _poly({k: -n for k, n in self._num.items()}, self._den, self._top)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 from fractions import Fraction
 
@@ -167,3 +168,39 @@ def random_potential(rng: random.Random, max_degree: int = 5):
     return HeavenlyPotential(
         theta=random_poly(rng, max_degree=max_degree), f=f, g=g, F=F, G=G, h=h
     )
+
+
+def float_rows(entries, samples):
+    """Reference for ``congruence._row_function``, with ``row_sums``: each
+    row of an entry table as (column, signed samples) pairs."""
+    return [
+        [(k, samples[key] if sign > 0 else tuple(-x for x in samples[key]))
+         for k, sign, key in row]
+        for row in entries
+    ]
+
+
+def row_sums(rows, j, z) -> list[float]:
+    """The matrix of ``float_rows`` at grid index j times z, each sum
+    starting from 0.0 and adding the row's entries in table order."""
+    out = []
+    for row in rows:
+        acc = 0.0
+        for k, col in row:
+            acc += col[j] * z[k]
+        out.append(acc)
+    return out
+
+
+def csv_writer_trace(path, stream) -> None:
+    """Reference for ``congruence.write_trace_csv``: the same rows through
+    ``csv.writer``."""
+    from walkerspin.congruence import CSV_HEADER
+
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    tr = path.trace.values
+    columns = (tr["rho"], tr["rho_t"], tr["sigma"], tr["sigma_t"])
+    for k, t in enumerate(path.grid):
+        row = (t, *path.states[k].astuple(), *(col[2 * k] for col in columns))
+        writer.writerow(repr(float(x)) for x in row)

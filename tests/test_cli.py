@@ -284,6 +284,37 @@ class TestCongruence:
             "e65583a3dec77a19839b46c431b5c9ceb290894332dd935325a65e2efe4dff64"
         )
 
+    def test_golden_trace_on_stdout(self, spec, capsys):
+        # digest recorded with csv.writer rows and a per-state oracle loop
+        metric = {"a": "u^3*v - 2/3*x*y + u*y^2", "b": "u^4 - x*v + 1/2",
+                  "c": "u^2*x - 3*v*y^2 + u", "label": "golden"}
+        code, out, _ = run(
+            capsys, "congruence", spec(metric), "--v0=0,-2,1/2,-3",
+            "--base=-1/3,1/2,-2,3/4", "--end", "1/2", "--step", "1e-2", "--out", "-",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 53
+        assert lines[0] == "v,eta,zeta,zetatilde,nu,rho,rhotilde,sigma,sigmatilde"
+        assert lines[-1].startswith("max oracle error = ")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6453e947cab13e59a580e9b6d8ce54155cc67f45abcc02252605c42fad260183"
+        )
+
+    def test_spans_near_the_float_maximum(self, spec, capsys, tmp_path):
+        # each step's midpoint is checked without forming t0 + t1, which
+        # overflows here
+        csv_path = tmp_path / "trace.csv"
+        for end, step, steps in (("1e308", "1e303", 100_000), ("1.7e308", "1e308", 2)):
+            code, out, err = run(capsys, "congruence", spec(FLAT), "--v0", "1,1,1,1",
+                                 "--end", end, "--step", step, "--out", str(csv_path))
+            assert code == 0, err
+            assert f"steps: {steps}\n" in out
+            assert oracle_error(out) == 0.0
+            lines = csv_path.read_text().splitlines()
+            assert len(lines) == steps + 2
+            assert lines[-1] == f"{float(end)!r},1.0,1.0,1.0,1.0,0.0,0.0,0.0,0.0"
+
     def test_flag_validation(self, spec, capsys):
         path = spec(FLAT)
         code, _, err = run(capsys, "congruence", path, "--v0", "1,2",

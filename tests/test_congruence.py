@@ -8,11 +8,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkerspin.congruence import (
     CSV_HEADER,
     MAX_STEPS,
+    TRACE_KEYS,
     CoefficientTrace,
+    ConnectingPath,
     ConnectingState,
     connecting_oracle,
     curvature_free_solution,
@@ -24,8 +28,11 @@ from walkerspin.congruence import (
     sigma_omega_forms,
     special_flows,
     write_trace_csv,
+    _M_ENTRIES,
+    _N_ENTRIES,
     _check_span,
     _half_grid,
+    _row_function,
     _sample_columns,
 )
 from walkerspin.curvature import walker_curvature_components
@@ -39,7 +46,7 @@ from walkerspin.poly import ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame
 from walkerspin.walker import WalkerMetric
 
-from support import random_metric_functions
+from support import csv_writer_trace, float_rows, random_metric_functions, row_sums
 
 P = parse_poly
 
@@ -496,7 +503,96 @@ def test_unrepresentable_span_and_flow_are_input_errors():
         special_flows("rotation", math.inf, (1.0, 0.0))
 
 
+# signed zeros, subnormals, the largest floats and short decimals
+FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05,
+               1.0, -1.5, 1e300, -1e300, 1.7976931348623157e308)
+finite_floats = st.one_of(
+    st.sampled_from(FLOAT_EDGES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def entry_tables(draw):
+    """Four rows of (column, sign, key) entries in column order, any of the
+    columns 1-3 missing."""
+    rows = []
+    for _ in range(4):
+        cols = sorted(draw(st.sets(st.sampled_from((1, 2, 3)))))
+        rows.append(tuple(
+            (k, draw(st.sampled_from((1, -1))), draw(st.sampled_from("abcd"))) for k in cols
+        ))
+    return tuple(rows)
+
+
+class TestRowFunction:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=st.one_of(st.just(_M_ENTRIES), st.just(_N_ENTRIES), entry_tables()),
+        data=st.data(),
+    )
+    def test_matches_the_entry_loop_bit_for_bit(self, table, data):
+        keys = sorted({key for row in table for _, _, key in row} | {"unused"})
+        n = data.draw(st.integers(1, 3))
+        samples = {
+            key: tuple(data.draw(st.lists(finite_floats, min_size=n, max_size=n)))
+            for key in keys
+        }
+        j = data.draw(st.integers(0, n - 1))
+        # eight components: the deviation system's state (z, z')
+        z = data.draw(st.lists(finite_floats, min_size=8, max_size=8))
+        got = _row_function(table, samples)(j, z)
+        want = row_sums(float_rows(table, samples), j, z)
+        assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
+        if table is _N_ENTRIES:
+            # the deviation system takes -N z: the empty row gives -0.0
+            assert float.hex(-got[3]) == float.hex(-want[3]) == "-0x0.0p+0"
+
+    def test_refuses_entries_outside_columns_one_to_three(self):
+        samples = {"a": (1.0,), "b": (2.0,)}
+        for row in (((0, 1, "a"),), ((4, 1, "a"),), ((1, 1, "a"), (1, -1, "b"))):
+            with pytest.raises(InternalInconsistencyError):
+                _row_function((row, (), (), ()), samples)
+        with pytest.raises(InternalInconsistencyError):
+            _row_function(_M_ENTRIES[:3], {key: (1.0,) for key in TRACE_KEYS})
+
+
 class TestCsv:
+    def test_matches_csv_writer_rendering(self):
+        grid = (0, 1e-05, 0.5, 0.75, 2)  # the writer prints ints as floats
+        values = dict.fromkeys(TRACE_KEYS, (0.0,) * 5)
+        values.update(
+            rho=(-0.0, 5e-324, 1e300, 1e-05, 0.0),
+            rho_t=(1e-05, 1e300, 5e-324, -0.0, -1e300),
+            sigma=(1e300, -5e-324, 1, 1e-05, -0.0),
+            sigma_t=(5e-324, -0.0, 1e-05, 2.5, 1e300),
+        )
+        trace = CoefficientTrace(grid=grid, values=values)
+        states = (
+            ConnectingState(-0.0, 5e-324, 1e300, 1e-05),
+            ConnectingState(1e-05, -0.0, -5e-324, -1e300),
+            ConnectingState(0.0, 1.0, 2.5, -3.0),
+        )
+        paths = (
+            ConnectingPath(grid=grid[::2], states=states, trace=trace),
+            integrate_connecting(
+                CoefficientTrace.constant({"rho": -0.0, "sigma": 1e-05, "tau": 5e-324}, 1, 0.25),
+                (1e-05, -0.0, 5e-324, 1e300),
+            ),
+            integrate_connecting(QUADRATIC, (0.0, -0.0, 1.0, 1e-05), v_end=0.1, step=0.01),
+        )
+        outputs = []
+        for path in paths:
+            got, want = io.StringIO(), io.StringIO()
+            write_trace_csv(path, got)
+            csv_writer_trace(path, want)
+            assert got.getvalue() == want.getvalue()
+            outputs.append(got.getvalue())
+        assert outputs[0].splitlines()[1:] == [
+            "0.0,-0.0,5e-324,1e+300,1e-05,-0.0,1e-05,1e+300,5e-324",
+            "0.5,1e-05,-0.0,-5e-324,-1e+300,1e+300,5e-324,1.0,1e-05",
+            "2.0,0.0,1.0,2.5,-3.0,0.0,-1e+300,-0.0,1e+300",
+        ]
+
     def test_header_and_determinism(self):
         def render():
             buf = io.StringIO()

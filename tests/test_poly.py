@@ -682,3 +682,23 @@ class TestRationalFunction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(Poly.const(1), Poly.zero())
+
+
+def test_equal_polys_hash_equal_by_every_route():
+    """The hash is cached on first use; equal values built by the
+    constructor, the parser and arithmetic still hash equal."""
+    u, v, x, y = (parse_poly(name) for name in "uvxy")
+    routes = [
+        parse_poly("u*v - 1/2*x^2"),
+        Poly({(1, 1, 0, 0): 1, (0, 0, 2, 0): Fraction(-1, 2)}),
+        u * v - x * x * Fraction(1, 2),
+        (parse_poly("2*u*v - x^2 + y") - y) * Fraction(1, 2),
+        -(-parse_poly("u*v - 1/2*x^2")),
+    ]
+    first = hash(routes[0])
+    assert hash(routes[0]) == first
+    assert all(p == routes[0] and hash(p) == first for p in routes)
+    table = {routes[0]: "value"}
+    assert all(table[p] == "value" for p in routes[1:])
+    zeros = [Poly(), Poly.zero(), u - u, parse_poly("0"), Poly({(1, 0, 0, 0): 0})]
+    assert len({hash(z) for z in zeros}) == 1
