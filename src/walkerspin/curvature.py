@@ -69,53 +69,6 @@ def scalar_curvature(mt: MetricTensor, ricci) -> Poly:
     return dot((mt.ginv[b][d], ricci[b][d]) for b in range(4) for d in range(4))
 
 
-@dataclass(frozen=True)
-class RiemannData:
-    """Fully lowered curvature tensor with its traces."""
-
-    lowered: tuple   # R_abcd
-    ricci: tuple     # R_bd
-    scalar: Poly
-
-
-def riemann(mt: MetricTensor, ch: Christoffel) -> RiemannData:
-    g = ch.gamma
-    up = [[[[Poly.zero() for _ in range(4)] for _ in range(4)] for _ in range(4)]
-          for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(c + 1, 4):
-                    entry = g[a][d][b].diff(COORDS[c]) - g[a][c][b].diff(COORDS[d])
-                    for e in range(4):
-                        entry = entry + g[a][c][e] * g[e][d][b] - g[a][d][e] * g[e][c][b]
-                    up[a][b][c][d] = entry
-                    up[a][b][d][c] = -entry
-    lowered = tuple(
-        tuple(
-            tuple(
-                tuple(dot((mt.g[a][e], up[e][b][c][d]) for e in range(4)) for d in range(4))
-                for c in range(4)
-            )
-            for b in range(4)
-        )
-        for a in range(4)
-    )
-    traced = tuple(
-        tuple(
-            sum((up[a][b][a][d] for a in range(4)), Poly.zero()) for d in range(4)
-        )
-        for b in range(4)
-    )
-    direct = ricci_tensor(ch)
-    for b in range(4):
-        for d in range(4):
-            _check(f"Ricci entry ({b}, {d}) by trace and by contraction",
-                   traced[b][d], direct[b][d])
-    return RiemannData(lowered=lowered, ricci=direct,
-                       scalar=scalar_curvature(mt, direct))
-
-
 _WALKER_ROWS = ((ZERO, ZERO, ONE, ZERO), (ZERO, ZERO, ZERO, ONE))
 
 

@@ -4,27 +4,26 @@ There are 32 scalars: eight Greek families, each in four flavours (plain,
 primed, tilde, tilde-primed).  The tilde family is an independent set of
 functions, not an involution applied to the plain one; the naming only
 records which dyad a coefficient belongs to.  Extraction from a tetrad
-works for non-unit normalization scalars as well, which is why the
-derivative terms of chi and chi_t appear in the diagonal entries.
+takes the exterior derivatives of the lowered legs through the Koszul
+formula, with no Christoffel symbols.  It works for non-unit
+normalization scalars as well, which is why the derivative terms of chi
+and chi_t appear in the diagonal entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, ONE, QUARTER, ZERO, RationalFunction, Value, _as_poly, dot
 from .walker import (
-    Christoffel,
     DirectionalOps,
     MetricTensor,
     Tetrad,
     WalkerMetric,
     assemble_metric,
-    christoffel,
-    covariant_derivative_vector,
-    directional_vector_derivative,
     exterior_derivative,
     tetrad_covectors,
     tetrad_transform,
@@ -129,43 +128,76 @@ _ROWS = (
     ("delta", "beta", "sigma", "rho_p", "alpha_p", -1),
     ("Dp", "gamma", "tau", "kappa_p", "epsilon_p", 1),
 )
+# The legs in tetrad order, the leg each operator follows, and the sign of
+# each nonzero g(e_i, e_j) relative to chi * chi_t.
+_LEGS = ("l", "n", "m", "mt")
+_LEG_OF = {"D": "l", "Delta": "mt", "delta": "m", "Dp": "n"}
+_G_SIGN = {("l", "n"): 1, ("n", "l"): 1, ("m", "mt"): -1, ("mt", "m"): -1}
 # Legs and operators of the tetrad with m and mt exchanged: its Delta follows
 # the original m, so it is the original delta.
-_SAME = {name: name for name in ("l", "n", "m", "mt") + DirectionalOps.NAMES}
+_SAME = {name: name for name in _LEGS + DirectionalOps.NAMES}
 _SWAP = {**_SAME, "m": "mt", "mt": "m", "Delta": "delta", "delta": "Delta"}
 
 
-def spin_coefficients_from_tetrad(
-    ch: Christoffel, t: Tetrad, mt: MetricTensor
-) -> SpinCoefficientSet:
-    """Extract all 32 coefficients from directional tetrad derivatives.
+def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficientSet:
+    """Extract all 32 coefficients from the exterior derivatives of the
+    lowered legs theta_k = e_k^flat, with no Christoffel symbols.
+
+    For legs X, Y, Z the Koszul formula gives
+
+        2 g(nabla_X Y, Z) = X(g_YZ) - Y(g_XZ) + Z(g_XY)
+                            - dtheta_Z(X, Y) + dtheta_Y(X, Z) + dtheta_X(Y, Z),
+
+    where g_ln = chi chi_t, g_mmt = -chi chi_t and every other g_ij is
+    zero, so the derivative terms vanish at unit normalization.  Each
+    dtheta_k(e_i, e_j) is dtheta_k contracted with the bivector e_i ^ e_j.
 
     The table of ``_ROWS`` gives the plain and primed families.  The tilde
     families are the same table on the tilde companion tetrad (m and mt,
-    Delta and delta, chi and chi_t exchanged), read from the derivatives
-    of this tetrad and named by ``tilde_relabel``.
+    Delta and delta, chi and chi_t exchanged), read from the inner
+    products of this tetrad and named by ``tilde_relabel``.
     """
-    validate_tetrad(mt, t)
+    cov = dict(zip(_LEGS, validate_tetrad(mt, t)))
     ops = DirectionalOps(t)
     # a product of the two inverses keeps chi and chi_t apart as factors
     X = (ONE / t.chi) * (ONE / t.chi_t)
 
     legs = {"l": t.l, "n": t.n, "m": t.m, "mt": t.mt}
-    nabla = {name: covariant_derivative_vector(ch, vec) for name, vec in legs.items()}
-    deriv = {
-        (op, name): directional_vector_derivative(nabla[name], ops.dirs[op])
-        for op in DirectionalOps.NAMES
-        for name in nabla
-    }
     dchi = {op: ops.apply(op, t.chi) for op in DirectionalOps.NAMES}
     dchi_t = {op: ops.apply(op, t.chi_t) for op in DirectionalOps.NAMES}
+    # half of X(chi * chi_t) along each leg X
+    unit = t.chi * t.chi_t
+    dunit = {leg: HALF * ops.apply(op, unit) for op, leg in _LEG_OF.items()}
+    # half of dtheta_k(e_i, e_j), from the components a < b of both forms
+    pairs = list(combinations(range(4), 2))
+    bivectors = {
+        (i, j): [dot(((legs[i][a], legs[j][b]), (legs[i][b], -legs[j][a]))) for a, b in pairs]
+        for i, j in combinations(_LEGS, 2)
+    }
+    half_d = {}
+    for k in _LEGS:
+        d = exterior_derivative(cov[k])
+        comps = [d[a][b] for a, b in pairs]
+        for (i, j), bivector in bivectors.items():
+            half_d[k, i, j] = HALF * dot(zip(comps, bivector))
+            half_d[k, j, i] = -half_d[k, i, j]
+
+    @cache
+    def koszul(z, x, y):
+        """g(Z, nabla_X Y) for the legs named z, x and y."""
+        terms = [(-1, half_d.get((z, x, y), ZERO)), (1, half_d.get((y, x, z), ZERO)),
+                 (1, half_d.get((x, y, z), ZERO))]
+        for sign, (p, q, r) in ((1, (x, y, z)), (-1, (y, x, z)), (1, (z, x, y))):
+            if (q, r) in _G_SIGN:
+                terms.append((sign * _G_SIGN[q, r], dunit[p]))
+        return _signed_sum(terms)
 
     def table(rn, chi_t, dchi):
         """Plain and primed coefficients of the tetrad whose legs and
         operators are those of ``t`` renamed by ``rn``."""
 
         def ip(vec, op, name):
-            return mt.inner(legs[rn[vec]], deriv[(rn[op], rn[name])])
+            return koszul(rn[vec], _LEG_OF[rn[op]], rn[name])
 
         values = {}
         for op, diag1, offdiag1, offdiag2, diag2, sgn in _ROWS:
@@ -178,6 +210,21 @@ def spin_coefficients_from_tetrad(
 
     tilde = tilde_relabel(SpinCoefficientSet(**table(_SWAP, t.chi, dchi_t)))
     return replace(tilde, **table(_SAME, t.chi_t, dchi))
+
+
+def _signed_sum(terms) -> Value:
+    """The sum of sign * value over the (sign, value) pairs, left to right,
+    skipping zero values: adding a quotient to a zero would trial-divide
+    its numerator by every factor again."""
+    total = None
+    for sign, value in terms:
+        if value.is_zero:
+            continue
+        if total is None:
+            total = value if sign > 0 else -value
+        else:
+            total = total + value if sign > 0 else total - value
+    return ZERO if total is None else total
 
 
 def _walker_auxiliaries(w: WalkerMetric):
@@ -222,8 +269,7 @@ def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
 
 @dataclass(frozen=True)
 class Frame:
-    """A tetrad bundled with its metric context and coefficient set; the
-    Christoffel symbols are built only by the routes that read them."""
+    """A tetrad bundled with its metric context and coefficient set."""
 
     metric: MetricTensor
     tetrad: Tetrad
@@ -242,12 +288,12 @@ class Frame:
         )
 
     @classmethod
-    def from_tetrad(cls, mt: MetricTensor, ch: Christoffel, t: Tetrad) -> "Frame":
+    def from_tetrad(cls, mt: MetricTensor, t: Tetrad) -> "Frame":
         return cls(
             metric=mt,
             tetrad=t,
             ops=DirectionalOps(t),
-            coeffs=spin_coefficients_from_tetrad(ch, t, mt),
+            coeffs=spin_coefficients_from_tetrad(t, mt),
         )
 
 
@@ -287,7 +333,7 @@ def transform_coefficients(
     exchanged.
     """
     new_t = tetrad_transform(frame.tetrad, lam, lam_t, mu, mu_t)
-    full = spin_coefficients_from_tetrad(christoffel(frame.metric), new_t, frame.metric)
+    full = spin_coefficients_from_tetrad(new_t, frame.metric)
 
     s = frame.coeffs
     for mark, old, new, params in (
@@ -308,7 +354,7 @@ def describe_difference(got: Value, want: Value) -> str:
     """The size of got - want and a point where it is nonzero, for the
     message of a disagreement between two routes."""
     diff = got - want
-    terms = len((diff.num if isinstance(diff, RationalFunction) else diff).terms)
+    terms = len((diff.num if isinstance(diff, RationalFunction) else diff)._num)
     point = _witness(diff, (got, want))
     where = (f"nonzero at (u, v, x, y) = {point}" if point else
              "nonzero at no integer point in [-2, 2]^4")

@@ -98,9 +98,6 @@ class MetricTensor:
     def lower(self, V: Vector) -> Vector:
         return _vec(dot(zip(row, V)) for row in self.g)
 
-    def inner(self, V: Vector, W: Vector) -> Value:
-        return bilinear(self.g, V, W)
-
 
 def bilinear(form: Matrix4, V: Vector, W: Vector) -> Value:
     """form_ab V^a W^b, summed as (form_ab V^a) W^b with b fastest."""
@@ -150,8 +147,11 @@ def christoffel(mt: MetricTensor) -> Christoffel:
             if not factor.is_zero
         ) * HALF
 
+    # the bracket is symmetric in i and j: Gamma^k_ji is Gamma^k_ij
+    formed = {(k, i, j): symbol(k, i, j) for k in range(4) for i in range(4) for j in range(i, 4)}
     gamma = tuple(
-        tuple(tuple(symbol(k, i, j) for j in range(4)) for i in range(4)) for k in range(4)
+        tuple(tuple(formed[k, min(i, j), max(i, j)] for j in range(4)) for i in range(4))
+        for k in range(4)
     )
     return Christoffel(gamma=gamma)
 
@@ -180,27 +180,22 @@ def walker_tetrad(w: WalkerMetric) -> Tetrad:
     return Tetrad(l=l, n=n, m=m, mt=mt)
 
 
-def validate_tetrad(mt: MetricTensor, t: Tetrad) -> None:
-    """Check all ten inner products against the stated normalization."""
+def validate_tetrad(mt: MetricTensor, t: Tetrad):
+    """Check all ten inner products against the stated normalization, each
+    as a lowered leg dotted with a leg, and return the lowered legs
+    (l_a, n_a, m_a, mt_a)."""
     unit = t.chi * t.chi_t
     if unit.is_zero:
         raise DegenerateTetradError("chi * chi_t vanishes identically")
-    pairs = [
-        (t.l, t.l, ZERO),
-        (t.n, t.n, ZERO),
-        (t.m, t.m, ZERO),
-        (t.mt, t.mt, ZERO),
-        (t.l, t.m, ZERO),
-        (t.l, t.mt, ZERO),
-        (t.n, t.m, ZERO),
-        (t.n, t.mt, ZERO),
-        (t.l, t.n, unit),
-        (t.m, t.mt, -unit),
-    ]
-    names = ["l.l", "n.n", "m.m", "mt.mt", "l.m", "l.mt", "n.m", "n.mt", "l.n", "m.mt"]
-    for name, (V, W, expect) in zip(names, pairs):
-        if mt.inner(V, W) != expect:
-            raise DegenerateTetradError(f"normalization violated for {name}")
+    cov = tetrad_covectors(mt, t)
+    legs = (t.l, t.n, t.m, t.mt)
+    names = ("l", "n", "m", "mt")
+    pairs = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3), (0, 1), (2, 3)]
+    expect = {(0, 1): unit, (2, 3): -unit}
+    for i, j in pairs:
+        if dot(zip(cov[i], legs[j])) != expect.get((i, j), ZERO):
+            raise DegenerateTetradError(f"normalization violated for {names[i]}.{names[j]}")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -243,20 +238,6 @@ def spinor_matrix_to_vector(symbols: IvdWSymbols, M) -> Vector:
         dot((M[A][Ap], symbols.down[a][A][Ap]) for A in range(2) for Ap in range(2))
         for a in range(4)
     )
-
-
-def covariant_derivative_vector(ch: Christoffel, V: Vector):
-    """nabla[b][a] = (d_b V^a) + Gamma^a_{bc} V^c, returned as a 4x4 grid."""
-    V = _vec(V)
-    return tuple(
-        tuple(dot(zip(ch.gamma[a][b], V), V[a].diff(COORDS[b])) for a in range(4))
-        for b in range(4)
-    )
-
-
-def directional_vector_derivative(nabla, W: Vector) -> Vector:
-    """Contract a covariant derivative grid with a direction vector W^b."""
-    return _vec(dot((W[b], nabla[b][a]) for b in range(4)) for a in range(4))
 
 
 class DirectionalOps:
@@ -372,8 +353,13 @@ def tetrad_covectors(mt: MetricTensor, t: Tetrad):
 
 
 def exterior_derivative(cov) -> list[list[Value]]:
-    """(d omega)[a][b] = d_a omega_b - d_b omega_a of a covector field."""
-    return [
-        [cov[b].diff(COORDS[a]) - cov[a].diff(COORDS[b]) for b in range(4)]
-        for a in range(4)
-    ]
+    """(d omega)[a][b] = d_a omega_b - d_b omega_a of a covector field.
+
+    Each partial off the diagonal is taken once; the entries below the
+    diagonal are the negated ones above it, and the diagonal is zero."""
+    d = [[ZERO] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            d[a][b] = cov[b].diff(COORDS[a]) - cov[a].diff(COORDS[b])
+            d[b][a] = -d[a][b]
+    return d

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from walkerspin.poly import HALF, ONE, Poly, RationalFunction, dot
@@ -46,11 +47,107 @@ def scaled_frame(w, f: Poly, f_t: Poly):
     """(coefficients, tetrad) of the Walker tetrad of w rescaled by
     scale_normalization(f, f_t), recomputed from the tetrad."""
     from walkerspin.spincoeff import spin_coefficients_from_tetrad
-    from walkerspin.walker import assemble_metric, christoffel, scale_normalization, walker_tetrad
+    from walkerspin.walker import assemble_metric, scale_normalization, walker_tetrad
 
     mt = assemble_metric(w)
     t = scale_normalization(walker_tetrad(w), f, f_t)
-    return spin_coefficients_from_tetrad(christoffel(mt), t, mt), t
+    return spin_coefficients_from_tetrad(t, mt), t
+
+
+def covariant_derivative_vector(ch, V):
+    """nabla[b][a] = (d_b V^a) + Gamma^a_{bc} V^c, returned as a 4x4 grid."""
+    return tuple(
+        tuple(dot(zip(ch.gamma[a][b], V), V[a].diff(COORDS[b])) for a in range(4))
+        for b in range(4)
+    )
+
+
+def directional_vector_derivative(nabla, W):
+    """Contract a covariant derivative grid with a direction vector W^b."""
+    return tuple(dot((W[b], nabla[b][a]) for b in range(4)) for a in range(4))
+
+
+def christoffel_route_coefficients(t, mt):
+    """Reference route for ``spin_coefficients_from_tetrad``: the 32
+    coefficients from the inner products g(e_z, nabla_{e_x} e_y), each
+    derivative taken from a covariant-derivative grid of Christoffel
+    symbols and each inner product a bilinear form of the metric."""
+    from walkerspin.spincoeff import _ROWS, _SAME, _SWAP, SpinCoefficientSet, tilde_relabel
+    from walkerspin.walker import DirectionalOps, bilinear, christoffel, validate_tetrad
+
+    validate_tetrad(mt, t)
+    ch = christoffel(mt)
+    ops = DirectionalOps(t)
+    X = (ONE / t.chi) * (ONE / t.chi_t)
+    legs = {"l": t.l, "n": t.n, "m": t.m, "mt": t.mt}
+    nabla = {name: covariant_derivative_vector(ch, vec) for name, vec in legs.items()}
+    deriv = {
+        (op, name): directional_vector_derivative(nabla[name], ops.dirs[op])
+        for op in DirectionalOps.NAMES
+        for name in nabla
+    }
+    dchi = {op: ops.apply(op, t.chi) for op in DirectionalOps.NAMES}
+    dchi_t = {op: ops.apply(op, t.chi_t) for op in DirectionalOps.NAMES}
+
+    def table(rn, chi_t, dchi):
+        def ip(vec, op, name):
+            return bilinear(mt.g, legs[rn[vec]], deriv[(rn[op], rn[name])])
+
+        values = {}
+        for op, diag1, offdiag1, offdiag2, diag2, sgn in _ROWS:
+            dnorm = chi_t * dchi[rn[op]]
+            values[diag1] = HALF * X * (ip("n", op, "l") + ip("m", op, "mt") + dnorm)
+            values[offdiag1] = -(X * ip("m", op, "l"))
+            values[offdiag2] = sgn * X * ip("mt", op, "n")
+            values[diag2] = sgn * (HALF * X * (ip("l", op, "n") + ip("mt", op, "m") + dnorm))
+        return values
+
+    tilde = tilde_relabel(SpinCoefficientSet(**table(_SWAP, t.chi, dchi_t)))
+    return replace(tilde, **table(_SAME, t.chi_t, dchi))
+
+
+@dataclass(frozen=True)
+class RiemannData:
+    """Fully lowered curvature tensor with its traces."""
+
+    lowered: tuple   # R_abcd
+    ricci: tuple     # R_bd
+    scalar: Poly
+
+
+def riemann(mt, ch) -> RiemannData:
+    """The full curvature tensor from the connection, every Gamma.Gamma
+    product formed; its trace is checked against ``ricci_tensor``."""
+    from walkerspin.curvature import ricci_tensor, scalar_curvature
+
+    g = ch.gamma
+    up = [[[[Poly.zero() for _ in range(4)] for _ in range(4)] for _ in range(4)]
+          for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                for d in range(c + 1, 4):
+                    entry = g[a][d][b].diff(COORDS[c]) - g[a][c][b].diff(COORDS[d])
+                    for e in range(4):
+                        entry = entry + g[a][c][e] * g[e][d][b] - g[a][d][e] * g[e][c][b]
+                    up[a][b][c][d] = entry
+                    up[a][b][d][c] = -entry
+    lowered = tuple(
+        tuple(
+            tuple(
+                tuple(dot((mt.g[a][e], up[e][b][c][d]) for e in range(4)) for d in range(4))
+                for c in range(4)
+            )
+            for b in range(4)
+        )
+        for a in range(4)
+    )
+    direct = ricci_tensor(ch)
+    for b in range(4):
+        for d in range(4):
+            traced = sum((up[a][b][a][d] for a in range(4)), Poly.zero())
+            assert traced == direct[b][d], f"Ricci entry ({b}, {d}) by trace and by contraction"
+    return RiemannData(lowered=lowered, ricci=direct, scalar=scalar_curvature(mt, direct))
 
 
 def random_metric_functions(rng: random.Random, max_degree: int = 4):

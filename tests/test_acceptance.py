@@ -95,9 +95,7 @@ def test_criterion_01_route_equality():
     metrics, frames = corpus()
     start = time.perf_counter()
     for w, frame in zip(metrics, frames):
-        geometric = spin_coefficients_from_tetrad(
-            christoffel(frame.metric), frame.tetrad, frame.metric
-        )
+        geometric = spin_coefficients_from_tetrad(frame.tetrad, frame.metric)
         closed = walker_closed_form(w)
         for name in COEFF_NAMES:
             assert geometric.get(name) == closed.get(name), (name, w)

@@ -19,7 +19,6 @@ from walkerspin.curvature import (
     phi_lambda_from_ricci,
     prime_curvature,
     ricci_tensor,
-    riemann,
     scalar_curvature,
     tilde_curvature,
     walker_curvature_components,
@@ -55,6 +54,7 @@ from support import (
     random_potential,
     random_symmetric_tensor,
     ricci_by_sixteen_entries,
+    riemann,
 )
 
 RF_ZERO = RationalFunction(ZERO)

@@ -28,7 +28,7 @@ from walkerspin.nullgeom import (
 )
 from walkerspin.poly import ONE, ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame
-from walkerspin.walker import WalkerMetric, christoffel
+from walkerspin.walker import WalkerMetric
 
 from support import random_metric_functions
 
@@ -129,7 +129,7 @@ class TestRecurrenceForms:
         w = WalkerMetric(a=P("u^2"), b=P("x*y"), c=P("v*x"))
         frame = Frame.walker(w)
         _, t_new = transform_coefficients(frame, P("1"), P("v+1"), ZERO, ZERO)
-        scaled = Frame.from_tetrad(frame.metric, christoffel(frame.metric), t_new)
+        scaled = Frame.from_tetrad(frame.metric, t_new)
         rec = recurrence_forms(primed_spinor(ONE, ZERO), scaled)
         s = scaled.coeffs
         assert rec.omega == (s.rho_t, s.tau_t)

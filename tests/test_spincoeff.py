@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkerspin import spincoeff
 from walkerspin.errors import InputError, InternalInconsistencyError
@@ -39,17 +41,31 @@ from walkerspin.walker import (
     WalkerMetric,
     assemble_metric,
     christoffel,
-    covariant_derivative_vector,
-    directional_vector_derivative,
     scale_normalization,
     tetrad_transform,
     walker_tetrad,
 )
 
-from support import frame_values, random_metric_functions, scaled_frame, value_parts
+from support import (
+    christoffel_route_coefficients,
+    corpus_metrics,
+    covariant_derivative_vector,
+    directional_vector_derivative,
+    frame_values,
+    random_metric_functions,
+    scaled_frame,
+    value_parts,
+)
 
 RF_ZERO = RationalFunction(ZERO)
 RF_ONE = RationalFunction(ONE)
+# the metric of the transformed frames, and the dense metric of degree 3
+FRAMES_METRIC = WalkerMetric(
+    a=parse_poly("u*v+x^2"), b=parse_poly("y^3-u"), c=parse_poly("u*y")
+)
+DENSE_METRIC = WalkerMetric.from_dict(
+    {"a": "(u+v+x+y+1)^3", "b": "(u-2*v+x+1/2)^3", "c": "(u*v+x-y)^2"}
+)
 
 
 def P(text):
@@ -67,7 +83,7 @@ def sample_metrics(count, seed, max_degree=3):
 
 def extraction_frame(w):
     mt = assemble_metric(w)
-    return Frame.from_tetrad(mt, christoffel(mt), walker_tetrad(w))
+    return Frame.from_tetrad(mt, walker_tetrad(w))
 
 
 def assert_sets_equal(s1, s2, context=""):
@@ -122,11 +138,10 @@ def test_canonical_frame_linear_relations():
 def test_prime_matches_companion_tetrad():
     for w in sample_metrics(4, seed=105):
         mt = assemble_metric(w)
-        ch = christoffel(mt)
         t = walker_tetrad(w)
-        s = spin_coefficients_from_tetrad(ch, t, mt)
+        s = spin_coefficients_from_tetrad(t, mt)
         companion = priming_companion_tetrad(t)
-        s_companion = spin_coefficients_from_tetrad(ch, companion, mt)
+        s_companion = spin_coefficients_from_tetrad(companion, mt)
         assert_sets_equal(prime(s), s_companion, "(prime oracle)")
         assert_sets_equal(prime(prime(s)), s, "(prime involution)")
 
@@ -134,13 +149,12 @@ def test_prime_matches_companion_tetrad():
 def test_tilde_relabel_matches_swapped_tetrad():
     for w in sample_metrics(4, seed=106):
         mt = assemble_metric(w)
-        ch = christoffel(mt)
         # a non-unit chi checks that the normalization scalars swap too
         t = walker_tetrad(w)
         scaled = scale_normalization(t, RationalFunction(parse_poly("u + 2")), RF_ONE)
         for tetrad in (t, scaled):
-            s = spin_coefficients_from_tetrad(ch, tetrad, mt)
-            s_swapped = spin_coefficients_from_tetrad(ch, tilde_companion_tetrad(tetrad), mt)
+            s = spin_coefficients_from_tetrad(tetrad, mt)
+            s_swapped = spin_coefficients_from_tetrad(tilde_companion_tetrad(tetrad), mt)
             assert_sets_equal(tilde_relabel(s), s_swapped, "(tilde oracle)")
 
 
@@ -191,14 +205,13 @@ def test_extraction_with_nonunit_normalization():
     # every one of the sixteen expansion identities exact.
     w = sample_metrics(1, seed=108)[0]
     mt = assemble_metric(w)
-    ch = christoffel(mt)
     t = walker_tetrad(w)
     f = RationalFunction(parse_poly("u + 2"))
     f_t = RationalFunction(Poly.const(3))
     scaled = scale_normalization(t, f, f_t)
     assert scaled.chi == f
     assert scaled.chi_t == f_t
-    s = spin_coefficients_from_tetrad(ch, scaled, mt)
+    s = spin_coefficients_from_tetrad(scaled, mt)
     frame = Frame(metric=mt, tetrad=scaled, ops=DirectionalOps(scaled), coeffs=s)
     for key, res in reconstruction_residuals(frame).items():
         assert all(c == RF_ZERO for c in res), key
@@ -213,7 +226,7 @@ def generic_frame(w):
     mt = assemble_metric(w)
     t = tetrad_transform(walker_tetrad(w), RF_ONE, RF_ONE, P("v"), P("x"))
     t = tetrad_transform(priming_companion_tetrad(t), RF_ONE, RF_ONE, P("y"), P("u"))
-    return Frame.from_tetrad(mt, christoffel(mt), t)
+    return Frame.from_tetrad(mt, t)
 
 
 def test_first_form_residuals_vanish():
@@ -259,9 +272,8 @@ def test_first_form_bump_shows_in_its_grid(name, grid):
 def test_first_form_requires_unit_normalization():
     w = sample_metrics(1, seed=110)[0]
     mt = assemble_metric(w)
-    ch = christoffel(mt)
     scaled = scale_normalization(walker_tetrad(w), RationalFunction(Poly.const(2)), RF_ONE)
-    s = spin_coefficients_from_tetrad(ch, scaled, mt)
+    s = spin_coefficients_from_tetrad(scaled, mt)
     frame = Frame(metric=mt, tetrad=scaled, ops=DirectionalOps(scaled), coeffs=s)
     with pytest.raises(InputError):
         first_form_residuals(frame)
@@ -289,8 +301,7 @@ def test_transform_coefficients_second_dyad():
     # the second dyad are checked with lam != lam_t and mu != mu_t.
     w = sample_metrics(1, seed=116)[0]
     mt = assemble_metric(w)
-    ch = christoffel(mt)
-    frame = Frame.from_tetrad(mt, ch, tilde_companion_tetrad(walker_tetrad(w)))
+    frame = Frame.from_tetrad(mt, tilde_companion_tetrad(walker_tetrad(w)))
     s = frame.coeffs
     assert not s.sigma_t.is_zero and not s.tau_t.is_zero
     lam = RationalFunction(parse_poly("u + 2"))
@@ -338,11 +349,10 @@ def test_hatted_frame_closed_form():
     # set must match the directly written table.
     for w in sample_metrics(2, seed=113):
         mt = assemble_metric(w)
-        ch = christoffel(mt)
         t = walker_tetrad(w)
         neg = lambda vec: tuple(-c for c in vec)
         hatted = Tetrad(l=t.mt, n=neg(t.m), m=t.n, mt=neg(t.l))
-        s = spin_coefficients_from_tetrad(ch, hatted, mt)
+        s = spin_coefficients_from_tetrad(hatted, mt)
 
         a, b, c = w.a, w.b, w.c
         a1, a2 = a.diff("u"), a.diff("v")
@@ -614,8 +624,85 @@ def test_law_mismatch_names_a_witness(monkeypatch):
     assert match, message
     point = tuple(int(c) for c in match.group(2).split(","))
     new_t = tetrad_transform(frame.tetrad, *params)
-    full = spin_coefficients_from_tetrad(christoffel(frame.metric), new_t, frame.metric)
+    full = spin_coefficients_from_tetrad(new_t, frame.metric)
     diff = full.kappa - broken(frame.coeffs, *params)["kappa"]
     num, _ = value_parts(diff)
     assert int(match.group(1)) == len(num.terms)
     assert diff.eval_at(point) != 0
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("tau", ("1", "1", "x", "y"), "2 numerator terms and is nonzero at (u, v, x, y) = (0, 0, 0, 1)"),
+    ("tau", ("1+u", "1+v", "x", "0"),
+     "5 numerator terms and is nonzero at (u, v, x, y) = (0, 0, 0, 1)"),
+    ("sigma", ("1+u", "1+v", "x", "y"),
+     "4 numerator terms and is nonzero at (u, v, x, y) = (0, 0, 0, 0)"),
+], ids=["poly", "quotient", "four-parameter"])
+def test_law_mismatch_counts_the_packed_numerator(monkeypatch, name, params, message):
+    """A doubled law differs from recomputation by the law itself, a
+    polynomial or a quotient; the message counts its numerator terms as
+    the ``Fraction`` view ``terms`` of the difference does."""
+    laws = spincoeff._transformation_laws
+
+    def doubled(s, *args):
+        out = laws(s, *args)
+        out[name] = out[name] * 2
+        return out
+
+    monkeypatch.setattr(spincoeff, "_transformation_laws", doubled)
+    with pytest.raises(InternalInconsistencyError) as err:
+        transform_coefficients(Frame.walker(FRAMES_METRIC), *map(parse_poly, params))
+    assert str(err.value) == (
+        f"closed-form transformation for {name} disagrees with recomputation: "
+        f"the difference has {message}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The Koszul route against the Christoffel route, on every kind of frame.
+# ---------------------------------------------------------------------------
+
+def assert_routes_agree(t, w):
+    mt = assemble_metric(w)
+    assert_sets_equal(
+        spin_coefficients_from_tetrad(t, mt), christoffel_route_coefficients(t, mt),
+        "(Koszul route against Christoffel route)",
+    )
+
+
+@pytest.mark.parametrize("w", corpus_metrics()[:5] + [DENSE_METRIC],
+                         ids=[f"corpus{i}" for i in range(5)] + ["dense3"])
+def test_koszul_route_on_canonical_frames(w):
+    assert_routes_agree(walker_tetrad(w), w)
+
+
+@pytest.mark.parametrize("params", list(_GOLDEN_TRANSFORMS) + [
+    ("1+u", "1+v", "x", "0"), ("1+u", "1+v", "x", "y"),
+])
+def test_koszul_route_on_transformed_frames(params):
+    t = tetrad_transform(walker_tetrad(FRAMES_METRIC), *map(parse_poly, params))
+    assert_routes_agree(t, FRAMES_METRIC)
+
+
+def test_koszul_route_on_scaled_and_companion_frames():
+    # a quotient chi and a polynomial chi_t make every X(g_YZ) term nonzero
+    f = RationalFunction(parse_poly("u + 2"), parse_poly("1 + v"))
+    scaled = scale_normalization(walker_tetrad(FRAMES_METRIC), f, P("1 + x"))
+    assert not DirectionalOps(scaled).Dp(scaled.chi * scaled.chi_t).is_zero
+    for t in (walker_tetrad(FRAMES_METRIC), scaled):
+        for frame in (t, priming_companion_tetrad(t), tilde_companion_tetrad(t)):
+            assert_routes_agree(frame, FRAMES_METRIC)
+
+
+# c + d * (one coordinate), with small integers c and d
+_small_linear = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.sampled_from("uvxy")).map(
+    lambda c: c[0] + c[1] * Poly.variable(c[2])
+)
+_nonvanishing = _small_linear.filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=_nonvanishing, lam_t=_nonvanishing, mu=_small_linear, mu_t=_small_linear)
+def test_koszul_route_on_random_transforms(lam, lam_t, mu, mu_t):
+    t = tetrad_transform(walker_tetrad(FRAMES_METRIC), lam, lam_t, mu, mu_t)
+    assert_routes_agree(t, FRAMES_METRIC)

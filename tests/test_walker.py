@@ -15,8 +15,6 @@ from walkerspin.walker import (
     WalkerMetric,
     assemble_metric,
     christoffel,
-    covariant_derivative_vector,
-    directional_vector_derivative,
     ivdw_symbols,
     scale_normalization,
     spinor_matrix_to_vector,
@@ -27,7 +25,12 @@ from walkerspin.walker import (
     walker_tetrad,
 )
 
-from support import random_metric_functions, random_poly
+from support import (
+    covariant_derivative_vector,
+    directional_vector_derivative,
+    random_metric_functions,
+    random_poly,
+)
 
 
 def sample_metrics(count=8, seed=11, max_degree=3):
