@@ -38,7 +38,7 @@ from .errors import (
     PatternError,
 )
 from .poly import HALF, ZERO, Poly, Value, _ratio
-from .spincoeff import Frame, SpinCoefficientSet
+from .spincoeff import Frame, SpinCoefficientSet, _check
 from .walker import WalkerMetric
 
 TRACE_KEYS = (
@@ -235,10 +235,8 @@ def _transport_columns(s: SpinCoefficientSet) -> dict[str, Value]:
     # parallel-dyad transport data: these vanish for the frames built
     # here, and M silently assumes it
     for name in ("epsilon", "tau_p", "epsilon_t", "tau_tp"):
-        if not s.get(name).is_zero:
-            raise InternalInconsistencyError(f"{name} nonzero on a canonical frame")
-    if not (s.gamma_p + s.gamma_tp).is_zero:
-        raise InternalInconsistencyError("gamma' + gamma~' nonzero on a canonical frame")
+        _check(f"{name} on a canonical frame", s.get(name), ZERO)
+    _check("gamma' + gamma~' on a canonical frame", s.gamma_p + s.gamma_tp, ZERO)
     return {
         "rho": s.rho,
         "rho_t": s.rho_t,

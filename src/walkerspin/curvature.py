@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError
 from .poly import HALF, ONE, ZERO, Poly, Value, dot
-from .spincoeff import Frame, describe_difference, prime, tilde_relabel
+from .spincoeff import Frame, _check, prime, tilde_relabel
 from .walker import (
     COORDS,
     Christoffel,
@@ -158,15 +158,6 @@ def tilde_curvature(c: CurvatureSpinors) -> CurvatureSpinors:
     )
 
 
-def _check(label: str, value, *alternates):
-    for alt in alternates:
-        if value != alt:
-            raise InternalInconsistencyError(
-                f"redundant routes for {label} disagree: {describe_difference(value, alt)}"
-            )
-    return value
-
-
 def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpinors:
     """All curvature dyad components of the canonical frame of ``w``.
 
@@ -292,11 +283,8 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
         return bilinear(phi_ab, V, W)
 
     l, n, m, mtld = t.l, t.n, t.m, t.mt
-    phi11 = pairing(l, n)
-    if phi11 != pairing(m, mtld):
-        raise InternalInconsistencyError(
-            "trace-free Ricci pairing violates the completeness relation"
-        )
+    phi11 = _check("Phi11 (completeness of the trace-free Ricci pairing)",
+                   pairing(l, n), pairing(m, mtld))
     phi = (
         (pairing(l, l), pairing(l, m), pairing(m, m)),
         (pairing(l, mtld), phi11, pairing(m, n)),

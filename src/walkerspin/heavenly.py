@@ -14,6 +14,7 @@ from functools import cached_property
 from .curvature import Analysis
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, QUARTER, Poly, VARIABLES, ZERO
+from .spincoeff import _check
 from .walker import WalkerMetric, aligned_ricci_residuals, read_spec
 
 _U = Poly.parse("u")
@@ -127,8 +128,7 @@ def build_metric(p: HeavenlyPotential) -> WalkerMetric:
     c = 2 * _d(p.theta, "u", "v")
     w = WalkerMetric(a=a, b=b, c=c, label=p.label)
     for name, res in aligned_ricci_residuals(w).items():
-        if res != ZERO:
-            raise InternalInconsistencyError(f"built metric violates {name}")
+        _check(f"{name} on the built metric", res, ZERO)
     return w
 
 
@@ -159,12 +159,11 @@ class HeavenlyInvariants:
 def invariants(p: HeavenlyPotential) -> HeavenlyInvariants:
     """The scalar building blocks of the curvature of the built metric."""
     w = p.metric
-    s_metric = (
-        _d(w.a, "u", "u") + _d(w.b, "v", "v") + 2 * _d(w.c, "u", "v")
+    s_val = _check(
+        "scalar curvature S against 2h",
+        2 * p.h,
+        _d(w.a, "u", "u") + _d(w.b, "v", "v") + 2 * _d(w.c, "u", "v"),
     )
-    s_val = 2 * p.h
-    if s_metric != s_val:
-        raise InternalInconsistencyError("scalar curvature disagrees with 2h")
     big_p = (
         _d(p.theta, "u", "x")
         + _d(p.theta, "v", "y")
@@ -239,12 +238,10 @@ def psi_components(p: HeavenlyPotential) -> tuple:
         HALF * _d(w.a, "v", "v"),
     )
     shifted = p.theta - Fraction(1, 24) * _UUVV * p.h
-    operator = tuple(
-        -1 * _d(shifted, *(["u"] * (4 - m) + ["v"] * m)) for m in range(5)
+    return tuple(
+        _check(f"quartic component Psi{m}", value, -_d(shifted, *"u" * (4 - m), *"v" * m))
+        for m, value in enumerate(direct)
     )
-    if direct != operator:
-        raise InternalInconsistencyError("quartic component routes disagree")
-    return direct
 
 
 def _require_scalar_flat(p: HeavenlyPotential) -> WalkerMetric:
@@ -285,12 +282,13 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
     )
 
     curv = p.analysis.curvature
-    if curv.PsiT3 != psi_t3 or curv.PsiT4 != psi_t4:
-        raise InternalInconsistencyError("scalar-flat quartic routes disagree")
+    _check("scalar-flat PsiT3", psi_t3, curv.PsiT3)
+    _check("scalar-flat PsiT4", psi_t4, curv.PsiT4)
 
-    a_pair = (_d(big_r, "u", "u"), _d(big_r, "u", "v"), _d(big_r, "v", "v"))
-    if a_pair != inv.A:
-        raise InternalInconsistencyError("mixed-curvature routes disagree")
+    a_pair = tuple(
+        _check(f"mixed curvature R_{pair}", _d(big_r, *pair), value)
+        for pair, value in zip(("uu", "uv", "vv"), inv.A)
+    )
 
     big_b = -8 * psi_t3
     big_a = 6 * big_b * w.c - 24 * psi_t4

@@ -25,6 +25,7 @@ from .spincoeff import (
     Frame,
     SpinCoefficientSet,
     UP_P,
+    _check,
     contract,
     dyad_covariant_derivative,
     lower_index,
@@ -165,18 +166,15 @@ def _recurrence(
         sum((dpi.component(A, d, d) for d in (0, 1)), ZERO) for A in (0, 1)
     )
     for A in (0, 1):
-        if omega[A] + eta[A] != div[A]:
-            raise InternalInconsistencyError(
-                "recurrence parts do not sum to the divergence"
-            )
+        _check(f"divergence component {A} (recurrence parts omega + eta)",
+               omega[A] + eta[A], div[A])
 
     # The full square of the derivative is an epsilon-contraction of a
     # symmetric object, hence identically zero; a nonzero value would
     # mean broken index algebra.
     raised = raise_index(raise_index(dpi, 0), 1)
     square = dot((dpi_low.comps[key], raised.comps[key]) for key in product((0, 1), repeat=3))
-    if not square.is_zero:
-        raise InternalInconsistencyError("derivative square failed to vanish")
+    _check("derivative square", square, ZERO)
 
     eta_up = (eta[1], -eta[0])
     pairing = 2 * dot(zip(eta_up, omega))
@@ -298,15 +296,10 @@ def ricci_conditions(
             "b_uv + c_uu": -4 * curv.Phi[0][1],
             "a_uv + c_vv": 4 * curv.Phi[2][1],
         }
-        coord = {}
-        for name, residual in aligned_ricci_residuals(w).items():
-            direct = residual
-            if direct != via_phi[name]:
-                raise InternalInconsistencyError(
-                    f"coordinate form of the null-alignment condition {name} "
-                    "disagrees with the dyad route"
-                )
-            coord[name] = direct
+        coord = {
+            name: _check(name, residual, via_phi[name])
+            for name, residual in aligned_ricci_residuals(w).items()
+        }
     return RicciReport(
         aligned=is_aligned,
         null=is_null,
@@ -506,10 +499,7 @@ def classify_type_III(
     if curv is not None and is_auto:
         ids = null_plane_curvature_identities(curv, parallel=is_par)
         for name, value in ids.items():
-            if not value.is_zero:
-                raise InternalInconsistencyError(
-                    f"recurrent-plane curvature identity {name} violated"
-                )
+            _check(f"recurrent-plane curvature identity {name}", value, ZERO)
     return TypeIIIFlags(
         integrable=all(v.is_zero for v in integ.values()),
         auto_parallel=is_auto,

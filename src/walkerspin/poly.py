@@ -512,6 +512,8 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     """p + sign * q, with sign 1 or -1."""
     if not q._num:
         return p
+    if not p._num:
+        return q if sign > 0 else -q
     den = p._den
     if den == q._den:
         out = dict(p._num)
@@ -862,7 +864,11 @@ def _on_parts(method):
 
 def _sum(n1: Poly, f1: dict, n2: Poly, f2: dict):
     """n1 / prod(f1) + n2 / prod(f2), over each factor at its larger
-    multiplicity."""
+    multiplicity.  A zero part returns the other, which is already reduced."""
+    if not n1._num:
+        return _rf(n2, f2)
+    if not n2._num:
+        return _rf(n1, f1)
     common = dict(f1)
     for f, m in f2.items():
         if m > common.get(f, 0):

@@ -185,12 +185,12 @@ def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficien
     @cache
     def koszul(z, x, y):
         """g(Z, nabla_X Y) for the legs named z, x and y."""
-        terms = [(-1, half_d.get((z, x, y), ZERO)), (1, half_d.get((y, x, z), ZERO)),
-                 (1, half_d.get((x, y, z), ZERO))]
+        total = (-half_d.get((z, x, y), ZERO) + half_d.get((y, x, z), ZERO)
+                 + half_d.get((x, y, z), ZERO))
         for sign, (p, q, r) in ((1, (x, y, z)), (-1, (y, x, z)), (1, (z, x, y))):
             if (q, r) in _G_SIGN:
-                terms.append((sign * _G_SIGN[q, r], dunit[p]))
-        return _signed_sum(terms)
+                total = total + dunit[p] if sign * _G_SIGN[q, r] > 0 else total - dunit[p]
+        return total
 
     def table(rn, chi_t, dchi):
         """Plain and primed coefficients of the tetrad whose legs and
@@ -210,21 +210,6 @@ def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficien
 
     tilde = tilde_relabel(SpinCoefficientSet(**table(_SWAP, t.chi, dchi_t)))
     return replace(tilde, **table(_SAME, t.chi_t, dchi))
-
-
-def _signed_sum(terms) -> Value:
-    """The sum of sign * value over the (sign, value) pairs, left to right,
-    skipping zero values: adding a quotient to a zero would trial-divide
-    its numerator by every factor again."""
-    total = None
-    for sign, value in terms:
-        if value.is_zero:
-            continue
-        if total is None:
-            total = value if sign > 0 else -value
-        else:
-            total = total + value if sign > 0 else total - value
-    return ZERO if total is None else total
 
 
 def _walker_auxiliaries(w: WalkerMetric):
@@ -341,13 +326,24 @@ def transform_coefficients(
         ("_t", tilde_relabel(s), tilde_relabel(full), (lam_t, lam, mu_t, mu)),
     ):
         for name, want in _transformation_laws(old, *params).items():
-            got = new.get(name)
-            if got != want:
-                raise InternalInconsistencyError(
-                    f"closed-form transformation for {name}{mark} disagrees with "
-                    f"recomputation: {describe_difference(got, want)}"
-                )
+            _check(name + mark, new.get(name), want,
+                   head="closed-form transformation for {} disagrees with recomputation")
     return full, new_t
+
+
+def _check(label: str, value: Value, *alternates: Value,
+           head: str = "redundant routes for {} disagree") -> Value:
+    """value, once it equals each alternate exactly; the one check between
+    two routes to a quantity.  A disagreement raises
+    InternalInconsistencyError: ``head`` with the label, then the size of
+    the difference and a point where it is nonzero.  A quantity that must
+    vanish is checked against ZERO."""
+    for alt in alternates:
+        if value != alt:
+            raise InternalInconsistencyError(
+                f"{head.format(label)}: {describe_difference(value, alt)}"
+            )
+    return value
 
 
 def describe_difference(got: Value, want: Value) -> str:

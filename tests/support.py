@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import random
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -34,6 +35,21 @@ def value_parts(value) -> tuple[Poly, Poly]:
     if isinstance(value, RationalFunction):
         return value.num, value.den
     return value, ONE
+
+
+def assert_names_a_witness(message: str, label: str, diff) -> None:
+    """``message`` is a route disagreement about ``label``: it counts the
+    numerator terms of ``diff`` and names a point where ``diff`` is nonzero."""
+    match = re.fullmatch(
+        r"redundant routes for (.+) disagree: the difference has (\d+) numerator "
+        r"terms and is nonzero at \(u, v, x, y\) = \(([-\d, ]+)\)",
+        message,
+    )
+    assert match, message
+    assert match.group(1) == label
+    assert int(match.group(2)) == len(value_parts(diff)[0].terms)
+    point = tuple(int(c) for c in match.group(3).split(","))
+    assert diff.eval_at(point) != 0
 
 
 def frame_values(coeffs, t) -> list:

@@ -35,6 +35,14 @@ def test_all_names_resolve():
     assert len(set(walkerspin.__all__)) == len(walkerspin.__all__)
 
 
+def test_all_lists_every_public_name():
+    bound = {
+        name for name, value in vars(walkerspin).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(walkerspin.__all__) == bound
+
+
 @pytest.mark.skipif(not SPANS_PATH.exists(), reason="benchmark harness not present")
 def test_span_targets_exist():
     spans = load_spans()

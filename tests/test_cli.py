@@ -11,13 +11,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walkerspin
-from walkerspin.cli import main
+from walkerspin.cli import SUITES, main
 from walkerspin.congruence import MAX_STEPS
 from walkerspin.spincoeff import COEFF_NAMES, Frame
 
@@ -646,6 +647,84 @@ def test_congruence_flags_are_accepted_or_refused(tmp_path_factory, metric, v0, 
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
+
+
+_xy_poly = st.builds(" + ".join, st.lists(
+    st.builds("*".join, st.lists(st.sampled_from(["x", "y", "2", "-1/2", "x^2"]),
+                                 min_size=1, max_size=2)),
+    min_size=1, max_size=2,
+))
+
+
+@st.composite
+def _potential(draw):
+    """A potential file: three times in four a chain that holds by
+    construction (scalar-flat half of those times), else any strings."""
+    P = walkerspin.Poly.parse
+    u, v = P("u"), P("v")
+    h, f0, g0, F0, G0 = (P(draw(_xy_poly)) for _ in range(5))
+    if draw(st.booleans()):
+        h = F0 = G0 = P("0")
+    chain = {
+        "theta": draw(_poly), "f": u * h + f0, "g": v * h + g0, "h": h,
+        "F": Fraction(1, 2) * u * u * h + u * f0 + F0,
+        "G": Fraction(1, 2) * v * v * h + v * g0 + G0,
+    }
+    return draw(_mostly(
+        st.just({key: str(value) for key, value in chain.items()}),
+        st.fixed_dictionaries(dict.fromkeys(chain, _poly)) | _json_value,
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_keeps_the_exit_contract(tmp_path_factory, data):
+    """Any argument list over the five subcommands, their input files and
+    their flags exits 0, 1 or 2 within a bound, exits 1 exactly when the
+    report has a FAIL line, and never reports an internal error or an
+    inconsistency between two routes."""
+    tmp = tmp_path_factory.getbasetemp()
+    draw = data.draw
+    command = draw(st.sampled_from(["analyze", "verify", "congruence", "heavenly", "classify"]))
+    path = tmp / "whole.json"
+    document = draw(_potential() if command == "heavenly" else _mostly(
+        st.fixed_dictionaries(dict.fromkeys("abc", _poly)), _metric | _json_value))
+    path.write_text(json.dumps(document))
+    argv = [command, str(path)]
+    if command in ("analyze", "classify"):
+        argv.append(f"--point={draw(_tuple)}")
+    elif command == "verify":
+        suite = draw(_mostly(st.sampled_from(("all",) + SUITES), st.text(max_size=4)))
+        argv.append(f"--suite={suite}")
+        perturb = draw(_mostly(st.sampled_from((None,) + COEFF_NAMES), st.text(max_size=4)))
+        if perturb is not None:
+            argv.append(f"--perturb={perturb}")
+    elif command == "congruence":
+        end, step = draw(_span())
+        out_path = draw(st.sampled_from(["-", str(tmp / "trace.csv"), str(tmp)]))
+        argv += [f"--v0={draw(_tuple)}", f"--base={draw(_tuple)}", f"--end={end}",
+                 f"--step={step}", f"--out={out_path}"]
+    else:
+        check = draw(_mostly(st.sampled_from(["all", "einstein", "identity"]),
+                             st.text(max_size=4)))
+        argv.append(f"--check={check}")
+    if draw(st.booleans()):
+        argv.insert(0, "--timing")
+
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as refused:
+            # argparse refuses the argument list with exit code 2
+            code = refused.code
+    assert time.perf_counter() - start < 20, argv
+    assert code in (0, 1, 2), err.getvalue()
+    assert not any(line.startswith(("internal error:", "internal inconsistency:"))
+                   for line in err.getvalue().splitlines()), err.getvalue()
+    failed = any(line.startswith("FAIL ") for line in out.getvalue().splitlines())
+    assert (code == 1) == failed, out.getvalue()
 
 
 def test_congruence_span_takes_rational_literals(tmp_path):

@@ -34,6 +34,7 @@ from walkerspin.congruence import (
     _half_grid,
     _row_function,
     _sample_columns,
+    _transport_columns,
 )
 from walkerspin.curvature import walker_curvature_components
 from walkerspin.errors import (
@@ -46,7 +47,13 @@ from walkerspin.poly import ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame
 from walkerspin.walker import WalkerMetric
 
-from support import csv_writer_trace, float_rows, random_metric_functions, row_sums
+from support import (
+    assert_names_a_witness,
+    csv_writer_trace,
+    float_rows,
+    random_metric_functions,
+    row_sums,
+)
 
 P = parse_poly
 
@@ -554,6 +561,16 @@ class TestRowFunction:
                 _row_function((row, (), (), ()), samples)
         with pytest.raises(InternalInconsistencyError):
             _row_function(_M_ENTRIES[:3], {key: (1.0,) for key in TRACE_KEYS})
+
+
+def test_transport_columns_name_a_nonzero_epsilon():
+    """A frame whose epsilon is not zero is not one the transport matrix
+    is written for; the error names the coefficient and a witness."""
+    bump = parse_poly("u*x")
+    s = Frame.walker(WalkerMetric(a=ZERO, b=ZERO, c=ZERO)).coeffs.with_values(epsilon=bump)
+    with pytest.raises(InternalInconsistencyError) as err:
+        _transport_columns(s)
+    assert_names_a_witness(str(err.value), "epsilon on a canonical frame", bump)
 
 
 class TestCsv:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkerspin.curvature import Analysis, classify_sd_weyl
-from walkerspin.errors import InputError
+from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.heavenly import (
     HeavenlyPotential,
     build_metric,
@@ -24,7 +24,7 @@ from walkerspin.heavenly import (
 from walkerspin.poly import Poly, RationalFunction, ZERO
 from walkerspin.walker import WalkerMetric
 
-from support import random_potential
+from support import assert_names_a_witness, random_potential
 
 P = Poly.parse
 
@@ -199,6 +199,15 @@ class TestScalarFlat:
     def test_pointwise_label_agrees(self):
         an = Analysis(build_metric(SCALAR_FLAT))
         assert classify_sd_weyl(an, (0, 0, 0, 1)).label == "{31}III"
+
+    def test_route_disagreement_names_a_witness(self):
+        # the potential's own PsiT3 is -y/2; the curvature of a flat metric
+        # put in place of the built one has PsiT3 = 0
+        p = HeavenlyPotential(theta=ZERO, f=P("y^2"), F=P("u*y^2"))
+        vars(p)["analysis"] = Analysis(WalkerMetric(a=ZERO, b=ZERO, c=ZERO))
+        with pytest.raises(InternalInconsistencyError) as err:
+            scalar_flat_case(p)
+        assert_names_a_witness(str(err.value), "scalar-flat PsiT3", Fraction(-1, 2) * P("y"))
 
     def test_product_potential_is_self_dual_flat(self):
         rep = scalar_flat_case(UVX)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkerspin.curvature import Analysis, walker_curvature_components
-from walkerspin.errors import InputError
+from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.nullgeom import (
     KerrReport,
     classify_type_I,
@@ -28,9 +28,9 @@ from walkerspin.nullgeom import (
 )
 from walkerspin.poly import ONE, ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame
-from walkerspin.walker import WalkerMetric
+from walkerspin.walker import WalkerMetric, aligned_ricci_residuals
 
-from support import random_metric_functions
+from support import assert_names_a_witness, random_metric_functions
 
 RF = RationalFunction
 P = parse_poly
@@ -210,6 +210,17 @@ class TestRicciConditions:
         rep = ricci_conditions(primed_spinor(ONE, ZERO), Analysis(w).curvature, w)
         assert rep.null
         assert all(v.is_zero for v in rep.coordinate_residuals.values())
+
+    def test_route_disagreement_names_a_witness(self):
+        # the curvature of one metric against the coordinate residuals of
+        # another, whose a_uu - b_vv is larger by 2*x
+        w = WalkerMetric(a=P("u*v"), b=ZERO, c=ZERO)
+        other = WalkerMetric(a=P("u*v + u^2*x"), b=ZERO, c=ZERO)
+        curv = Analysis(w).curvature
+        with pytest.raises(InternalInconsistencyError) as err:
+            ricci_conditions(primed_spinor(ONE, ZERO), curv, other)
+        diff = aligned_ricci_residuals(other)["a_uu - b_vv"] - 8 * curv.Phi[1][1]
+        assert_names_a_witness(str(err.value), "a_uu - b_vv", diff)
 
 
 class TestKerrCheck:
