@@ -1,5 +1,7 @@
 """Exact spin-coefficient engine for neutral-signature Walker metrics."""
 
+from types import ModuleType as _ModuleType
+
 from .congruence import (
     CoefficientTrace,
     ConnectingState,
@@ -89,77 +91,8 @@ from .walker import (
     walker_tetrad,
 )
 
-__all__ = [
-    "Analysis",
-    "CausticError",
-    "COEFF_NAMES",
-    "CoefficientTrace",
-    "ConnectingState",
-    "CurvatureSpinors",
-    "DegenerateTetradError",
-    "EngineError",
-    "ExprSyntaxError",
-    "Frame",
-    "HeavenlyPotential",
-    "InputError",
-    "InternalInconsistencyError",
-    "PatternError",
-    "Poly",
-    "RationalFunction",
-    "SpinCoefficientSet",
-    "WalkerMetric",
-    "assemble_metric",
-    "bianchi_contracted_residual",
-    "build_metric",
-    "christoffel",
-    "classify_sd_weyl",
-    "classify_type_I",
-    "classify_type_III",
-    "commutator_residuals",
-    "commutator_residuals_from_fields",
-    "commutator_vector_fields",
-    "connecting_oracle",
-    "curvature_free_solution",
-    "distribution_report",
-    "einstein_check",
-    "field_equation_residuals",
-    "first_form_residuals",
-    "frobenius_residual",
-    "integrability_residual",
-    "integrate_connecting",
-    "integrate_jacobi",
-    "invariants",
-    "ivdw_symbols",
-    "kerr_check",
-    "master_identity_residual",
-    "multiple_spinor_differential_test",
-    "parse_poly",
-    "phi_lambda_from_ricci",
-    "prime",
-    "prime_curvature",
-    "primed_spinor",
-    "psi_components",
-    "recurrence_forms",
-    "relation_suite",
-    "ricci_conditions",
-    "ricci_tensor",
-    "riccati_residual",
-    "scalar_curvature",
-    "scalar_flat_case",
-    "shape_decompositions",
-    "sigma_omega_forms",
-    "special_flows",
-    "spin_coefficients_from_tetrad",
-    "tetrad_covectors",
-    "tilde_curvature",
-    "tilde_relabel",
-    "transform_coefficients",
-    "validate_potential",
-    "validate_tetrad",
-    "walker_closed_form",
-    "walker_curvature_components",
-    "walker_tetrad",
-    "wave_operator",
-    "weyl_quartic",
-    "write_trace_csv",
-]
+# the public names are those imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

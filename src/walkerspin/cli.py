@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import operator
 import os
@@ -30,6 +31,7 @@ from .congruence import (
 )
 from .curvature import (
     Analysis,
+    WeylTypeReport,
     bianchi_contracted_residual,
     classify_sd_weyl,
     commutator_residuals_from_fields,
@@ -41,7 +43,7 @@ from .curvature import (
 from .errors import InputError, InternalInconsistencyError
 from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
 from .nullgeom import distribution_report, relation_suite
-from .poly import MAX_EXPONENT, Poly
+from .poly import MAX_EXPONENT, Poly, _digit_bound
 from .spincoeff import COEFF_NAMES, Frame
 from .walker import WalkerMetric, christoffel
 
@@ -114,31 +116,20 @@ def _parse_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
     return tuple(_parse_value(p.strip(), flag) for p in parts)
 
 
-def _classify_at(an: Analysis, point) -> tuple[str, dict[str, str]]:
-    """Label and printed values of the classification at --point.
-
-    The values are rendered before any output is written, so a point
-    whose values are too large to print is refused with nothing printed.
-    """
+def _classify_at(an: Analysis, point) -> WeylTypeReport:
+    """The classification at --point, refused before it is evaluated where
+    a bound on the digits of a value passes four times the interpreter's
+    limit; the bound may overestimate, so a point just past the limit is
+    refused only when its report is printed."""
+    limit = sys.get_int_max_str_digits()
+    curv = an.curvature
+    values = (curv.S, curv.PsiT3, curv.PsiT4, an.w.c)
+    if limit and max(_digit_bound(v, point) for v in values) > 4 * limit:
+        raise InputError(f"a value at --point has more than {limit} digits")
     try:
-        rep = classify_sd_weyl(an, point)
+        return classify_sd_weyl(an, point)
     except ZeroDivisionError as err:
         raise InputError(str(err)) from err
-    try:
-        text = {
-            "point": ", ".join(str(c) for c in rep.point),
-            "S": str(rep.scalar),
-            "A": str(rep.invariant_a),
-            "B": str(rep.invariant_b),
-            "PsiT3": str(rep.psi_t3),
-            "PsiT4": str(rep.psi_t4),
-        }
-    except ValueError as err:
-        # str() refuses integers past the interpreter's digit limit
-        raise InputError(
-            f"a value at --point has more than {sys.get_int_max_str_digits()} digits"
-        ) from err
-    return rep.label, text
 
 
 def _metric_header(w: WalkerMetric, out) -> None:
@@ -158,7 +149,7 @@ def cmd_analyze(args, out) -> int:
     an = Analysis(_load_metric(args.spec))
     point = _parse_tuple(args.point, "--point")
     w, frame, curv = an.w, an.frame, an.curvature
-    label, typed = _classify_at(an, point)
+    rep = _classify_at(an, point)
     dist = distribution_report(an)
 
     _metric_header(w, out)
@@ -180,10 +171,10 @@ def cmd_analyze(args, out) -> int:
     print(f"  S = {curv.S}", file=out)
 
     print("", file=out)
-    print(f"type at ({typed['point']})", file=out)
-    print(f"  label = {label}", file=out)
-    for key in ("S", "A", "B"):
-        print(f"  {key} = {typed[key]}", file=out)
+    print(f"type at ({', '.join(map(str, rep.point))})", file=out)
+    print(f"  label = {rep.label}", file=out)
+    for key, value in (("S", rep.scalar), ("A", rep.invariant_a), ("B", rep.invariant_b)):
+        print(f"  {key} = {value}", file=out)
 
     flags = (
         ("surface-forming", dist.alpha_integrable),
@@ -318,7 +309,8 @@ def cmd_congruence(args, out) -> int:
     ))
 
     if args.out == "-":
-        write_trace_csv(path, out)
+        # streamed, not buffered: a long trace is never held in memory
+        write_trace_csv(path, sys.stdout)
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -369,12 +361,15 @@ def cmd_heavenly(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     w = _load_metric(args.spec)
-    label, typed = _classify_at(Analysis(w), _parse_tuple(args.point, "--point"))
+    rep = _classify_at(Analysis(w), _parse_tuple(args.point, "--point"))
     _metric_header(w, out)
-    print(f"point = ({typed['point']})", file=out)
-    print(f"label = {label}", file=out)
-    for key in ("S", "A", "B", "PsiT3", "PsiT4"):
-        print(f"{key} = {typed[key]}", file=out)
+    print(f"point = ({', '.join(map(str, rep.point))})", file=out)
+    print(f"label = {rep.label}", file=out)
+    print(f"S = {rep.scalar}", file=out)
+    print(f"A = {rep.invariant_a}", file=out)
+    print(f"B = {rep.invariant_b}", file=out)
+    print(f"PsiT3 = {rep.psi_t3}", file=out)
+    print(f"PsiT4 = {rep.psi_t4}", file=out)
     return 0
 
 
@@ -428,9 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
+    # the report reaches stdout only once its command has returned, so a
+    # refused or failed command prints nothing
+    out = io.StringIO()
     try:
         # looked up by name on each call, as the parser is built only once
-        code = globals()[f"cmd_{args.command}"](args, sys.stdout)
+        code = globals()[f"cmd_{args.command}"](args, out)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -438,6 +436,11 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 3
     except Exception as err:
+        if isinstance(err, ValueError) and "integer string conversion" in str(err):
+            # str() refuses integers past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            print(f"error: a value in the report has more than {limit} digits", file=sys.stderr)
+            return 2
         # an engine fault, not a failed identity: report where it was
         # raised on one line, never a traceback or exit 1; traceback is
         # imported only here, as it costs start-up time on every run
@@ -450,6 +453,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
+    sys.stdout.write(out.getvalue())
     if args.timing:
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

@@ -539,6 +539,22 @@ def _top_exponents(p: Poly) -> tuple[int, ...]:
     return tuple(map(max, zip(*map(_unpack, p._num))))
 
 
+def _digit_bound(value: Poly, point: Iterable[Scalar]) -> int:
+    """An upper bound on the decimal digits of the numerator and of the
+    denominator of value.eval_at(point), from bit lengths alone, so that
+    a value too large to form is known before it is formed."""
+    if not value._num:
+        return 1
+    num_bits = max(map(int.bit_length, value._num.values())) + len(value._num).bit_length()
+    den_bits = value._den.bit_length()
+    for c, top in zip(map(_as_fraction, point), _top_exponents(value)):
+        p_bits, q_bits = c.numerator.bit_length(), c.denominator.bit_length()
+        num_bits += top * max(p_bits, q_bits)
+        den_bits += top * q_bits
+    # log10(2) < 0.30103
+    return max(num_bits, den_bits) * 30103 // 100000 + 1
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses and rational literals."""
 

@@ -128,10 +128,9 @@ _ROWS = (
     ("delta", "beta", "sigma", "rho_p", "alpha_p", -1),
     ("Dp", "gamma", "tau", "kappa_p", "epsilon_p", 1),
 )
-# The legs in tetrad order, the leg each operator follows, and the sign of
-# each nonzero g(e_i, e_j) relative to chi * chi_t.
+# The legs in tetrad order, and the sign of each nonzero g(e_i, e_j)
+# relative to chi * chi_t.
 _LEGS = ("l", "n", "m", "mt")
-_LEG_OF = {"D": "l", "Delta": "mt", "delta": "m", "Dp": "n"}
 _G_SIGN = {("l", "n"): 1, ("n", "l"): 1, ("m", "mt"): -1, ("mt", "m"): -1}
 # Legs and operators of the tetrad with m and mt exchanged: its Delta follows
 # the original m, so it is the original delta.
@@ -167,7 +166,7 @@ def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficien
     dchi_t = {op: ops.apply(op, t.chi_t) for op in DirectionalOps.NAMES}
     # half of X(chi * chi_t) along each leg X
     unit = t.chi * t.chi_t
-    dunit = {leg: HALF * ops.apply(op, unit) for op, leg in _LEG_OF.items()}
+    dunit = {leg: HALF * ops.apply(op, unit) for op, leg in ops.LEG_OF.items()}
     # half of dtheta_k(e_i, e_j), from the components a < b of both forms
     pairs = list(combinations(range(4), 2))
     bivectors = {
@@ -197,7 +196,7 @@ def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficien
         operators are those of ``t`` renamed by ``rn``."""
 
         def ip(vec, op, name):
-            return koszul(rn[vec], _LEG_OF[rn[op]], rn[name])
+            return koszul(rn[vec], ops.LEG_OF[rn[op]], rn[name])
 
         values = {}
         for op, diag1, offdiag1, offdiag2, diag2, sgn in _ROWS:
@@ -428,20 +427,6 @@ class DyadSpinorField:
             self.comps[k] == other.comps[k] for k in self.comps
         )
 
-    def __add__(self, other: "DyadSpinorField") -> "DyadSpinorField":
-        if self.indices != other.indices:
-            raise InputError("cannot add fields of different valence")
-        return DyadSpinorField(
-            self.indices, {k: self.comps[k] + other.comps[k] for k in self.comps}
-        )
-
-    def __sub__(self, other: "DyadSpinorField") -> "DyadSpinorField":
-        if self.indices != other.indices:
-            raise InputError("cannot subtract fields of different valence")
-        return DyadSpinorField(
-            self.indices, {k: self.comps[k] - other.comps[k] for k in self.comps}
-        )
-
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v}" for k, v in sorted(self.comps.items()))
         return f"DyadSpinorField({self.indices}, {{{body}}})"
@@ -449,43 +434,25 @@ class DyadSpinorField:
 
 def raise_index(field: DyadSpinorField, pos: int) -> DyadSpinorField:
     """epsilon-raise the index at pos: components (c0, c1) -> (c1, -c0)."""
-    kind = field.indices[pos]
-    if kind == DN:
-        new_kind = UP
-    elif kind == DN_P:
-        new_kind = UP_P
-    else:
-        raise InputError("can only raise a lower index")
-    indices = field.indices[:pos] + (new_kind,) + field.indices[pos + 1:]
-    comps = {}
-    for key in field.comps:
-        if key[pos] == 0:
-            src = key[:pos] + (1,) + key[pos + 1:]
-            comps[key] = field.comps[src]
-        else:
-            src = key[:pos] + (0,) + key[pos + 1:]
-            comps[key] = -field.comps[src]
-    return DyadSpinorField(indices, comps)
+    return _epsilon_move(field, pos, {DN: UP, DN_P: UP_P}, 0, "can only raise a lower index")
 
 
 def lower_index(field: DyadSpinorField, pos: int) -> DyadSpinorField:
     """epsilon-lower the index at pos: components (c0, c1) -> (-c1, c0)."""
+    return _epsilon_move(field, pos, {UP: DN, UP_P: DN_P}, 1, "can only lower an upper index")
+
+
+def _epsilon_move(field, pos, kinds, kept, message) -> DyadSpinorField:
+    """The index at pos turned into ``kinds`` of its kind: component i
+    becomes component 1 - i, negated unless 1 - i is ``kept``."""
     kind = field.indices[pos]
-    if kind == UP:
-        new_kind = DN
-    elif kind == UP_P:
-        new_kind = DN_P
-    else:
-        raise InputError("can only lower an upper index")
-    indices = field.indices[:pos] + (new_kind,) + field.indices[pos + 1:]
+    if kind not in kinds:
+        raise InputError(message)
+    indices = field.indices[:pos] + (kinds[kind],) + field.indices[pos + 1:]
     comps = {}
-    for key in field.comps:
-        if key[pos] == 0:
-            src = key[:pos] + (1,) + key[pos + 1:]
-            comps[key] = -field.comps[src]
-        else:
-            src = key[:pos] + (0,) + key[pos + 1:]
-            comps[key] = field.comps[src]
+    for key, value in field.comps.items():
+        i = 1 - key[pos]
+        comps[key[:pos] + (i,) + key[pos + 1:]] = value if i == kept else -value
     return DyadSpinorField(indices, comps)
 
 

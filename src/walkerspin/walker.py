@@ -241,17 +241,20 @@ def spinor_matrix_to_vector(symbols: IvdWSymbols, M) -> Vector:
 
 
 class DirectionalOps:
-    """Scalar directional derivatives D, Delta, delta, Dp of a tetrad.
+    """Scalar directional derivatives D, Delta, delta, Dp of a tetrad,
+    each along the leg ``LEG_OF`` names.
 
-    D follows l, Delta follows mt, delta follows m, and Dp follows n.
     Each instance remembers the derivative of every Poly it was given,
     keyed on (operator name, value), so the routes that share one frame
     differentiate each value once.  A RationalFunction has no hash, as
     one value can have two representatives, so it is differentiated anew.
     """
 
+    LEG_OF = {"D": "l", "Delta": "mt", "delta": "m", "Dp": "n"}
+    NAMES = tuple(LEG_OF)
+
     def __init__(self, t: Tetrad):
-        self.dirs = {"D": t.l, "Delta": t.mt, "delta": t.m, "Dp": t.n}
+        self.dirs = {name: getattr(t, leg) for name, leg in self.LEG_OF.items()}
         self.memo: dict[tuple[str, Poly], Value] = {}
 
     def apply(self, name: str, f: Value) -> Value:
@@ -294,8 +297,6 @@ class DirectionalOps:
 
     def Dp(self, f):
         return self.apply("Dp", f)
-
-    NAMES = ("D", "Delta", "delta", "Dp")
 
 
 def tetrad_transform(t: Tetrad, lam, lam_t, mu, mu_t) -> Tetrad:

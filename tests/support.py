@@ -317,3 +317,52 @@ def csv_writer_trace(path, stream) -> None:
     for k, t in enumerate(path.grid):
         row = (t, *path.states[k].astuple(), *(col[2 * k] for col in columns))
         writer.writerow(repr(float(x)) for x in row)
+
+
+def reference_raise_index(field, pos: int):
+    """The two-branch epsilon raise that ``raise_index`` replaced, kept as
+    the reference for the one shared index move."""
+    from walkerspin.errors import InputError
+    from walkerspin.spincoeff import DN, DN_P, UP, UP_P, DyadSpinorField
+
+    kind = field.indices[pos]
+    if kind == DN:
+        new_kind = UP
+    elif kind == DN_P:
+        new_kind = UP_P
+    else:
+        raise InputError("can only raise a lower index")
+    indices = field.indices[:pos] + (new_kind,) + field.indices[pos + 1:]
+    comps = {}
+    for key in field.comps:
+        if key[pos] == 0:
+            src = key[:pos] + (1,) + key[pos + 1:]
+            comps[key] = field.comps[src]
+        else:
+            src = key[:pos] + (0,) + key[pos + 1:]
+            comps[key] = -field.comps[src]
+    return DyadSpinorField(indices, comps)
+
+
+def reference_lower_index(field, pos: int):
+    """The two-branch epsilon lower that ``lower_index`` replaced."""
+    from walkerspin.errors import InputError
+    from walkerspin.spincoeff import DN, DN_P, UP, UP_P, DyadSpinorField
+
+    kind = field.indices[pos]
+    if kind == UP:
+        new_kind = DN
+    elif kind == UP_P:
+        new_kind = DN_P
+    else:
+        raise InputError("can only lower an upper index")
+    indices = field.indices[:pos] + (new_kind,) + field.indices[pos + 1:]
+    comps = {}
+    for key in field.comps:
+        if key[pos] == 0:
+            src = key[:pos] + (1,) + key[pos + 1:]
+            comps[key] = -field.comps[src]
+        else:
+            src = key[:pos] + (0,) + key[pos + 1:]
+            comps[key] = field.comps[src]
+    return DyadSpinorField(indices, comps)

@@ -416,6 +416,24 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "digits" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    @pytest.mark.parametrize("a, point", [
+        ("u^1000", "1e999,0,0,0"),
+        ("u^1000*v^1000*x^1000*y^1000", "1e999,1e999,1e999,1e999"),
+    ], ids=["u", "uvxy"])
+    def test_point_past_the_digit_bound_refused_before_evaluation(
+        self, spec, capsys, command, a, point
+    ):
+        # each value has about 10^6 digits at the point; forming one took
+        # minutes and hundreds of MB
+        path = spec({"a": a, "b": "0", "c": "0"})
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path, "--point", point)
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: a value at --point has more than {limit} digits\n"
+
 
 class TestParser:
     def test_internal_error_exit_3(self, spec, capsys, monkeypatch):
@@ -428,6 +446,30 @@ class TestParser:
         assert out == ""
         assert err.startswith("internal error: RuntimeError: boom")
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_value_error_is_internal(self, spec, capsys, monkeypatch):
+        # only the interpreter's digit-limit ValueError is bad input
+        def boom(args, out):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("walkerspin.cli.cmd_classify", boom)
+        code, out, err = run(capsys, "classify", spec(CUBIC))
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ValueError: boom")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, data", [
+        ("verify", {"a": f"({'9' * 4000}*u+1)^2", "b": "0", "c": "0"}),
+        ("analyze", {"a": f"{'9' * 2500}*u^3*v^3", "b": f"{'9' * 2500}*u^2", "c": "0"}),
+        ("heavenly", {"theta": f"{'9' * 4000}*u^2*v^2",
+                      "f": "0", "g": "0", "F": "0", "G": "0", "h": "0"}),
+    ], ids=["verify", "analyze", "heavenly"])
+    def test_report_past_the_digit_limit(self, spec, capsys, command, data):
+        # a value too long for str() is refused with nothing printed, not
+        # a crash after part of the report
+        code, out, err = run(capsys, command, spec(data))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "digits" in err and len(err.splitlines()) == 1
 
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ from walkerspin.poly import (
     ExprSyntaxError,
     Poly,
     RationalFunction,
+    _digit_bound,
     _exact_quotient,
     parse_poly,
 )
@@ -155,6 +156,18 @@ def test_diff_matches_reference(p):
 def test_eval_matches_reference(p, q, pt):
     assert p.eval_at(pt) == ref_eval(p.terms, pt)
     assert (p * q).eval_at(pt) == ref_eval(ref_mul(p.terms, q.terms), pt)
+
+
+@given(polys, polys, st.tuples(*[st.one_of(
+    coords,
+    st.builds(Fraction, st.integers(-10**60, 10**60), st.integers(1, 10**40)),
+)] * 4))
+def test_digit_bound_bounds_the_evaluated_value(p, q, pt):
+    for value in (p, p * q):
+        bound = _digit_bound(value, pt)
+        exact = value.eval_at(pt)
+        assert len(str(abs(exact.numerator))) <= bound
+        assert len(str(exact.denominator)) <= bound
 
 
 def curve_checks(p: Poly, base, t) -> None:

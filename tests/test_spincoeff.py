@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
 from walkerspin.spincoeff import (
     COEFF_NAMES,
     DN,
+    DN_P,
     UP,
     UP_P,
     DyadSpinorField,
@@ -53,6 +55,8 @@ from support import (
     directional_vector_derivative,
     frame_values,
     random_metric_functions,
+    reference_lower_index,
+    reference_raise_index,
     scaled_frame,
     value_parts,
 )
@@ -706,3 +710,32 @@ _nonvanishing = _small_linear.filter(lambda p: not p.is_zero)
 def test_koszul_route_on_random_transforms(lam, lam_t, mu, mu_t):
     t = tetrad_transform(walker_tetrad(FRAMES_METRIC), lam, lam_t, mu, mu_t)
     assert_routes_agree(t, FRAMES_METRIC)
+
+
+@st.composite
+def _spinor_fields(draw):
+    """A field of up to four indices of mixed kinds, each component a
+    small linear polynomial."""
+    indices = draw(st.lists(st.sampled_from((UP, DN, UP_P, DN_P)), max_size=4))
+    keys = list(itertools.product((0, 1), repeat=len(indices)))
+    values = draw(st.lists(_small_linear, min_size=len(keys), max_size=len(keys)))
+    return DyadSpinorField(indices, dict(zip(keys, values)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=_spinor_fields())
+def test_epsilon_move_matches_the_two_branch_reference(field):
+    for pos, kind in enumerate(field.indices):
+        for move, reference in ((raise_index, reference_raise_index),
+                                (lower_index, reference_lower_index)):
+            try:
+                want = reference(field, pos)
+            except InputError as err:
+                with pytest.raises(InputError, match=f"^{err}$"):
+                    move(field, pos)
+                continue
+            assert move(field, pos) == want
+        if kind in (UP, UP_P):
+            assert raise_index(lower_index(field, pos), pos) == field
+        else:
+            assert lower_index(raise_index(field, pos), pos) == field
