@@ -116,16 +116,19 @@ def _parse_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
     return tuple(_parse_value(p.strip(), flag) for p in parts)
 
 
+def _bound_digits(values, point, flag: str) -> None:
+    """Refuse ``point`` before any of ``values`` is evaluated there where a
+    bound on the digits of one passes four times the interpreter's limit,
+    or its default when the limit is off (0); the bound may overestimate."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if max(_digit_bound(v, point) for v in values) > 4 * limit:
+        raise InputError(f"a value at {flag} has more than {limit} digits")
+
+
 def _classify_at(an: Analysis, point) -> WeylTypeReport:
-    """The classification at --point, refused before it is evaluated where
-    a bound on the digits of a value passes four times the interpreter's
-    limit; the bound may overestimate, so a point just past the limit is
-    refused only when its report is printed."""
-    limit = sys.get_int_max_str_digits()
+    """The classification at --point, after ``_bound_digits``."""
     curv = an.curvature
-    values = (curv.S, curv.PsiT3, curv.PsiT4, an.w.c)
-    if limit and max(_digit_bound(v, point) for v in values) > 4 * limit:
-        raise InputError(f"a value at --point has more than {limit} digits")
+    _bound_digits((curv.S, curv.PsiT3, curv.PsiT4, an.w.c), point, "--point")
     try:
         return classify_sd_weyl(an, point)
     except ZeroDivisionError as err:
@@ -297,6 +300,7 @@ def cmd_congruence(args, out) -> int:
     end = _as_float(_parse_value(args.end, "--end"), "--end")
     step = _as_float(_parse_value(args.step, "--step"), "--step")
     base = _parse_tuple(args.base, "--base")
+    _bound_digits((w.a, w.b, w.c), base, "--base")
     path = integrate_connecting(w, v0, v_end=end, step=step, base=base)
 
     start = path.states[0]
@@ -341,9 +345,9 @@ def cmd_heavenly(args, out) -> int:
     if args.check in ("all",):
         print("aligned Ricci conditions: pass", file=out)
     if residual is not None:
-        print(f"master identity residual = {residual}", file=out)
-        if not residual.is_zero:
-            failures += 1
+        failed = not residual.is_zero
+        print(f"{'FAIL ' if failed else ''}master identity residual = {residual}", file=out)
+        failures += failed
     if rep is not None:
         print(f"Einstein: {'true' if rep.einstein else 'false'}", file=out)
         if not rep.einstein:

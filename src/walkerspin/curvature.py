@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .errors import InputError
 from .poly import HALF, ONE, ZERO, Poly, Value, dot
-from .spincoeff import Frame, _check, prime, tilde_relabel
+from .spincoeff import Frame, _check
 from .walker import (
     COORDS,
     Christoffel,
@@ -299,16 +299,6 @@ def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
 # ---------------------------------------------------------------------------
 
 
-# The operators D, Delta, delta, Dp of each companion tetrad of a frame, as
-# signed operators of the frame itself, by the marker of its equations.
-_COMPANION_OPS = {
-    "": {"D": ("D", 1), "Delta": ("Delta", 1), "delta": ("delta", 1), "Dp": ("Dp", 1)},
-    "'": {"D": ("Dp", 1), "Delta": ("delta", -1), "delta": ("Delta", -1), "Dp": ("D", 1)},
-    "~": {"D": ("D", 1), "Delta": ("delta", 1), "delta": ("Delta", 1), "Dp": ("Dp", 1)},
-    "'~": {"D": ("Dp", 1), "Delta": ("Delta", -1), "delta": ("delta", -1), "Dp": ("D", 1)},
-}
-
-
 def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
     """Left minus right side of all 48 first-order curvature equations.
 
@@ -320,9 +310,9 @@ def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
     the primed partners of those (marker '~) on the priming companion of
     that tetrad.  Keys run a, a', ..., l, l', a~, a'~, ..., l'~.
 
-    Each companion's operators are signed relabellings of the frame's own
-    (``_COMPANION_OPS``), so all 48 equations share the memo of
-    ``frame.ops``:
+    Each companion's operators and coefficients come from
+    ``frame.companions``; the operators are signed relabellings of the
+    frame's own, so all 48 equations share the memo of ``frame.ops``:
 
         primed        D -> Dp,  Delta -> -delta,  delta -> -Delta,  Dp -> D
         tilde         D -> D,   Delta -> delta,   delta -> Delta,   Dp -> Dp
@@ -416,16 +406,10 @@ def field_equation_residuals(frame: Frame, curv: CurvatureSpinors):
             ),
         }
 
-    def on(mark, s, c):
-        return build(frame.ops.signed(_COMPANION_OPS[mark]), s, c)
-
     out = {}
-    for mark, s, c in (
-        ("", frame.coeffs, curv),
-        ("~", tilde_relabel(frame.coeffs), tilde_curvature(curv)),
-    ):
-        plain = on(mark, s, c)
-        primed = on("'" + mark, prime(s), prime_curvature(c))
+    for mark, c in (("", curv), ("~", tilde_curvature(curv))):
+        plain = build(*frame.companions[mark], c)
+        primed = build(*frame.companions["'" + mark], prime_curvature(c))
         for key in plain:
             out[key + mark] = plain[key]
             out[key + "'" + mark] = primed[key]
@@ -436,59 +420,47 @@ def commutator_residuals(frame: Frame, f):
     """Second-derivative commutators of a scalar minus their first-order
     expansions; six residuals, one per operator pair.
 
+    Three expansions are written: [Dp,D], [delta,D] and [Delta,delta].
+    The other three are [delta,D] on a companion from ``frame.companions``:
+    [Dp,Delta] on the priming companion, and [D,Delta] and [delta,Dp]
+    minus it on the tilde and tilde-primed companions.
+
     This is the direct route, one call per scalar.  ``verify`` derives its
     3.1 suite from ``commutator_vector_fields`` instead; the tests compare
     the two routes and keep this one as the guard.
     """
-    ops = frame.ops
-    s = frame.coeffs
-    D = {name: ops.apply(name, f) for name in ops.NAMES}
-    second = {
-        (p, q): ops.apply(p, D[q]) for p in ops.NAMES for q in ops.NAMES
-    }
 
     def lie(p, q):
-        return second[(p, q)] - second[(q, p)]
+        return p(q(f)) - q(p(f))
 
-    out = {
-        "[Dp,D]": lie("Dp", "D") - (
-            (s.gamma + s.gamma_t) * D["D"]
-            - (s.gamma_p + s.gamma_tp) * D["Dp"]
-            + (s.tau + s.tau_tp) * D["Delta"]
-            + (s.tau_p + s.tau_t) * D["delta"]
+    def delta_D(mark):
+        (D, A, dl, Dp), s = frame.companions[mark]
+        return lie(dl, D) - (
+            (s.beta + s.alpha_t + s.tau_tp) * D(f)
+            - s.kappa * Dp(f)
+            + s.sigma * A(f)
+            + (s.rho_t - s.epsilon - s.gamma_tp) * dl(f)
+        )
+
+    (D, A, dl, Dp), s = frame.companions[""]
+    return {
+        "[Dp,D]": lie(Dp, D) - (
+            (s.gamma + s.gamma_t) * D(f)
+            - (s.gamma_p + s.gamma_tp) * Dp(f)
+            + (s.tau + s.tau_tp) * A(f)
+            + (s.tau_p + s.tau_t) * dl(f)
         ),
-        "[delta,D]": lie("delta", "D") - (
-            (s.beta + s.alpha_t + s.tau_tp) * D["D"]
-            - s.kappa * D["Dp"]
-            + s.sigma * D["Delta"]
-            + (s.rho_t - s.epsilon - s.gamma_tp) * D["delta"]
-        ),
-        "[Dp,Delta]": lie("Dp", "Delta") - (
-            (s.beta_p + s.alpha_tp + s.tau_t) * D["Dp"]
-            - s.kappa_p * D["D"]
-            - s.sigma_p * D["delta"]
-            - (s.rho_tp - s.epsilon_p - s.gamma_t) * D["Delta"]
-        ),
-        "[D,Delta]": lie("D", "Delta") - (
-            s.kappa_t * D["Dp"]
-            - (s.tau_p + s.beta_t + s.alpha) * D["D"]
-            - s.sigma_t * D["delta"]
-            - (s.rho - s.epsilon_t - s.gamma_p) * D["Delta"]
-        ),
-        "[delta,Dp]": lie("delta", "Dp") - (
-            s.kappa_tp * D["D"]
-            - (s.tau + s.beta_tp + s.alpha_p) * D["Dp"]
-            + s.sigma_tp * D["Delta"]
-            + (s.rho_p - s.epsilon_tp - s.gamma) * D["delta"]
-        ),
-        "[Delta,delta]": lie("Delta", "delta") - (
-            (s.rho_tp - s.rho_p) * D["D"]
-            + (s.rho - s.rho_t) * D["Dp"]
-            + (s.alpha_p - s.alpha_t) * D["Delta"]
-            + (s.alpha - s.alpha_tp) * D["delta"]
+        "[delta,D]": delta_D(""),
+        "[Dp,Delta]": delta_D("'"),
+        "[D,Delta]": -delta_D("~"),
+        "[delta,Dp]": -delta_D("'~"),
+        "[Delta,delta]": lie(A, dl) - (
+            (s.rho_tp - s.rho_p) * D(f)
+            + (s.rho - s.rho_t) * Dp(f)
+            + (s.alpha_p - s.alpha_t) * A(f)
+            + (s.alpha - s.alpha_tp) * dl(f)
         ),
     }
-    return out
 
 
 def commutator_vector_fields(frame: Frame):

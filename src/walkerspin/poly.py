@@ -143,14 +143,9 @@ class Poly:
                     )
                 c = _as_fraction(coeff)
                 if c:
-                    key = _pack(exps)
-                    acc = clean.get(key)
-                    c = c if acc is None else acc + c
-                    if c:
-                        clean[key] = c
-                        top = max(top, *exps)
-                    elif key in clean:
-                        del clean[key]
+                    # distinct keys, and _pack is injective below the limit
+                    clean[_pack(exps)] = c
+                    top = max(top, *exps)
         # the lcm of reduced denominators leaves no factor common to all
         den = lcm(*(c.denominator for c in clean.values()))
         self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}

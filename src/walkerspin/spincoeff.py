@@ -13,7 +13,7 @@ and chi_t appear in the diagonal entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 
 from .errors import InputError, InternalInconsistencyError
@@ -120,6 +120,16 @@ def tilde_companion_tetrad(t: Tetrad) -> Tetrad:
     return Tetrad(l=t.l, n=t.n, m=t.mt, mt=t.m, chi=t.chi_t, chi_t=t.chi)
 
 
+# The operators D, Delta, delta, Dp of each companion tetrad of a frame, as
+# signed operators of the frame itself, by the marker of its equations.
+_COMPANION_OPS = {
+    "": {"D": ("D", 1), "Delta": ("Delta", 1), "delta": ("delta", 1), "Dp": ("Dp", 1)},
+    "'": {"D": ("Dp", 1), "Delta": ("delta", -1), "delta": ("Delta", -1), "Dp": ("D", 1)},
+    "~": {"D": ("D", 1), "Delta": ("delta", 1), "delta": ("Delta", 1), "Dp": ("Dp", 1)},
+    "'~": {"D": ("Dp", 1), "Delta": ("Delta", -1), "delta": ("delta", -1), "Dp": ("D", 1)},
+}
+
+
 # One row per directional operator: the plain and primed coefficients it
 # carries, and the sign of the primed pair.
 _ROWS = (
@@ -132,10 +142,11 @@ _ROWS = (
 # relative to chi * chi_t.
 _LEGS = ("l", "n", "m", "mt")
 _G_SIGN = {("l", "n"): 1, ("n", "l"): 1, ("m", "mt"): -1, ("mt", "m"): -1}
-# Legs and operators of the tetrad with m and mt exchanged: its Delta follows
-# the original m, so it is the original delta.
+# Legs and operators of the tilde companion tetrad: its Delta follows the
+# original m, so it is the original delta.
 _SAME = {name: name for name in _LEGS + DirectionalOps.NAMES}
-_SWAP = {**_SAME, "m": "mt", "mt": "m", "Delta": "delta", "delta": "Delta"}
+_SWAP = {**_SAME, "m": "mt", "mt": "m",
+         **{op: name for op, (name, _) in _COMPANION_OPS["~"].items()}}
 
 
 def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficientSet:
@@ -253,12 +264,29 @@ def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
 
 @dataclass(frozen=True)
 class Frame:
-    """A tetrad bundled with its metric context and coefficient set."""
+    """A tetrad bundled with its metric context and coefficient set, and the
+    owner of its companions and connection matrices, each built once."""
 
     metric: MetricTensor
     tetrad: Tetrad
     ops: DirectionalOps
     coeffs: SpinCoefficientSet
+
+    @cached_property
+    def companions(self) -> dict:
+        """The operators and coefficients of each companion tetrad, by the
+        marker of its equations: "" this frame, "'" its priming companion,
+        "~" its tilde companion and "'~" the priming companion of that.
+        The operators are signed views of ``ops`` (``_COMPANION_OPS``), so
+        every companion shares its memo."""
+        s, s_t = self.coeffs, tilde_relabel(self.coeffs)
+        sets = {"": s, "'": prime(s), "~": s_t, "'~": prime(s_t)}
+        return {mark: (self.ops.signed(_COMPANION_OPS[mark]), sets[mark]) for mark in sets}
+
+    @cached_property
+    def connection(self):
+        """``connection_matrices`` of the coefficients."""
+        return connection_matrices(self.coeffs)
 
     @classmethod
     def walker(cls, w: WalkerMetric) -> "Frame":
@@ -505,7 +533,7 @@ def dyad_covariant_derivative(field: DyadSpinorField, frame: Frame) -> DyadSpino
     """
     if not isinstance(field, DyadSpinorField):
         raise InputError("expected a DyadSpinorField")
-    gamma, gamma_t = connection_matrices(frame.coeffs)
+    gamma, gamma_t = frame.connection
     ops = frame.ops
     n = len(field.indices)
     out: dict[tuple[int, ...], Value] = {}
@@ -528,9 +556,9 @@ def first_form_residuals(frame: Frame):
     coefficient expansions; all four grids vanish for a correct set.
 
     Only the dl and dm expansions are written.  dmt is dm on the tilde
-    companion tetrad with ``tilde_relabel`` coefficients, and dn is dl on
-    the priming companion tetrad with ``prime`` coefficients.  Keys run
-    dl, dm, dmt, dn.
+    companion tetrad and dn is dl on the priming companion tetrad, each
+    with its coefficients from ``frame.companions``.  Keys run dl, dm,
+    dmt, dn.
 
     Requires unit normalization (chi * chi_t = 1).
     """
@@ -578,6 +606,6 @@ def first_form_residuals(frame: Frame):
     return {
         "dl": residual(t, s, "l"),
         "dm": residual(t, s, "m"),
-        "dmt": residual(tilde_companion_tetrad(t), tilde_relabel(s), "m"),
-        "dn": residual(priming_companion_tetrad(t), prime(s), "l"),
+        "dmt": residual(tilde_companion_tetrad(t), frame.companions["~"][1], "m"),
+        "dn": residual(priming_companion_tetrad(t), frame.companions["'"][1], "l"),
     }

@@ -366,3 +366,58 @@ def reference_lower_index(field, pos: int):
             src = key[:pos] + (0,) + key[pos + 1:]
             comps[key] = field.comps[src]
     return DyadSpinorField(indices, comps)
+
+
+def reference_commutator_residuals(frame, f):
+    """The six commutator residuals with every expansion written out, each
+    second derivative taken from the frame's own operators; the reference
+    for ``commutator_residuals``, which writes three and reads the rest off
+    the companion frames."""
+    ops = frame.ops
+    s = frame.coeffs
+    D = {name: ops.apply(name, f) for name in ops.NAMES}
+    second = {
+        (p, q): ops.apply(p, D[q]) for p in ops.NAMES for q in ops.NAMES
+    }
+
+    def lie(p, q):
+        return second[(p, q)] - second[(q, p)]
+
+    return {
+        "[Dp,D]": lie("Dp", "D") - (
+            (s.gamma + s.gamma_t) * D["D"]
+            - (s.gamma_p + s.gamma_tp) * D["Dp"]
+            + (s.tau + s.tau_tp) * D["Delta"]
+            + (s.tau_p + s.tau_t) * D["delta"]
+        ),
+        "[delta,D]": lie("delta", "D") - (
+            (s.beta + s.alpha_t + s.tau_tp) * D["D"]
+            - s.kappa * D["Dp"]
+            + s.sigma * D["Delta"]
+            + (s.rho_t - s.epsilon - s.gamma_tp) * D["delta"]
+        ),
+        "[Dp,Delta]": lie("Dp", "Delta") - (
+            (s.beta_p + s.alpha_tp + s.tau_t) * D["Dp"]
+            - s.kappa_p * D["D"]
+            - s.sigma_p * D["delta"]
+            - (s.rho_tp - s.epsilon_p - s.gamma_t) * D["Delta"]
+        ),
+        "[D,Delta]": lie("D", "Delta") - (
+            s.kappa_t * D["Dp"]
+            - (s.tau_p + s.beta_t + s.alpha) * D["D"]
+            - s.sigma_t * D["delta"]
+            - (s.rho - s.epsilon_t - s.gamma_p) * D["Delta"]
+        ),
+        "[delta,Dp]": lie("delta", "Dp") - (
+            s.kappa_tp * D["D"]
+            - (s.tau + s.beta_tp + s.alpha_p) * D["Dp"]
+            + s.sigma_tp * D["Delta"]
+            + (s.rho_p - s.epsilon_tp - s.gamma) * D["delta"]
+        ),
+        "[Delta,delta]": lie("Delta", "delta") - (
+            (s.rho_tp - s.rho_p) * D["D"]
+            + (s.rho - s.rho_t) * D["Dp"]
+            + (s.alpha_p - s.alpha_t) * D["Delta"]
+            + (s.alpha - s.alpha_tp) * D["delta"]
+        ),
+    }

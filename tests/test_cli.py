@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import walkerspin
 from walkerspin.cli import SUITES, main
 from walkerspin.congruence import MAX_STEPS
+from walkerspin.poly import Poly
 from walkerspin.spincoeff import COEFF_NAMES, Frame
 
 from support import value_parts
@@ -333,6 +334,18 @@ class TestCongruence:
             assert code == 2 and not out
             assert err.startswith("error:") and "steps" in err
 
+    def test_base_past_the_digit_bound_refused_before_evaluation(self, spec, capsys):
+        # a at the base has about 10^6 digits; its restriction along u took
+        # minutes and hundreds of MB
+        path = spec({"a": "u^1000", "b": "0", "c": "0"})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "congruence", path, "--v0", "0,0,1,0", "--end", "1",
+                             "--step", "0.5", "--base", "1e999,0,0,0", "--out", "-")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: a value at --base has more than {limit} digits\n"
+
 
 class TestHeavenly:
     def test_einstein_true(self, spec, capsys):
@@ -373,6 +386,13 @@ class TestHeavenly:
             assert err == "error: scalar-flat analysis requires h = 0\n"
         code, out, _ = run(capsys, "heavenly", path, "--check", "identity")
         assert code == 0 and "master identity residual = 0" in out
+
+    def test_nonzero_identity_residual_prints_a_fail_line(self, spec, capsys, monkeypatch):
+        monkeypatch.setattr("walkerspin.cli.master_identity_residual",
+                            lambda p: Poly.parse("u"))
+        code, out, _ = run(capsys, "heavenly", spec(UVX_POT), "--check", "identity")
+        assert code == 1
+        assert "FAIL master identity residual = u\n" in out.splitlines(keepends=True)
 
 
 class TestClassify:
@@ -433,6 +453,22 @@ class TestClassify:
         assert code == 2 and out == ""
         limit = sys.get_int_max_str_digits()
         assert err == f"error: a value at --point has more than {limit} digits\n"
+
+    def test_digit_bound_holds_with_the_limit_off(self, spec, capsys):
+        # with no interpreter limit the bound takes its default, so the
+        # point is still refused before evaluation
+        path = spec({"a": "u^1000", "b": "0", "c": "0"})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "classify", path, "--point", "1e999,0,0,0")
+            assert time.perf_counter() - start < 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2 and out == ""
+        default = sys.int_info.default_max_str_digits
+        assert err == f"error: a value at --point has more than {default} digits\n"
 
 
 class TestParser:
@@ -521,6 +557,8 @@ FIELD_LAYERS = {
     "spincoeff": ("dyad_covariant_derivative", "connection_matrices"),
     "walker": ("tetrad_covectors",),
 }
+# The relabellings each frame's companions are built from.
+COMPANION_LAYERS = {"spincoeff": ("prime", "tilde_relabel")}
 
 
 @pytest.fixture
@@ -536,7 +574,7 @@ def layer_counts(monkeypatch):
         return wrapper
 
     modules = [m for name, m in sys.modules.items() if name.startswith("walkerspin")]
-    for mod, names in [*LAYERS.items(), *FIELD_LAYERS.items()]:
+    for mod, names in [*LAYERS.items(), *FIELD_LAYERS.items(), *COMPANION_LAYERS.items()]:
         for name in names:
             original = getattr(importlib.import_module(f"walkerspin.{mod}"), name)
             for m in modules:
@@ -572,13 +610,29 @@ def test_each_layer_built_once(spec, capsys, layer_counts, argv, built):
 def test_distribution_report_derives_the_field_once(spec, capsys, layer_counts):
     """The integrability residual and the recurrence forms share one
     derivative of the field; the other derivative is of the lowered field.
-    The two one-forms and the Frobenius test share one set of covectors."""
+    The two one-forms and the Frobenius test share one set of covectors,
+    and both derivatives the frame's one set of connection matrices."""
     code, _, _ = run(capsys, "analyze", spec(MIXED))
     assert code == 0
     names = [name for names in FIELD_LAYERS.values() for name in names]
     assert {name: layer_counts[name] for name in names} == {
-        **dict.fromkeys(names, 2), "tetrad_covectors": 1
+        **dict.fromkeys(names, 1), "dyad_covariant_derivative": 2
     }
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["verify"], {"prime": 2, "tilde_relabel": 1}),
+    (["verify", "--perturb", "tau_tp"], {"prime": 2, "tilde_relabel": 1}),
+    (["verify", "--suite", "3.1"], {"prime": 2, "tilde_relabel": 1}),
+    (["analyze"], {"prime": 0, "tilde_relabel": 1}),
+], ids=["verify", "verify-perturb", "verify-3.1", "analyze"])
+def test_companions_built_once_per_frame(spec, capsys, layer_counts, argv, built):
+    """Suites 3.4 and 3.1 read the companions of the one frame, and the
+    connection matrices relabel its coefficients once."""
+    code, _, _ = run(capsys, argv[0], spec(MIXED), *argv[1:])
+    assert code in (0, 1)
+    names = [name for names in COMPANION_LAYERS.values() for name in names]
+    assert {name: layer_counts[name] for name in names} == built
 
 
 _monomial = st.builds(

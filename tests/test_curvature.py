@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkerspin import curvature
+from walkerspin import spincoeff
 from walkerspin.curvature import (
     Analysis,
     CurvatureSpinors,
@@ -53,8 +53,10 @@ from support import (
     random_poly,
     random_potential,
     random_symmetric_tensor,
+    reference_commutator_residuals,
     ricci_by_sixteen_entries,
     riemann,
+    scaled_frame,
 )
 
 RF_ZERO = RationalFunction(ZERO)
@@ -397,7 +399,7 @@ def test_companion_operators_are_signed_views(f):
             "'~": priming_companion_tetrad(tilde_companion_tetrad(t)),
         }
         ops = DirectionalOps(t)
-        for mark, table in curvature._COMPANION_OPS.items():
+        for mark, table in spincoeff._COMPANION_OPS.items():
             direct = DirectionalOps(companions[mark])
             for op, name in zip(ops.signed(table), DirectionalOps.NAMES):
                 for value in values:
@@ -559,3 +561,63 @@ def test_classification_rejects_bad_point():
     w = WalkerMetric(a=Poly.zero(), b=Poly.zero(), c=Poly.zero())
     with pytest.raises(InputError):
         classify_sd_weyl(Analysis(w), (0, 0, 0))
+
+
+def _commutator_frames():
+    """Canonical, transformed, scaled and tilde-companion frames of the
+    frames metric, each also with one coefficient bumped by 1, for six
+    coefficients that between them reach every commutator."""
+    mt = assemble_metric(FRAMES_METRIC)
+    canonical = Frame.walker(FRAMES_METRIC)
+    frames = [canonical]
+    for params in (("1+u", "1", "x", "0"), ("1+u", "1+v", "x", "y")):
+        t = tetrad_transform(canonical.tetrad, *map(parse_poly, params))
+        frames.append(Frame.from_tetrad(mt, t))
+    coeffs, t = scaled_frame(FRAMES_METRIC, parse_poly("1+x"), parse_poly("2+y"))
+    frames.append(Frame(metric=mt, tetrad=t, ops=DirectionalOps(t), coeffs=coeffs))
+    frames.append(Frame.from_tetrad(mt, tilde_companion_tetrad(canonical.tetrad)))
+    bumped = [
+        dataclasses.replace(frame, coeffs=frame.coeffs.with_values(
+            **{name: frame.coeffs.get(name) + 1}))
+        for frame in frames
+        for name in ("gamma", "kappa", "kappa_p", "kappa_t", "kappa_tp", "rho")
+    ]
+    return frames + bumped
+
+
+def test_derived_commutators_match_the_written_out_expansions():
+    # three commutators are [delta,D] on a companion frame; each residual
+    # prints as the one of the expansion written out for it
+    rng = random.Random(219)
+    nonzero = set()
+    for frame in _commutator_frames():
+        for _ in range(3):
+            f = random_poly(rng, max_degree=3, max_terms=4)
+            got = commutator_residuals(frame, f)
+            want = reference_commutator_residuals(frame, f)
+            assert list(got) == list(want)
+            for key, value in want.items():
+                assert str(got[key]) == str(value), (key, str(f))
+                if not value.is_zero:
+                    nonzero.add(key)
+    assert nonzero == set(want)
+
+
+def test_self_paired_commutators_change_sign_on_companions():
+    # on a perturbed frame, where the residuals are nonzero, the priming
+    # companion negates [Dp,D] and [Delta,delta], and the tilde companion
+    # keeps [Dp,D] and negates [Delta,delta]
+    frame = Frame.walker(FRAMES_METRIC)
+    s = frame.coeffs.with_values(gamma=frame.coeffs.gamma + 1, rho=frame.coeffs.rho + 1)
+    t = frame.tetrad
+    f = parse_poly("u^2*x + v*y^2 - 3*x*y")
+    base = commutator_residuals(dataclasses.replace(frame, coeffs=s), f)
+    for t_c, s_c, signs in (
+        (priming_companion_tetrad(t), prime(s), (-1, -1)),
+        (tilde_companion_tetrad(t), tilde_relabel(s), (1, -1)),
+    ):
+        companion = Frame(metric=frame.metric, tetrad=t_c, ops=DirectionalOps(t_c), coeffs=s_c)
+        got = commutator_residuals(companion, f)
+        for key, sign in zip(("[Dp,D]", "[Delta,delta]"), signs):
+            assert not base[key].is_zero, key
+            assert got[key] == sign * base[key], key
