@@ -43,7 +43,7 @@ from .curvature import (
 from .errors import InputError, InternalInconsistencyError
 from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
 from .nullgeom import distribution_report, relation_suite
-from .poly import MAX_EXPONENT, Poly, _digit_bound
+from .poly import MAX_EXPONENT, Poly, _digit_bound, _refused_digits
 from .spincoeff import COEFF_NAMES, Frame
 from .walker import WalkerMetric, christoffel
 
@@ -118,10 +118,9 @@ def _parse_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
 
 def _bound_digits(values, point, flag: str) -> None:
     """Refuse ``point`` before any of ``values`` is evaluated there where a
-    bound on the digits of one passes four times the interpreter's limit,
-    or its default when the limit is off (0); the bound may overestimate."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if max(_digit_bound(v, point) for v in values) > 4 * limit:
+    bound on the digits of one passes the rule of ``_refused_digits``."""
+    limit = _refused_digits(max(_digit_bound(v, point) for v in values))
+    if limit:
         raise InputError(f"a value at {flag} has more than {limit} digits")
 
 
@@ -129,10 +128,7 @@ def _classify_at(an: Analysis, point) -> WeylTypeReport:
     """The classification at --point, after ``_bound_digits``."""
     curv = an.curvature
     _bound_digits((curv.S, curv.PsiT3, curv.PsiT4, an.w.c), point, "--point")
-    try:
-        return classify_sd_weyl(an, point)
-    except ZeroDivisionError as err:
-        raise InputError(str(err)) from err
+    return classify_sd_weyl(an, point)
 
 
 def _metric_header(w: WalkerMetric, out) -> None:

@@ -37,7 +37,7 @@ from .errors import (
     InternalInconsistencyError,
     PatternError,
 )
-from .poly import HALF, ZERO, Poly, Value, _ratio
+from .poly import HALF, ZERO, Poly, Value, _ratio, _refused_digits
 from .spincoeff import Frame, SpinCoefficientSet, _check
 from .walker import WalkerMetric
 
@@ -101,18 +101,6 @@ def _point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     if len(pt) != 4:
         raise InputError("a curve base point needs four coordinates")
     return pt
-
-
-def _ratios(grid) -> list[tuple[int, int]]:
-    """Each curve parameter as an exact (p, q) pair."""
-    grid = tuple(grid)
-    try:
-        try:
-            return list(map(float.as_integer_ratio, grid))
-        except TypeError:  # not every parameter is a float
-            return [_ratio(t if isinstance(t, float) else _fraction(t)) for t in grid]
-    except (ValueError, OverflowError) as exc:
-        raise InputError("nonfinite curve parameter") from exc
 
 
 def _check_span(v_end, step) -> tuple[float, float]:
@@ -406,31 +394,41 @@ def _oracle_columns(w: WalkerMetric, base, s0: ConnectingState, ts):
     nu0 = Fraction(s0.nu)
     eta = Fraction(s0.eta) + ((c0 - w.c) * zt0 + (w.a - a0) * nu0) * HALF
     zeta = Fraction(s0.zeta) + ((b0 - w.b) * zt0 + (w.c - c0) * nu0) * HALF
-    ratios = _ratios(ts)
-    return (
-        _curve_floats(eta.along_u(pt0), ratios, "eta"),
-        _curve_floats(zeta.along_u(pt0), ratios, "zeta"),
-    )
-
-
-def _curve_floats(curve, ratios, name) -> tuple[float, ...]:
-    try:
-        return curve.floats(ratios)
-    except OverflowError as exc:
-        raise InputError(f"{name} overflows a float along the curve") from exc
+    columns = _sample_columns({"eta": eta, "zeta": zeta}, base, ts)
+    return columns["eta"], columns["zeta"]
 
 
 def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
     """Float samples of each column at every grid parameter along the curve
     through `base`.  Canonical-frame columns are polynomials; each is
-    restricted to the curve once and evaluated exactly per sample."""
+    restricted to the curve once and evaluated exactly at each parameter,
+    taken as a (p, q) pair.  The largest bit lengths of p and of q are taken
+    once, so a column whose samples could pass the rule of
+    ``_refused_digits`` is refused before any sample is formed."""
     pt0 = _point(base)
-    ratios = _ratios(grid)
+    grid = tuple(grid)
+    try:
+        try:
+            ratios = list(map(float.as_integer_ratio, grid))
+        except TypeError:  # not every parameter is a float
+            ratios = [_ratio(t if isinstance(t, float) else _fraction(t)) for t in grid]
+    except (ValueError, OverflowError) as exc:
+        raise InputError("nonfinite curve parameter") from exc
+    # the largest magnitude has the largest bit length
+    p_bits = max(map(abs, map(operator.itemgetter(0), ratios)), default=0).bit_length()
+    q_bits = max(map(operator.itemgetter(1), ratios), default=0).bit_length()
     out = {}
     for key, col in columns.items():
         if not isinstance(col, Poly):
             raise InternalInconsistencyError(f"{key} not polynomial on a canonical frame")
-        out[key] = _curve_floats(col.along_u(pt0), ratios, key)
+        curve = col.along_u(pt0)
+        limit = _refused_digits(curve.digit_bound(p_bits, q_bits))
+        if limit:
+            raise InputError(f"{key} has more than {limit} digits along the curve")
+        try:
+            out[key] = curve.floats(ratios)
+        except OverflowError as exc:
+            raise InputError(f"{key} overflows a float along the curve") from exc
     return out
 
 

@@ -498,6 +498,24 @@ class WeylTypeReport:
     psi_t4: Fraction
 
 
+def _sd_weyl_type(s, psi_t3, psi_t4, c):
+    """(label, A, B) of the second quartic family from S, PsiT3, PsiT4 and
+    c, as values at a point or as polynomials (nonzero unless identically
+    zero): B = -8 PsiT3 - S c and A = 6 B c + S (3 c^2 - 1) - 24 PsiT4."""
+    inv_b = -8 * psi_t3 - s * c
+    inv_a = 6 * inv_b * c + s * (3 * c * c - 1) - 24 * psi_t4
+    if s:
+        discriminant = s * s + inv_a * s + 3 * inv_b * inv_b
+        label = "{211}II/{1 1bar 2}II" if discriminant else "{2,2}Ia"
+    elif psi_t3:
+        label = "{31}III"
+    elif psi_t4:
+        label = "{4}II"
+    else:
+        label = "SD-flat"
+    return label, inv_a, inv_b
+
+
 def classify_sd_weyl(an: Analysis, point) -> WeylTypeReport:
     """Pointwise root-multiplicity class of the second quartic family.
 
@@ -509,23 +527,9 @@ def classify_sd_weyl(an: Analysis, point) -> WeylTypeReport:
     if len(pt) != 4:
         raise InputError("point must have four coordinates")
     curv = an.curvature
-    s_val = curv.S.eval_at(pt)
-    psi_t3 = curv.PsiT3.eval_at(pt)
-    psi_t4 = curv.PsiT4.eval_at(pt)
-    c_val = an.w.c.eval_at(pt)
-    inv_b = -8 * psi_t3 - s_val * c_val
-    inv_a = 6 * inv_b * c_val + s_val * (3 * c_val * c_val - 1) - 24 * psi_t4
-    if s_val != 0:
-        if s_val * s_val + inv_a * s_val + 3 * inv_b * inv_b == 0:
-            label = "{2,2}Ia"
-        else:
-            label = "{211}II/{1 1bar 2}II"
-    elif psi_t3 != 0:
-        label = "{31}III"
-    elif psi_t4 != 0:
-        label = "{4}II"
-    else:
-        label = "SD-flat"
+    fields = (curv.S, curv.PsiT3, curv.PsiT4, an.w.c)
+    s_val, psi_t3, psi_t4, c_val = (f.eval_at(pt) for f in fields)
+    label, inv_a, inv_b = _sd_weyl_type(s_val, psi_t3, psi_t4, c_val)
     return WeylTypeReport(
         label=label, point=pt, scalar=s_val,
         invariant_a=inv_a, invariant_b=inv_b,

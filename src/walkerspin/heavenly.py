@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .curvature import Analysis
+from .curvature import Analysis, _sd_weyl_type
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, QUARTER, Poly, VARIABLES, ZERO
 from .spincoeff import _check
@@ -290,14 +290,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
         for pair, value in zip(("uu", "uv", "vv"), inv.A)
     )
 
-    big_b = -8 * psi_t3
-    big_a = 6 * big_b * w.c - 24 * psi_t4
-    if big_b != ZERO:
-        label = "{31}III"
-    elif big_a != ZERO:
-        label = "{4}II"
-    else:
-        label = "SD-flat"
+    label = _sd_weyl_type(ZERO, psi_t3, psi_t4, w.c)[0]
     return ScalarFlatReport(psi_t3=psi_t3, psi_t4=psi_t4, A=a_pair, label=label)
 
 

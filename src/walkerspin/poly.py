@@ -25,10 +25,12 @@ power, whose bound would reach it is refused before any term is formed.
 ``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
 It is built on first access, cached, and read-only by convention.
 
-``Poly.along_u`` restricts a polynomial to a line in the u direction,
-t -> p(u0 + t, v0, x0, y0), as a ``CurvePoly``: integer coefficients of
-t^k over one denominator.  It evaluates exactly by integer Horner, and its
-float values, rounded once from the exact value, are the only floats here.
+``Poly.eval_at`` and ``Poly.along_u`` share one kernel, which evaluates
+the v, x, y factors in integers: ``eval_at`` is Horner in u over the
+integer coefficients of u^a it leaves, and ``along_u`` Horner in u0 + t,
+the restriction t -> p(u0 + t, v0, x0, y0) as a ``CurvePoly``: integer
+coefficients of t^k over one denominator, evaluated by integer Horner.
+Its float values, rounded once from the exact value, are the only floats.
 
 A ``RationalFunction`` keeps its denominator as a map from factor to
 multiplicity: a product adds multiplicities, a sum works over each factor
@@ -49,8 +51,9 @@ changes nothing, since zero times anything is ``ZERO``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 VARIABLES = ("u", "v", "x", "y")
@@ -319,47 +322,17 @@ class Poly:
                 out[k - step] = n * e
         return _reduced(out, self._den, self._top)
 
-    def eval_at(self, point: Iterable[Scalar]) -> Fraction:
-        """Exact evaluation at a 4-tuple of rationals, in coordinate order.
-
-        With p/q a coordinate and d the highest power of it present, each
-        power (p/q)^k is taken as p^k * q^(d-k) over q^d, so the sum runs in
-        integers over the one denominator den * prod(q^d).
+    def _u_restriction(self, point: Iterable[Scalar], noun: str):
+        """(u0, g, scale), with self(u, v0, x0, y0) = sum_a g[a] u^a / scale
+        in integers g: with p/q one of v0, x0, y0 and d its highest power
+        here, (p/q)^k is p^k * q^(d-k) over q^d, and scale = den * prod(q^d).
         """
         pt = [_as_fraction(c) for c in point]
         if len(pt) != 4:
-            raise ValueError("evaluation point must have four coordinates")
+            raise ValueError(f"{noun} must have four coordinates")
         num = self._num
         if not num:
-            return Fraction(0)
-        exps = list(map(_unpack, num))
-        scale = self._den
-        tables = []
-        for c, top in zip(pt, map(max, zip(*exps))):
-            p, q = c.numerator, c.denominator
-            tables.append([p**k * q ** (top - k) for k in range(top + 1)])
-            scale *= q**top
-        t0, t1, t2, t3 = tables
-        total = 0
-        for (a, b, c, d), n in zip(exps, num.values()):
-            total += n * t0[a] * t1[b] * t2[c] * t3[d]
-        return Fraction(total, scale)
-
-    def along_u(self, base: Iterable[Scalar]) -> "CurvePoly":
-        """The exact univariate restriction t -> self(u0 + t, v0, x0, y0).
-
-        The v, x, y factors of each term evaluate as in ``eval_at``, which
-        leaves integers g_a over one scale for each u exponent a.  With
-        u0 = p/q and top the highest u exponent, (u0 + t)^a expands by the
-        binomial theorem, so t^k has numerator
-        sum_a g_a C(a, k) p^(a-k) q^(top-a+k) over scale * q^top.
-        """
-        pt = [_as_fraction(c) for c in base]
-        if len(pt) != 4:
-            raise ValueError("base point must have four coordinates")
-        num = self._num
-        if not num:
-            return CurvePoly((), 1)
+            return pt[0], [], 1
         exps = list(map(_unpack, num))
         top, *tops = map(max, zip(*exps))
         scale = self._den
@@ -369,16 +342,37 @@ class Poly:
             tables.append([p**k * q ** (d - k) for k in range(d + 1)])
             scale *= q**d
         t1, t2, t3 = tables
-        by_u = [0] * (top + 1)
+        g = [0] * (top + 1)
         for (a, b, c, d), n in zip(exps, num.values()):
-            by_u[a] += n * t1[b] * t2[c] * t3[d]
-        p, q = pt[0].numerator, pt[0].denominator
-        shift = [p**j * q ** (top - j) for j in range(top + 1)]
-        coeffs = [
-            sum(by_u[a] * comb(a, k) * shift[a - k] for a in range(k, top + 1))
-            for k in range(top + 1)
-        ]
-        return CurvePoly(coeffs, scale * q**top)
+            g[a] += n * t1[b] * t2[c] * t3[d]
+        return pt[0], g, scale
+
+    def eval_at(self, point: Iterable[Scalar]) -> Fraction:
+        """Exact evaluation at a 4-tuple of rationals, in coordinate order:
+        Horner in u over the coefficients of ``_u_restriction``."""
+        u0, g, scale = self._u_restriction(point, "evaluation point")
+        num, den = _horner(g, u0.numerator, u0.denominator)
+        return Fraction(num, scale * den)
+
+    def along_u(self, base: Iterable[Scalar]) -> "CurvePoly":
+        """The exact univariate restriction t -> self(u0 + t, v0, x0, y0).
+
+        With u0 = p/q and g over scale from ``_u_restriction``, it is
+        sum_a g[a] q^(top-a) (p + q t)^a over scale * q^top: Horner in
+        p + q t, a Taylor shift in integers.
+        """
+        u0, g, scale = self._u_restriction(base, "base point")
+        if not g:
+            return CurvePoly((), 1)
+        p, q = u0.numerator, u0.denominator
+        coeffs = [g[-1]]
+        qj = 1
+        for ga in g[-2::-1]:
+            qj *= q
+            # coeffs * (p + q t) + g_a q^j
+            coeffs = [p * c + q * d for c, d in zip(coeffs + [0], [0] + coeffs)]
+            coeffs[0] += ga * qj
+        return CurvePoly(coeffs, scale * qj)
 
     def __str__(self) -> str:
         if not self._num:
@@ -444,6 +438,16 @@ def _ratio(t) -> tuple[int, int]:
     return t.numerator, t.denominator
 
 
+def _horner(coeffs, p: int, q: int) -> tuple[int, int]:
+    """sum_k coeffs[k] (p/q)^k, q > 0, as a numerator over q^degree, by
+    homogenised Horner, acc = acc*p + c_k*q^j, in integers throughout."""
+    acc, qj = (coeffs[-1], 1) if coeffs else (0, 1)
+    for c in coeffs[-2::-1]:
+        qj *= q
+        acc = acc * p + c * qj
+    return acc, qj
+
+
 class CurvePoly:
     """Univariate polynomial in t: integer numerators over one denominator.
 
@@ -463,20 +467,13 @@ class CurvePoly:
         self.den = den // g
 
     def ratio_at(self, p: int, q: int) -> tuple[int, int]:
-        """The value at t = p/q, q > 0, as (numerator, denominator).
+        """The value at t = p/q, q > 0, as (numerator, denominator)."""
+        num, qj = _horner(self.coeffs, p, q)
+        return num, self.den * qj
 
-        Homogenised Horner, acc = acc*p + c_k*q^j, keeps every step in
-        integers over the one denominator den * q^degree.
-        """
-        coeffs = self.coeffs
-        if not coeffs:
-            return 0, 1
-        acc = coeffs[-1]
-        qj = 1
-        for c in coeffs[-2::-1]:
-            qj *= q
-            acc = acc * p + c * qj
-        return acc, self.den * qj
+    def digit_bound(self, p_bits: int, q_bits: int) -> int:
+        """``_digits`` of ``ratio_at(p, q)`` over |p| < 2^p_bits, 0 < q < 2^q_bits."""
+        return _digits(self.coeffs, self.den, [(max(len(self.coeffs) - 1, 0), p_bits, q_bits)])
 
     def value_at(self, t: Scalar | float) -> Fraction:
         """The exact value at t; a float t counts as the rational it holds."""
@@ -489,8 +486,8 @@ class CurvePoly:
         if len(self.coeffs) <= 1:
             num, den = self.ratio_at(0, 1)
             return (num / den,) * len(ratios)
-        ratio_at = self.ratio_at
-        return tuple(num / den for num, den in (ratio_at(p, q) for p, q in ratios))
+        coeffs, den = self.coeffs, self.den
+        return tuple(num / (den * qj) for num, qj in (_horner(coeffs, p, q) for p, q in ratios))
 
 
 def _reduced(num: dict[int, int], den: int, top: int) -> Poly:
@@ -534,20 +531,37 @@ def _top_exponents(p: Poly) -> tuple[int, ...]:
     return tuple(map(max, zip(*map(_unpack, p._num))))
 
 
-def _digit_bound(value: Poly, point: Iterable[Scalar]) -> int:
+def _digits(nums, den: int, powers) -> int:
     """An upper bound on the decimal digits of the numerator and of the
-    denominator of value.eval_at(point), from bit lengths alone, so that
-    a value too large to form is known before it is formed."""
-    if not value._num:
-        return 1
-    num_bits = max(map(int.bit_length, value._num.values())) + len(value._num).bit_length()
-    den_bits = value._den.bit_length()
-    for c, top in zip(map(_as_fraction, point), _top_exponents(value)):
-        p_bits, q_bits = c.numerator.bit_length(), c.denominator.bit_length()
+    denominator of a sum of len(nums) terms n * prod (p_i/q_i)^e_i over den,
+    with each e_i <= top_i, |p_i| < 2^p_bits_i and 0 < q_i < 2^q_bits_i,
+    from bit lengths alone, so that a value too large to form is known
+    before it is formed; ``powers`` holds the (top_i, p_bits_i, q_bits_i)."""
+    num_bits = max(map(int.bit_length, nums), default=0) + len(nums).bit_length()
+    den_bits = den.bit_length()
+    for top, p_bits, q_bits in powers:
         num_bits += top * max(p_bits, q_bits)
         den_bits += top * q_bits
     # log10(2) < 0.30103
     return max(num_bits, den_bits) * 30103 // 100000 + 1
+
+
+def _digit_bound(value: Poly, point: Iterable[Scalar]) -> int:
+    """``_digits`` of value.eval_at(point)."""
+    pt = map(_as_fraction, point)
+    return _digits(value._num.values(), value._den, [
+        (top, c.numerator.bit_length(), c.denominator.bit_length())
+        for c, top in zip(pt, _top_exponents(value))
+    ])
+
+
+def _refused_digits(bound: int) -> int:
+    """The digit limit when a bound on the digits of a value passes four
+    times it, else 0.  The limit is the interpreter's, for converting an
+    int to text, or its default when that is off (0); the factor four
+    leaves room for a bound that overestimates."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return limit if bound > 4 * limit else 0
 
 
 class _Parser:

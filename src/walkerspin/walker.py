@@ -200,28 +200,19 @@ def validate_tetrad(mt: MetricTensor, t: Tetrad):
 
 @dataclass(frozen=True)
 class IvdWSymbols:
-    """Soldering-form matrices: up[a][A][A'] and their inverses down[a][A][A']."""
+    """Soldering-form matrices up[a][A][A'] and their inverses down[a][A][A'],
+    read off a tetrad: down[a] = ((l^a, m^a), (mt^a, n^a)) holds the legs
+    and up[a] = ((n_a, -mt_a), (-m_a, l_a)) the lowered legs."""
 
     up: tuple
     down: tuple
 
 
 def ivdw_symbols(w: WalkerMetric) -> IvdWSymbols:
-    a, b, c = w.a, w.b, w.c
-    one, zero = ONE, ZERO
-    neg_one = Poly.const(-1)
-    up = (
-        ((one, zero), (zero, zero)),
-        ((zero, zero), (one, zero)),
-        ((a * HALF, zero), (c * HALF, one)),
-        ((c * HALF, neg_one), (b * HALF, zero)),
-    )
-    down = (
-        ((one, c * HALF), (zero, a * -HALF)),
-        ((zero, b * HALF), (one, c * -HALF)),
-        ((zero, zero), (zero, one)),
-        ((zero, neg_one), (zero, zero)),
-    )
+    t = walker_tetrad(w)
+    l_, n_, m_, mt_ = tetrad_covectors(assemble_metric(w), t)
+    down = tuple(((t.l[a], t.m[a]), (t.mt[a], t.n[a])) for a in range(4))
+    up = tuple(((n_[a], -mt_[a]), (-m_[a], l_[a])) for a in range(4))
     return IvdWSymbols(up=up, down=down)
 
 

@@ -347,6 +347,30 @@ class TestCongruence:
         assert err == f"error: a value at --base has more than {limit} digits\n"
 
 
+    @pytest.mark.parametrize("end, step", [("1e-300", "1e-301"), ("1e300", "1e299")])
+    def test_samples_past_the_digit_bound_refused_before_evaluation(
+        self, spec, capsys, end, step
+    ):
+        # the grid floats have numerators or denominators near 2^1000, so
+        # one sample of a degree-999 column would have about 300 000 digits
+        path = spec({"a": "u^1000", "b": "0", "c": "0"})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "congruence", path, "--v0", "0,0,1,0", "--end", end,
+                             "--step", step, "--out", "-")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert re.fullmatch(rf"error: \w+ has more than {limit} digits along the curve\n", err)
+
+    def test_unwritable_out_path(self, spec, capsys, tmp_path):
+        target = tmp_path / "missing" / "trace.csv"
+        code, out, err = run(capsys, "congruence", spec(FLAT), "--v0", "1,1,1,1",
+                             "--end", "1", "--step", "0.5", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and len(err.splitlines()) == 1
+        assert not target.parent.exists()
+
+
 class TestHeavenly:
     def test_einstein_true(self, spec, capsys):
         code, out, _ = run(capsys, "heavenly", spec(UVX_POT))
@@ -524,6 +548,11 @@ class TestParser:
         code, out, err = run(capsys, argv[0], spec(data), *argv[1:])
         assert code == 2 and out == ""
         assert err.startswith("error: label must be printable") and len(err.splitlines()) == 1
+
+    def test_label_must_be_a_string(self, spec, capsys):
+        code, out, err = run(capsys, "analyze", spec({**FLAT, "label": 7}))
+        assert code == 2 and out == ""
+        assert err == "error: label must be a string\n"
 
     def test_unknown_suite_value(self, spec, capsys):
         with pytest.raises(SystemExit) as exc:

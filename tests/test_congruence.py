@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,15 @@ class TestExactSampling:
         w = WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO)
         with pytest.raises(InputError):
             CoefficientTrace.from_metric(w, (10**200, 0, 0, 0), (0.0, 0.5, 1.0))
+
+    def test_samples_past_the_digit_bound_refused_before_evaluation(self):
+        # a grid float here has a denominator near 2^1000, so one sample of
+        # a degree-999 column would have about 300 000 digits
+        w = WalkerMetric(a=P("u^1000"), b=ZERO, c=ZERO)
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="digits along the curve"):
+            CoefficientTrace.from_metric(w, ORIGIN, _half_grid(1e-300, 1e-301))
+        assert time.perf_counter() - start < 2
 
     def test_step_count_bound(self):
         # checked on the span alone: a broken bound would build the grid
@@ -366,6 +376,20 @@ class TestSpecialFlows:
             special_flows("rotation", 1.0, (1.0, 0.0), trace=boost_trace)
         with pytest.raises(PatternError):
             special_flows("dilation", 1.0, (1.0, 0.0), trace=boost_trace)
+
+    @pytest.mark.parametrize("kind, values, violation", [
+        ("dilation", {"rho": 1.0, "rho_t": 2.0}, "rho must equal rho~"),
+        ("rotation", {"rho": 1.0, "rho_t": 1.0}, "rho and rho~ must vanish"),
+        ("boost", {"rho": 1.0, "rho_t": 1.0}, "rho and rho~ must vanish"),
+        ("boost", {"sigma": 0.5, "sigma_t": -0.5}, "sigma~ must equal sigma"),
+        ("inverse-scale", {"sigma": 0.5}, "sigma and sigma~ must vanish"),
+    ])
+    def test_each_pattern_violation_is_named(self, kind, values, violation):
+        trace = CoefficientTrace.constant(values, 1.0, 0.5)
+        integrals = (0.0, 0.0) if kind == "inverse-scale" else 0.0
+        with pytest.raises(PatternError) as exc:
+            special_flows(kind, integrals, (1.0, 0.0), trace=trace)
+        assert str(exc.value) == f"{kind} pattern violated: {violation}"
 
     def test_argument_validation(self):
         with pytest.raises(InputError):

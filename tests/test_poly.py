@@ -213,6 +213,19 @@ def test_curve_restriction_edge_cases():
     assert CurvePoly([2, 4, 0, 0], 6).coeffs == (1, 2)
 
 
+def test_restriction_kernel_at_high_u_degree():
+    p = parse_poly("u^1000 + v*x")
+    base = (Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3), 2)
+    assert p.eval_at(base) == ref_eval(p.terms, base)
+    curve = p.along_u(base)
+    assert len(curve.coeffs) == 1001
+    for t in (Fraction(1, 3), Fraction(-7, 5)):
+        assert curve.value_at(t) == ref_eval(p.terms, (base[0] + t, *base[1:]))
+    zero = Poly.zero()
+    assert zero.eval_at(base) == 0
+    assert zero.along_u(base).coeffs == () and zero.along_u(base).den == 1
+
+
 @given(polys, polys)
 def test_equal_copies_hash_equal(p, q):
     copies = [

@@ -24,6 +24,7 @@ from walkerspin.spincoeff import (
     SpinCoefficientSet,
     connection_matrices,
     contract,
+    describe_difference,
     directional,
     dyad_covariant_derivative,
     first_form_residuals,
@@ -599,6 +600,21 @@ def test_large_frames_keep_only_the_scale_factors(params):
     assert len(quotients) > 16
     for value in quotients:
         assert value.factors and set(value.factors) <= allowed, value
+
+
+def test_difference_vanishing_on_the_small_grid_names_no_point():
+    diff = parse_poly("u*(u^2 - 1)*(u^2 - 4)")
+    assert describe_difference(diff, ZERO) == (
+        "the difference has 3 numerator terms and is nonzero at no integer point in [-2, 2]^4"
+    )
+
+
+def test_witness_skips_a_point_where_an_operand_has_no_value():
+    # the difference is 1 everywhere, but 1/u has no value where u = 0
+    reciprocal = ONE / parse_poly("u")
+    assert describe_difference(reciprocal + 1, reciprocal) == (
+        "the difference has 1 numerator terms and is nonzero at (u, v, x, y) = (1, 0, 0, 0)"
+    )
 
 
 def test_law_mismatch_names_a_witness(monkeypatch):

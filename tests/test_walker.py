@@ -266,6 +266,12 @@ def test_scale_normalization_tracks_chi():
             assert dyadic == unit * mt.g[i][j]
 
 
+def test_metric_to_dict_keeps_a_label():
+    data = {"a": "u^2", "b": "0", "c": "u*v", "label": "demo"}
+    assert WalkerMetric.from_dict(data).to_dict() == data
+    assert "label" not in WalkerMetric.from_dict({**data, "label": ""}).to_dict()
+
+
 def test_metric_from_dict_validation():
     w = WalkerMetric.from_dict({"a": "u^2", "b": "0", "c": "u*v", "label": "demo"})
     assert w.a == parse_poly("u^2") and w.label == "demo"
