@@ -314,9 +314,13 @@ def einstein_check(p: HeavenlyPotential) -> EinsteinReport:
     verdict = all(res == ZERO for res in residuals.values())
 
     curv = p.analysis.curvature
-    tensor_flat = all(
-        curv.Phi[i][k].is_zero for i in range(3) for k in range(3)
-    ) and curv.Lambda.is_zero
-    if verdict != tensor_flat:
-        raise InternalInconsistencyError("affine test disagrees with curvature")
+    ricci = {f"Phi{i}{k}": curv.Phi[i][k] for i in range(3) for k in range(3)}
+    ricci["Lambda"] = curv.Lambda
+    if verdict != all(value.is_zero for value in ricci.values()):
+        # the side that is not all zero names its first nonzero quantity,
+        # with the size of the difference and a witness point
+        named, other = (ricci, "R residual") if verdict else (residuals, "Phi and Lambda entry")
+        head = f"affine test disagrees with curvature: {{}} is nonzero, but every {other} vanishes"
+        for label, value in named.items():
+            _check(label, value, ZERO, head=head)
     return EinsteinReport(einstein=verdict, residuals=residuals, R=big_r)

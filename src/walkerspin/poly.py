@@ -22,6 +22,20 @@ is the sum of its factors' bounds, a sum's the larger of its parts'.  The
 constructor refuses an exponent at or above the limit, and a product, or a
 power, whose bound would reach it is refused before any term is formed.
 
+A product of more than 256 term pairs whose factors fall into few
+(u, v, x) groups is Kronecker substitution in y alone, after R. Fateman,
+"Can you save time in multiplying polynomials by encoding them as
+integers?" (2010).  Each group's y-polynomial becomes one signed int, y^k
+at bit width * k, so a pair of groups costs one int product, not one dict
+update per term pair.  Group keys add as term keys do, and the int summed
+for each output (u, v, x) key is read back by signed digits of width bits.
+The width is the bit lengths of the two largest numerators, plus that of
+the most term pairs that can meet in one output term, plus two: every
+output numerator is then under 2^(width - 2) in magnitude, so no slot
+carries into the next (the argument is written out at ``_y_packed``).
+Smaller products, factors with many groups and factors whose y exponents
+spread wide keep the per-pair loop.  Both paths give the same numerators.
+
 ``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
 It is built on first access, cached, and read-only by convention.
 
@@ -261,6 +275,10 @@ class Poly:
             return self._scaled(inner[0], other._den)
         if len(outer) > len(inner):
             outer, inner = inner, outer
+        if len(outer) * len(inner) > _PACK_FLOOR:
+            packed = _y_packed(outer, inner)
+            if packed is not None:
+                return _reduced(_packed_product(*packed), self._den * other._den, top)
         pairs = list(inner.items())
         product: dict[int, int] = {}
         get = product.get
@@ -523,6 +541,97 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
         else:
             del out[k]
     return _reduced(out, den, max(p._top, q._top))
+
+
+# A product of more than _PACK_FLOOR term pairs packs y (``_y_packed``)
+# when 2 * (g_p * g_q + |p| + |q|) < |p| * |q|, with g the number of
+# (u, v, x) groups of a factor: its group pairs, with a pass over each
+# factor's terms to pack them, come to under half its term pairs.  On
+# random sparse factors the per-pair loop is faster below the floor and
+# where the rule refuses.  A factor whose y exponents span _Y_SPAN times its
+# largest group's y terms or more would pack mostly empty slots, and is
+# refused too.
+_PACK_FLOOR = 256
+_Y_SPAN = 2
+
+
+def _y_groups(num: dict[int, int], low: int) -> dict[int, list[tuple[int, int]]]:
+    """num's terms by the (u, v, x) part of their keys, each group a list
+    of (y - low, numerator)."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, n in num.items():
+        group = groups.get(k >> 16)
+        if group is None:
+            groups[k >> 16] = [((k & _MASK) - low, n)]
+        else:
+            group.append(((k & _MASK) - low, n))
+    return groups
+
+
+def _y_packed(p: dict[int, int], q: dict[int, int]):
+    """The arguments of ``_packed_product`` for p * q: each factor's
+    groups as (u, v, x) key and y-polynomial, shifted down to its lowest y
+    exponent, evaluated at 2^width; the slot width; and the range of the
+    product's y exponents.  None where the loop is faster (see _PACK_FLOOR)."""
+    g_p = len({k >> 16 for k in p})
+    g_q = len({k >> 16 for k in q})
+    if 2 * (g_p * g_q + len(p) + len(q)) >= len(p) * len(q):
+        return None
+    low_p, low_q = min(map(_MASK.__and__, p)), min(map(_MASK.__and__, q))
+    top_p, top_q = max(map(_MASK.__and__, p)), max(map(_MASK.__and__, q))
+    by_p, by_q = _y_groups(p, low_p), _y_groups(q, low_q)
+    ny_p = max(map(len, by_p.values()))
+    ny_q = max(map(len, by_q.values()))
+    if top_p - low_p >= _Y_SPAN * ny_p or top_q - low_q >= _Y_SPAN * ny_q:
+        return None
+    # No slot carries.  The coefficient of one output term sums a * b over
+    # the term pairs whose keys add to its key.  A group of p meets at most
+    # one group of q there, so at most min(g_p, g_q) group pairs take part,
+    # and in each a y term of p meets at most one of q, so at most
+    # min(ny_p, ny_q) term pairs.  With the bit lengths below, each
+    # coefficient is then under 2^(width - 2) in magnitude, inside the
+    # signed range [-2^(width - 1), 2^(width - 1)) of one slot.  A group
+    # packs as sum n * 2^(width * y) over its shifted y, so the sum of the
+    # group products that land on one (u, v, x) key is exactly
+    # sum c_y * 2^(width * y) over that key's output coefficients c_y, and
+    # its signed base-2^width digits are the c_y.
+    width = (
+        max(map(abs, p.values())).bit_length()
+        + max(map(abs, q.values())).bit_length()
+        + (min(ny_p, ny_q) * min(g_p, g_q)).bit_length()
+        + 2
+    )
+
+    def packed(groups):
+        return [(k, sum(n << width * y for y, n in group)) for k, group in groups.items()]
+
+    return packed(by_p), packed(by_q), width, range(low_p + low_q, top_p + top_q + 1)
+
+
+def _packed_product(p, q, width: int, ys: range) -> dict[int, int]:
+    """The nonzero product numerators from ``_y_packed``'s groups: group
+    keys add as term keys do, and each sum of group products is read back
+    by signed digits of width bits, one for each y exponent in ys."""
+    sums: dict[int, int] = {}
+    get = sums.get
+    for a, m in p:
+        for b, n in q:
+            key = a + b
+            sums[key] = get(key, 0) + m * n
+    mask, half, full = (1 << width) - 1, 1 << width - 1, 1 << width
+    product: dict[int, int] = {}
+    for key, n in sums.items():
+        key <<= 16
+        for y in ys:
+            digit = n & mask
+            n >>= width
+            if digit >= half:
+                # a negative digit: the slots above lent it one
+                digit -= full
+                n += 1
+            if digit:
+                product[key | y] = digit
+    return product
 
 
 def _top_exponents(p: Poly) -> tuple[int, ...]:

@@ -8,7 +8,8 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from walkerspin.poly import HALF, ONE, Poly, RationalFunction, dot
+from walkerspin import poly
+from walkerspin.poly import HALF, ONE, Poly, RationalFunction, _reduced, dot
 from walkerspin.walker import COORDS
 
 
@@ -28,6 +29,36 @@ def random_poly(
         den = rng.choice([1, 1, 2, 3]) if with_fractions else 1
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + Fraction(num, den)
     return Poly(terms)
+
+
+def reference_product(p: Poly, q: Poly) -> Poly:
+    """p * q by the per-pair loop alone, the route ``Poly.__mul__`` takes
+    for small and sparse products: the reference for the packed kernel."""
+    top = p._top + q._top
+    outer, inner = p._num, q._num
+    if len(outer) > len(inner):
+        outer, inner = inner, outer
+    pairs = list(inner.items())
+    product: dict[int, int] = {}
+    get = product.get
+    for a, m in outer.items():
+        for b, n in pairs:
+            key = a + b
+            product[key] = get(key, 0) + m * n
+    return _reduced({k: n for k, n in product.items() if n}, p._den * q._den, top)
+
+
+def count_packed(monkeypatch) -> list[int]:
+    """A one-entry counter of calls into the packed product kernel."""
+    calls = [0]
+    kernel = poly._packed_product
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(poly, "_packed_product", counted)
+    return calls
 
 
 def value_parts(value) -> tuple[Poly, Poly]:

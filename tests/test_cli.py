@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -23,7 +24,7 @@ from walkerspin.congruence import MAX_STEPS
 from walkerspin.poly import Poly
 from walkerspin.spincoeff import COEFF_NAMES, Frame
 
-from support import value_parts
+from support import corpus_metrics, count_packed, value_parts
 
 FLAT = {"a": "0", "b": "0", "c": "0", "label": "flat"}
 CUBIC = {"a": "0", "b": "u^3", "c": "0"}
@@ -418,6 +419,49 @@ class TestHeavenly:
         assert code == 1
         assert "FAIL master identity residual = u\n" in out.splitlines(keepends=True)
 
+    # SHA-256 of `heavenly --check=all` reports: Einstein, and not Einstein
+    # with an R_uu and with an R_uv witness line
+    GOLDEN = {
+        "uvx": (UVX_POT, "a2ca437e02ee7fce74c6db727167154cb72b54edf2b88c04828551f5fb256f6f"),
+        "quartic": (QUARTIC_POT, "259df79f5404f29209d15445e9c0bbb6f330f768bc4298dbdde7323b795d22d1"),
+        "profile": ({**UVX_POT, "theta": "0", "f": "y^2", "F": "u*y^2"},
+                    "3ff4abb40668dc19b97e9708cede3715877d10aa971840b1054cdf6d5a45751d"),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_report(self, spec, capsys, name):
+        pot, digest = self.GOLDEN[name]
+        code, out, _ = run(capsys, "heavenly", spec(pot), "--check=all")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+    @pytest.mark.parametrize("pot, flatten, message", [
+        (UVX_POT, False,
+         "Phi01 is nonzero, but every R residual vanishes: the difference has 1 "
+         "numerator terms and is nonzero at (u, v, x, y) = (1, 0, 1, 0)"),
+        (QUARTIC_POT, True,
+         "R_uu is nonzero, but every Phi and Lambda entry vanishes: the difference "
+         "has 1 numerator terms and is nonzero at (u, v, x, y) = (0, 1, 0, 0)"),
+    ], ids=["bumped Phi01", "flattened Ricci"])
+    def test_affine_test_disagreement_names_a_witness(self, spec, capsys, monkeypatch,
+                                                      pot, flatten, message):
+        components = walkerspin.curvature.walker_curvature_components
+        bump = Poly.parse("u*x")
+
+        def broken(w, frame):
+            c = components(w, frame)
+            if flatten:
+                return dataclasses.replace(c, Phi=((Poly.zero(),) * 3,) * 3, Lambda=Poly.zero())
+            rows = [list(row) for row in c.Phi]
+            rows[0][1] = rows[0][1] + bump
+            return dataclasses.replace(c, Phi=tuple(map(tuple, rows)))
+
+        monkeypatch.setattr(walkerspin.curvature, "walker_curvature_components", broken)
+        code, out, err = run(capsys, "heavenly", spec(pot), "--check=all")
+        assert code == 3 and out == ""
+        assert err == (
+            f"internal inconsistency: affine test disagrees with curvature: {message}\n"
+        )
+
 
 class TestClassify:
     def test_cubic_is_self_dual_flat(self, spec, capsys):
@@ -574,6 +618,34 @@ class TestParser:
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
 
+
+
+# Which commands multiply through the packed product kernel, counted at its
+# entry: products too small or too sparse to gain keep the per-pair loop.
+
+def test_corpus_and_frames_keep_the_loop(spec, capsys, monkeypatch):
+    from walkerspin.spincoeff import transform_coefficients
+    from walkerspin.walker import WalkerMetric
+
+    calls = count_packed(monkeypatch)
+    for w in corpus_metrics():
+        path = spec({name: str(getattr(w, name)) for name in "abc"})
+        for command in ("analyze", "verify"):
+            assert run(capsys, command, path)[0] == 0
+    # the frames of the benchmark's frames workload
+    w = WalkerMetric(*map(Poly.parse, ("u*v+x^2", "y^3-u", "u*y")))
+    for params in (("1+u", "1", "x", "0"), ("1", "1", "x", "y"),
+                   ("1+x", "1", "0", "y"), ("1+u", "1+v", "0", "0")):
+        transform_coefficients(Frame.walker(w), *map(Poly.parse, params))
+    assert calls[0] == 0
+
+
+def test_dense_verify_packs(spec, capsys, monkeypatch):
+    calls = count_packed(monkeypatch)
+    dense = {"a": "(u+v+x+y+1)^5", "b": "(u-2*v+x+1/2)^5", "c": "(u*v+x-y)^2"}
+    code, out, _ = run(capsys, "verify", spec(dense))
+    assert code == 0 and out.rstrip().endswith("verdict: pass")
+    assert calls[0] > 0
 
 # Every layer a command may build, by module; "Frame.walker" is a classmethod.
 LAYERS = {

@@ -10,9 +10,10 @@ from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from walkerspin import poly
 from walkerspin.poly import (
     EXPONENT_LIMIT,
     MAX_EXPONENT,
@@ -29,7 +30,7 @@ from walkerspin.poly import (
     parse_poly,
 )
 
-from support import random_poly, value_parts
+from support import count_packed, random_poly, reference_product, value_parts
 
 
 coeffs = st.fractions(
@@ -628,6 +629,103 @@ def test_powers_are_bounded():
     assert (u + 1) ** 3 == parse_poly("u^3 + 3*u^2 + 3*u + 1")
     assert u**0 == Poly.const(1)
 
+
+# Packed products: factors whose terms fall into few (u, v, x) groups, with
+# several y terms each, so that most products pass the packing rule.
+
+packed_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9), st.integers(min_value=-2**230, max_value=2**230)
+).filter(bool)
+# the lowest y exponent of each factor: from zero, or so near the limit
+# that the product's top y exponent is within 20 of it
+y_lows = st.sampled_from([(0, 0), (EXPONENT_LIMIT // 2 - 10,) * 2, (EXPONENT_LIMIT - 20, 0)])
+
+
+@st.composite
+def grouped_factor(draw, low: int) -> Poly:
+    """5-8 groups, each of all n y terms from y^low upward or, one in four,
+    of some of them (one term, maybe), over a denominator of 1 or more."""
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=5, max_size=8,
+                         unique=True))
+    n = draw(st.integers(4, 10))
+    ys = range(low, low + n)
+    terms = {}
+    for u, v, x in keys:
+        some = draw(st.integers(0, 3)) == 0
+        for y in draw(st.sets(st.sampled_from(ys), min_size=1)) if some else ys:
+            terms[(u, v, x, y)] = draw(packed_coeffs)
+    return Poly(terms) * Fraction(1, draw(st.sampled_from([1, 1, 6, 2**70 + 1])))
+
+
+def saturated(g: int, n: int, c: int) -> Poly:
+    """g groups x^i of n y terms, each coefficient c."""
+    return Poly({(0, 0, i, j): c for i in range(g) for j in range(n)})
+
+
+@st.composite
+def saturated_pair(draw) -> tuple[Poly, Poly]:
+    """g groups of n y terms in both factors, every coefficient 2^k - 1 of
+    one sign: the middle output term meets g * n = 2^m - 1 term pairs, the
+    most the slot width allows for."""
+    g, n = draw(st.sampled_from([(7, 9), (9, 7), (3, 21), (21, 3), (1, 63)]))
+    c = 2 ** draw(st.integers(2, 240)) - 1
+    return saturated(g, n, draw(st.sampled_from([c, -c]))), saturated(g, n, c)
+
+
+@st.composite
+def packed_pairs(draw) -> tuple[Poly, Poly]:
+    if draw(st.integers(0, 3)) == 0:
+        return draw(saturated_pair())
+    low_p, low_q = draw(y_lows)
+    return draw(grouped_factor(low_p)), draw(grouped_factor(low_q))
+
+
+def test_packed_product_matches_the_loop(monkeypatch):
+    calls = count_packed(monkeypatch)
+    packed = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_pairs())
+    @example((saturated(7, 9, 2**100 - 1), saturated(7, 9, 1 - 2**100)))
+    def check(pair):
+        p, q = pair
+        before = calls[0]
+        assert canonical(p * q) == reference_product(p, q)
+        packed.append(calls[0] > before)
+
+    check()
+    assert 2 * sum(packed) > len(packed), f"{sum(packed)} of {len(packed)} packed"
+
+
+def test_wide_y_span_keeps_the_loop(monkeypatch):
+    # 20 groups of 20 y terms spread over 950 and 893 exponents: packed,
+    # each int would carry about 950 slots for 20 terms
+    calls = count_packed(monkeypatch)
+    p = Poly({(0, 0, i, 50 * j): 1 + i + j for i in range(20) for j in range(20)})
+    q = Poly({(0, 0, i, 47 * j): 3 - i * j for i in range(20) for j in range(20)})
+    assert p * q == reference_product(p, q)
+    assert calls[0] == 0
+
+
+def test_packable_product_refused_at_the_exponent_limit(monkeypatch):
+    calls = count_packed(monkeypatch)
+    grid = {(0, 0, i, j): i - j or 5 for i in range(8) for j in range(8)}
+    fits = Poly({**grid, (EXPONENT_LIMIT // 2 - 1, 0, 0, 0): 1})
+    assert fits * fits == reference_product(fits, fits) and calls[0] == 1
+    # the same 65 * 65 term pairs with one exponent bound past the limit
+    formed = [0]
+    reduced = poly._reduced
+
+    def counted(*args):
+        formed[0] += 1
+        return reduced(*args)
+
+    monkeypatch.setattr(poly, "_reduced", counted)
+    monkeypatch.setattr(poly, "_y_packed", lambda p, q: pytest.fail("packing tried"))
+    big = Poly({**grid, (EXPONENT_LIMIT // 2, 0, 0, 0): 1})
+    with pytest.raises(ExponentLimitError):
+        big * big
+    assert formed[0] == 0 and calls[0] == 1
 
 class TestRationalFunction:
     def test_cross_multiplication_equality(self):
