@@ -14,12 +14,14 @@ is the only numerical error in a trace.
 
 The transport matrix M (z' = M z) and the curvature matrix N (z'' = -N z)
 are each written once, as a table of nonzero entries that the sampling,
-the float right-hand sides, the Riccati closures and the pointwise
-matrices all read.  Each table's float right-hand side is one straight-line
-row function over the sampled columns, with no per-sample loop over
-entries.  One RK4 stepper integrates both systems, the deviation one in its
-8-dimensional first-order form.  The oracle check and the CSV writer work
-column by column, and the CSV is streamed row by row.
+the integrators, the Riccati closures and the pointwise matrices all read.
+One layout helper turns a table and its sampled columns into a lazy stream
+of rows, twelve signed entries each.  Each system has one fused RK4
+stepper, the deviation one in its 8-dimensional first-order form: a step
+reads three rows and computes all four stages as straight-line float
+expressions on locals, in the operation order of a generic stepper, so
+it makes no call and builds no list per stage.  The oracle check and the
+CSV writer work column by column, and the CSV is streamed row by row.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import (
@@ -280,21 +282,22 @@ def _screen(a):
     return tuple(row[1:3] for row in a[1:3])
 
 
-def _row_function(entries, samples):
-    """rhs(j, z): the matrix of `entries` at grid index j times z, over the
-    float columns `samples`.
+def _row_stream(entries, samples):
+    """The rows of the matrix of `entries` over the float columns `samples`,
+    streamed: one 12-tuple (a01, a02, a03, a11, ..., a33) per grid index,
+    where a_ik is row i, column k, signed, and a missing entry reads 0.0.
 
     Column 0 of M and N vanishes and no row has more than three entries,
-    so each row is one straight-line sum
-    ((0.0 + a1[j]*z[1]) + a2[j]*z[2]) + a3[j]*z[3], where a missing entry
-    reads a shared column of 0.0.  For finite z that is the sum of the
-    row's nonzero entries in column order: a partial sum that starts from
-    +0.0 is never -0.0, so the signed zero a missing entry adds leaves it
-    unchanged.  A nonfinite z[k] also reaches a row with an entry in
-    column k, so either way the stepper refuses that step."""
+    so the steppers form each row as one straight-line sum
+    ((0.0 + a_i1*z1) + a_i2*z2) + a_i3*z3.  For finite z that is the sum
+    of the row's nonzero entries in column order: a partial sum that
+    starts from +0.0 is never -0.0, so the signed zero a missing entry
+    adds leaves it unchanged.  A nonfinite z[k] also reaches a row with an
+    entry in column k, so either way the stepper refuses that step.  The
+    columns are read lazily, and no row outlives the step that reads it."""
     if len(entries) != 4:
         raise InternalInconsistencyError("a transport table needs four rows")
-    zero = (0.0,) * len(next(iter(samples.values())))
+    zero = repeat(0.0)
     cols = []
     for row in entries:
         row_cols = [zero] * 3
@@ -302,40 +305,115 @@ def _row_function(entries, samples):
             if k not in (1, 2, 3) or row_cols[k - 1] is not zero:
                 raise InternalInconsistencyError(f"entry {key!r} not in a free column 1-3")
             col = samples[key]
-            row_cols[k - 1] = col if sign > 0 else tuple(-x for x in col)
+            row_cols[k - 1] = col if sign > 0 else map(operator.neg, col)
         cols += row_cols
-    a1, a2, a3, b1, b2, b3, c1, c2, c3, d1, d2, d3 = cols
-
-    def rhs(j, z) -> list[float]:
-        z1, z2, z3 = z[1], z[2], z[3]
-        return [
-            ((0.0 + a1[j] * z1) + a2[j] * z2) + a3[j] * z3,
-            ((0.0 + b1[j] * z1) + b2[j] * z2) + b3[j] * z3,
-            ((0.0 + c1[j] * z1) + c2[j] * z2) + c3[j] * z3,
-            ((0.0 + d1[j] * z1) + d2[j] * z2) + d3[j] * z3,
-        ]
-
-    return rhs
+    return zip(*cols)
 
 
-def _rk4(rhs, z0, grid) -> list[list[float]]:
-    """Classical RK4 for z' = rhs(j, z) over a half-step grid: steps run
-    between even indices j and sample the midpoint at the odd one between.
-    Returns the state at each even index."""
-    z = list(z0)
-    states = [z]
-    for k in range(0, len(grid) - 2, 2):
-        h = grid[k + 2] - grid[k]
+def _rk4_connecting(rows, z, grid) -> list[tuple]:
+    """Classical RK4 for z' = M z over a half-step grid, reading M's rows
+    from `_row_stream`: each step runs between even indices k and k + 2
+    and samples the midpoint k + 1.  Returns the state at each even index.
+
+    A step is written out on locals, in the operation order of a generic
+    stepper: stages k_i = M s_i with s_1 = z, s_2 = z + hh*k_1,
+    s_3 = z + hh*k_2 and s_4 = z + h*k_3, then
+    z + h6*(k_1 + 2*k_2 + 2*k_3 + k_4).  Component 0 of a stage input is
+    never formed, since column 0 of M vanishes."""
+    isfinite = math.isfinite
+    z0, z1, z2, z3 = z
+    states = [tuple(z)]
+    a01, a02, a03, a11, a12, a13, a21, a22, a23, a31, a32, a33 = next(rows)
+    t0 = grid[0]
+    for t2, mid, end in zip(islice(grid, 2, None, 2), rows, rows):
+        m01, m02, m03, m11, m12, m13, m21, m22, m23, m31, m32, m33 = mid
+        h = t2 - t0
         hh = 0.5 * h
-        k1 = rhs(k, z)
-        k2 = rhs(k + 1, [a + hh * b for a, b in zip(z, k1)])
-        k3 = rhs(k + 1, [a + hh * b for a, b in zip(z, k2)])
-        k4 = rhs(k + 2, [a + h * b for a, b in zip(z, k3)])
+        k10 = ((0.0 + a01 * z1) + a02 * z2) + a03 * z3
+        k11 = ((0.0 + a11 * z1) + a12 * z2) + a13 * z3
+        k12 = ((0.0 + a21 * z1) + a22 * z2) + a23 * z3
+        k13 = ((0.0 + a31 * z1) + a32 * z2) + a33 * z3
+        s1, s2, s3 = z1 + hh * k11, z2 + hh * k12, z3 + hh * k13
+        k20 = ((0.0 + m01 * s1) + m02 * s2) + m03 * s3
+        k21 = ((0.0 + m11 * s1) + m12 * s2) + m13 * s3
+        k22 = ((0.0 + m21 * s1) + m22 * s2) + m23 * s3
+        k23 = ((0.0 + m31 * s1) + m32 * s2) + m33 * s3
+        s1, s2, s3 = z1 + hh * k21, z2 + hh * k22, z3 + hh * k23
+        k30 = ((0.0 + m01 * s1) + m02 * s2) + m03 * s3
+        k31 = ((0.0 + m11 * s1) + m12 * s2) + m13 * s3
+        k32 = ((0.0 + m21 * s1) + m22 * s2) + m23 * s3
+        k33 = ((0.0 + m31 * s1) + m32 * s2) + m33 * s3
+        s1, s2, s3 = z1 + h * k31, z2 + h * k32, z3 + h * k33
+        # row k + 2 ends this step and starts the next
+        a01, a02, a03, a11, a12, a13, a21, a22, a23, a31, a32, a33 = end
+        k40 = ((0.0 + a01 * s1) + a02 * s2) + a03 * s3
+        k41 = ((0.0 + a11 * s1) + a12 * s2) + a13 * s3
+        k42 = ((0.0 + a21 * s1) + a22 * s2) + a23 * s3
+        k43 = ((0.0 + a31 * s1) + a32 * s2) + a33 * s3
         h6 = h / 6
-        z = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
-        if not all(map(math.isfinite, z)):
+        z0 = z0 + h6 * (((k10 + 2.0 * k20) + 2.0 * k30) + k40)
+        z1 = z1 + h6 * (((k11 + 2.0 * k21) + 2.0 * k31) + k41)
+        z2 = z2 + h6 * (((k12 + 2.0 * k22) + 2.0 * k32) + k42)
+        z3 = z3 + h6 * (((k13 + 2.0 * k23) + 2.0 * k33) + k43)
+        z = (z0, z1, z2, z3)
+        if not all(map(isfinite, z)):
             raise InputError("integration produced nonfinite values")
         states.append(z)
+        t0 = t2
+    return states
+
+
+def _rk4_jacobi(rows, s, grid) -> list[tuple]:
+    """Classical RK4, as `_rk4_connecting`, for the deviation system
+    (z, y)' = (y, -N z) with N's rows from `_row_stream`.  Stage i's
+    derivative is (v_i, k_i): v_1 = y, and v_i for i > 1 is the y half of
+    stage i's input; k_i = -N s_i, s_i being the input's z half."""
+    isfinite = math.isfinite
+    z0, z1, z2, z3, y0, y1, y2, y3 = s
+    states = [tuple(s)]
+    a01, a02, a03, a11, a12, a13, a21, a22, a23, a31, a32, a33 = next(rows)
+    t0 = grid[0]
+    for t2, mid, end in zip(islice(grid, 2, None, 2), rows, rows):
+        m01, m02, m03, m11, m12, m13, m21, m22, m23, m31, m32, m33 = mid
+        h = t2 - t0
+        hh = 0.5 * h
+        k10 = -(((0.0 + a01 * z1) + a02 * z2) + a03 * z3)
+        k11 = -(((0.0 + a11 * z1) + a12 * z2) + a13 * z3)
+        k12 = -(((0.0 + a21 * z1) + a22 * z2) + a23 * z3)
+        k13 = -(((0.0 + a31 * z1) + a32 * z2) + a33 * z3)
+        s1, s2, s3 = z1 + hh * y1, z2 + hh * y2, z3 + hh * y3
+        v20, v21, v22, v23 = y0 + hh * k10, y1 + hh * k11, y2 + hh * k12, y3 + hh * k13
+        k20 = -(((0.0 + m01 * s1) + m02 * s2) + m03 * s3)
+        k21 = -(((0.0 + m11 * s1) + m12 * s2) + m13 * s3)
+        k22 = -(((0.0 + m21 * s1) + m22 * s2) + m23 * s3)
+        k23 = -(((0.0 + m31 * s1) + m32 * s2) + m33 * s3)
+        s1, s2, s3 = z1 + hh * v21, z2 + hh * v22, z3 + hh * v23
+        v30, v31, v32, v33 = y0 + hh * k20, y1 + hh * k21, y2 + hh * k22, y3 + hh * k23
+        k30 = -(((0.0 + m01 * s1) + m02 * s2) + m03 * s3)
+        k31 = -(((0.0 + m11 * s1) + m12 * s2) + m13 * s3)
+        k32 = -(((0.0 + m21 * s1) + m22 * s2) + m23 * s3)
+        k33 = -(((0.0 + m31 * s1) + m32 * s2) + m33 * s3)
+        s1, s2, s3 = z1 + h * v31, z2 + h * v32, z3 + h * v33
+        v40, v41, v42, v43 = y0 + h * k30, y1 + h * k31, y2 + h * k32, y3 + h * k33
+        a01, a02, a03, a11, a12, a13, a21, a22, a23, a31, a32, a33 = end
+        k40 = -(((0.0 + a01 * s1) + a02 * s2) + a03 * s3)
+        k41 = -(((0.0 + a11 * s1) + a12 * s2) + a13 * s3)
+        k42 = -(((0.0 + a21 * s1) + a22 * s2) + a23 * s3)
+        k43 = -(((0.0 + a31 * s1) + a32 * s2) + a33 * s3)
+        h6 = h / 6
+        z0 = z0 + h6 * (((y0 + 2.0 * v20) + 2.0 * v30) + v40)
+        z1 = z1 + h6 * (((y1 + 2.0 * v21) + 2.0 * v31) + v41)
+        z2 = z2 + h6 * (((y2 + 2.0 * v22) + 2.0 * v32) + v42)
+        z3 = z3 + h6 * (((y3 + 2.0 * v23) + 2.0 * v33) + v43)
+        y0 = y0 + h6 * (((k10 + 2.0 * k20) + 2.0 * k30) + k40)
+        y1 = y1 + h6 * (((k11 + 2.0 * k21) + 2.0 * k31) + k41)
+        y2 = y2 + h6 * (((k12 + 2.0 * k22) + 2.0 * k32) + k42)
+        y3 = y3 + h6 * (((k13 + 2.0 * k23) + 2.0 * k33) + k43)
+        s = (z0, z1, z2, z3, y0, y1, y2, y3)
+        if not all(map(isfinite, s)):
+            raise InputError("integration produced nonfinite values")
+        states.append(s)
+        t0 = t2
     return states
 
 
@@ -352,7 +430,8 @@ def integrate_connecting(
     """Fourth-order fixed-step propagation of a connecting state.
 
     `source` is either a metric (the trace is built by exact sampling
-    along the curve through `base`) or a prebuilt CoefficientTrace.
+    along the curve through `base`) or a prebuilt CoefficientTrace, which
+    fixes its own grid, so `v_end` and `step` are refused with it.
     """
     state0 = _as_state(V0)
     if isinstance(source, WalkerMetric):
@@ -360,12 +439,14 @@ def integrate_connecting(
             raise InputError("v_end and step are required with a metric source")
         trace = CoefficientTrace.from_metric(source, base, _half_grid(v_end, step))
     elif isinstance(source, CoefficientTrace):
+        if v_end is not None or step is not None:
+            raise InputError("v_end and step cannot be given with a prebuilt trace")
         trace = source
     else:
         raise InputError("source must be a WalkerMetric or a CoefficientTrace")
     _check_midpoints(trace.grid)
-    rhs = _row_function(_M_ENTRIES, trace.values)
-    states = _rk4(rhs, state0.astuple(), trace.grid)
+    rows = _row_stream(_M_ENTRIES, trace.values)
+    states = _rk4_connecting(rows, state0.astuple(), trace.grid)
     return ConnectingPath(
         grid=trace.grid[::2], states=tuple(ConnectingState(*z) for z in states), trace=trace
     )
@@ -442,15 +523,10 @@ def integrate_jacobi(
     grid = _half_grid(v_end, step)
     an = Analysis(w)
     trace = CoefficientTrace.from_frame(an.frame, base, grid)
-    rows = _row_function(
+    rows = _row_stream(
         _N_ENTRIES, _sample_columns(_curvature_columns(an.curvature), base, grid)
     )
-    # (z, y)' = (y, -N z), where y = z'
-    states = _rk4(
-        lambda j, s: s[4:] + [-x for x in rows(j, s)],
-        z0.astuple() + y0.astuple(),
-        grid,
-    )
+    states = _rk4_jacobi(rows, z0.astuple() + y0.astuple(), grid)
     return JacobiPath(
         grid=grid[::2],
         states=tuple(ConnectingState(*s[:4]) for s in states),

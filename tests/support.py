@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from walkerspin import poly
+from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.poly import HALF, ONE, Poly, RationalFunction, _reduced, dot
 from walkerspin.walker import COORDS
 
@@ -334,6 +336,67 @@ def row_sums(rows, j, z) -> list[float]:
             acc += col[j] * z[k]
         out.append(acc)
     return out
+
+
+def reference_row_function(entries, samples):
+    """The generic row function the fused steppers replaced, kept as their
+    reference with ``reference_rk4``.  rhs(j, z): the matrix of `entries`
+    at grid index j times z, over the float columns `samples`.
+
+    Column 0 of M and N vanishes and no row has more than three entries,
+    so each row is one straight-line sum
+    ((0.0 + a1[j]*z[1]) + a2[j]*z[2]) + a3[j]*z[3], where a missing entry
+    reads a shared column of 0.0.  For finite z that is the sum of the
+    row's nonzero entries in column order: a partial sum that starts from
+    +0.0 is never -0.0, so the signed zero a missing entry adds leaves it
+    unchanged.  A nonfinite z[k] also reaches a row with an entry in
+    column k, so either way the stepper refuses that step."""
+    if len(entries) != 4:
+        raise InternalInconsistencyError("a transport table needs four rows")
+    zero = (0.0,) * len(next(iter(samples.values())))
+    cols = []
+    for row in entries:
+        row_cols = [zero] * 3
+        for k, sign, key in row:
+            if k not in (1, 2, 3) or row_cols[k - 1] is not zero:
+                raise InternalInconsistencyError(f"entry {key!r} not in a free column 1-3")
+            col = samples[key]
+            row_cols[k - 1] = col if sign > 0 else tuple(-x for x in col)
+        cols += row_cols
+    a1, a2, a3, b1, b2, b3, c1, c2, c3, d1, d2, d3 = cols
+
+    def rhs(j, z) -> list[float]:
+        z1, z2, z3 = z[1], z[2], z[3]
+        return [
+            ((0.0 + a1[j] * z1) + a2[j] * z2) + a3[j] * z3,
+            ((0.0 + b1[j] * z1) + b2[j] * z2) + b3[j] * z3,
+            ((0.0 + c1[j] * z1) + c2[j] * z2) + c3[j] * z3,
+            ((0.0 + d1[j] * z1) + d2[j] * z2) + d3[j] * z3,
+        ]
+
+    return rhs
+
+
+def reference_rk4(rhs, z0, grid) -> list[list[float]]:
+    """The generic stepper the fused ones replaced, kept as their reference.
+    Classical RK4 for z' = rhs(j, z) over a half-step grid: steps run
+    between even indices j and sample the midpoint at the odd one between.
+    Returns the state at each even index."""
+    z = list(z0)
+    states = [z]
+    for k in range(0, len(grid) - 2, 2):
+        h = grid[k + 2] - grid[k]
+        hh = 0.5 * h
+        k1 = rhs(k, z)
+        k2 = rhs(k + 1, [a + hh * b for a, b in zip(z, k1)])
+        k3 = rhs(k + 1, [a + hh * b for a, b in zip(z, k2)])
+        k4 = rhs(k + 2, [a + h * b for a, b in zip(z, k3)])
+        h6 = h / 6
+        z = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(z, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, z)):
+            raise InputError("integration produced nonfinite values")
+        states.append(z)
+    return states
 
 
 def csv_writer_trace(path, stream) -> None:

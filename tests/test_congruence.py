@@ -1,12 +1,16 @@
 """Connecting-field and deviation-field propagation: oracle accuracy,
 integrator order, matrix closures, closed-form flows, and shape data."""
 
+import gc
 import hashlib
 import io
 import math
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +37,9 @@ from walkerspin.congruence import (
     _N_ENTRIES,
     _check_span,
     _half_grid,
-    _row_function,
+    _rk4_connecting,
+    _rk4_jacobi,
+    _row_stream,
     _sample_columns,
     _transport_columns,
 )
@@ -53,6 +59,8 @@ from support import (
     csv_writer_trace,
     float_rows,
     random_metric_functions,
+    reference_rk4,
+    reference_row_function,
     row_sums,
 )
 
@@ -230,6 +238,14 @@ class TestConnectingIntegration:
             integrate_connecting(QUADRATIC, (0, 0, 1), v_end=1.0, step=0.1)
         with pytest.raises(InputError):
             integrate_connecting("b=u^2", (0, 0, 1, 0), v_end=1.0, step=0.1)
+
+    def test_prebuilt_trace_refuses_v_end_and_step(self):
+        """A prebuilt trace fixes its own grid; a span beside it is refused,
+        not ignored."""
+        trace = CoefficientTrace.constant({"rho": 0.3}, 1.0, 0.1)
+        for span in ({"v_end": 2.0}, {"step": 0.01}, {"v_end": 1.0, "step": 0.1}):
+            with pytest.raises(InputError, match="prebuilt trace"):
+                integrate_connecting(trace, (0.0, 1.0, 0.0, 0.0), **span)
 
 
 class TestJacobiIntegration:
@@ -571,20 +587,201 @@ class TestRowFunction:
         j = data.draw(st.integers(0, n - 1))
         # eight components: the deviation system's state (z, z')
         z = data.draw(st.lists(finite_floats, min_size=8, max_size=8))
-        got = _row_function(table, samples)(j, z)
+        got = reference_row_function(table, samples)(j, z)
         want = row_sums(float_rows(table, samples), j, z)
         assert [float.hex(x) for x in got] == [float.hex(x) for x in want]
         if table is _N_ENTRIES:
             # the deviation system takes -N z: the empty row gives -0.0
             assert float.hex(-got[3]) == float.hex(-want[3]) == "-0x0.0p+0"
+        # the fused steppers read row j as its signed entries in place and
+        # 0.0 where an entry is missing; a table with no entries streams
+        # rows without end, so only row j is taken
+        layout = [0.0] * 12
+        for i, row in enumerate(float_rows(table, samples)):
+            for k, col in row:
+                layout[3 * i + k - 1] = col[j]
+        (streamed,) = islice(_row_stream(table, samples), j, j + 1)
+        assert [float.hex(x) for x in streamed] == [float.hex(x) for x in layout]
 
     def test_refuses_entries_outside_columns_one_to_three(self):
         samples = {"a": (1.0,), "b": (2.0,)}
-        for row in (((0, 1, "a"),), ((4, 1, "a"),), ((1, 1, "a"), (1, -1, "b"))):
+        for layout in (_row_stream, reference_row_function):
+            for row in (((0, 1, "a"),), ((4, 1, "a"),), ((1, 1, "a"), (1, -1, "b"))):
+                with pytest.raises(InternalInconsistencyError):
+                    layout((row, (), (), ()), samples)
             with pytest.raises(InternalInconsistencyError):
-                _row_function((row, (), (), ()), samples)
-        with pytest.raises(InternalInconsistencyError):
-            _row_function(_M_ENTRIES[:3], {key: (1.0,) for key in TRACE_KEYS})
+                layout(_M_ENTRIES[:3], {key: (1.0,) for key in TRACE_KEYS})
+
+
+def _jacobi_rhs(rows):
+    """The deviation system (z, y)' = (y, -N z) over a reference row function."""
+    return lambda j, s: s[4:] + [-x for x in rows(j, s)]
+
+
+def _outcome(step, *args):
+    """The states a stepper returns, by float.hex, or the error it raises."""
+    try:
+        return [[float.hex(x) for x in state] for state in step(*args)]
+    except InputError:
+        return "InputError"
+
+
+def assert_steppers_match(table, samples, s0, grid):
+    """Both fused steppers give the reference's states bit for bit, or
+    both sides refuse; returns whether the connecting run stayed finite."""
+    rhs = reference_row_function(table, samples)
+    connecting = _outcome(_rk4_connecting, _row_stream(table, samples), s0[:4], grid)
+    assert connecting == _outcome(reference_rk4, rhs, s0[:4], grid)
+    jacobi = _outcome(_rk4_jacobi, _row_stream(table, samples), s0, grid)
+    assert jacobi == _outcome(reference_rk4, _jacobi_rhs(rhs), s0, grid)
+    return connecting != "InputError"
+
+
+@st.composite
+def uneven_grids(draw):
+    """A strictly increasing grid of 2n + 1 points, ints and floats mixed,
+    with no midpoint condition."""
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(
+        st.one_of(st.integers(-20, 20), st.floats(-20, 20)),
+        min_size=2 * n + 1, max_size=2 * n + 1, unique=True,
+    ))
+    return tuple(sorted(points))
+
+
+N_KEYS = ("phi00", "psi0", "psit0", "psi1c", "psit1c", "psi2c")
+small_floats = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-05, 1.0)), st.floats(-4, 4)
+)
+
+
+class TestFusedSteppers:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=st.one_of(st.just(_M_ENTRIES), st.just(_N_ENTRIES), entry_tables()),
+        grid=uneven_grids(),
+        edges=st.booleans(),
+        data=st.data(),
+    )
+    def test_match_the_generic_stepper_bit_for_bit(self, table, grid, edges, data):
+        """Small samples keep most runs finite; the full edge set (1e300
+        and the largest float among them) mostly overflows, and then both
+        sides refuse."""
+        floats = finite_floats if edges else small_floats
+        keys = sorted({key for row in table for _, _, key in row} | {"unused"})
+        samples = {
+            key: tuple(data.draw(st.lists(floats, min_size=len(grid), max_size=len(grid))))
+            for key in keys
+        }
+        s0 = tuple(data.draw(st.lists(floats, min_size=8, max_size=8)))
+        assert_steppers_match(table, samples, s0, grid)
+
+    def test_edge_samples_on_an_int_grid(self):
+        """-0.0, 5e-324 and 1e300 samples at int grid points, finite."""
+        values = dict.fromkeys(TRACE_KEYS, (0.0,) * 5)
+        values.update(
+            rho=(-0.0, 5e-324, 1e300, 1e-05, 0.0),
+            sigma=(5e-324, -0.0, 1e-05, 2.5, 1e300),
+            kappa=(1e-05, 1e300, 5e-324, -0.0, -1.5),
+        )
+        trace = CoefficientTrace(grid=(0, 1, 2, 3, 4), values=values)
+        # zeta, zeta~ and nu are zero, so the 1e300 entries multiply +-0.0
+        s0 = (1.0, -0.0, 0.0, 0.0, 5e-324, -0.0, 1e-05, 0.0)
+        assert assert_steppers_match(_M_ENTRIES, trace.values, s0, trace.grid)
+        n_values = dict(zip(N_KEYS, (values[key] for key in ("rho", "sigma", "kappa") * 2)))
+        assert_steppers_match(_N_ENTRIES, n_values, s0, trace.grid)
+        path = integrate_connecting(CoefficientTrace(grid=(0, 1, 2), values={
+            key: col[:3] for key, col in values.items()}), s0[:4])
+        want = reference_rk4(reference_row_function(_M_ENTRIES, values), s0[:4], (0, 1, 2))
+        assert [list(map(float.hex, s.astuple())) for s in path.states] == [
+            list(map(float.hex, s)) for s in want]
+
+    def test_signed_zeros_follow_the_leading_zero_of_each_row(self):
+        """From a state of -0.0 through positive entries every product is
+        -0.0 and every row sum 0.0 + ... is +0.0: the connecting state
+        turns +0.0 after one step, and the deviation state, whose stages
+        negate the rows, stays -0.0.  A row without its leading 0.0 + in
+        the deviation stepper gives +0.0 somewhere."""
+        grid = (0.0, 0.5, 1.0, 1.5, 2.0)
+        values = {key: (1.0,) * 5 for key in TRACE_KEYS}
+        n_values = {key: (1.0,) * 5 for key in N_KEYS}
+        s0 = (-0.0,) * 8
+        assert_steppers_match(_M_ENTRIES, values, s0, grid)
+        assert_steppers_match(_N_ENTRIES, n_values, s0, grid)
+        connecting = _rk4_connecting(_row_stream(_M_ENTRIES, values), s0[:4], grid)
+        assert [[math.copysign(1.0, x) for x in s] for s in connecting] == [[-1.0] * 4] + [
+            [1.0] * 4] * 2
+        jacobi = _rk4_jacobi(_row_stream(_N_ENTRIES, n_values), s0, grid)
+        assert all(math.copysign(1.0, x) == -1.0 for s in jacobi for x in s)
+
+    def test_overflowing_state_refused_on_both_sides(self):
+        values = {key: (1e300,) * 3 for key in TRACE_KEYS}
+        s0 = (1e300,) * 8
+        assert not assert_steppers_match(_M_ENTRIES, values, s0, (0.0, 0.5, 1.0))
+        with pytest.raises(InputError, match="nonfinite"):
+            integrate_connecting(CoefficientTrace(grid=(0.0, 0.5, 1.0), values=values), s0[:4])
+
+
+STEPS = 10_000
+CONSTANT_SAMPLES = {
+    "rho": 0.3, "sigma": -0.2, "tau_t": 0.1, "kappa": 0.05, "kappa_t": -0.4, "aplus": 0.2,
+    "phi00": 0.3, "psi0": -0.2, "psit0": 0.1, "psi1c": 0.05, "psit1c": -0.4, "psi2c": 0.2,
+}
+
+
+def _guard_run(stepper, steps):
+    """A stepper run, row layout included, on a prebuilt trace of `steps`
+    steps, as a call of no arguments."""
+    grid = _half_grid(1.0, 1.0 / steps)
+    samples = {key: (x,) * len(grid) for key, x in CONSTANT_SAMPLES.items()}
+    if stepper is _rk4_connecting:
+        samples.update((key, (0.0,) * len(grid)) for key in TRACE_KEYS if key not in samples)
+        entries, s0 = _M_ENTRIES, (0.0, 1.0, -0.5, 0.25)
+    else:
+        entries, s0 = _N_ENTRIES, (0.0, 1.0, -0.5, 0.25, 1.0, 0.0, 0.5, 0.0)
+    return lambda: stepper(_row_stream(entries, samples), s0, grid)
+
+
+@pytest.mark.parametrize("stepper", [_rk4_connecting, _rk4_jacobi])
+class TestStepperOverhead:
+    """Guards against per-step overhead coming back into the steppers: a
+    call per stage or a list per stage would each fail one of these."""
+
+    def test_python_calls_do_not_grow_with_the_step_count(self, stepper):
+        def python_calls(steps):
+            run = _guard_run(stepper, steps)
+            calls = [0]
+
+            def count(frame, event, arg):
+                if event == "call":
+                    calls[0] += 1
+
+            # a collection may run Python-level gc callbacks mid-step
+            gc.disable()
+            sys.setprofile(count)
+            try:
+                run()
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return calls[0]
+
+        # the run, the layout and the stepper, each called once
+        assert python_calls(STEPS) == python_calls(10) <= 3
+
+    def test_peak_memory_is_the_states_returned(self, stepper):
+        run = _guard_run(stepper, STEPS)
+        tracemalloc.start()
+        try:
+            states = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(states) == STEPS + 1
+        size = sys.getsizeof(states) + sum(
+            sys.getsizeof(s) + sum(map(sys.getsizeof, s)) for s in states
+        )
+        assert peak < 1.25 * size, (peak, size)
 
 
 def test_transport_columns_name_a_nonzero_epsilon():

@@ -1,12 +1,16 @@
 """The tensor route checked against SymPy: Christoffel symbols, Ricci tensor
 and scalar curvature by the textbook formulas, from the metric strings; the
 spinor route's Psi and PsiT against the SymPy Weyl tensor on the tetrad legs;
-and the denominators of non-canonical frames against SymPy's ``cancel``."""
+the Einstein verdicts of built metrics against SymPy's trace-free Ricci; and
+the denominators of non-canonical frames against SymPy's ``cancel``."""
+
+from fractions import Fraction
 
 import pytest
 
 from walkerspin.curvature import Analysis, ricci_tensor, scalar_curvature
-from walkerspin.poly import parse_poly
+from walkerspin.heavenly import HeavenlyPotential, einstein_check
+from walkerspin.poly import ZERO, parse_poly
 from walkerspin.spincoeff import Frame, transform_coefficients
 from walkerspin.walker import WalkerMetric, assemble_metric, christoffel, walker_tetrad
 
@@ -137,6 +141,29 @@ def test_quartic_components_match_the_sympy_weyl_tensor(w):
             assert sympy.expand(_sympy(str(ours)) + weyl_on(*which)) == 0, f"{label}{k}"
     if w is DENSE_WEYL_METRIC:
         assert all(curv.psi(k) for k in range(5)) and all(curv.psi_t(k) for k in (2, 3, 4))
+
+
+@pytest.mark.parametrize("potential, einstein", [
+    (HeavenlyPotential(theta=ZERO), True),
+    (HeavenlyPotential(theta=parse_poly("u*v*x")), True),
+    (HeavenlyPotential(theta=parse_poly("u*v*y + x^3*y")), True),
+    (HeavenlyPotential(theta=Fraction(1, 4) * parse_poly("u^2*v^2")), False),
+    (HeavenlyPotential(theta=ZERO, f=parse_poly("y^2"), F=parse_poly("u*y^2")), False),
+    (HeavenlyPotential(theta=parse_poly("u*x^2 - v*y^2"), f=parse_poly("x"),
+                       F=parse_poly("u*x"), g=parse_poly("x*y"), G=parse_poly("v*x*y")), False),
+    (HeavenlyPotential(theta=parse_poly("u^3*x + v^2*y")), False),
+], ids=["flat", "uvx", "uvy-x3y", "quartic", "profile", "chain", "cubic"])
+def test_einstein_verdicts_match_the_sympy_trace_free_ricci(potential, einstein):
+    """The affine test on R says Einstein exactly when R_ab - R g_ab / 4 of
+    the built metric vanishes by the textbook formulas."""
+    w = potential.metric
+    a, b, c = (_sympy(str(f)) for f in (w.a, w.b, w.c))
+    g = _walker_metric(a, b, c)
+    ricci, scalar = _textbook_ricci(a, b, c)
+    trace_free = [sympy.expand(ricci[i][j] - scalar * g[i, j] / 4)
+                  for i in range(4) for j in range(4)]
+    assert all(e == 0 for e in trace_free) == einstein
+    assert einstein_check(potential).einstein == einstein
 
 
 def _frame_values(params):
