@@ -21,14 +21,9 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain
 
-from .congruence import (
-    _oracle_columns,
-    _state_columns,
-    integrate_connecting,
-    write_trace_csv,
-)
+from .congruence import connecting_oracle, integrate_connecting, write_trace_csv
 from .curvature import (
     Analysis,
     WeylTypeReport,
@@ -299,14 +294,12 @@ def cmd_congruence(args, out) -> int:
     _bound_digits((w.a, w.b, w.c), base, "--base")
     path = integrate_connecting(w, v0, v_end=end, step=step, base=base)
 
-    start = path.states[0]
-    want = (*_oracle_columns(w, base, start, path.grid), repeat(start.zeta_t), repeat(start.nu))
-    # max is exact: the largest per component, then over the components, is
-    # the largest over every state and component
-    worst = max(0.0, *(
-        max(map(abs, map(operator.sub, got, exact)))
-        for got, exact in zip(_state_columns(path.states), want)
-    ))
+    exact = connecting_oracle(w, base, path.states[0], path.grid)
+    # max is exact: it picks the largest error over every state and
+    # component, whatever order they are visited in
+    worst = max(map(abs, map(
+        operator.sub, chain.from_iterable(path.states), chain.from_iterable(exact)
+    )))
 
     if args.out == "-":
         # streamed, not buffered: a long trace is never held in memory

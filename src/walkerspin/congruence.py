@@ -20,8 +20,10 @@ of rows, twelve signed entries each.  Each system has one fused RK4
 stepper, the deviation one in its 8-dimensional first-order form: a step
 reads three rows and computes all four stages as straight-line float
 expressions on locals, in the operation order of a generic stepper, so
-it makes no call and builds no list per stage.  The oracle check and the
-CSV writer work column by column, and the CSV is streamed row by row.
+it makes no call and builds no list per stage.  A connecting state is a
+named tuple, so the tuples the steppers produce are the states; the CLI
+checks them against `connecting_oracle`, and the CSV is streamed row by
+row.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
+from typing import NamedTuple
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import (
@@ -41,7 +44,7 @@ from .errors import (
 )
 from .poly import HALF, ZERO, Poly, Value, _ratio, _refused_digits
 from .spincoeff import Frame, SpinCoefficientSet, _check
-from .walker import WalkerMetric
+from .walker import WalkerMetric, _fraction, _point
 
 TRACE_KEYS = (
     "rho",
@@ -81,13 +84,6 @@ _N_ENTRIES = (
 )
 
 
-def _fraction(x) -> Fraction:
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"not a finite rational: {x!r}") from exc
-
-
 def _finite(values, what) -> tuple[float, ...]:
     try:
         out = tuple(float(x) for x in values)
@@ -96,13 +92,6 @@ def _finite(values, what) -> tuple[float, ...]:
     if not all(map(math.isfinite, out)):
         raise InputError(f"{what}: nonfinite value")
     return out
-
-
-def _point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    pt = tuple(_fraction(c) for c in base)
-    if len(pt) != 4:
-        raise InputError("a curve base point needs four coordinates")
-    return pt
 
 
 def _check_span(v_end, step) -> tuple[float, float]:
@@ -127,8 +116,7 @@ def _half_grid(v_end, step):
     return tuple(grid)
 
 
-@dataclass(frozen=True)
-class ConnectingState:
+class ConnectingState(NamedTuple):
     """Components (eta, zeta, zeta~, nu) in the frame basis l, m~, m, n."""
 
     eta: float
@@ -136,22 +124,12 @@ class ConnectingState:
     zeta_t: float
     nu: float
 
-    def astuple(self) -> tuple[float, float, float, float]:
-        return (self.eta, self.zeta, self.zeta_t, self.nu)
-
-
-def _state_columns(states) -> tuple:
-    """The eta, zeta, zeta~ and nu of each state, as four lazy columns."""
-    return tuple(
-        map(operator.attrgetter(name), states) for name in ("eta", "zeta", "zeta_t", "nu")
-    )
-
 
 def _as_state(v) -> ConnectingState:
-    comps = _finite(v.astuple() if isinstance(v, ConnectingState) else v, "connecting state")
+    comps = _finite(v, "connecting state")
     if len(comps) != 4:
         raise InputError("a connecting state needs four components")
-    return ConnectingState(*comps)
+    return ConnectingState._make(comps)
 
 
 @dataclass(frozen=True)
@@ -424,31 +402,31 @@ def _check_midpoints(grid) -> None:
             raise InputError("trace grid must sample step midpoints")
 
 
-def integrate_connecting(
-    source, V0, v_end=None, step=None, base=(0, 0, 0, 0)
-) -> ConnectingPath:
+def integrate_connecting(source, V0, v_end=None, step=None, base=None) -> ConnectingPath:
     """Fourth-order fixed-step propagation of a connecting state.
 
     `source` is either a metric (the trace is built by exact sampling
-    along the curve through `base`) or a prebuilt CoefficientTrace, which
-    fixes its own grid, so `v_end` and `step` are refused with it.
+    along the curve through `base`, the origin if None) or a prebuilt
+    CoefficientTrace, which fixes its own grid and curve, so `v_end`,
+    `step` and `base` are refused with it.
     """
     state0 = _as_state(V0)
     if isinstance(source, WalkerMetric):
         if v_end is None or step is None:
             raise InputError("v_end and step are required with a metric source")
+        base = (0, 0, 0, 0) if base is None else base
         trace = CoefficientTrace.from_metric(source, base, _half_grid(v_end, step))
     elif isinstance(source, CoefficientTrace):
-        if v_end is not None or step is not None:
-            raise InputError("v_end and step cannot be given with a prebuilt trace")
+        if v_end is not None or step is not None or base is not None:
+            raise InputError("v_end, step and base cannot be given with a prebuilt trace")
         trace = source
     else:
         raise InputError("source must be a WalkerMetric or a CoefficientTrace")
     _check_midpoints(trace.grid)
     rows = _row_stream(_M_ENTRIES, trace.values)
-    states = _rk4_connecting(rows, state0.astuple(), trace.grid)
+    states = _rk4_connecting(rows, state0, trace.grid)
     return ConnectingPath(
-        grid=trace.grid[::2], states=tuple(ConnectingState(*z) for z in states), trace=trace
+        grid=trace.grid[::2], states=tuple(map(ConnectingState._make, states)), trace=trace
     )
 
 
@@ -461,22 +439,14 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     zeta = zeta0 + ((b(base) - b) zeta~0 + (c - c(base)) nu0) / 2,
     each restricted to the curve once and rounded once per parameter.
     """
-    s0 = _as_state(V0)
-    etas, zetas = _oracle_columns(w, base, s0, ts)
-    return tuple(ConnectingState(e, z, s0.zeta_t, s0.nu) for e, z in zip(etas, zetas))
-
-
-def _oracle_columns(w: WalkerMetric, base, s0: ConnectingState, ts):
-    """The closed-form eta and zeta of `connecting_oracle`, as two float
-    columns over `ts`; the other two components stay those of s0."""
+    eta0, zeta0, zeta_t0, nu0 = _as_state(V0)
     pt0 = _point(base)
     a0, b0, c0 = (f.eval_at(pt0) for f in (w.a, w.b, w.c))
-    zt0 = Fraction(s0.zeta_t)
-    nu0 = Fraction(s0.nu)
-    eta = Fraction(s0.eta) + ((c0 - w.c) * zt0 + (w.a - a0) * nu0) * HALF
-    zeta = Fraction(s0.zeta) + ((b0 - w.b) * zt0 + (w.c - c0) * nu0) * HALF
-    columns = _sample_columns({"eta": eta, "zeta": zeta}, base, ts)
-    return columns["eta"], columns["zeta"]
+    zt, nu = Fraction(zeta_t0), Fraction(nu0)
+    eta = Fraction(eta0) + ((c0 - w.c) * zt + (w.a - a0) * nu) * HALF
+    zeta = Fraction(zeta0) + ((b0 - w.b) * zt + (w.c - c0) * nu) * HALF
+    eta, zeta = _sample_columns({"eta": eta, "zeta": zeta}, base, ts).values()
+    return tuple(map(ConnectingState._make, zip(eta, zeta, repeat(zeta_t0), repeat(nu0))))
 
 
 def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
@@ -526,11 +496,11 @@ def integrate_jacobi(
     rows = _row_stream(
         _N_ENTRIES, _sample_columns(_curvature_columns(an.curvature), base, grid)
     )
-    states = _rk4_jacobi(rows, z0.astuple() + y0.astuple(), grid)
+    states = _rk4_jacobi(rows, z0 + y0, grid)
     return JacobiPath(
         grid=grid[::2],
-        states=tuple(ConnectingState(*s[:4]) for s in states),
-        derivatives=tuple(ConnectingState(*s[4:]) for s in states),
+        states=tuple(ConnectingState._make(s[:4]) for s in states),
+        derivatives=tuple(ConnectingState._make(s[4:]) for s in states),
         trace=trace,
     )
 
@@ -578,7 +548,9 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
     m_res = closure(m, n)
     p_res = closure(_screen(m), _screen(n))
     m_sample = p_sample = None
-    if base is not None and v is not None:
+    if (base is None) != (v is None):
+        raise InputError("a residual sample needs both base and v")
+    if base is not None:
         # the congruence flows along the first coordinate only
         pt = _point(base)
         pt = (pt[0] + _fraction(v),) + pt[1:]
@@ -844,11 +816,13 @@ def write_trace_csv(path, stream) -> None:
     streamed, not built into one string.  A finite float's repr holds no
     comma, quote or line break, so no field needs CSV quoting."""
     tr = path.trace.values
-    columns = (
+    rows = zip(
         path.grid,
-        *_state_columns(path.states),
+        path.states,
         *(islice(tr[key], 0, None, 2) for key in ("rho", "rho_t", "sigma", "sigma_t")),
     )
-    rows = zip(*(map(float, col) for col in columns))
     stream.write(CSV_HEADER + "\n")
-    stream.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    stream.writelines(
+        ",".join(map(repr, map(float, (t, *state, rho, rho_t, sigma, sigma_t)))) + "\n"
+        for t, state, rho, rho_t, sigma, sigma_t in rows
+    )

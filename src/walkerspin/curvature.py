@@ -25,6 +25,7 @@ from .walker import (
     MetricTensor,
     Tetrad,
     WalkerMetric,
+    _point,
     bilinear,
 )
 
@@ -523,9 +524,7 @@ def classify_sd_weyl(an: Analysis, point) -> WeylTypeReport:
     so the classification applies to any metric in canonical form, not
     just those built from a potential.
     """
-    pt = tuple(Fraction(coord) for coord in point)
-    if len(pt) != 4:
-        raise InputError("point must have four coordinates")
+    pt = _point(point)
     curv = an.curvature
     fields = (curv.S, curv.PsiT3, curv.PsiT4, an.w.c)
     s_val, psi_t3, psi_t4, c_val = (f.eval_at(pt) for f in fields)

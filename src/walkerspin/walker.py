@@ -11,6 +11,7 @@ layer stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DegenerateTetradError, InputError
 from .poly import HALF, ONE, ZERO, Poly, Value, _as_poly, dot
@@ -26,6 +27,24 @@ def _vec(components) -> Vector:
     if len(out) != 4:
         raise ValueError("vectors have four components")
     return out
+
+
+def _fraction(x) -> Fraction:
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"not a finite rational: {x!r}") from exc
+
+
+def _point(coords) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Four exact coordinates; anything else is an InputError."""
+    try:
+        pt = tuple(map(_fraction, coords))
+    except TypeError:  # not a sequence
+        pt = ()
+    if len(pt) != 4:
+        raise InputError("a point needs four coordinates")
+    return pt
 
 
 def read_spec(data, kind: str, noun: str, keys) -> tuple[dict[str, Poly], str]:

@@ -242,7 +242,7 @@ def test_criterion_08_congruence_numerics():
     for state, exact in zip(path.states, connecting_oracle(quad, origin, v0, path.grid)):
         worst = max(
             worst,
-            max(abs(g - e) for g, e in zip(state.astuple(), exact.astuple())),
+            max(abs(g - e) for g, e in zip(state, exact)),
         )
     assert worst <= 1e-8, worst
 
@@ -254,7 +254,7 @@ def test_criterion_08_congruence_numerics():
         return max(
             abs(g - e)
             for st, exact in zip(run.states, connecting_oracle(sixth, origin, v0, run.grid))
-            for g, e in zip(st.astuple(), exact.astuple())
+            for g, e in zip(st, exact)
         )
 
     ratio = max_error(0.1) / max_error(0.05)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walkerspin
+from walkerspin import cli
 from walkerspin.cli import SUITES, main
 from walkerspin.congruence import MAX_STEPS
 from walkerspin.poly import Poly
@@ -249,6 +250,22 @@ class TestCongruence:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "v,eta,zeta,zetatilde,nu,rho,rhotilde,sigma,sigmatilde"
         assert len(lines) == 1002
+
+    def test_one_oracle_call(self, spec, capsys, monkeypatch):
+        calls = []
+        oracle = cli.connecting_oracle
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "connecting_oracle", counted)
+        code, _, _ = run(
+            capsys, "congruence", spec(MIXED),
+            "--v0", "1,2,3,4", "--end", "0.2", "--step", "0.1", "--out", "-",
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_flat_constant_columns(self, spec, capsys):
         code, out, _ = run(

@@ -4,6 +4,7 @@ integrator order, matrix closures, closed-form flows, and shape data."""
 import gc
 import hashlib
 import io
+import json
 import math
 import random
 import sys
@@ -43,7 +44,8 @@ from walkerspin.congruence import (
     _sample_columns,
     _transport_columns,
 )
-from walkerspin.curvature import walker_curvature_components
+from walkerspin.cli import main
+from walkerspin.curvature import Analysis, classify_sd_weyl, walker_curvature_components
 from walkerspin.errors import (
     CausticError,
     InputError,
@@ -77,7 +79,7 @@ def oracle_error(w, V0, step, v_end=1.0, base=ORIGIN):
     for state, exact in zip(path.states, connecting_oracle(w, base, V0, path.grid)):
         worst = max(
             worst,
-            max(abs(x - y) for x, y in zip(state.astuple(), exact.astuple())),
+            max(abs(x - y) for x, y in zip(state, exact)),
         )
     return worst
 
@@ -106,6 +108,28 @@ def random_curves(seed, count):
         base = tuple(Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(4))
         V0 = tuple(rng.choice([-2, -0.5, 0, 1, 1.25]) for _ in range(4))
         yield w, base, V0
+
+
+def test_connecting_state_is_its_tuple():
+    s = ConnectingState(1.0, -2.0, 0.5, 3.0)
+    assert isinstance(s, tuple) and len(s) == 4
+    assert s == (1.0, -2.0, 0.5, 3.0)
+    assert (s.eta, s.zeta, s.zeta_t, s.nu) == tuple(s)
+    assert ConnectingState._fields == ("eta", "zeta", "zeta_t", "nu")
+
+
+def test_cli_oracle_error_is_the_per_state_maximum(tmp_path, capsys):
+    """The congruence command prints the error of the per-state reference
+    loop, bit for bit."""
+    spec = tmp_path / "metric.json"
+    for w, base, V0 in random_curves(14, 3):
+        spec.write_text(json.dumps(w.to_dict()))
+        code = main(["congruence", str(spec), "--v0=" + ",".join(map(str, V0)),
+                     "--base=" + ",".join(map(str, base)), "--end=1", "--step=0.05",
+                     "--out", str(tmp_path / "trace.csv")])
+        assert code == 0
+        want = f"max oracle error = {oracle_error(w, V0, 0.05, base=base)!r}"
+        assert capsys.readouterr().out.splitlines()[-1] == want
 
 
 class TestExactSampling:
@@ -240,10 +264,11 @@ class TestConnectingIntegration:
             integrate_connecting("b=u^2", (0, 0, 1, 0), v_end=1.0, step=0.1)
 
     def test_prebuilt_trace_refuses_v_end_and_step(self):
-        """A prebuilt trace fixes its own grid; a span beside it is refused,
-        not ignored."""
+        """A prebuilt trace fixes its own grid and curve; a span or a base
+        point beside it is refused, not ignored."""
         trace = CoefficientTrace.constant({"rho": 0.3}, 1.0, 0.1)
-        for span in ({"v_end": 2.0}, {"step": 0.01}, {"v_end": 1.0, "step": 0.1}):
+        for span in ({"v_end": 2.0}, {"step": 0.01}, {"v_end": 1.0, "step": 0.1},
+                     {"base": (5, 6, 7, 8)}, {"base": ORIGIN}):
             with pytest.raises(InputError, match="prebuilt trace"):
                 integrate_connecting(trace, (0.0, 1.0, 0.0, 0.0), **span)
 
@@ -263,7 +288,7 @@ class TestJacobiIntegration:
         jac = integrate_jacobi(QUADRATIC, V0, v0p, 1.0, 1e-2)
         con = integrate_connecting(QUADRATIC, V0, v_end=1.0, step=1e-2)
         worst = max(
-            max(abs(x - y) for x, y in zip(a.astuple(), b.astuple()))
+            max(abs(x - y) for x, y in zip(a, b))
             for a, b in zip(jac.states, con.states)
         )
         assert worst <= 1e-8
@@ -285,7 +310,7 @@ class TestJacobiIntegration:
         )
         assert len(path.states) == 101
         text = "\n".join(
-            " ".join(float.hex(x) for x in s.astuple() + d.astuple())
+            " ".join(float.hex(x) for x in s + d)
             for s, d in zip(path.states, path.derivatives)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -323,6 +348,13 @@ class TestRiccati:
 
     def test_flat(self):
         assert riccati_residual(FLAT).is_zero
+
+    @pytest.mark.parametrize("sample", [{"base": (1, 2, 3, 4)}, {"v": 0.5}], ids=["base", "v"])
+    def test_lone_sample_coordinate_refused(self, sample):
+        """A sample point needs both the base and the offset; one alone is
+        refused, not ignored."""
+        with pytest.raises(InputError, match="both base and v"):
+            riccati_residual(QUADRATIC, **sample)
 
     def test_scalar_transport_identities(self):
         w = WalkerMetric(a=P("v^2*y"), b=P("u^4"), c=P("x*y"))
@@ -521,6 +553,9 @@ HUGE = 10**400
         lambda: integrate_connecting(QUADRATIC, (HUGE, 0, 0, 0), v_end=1.0, step=0.1),
         lambda: integrate_jacobi(QUADRATIC, ORIGIN, (HUGE, 0, 0, 0), 1.0, 0.1),
         lambda: special_flows("dilation", 1.0, (HUGE, 0)),
+        lambda: classify_sd_weyl(Analysis(QUADRATIC), (math.inf, 0, 0, 0)),
+        lambda: classify_sd_weyl(Analysis(QUADRATIC), ("a", 0, 0, 0)),
+        lambda: classify_sd_weyl(Analysis(QUADRATIC), (None, 0, 0, 0)),
     ],
     ids=[
         "connecting_oracle",
@@ -530,6 +565,9 @@ HUGE = 10**400
         "integrate_connecting",
         "integrate_jacobi",
         "special_flows",
+        "classify_sd_weyl-inf",
+        "classify_sd_weyl-text",
+        "classify_sd_weyl-none",
     ],
 )
 def test_unrepresentable_input_is_input_error(call):
@@ -693,7 +731,7 @@ class TestFusedSteppers:
         path = integrate_connecting(CoefficientTrace(grid=(0, 1, 2), values={
             key: col[:3] for key, col in values.items()}), s0[:4])
         want = reference_rk4(reference_row_function(_M_ENTRIES, values), s0[:4], (0, 1, 2))
-        assert [list(map(float.hex, s.astuple())) for s in path.states] == [
+        assert [list(map(float.hex, s)) for s in path.states] == [
             list(map(float.hex, s)) for s in want]
 
     def test_signed_zeros_follow_the_leading_zero_of_each_row(self):

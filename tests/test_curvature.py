@@ -559,8 +559,9 @@ def test_classification_quartic_profile():
 
 def test_classification_rejects_bad_point():
     w = WalkerMetric(a=Poly.zero(), b=Poly.zero(), c=Poly.zero())
-    with pytest.raises(InputError):
-        classify_sd_weyl(Analysis(w), (0, 0, 0))
+    for point in ((0, 0, 0), 0):
+        with pytest.raises(InputError, match="four coordinates"):
+            classify_sd_weyl(Analysis(w), point)
 
 
 def _commutator_frames():
