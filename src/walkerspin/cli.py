@@ -5,13 +5,14 @@ files are JSON with polynomial expression strings; reports are plain
 text, assembled in a fixed order so identical inputs give identical
 bytes.  Timing goes to stderr and only when asked for.
 
-Exit codes: 0 success, 1 a verified quantity is nonzero, 2 bad input,
-3 two internal routes disagree or another internal error.
+Exit codes: 0 success, 1 a verified quantity is nonzero, 2 bad input or an
+unwritable stdout, 3 two internal routes disagree or another internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import io
@@ -124,6 +125,21 @@ def _classify_at(an: Analysis, point) -> WeylTypeReport:
     curv = an.curvature
     _bound_digits((curv.S, curv.PsiT3, curv.PsiT4, an.w.c), point, "--point")
     return classify_sd_weyl(an, point)
+
+
+@contextlib.contextmanager
+def _writing_stdout():
+    """sys.stdout, flushed on leaving.  An OSError from a write or the flush
+    is refused as InputError, once fd 1 (if stdout has one) points at
+    os.devnull, so the flush at interpreter exit cannot fail again."""
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except OSError as err:
+        with contextlib.suppress(AttributeError, ValueError, OSError):
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise InputError(f"cannot write stdout: {err}") from err
 
 
 def _metric_header(w: WalkerMetric, out) -> None:
@@ -303,7 +319,8 @@ def cmd_congruence(args, out) -> int:
 
     if args.out == "-":
         # streamed, not buffered: a long trace is never held in memory
-        write_trace_csv(path, sys.stdout)
+        with _writing_stdout() as stdout:
+            write_trace_csv(path, stdout)
     else:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -422,6 +439,8 @@ def main(argv=None) -> int:
     try:
         # looked up by name on each call, as the parser is built only once
         code = globals()[f"cmd_{args.command}"](args, out)
+        with _writing_stdout() as stdout:
+            stdout.write(out.getvalue())
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -446,7 +465,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    sys.stdout.write(out.getvalue())
     if args.timing:
         print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code

@@ -247,8 +247,6 @@ def psi_components(p: HeavenlyPotential) -> tuple:
 def _require_scalar_flat(p: HeavenlyPotential) -> WalkerMetric:
     if p.h != ZERO:
         raise InputError("scalar-flat analysis requires h = 0")
-    if _depends_on(p.f, "u") or _depends_on(p.g, "v"):
-        raise InputError("scalar-flat analysis requires f, g free of u, v")
     if p.F != _U * p.f or p.G != _V * p.g:
         raise InputError("scalar-flat analysis requires F = u f and G = v g")
     return p.metric

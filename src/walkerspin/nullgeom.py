@@ -31,12 +31,7 @@ from .spincoeff import (
     lower_index,
     raise_index,
 )
-from .walker import (
-    WalkerMetric,
-    aligned_ricci_residuals,
-    exterior_derivative,
-    tetrad_covectors,
-)
+from .walker import WalkerMetric, aligned_ricci_residuals, exterior_derivative
 
 
 @dataclass(frozen=True)
@@ -73,37 +68,18 @@ def _pair_dict(values) -> dict:
     return {DIR_OF[pair]: value for pair, value in values.items()}
 
 
-def integrability_residual(pi: PrimedSpinor, frame: Frame) -> DyadSpinorField:
-    """Obstruction to the field's totally null two-planes being
-    surface-forming: the derivative of the field, contracted with two
-    copies of itself.  Zero also characterizes the planes as recurrent
-    along themselves."""
-    pi_up = pi.field()
-    return _integrability(pi, lower_index(pi_up, 0), dyad_covariant_derivative(pi_up, frame))
-
-
-def _integrability(pi: PrimedSpinor, pi_low, dpi) -> DyadSpinorField:
-    """``integrability_residual`` from the lowered field and its derivative."""
-    comps = {
-        (B,): dot(
-            ((pi.p, pi.q)[bp] * pi_low.component(c), dpi.component(B, bp, c))
-            for bp in (0, 1)
-            for c in (0, 1)
-        )
-        for B in (0, 1)
-    }
-    return DyadSpinorField((DN,), comps)
-
-
 @dataclass(frozen=True)
 class RecurrenceForms:
-    """First-derivative data of an integrable direction field.
+    """First-derivative data of a direction field.
 
     s_form and t_form are the two covectors obtained by contracting the
     field's derivative with the field itself, keyed by the direction
     whose coefficient they are; omega and eta are the unprimed parts of
-    their factorizations over the field.  s_one_form and t_one_form are
-    the same covectors in coordinate components.
+    their factorizations over the field, which exist when the field is
+    integrable.  s_one_form and t_one_form are the same covectors in
+    coordinate components.  integrability is s_form contracted once more
+    with the field: the obstruction to the field's totally null two-planes
+    being surface-forming.
     """
 
     s_form: dict
@@ -114,6 +90,7 @@ class RecurrenceForms:
     s_one_form: tuple
     t_one_form: tuple
     pairing: Value
+    integrability: DyadSpinorField
 
     @property
     def s_form_vanishes(self) -> bool:
@@ -130,15 +107,10 @@ def _covector_from_pairs(vals: dict, covs) -> tuple:
 def recurrence_forms(
     pi: PrimedSpinor, frame: Frame, check_integrable: bool = True
 ) -> RecurrenceForms:
-    return _recurrence(pi, frame, check_integrable)[0]
-
-
-def _recurrence(
-    pi: PrimedSpinor, frame: Frame, check_integrable: bool, covs=None
-) -> tuple[RecurrenceForms, DyadSpinorField]:
-    """``recurrence_forms`` and ``integrability_residual`` of the field,
-    from one covariant derivative of it; ``covs``, if given, are the
-    frame's ``tetrad_covectors``, which are otherwise lowered here."""
+    """Everything read off the field's derivative, from one covariant
+    derivative of the field and one of its lowered form.  With
+    check_integrable, a field whose planes are not surface-forming is
+    refused."""
     pi_up = pi.field()
     pi_low = lower_index(pi_up, 0)
     dpi = dyad_covariant_derivative(pi_up, frame)
@@ -152,7 +124,9 @@ def _recurrence(
             (pi_up.component(b), dpi_low.component(pair[0], b, pair[1])) for b in (0, 1)
         )
 
-    integ = _integrability(pi, pi_low, dpi)
+    integ = DyadSpinorField((DN,), {
+        (B,): dot(zip((pi.p, pi.q), (s_vals[(B, bp)] for bp in (0, 1)))) for B in (0, 1)
+    })
     if check_integrable and not integ.is_zero:
         raise InputError(
             "direction field is not surface-forming; its recurrence "
@@ -181,10 +155,10 @@ def _recurrence(
 
     s_one = t_one = None
     if frame.tetrad.chi * frame.tetrad.chi_t == ONE:
-        covs = covs or tetrad_covectors(frame.metric, frame.tetrad)
+        covs = frame.covectors
         s_one, t_one = _covector_from_pairs(s_vals, covs), _covector_from_pairs(t_vals, covs)
 
-    forms = RecurrenceForms(
+    return RecurrenceForms(
         s_form=_pair_dict(s_vals),
         t_form=_pair_dict(t_vals),
         omega=omega,
@@ -193,8 +167,16 @@ def _recurrence(
         s_one_form=s_one,
         t_one_form=t_one,
         pairing=pairing,
+        integrability=integ,
     )
-    return forms, integ
+
+
+def integrability_residual(pi: PrimedSpinor, frame: Frame) -> DyadSpinorField:
+    """Obstruction to the field's totally null two-planes being
+    surface-forming: the derivative of the field, contracted with two
+    copies of itself.  Zero also characterizes the planes as recurrent
+    along themselves."""
+    return recurrence_forms(pi, frame, check_integrable=False).integrability
 
 
 # ---------------------------------------------------------------------------
@@ -528,24 +510,19 @@ def distribution_report(an: Analysis) -> DistributionReport:
     w, frame, curv = an.w, an.frame, an.curvature
     s = frame.coeffs
     pi = primed_spinor(ONE, ZERO)
-    covs = tetrad_covectors(frame.metric, frame.tetrad)
-    rec, integ = _recurrence(pi, frame, check_integrable=False, covs=covs)
+    rec = recurrence_forms(pi, frame, check_integrable=False)
     coeff_res = relation_suite(s, "distribution-parallel")
     coeff_zero = all(v.is_zero for v in coeff_res.values())
     if rec.s_form_vanishes != coeff_zero:
         raise InternalInconsistencyError(
             "recurrence covector and coefficient criteria disagree"
         )
-    if coeff_zero and not integ.is_zero:
-        raise InternalInconsistencyError(
-            "recurrent direction failed the surface-forming test"
-        )
     type_i = classify_type_I(s)
     type_iii = classify_type_III(s, curv)
     ricci = ricci_conditions(pi, curv, w)
-    frob = frobenius_residual(covs[0])
+    frob = frobenius_residual(frame.covectors[0])
     residuals = {
-        "integrability": integ,
+        "integrability": rec.integrability,
         "s_form": rec.s_form,
         "distribution-parallel": coeff_res,
         "type-I": type_i.residuals,
@@ -554,7 +531,7 @@ def distribution_report(an: Analysis) -> DistributionReport:
         "ricci-single": ricci.single,
     }
     return DistributionReport(
-        alpha_integrable=integ.is_zero,
+        alpha_integrable=rec.integrability.is_zero,
         walker=rec.s_form_vanishes,
         auto_parallel=type_i.auto_parallel,
         parallel=type_i.parallel,

@@ -229,7 +229,9 @@ class Poly:
         try:
             return self._hash
         except AttributeError:
-            h = self._hash = hash((self._den, frozenset(self._num.items())))
+            # a constant equals its value, so it hashes as that value
+            c = self.constant_value()
+            h = self._hash = hash((self._den, frozenset(self._num.items())) if c is None else c)
             return h
 
     def __neg__(self) -> "Poly":

@@ -83,30 +83,27 @@ class SpinCoefficientSet:
         return replace(self, **{k: _as_poly(v) for k, v in updates.items()})
 
 
+def _swap_flavours(s: SpinCoefficientSet, bit: int) -> SpinCoefficientSet:
+    """Each coefficient exchanged with the partner whose flavour's index in
+    ``_FLAVOURS`` differs from its own in ``bit``."""
+    return SpinCoefficientSet(**{
+        f"{fam}{fl}": getattr(s, f"{fam}{_FLAVOURS[i ^ bit]}")
+        for fam in _FAMILIES for i, fl in enumerate(_FLAVOURS)
+    })
+
+
 def prime(s: SpinCoefficientSet) -> SpinCoefficientSet:
     """Swap every coefficient with its primed partner.
 
     This matches recomputation from the priming companion tetrad
     (n, l, -mt, -m), which the tests exercise directly.
     """
-    values = {}
-    for fam in _FAMILIES:
-        values[fam] = s.get(f"{fam}_p")
-        values[f"{fam}_p"] = s.get(fam)
-        values[f"{fam}_t"] = s.get(f"{fam}_tp")
-        values[f"{fam}_tp"] = s.get(f"{fam}_t")
-    return SpinCoefficientSet(**values)
+    return _swap_flavours(s, 1)
 
 
 def tilde_relabel(s: SpinCoefficientSet) -> SpinCoefficientSet:
     """Swap plain and tilde families; a pure renaming of the same data."""
-    values = {}
-    for fam in _FAMILIES:
-        values[fam] = s.get(f"{fam}_t")
-        values[f"{fam}_t"] = s.get(fam)
-        values[f"{fam}_p"] = s.get(f"{fam}_tp")
-        values[f"{fam}_tp"] = s.get(f"{fam}_p")
-    return SpinCoefficientSet(**values)
+    return _swap_flavours(s, 2)
 
 
 def priming_companion_tetrad(t: Tetrad) -> Tetrad:
@@ -265,12 +262,18 @@ def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
 @dataclass(frozen=True)
 class Frame:
     """A tetrad bundled with its metric context and coefficient set, and the
-    owner of its companions and connection matrices, each built once."""
+    owner of its lowered legs, companions and connection matrices, each
+    built once."""
 
     metric: MetricTensor
     tetrad: Tetrad
     ops: DirectionalOps
     coeffs: SpinCoefficientSet
+
+    @cached_property
+    def covectors(self) -> tuple:
+        """``tetrad_covectors`` of the tetrad: (l_a, n_a, m_a, mt_a)."""
+        return tetrad_covectors(self.metric, self.tetrad)
 
     @cached_property
     def companions(self) -> dict:
@@ -307,13 +310,6 @@ class Frame:
             ops=DirectionalOps(t),
             coeffs=spin_coefficients_from_tetrad(t, mt),
         )
-
-
-def directional(t: Tetrad, f, which: str) -> Value:
-    """Directional derivative of a scalar along one tetrad leg."""
-    if which not in DirectionalOps.NAMES:
-        raise InputError(f"unknown direction {which!r}; use one of {DirectionalOps.NAMES}")
-    return DirectionalOps(t).apply(which, _as_poly(f))
 
 
 def _transformation_laws(s: SpinCoefficientSet, lam, lam_t, mu, mu_t):
@@ -577,9 +573,10 @@ def first_form_residuals(frame: Frame):
             for a_ in range(4)
         ]
 
-    def residual(t, s, leg):
-        """d of the covector of leg l or m minus its expansion."""
-        l_dn, n_dn, m_dn, mt_dn = tetrad_covectors(mt, t)
+    def residual(covs, s, leg):
+        """d of the covector of leg l or m minus its expansion, over the
+        lowered legs ``covs``."""
+        l_dn, n_dn, m_dn, mt_dn = covs
         lm, lmt, ln = wedge(l_dn, m_dn), wedge(l_dn, mt_dn), wedge(l_dn, n_dn)
         mmt, mn, mtn = wedge(m_dn, mt_dn), wedge(m_dn, n_dn), wedge(mt_dn, n_dn)
         if leg == "l":
@@ -604,8 +601,10 @@ def first_form_residuals(frame: Frame):
         return [[direct[a_][b_] - expected[a_][b_] for b_ in range(4)] for a_ in range(4)]
 
     return {
-        "dl": residual(t, s, "l"),
-        "dm": residual(t, s, "m"),
-        "dmt": residual(tilde_companion_tetrad(t), frame.companions["~"][1], "m"),
-        "dn": residual(priming_companion_tetrad(t), frame.companions["'"][1], "l"),
+        "dl": residual(frame.covectors, s, "l"),
+        "dm": residual(frame.covectors, s, "m"),
+        "dmt": residual(tetrad_covectors(mt, tilde_companion_tetrad(t)),
+                        frame.companions["~"][1], "m"),
+        "dn": residual(tetrad_covectors(mt, priming_companion_tetrad(t)),
+                       frame.companions["'"][1], "l"),
     }

@@ -957,16 +957,61 @@ def test_congruence_span_takes_rational_literals(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_module_entry_point(tmp_path):
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps(CUBIC))
+def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m walkerspin`` in a child process, with stderr as text."""
     # the child imports the same package as this process, installed or not
     package_root = os.path.dirname(os.path.dirname(walkerspin.__file__))
     pythonpath = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    proc = subprocess.run(
-        [sys.executable, "-m", "walkerspin", "classify", str(path)],
-        capture_output=True, text=True,
+    return subprocess.run(
+        [sys.executable, "-m", "walkerspin", *argv],
+        stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+        **kwargs,
     )
+
+
+def test_module_entry_point(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(CUBIC))
+    proc = run_module("classify", str(path), stdout=subprocess.PIPE)
     assert proc.returncode == 0
     assert "SD-flat" in proc.stdout
+
+
+UNWRITABLE_ARGV = {
+    "analyze": ["analyze"],
+    "congruence": ["congruence", "--v0", "0,0,1,0", "--end", "1", "--step", "1e-2",
+                   "--out", "-"],
+}
+
+
+def assert_stdout_refused(proc: subprocess.CompletedProcess) -> None:
+    """Exit 2 with one stderr line: no traceback, and nothing printed when
+    the interpreter flushes stdout on exit."""
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: "), proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", UNWRITABLE_ARGV)
+def test_full_stdout_refused(spec, command):
+    argv = UNWRITABLE_ARGV[command]
+    with open("/dev/full", "w") as full:
+        proc = run_module(argv[0], spec(MIXED), *argv[1:], stdout=full)
+    assert_stdout_refused(proc)
+    assert "No space left" in proc.stderr
+
+
+@pytest.mark.parametrize("command", UNWRITABLE_ARGV)
+def test_closed_pipe_refused(spec, command):
+    argv = UNWRITABLE_ARGV[command]
+    read_end, write_end = os.pipe()
+    # closed before the child starts, so its first write meets no reader
+    os.close(read_end)
+    try:
+        proc = run_module(argv[0], spec(MIXED), *argv[1:], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert_stdout_refused(proc)
+    assert "Broken pipe" in proc.stderr

@@ -150,6 +150,19 @@ class TestExactSampling:
                 want = [float(rf.eval_at((pt0[0] + Fraction(t),) + pt0[1:])) for t in grid]
                 assert [x.hex() for x in samples[key]] == [x.hex() for x in want]
 
+    def test_rational_parameters_match_per_point_references(self):
+        """Parameters that are not all floats take the exact Fraction route."""
+        grid = (0, Fraction(1, 2), 1)
+        for w, base, V0 in random_curves(13, 4):
+            trace = CoefficientTrace.from_metric(w, base, grid)
+            pt0 = tuple(Fraction(c) for c in base)
+            for key, col in _transport_columns(Frame.walker(w).coeffs).items():
+                want = tuple(float(col.eval_at((pt0[0] + t,) + pt0[1:])) for t in grid)
+                assert trace.values[key] == want
+            assert connecting_oracle(w, base, V0, grid) == tuple(
+                reference_oracle(w, base, V0, t) for t in grid
+            )
+
     def test_trace_and_jacobi_sampling_agree(self):
         w = WalkerMetric(a=P("u*y^2 - 1/3*v"), b=P("u^3 - x"), c=P("u^2*v"))
         base = (Fraction(-1, 2), Fraction(2, 3), -1, Fraction(5, 4))
@@ -206,6 +219,11 @@ class TestTraces:
         bad["rho"] = (0.0, math.inf, 0.0)
         with pytest.raises(InputError):
             CoefficientTrace(grid=(0.0, 0.5, 1.0), values=bad)
+        with pytest.raises(InputError, match="exactly the keys"):
+            CoefficientTrace(grid=(0.0, 0.5, 1.0),
+                             values={k: v for k, v in cols.items() if k != "rho"})
+        with pytest.raises(InputError, match="'sigma' does not match the grid"):
+            CoefficientTrace(grid=(0.0, 0.5, 1.0), values={**cols, "sigma": (0.0, 0.0)})
 
 
 class TestConnectingIntegration:
@@ -262,6 +280,10 @@ class TestConnectingIntegration:
             integrate_connecting(QUADRATIC, (0, 0, 1), v_end=1.0, step=0.1)
         with pytest.raises(InputError):
             integrate_connecting("b=u^2", (0, 0, 1, 0), v_end=1.0, step=0.1)
+        skipping = CoefficientTrace(grid=(0.0, 0.1, 1.0),
+                                    values={k: (0.0, 0.0, 0.0) for k in TRACE_KEYS})
+        with pytest.raises(InputError, match="step midpoints"):
+            integrate_connecting(skipping, (0.0, 1.0, 0.0, 0.0))
 
     def test_prebuilt_trace_refuses_v_end_and_step(self):
         """A prebuilt trace fixes its own grid and curve; a span or a base
@@ -446,6 +468,8 @@ class TestSpecialFlows:
             special_flows("inverse-scale", 1.0, (1.0, 0.0))
         with pytest.raises(InputError):
             special_flows("boost", 1.0, (1.0, 0.0, 0.0))
+        with pytest.raises(InputError, match="pair of integrals"):
+            special_flows("inverse-scale", (1.0,), (1.0, 0.0))
 
 
 class TestSigmaOmega:
@@ -489,6 +513,10 @@ class TestSigmaOmega:
         c = integrate_jacobi(QUADRATIC, (0, 0, 1, 0), (0, 0, 0, 0), 1.0, 0.1)
         with pytest.raises(InputError):
             sigma_omega_forms(a, c)
+        d = integrate_connecting(FLAT, (0, 0, 1, 0), v_end=1.0, step=0.1)
+        assert d.grid == a.grid
+        with pytest.raises(InputError, match="different coefficient data"):
+            sigma_omega_forms(a, d)
 
 
 class TestShapes:

@@ -27,8 +27,14 @@ from walkerspin.nullgeom import (
     weyl_quartic,
 )
 from walkerspin.poly import ONE, ZERO, RationalFunction, parse_poly
-from walkerspin.spincoeff import Frame
-from walkerspin.walker import WalkerMetric, aligned_ricci_residuals
+from walkerspin.spincoeff import Frame, dyad_covariant_derivative, lower_index
+from walkerspin.walker import (
+    WalkerMetric,
+    aligned_ricci_residuals,
+    assemble_metric,
+    scale_normalization,
+    walker_tetrad,
+)
 
 from support import assert_names_a_witness, random_metric_functions
 
@@ -71,6 +77,20 @@ class TestIntegrability:
     def test_varying_field_flat_integrable(self, flat_frame):
         res = integrability_residual(primed_spinor(P("v"), P("x")), flat_frame)
         assert res.is_zero
+
+    def test_residual_is_the_double_contraction(self, flat_frame):
+        """Read off the recurrence forms, the residual equals the derivative
+        of the field contracted with the field and its lowered form."""
+        for p, q in (("1", "u"), ("v", "x"), ("u*y + 1", "x^2")):
+            pi = primed_spinor(P(p), P(q))
+            pi_up = pi.field()
+            pi_low = lower_index(pi_up, 0)
+            dpi = dyad_covariant_derivative(pi_up, flat_frame)
+            want = [sum((pi_up.component(b) * pi_low.component(c) * dpi.component(B, b, c)
+                         for b in (0, 1) for c in (0, 1)), ZERO) for B in (0, 1)]
+            res = integrability_residual(pi, flat_frame)
+            assert [res.component(B) for B in (0, 1)] == want
+            assert recurrence_forms(pi, flat_frame, check_integrable=False).integrability == res
 
     def test_canonical_direction_all_metrics(self):
         rng = random.Random(31)
@@ -241,6 +261,13 @@ class TestKerrCheck:
         curv = Analysis(FLAT).curvature
         with pytest.raises(InputError):
             kerr_check(primed_spinor(ONE, ZERO), flat_frame, curv)
+
+    def test_non_unit_frame_refused(self):
+        mt = assemble_metric(FLAT)
+        frame = Frame.from_tetrad(mt, scale_normalization(walker_tetrad(FLAT), P("1 + u"), ONE))
+        curv = Analysis(FLAT).curvature
+        with pytest.raises(InputError, match="unit-normalized frame"):
+            kerr_check(primed_spinor(P("v"), P("x")), frame, curv)
 
 
 class TestFrobenius:

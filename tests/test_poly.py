@@ -492,6 +492,9 @@ def test_parse_rejects_division_by_variables():
         parse_poly("u/v")
     assert "division" in str(err.value)
     assert err.value.position == 1
+    with pytest.raises(ExprSyntaxError, match="integer denominator") as err:
+        parse_poly("1/u")
+    assert err.value.position == 2
 
 
 def test_parse_rejects_unknown_identifier():
@@ -573,6 +576,12 @@ def test_diff_and_eval_basics():
     assert p.diff("y") == parse_poly("3*x")
     assert p.eval_at((2, 1, 1, 1)) == Fraction(7)
     assert p.eval_at((Fraction(1, 2), 4, 0, 0)) == Fraction(1)
+    with pytest.raises(ValueError, match="four coordinates"):
+        p.eval_at((1, 2, 3))
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        p.diff("w")
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        Poly.variable("w")
 
 
 def test_degree_and_constants():
@@ -628,6 +637,8 @@ def test_powers_are_bounded():
     assert time.perf_counter() - start < 1.0
     assert (u + 1) ** 3 == parse_poly("u^3 + 3*u^2 + 3*u + 1")
     assert u**0 == Poly.const(1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        u**-1
 
 
 # Packed products: factors whose terms fall into few (u, v, x) groups, with
@@ -826,3 +837,13 @@ def test_equal_polys_hash_equal_by_every_route():
     assert all(table[p] == "value" for p in routes[1:])
     zeros = [Poly(), Poly.zero(), u - u, parse_poly("0"), Poly({(1, 0, 0, 0): 0})]
     assert len({hash(z) for z in zeros}) == 1
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+@example(0)
+def test_constants_hash_as_their_value(c):
+    """A constant polynomial equals its value, so it hashes as that value
+    and set membership holds both ways."""
+    p = Poly.const(c)
+    assert hash(p) == hash(c)
+    assert p in {c} and c in {p}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkerspin import spincoeff
-from walkerspin.errors import InputError, InternalInconsistencyError
+from walkerspin.errors import DegenerateTetradError, InputError, InternalInconsistencyError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
 from walkerspin.spincoeff import (
     COEFF_NAMES,
@@ -25,7 +26,6 @@ from walkerspin.spincoeff import (
     connection_matrices,
     contract,
     describe_difference,
-    directional,
     dyad_covariant_derivative,
     first_form_residuals,
     lower_index,
@@ -45,6 +45,7 @@ from walkerspin.walker import (
     assemble_metric,
     christoffel,
     scale_normalization,
+    tetrad_covectors,
     tetrad_transform,
     walker_tetrad,
 )
@@ -284,6 +285,22 @@ def test_first_form_requires_unit_normalization():
         first_form_residuals(frame)
 
 
+def test_frame_owns_its_lowered_legs():
+    w = sample_metrics(1, seed=112)[0]
+    frame = Frame.walker(w)
+    assert frame.covectors is frame.covectors
+    assert frame.covectors == tetrad_covectors(frame.metric, frame.tetrad)
+
+
+def test_degenerate_normalization_refused():
+    w = sample_metrics(1, seed=113)[0]
+    t = walker_tetrad(w)
+    with pytest.raises(DegenerateTetradError, match="vanishes identically"):
+        Frame.from_tetrad(assemble_metric(w), dataclasses.replace(t, chi=ZERO))
+    with pytest.raises(InputError, match="must not vanish"):
+        scale_normalization(t, 0, 1)
+
+
 def test_transform_coefficients_closed_forms():
     w = sample_metrics(1, seed=111)[0]
     frame = extraction_frame(w)
@@ -387,16 +404,6 @@ def test_hatted_frame_closed_form():
         for name in COEFF_NAMES:
             want = RationalFunction(expected[name]) if name in expected else RF_ZERO
             assert s.get(name) == want, f"hatted {name}"
-
-
-def test_directional_wrapper():
-    w = WalkerMetric(a=parse_poly("u^2"), b=parse_poly("v"), c=parse_poly("x*y"))
-    t = walker_tetrad(w)
-    f = parse_poly("u*v + x^2")
-    assert directional(t, f, "D") == RationalFunction(parse_poly("v"))
-    assert directional(t, f, "Delta") == RationalFunction(parse_poly("u"))
-    with pytest.raises(InputError):
-        directional(t, f, "north")
 
 
 class TestDyadCalculus:
