@@ -42,7 +42,7 @@ from .errors import (
     InternalInconsistencyError,
     PatternError,
 )
-from .poly import HALF, ZERO, Poly, Value, _ratio, _refused_digits
+from .poly import HALF, VARIABLES, ZERO, Poly, Value, _ratio, _refused_digits
 from .spincoeff import Frame, SpinCoefficientSet, _check
 from .walker import WalkerMetric, _fraction, _point
 
@@ -67,6 +67,9 @@ FLOW_KINDS = ("dilation", "rotation", "boost", "inverse-scale")
 # Largest number of integration steps v_end / step may ask for.
 MAX_STEPS = 1_000_000
 
+# The base point of a curve when none is given.
+_ORIGIN = (0, 0, 0, 0)
+
 # The nonzero entries of M and N in the basis l, m~, m, n, row by row, as
 # (column, sign, column name); M's names are TRACE_KEYS and N's are the
 # keys of _curvature_columns.  Column 0 of both and row 3 of N vanish.
@@ -89,9 +92,19 @@ def _finite(values, what) -> tuple[float, ...]:
         out = tuple(float(x) for x in values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what}: not a float") from exc
-    if not all(map(math.isfinite, out)):
-        raise InputError(f"{what}: nonfinite value")
+    _finite_count(out, what)
     return out
+
+
+def _finite_count(samples, what) -> int:
+    """The length of a sequence of finite real numbers, read as given;
+    anything else is refused."""
+    try:
+        if all(map(math.isfinite, samples)):
+            return len(samples)
+    except (TypeError, OverflowError) as exc:
+        raise InputError(f"{what}: not a float") from exc
+    raise InputError(f"{what}: nonfinite value")
 
 
 def _check_span(v_end, step) -> tuple[float, float]:
@@ -140,18 +153,17 @@ class CoefficientTrace:
     values: dict
 
     def __post_init__(self):
-        if set(self.values) != set(TRACE_KEYS):
+        if not isinstance(self.values, dict) or set(self.values) != set(TRACE_KEYS):
             raise InputError(f"trace must carry exactly the keys {TRACE_KEYS}")
-        npts = len(self.grid)
+        # kept as given: a float copy adds a tuple per column and changes an int grid's steps
+        npts = _finite_count(self.grid, "trace grid")
         if npts < 3 or npts % 2 == 0:
             raise InputError("trace grid must hold an odd number (>= 3) of samples")
         if not all(map(operator.lt, self.grid, self.grid[1:])):
             raise InputError("trace grid must be strictly increasing")
         for key, samples in self.values.items():
-            if len(samples) != npts:
+            if _finite_count(samples, f"trace column {key!r}") != npts:
                 raise InputError(f"trace column {key!r} does not match the grid")
-            if not all(map(math.isfinite, samples)):
-                raise InputError(f"nonfinite sample in trace column {key!r}")
 
     @classmethod
     def from_metric(cls, w: WalkerMetric, base, grid) -> "CoefficientTrace":
@@ -168,7 +180,8 @@ class CoefficientTrace:
         if unknown:
             raise InputError(f"unknown trace keys: {unknown}")
         grid = _half_grid(v_end, step)
-        cols = {k: (float(values.get(k, 0.0)),) * len(grid) for k in TRACE_KEYS}
+        cols = {k: _finite((values.get(k, 0.0),), f"trace value {k!r}") * len(grid)
+                for k in TRACE_KEYS}
         return cls(grid=grid, values=cols)
 
 
@@ -251,8 +264,19 @@ def _matrices(an: Analysis):
     )
 
 
-def _evaluate(a, pt) -> tuple:
-    return tuple(tuple(float(e.eval_at(pt)) for e in row) for row in a)
+def _float(x, what) -> float:
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise InputError(f"{what} overflows a float") from exc
+
+
+def _evaluate(a, pt, name) -> tuple:
+    """The entries of the matrix `name` at pt, as floats."""
+    return tuple(
+        tuple(_float(e.eval_at(pt), f"{name}[{i}][{k}]") for k, e in enumerate(row))
+        for i, row in enumerate(a)
+    )
 
 
 def _screen(a):
@@ -414,7 +438,7 @@ def integrate_connecting(source, V0, v_end=None, step=None, base=None) -> Connec
     if isinstance(source, WalkerMetric):
         if v_end is None or step is None:
             raise InputError("v_end and step are required with a metric source")
-        base = (0, 0, 0, 0) if base is None else base
+        base = _ORIGIN if base is None else base
         trace = CoefficientTrace.from_metric(source, base, _half_grid(v_end, step))
     elif isinstance(source, CoefficientTrace):
         if v_end is not None or step is not None or base is not None:
@@ -483,14 +507,14 @@ def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
     return out
 
 
-def integrate_jacobi(
-    w: WalkerMetric, V0, V0p, v_end, step, base=(0, 0, 0, 0)
-) -> JacobiPath:
+def integrate_jacobi(w: WalkerMetric, V0, V0p, v_end, step, base=None) -> JacobiPath:
     """Second-order deviation system integrated as an 8-dimensional
-    first-order one; returns states and their parameter derivatives."""
+    first-order one, along the curve through `base` (the origin if None);
+    returns states and their parameter derivatives."""
     z0 = _as_state(V0)
     y0 = _as_state(V0p)
     grid = _half_grid(v_end, step)
+    base = _ORIGIN if base is None else base
     an = Analysis(w)
     trace = CoefficientTrace.from_frame(an.frame, base, grid)
     rows = _row_stream(
@@ -508,10 +532,9 @@ def integrate_jacobi(
 def propagation_matrices(w: WalkerMetric, point) -> PropagationMatrices:
     """All four matrices of the transport/deviation systems at one point."""
     pt = _point(point)
-    m, n = (_evaluate(a, pt) for a in _matrices(Analysis(w)))
-    return PropagationMatrices(
-        m=m, p=_screen(m), n=n, q=_screen(n), point=tuple(float(c) for c in pt)
-    )
+    m, n = (_evaluate(a, pt, name) for a, name in zip(_matrices(Analysis(w)), "MN"))
+    point = tuple(_float(c, f"coordinate {x} of the point") for x, c in zip(VARIABLES, pt))
+    return PropagationMatrices(m=m, p=_screen(m), n=n, q=_screen(n), point=point)
 
 
 @dataclass(frozen=True)
@@ -554,7 +577,8 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
         # the congruence flows along the first coordinate only
         pt = _point(base)
         pt = (pt[0] + _fraction(v),) + pt[1:]
-        m_sample, p_sample = _evaluate(m_res, pt), _evaluate(p_res, pt)
+        m_sample = _evaluate(m_res, pt, "M residual")
+        p_sample = _evaluate(p_res, pt, "P residual")
     return RiccatiReport(m_res, p_res, m_sample, p_sample)
 
 
@@ -756,11 +780,8 @@ def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
     divergence = rho + rho_t
     skew_square = -half * (rho - rho_t) * (rho - rho_t)
     sym_square = 2 * sigma * sigma_t + half * (rho + rho_t) * (rho + rho_t)
-    try:
-        trace = float(rho + rho_t)
-        disc = float((rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t)
-    except OverflowError as exc:
-        raise InputError("shape data: not a float") from exc
+    trace, disc = _finite(
+        (rho + rho_t, (rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t), "shape data")
     if floats:
         # finite inputs can still overflow a half-sum or a square
         _finite((d, s, i, hc, skew_square, sym_square, disc), "shape data")

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .errors import InputError
 from .poly import HALF, ONE, ZERO, Poly, Value, dot
-from .spincoeff import Frame, _check
+from .spincoeff import _COMPANION_OPS, Frame, _check
 from .walker import (
     COORDS,
     Christoffel,
@@ -166,10 +166,7 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
     computed along each route and compared exactly.
     """
     s = frame.coeffs
-    D = frame.ops.D
-    A = frame.ops.Delta
-    dl = frame.ops.delta
-    Dp = frame.ops.Dp
+    D, A, dl, Dp = frame.ops.signed(_COMPANION_OPS[""])
 
     a, b, c = w.a, w.b, w.c
     a11 = a.diff("u").diff("u")

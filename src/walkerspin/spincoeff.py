@@ -106,9 +106,12 @@ def tilde_relabel(s: SpinCoefficientSet) -> SpinCoefficientSet:
     return _swap_flavours(s, 2)
 
 
+def _negated(vec) -> tuple:
+    return tuple(-c for c in vec)
+
+
 def priming_companion_tetrad(t: Tetrad) -> Tetrad:
-    neg = lambda vec: tuple(-c for c in vec)
-    return Tetrad(l=t.n, n=t.l, m=neg(t.mt), mt=neg(t.m), chi=t.chi, chi_t=t.chi_t)
+    return Tetrad(l=t.n, n=t.l, m=_negated(t.mt), mt=_negated(t.m), chi=t.chi, chi_t=t.chi_t)
 
 
 def tilde_companion_tetrad(t: Tetrad) -> Tetrad:
@@ -147,8 +150,14 @@ _SWAP = {**_SAME, "m": "mt", "mt": "m",
 
 
 def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficientSet:
+    """All 32 coefficients of ``t``, through ``Frame.from_tetrad``."""
+    return Frame.from_tetrad(mt, t).coeffs
+
+
+def _koszul_coefficients(t: Tetrad, covectors, ops: DirectionalOps) -> SpinCoefficientSet:
     """Extract all 32 coefficients from the exterior derivatives of the
-    lowered legs theta_k = e_k^flat, with no Christoffel symbols.
+    lowered legs theta_k = e_k^flat (``covectors``), with no Christoffel
+    symbols, differentiating along the legs through ``ops``.
 
     For legs X, Y, Z the Koszul formula gives
 
@@ -164,8 +173,7 @@ def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficien
     Delta and delta, chi and chi_t exchanged), read from the inner
     products of this tetrad and named by ``tilde_relabel``.
     """
-    cov = dict(zip(_LEGS, validate_tetrad(mt, t)))
-    ops = DirectionalOps(t)
+    cov = dict(zip(_LEGS, covectors))
     # a product of the two inverses keeps chi and chi_t apart as factors
     X = (ONE / t.chi) * (ONE / t.chi_t)
 
@@ -219,34 +227,21 @@ def spin_coefficients_from_tetrad(t: Tetrad, mt: MetricTensor) -> SpinCoefficien
     return replace(tilde, **table(_SAME, t.chi_t, dchi))
 
 
-def _walker_auxiliaries(w: WalkerMetric):
-    a, b, c = w.a, w.b, w.c
-    d = {
-        "a1": a.diff("u"), "a2": a.diff("v"), "a3": a.diff("x"), "a4": a.diff("y"),
-        "b1": b.diff("u"), "b2": b.diff("v"), "b3": b.diff("x"), "b4": b.diff("y"),
-        "c1": c.diff("u"), "c2": c.diff("v"), "c3": c.diff("x"), "c4": c.diff("y"),
-    }
-    d["kc"] = (
-        2 * d["c3"] - 2 * d["a4"] + b * d["a2"] + c * d["a1"] - a * d["c1"] - c * d["c2"]
-    ) * QUARTER
-    d["kd"] = (
-        2 * d["c4"] - 2 * d["b3"] - c * d["c1"] - b * d["c2"] + a * d["b1"] + c * d["b2"]
-    ) * QUARTER
-    return d
-
-
 def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
-    """The coefficients of the canonical Walker tetrad, written directly."""
-    d = _walker_auxiliaries(w)
-    a1, a2 = d["a1"], d["a2"]
-    b1, b2 = d["b1"], d["b2"]
-    c1, c2 = d["c1"], d["c2"]
+    """The coefficients of the canonical Walker tetrad, written directly
+    from the first derivatives of a, b, c (a1 = a_u, ..., c4 = c_y)."""
+    a, b, c = w.a, w.b, w.c
+    a1, a2, a4 = a.diff("u"), a.diff("v"), a.diff("y")
+    b1, b2, b3 = b.diff("u"), b.diff("v"), b.diff("x")
+    c1, c2, c3, c4 = c.diff("u"), c.diff("v"), c.diff("x"), c.diff("y")
+    kc = (2 * c3 - 2 * a4 + b * a2 + c * a1 - a * c1 - c * c2) * QUARTER
+    kd = (2 * c4 - 2 * b3 - c * c1 - b * c2 + a * b1 + c * b2) * QUARTER
     return SpinCoefficientSet(
         kappa_p=a2 * -HALF,
-        kappa_tp=-d["kc"],
+        kappa_tp=-kc,
         rho_p=c2 * -HALF,
         sigma=b1 * -HALF,
-        sigma_tp=d["kd"],
+        sigma_tp=kd,
         tau=c1 * HALF,
         epsilon_p=(c2 - a1) * QUARTER,
         epsilon_tp=(a1 + c2) * -QUARTER,
@@ -304,12 +299,12 @@ class Frame:
 
     @classmethod
     def from_tetrad(cls, mt: MetricTensor, t: Tetrad) -> "Frame":
-        return cls(
-            metric=mt,
-            tetrad=t,
-            ops=DirectionalOps(t),
-            coeffs=spin_coefficients_from_tetrad(t, mt),
-        )
+        """The frame of any valid tetrad, whose legs are validated and lowered
+        once: the Koszul extraction and ``covectors`` read those legs."""
+        covectors, ops = validate_tetrad(mt, t), DirectionalOps(t)
+        frame = cls(metric=mt, tetrad=t, ops=ops, coeffs=_koszul_coefficients(t, covectors, ops))
+        frame.__dict__["covectors"] = covectors
+        return frame
 
 
 def _transformation_laws(s: SpinCoefficientSet, lam, lam_t, mu, mu_t):
@@ -553,16 +548,17 @@ def first_form_residuals(frame: Frame):
 
     Only the dl and dm expansions are written.  dmt is dm on the tilde
     companion tetrad and dn is dl on the priming companion tetrad, each
-    with its coefficients from ``frame.companions``.  Keys run dl, dm,
-    dmt, dn.
+    with its coefficients from ``frame.companions``.  Their lowered legs
+    are the frame's own, permuted and signed: (l, n, mt, m) and
+    (n, l, -mt, -m).  Keys run dl, dm, dmt, dn.
 
     Requires unit normalization (chi * chi_t = 1).
     """
     t = frame.tetrad
     if t.chi * t.chi_t != ONE:
         raise InputError("first-form expansion requires unit normalization")
-    mt = frame.metric
     s = frame.coeffs
+    l_, n_, m_, mt_ = frame.covectors
 
     def wedge(P, Q):
         return [[P[a_] * Q[b_] - P[b_] * Q[a_] for b_ in range(4)] for a_ in range(4)]
@@ -603,8 +599,6 @@ def first_form_residuals(frame: Frame):
     return {
         "dl": residual(frame.covectors, s, "l"),
         "dm": residual(frame.covectors, s, "m"),
-        "dmt": residual(tetrad_covectors(mt, tilde_companion_tetrad(t)),
-                        frame.companions["~"][1], "m"),
-        "dn": residual(tetrad_covectors(mt, priming_companion_tetrad(t)),
-                       frame.companions["'"][1], "l"),
+        "dmt": residual((l_, n_, mt_, m_), frame.companions["~"][1], "m"),
+        "dn": residual((n_, l_, _negated(mt_), _negated(m_)), frame.companions["'"][1], "l"),
     }

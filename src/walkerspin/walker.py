@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateTetradError, InputError
-from .poly import HALF, ONE, ZERO, Poly, Value, _as_poly, dot
+from .poly import HALF, ONE, VARIABLES as COORDS, ZERO, Poly, Value, _as_poly, dot
 
 Vector = tuple[Value, Value, Value, Value]
 Matrix4 = tuple[tuple[Poly, ...], ...]
-
-COORDS = ("u", "v", "x", "y")
 
 
 def _vec(components) -> Vector:
@@ -252,7 +250,8 @@ def spinor_matrix_to_vector(symbols: IvdWSymbols, M) -> Vector:
 
 class DirectionalOps:
     """Scalar directional derivatives D, Delta, delta, Dp of a tetrad,
-    each along the leg ``LEG_OF`` names.
+    each along the leg ``LEG_OF`` names, taken by name through ``apply``
+    or as the callables of ``signed``.
 
     Each instance remembers the derivative of every Poly it was given,
     keyed on (operator name, value), so the routes that share one frame
@@ -295,18 +294,6 @@ class DirectionalOps:
             return lambda f: -apply(name, f)
 
         return tuple(view(*table[name]) for name in self.NAMES)
-
-    def D(self, f):
-        return self.apply("D", f)
-
-    def Delta(self, f):
-        return self.apply("Delta", f)
-
-    def delta(self, f):
-        return self.apply("delta", f)
-
-    def Dp(self, f):
-        return self.apply("Dp", f)
 
 
 def tetrad_transform(t: Tetrad, lam, lam_t, mu, mu_t) -> Tetrad:

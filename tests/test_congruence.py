@@ -225,6 +225,43 @@ class TestTraces:
         with pytest.raises(InputError, match="'sigma' does not match the grid"):
             CoefficientTrace(grid=(0.0, 0.5, 1.0), values={**cols, "sigma": (0.0, 0.0)})
 
+    @pytest.mark.parametrize("grid, message", [
+        (("a", "b", "c"), "trace grid: not a float"),
+        ((0.0, 1.0, math.inf), "trace grid: nonfinite value"),
+        ((0, 10**400, 10**401), "trace grid: not a float"),
+        (None, "trace grid: not a float"),
+    ], ids=["strings", "infinite", "huge-ints", "none"])
+    def test_grid_of_non_floats_refused(self, grid, message):
+        cols = {k: (0.0, 0.0, 0.0) for k in TRACE_KEYS}
+        with pytest.raises(InputError, match=message):
+            CoefficientTrace(grid=grid, values=cols)
+
+    @pytest.mark.parametrize("sample", ["a", None, 10**400, 1j],
+                             ids=["string", "none", "huge-int", "complex"])
+    def test_sample_of_non_floats_refused(self, sample):
+        cols = {k: (0.0, 0.0, 0.0) for k in TRACE_KEYS}
+        with pytest.raises(InputError, match="trace column 'rho': not a float"):
+            CoefficientTrace(grid=(0.0, 0.5, 1.0), values={**cols, "rho": (0.0, sample, 0.0)})
+
+    def test_malformed_columns_refused(self):
+        cols = {k: (0.0, 0.0, 0.0) for k in TRACE_KEYS}
+        with pytest.raises(InputError, match="trace column 'rho': not a float"):
+            CoefficientTrace(grid=(0.0, 0.5, 1.0), values={**cols, "rho": None})
+        with pytest.raises(InputError, match="exactly the keys"):
+            CoefficientTrace(grid=(0.0, 0.5, 1.0), values=None)
+
+    @pytest.mark.parametrize("value", ["a", None, 10**400, math.nan],
+                             ids=["string", "none", "huge-int", "nan"])
+    def test_constant_value_of_non_floats_refused(self, value):
+        with pytest.raises(InputError, match="trace value 'rho'"):
+            CoefficientTrace.constant({"rho": value}, 1.0, 0.5)
+
+    def test_grid_and_columns_stored_as_given(self):
+        grid, column = (0, Fraction(1, 2), 1), [0, 1, 2]
+        trace = CoefficientTrace(grid=grid, values={k: column for k in TRACE_KEYS})
+        assert trace.grid is grid
+        assert all(col is column for col in trace.values.values())
+
 
 class TestConnectingIntegration:
     def test_matches_oracle_at_fine_step(self):
@@ -315,6 +352,11 @@ class TestJacobiIntegration:
         )
         assert worst <= 1e-8
 
+    def test_base_none_is_the_origin(self):
+        args = (QUADRATIC, (0.0, 0.0, 1.0, 0.0), (0.0, 0.5, 0.0, 0.0), 1.0, 0.5)
+        assert integrate_jacobi(*args, base=None) == integrate_jacobi(*args, base=ORIGIN)
+        assert integrate_jacobi(*args) == integrate_jacobi(*args, base=ORIGIN)
+
     def test_second_derivative_of_nu_vanishes(self):
         path = integrate_jacobi(QUADRATIC, (0.0, 0.0, 1.0, 1.0), (0.0, 0.5, 0.0, 0.0), 1.0, 0.05)
         assert all(d.nu == 0.0 for d in path.derivatives)
@@ -358,6 +400,15 @@ class TestPropagationMatrices:
         pm = propagation_matrices(WalkerMetric(a=ZERO, b=P("2*u"), c=ZERO), ORIGIN)
         assert all(x == 0.0 for row in pm.n for x in row)
         assert pm.m[1][2] == -1.0
+
+    def test_overflowing_entry_is_input_error(self):
+        w = WalkerMetric(a=P("u^3*v"), b=P("x^2*u"), c=P("u*y"))
+        with pytest.raises(InputError, match=r"^M\[\d\]\[\d\] overflows a float$"):
+            propagation_matrices(w, (10**200, 1, 1, 1))
+
+    def test_overflowing_point_is_input_error(self):
+        with pytest.raises(InputError, match="^coordinate u of the point overflows a float$"):
+            propagation_matrices(FLAT, (10**400, 0, 0, 0))
 
 
 class TestRiccati:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkerspin import spincoeff
+from walkerspin import walker as walker_module
 from walkerspin.errors import DegenerateTetradError, InputError, InternalInconsistencyError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
 from walkerspin.spincoeff import (
@@ -287,9 +288,65 @@ def test_first_form_requires_unit_normalization():
 
 def test_frame_owns_its_lowered_legs():
     w = sample_metrics(1, seed=112)[0]
-    frame = Frame.walker(w)
-    assert frame.covectors is frame.covectors
-    assert frame.covectors == tetrad_covectors(frame.metric, frame.tetrad)
+    mt = assemble_metric(w)
+    scaled = scale_normalization(walker_tetrad(w), P("1 + u"), P("2 - x"))
+    for frame in (Frame.walker(w), Frame.from_tetrad(mt, scaled)):
+        assert frame.covectors is frame.covectors
+        assert frame.covectors == tetrad_covectors(frame.metric, frame.tetrad)
+
+
+def test_from_tetrad_lowers_the_legs_and_builds_the_operators_once(monkeypatch):
+    """Frame.from_tetrad validates and lowers a tetrad once, and the Koszul
+    extraction, ``covectors`` and the first-form expansions of both
+    companions read those legs and that one DirectionalOps."""
+    calls = {"lowered": 0, "ops": 0}
+
+    def counting_covectors(mt, t):
+        calls["lowered"] += 1
+        return tetrad_covectors(mt, t)
+
+    init = DirectionalOps.__init__
+
+    def counting_init(self, t):
+        calls["ops"] += 1
+        init(self, t)
+
+    monkeypatch.setattr(walker_module, "tetrad_covectors", counting_covectors)
+    monkeypatch.setattr(spincoeff, "tetrad_covectors", counting_covectors)
+    monkeypatch.setattr(DirectionalOps, "__init__", counting_init)
+    w = sample_metrics(1, seed=116)[0]
+    frame = generic_frame(w)
+    frame.covectors
+    assert calls == {"lowered": 1, "ops": 1}
+    first_form_residuals(frame)
+    assert calls == {"lowered": 1, "ops": 1}
+
+
+def test_first_form_companion_legs_are_the_companion_tetrads_lowered():
+    """dmt and dn read the frame's lowered legs permuted and signed; they
+    equal the lowered legs of the companion tetrads, and, with every
+    coefficient bumped so that no grid vanishes, each grid is the dm or dl
+    grid of a frame on the companion tetrad itself."""
+    w = sample_metrics(1, seed=117)[0]
+    for frame in (extraction_frame(w), generic_frame(w)):
+        mt, t = frame.metric, frame.tetrad
+        l_, n_, m_, mt_ = frame.covectors
+        neg = lambda vec: tuple(-c for c in vec)
+        assert tetrad_covectors(mt, tilde_companion_tetrad(t)) == (l_, n_, mt_, m_)
+        assert tetrad_covectors(mt, priming_companion_tetrad(t)) == (n_, l_, neg(mt_), neg(m_))
+        s = frame.coeffs.with_values(**{
+            name: frame.coeffs.get(name) + P(f"{i + 1}*u - v")
+            for i, name in enumerate(COEFF_NAMES)
+        })
+        residuals = first_form_residuals(dataclasses.replace(frame, coeffs=s))
+        for key, companion, relabel, grid in (
+            ("dmt", tilde_companion_tetrad, tilde_relabel, "dm"),
+            ("dn", priming_companion_tetrad, prime, "dl"),
+        ):
+            c = companion(t)
+            own = Frame(metric=mt, tetrad=c, ops=DirectionalOps(c), coeffs=relabel(s))
+            assert any(entry != RF_ZERO for row in residuals[key] for entry in row)
+            assert residuals[key] == first_form_residuals(own)[grid]
 
 
 def test_degenerate_normalization_refused():
@@ -470,10 +527,10 @@ class TestDyadCalculus:
         f = RationalFunction(parse_poly("u^2*v - x*y"))
         field = DyadSpinorField.scalar(f)
         d = dyad_covariant_derivative(field, frame)
-        assert d.component(0, 0) == frame.ops.D(f)
-        assert d.component(1, 0) == frame.ops.Delta(f)
-        assert d.component(0, 1) == frame.ops.delta(f)
-        assert d.component(1, 1) == frame.ops.Dp(f)
+        assert d.component(0, 0) == frame.ops.apply("D", f)
+        assert d.component(1, 0) == frame.ops.apply("Delta", f)
+        assert d.component(0, 1) == frame.ops.apply("delta", f)
+        assert d.component(1, 1) == frame.ops.apply("Dp", f)
 
     def test_raise_lower_round_trip(self):
         field = DyadSpinorField((UP,), {(0,): parse_poly("u"), (1,): parse_poly("v")})
@@ -715,7 +772,7 @@ def test_koszul_route_on_scaled_and_companion_frames():
     # a quotient chi and a polynomial chi_t make every X(g_YZ) term nonzero
     f = RationalFunction(parse_poly("u + 2"), parse_poly("1 + v"))
     scaled = scale_normalization(walker_tetrad(FRAMES_METRIC), f, P("1 + x"))
-    assert not DirectionalOps(scaled).Dp(scaled.chi * scaled.chi_t).is_zero
+    assert not DirectionalOps(scaled).apply("Dp", scaled.chi * scaled.chi_t).is_zero
     for t in (walker_tetrad(FRAMES_METRIC), scaled):
         for frame in (t, priming_companion_tetrad(t), tilde_companion_tetrad(t)):
             assert_routes_agree(frame, FRAMES_METRIC)

@@ -157,10 +157,10 @@ def test_directional_operators_closed_form():
         f1, f2 = f.diff("u"), f.diff("v")
         f3, f4 = f.diff("x"), f.diff("y")
         half = Fraction(1, 2)
-        assert ops.D(f) == f1
-        assert ops.Delta(f) == f2
-        assert ops.Dp(f) == -(half * w.a) * f1 - (half * w.c) * f2 + f3
-        assert ops.delta(f) == (half * w.c) * f1 + (half * w.b) * f2 - f4
+        assert ops.apply("D", f) == f1
+        assert ops.apply("Delta", f) == f2
+        assert ops.apply("Dp", f) == -(half * w.a) * f1 - (half * w.c) * f2 + f3
+        assert ops.apply("delta", f) == (half * w.c) * f1 + (half * w.b) * f2 - f4
 
 
 def covariant_directional(w, which):
