@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -268,7 +267,7 @@ def cmd_verify(args, out) -> int:
         bumped = frame.coeffs.with_values(
             **{args.perturb: frame.coeffs.get(args.perturb) + 1}
         )
-        frame = dataclasses.replace(frame, coeffs=bumped)
+        frame = frame._replace(coeffs=bumped)
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = [

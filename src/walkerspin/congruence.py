@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice, repeat
 from typing import NamedTuple
@@ -67,9 +68,6 @@ FLOW_KINDS = ("dilation", "rotation", "boost", "inverse-scale")
 # Largest number of integration steps v_end / step may ask for.
 MAX_STEPS = 1_000_000
 
-# The base point of a curve when none is given.
-_ORIGIN = (0, 0, 0, 0)
-
 # The nonzero entries of M and N in the basis l, m~, m, n, row by row, as
 # (column, sign, column name); M's names are TRACE_KEYS and N's are the
 # keys of _curvature_columns.  Column 0 of both and row 3 of N vanish.
@@ -100,11 +98,15 @@ def _finite_count(samples, what) -> int:
     """The length of a sequence of finite real numbers, read as given;
     anything else is refused."""
     try:
-        if all(map(math.isfinite, samples)):
-            return len(samples)
+        finite = all(map(math.isfinite, samples))
     except (TypeError, OverflowError) as exc:
         raise InputError(f"{what}: not a float") from exc
-    raise InputError(f"{what}: nonfinite value")
+    if not finite:
+        raise InputError(f"{what}: nonfinite value")
+    # a set or a mapping has no order to sample in
+    if not isinstance(samples, Sequence):
+        raise InputError(f"{what}: not a sequence")
+    return len(samples)
 
 
 def _check_span(v_end, step) -> tuple[float, float]:
@@ -145,25 +147,31 @@ def _as_state(v) -> ConnectingState:
     return ConnectingState._make(comps)
 
 
-@dataclass(frozen=True)
-class CoefficientTrace:
-    """Double-precision coefficient samples along one integral curve."""
+# a typing.NamedTuple may not override __new__, so the fields come from a
+# collections.namedtuple base
+class CoefficientTrace(namedtuple("CoefficientTrace", "grid values")):
+    """Double-precision coefficient samples along one integral curve,
+    validated whenever one is built, ``_make`` and ``_replace`` included."""
 
-    grid: tuple
-    values: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.values, dict) or set(self.values) != set(TRACE_KEYS):
+    def __new__(cls, grid, values):
+        if not isinstance(values, dict) or set(values) != set(TRACE_KEYS):
             raise InputError(f"trace must carry exactly the keys {TRACE_KEYS}")
         # kept as given: a float copy adds a tuple per column and changes an int grid's steps
-        npts = _finite_count(self.grid, "trace grid")
+        npts = _finite_count(grid, "trace grid")
         if npts < 3 or npts % 2 == 0:
             raise InputError("trace grid must hold an odd number (>= 3) of samples")
-        if not all(map(operator.lt, self.grid, self.grid[1:])):
+        if not all(map(operator.lt, grid, grid[1:])):
             raise InputError("trace grid must be strictly increasing")
-        for key, samples in self.values.items():
+        for key, samples in values.items():
             if _finite_count(samples, f"trace column {key!r}") != npts:
                 raise InputError(f"trace column {key!r} does not match the grid")
+        return super().__new__(cls, grid, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "CoefficientTrace":
+        return cls(*iterable)
 
     @classmethod
     def from_metric(cls, w: WalkerMetric, base, grid) -> "CoefficientTrace":
@@ -185,23 +193,20 @@ class CoefficientTrace:
         return cls(grid=grid, values=cols)
 
 
-@dataclass(frozen=True)
-class ConnectingPath:
+class ConnectingPath(NamedTuple):
     grid: tuple
     states: tuple
     trace: CoefficientTrace
 
 
-@dataclass(frozen=True)
-class JacobiPath:
+class JacobiPath(NamedTuple):
     grid: tuple
     states: tuple
     derivatives: tuple
     trace: CoefficientTrace
 
 
-@dataclass(frozen=True)
-class PropagationMatrices:
+class PropagationMatrices(NamedTuple):
     """Transport and curvature matrices evaluated at one point."""
 
     m: tuple
@@ -438,7 +443,6 @@ def integrate_connecting(source, V0, v_end=None, step=None, base=None) -> Connec
     if isinstance(source, WalkerMetric):
         if v_end is None or step is None:
             raise InputError("v_end and step are required with a metric source")
-        base = _ORIGIN if base is None else base
         trace = CoefficientTrace.from_metric(source, base, _half_grid(v_end, step))
     elif isinstance(source, CoefficientTrace):
         if v_end is not None or step is not None or base is not None:
@@ -455,7 +459,8 @@ def integrate_connecting(source, V0, v_end=None, step=None, base=None) -> Connec
 
 
 def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, ...]:
-    """Closed-form connecting states at each curve parameter in `ts`.
+    """Closed-form connecting states at each curve parameter in `ts`, along
+    the curve through `base` (the origin if None).
 
     The last two components are constant and the first two integrate
     metric-function differences exactly: as polynomials,
@@ -464,23 +469,28 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     each restricted to the curve once and rounded once per parameter.
     """
     eta0, zeta0, zeta_t0, nu0 = _as_state(V0)
-    pt0 = _point(base)
+    pt0 = _base_point(base)
     a0, b0, c0 = (f.eval_at(pt0) for f in (w.a, w.b, w.c))
     zt, nu = Fraction(zeta_t0), Fraction(nu0)
     eta = Fraction(eta0) + ((c0 - w.c) * zt + (w.a - a0) * nu) * HALF
     zeta = Fraction(zeta0) + ((b0 - w.b) * zt + (w.c - c0) * nu) * HALF
-    eta, zeta = _sample_columns({"eta": eta, "zeta": zeta}, base, ts).values()
+    eta, zeta = _sample_columns({"eta": eta, "zeta": zeta}, pt0, ts).values()
     return tuple(map(ConnectingState._make, zip(eta, zeta, repeat(zeta_t0), repeat(nu0))))
+
+
+def _base_point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The exact base point of a curve: ``base``, or the origin if None."""
+    return _point((0, 0, 0, 0) if base is None else base)
 
 
 def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
     """Float samples of each column at every grid parameter along the curve
-    through `base`.  Canonical-frame columns are polynomials; each is
-    restricted to the curve once and evaluated exactly at each parameter,
-    taken as a (p, q) pair.  The largest bit lengths of p and of q are taken
-    once, so a column whose samples could pass the rule of
-    ``_refused_digits`` is refused before any sample is formed."""
-    pt0 = _point(base)
+    through `base`, the origin if None.  Canonical-frame columns are
+    polynomials; each is restricted to the curve once and evaluated exactly
+    at each parameter, taken as a (p, q) pair.  The largest bit lengths of
+    p and of q are taken once, so a column whose samples could pass the
+    rule of ``_refused_digits`` is refused before any sample is formed."""
+    pt0 = _base_point(base)
     grid = tuple(grid)
     try:
         try:
@@ -514,7 +524,6 @@ def integrate_jacobi(w: WalkerMetric, V0, V0p, v_end, step, base=None) -> Jacobi
     z0 = _as_state(V0)
     y0 = _as_state(V0p)
     grid = _half_grid(v_end, step)
-    base = _ORIGIN if base is None else base
     an = Analysis(w)
     trace = CoefficientTrace.from_frame(an.frame, base, grid)
     rows = _row_stream(
@@ -537,8 +546,7 @@ def propagation_matrices(w: WalkerMetric, point) -> PropagationMatrices:
     return PropagationMatrices(m=m, p=_screen(m), n=n, q=_screen(n), point=point)
 
 
-@dataclass(frozen=True)
-class RiccatiReport:
+class RiccatiReport(NamedTuple):
     m_residual: tuple
     p_residual: tuple
     m_sample: tuple | None
@@ -696,8 +704,7 @@ def _screen_flow(kind, ints, x0) -> tuple[float, float]:
     return (cosh_t * x0[0] + sinh_t * x0[1], sinh_t * x0[0] + cosh_t * x0[1])
 
 
-@dataclass(frozen=True)
-class SigmaOmega:
+class SigmaOmega(NamedTuple):
     grid: tuple
     sigma: tuple
     omega: tuple
@@ -741,8 +748,7 @@ def sigma_omega_forms(first, second) -> SigmaOmega:
     return SigmaOmega(first.grid, tuple(sigma_path), tuple(omega_path))
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Additive decomposition of the screen shape data at a point."""
 
     p_matrix: tuple

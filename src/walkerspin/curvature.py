@@ -12,9 +12,9 @@ certifies the whole chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InputError
 from .poly import HALF, ONE, ZERO, Poly, Value, dot
@@ -108,8 +108,7 @@ def bianchi_contracted_residual(mt: MetricTensor, ricci, scalar):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurvatureSpinors:
+class CurvatureSpinors(NamedTuple):
     """Curvature dyad components: both quartic families, the mixed 3x3
     block, and the scalar pieces."""
 
@@ -246,11 +245,12 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
     )
 
 
-@dataclass(frozen=True, eq=False)
 class Analysis:
-    """Owner of a metric's canonical frame and curvature, each built once."""
+    """Owner of a metric's canonical frame and curvature, each built once.
+    Two analyses are equal only if they are the same object."""
 
-    w: WalkerMetric
+    def __init__(self, w: WalkerMetric):
+        self.w = w
 
     @cached_property
     def frame(self) -> Frame:
@@ -485,8 +485,7 @@ def commutator_residuals_from_fields(fields, f):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylTypeReport:
+class WeylTypeReport(NamedTuple):
     label: str
     point: tuple
     scalar: Fraction

@@ -7,15 +7,15 @@ theta_12 is the mixed u,v second derivative, F_4 the y derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .curvature import Analysis, _sd_weyl_type
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, QUARTER, Poly, VARIABLES, ZERO
 from .spincoeff import _check
-from .walker import WalkerMetric, aligned_ricci_residuals, read_spec
+from .walker import WalkerMetric, _Record, aligned_ricci_residuals, read_spec
 
 _U = Poly.parse("u")
 _V = Poly.parse("v")
@@ -42,17 +42,20 @@ def _depends_on(p: Poly, var: str) -> bool:
     return not p.diff(var).is_zero
 
 
-@dataclass(frozen=True)
-class HeavenlyPotential:
+class HeavenlyPotential(_Record):
     """Scalar potential with its derivative-chain companions."""
 
-    theta: Poly
-    f: Poly = ZERO
-    g: Poly = ZERO
-    F: Poly = ZERO
-    G: Poly = ZERO
-    h: Poly = ZERO
-    label: str = ""
+    _fields = ("theta", "f", "g", "F", "G", "h", "label")
+
+    def __init__(self, theta: Poly, f: Poly = ZERO, g: Poly = ZERO, F: Poly = ZERO,
+                 G: Poly = ZERO, h: Poly = ZERO, label: str = ""):
+        self.theta = theta
+        self.f = f
+        self.g = g
+        self.F = F
+        self.G = G
+        self.h = h
+        self.label = label
 
     @classmethod
     def from_dict(cls, data) -> "HeavenlyPotential":
@@ -73,8 +76,7 @@ class HeavenlyPotential:
         return invariants(self)
 
 
-@dataclass(frozen=True)
-class PotentialReport:
+class PotentialReport(NamedTuple):
     """Validation outcome; residuals are polynomials, zero when satisfied."""
 
     chain_residuals: dict
@@ -145,8 +147,7 @@ def wave_operator(w: WalkerMetric, H: Poly) -> Poly:
     )
 
 
-@dataclass(frozen=True)
-class HeavenlyInvariants:
+class HeavenlyInvariants(NamedTuple):
     S: Poly
     B_plus_Sc: Poly
     P: Poly
@@ -252,8 +253,7 @@ def _require_scalar_flat(p: HeavenlyPotential) -> WalkerMetric:
     return p.metric
 
 
-@dataclass(frozen=True)
-class ScalarFlatReport:
+class ScalarFlatReport(NamedTuple):
     psi_t3: Poly
     psi_t4: Poly
     A: tuple
@@ -292,8 +292,7 @@ def scalar_flat_case(p: HeavenlyPotential) -> ScalarFlatReport:
     return ScalarFlatReport(psi_t3=psi_t3, psi_t4=psi_t4, A=a_pair, label=label)
 
 
-@dataclass(frozen=True)
-class EinsteinReport:
+class EinsteinReport(NamedTuple):
     einstein: bool
     residuals: dict
     R: Poly

@@ -10,9 +10,9 @@ are plain 4-tuples of rational functions in coordinate order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
+from typing import NamedTuple
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import InputError, InternalInconsistencyError
@@ -34,8 +34,7 @@ from .spincoeff import (
 from .walker import WalkerMetric, aligned_ricci_residuals, exterior_derivative
 
 
-@dataclass(frozen=True)
-class PrimedSpinor:
+class PrimedSpinor(NamedTuple):
     """Spinor with one upper primed index, components over the dyad."""
 
     p: Value
@@ -68,8 +67,7 @@ def _pair_dict(values) -> dict:
     return {DIR_OF[pair]: value for pair, value in values.items()}
 
 
-@dataclass(frozen=True)
-class RecurrenceForms:
+class RecurrenceForms(NamedTuple):
     """First-derivative data of a direction field.
 
     s_form and t_form are the two covectors obtained by contracting the
@@ -235,8 +233,7 @@ def multiple_spinor_differential_test(
     return out
 
 
-@dataclass(frozen=True)
-class RicciReport:
+class RicciReport(NamedTuple):
     """Contractions of the mixed curvature block with a direction field.
 
     aligned: the double contraction (a quadratic form on directions)
@@ -291,8 +288,7 @@ def ricci_conditions(
     )
 
 
-@dataclass(frozen=True)
-class KerrReport:
+class KerrReport(NamedTuple):
     hypothesis: tuple
     hypothesis_holds: bool
     frobenius: dict
@@ -432,8 +428,7 @@ def null_plane_curvature_identities(curv: CurvatureSpinors, parallel: bool = Fal
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeIFlags:
+class TypeIFlags(NamedTuple):
     auto_parallel: bool
     parallel: bool
     residuals: dict
@@ -452,8 +447,7 @@ def classify_type_I(s: SpinCoefficientSet) -> TypeIFlags:
     )
 
 
-@dataclass(frozen=True)
-class TypeIIIFlags:
+class TypeIIIFlags(NamedTuple):
     integrable: bool
     auto_parallel: bool
     parallel: bool
@@ -491,8 +485,7 @@ def classify_type_III(
     )
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(NamedTuple):
     alpha_integrable: bool
     walker: bool
     auto_parallel: bool

@@ -70,6 +70,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
+from .errors import InputError
+
 VARIABLES = ("u", "v", "x", "y")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
@@ -90,8 +92,10 @@ MAX_TERMS = 10_000
 MAX_TERM_PAIRS = 1_000_000
 
 
-class ExprSyntaxError(ValueError):
-    """Raised on malformed polynomial text; carries the offending position."""
+class ExprSyntaxError(InputError, ValueError):
+    """Raised on malformed polynomial text; carries the offending position.
+    It is input to refuse like any other (an EngineError), and stays a
+    ValueError for callers that catch that."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")

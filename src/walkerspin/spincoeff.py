@@ -12,9 +12,9 @@ and chi_t appear in the diagonal entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import InputError, InternalInconsistencyError
 from .poly import HALF, ONE, QUARTER, ZERO, RationalFunction, Value, _as_poly, dot
@@ -23,6 +23,7 @@ from .walker import (
     MetricTensor,
     Tetrad,
     WalkerMetric,
+    _Record,
     assemble_metric,
     exterior_derivative,
     tetrad_covectors,
@@ -36,8 +37,7 @@ _FLAVOURS = ("", "_p", "_t", "_tp")
 COEFF_NAMES = tuple(f"{fam}{fl}" for fam in _FAMILIES for fl in _FLAVOURS)
 
 
-@dataclass(frozen=True)
-class SpinCoefficientSet:
+class SpinCoefficientSet(NamedTuple):
     kappa: Value = ZERO
     kappa_p: Value = ZERO
     kappa_t: Value = ZERO
@@ -80,7 +80,7 @@ class SpinCoefficientSet:
         return {name: getattr(self, name) for name in COEFF_NAMES}
 
     def with_values(self, **updates) -> "SpinCoefficientSet":
-        return replace(self, **{k: _as_poly(v) for k, v in updates.items()})
+        return self._replace(**{k: _as_poly(v) for k, v in updates.items()})
 
 
 def _swap_flavours(s: SpinCoefficientSet, bit: int) -> SpinCoefficientSet:
@@ -224,7 +224,7 @@ def _koszul_coefficients(t: Tetrad, covectors, ops: DirectionalOps) -> SpinCoeff
         return values
 
     tilde = tilde_relabel(SpinCoefficientSet(**table(_SWAP, t.chi, dchi_t)))
-    return replace(tilde, **table(_SAME, t.chi_t, dchi))
+    return tilde._replace(**table(_SAME, t.chi_t, dchi))
 
 
 def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
@@ -254,16 +254,20 @@ def walker_closed_form(w: WalkerMetric) -> SpinCoefficientSet:
     )
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """A tetrad bundled with its metric context and coefficient set, and the
     owner of its lowered legs, companions and connection matrices, each
-    built once."""
+    built once.  ``_replace`` builds a new frame from the four fields, so
+    its cached layers are built anew."""
 
-    metric: MetricTensor
-    tetrad: Tetrad
-    ops: DirectionalOps
-    coeffs: SpinCoefficientSet
+    _fields = ("metric", "tetrad", "ops", "coeffs")
+
+    def __init__(self, metric: MetricTensor, tetrad: Tetrad, ops: DirectionalOps,
+                 coeffs: SpinCoefficientSet):
+        self.metric = metric
+        self.tetrad = tetrad
+        self.ops = ops
+        self.coeffs = coeffs
 
     @cached_property
     def covectors(self) -> tuple:
@@ -303,7 +307,7 @@ class Frame:
         once: the Koszul extraction and ``covectors`` read those legs."""
         covectors, ops = validate_tetrad(mt, t), DirectionalOps(t)
         frame = cls(metric=mt, tetrad=t, ops=ops, coeffs=_koszul_coefficients(t, covectors, ops))
-        frame.__dict__["covectors"] = covectors
+        frame.covectors = covectors
         return frame
 
 

@@ -10,8 +10,8 @@ layer stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateTetradError, InputError
 from .poly import HALF, ONE, VARIABLES as COORDS, ZERO, Poly, Value, _as_poly, dot
@@ -75,8 +75,35 @@ def read_spec(data, kind: str, noun: str, keys) -> tuple[dict[str, Poly], str]:
     return parsed, label
 
 
-@dataclass(frozen=True)
-class WalkerMetric:
+class _Record:
+    """Value behaviour for a record that holds cached properties, and so is
+    a plain class with a ``__dict__`` instead of a named tuple: equality,
+    hash and repr over the fields ``_fields`` names, and ``_replace``,
+    which builds a new instance from those fields alone, so that no cached
+    property carries over."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class WalkerMetric(NamedTuple):
     """The three metric functions, plus an optional display label."""
 
     a: Poly
@@ -107,8 +134,7 @@ def aligned_ricci_residuals(w: WalkerMetric) -> dict[str, Poly]:
     }
 
 
-@dataclass(frozen=True)
-class MetricTensor:
+class MetricTensor(NamedTuple):
     g: Matrix4
     ginv: Matrix4
 
@@ -145,8 +171,7 @@ def assemble_metric(w: WalkerMetric) -> MetricTensor:
     return MetricTensor(g=g, ginv=ginv)
 
 
-@dataclass(frozen=True)
-class Christoffel:
+class Christoffel(NamedTuple):
     """Connection symbols gamma[k][i][j] with k the contravariant index."""
 
     gamma: tuple[tuple[tuple[Poly, ...], ...], ...]
@@ -173,8 +198,7 @@ def christoffel(mt: MetricTensor) -> Christoffel:
     return Christoffel(gamma=gamma)
 
 
-@dataclass(frozen=True)
-class Tetrad:
+class Tetrad(NamedTuple):
     """Null tetrad (l, n, m, mt) with dyad normalization scalars chi, chi_t.
 
     Inner products: l.n = chi*chi_t, m.mt = -chi*chi_t, all others zero.
@@ -215,8 +239,7 @@ def validate_tetrad(mt: MetricTensor, t: Tetrad):
     return cov
 
 
-@dataclass(frozen=True)
-class IvdWSymbols:
+class IvdWSymbols(NamedTuple):
     """Soldering-form matrices up[a][A][A'] and their inverses down[a][A][A'],
     read off a tetrad: down[a] = ((l^a, m^a), (mt^a, n^a)) holds the legs
     and up[a] = ((n_a, -mt_a), (-m_a, l_a)) the lowered legs."""

@@ -6,7 +6,7 @@ import csv
 import math
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from walkerspin import poly
@@ -152,7 +152,7 @@ def christoffel_route_coefficients(t, mt):
         return values
 
     tilde = tilde_relabel(SpinCoefficientSet(**table(_SWAP, t.chi, dchi_t)))
-    return replace(tilde, **table(_SAME, t.chi_t, dchi))
+    return tilde._replace(**table(_SAME, t.chi_t, dchi))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@
 so these tests pin the targets.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,9 @@ from walkerspin.poly import Poly
 from walkerspin.spincoeff import Frame
 from walkerspin.walker import WalkerMetric
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
+SRC = ROOT / "src"
 
 
 def load_spans():
@@ -69,3 +75,30 @@ def test_suite_items_contract():
         assert items
         for key, thunk in items:
             assert isinstance(key, str) and callable(thunk)
+
+
+# The records are named tuples and plain classes: ``dataclasses`` and the
+# ``inspect`` it imports cost every cold call tens of milliseconds.
+def test_no_module_imports_dataclasses():
+    for path in sorted((SRC / "walkerspin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
+
+
+def test_cold_import_loads_no_dataclasses_or_inspect():
+    code = (
+        "import sys; before = set(sys.modules); import walkerspin.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-B", "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == []

@@ -2,7 +2,6 @@
 
 import collections
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -467,10 +466,10 @@ class TestHeavenly:
         def broken(w, frame):
             c = components(w, frame)
             if flatten:
-                return dataclasses.replace(c, Phi=((Poly.zero(),) * 3,) * 3, Lambda=Poly.zero())
+                return c._replace(Phi=((Poly.zero(),) * 3,) * 3, Lambda=Poly.zero())
             rows = [list(row) for row in c.Phi]
             rows[0][1] = rows[0][1] + bump
-            return dataclasses.replace(c, Phi=tuple(map(tuple, rows)))
+            return c._replace(Phi=tuple(map(tuple, rows)))
 
         monkeypatch.setattr(walkerspin.curvature, "walker_curvature_components", broken)
         code, out, err = run(capsys, "heavenly", spec(pot), "--check=all")

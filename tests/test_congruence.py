@@ -163,6 +163,13 @@ class TestExactSampling:
                 reference_oracle(w, base, V0, t) for t in grid
             )
 
+    def test_oracle_and_trace_read_base_none_as_the_origin(self):
+        grid = _half_grid(1.0, 0.25)
+        for w, _, V0 in random_curves(15, 3):
+            assert connecting_oracle(w, None, V0, grid) == connecting_oracle(w, ORIGIN, V0, grid)
+            assert (CoefficientTrace.from_metric(w, None, grid)
+                    == CoefficientTrace.from_metric(w, ORIGIN, grid))
+
     def test_trace_and_jacobi_sampling_agree(self):
         w = WalkerMetric(a=P("u*y^2 - 1/3*v"), b=P("u^3 - x"), c=P("u^2*v"))
         base = (Fraction(-1, 2), Fraction(2, 3), -1, Fraction(5, 4))
@@ -255,6 +262,16 @@ class TestTraces:
     def test_constant_value_of_non_floats_refused(self, value):
         with pytest.raises(InputError, match="trace value 'rho'"):
             CoefficientTrace.constant({"rho": value}, 1.0, 0.5)
+
+    def test_unordered_grid_or_column_refused(self):
+        """A set or a mapping has no order to sample in: it is refused as
+        input, not read in hash order."""
+        cols = {k: (0.0, 0.0, 0.0) for k in TRACE_KEYS}
+        for grid in ({0.0, 0.5, 1.0}, dict.fromkeys((0.0, 0.5, 1.0))):
+            with pytest.raises(InputError, match="trace grid: not a sequence"):
+                CoefficientTrace(grid=grid, values=cols)
+        with pytest.raises(InputError, match="trace column 'rho': not a sequence"):
+            CoefficientTrace(grid=(0.0, 0.5, 1.0), values={**cols, "rho": {0.1, 0.2, 0.3}})
 
     def test_grid_and_columns_stored_as_given(self):
         grid, column = (0, Fraction(1, 2), 1), [0, 1, 2]

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -235,7 +234,7 @@ def test_bianchi_refuses_a_metric_not_in_walker_form():
     skew = (mt.g[0], mt.g[1], (one, one) + mt.g[2][2:], mt.g[3])
     for g in (identity, skew):
         with pytest.raises(InputError):
-            bianchi_contracted_residual(dataclasses.replace(mt, g=g), ricci, scalar)
+            bianchi_contracted_residual(mt._replace(g=g), ricci, scalar)
 
 
 @pytest.mark.parametrize("spec", [
@@ -345,7 +344,7 @@ def test_field_equations_covariant_under_priming_and_dyad_swap():
 
     def on(frame, t, s, c):
         return field_equation_residuals(
-            dataclasses.replace(frame, tetrad=t, ops=DirectionalOps(t), coeffs=s), c
+            frame._replace(tetrad=t, ops=DirectionalOps(t), coeffs=s), c
         )
 
     for w in corpus_metrics()[:4]:
@@ -442,7 +441,7 @@ def test_commutator_residuals_from_fields_match_direct_route():
     for i, name in enumerate(COEFF_NAMES):
         frame = frames[i % len(frames)]
         bumped = frame.coeffs.with_values(**{name: frame.coeffs.get(name) + 1})
-        cases.append(dataclasses.replace(frame, coeffs=bumped))
+        cases.append(frame._replace(coeffs=bumped))
     nonzero = 0
     for frame in cases:
         fields = commutator_vector_fields(frame)
@@ -578,7 +577,7 @@ def _commutator_frames():
     frames.append(Frame(metric=mt, tetrad=t, ops=DirectionalOps(t), coeffs=coeffs))
     frames.append(Frame.from_tetrad(mt, tilde_companion_tetrad(canonical.tetrad)))
     bumped = [
-        dataclasses.replace(frame, coeffs=frame.coeffs.with_values(
+        frame._replace(coeffs=frame.coeffs.with_values(
             **{name: frame.coeffs.get(name) + 1}))
         for frame in frames
         for name in ("gamma", "kappa", "kappa_p", "kappa_t", "kappa_tp", "rho")
@@ -612,7 +611,7 @@ def test_self_paired_commutators_change_sign_on_companions():
     s = frame.coeffs.with_values(gamma=frame.coeffs.gamma + 1, rho=frame.coeffs.rho + 1)
     t = frame.tetrad
     f = parse_poly("u^2*x + v*y^2 - 3*x*y")
-    base = commutator_residuals(dataclasses.replace(frame, coeffs=s), f)
+    base = commutator_residuals(frame._replace(coeffs=s), f)
     for t_c, s_c, signs in (
         (priming_companion_tetrad(t), prime(s), (-1, -1)),
         (tilde_companion_tetrad(t), tilde_relabel(s), (1, -1)),

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkerspin import poly
+from walkerspin.errors import EngineError, InputError
 from walkerspin.poly import (
     EXPONENT_LIMIT,
     MAX_EXPONENT,
@@ -519,6 +520,16 @@ def test_parse_reports_positions():
         parse_poly("1/0")
     with pytest.raises(ExprSyntaxError):
         parse_poly("u v")
+
+
+def test_parse_error_is_an_input_error():
+    """A parse failure is refused input, so ``except EngineError`` catches
+    it, and it is still the ValueError that callers catch."""
+    with pytest.raises(InputError) as err:
+        parse_poly("u + ")
+    assert isinstance(err.value, ExprSyntaxError) and isinstance(err.value, EngineError)
+    with pytest.raises(ValueError, match="position 4"):
+        parse_poly("u + ")
 
 
 def test_parse_limits():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -338,7 +337,7 @@ def test_first_form_companion_legs_are_the_companion_tetrads_lowered():
             name: frame.coeffs.get(name) + P(f"{i + 1}*u - v")
             for i, name in enumerate(COEFF_NAMES)
         })
-        residuals = first_form_residuals(dataclasses.replace(frame, coeffs=s))
+        residuals = first_form_residuals(frame._replace(coeffs=s))
         for key, companion, relabel, grid in (
             ("dmt", tilde_companion_tetrad, tilde_relabel, "dm"),
             ("dn", priming_companion_tetrad, prime, "dl"),
@@ -353,7 +352,7 @@ def test_degenerate_normalization_refused():
     w = sample_metrics(1, seed=113)[0]
     t = walker_tetrad(w)
     with pytest.raises(DegenerateTetradError, match="vanishes identically"):
-        Frame.from_tetrad(assemble_metric(w), dataclasses.replace(t, chi=ZERO))
+        Frame.from_tetrad(assemble_metric(w), t._replace(chi=ZERO))
     with pytest.raises(InputError, match="must not vanish"):
         scale_normalization(t, 0, 1)
 
