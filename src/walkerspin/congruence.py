@@ -491,7 +491,9 @@ def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
     p and of q are taken once, so a column whose samples could pass the
     rule of ``_refused_digits`` is refused before any sample is formed."""
     pt0 = _base_point(base)
-    grid = tuple(grid)
+    # a set or a mapping has no order to sample in
+    if not isinstance(grid, Sequence):
+        raise InputError("curve parameters: not a sequence")
     try:
         try:
             ratios = list(map(float.as_integer_ratio, grid))

@@ -36,6 +36,13 @@ carries into the next (the argument is written out at ``_y_packed``).
 Smaller products, factors with many groups and factors whose y exponents
 spread wide keep the per-pair loop.  Both paths give the same numerators.
 
+Two fast paths serve small operands.  A product with a zero factor, once
+its bound is checked, is ``ZERO``: the loop's value and hash, but bounded by
+0, not by the sum of the factors' bounds.  The parser forms a product of two
+one-term factors, and a one-term base to the e as key * e over n^e / den^e,
+directly, with the bound and the refusal (message and position) that its
+product loop would give.
+
 ``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
 It is built on first access, cached, and read-only by convention.
 
@@ -274,6 +281,9 @@ class Poly:
                 f"product exponent bound {top} reaches the limit {EXPONENT_LIMIT}"
             )
         outer, inner = self._num, other._num
+        # after the bound check, so a zero factor is refused where any is
+        if not (outer and inner):
+            return ZERO
         # a single constant term scales the other factor
         if len(outer) == 1 and 0 in outer:
             return other._scaled(outer[0], self._den)
@@ -438,8 +448,10 @@ class Poly:
         ``MAX_NESTING`` deep, and no sum or product formed on the way may
         exceed ``MAX_TERMS`` terms.  No exponent of the result, whether
         written as a literal or built by products and powers, exceeds
-        ``MAX_EXPONENT``.
+        ``MAX_EXPONENT``.  Anything but a ``str`` is an ``InputError``.
         """
+        if not isinstance(text, str):
+            raise InputError(f"polynomial text must be a string, got {type(text).__name__}")
         return _Parser(text).run()
 
 
@@ -697,8 +709,10 @@ class _Parser:
         return value
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -751,18 +765,38 @@ class _Parser:
             # digit count first: int() refuses literals over 4300 digits
             if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
-            power = ONE
-            for _ in range(int(digits)):
-                power = self.product(power, base)
-            base = power
+            base = self.power(base, int(digits))
         return base if sign > 0 else -base
 
+    def power(self, base: Poly, e: int) -> Poly:
+        """base^e; one term at once while e * _top stays below the limit."""
+        top = base._top
+        if len(base._num) == 1 and e * top < EXPONENT_LIMIT:
+            (key, n), = base._num.items()
+            exps = _unpack(key)
+            # the loop's step k refuses where k * x first passes the limit
+            k = min([MAX_EXPONENT // x + 1 for x in exps if x], default=e + 1)
+            if k <= e:
+                self.refuse_past([k * x for x in exps])
+            # the loop leaves a constant its own bound, a monomial e times it
+            return _poly({key * e: n**e}, base._den**e, e * top if key or not e else top)
+        power = ONE
+        for _ in range(e):
+            power = self.product(power, base)
+        return power
+
     def product(self, p: Poly, q: Poly) -> Poly:
-        for name, i, j in zip(VARIABLES, _top_exponents(p), _top_exponents(q)):
-            if i + j > MAX_EXPONENT:
-                raise ExprSyntaxError(
-                    f"exponent of {name} exceeds {MAX_EXPONENT}", self.pos
-                )
+        if len(p._num) == 1 == len(q._num):
+            top = p._top + q._top
+            if top < EXPONENT_LIMIT:  # else p * q below refuses it
+                (a, m), = p._num.items()
+                (b, n), = q._num.items()
+                key = a + b
+                self.refuse_past(_unpack(key))
+                # a constant factor scales the other, which keeps its bound
+                top = q._top if not a else p._top if not b else top
+                return _reduced({key: m * n}, p._den * q._den, top)
+        self.refuse_past([i + j for i, j in zip(_top_exponents(p), _top_exponents(q))])
         pairs = len(p._num) * len(q._num)
         if pairs > MAX_TERM_PAIRS:
             raise ExprSyntaxError(
@@ -770,6 +804,12 @@ class _Parser:
                 f"{MAX_TERM_PAIRS} term pairs", self.pos
             )
         return self.bounded(p * q)
+
+    def refuse_past(self, exps) -> None:
+        """Refuse the first variable whose exponent passes MAX_EXPONENT."""
+        for name, e in zip(VARIABLES, exps):
+            if e > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent of {name} exceeds {MAX_EXPONENT}", self.pos)
 
     def bounded(self, value: Poly) -> Poly:
         if len(value._num) > MAX_TERMS:
@@ -841,10 +881,13 @@ ONE = Poly.const(1)
 
 def _as_poly(value):
     """A Poly or RationalFunction as is; an int or Fraction as a constant
-    Poly.  The one coercion, for entry points that take bare scalars."""
+    Poly; anything else is an InputError.  The one coercion, for entry
+    points that take bare scalars."""
     if isinstance(value, (Poly, RationalFunction)):
         return value
-    return Poly.const(value)
+    if isinstance(value, (int, Fraction)):
+        return Poly.const(value)
+    raise InputError(f"expected a polynomial or a rational number, got {type(value).__name__}")
 
 
 def dot(pairs, start=ZERO):

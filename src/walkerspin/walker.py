@@ -10,6 +10,7 @@ layer stays exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -36,10 +37,10 @@ def _fraction(x) -> Fraction:
 
 def _point(coords) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Four exact coordinates; anything else is an InputError."""
-    try:
-        pt = tuple(map(_fraction, coords))
-    except TypeError:  # not a sequence
-        pt = ()
+    # a set or a mapping has no coordinate order
+    if not isinstance(coords, Sequence):
+        raise InputError("a point needs four coordinates")
+    pt = tuple(map(_fraction, coords))
     if len(pt) != 4:
         raise InputError("a point needs four coordinates")
     return pt

@@ -11,7 +11,22 @@ from fractions import Fraction
 
 from walkerspin import poly
 from walkerspin.errors import InputError, InternalInconsistencyError
-from walkerspin.poly import HALF, ONE, Poly, RationalFunction, _reduced, dot
+from walkerspin.poly import (
+    _VAR_INDEX,
+    HALF,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_TERM_PAIRS,
+    MAX_TERMS,
+    ONE,
+    VARIABLES,
+    ExprSyntaxError,
+    Poly,
+    RationalFunction,
+    _reduced,
+    _top_exponents,
+    dot,
+)
 from walkerspin.walker import COORDS
 
 
@@ -48,6 +63,169 @@ def reference_product(p: Poly, q: Poly) -> Poly:
             key = a + b
             product[key] = get(key, 0) + m * n
     return _reduced({k: n for k, n in product.items() if n}, p._den * q._den, top)
+
+
+class ReferenceParser:
+    """Recursive descent over +, -, *, ^, parentheses and rational literals,
+    forming every power and product by ``Poly.__mul__``: the reference for
+    the parser's one-term paths."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def run(self) -> Poly:
+        value = self.expr()
+        self.skip_ws()
+        if self.pos < len(self.text):
+            raise ExprSyntaxError(
+                f"unexpected character {self.text[self.pos]!r}", self.pos
+            )
+        return value
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expr(self) -> Poly:
+        value = self.term()
+        while True:
+            self.skip_ws()
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                value = self.bounded(value + self.term())
+            elif ch == "-":
+                self.pos += 1
+                value = self.bounded(value - self.term())
+            else:
+                return value
+
+    def term(self) -> Poly:
+        value = self.factor()
+        while True:
+            self.skip_ws()
+            if self.peek() == "*":
+                self.pos += 1
+                value = self.product(value, self.factor())
+            elif self.peek() == "/":
+                raise ExprSyntaxError(
+                    "division is only allowed between integer literals", self.pos
+                )
+            else:
+                return value
+
+    def factor(self) -> Poly:
+        self.skip_ws()
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.peek() == "-":
+                sign = -sign
+            self.pos += 1
+            self.skip_ws()
+        base = self.atom()
+        self.skip_ws()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            exp_pos = self.pos
+            digits = self.read_digits()
+            if digits is None:
+                raise ExprSyntaxError("exponent must be a nonnegative integer", exp_pos)
+            # digit count first: int() refuses literals over 4300 digits
+            if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
+            power = ONE
+            for _ in range(int(digits)):
+                power = self.product(power, base)
+            base = power
+        return base if sign > 0 else -base
+
+    def product(self, p: Poly, q: Poly) -> Poly:
+        for name, i, j in zip(VARIABLES, _top_exponents(p), _top_exponents(q)):
+            if i + j > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent of {name} exceeds {MAX_EXPONENT}", self.pos
+                )
+        pairs = len(p._num) * len(q._num)
+        if pairs > MAX_TERM_PAIRS:
+            raise ExprSyntaxError(
+                f"product of {len(p._num)} and {len(q._num)} terms exceeds "
+                f"{MAX_TERM_PAIRS} term pairs", self.pos
+            )
+        return self.bounded(p * q)
+
+    def bounded(self, value: Poly) -> Poly:
+        if len(value._num) > MAX_TERMS:
+            raise ExprSyntaxError(f"expression expands past {MAX_TERMS} terms", self.pos)
+        return value
+
+    def atom(self) -> Poly:
+        self.skip_ws()
+        start = self.pos
+        ch = self.peek()
+        if ch == "(":
+            if self.depth >= MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", self.pos
+                )
+            self.depth += 1
+            self.pos += 1
+            inner = self.expr()
+            self.skip_ws()
+            if self.peek() != ")":
+                raise ExprSyntaxError("expected ')'", self.pos)
+            self.pos += 1
+            self.depth -= 1
+            return inner
+        if ch.isdigit():
+            numerator = int(self.read_digits())
+            self.skip_ws()
+            if self.peek() == "/":
+                self.pos += 1
+                self.skip_ws()
+                den_pos = self.pos
+                digits = self.read_digits()
+                if digits is None:
+                    raise ExprSyntaxError(
+                        "expected integer denominator after '/'", den_pos
+                    )
+                denominator = int(digits)
+                if denominator == 0:
+                    raise ExprSyntaxError("denominator is zero", den_pos)
+                return Poly.const(Fraction(numerator, denominator))
+            return Poly.const(numerator)
+        if ch.isalpha() or ch == "_":
+            name = self.read_name()
+            if name not in _VAR_INDEX:
+                raise ExprSyntaxError(f"unknown identifier {name!r}", start)
+            return Poly.variable(name)
+        if ch == "":
+            raise ExprSyntaxError("unexpected end of input", self.pos)
+        raise ExprSyntaxError(f"unexpected character {ch!r}", self.pos)
+
+    def read_digits(self) -> str | None:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return self.text[start:self.pos] if self.pos > start else None
+
+    def read_name(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+        ):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+
+def reference_parse(text: str) -> Poly:
+    """``Poly.parse`` by ``ReferenceParser``."""
+    return ReferenceParser(text).run()
 
 
 def count_packed(monkeypatch) -> list[int]:

@@ -170,6 +170,14 @@ class TestExactSampling:
             assert (CoefficientTrace.from_metric(w, None, grid)
                     == CoefficientTrace.from_metric(w, ORIGIN, grid))
 
+    def test_unordered_or_missing_curve_parameters_refused(self):
+        V0 = (0, 0, 1, 0)
+        for grid in (None, {0.0, 0.5, 1.0}, dict.fromkeys((0.0, 0.5, 1.0))):
+            with pytest.raises(InputError, match="curve parameters: not a sequence"):
+                connecting_oracle(QUADRATIC, None, V0, grid)
+            with pytest.raises(InputError, match="curve parameters: not a sequence"):
+                CoefficientTrace.from_metric(QUADRATIC, None, grid)
+
     def test_trace_and_jacobi_sampling_agree(self):
         w = WalkerMetric(a=P("u*y^2 - 1/3*v"), b=P("u^3 - x"), c=P("u^2*v"))
         base = (Fraction(-1, 2), Fraction(2, 3), -1, Fraction(5, 4))

@@ -26,12 +26,19 @@ from walkerspin.poly import (
     ExprSyntaxError,
     Poly,
     RationalFunction,
+    _as_poly,
     _digit_bound,
     _exact_quotient,
     parse_poly,
 )
 
-from support import count_packed, random_poly, reference_product, value_parts
+from support import (
+    count_packed,
+    random_poly,
+    reference_parse,
+    reference_product,
+    value_parts,
+)
 
 
 coeffs = st.fractions(
@@ -532,6 +539,99 @@ def test_parse_error_is_an_input_error():
         parse_poly("u + ")
 
 
+def test_parse_refuses_what_is_not_text():
+    for value in (3, None, b"u", ["u"]):
+        for parse in (parse_poly, Poly.parse):
+            with pytest.raises(InputError, match="must be a string"):
+                parse(value)
+
+
+# Random expression text for the parser differential: spaces, signs,
+# rationals (a zero denominator among them), powers near MAX_EXPONENT, of a
+# one-term base also after a sum that cancels down to it, which keeps the
+# larger bound, and parentheses; then a few character edits, most of which
+# leave the text invalid.
+_spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+_literals = st.one_of(
+    st.sampled_from(["0", "1", "2", "007", "10000000000000000000001"]),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 12)),
+)
+_names = st.sampled_from(["u", "v", "x", "y"])
+_high = st.sampled_from([0, 1, 2, 3, 333, 334, 499, 500, 501, 999, 1000, 1001, 2000])
+
+
+@st.composite
+def _monomial_text(draw):
+    factors = draw(st.lists(st.one_of(_names, _literals, st.builds(
+        "{}^{}".format, _names, st.integers(0, 600))), min_size=1, max_size=3))
+    text = "*".join(factors)
+    if draw(st.booleans()):
+        # the same terms, bounded by a sum whose other part cancels
+        other = draw(st.builds("{}^{}".format, _names, _high))
+        text = f"({other} + {text} - {other})"
+    return text
+
+
+@st.composite
+def _expr_text(draw, depth=3):
+    def sp():
+        return draw(_spaces)
+
+    kind = draw(st.integers(0, 7 if depth else 1))
+    if kind == 0:
+        return draw(_names)
+    if kind == 1:
+        return draw(_literals)
+    if kind == 2:
+        return f"({sp()}{draw(_monomial_text())}{sp()}){sp()}^{sp()}{draw(_high)}"
+    a = draw(_expr_text(depth - 1))
+    if kind == 3:
+        return f"({sp()}{a}{sp()})"
+    if kind == 4:
+        return f"{draw(st.sampled_from(['-', '+', '- -', '-+']))}{sp()}{a}"
+    if kind == 5:
+        return f"({a}){sp()}^{sp()}{draw(st.integers(0, 3))}"
+    return f"{a}{sp()}{draw(st.sampled_from('+-*'))}{sp()}{draw(_expr_text(depth - 1))}"
+
+
+@st.composite
+def _edited_text(draw):
+    text = draw(_expr_text())
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from("()+-*/^ 0129uvxyw_."))
+        text = draw(st.sampled_from([
+            text[:i] + ch + text[i:], text[:i] + text[i + 1:], text[:i] + ch + text[i + 1:],
+        ]))
+    return text
+
+
+def _parse_outcome(parse, text):
+    """The value with its exponent bound, or the refusal."""
+    try:
+        value = parse(text)
+    except (ExprSyntaxError, ExponentLimitError) as exc:
+        return type(exc), str(exc)
+    return value, value._top
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_text())
+@example("3*v^1*x^2*y^1 - 2/3*u^4")
+@example("(u^2*v^3)^334")
+@example("(u^2*v^2)^501")
+@example("x^600*y^600*(x^500*y^500)")
+@example("(2*u*v^501)^2")
+@example("(u^1000 + 7/2*u*x - u^1000)^70")
+@example("(u^1000 + 7/2 - u^1000)^70 * (u^1000 + 2 - u^1000)")
+@example("(u^1000 + u - u^1000)*(u^1000 + v - u^1000)")
+@example("(3/4)^1000 * u^0 * 0 * x")
+def test_parser_matches_the_reference(text):
+    """One-term products and powers formed at once give what the product
+    loop gives, bound included, or the same refusal at the same position."""
+    assert _parse_outcome(parse_poly, text) == _parse_outcome(reference_parse, text)
+
+
 def test_parse_limits():
     nested = "(" * MAX_NESTING + "u" + ")" * MAX_NESTING
     assert parse_poly(nested) == Poly.variable("u")
@@ -633,6 +733,36 @@ def test_product_refused_before_a_field_carries():
         (EXPONENT_LIMIT - 2, 0, 0, 0): 6 * (EXPONENT_LIMIT - 1),
         (EXPONENT_LIMIT // 2 - 1, 0, 0, 1): EXPONENT_LIMIT,
     }
+
+
+@given(polys, polys)
+def test_zero_factor_products_match_the_loop(p, q):
+    # q - q is zero but keeps q's bound
+    for zero in (Poly.zero(), q - q):
+        for a, b in ((zero, p), (p, zero), (zero, zero)):
+            product = canonical(a * b)
+            assert product == reference_product(a, b) and product.is_zero
+            assert hash(product) == hash(reference_product(a, b)) == hash(0)
+            # the one difference: a zero product is ZERO, bounded by 0
+            assert product._top == 0
+
+
+def test_zero_factor_refused_at_the_exponent_limit():
+    big = Poly({(EXPONENT_LIMIT // 2, 0, 0, 0): 1})
+    zero = big - big
+    assert zero.is_zero and zero._top == EXPONENT_LIMIT // 2
+    for a, b in ((zero, big), (big, zero), (zero, zero)):
+        with pytest.raises(ExponentLimitError):
+            a * b
+    assert (zero * Poly.variable("v"))._top == 0
+
+
+def test_as_poly_refuses_what_is_not_a_polynomial_or_rational():
+    p = parse_poly("u - v")
+    assert _as_poly(p) is p and _as_poly(Fraction(1, 2)) == Poly.const(Fraction(1, 2))
+    for value in (None, 1.5, "u", [1]):
+        with pytest.raises(InputError, match="expected a polynomial or a rational number"):
+            _as_poly(value)
 
 
 def test_powers_are_bounded():

@@ -373,6 +373,13 @@ def test_transform_coefficients_closed_forms():
     assert new_t.chi == frame.tetrad.chi
 
 
+def test_transform_coefficients_refuses_none():
+    frame = extraction_frame(sample_metrics(1, seed=111)[0])
+    for args in ((None, ONE, ONE, ONE), (ONE, ONE, None, ONE)):
+        with pytest.raises(InputError, match="got NoneType"):
+            transform_coefficients(frame, *args)
+
+
 def test_transform_coefficients_second_dyad():
     # On the tilde companion of the canonical tetrad the tilde kappa, rho,
     # sigma and tau families are the nonzero ones, so the derived laws of

@@ -13,6 +13,7 @@ from walkerspin.walker import (
     COORDS,
     DirectionalOps,
     WalkerMetric,
+    _point,
     assemble_metric,
     christoffel,
     ivdw_symbols,
@@ -283,3 +284,21 @@ def test_metric_from_dict_validation():
         WalkerMetric.from_dict({"a": 1, "b": "0", "c": "0"})
     with pytest.raises(InputError):
         WalkerMetric.from_dict(["not", "a", "dict"])
+
+
+def test_point_refuses_an_unordered_collection():
+    assert _point([1, Fraction(1, 2), 0, 3]) == (1, Fraction(1, 2), 0, 3)
+    for coords in ({1, 2, 3, 4}, frozenset({1, 2, 3, 4}), dict.fromkeys("uvxy", 1),
+                   iter((1, 2, 3, 4))):
+        with pytest.raises(InputError, match="a point needs four coordinates"):
+            _point(coords)
+
+
+def test_frame_changes_refuse_none():
+    t = walker_tetrad(WalkerMetric(a=parse_poly("u*v"), b=ZERO, c=ZERO))
+    for args in ((None, ONE, ONE, ONE), (ONE, ONE, ONE, None)):
+        with pytest.raises(InputError, match="got NoneType"):
+            tetrad_transform(t, *args)
+    for args in ((None, ONE), (ONE, 1.5)):
+        with pytest.raises(InputError, match="expected a polynomial or a rational number"):
+            scale_normalization(t, *args)
