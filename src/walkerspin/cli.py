@@ -38,7 +38,7 @@ from .curvature import (
 from .errors import InputError, InternalInconsistencyError
 from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
 from .nullgeom import distribution_report, relation_suite
-from .poly import MAX_EXPONENT, Poly, _digit_bound, _refused_digits
+from .poly import MAX_EXPONENT, Poly, _digit_bound, _float, _refused_digits
 from .spincoeff import COEFF_NAMES, Frame
 from .walker import WalkerMetric, christoffel
 
@@ -94,13 +94,6 @@ def _parse_value(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
-        raise InputError(f"bad value in {flag}: {err}") from err
-
-
-def _as_float(value: Fraction, flag: str) -> float:
-    try:
-        return float(value)
-    except OverflowError as err:
         raise InputError(f"bad value in {flag}: {err}") from err
 
 
@@ -302,9 +295,9 @@ def cmd_verify(args, out) -> int:
 
 def cmd_congruence(args, out) -> int:
     w = _load_metric(args.spec)
-    v0 = tuple(_as_float(c, "--v0") for c in _parse_tuple(args.v0, "--v0"))
-    end = _as_float(_parse_value(args.end, "--end"), "--end")
-    step = _as_float(_parse_value(args.step, "--step"), "--step")
+    v0 = tuple(_float(c, "--v0") for c in _parse_tuple(args.v0, "--v0"))
+    end = _float(_parse_value(args.end, "--end"), "--end")
+    step = _float(_parse_value(args.step, "--step"), "--step")
     base = _parse_tuple(args.base, "--base")
     _bound_digits((w.a, w.b, w.c), base, "--base")
     path = integrate_connecting(w, v0, v_end=end, step=step, base=base)

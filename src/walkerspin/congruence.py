@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice, repeat
 from typing import NamedTuple
@@ -43,9 +42,21 @@ from .errors import (
     InternalInconsistencyError,
     PatternError,
 )
-from .poly import HALF, VARIABLES, ZERO, Poly, Value, _ratio, _refused_digits
+from .poly import (
+    HALF,
+    VARIABLES,
+    ZERO,
+    Poly,
+    Value,
+    _float,
+    _fraction,
+    _point,
+    _ratio,
+    _refused_digits,
+    _sequence,
+)
 from .spincoeff import Frame, SpinCoefficientSet, _check
-from .walker import WalkerMetric, _fraction, _point
+from .walker import WalkerMetric
 
 TRACE_KEYS = (
     "rho",
@@ -86,12 +97,8 @@ _N_ENTRIES = (
 
 
 def _finite(values, what) -> tuple[float, ...]:
-    try:
-        out = tuple(float(x) for x in values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what}: not a float") from exc
-    _finite_count(out, what)
-    return out
+    _finite_count(values, what)
+    return tuple(map(float, values))
 
 
 def _finite_count(samples, what) -> int:
@@ -103,10 +110,7 @@ def _finite_count(samples, what) -> int:
         raise InputError(f"{what}: not a float") from exc
     if not finite:
         raise InputError(f"{what}: nonfinite value")
-    # a set or a mapping has no order to sample in
-    if not isinstance(samples, Sequence):
-        raise InputError(f"{what}: not a sequence")
-    return len(samples)
+    return len(_sequence(samples, what))
 
 
 def _check_span(v_end, step) -> tuple[float, float]:
@@ -180,13 +184,12 @@ class CoefficientTrace(namedtuple("CoefficientTrace", "grid values")):
     @classmethod
     def from_frame(cls, frame: Frame, base, grid) -> "CoefficientTrace":
         values = _sample_columns(_transport_columns(frame.coeffs), base, grid)
-        return cls(grid=tuple(float(t) for t in grid), values=values)
+        return cls(grid=_finite(grid, "curve parameters"), values=values)
 
     @classmethod
     def constant(cls, values, v_end: float, step: float) -> "CoefficientTrace":
-        unknown = sorted(set(values) - set(TRACE_KEYS))
-        if unknown:
-            raise InputError(f"unknown trace keys: {unknown}")
+        if not isinstance(values, dict) or not set(values) <= set(TRACE_KEYS):
+            raise InputError(f"trace values must be a dict with keys among {TRACE_KEYS}")
         grid = _half_grid(v_end, step)
         cols = {k: _finite((values.get(k, 0.0),), f"trace value {k!r}") * len(grid)
                 for k in TRACE_KEYS}
@@ -267,13 +270,6 @@ def _matrices(an: Analysis):
         _matrix(_M_ENTRIES, _transport_columns(an.frame.coeffs)),
         _matrix(_N_ENTRIES, _curvature_columns(an.curvature)),
     )
-
-
-def _float(x, what) -> float:
-    try:
-        return float(x)
-    except OverflowError as exc:
-        raise InputError(f"{what} overflows a float") from exc
 
 
 def _evaluate(a, pt, name) -> tuple:
@@ -491,14 +487,11 @@ def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
     p and of q are taken once, so a column whose samples could pass the
     rule of ``_refused_digits`` is refused before any sample is formed."""
     pt0 = _base_point(base)
-    # a set or a mapping has no order to sample in
-    if not isinstance(grid, Sequence):
-        raise InputError("curve parameters: not a sequence")
+    grid = _sequence(grid, "curve parameters")
     try:
-        try:
-            ratios = list(map(float.as_integer_ratio, grid))
-        except TypeError:  # not every parameter is a float
-            ratios = [_ratio(t if isinstance(t, float) else _fraction(t)) for t in grid]
+        ratios = list(map(float.as_integer_ratio, grid))
+    except TypeError:  # not every parameter is a float
+        ratios = list(map(_ratio, grid))
     except (ValueError, OverflowError) as exc:
         raise InputError("nonfinite curve parameter") from exc
     # the largest magnitude has the largest bit length
@@ -593,10 +586,8 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
 
 
 def _fraction_matrix(m0):
-    try:
-        rows = [tuple(_fraction(x) for x in row) for row in m0]
-    except TypeError as exc:
-        raise InputError("matrix must be a sequence of rows") from exc
+    rows = [tuple(map(_fraction, _sequence(row, "matrix row")))
+            for row in _sequence(m0, "matrix")]
     size = len(rows)
     if size == 0 or any(len(r) != size for r in rows):
         raise InputError("matrix must be square")

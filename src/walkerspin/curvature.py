@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InputError
-from .poly import HALF, ONE, ZERO, Poly, Value, dot
+from .poly import HALF, ONE, ZERO, Poly, Value, _point, dot
 from .spincoeff import _COMPANION_OPS, Frame, _check
 from .walker import (
     COORDS,
@@ -25,7 +25,6 @@ from .walker import (
     MetricTensor,
     Tetrad,
     WalkerMetric,
-    _point,
     bilinear,
 )
 

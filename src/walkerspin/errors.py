@@ -2,6 +2,12 @@
 
 The command-line layer maps these onto process exit codes, so user-input
 problems and internal cross-check failures must stay distinguishable.
+
+An argument that carries user data is read by the rules of ``poly.py`` or
+refused with an EngineError subclass: a number is an int, a Fraction or a
+finite float, never text; an ordered argument is a sequence, not a str, a
+set, a mapping or an iterator; a point is four numbers.  Engine objects
+(WalkerMetric, Frame, Tetrad, Analysis) are typed, not checked.
 """
 
 from __future__ import annotations

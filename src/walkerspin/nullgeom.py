@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .curvature import Analysis, CurvatureSpinors
 from .errors import InputError, InternalInconsistencyError
-from .poly import ONE, ZERO, Value, _as_poly, dot
+from .poly import ONE, ZERO, Value, _as_poly, _sequence, dot
 from .spincoeff import (
     DIR_OF,
     DN,
@@ -336,7 +336,7 @@ def kerr_check(pi: PrimedSpinor, frame: Frame, curv: CurvatureSpinors) -> KerrRe
 def frobenius_residual(cov) -> dict:
     """Components of d(omega) wedge omega for a covector field; all four
     vanish exactly when the orthogonal distribution is integrable."""
-    cov = tuple(_as_poly(c) for c in cov)
+    cov = tuple(map(_as_poly, _sequence(cov, "covector")))
     if len(cov) != 4:
         raise InputError("covector must have four components")
     d = exterior_derivative(cov)

@@ -40,8 +40,13 @@ Two fast paths serve small operands.  A product with a zero factor, once
 its bound is checked, is ``ZERO``: the loop's value and hash, but bounded by
 0, not by the sum of the factors' bounds.  The parser forms a product of two
 one-term factors, and a one-term base to the e as key * e over n^e / den^e,
-directly, with the bound and the refusal (message and position) that its
-product loop would give.
+directly, with the refusal (message and position) that its product loop
+would give.  Each product and power the parser forms is bounded by its
+exact largest exponent, at most ``MAX_EXPONENT``, so text whose terms
+cancel to a small power is read, and no product it forms reaches the limit.
+
+Every module reads user data by the input rules kept here: ``_fraction``,
+``_sequence``, ``_point`` and ``_float`` (see ``errors``).
 
 ``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
 It is built on first access, cached, and read-only by convention.
@@ -73,8 +78,9 @@ changes nothing, since zero times anything is ``ZERO``.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import InputError
@@ -109,12 +115,39 @@ class ExprSyntaxError(InputError, ValueError):
         self.position = position
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _fraction(value) -> Fraction:
+    """A number read exactly: a Fraction as it is, an int or a finite float
+    as the rational it holds.  Anything else, text included, is refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) or isinstance(value, float) and isfinite(value):
         return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+    shown = value if isinstance(value, float) else type(value).__name__
+    raise InputError(f"not a finite rational: {shown}")
+
+
+def _sequence(values, what: str):
+    """values, when it is an ordered sequence: a str, a set, a mapping or
+    an iterator has no order to read it in."""
+    if isinstance(values, (str, bytes, bytearray)) or not isinstance(values, Sequence):
+        raise InputError(f"{what}: not a sequence")
+    return values
+
+
+def _point(coords) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Four exact coordinates, in the order u, v, x, y."""
+    coords = _sequence(coords, "a point needs four coordinates")
+    if len(coords) != 4:
+        raise InputError("a point needs four coordinates")
+    return tuple(map(_fraction, coords))
+
+
+def _float(value, what: str) -> float:
+    """float(value); one too large for a float is an InputError."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{what} overflows a float") from exc
 
 
 # Packed exponents: the exponent of u, v, x, y sits in the field at shift
@@ -124,9 +157,10 @@ _MASK = EXPONENT_LIMIT - 1
 _SHIFTS = (48, 32, 16, 0)
 
 
-class ExponentLimitError(ValueError):
+class ExponentLimitError(InputError, ValueError):
     """Raised when an exponent, or the bound of a product or power, reaches
-    ``EXPONENT_LIMIT``."""
+    ``EXPONENT_LIMIT``.  It is input to refuse (an EngineError), and stays a
+    ValueError for callers that catch that."""
 
 
 def _pack(exps: Exponents) -> int:
@@ -169,7 +203,7 @@ class Poly:
                     raise ExponentLimitError(
                         f"exponent in {exps!r} reaches the limit {EXPONENT_LIMIT}"
                     )
-                c = _as_fraction(coeff)
+                c = _fraction(coeff)
                 if c:
                     # distinct keys, and _pack is injective below the limit
                     clean[_pack(exps)] = c
@@ -187,7 +221,7 @@ class Poly:
 
     @classmethod
     def const(cls, value: Scalar) -> "Poly":
-        c = _as_fraction(value)
+        c = _fraction(value)
         return _poly({0: c.numerator} if c else {}, c.denominator, 0)
 
     @classmethod
@@ -356,14 +390,12 @@ class Poly:
                 out[k - step] = n * e
         return _reduced(out, self._den, self._top)
 
-    def _u_restriction(self, point: Iterable[Scalar], noun: str):
+    def _u_restriction(self, point: Sequence[Scalar]):
         """(u0, g, scale), with self(u, v0, x0, y0) = sum_a g[a] u^a / scale
         in integers g: with p/q one of v0, x0, y0 and d its highest power
         here, (p/q)^k is p^k * q^(d-k) over q^d, and scale = den * prod(q^d).
         """
-        pt = [_as_fraction(c) for c in point]
-        if len(pt) != 4:
-            raise ValueError(f"{noun} must have four coordinates")
+        pt = _point(point)
         num = self._num
         if not num:
             return pt[0], [], 1
@@ -381,21 +413,21 @@ class Poly:
             g[a] += n * t1[b] * t2[c] * t3[d]
         return pt[0], g, scale
 
-    def eval_at(self, point: Iterable[Scalar]) -> Fraction:
-        """Exact evaluation at a 4-tuple of rationals, in coordinate order:
+    def eval_at(self, point: Sequence[Scalar]) -> Fraction:
+        """Exact evaluation at a point (``_point``), in coordinate order:
         Horner in u over the coefficients of ``_u_restriction``."""
-        u0, g, scale = self._u_restriction(point, "evaluation point")
+        u0, g, scale = self._u_restriction(point)
         num, den = _horner(g, u0.numerator, u0.denominator)
         return Fraction(num, scale * den)
 
-    def along_u(self, base: Iterable[Scalar]) -> "CurvePoly":
+    def along_u(self, base: Sequence[Scalar]) -> "CurvePoly":
         """The exact univariate restriction t -> self(u0 + t, v0, x0, y0).
 
         With u0 = p/q and g over scale from ``_u_restriction``, it is
         sum_a g[a] q^(top-a) (p + q t)^a over scale * q^top: Horner in
         p + q t, a Taylor shift in integers.
         """
-        u0, g, scale = self._u_restriction(base, "base point")
+        u0, g, scale = self._u_restriction(base)
         if not g:
             return CurvePoly((), 1)
         p, q = u0.numerator, u0.denominator
@@ -467,10 +499,8 @@ def _poly(num: dict[int, int], den: int, top: int) -> Poly:
 
 
 def _ratio(t) -> tuple[int, int]:
-    """(p, q) in lowest terms with t = p/q and q > 0; a float converts exactly."""
-    if isinstance(t, float):
-        return t.as_integer_ratio()
-    t = _as_fraction(t)
+    """(p, q) in lowest terms with t = p/q and q > 0, t read by ``_fraction``."""
+    t = _fraction(t)
     return t.numerator, t.denominator
 
 
@@ -673,9 +703,9 @@ def _digits(nums, den: int, powers) -> int:
     return max(num_bits, den_bits) * 30103 // 100000 + 1
 
 
-def _digit_bound(value: Poly, point: Iterable[Scalar]) -> int:
+def _digit_bound(value: Poly, point: Sequence[Scalar]) -> int:
     """``_digits`` of value.eval_at(point)."""
-    pt = map(_as_fraction, point)
+    pt = _point(point)
     return _digits(value._num.values(), value._den, [
         (top, c.numerator.bit_length(), c.denominator.bit_length())
         for c, top in zip(pt, _top_exponents(value))
@@ -769,41 +799,39 @@ class _Parser:
         return base if sign > 0 else -base
 
     def power(self, base: Poly, e: int) -> Poly:
-        """base^e; one term at once while e * _top stays below the limit."""
-        top = base._top
-        if len(base._num) == 1 and e * top < EXPONENT_LIMIT:
+        """base^e; a one-term base at once."""
+        if len(base._num) == 1:
             (key, n), = base._num.items()
             exps = _unpack(key)
             # the loop's step k refuses where k * x first passes the limit
             k = min([MAX_EXPONENT // x + 1 for x in exps if x], default=e + 1)
             if k <= e:
                 self.refuse_past([k * x for x in exps])
-            # the loop leaves a constant its own bound, a monomial e times it
-            return _poly({key * e: n**e}, base._den**e, e * top if key or not e else top)
+            return _poly({key * e: n**e}, base._den**e, max(exps) * e)
         power = ONE
         for _ in range(e):
             power = self.product(power, base)
         return power
 
     def product(self, p: Poly, q: Poly) -> Poly:
+        """p * q, bounded by its largest exponent: the largest exponent of
+        a variable in a product is the sum of the factors' largest."""
         if len(p._num) == 1 == len(q._num):
-            top = p._top + q._top
-            if top < EXPONENT_LIMIT:  # else p * q below refuses it
-                (a, m), = p._num.items()
-                (b, n), = q._num.items()
-                key = a + b
-                self.refuse_past(_unpack(key))
-                # a constant factor scales the other, which keeps its bound
-                top = q._top if not a else p._top if not b else top
-                return _reduced({key: m * n}, p._den * q._den, top)
-        self.refuse_past([i + j for i, j in zip(_top_exponents(p), _top_exponents(q))])
+            (a, m), = p._num.items()
+            (b, n), = q._num.items()
+            exps = _unpack(a + b)
+            self.refuse_past(exps)
+            return _reduced({a + b: m * n}, p._den * q._den, max(exps))
+        exps = [i + j for i, j in zip(_top_exponents(p), _top_exponents(q))]
+        self.refuse_past(exps)
         pairs = len(p._num) * len(q._num)
         if pairs > MAX_TERM_PAIRS:
             raise ExprSyntaxError(
                 f"product of {len(p._num)} and {len(q._num)} terms exceeds "
                 f"{MAX_TERM_PAIRS} term pairs", self.pos
             )
-        return self.bounded(p * q)
+        value = p * q
+        return self.bounded(_poly(value._num, value._den, max(exps, default=0)))
 
     def refuse_past(self, exps) -> None:
         """Refuse the first variable whose exponent passes MAX_EXPONENT."""
@@ -1178,8 +1206,8 @@ class RationalFunction:
             factors[f] = m + 1
         return _cancelled(top, factors)
 
-    def eval_at(self, point: Iterable[Scalar]) -> Fraction:
-        pt = tuple(point)
+    def eval_at(self, point: Sequence[Scalar]) -> Fraction:
+        pt = _point(point)
         bottom = Fraction(1)
         for f, m in self.factors.items():
             bottom *= f.eval_at(pt) ** m

@@ -339,6 +339,7 @@ def transform_coefficients(
     on ``tilde_relabel`` of both sets, with lam, lam_t and mu, mu_t
     exchanged.
     """
+    lam, lam_t, mu, mu_t = map(_as_poly, (lam, lam_t, mu, mu_t))
     new_t = tetrad_transform(frame.tetrad, lam, lam_t, mu, mu_t)
     full = spin_coefficients_from_tetrad(new_t, frame.metric)
 

@@ -10,8 +10,6 @@ layer stays exact.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateTetradError, InputError
@@ -26,24 +24,6 @@ def _vec(components) -> Vector:
     if len(out) != 4:
         raise ValueError("vectors have four components")
     return out
-
-
-def _fraction(x) -> Fraction:
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"not a finite rational: {x!r}") from exc
-
-
-def _point(coords) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Four exact coordinates; anything else is an InputError."""
-    # a set or a mapping has no coordinate order
-    if not isinstance(coords, Sequence):
-        raise InputError("a point needs four coordinates")
-    pt = tuple(map(_fraction, coords))
-    if len(pt) != 4:
-        raise InputError("a point needs four coordinates")
-    return pt
 
 
 def read_spec(data, kind: str, noun: str, keys) -> tuple[dict[str, Poly], str]:

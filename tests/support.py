@@ -23,6 +23,7 @@ from walkerspin.poly import (
     ExprSyntaxError,
     Poly,
     RationalFunction,
+    _poly,
     _reduced,
     _top_exponents,
     dot,
@@ -67,8 +68,8 @@ def reference_product(p: Poly, q: Poly) -> Poly:
 
 class ReferenceParser:
     """Recursive descent over +, -, *, ^, parentheses and rational literals,
-    forming every power and product by ``Poly.__mul__``: the reference for
-    the parser's one-term paths."""
+    forming every power and product by ``Poly.__mul__``, each bounded by its
+    exact largest exponent: the reference for the parser's one-term paths."""
 
     def __init__(self, text: str):
         self.text = text
@@ -146,8 +147,9 @@ class ReferenceParser:
         return base if sign > 0 else -base
 
     def product(self, p: Poly, q: Poly) -> Poly:
-        for name, i, j in zip(VARIABLES, _top_exponents(p), _top_exponents(q)):
-            if i + j > MAX_EXPONENT:
+        exps = [i + j for i, j in zip(_top_exponents(p), _top_exponents(q))]
+        for name, e in zip(VARIABLES, exps):
+            if e > MAX_EXPONENT:
                 raise ExprSyntaxError(
                     f"exponent of {name} exceeds {MAX_EXPONENT}", self.pos
                 )
@@ -157,7 +159,8 @@ class ReferenceParser:
                 f"product of {len(p._num)} and {len(q._num)} terms exceeds "
                 f"{MAX_TERM_PAIRS} term pairs", self.pos
             )
-        return self.bounded(p * q)
+        value = p * q
+        return self.bounded(_poly(value._num, value._den, max(exps, default=0)))
 
     def bounded(self, value: Poly) -> Poly:
         if len(value._num) > MAX_TERMS:

@@ -9,19 +9,25 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import walkerspin
 from walkerspin import cli
+from walkerspin.congruence import TRACE_KEYS, propagation_matrices
 from walkerspin.curvature import walker_curvature_components
-from walkerspin.poly import Poly
+from walkerspin.errors import EngineError
+from walkerspin.poly import ONE, ZERO, Poly
 from walkerspin.spincoeff import Frame
-from walkerspin.walker import WalkerMetric
+from walkerspin.walker import WalkerMetric, scale_normalization, tetrad_transform
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
@@ -102,3 +108,152 @@ def test_cold_import_loads_no_dataclasses_or_inspect():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.split() == []
+
+
+# One owner for the input rules: a copy elsewhere could drift from poly.py's.
+def test_input_rules_have_one_owner():
+    rules = {"_fraction", "_sequence", "_point"}
+    for path in sorted((SRC / "walkerspin").glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in rules, (path.name, node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert all(a.name.split(".")[-1] != "Sequence" for a in node.names), path.name
+
+
+# The library's input contract: an argument that carries user data is read
+# or refused with an EngineError.  Each entry point below has a valid call,
+# and each of its data arguments a kind.  A kind names the hostile values
+# it may still accept (a huge int is a number, "1234" is text, None is the
+# origin as a base, three parameters make a grid, two pairs a matrix) and,
+# for a container, the kind of its items.
+_HOSTILE = {
+    "none": None,
+    "text": "1234",
+    "inf": math.inf,
+    "nan": math.nan,
+    "huge": 10**400,
+    "short": (0.0, 0.5, 1.0),
+    "nested": ((0, 1), (2, 3)),
+}
+_ACCEPTS = {
+    "number": {"huge"}, "text": {"text"}, "base": {"none"}, "grid": {"short"}, "matrix": {"nested"},
+}
+_ITEMS = {
+    "point": "number", "base": "number", "grid": "number", "sequence": "number",
+    "matrix": "sequence", "columns": "sequence", "constants": "number", "spec": "text",
+}
+
+
+def _entry_points():
+    w = WalkerMetric(a=Poly.parse("u*v"), b=Poly.parse("x^3"), c=Poly.parse("u*y"))
+    an = walkerspin.Analysis(w)
+    tetrad = walkerspin.walker_tetrad(w)
+    p = Poly.parse("u^2*v - x*y + 1/2")
+    rf = walkerspin.RationalFunction(p, Poly.parse("1 + u^2"))
+    point = ("point", (1, Fraction(1, 2), -1, 2))
+    base = ("base", (0, 0, 1, Fraction(1, 3)))
+    state = ("sequence", (0.0, 1.0, 0.0, 0.5))
+    grid = ("grid", (0.0, 0.25, 0.5, 0.75, 1.0))
+    span = (("number", 1.0), ("number", 0.5))
+    return {
+        "Poly.eval_at": (p.eval_at, [point]),
+        "Poly.along_u": (p.along_u, [point]),
+        "RationalFunction.eval_at": (rf.eval_at, [point]),
+        "parse_poly": (walkerspin.parse_poly, [("text", "u*v - 1/2")]),
+        "integrate_connecting": (
+            lambda V0, v_end, step, base: walkerspin.integrate_connecting(
+                w, V0, v_end=v_end, step=step, base=base),
+            [state, *span, base]),
+        "integrate_jacobi": (
+            lambda *args: walkerspin.integrate_jacobi(w, *args), [state, state, *span, base]),
+        "connecting_oracle": (
+            lambda *args: walkerspin.connecting_oracle(w, *args), [base, state, grid]),
+        "CoefficientTrace": (walkerspin.CoefficientTrace, [
+            grid, ("columns", {k: (0.0, 0.0, 1.0, 0.0, 0.0) for k in TRACE_KEYS})]),
+        "CoefficientTrace.from_metric": (
+            lambda *args: walkerspin.CoefficientTrace.from_metric(w, *args), [base, grid]),
+        "CoefficientTrace.constant": (walkerspin.CoefficientTrace.constant, [
+            ("constants", {"rho": 0.5, "sigma": -1.0}), *span]),
+        "special_flows": (walkerspin.special_flows, [
+            ("choice", "dilation"), ("number", 0.5), ("sequence", (1.0, 2.0))]),
+        "special_flows inverse-scale": (walkerspin.special_flows, [
+            ("choice", "inverse-scale"), ("sequence", (0.5, 0.25)), ("sequence", (1.0, 2.0))]),
+        "shape_decompositions": (walkerspin.shape_decompositions, [
+            ("number", Fraction(1, 2)), ("number", 2), ("number", -1), ("number", 3)]),
+        "curvature_free_solution": (walkerspin.curvature_free_solution, [
+            ("matrix", ((1, 0), (0, 2))), ("number", Fraction(1, 3))]),
+        "riccati_residual": (
+            lambda *args: walkerspin.riccati_residual(w, *args), [base, ("number", 2)]),
+        "propagation_matrices": (lambda pt: propagation_matrices(w, pt), [point]),
+        "classify_sd_weyl": (lambda pt: walkerspin.classify_sd_weyl(an, pt), [point]),
+        "frobenius_residual": (walkerspin.frobenius_residual, [
+            ("sequence", (p, ONE, ZERO, Poly.parse("x")))]),
+        "tetrad_transform": (lambda *args: tetrad_transform(tetrad, *args), [
+            ("number", Poly.parse("1 + x")), ("number", 2), ("number", Poly.parse("y")),
+            ("number", 0)]),
+        "scale_normalization": (lambda *args: scale_normalization(tetrad, *args), [
+            ("number", Poly.parse("1 + x")), ("number", 3)]),
+        "transform_coefficients": (
+            lambda *args: walkerspin.transform_coefficients(an.frame, *args), [
+                ("number", 2), ("number", Fraction(1, 2)), ("number", Poly.parse("x")),
+                ("number", 1)]),
+        "primed_spinor": (walkerspin.primed_spinor, [
+            ("number", Poly.parse("u")), ("number", 1)]),
+        "WalkerMetric.from_dict": (WalkerMetric.from_dict, [
+            ("spec", {"a": "u*v", "b": "x^3", "c": "u*y", "label": "m"})]),
+        "HeavenlyPotential.from_dict": (walkerspin.HeavenlyPotential.from_dict, [
+            ("spec", {"theta": "u*x", "f": "x", "g": "0", "F": "0", "G": "0", "h": "y"})]),
+    }
+
+
+_ENTRY_POINTS = _entry_points()
+
+
+def _hostile(name, valid):
+    """The hostile value called name; a set holds a valid sequence's own
+    items, unordered."""
+    if name == "set":
+        return set(valid) if isinstance(valid, (tuple, dict)) else {0.0, 0.5, 1.0, 1.5}
+    return _HOSTILE[name]
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry=st.sampled_from(sorted(_ENTRY_POINTS)), slot=st.integers(0, 4),
+       hostile=st.sampled_from(sorted(_HOSTILE) + ["set"]), nested=st.booleans(),
+       item=st.integers(0, 7))
+@example(entry="Poly.eval_at", slot=0, hostile="set", nested=False, item=0)
+@example(entry="Poly.eval_at", slot=0, hostile="text", nested=False, item=0)
+@example(entry="riccati_residual", slot=1, hostile="text", nested=False, item=0)
+@example(entry="shape_decompositions", slot=0, hostile="text", nested=False, item=0)
+@example(entry="integrate_connecting", slot=0, hostile="text", nested=False, item=0)
+@example(entry="integrate_connecting", slot=0, hostile="set", nested=False, item=0)
+@example(entry="CoefficientTrace.from_metric", slot=1, hostile="text", nested=False, item=0)
+@example(entry="connecting_oracle", slot=2, hostile="text", nested=False, item=0)
+@example(entry="special_flows", slot=2, hostile="set", nested=False, item=0)
+@example(entry="curvature_free_solution", slot=0, hostile="set", nested=False, item=0)
+@example(entry="frobenius_residual", slot=0, hostile="none", nested=False, item=0)
+def test_every_entry_point_reads_or_refuses_user_data(entry, slot, hostile, nested, item):
+    """One data argument of a valid call, or one item of it, replaced by a
+    hostile value: the call returns, or raises an EngineError.  Where the
+    argument's kind cannot hold that value, it must raise."""
+    fn, args = _ENTRY_POINTS[entry]
+    args = list(args)
+    slot %= len(args)
+    kind, value = args[slot]
+    if nested and kind in _ITEMS:
+        items = dict(value) if isinstance(value, dict) else list(value)
+        keys = sorted(items) if isinstance(items, dict) else range(len(items))
+        key = keys[item % len(keys)]
+        items[key] = _hostile(hostile, items[key])
+        kind, value = _ITEMS[kind], type(value)(items)
+    else:
+        value = _hostile(hostile, value)
+    args[slot] = (kind, value)
+    try:
+        fn(*(v for _, v in args))
+    except EngineError:
+        return
+    assert hostile in _ACCEPTS.get(kind, ()), f"{entry} read {value!r} as a {kind}"

@@ -127,6 +127,14 @@ class TestVerify:
         assert "suite relations: 10 residuals, all zero" in out
         assert out.rstrip().endswith("verdict: pass")
 
+    def test_cancelled_terms_leave_a_small_power(self, spec, capsys):
+        # a = u^65: the parser bounds it by 65, so the suites' products of
+        # its derivatives stay far below the exponent limit
+        data = {"a": "(u^1000+u-u^1000)^65", "b": "x", "c": "0"}
+        code, out, err = run(capsys, "verify", spec(data))
+        assert code == 0 and err == ""
+        assert out.rstrip().endswith("verdict: pass")
+
     def test_single_suite(self, spec, capsys):
         code, out, _ = run(capsys, "verify", spec(FLAT), "--suite", "bianchi")
         assert code == 0

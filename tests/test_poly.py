@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import time
@@ -646,6 +647,35 @@ def test_parse_limits():
         assert err.value.position == 2
 
 
+def test_parse_bounds_each_product_by_its_largest_exponent():
+    # the sum keeps the bound 1000 of its cancelled terms; each power of it
+    # is bounded by the exponent it holds
+    for text in ("(u^1000+u-u^1000)^70", "(u^1000+u-u^1000)^69*(u^1000+u-u^1000)"):
+        value = parse_poly(text)
+        assert value == Poly.variable("u") ** 70 and value._top == 70
+    value = parse_poly("(u^1000+u+v-u^1000)^2")
+    assert value == parse_poly("u^2 + 2*u*v + v^2") and value._top == 2
+
+
+def test_exponent_limit_is_input_to_refuse():
+    for make in (lambda: Poly({(70000, 0, 0, 0): 1}), lambda: Poly.variable("u") ** 70000):
+        with pytest.raises(InputError):
+            make()
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_floats_are_read_exactly():
+    p = parse_poly("u^2*v - x + 1/3")
+    for point in ((1.5, 0.25, -2.0, 7), (Fraction(3, 2), Fraction(1, 4), -2, 7)):
+        assert p.eval_at(point) == Fraction(9, 16) + 2 + Fraction(1, 3)
+        assert p.along_u(point).value_at(0.5) == Fraction(1) + 2 + Fraction(1, 3)
+    assert Poly({(1, 0, 0, 0): 0.1}) == Poly({(1, 0, 0, 0): Fraction(0.1)})
+    for value in (math.inf, math.nan, "1/2", None, [1]):
+        with pytest.raises(InputError, match="not a finite rational"):
+            Poly.const(value)
+
+
 def test_parse_bounds_composed_exponents():
     # each operand within the bound, but not the product: refused before
     # the product is formed, so a tower of powers costs nothing
@@ -687,7 +717,7 @@ def test_diff_and_eval_basics():
     assert p.diff("y") == parse_poly("3*x")
     assert p.eval_at((2, 1, 1, 1)) == Fraction(7)
     assert p.eval_at((Fraction(1, 2), 4, 0, 0)) == Fraction(1)
-    with pytest.raises(ValueError, match="four coordinates"):
+    with pytest.raises(InputError, match="four coordinates"):
         p.eval_at((1, 2, 3))
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         p.diff("w")

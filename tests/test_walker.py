@@ -8,12 +8,11 @@ from fractions import Fraction
 import pytest
 
 from walkerspin.errors import DegenerateTetradError, InputError
-from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, parse_poly
+from walkerspin.poly import ONE, ZERO, Poly, RationalFunction, _point, parse_poly
 from walkerspin.walker import (
     COORDS,
     DirectionalOps,
     WalkerMetric,
-    _point,
     assemble_metric,
     christoffel,
     ivdw_symbols,
