@@ -66,6 +66,7 @@ from .nullgeom import (
 )
 from .poly import (
     ExprSyntaxError,
+    PoleError,
     Poly,
     RationalFunction,
     parse_poly,

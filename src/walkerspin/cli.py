@@ -83,12 +83,12 @@ def _parse_value(text: str, flag: str) -> Fraction:
     decimal exponent of at most ``MAX_EXPONENT`` in magnitude; both are
     checked before the value is formed."""
     mantissa, _, exponent = text.lower().partition("e")
-    if sum(ch.isdigit() for ch in mantissa) > MAX_EXPONENT:
+    if sum(ch.isdecimal() for ch in mantissa) > MAX_EXPONENT:
         raise InputError(f"bad value in {flag}: more than {MAX_EXPONENT} digits")
     magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
     # digit count first: int() refuses literals over 4300 digits
     if len(magnitude) > len(str(MAX_EXPONENT)) or (
-        magnitude.isdigit() and int(magnitude) > MAX_EXPONENT
+        magnitude.isdecimal() and int(magnitude) > MAX_EXPONENT
     ):
         raise InputError(f"bad value in {flag}: exponent exceeds {MAX_EXPONENT}")
     try:

@@ -54,6 +54,7 @@ from .poly import (
     _ratio,
     _refused_digits,
     _sequence,
+    dot,
 )
 from .spincoeff import Frame, SpinCoefficientSet, _check
 from .walker import WalkerMetric
@@ -565,7 +566,7 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
         size = range(len(a))
         return tuple(
             tuple(
-                a[i][j].diff("u") + sum((a[i][k] * a[k][j] for k in size), ZERO) + b[i][j]
+                dot(((a[i][k], a[k][j]) for k in size), a[i][j].diff("u")) + b[i][j]
                 for j in size
             )
             for i in size
@@ -760,30 +761,23 @@ class ShapeReport(NamedTuple):
 
 
 def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
+    """The parts of the screen shape data, exact: a float is read as the
+    rational it holds.  Only the eigenvalues are floats (or complex), from the
+    trace and discriminant rounded once; values past the float range are refused."""
     vals = (rho, rho_t, sigma, sigma_t)
-    floats = any(isinstance(x, float) for x in vals)
-    if floats:
-        rho, rho_t, sigma, sigma_t = _finite(vals, "shape data")
-        half = 0.5
-        close = lambda x, y: abs(x - y) <= 1e-12 * (abs(x) + abs(y) + 1.0)
-    else:
-        rho, rho_t, sigma, sigma_t = (_fraction(x) for x in vals)
-        half = Fraction(1, 2)
-        close = lambda x, y: x == y
+    _finite_count(vals, "shape data")
+    rho, rho_t, sigma, sigma_t = map(_fraction, vals)
 
     p = ((rho, sigma), (sigma_t, rho_t))
-    d = half * (rho + rho_t)
-    s = half * (rho - rho_t)
-    i = half * (sigma_t - sigma)
-    hc = half * (sigma_t + sigma)
+    d = HALF * (rho + rho_t)
+    s = HALF * (rho - rho_t)
+    i = HALF * (sigma_t - sigma)
+    hc = HALF * (sigma_t + sigma)
     divergence = rho + rho_t
-    skew_square = -half * (rho - rho_t) * (rho - rho_t)
-    sym_square = 2 * sigma * sigma_t + half * (rho + rho_t) * (rho + rho_t)
+    skew_square = -HALF * (rho - rho_t) * (rho - rho_t)
+    sym_square = 2 * sigma * sigma_t + HALF * (rho + rho_t) * (rho + rho_t)
     trace, disc = _finite(
         (rho + rho_t, (rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t), "shape data")
-    if floats:
-        # finite inputs can still overflow a half-sum or a square
-        _finite((d, s, i, hc, skew_square, sym_square, disc), "shape data")
     dilation = ((d, 0 * d), (0 * d, d))
     shear = ((s, 0 * s), (0 * s, -s))
     rot = ((0 * i, -i), (i, 0 * i))
@@ -791,7 +785,7 @@ def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
     for a in range(2):
         for b in range(2):
             total = dilation[a][b] + shear[a][b] + rot[a][b] + boost[a][b]
-            if not close(total, p[a][b]):
+            if total != p[a][b]:
                 raise InternalInconsistencyError("shape parts do not rebuild the matrix")
 
     if disc >= 0:
@@ -803,14 +797,14 @@ def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
 
     t_matrix = ((-sigma_t, -rho), (-rho_t, -sigma))
     t_shear = ((-sigma_t, 0 * sigma), (0 * sigma, -sigma))
-    t_trace = half * (rho + rho_t)
-    t_skew = half * (rho_t - rho)
+    t_trace = HALF * (rho + rho_t)
+    t_skew = HALF * (rho_t - rho)
     h_mat = ((0, -1), (-1, 0))
     omega_mat = ((0, 1), (-1, 0))
     for a in range(2):
         for b in range(2):
             total = t_shear[a][b] + t_trace * h_mat[a][b] + t_skew * omega_mat[a][b]
-            if not close(total, t_matrix[a][b]):
+            if total != t_matrix[a][b]:
                 raise InternalInconsistencyError("shape parts do not rebuild the matrix")
 
     return ShapeReport(

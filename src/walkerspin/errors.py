@@ -6,8 +6,12 @@ problems and internal cross-check failures must stay distinguishable.
 An argument that carries user data is read by the rules of ``poly.py`` or
 refused with an EngineError subclass: a number is an int, a Fraction or a
 finite float, never text; an ordered argument is a sequence, not a str, a
-set, a mapping or an iterator; a point is four numbers.  Engine objects
-(WalkerMetric, Frame, Tetrad, Analysis) are typed, not checked.
+set, a mapping or an iterator; a point is four numbers.  ``Poly(terms)``
+takes a mapping from four nonnegative int exponents to numbers.  A literal
+in polynomial text is decimal digits that int() can read.  Evaluating a
+rational function at a pole raises ``poly.PoleError``, an InputError that
+is still a ZeroDivisionError.  Engine objects (WalkerMetric, Frame, Tetrad,
+Analysis) are typed, not checked.
 """
 
 from __future__ import annotations

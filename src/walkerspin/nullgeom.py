@@ -499,7 +499,9 @@ class DistributionReport(NamedTuple):
 
 def distribution_report(an: Analysis) -> DistributionReport:
     """Full diagnostic sheet for the canonical distribution of a metric
-    in Walker form, with the two independent recurrence routes compared."""
+    in Walker form, with the two independent recurrence routes compared,
+    and the Frobenius residual of the first leg against the
+    screen-integrable relations."""
     w, frame, curv = an.w, an.frame, an.curvature
     s = frame.coeffs
     pi = primed_spinor(ONE, ZERO)
@@ -514,6 +516,11 @@ def distribution_report(an: Analysis) -> DistributionReport:
     type_iii = classify_type_III(s, curv)
     ricci = ricci_conditions(pi, curv, w)
     frob = frobenius_residual(frame.covectors[0])
+    # l wedge dl vanishes exactly when kappa = kappa~ = 0 and rho = rho~
+    if all(v.is_zero for v in frob.values()) != type_iii.integrable:
+        raise InternalInconsistencyError(
+            "Frobenius residual and screen-integrable relations disagree"
+        )
     residuals = {
         "integrability": rec.integrability,
         "s_form": rec.s_form,

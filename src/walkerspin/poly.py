@@ -78,10 +78,10 @@ changes nothing, since zero times anything is ``ZERO``.
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, isfinite, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import InputError
 
@@ -113,6 +113,12 @@ class ExprSyntaxError(InputError, ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
         self.position = position
+
+
+class PoleError(InputError, ZeroDivisionError):
+    """Raised when a rational function is evaluated where its denominator
+    vanishes.  It is input to refuse (an EngineError), and stays a
+    ZeroDivisionError for callers that catch that."""
 
 
 def _fraction(value) -> Fraction:
@@ -195,10 +201,13 @@ class Poly:
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None):
         clean: dict[int, Fraction] = {}
         top = 0
+        if terms is not None and not isinstance(terms, Mapping):
+            raise InputError(f"polynomial terms must be a mapping, got {type(terms).__name__}")
         if terms:
             for exps, coeff in terms.items():
-                if len(exps) != 4 or not all(isinstance(e, int) and e >= 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps!r}")
+                if not (isinstance(exps, tuple) and len(exps) == 4
+                        and all(isinstance(e, int) and e >= 0 for e in exps)):
+                    raise InputError(f"bad exponent tuple {exps!r}")
                 if max(exps) >= EXPONENT_LIMIT:
                     raise ExponentLimitError(
                         f"exponent in {exps!r} reaches the limit {EXPONENT_LIMIT}"
@@ -793,7 +802,8 @@ class _Parser:
             if digits is None:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", exp_pos)
             # digit count first: int() refuses literals over 4300 digits
-            if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
             base = self.power(base, int(digits))
         return base if sign > 0 else -base
@@ -862,19 +872,18 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return inner
-        if ch.isdigit():
-            numerator = int(self.read_digits())
+        if ch.isdecimal():
+            numerator = self.literal()
             self.skip_ws()
             if self.peek() == "/":
                 self.pos += 1
                 self.skip_ws()
                 den_pos = self.pos
-                digits = self.read_digits()
-                if digits is None:
+                if not self.peek().isdecimal():
                     raise ExprSyntaxError(
                         "expected integer denominator after '/'", den_pos
                     )
-                denominator = int(digits)
+                denominator = self.literal()
                 if denominator == 0:
                     raise ExprSyntaxError("denominator is zero", den_pos)
                 return Poly.const(Fraction(numerator, denominator))
@@ -890,9 +899,18 @@ class _Parser:
 
     def read_digits(self) -> str | None:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         return self.text[start:self.pos] if self.pos > start else None
+
+    def literal(self) -> int:
+        """The integer literal here; one past the interpreter's digit limit
+        for int() is refused at its first digit."""
+        start = self.pos
+        try:
+            return int(self.read_digits())
+        except ValueError:
+            raise ExprSyntaxError("integer literal has too many digits", start) from None
 
     def read_name(self) -> str:
         start = self.pos
@@ -1212,7 +1230,7 @@ class RationalFunction:
         for f, m in self.factors.items():
             bottom *= f.eval_at(pt) ** m
         if bottom == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {pt}")
+            raise PoleError(f"denominator vanishes at {pt}")
         return self.num.eval_at(pt) / bottom
 
     def __str__(self) -> str:

@@ -69,7 +69,10 @@ def reference_product(p: Poly, q: Poly) -> Poly:
 class ReferenceParser:
     """Recursive descent over +, -, *, ^, parentheses and rational literals,
     forming every power and product by ``Poly.__mul__``, each bounded by its
-    exact largest exponent: the reference for the parser's one-term paths."""
+    exact largest exponent: the reference for the parser's one-term paths.
+    Digits are decimal digits (``str.isdecimal``), as ``int()`` reads them;
+    an exponent is read without its leading zeros, and a literal ``int()``
+    refuses for its length is refused at its first digit."""
 
     def __init__(self, text: str):
         self.text = text
@@ -138,7 +141,8 @@ class ReferenceParser:
             if digits is None:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", exp_pos)
             # digit count first: int() refuses literals over 4300 digits
-            if len(digits.lstrip("0")) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
             power = ONE
             for _ in range(int(digits)):
@@ -185,8 +189,8 @@ class ReferenceParser:
             self.pos += 1
             self.depth -= 1
             return inner
-        if ch.isdigit():
-            numerator = int(self.read_digits())
+        if ch.isdecimal():
+            numerator = self.integer(self.read_digits(), start)
             self.skip_ws()
             if self.peek() == "/":
                 self.pos += 1
@@ -197,7 +201,7 @@ class ReferenceParser:
                     raise ExprSyntaxError(
                         "expected integer denominator after '/'", den_pos
                     )
-                denominator = int(digits)
+                denominator = self.integer(digits, den_pos)
                 if denominator == 0:
                     raise ExprSyntaxError("denominator is zero", den_pos)
                 return Poly.const(Fraction(numerator, denominator))
@@ -213,9 +217,16 @@ class ReferenceParser:
 
     def read_digits(self) -> str | None:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         return self.text[start:self.pos] if self.pos > start else None
+
+    @staticmethod
+    def integer(digits: str, start: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            raise ExprSyntaxError("integer literal has too many digits", start) from None
 
     def read_name(self) -> str:
         start = self.pos

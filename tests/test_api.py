@@ -140,10 +140,12 @@ _HOSTILE = {
 }
 _ACCEPTS = {
     "number": {"huge"}, "text": {"text"}, "base": {"none"}, "grid": {"short"}, "matrix": {"nested"},
+    "terms": {"none"},
 }
 _ITEMS = {
     "point": "number", "base": "number", "grid": "number", "sequence": "number",
     "matrix": "sequence", "columns": "sequence", "constants": "number", "spec": "text",
+    "terms": "number",
 }
 
 
@@ -153,6 +155,8 @@ def _entry_points():
     tetrad = walkerspin.walker_tetrad(w)
     p = Poly.parse("u^2*v - x*y + 1/2")
     rf = walkerspin.RationalFunction(p, Poly.parse("1 + u^2"))
+    # its denominator vanishes at the point below, and on u = v
+    pole = walkerspin.RationalFunction(p, Poly.parse("u - v"))
     point = ("point", (1, Fraction(1, 2), -1, 2))
     base = ("base", (0, 0, 1, Fraction(1, 3)))
     state = ("sequence", (0.0, 1.0, 0.0, 0.5))
@@ -162,6 +166,8 @@ def _entry_points():
         "Poly.eval_at": (p.eval_at, [point]),
         "Poly.along_u": (p.along_u, [point]),
         "RationalFunction.eval_at": (rf.eval_at, [point]),
+        "RationalFunction.eval_at pole": (pole.eval_at, [("point", (1, 1, Fraction(1, 2), -1))]),
+        "Poly": (Poly, [("terms", {(1, 0, 2, 0): -3, (0, 0, 0, 0): Fraction(1, 2)})]),
         "parse_poly": (walkerspin.parse_poly, [("text", "u*v - 1/2")]),
         "integrate_connecting": (
             lambda V0, v_end, step, base: walkerspin.integrate_connecting(
@@ -235,6 +241,9 @@ def _hostile(name, valid):
 @example(entry="special_flows", slot=2, hostile="set", nested=False, item=0)
 @example(entry="curvature_free_solution", slot=0, hostile="set", nested=False, item=0)
 @example(entry="frobenius_residual", slot=0, hostile="none", nested=False, item=0)
+@example(entry="RationalFunction.eval_at pole", slot=0, hostile="huge", nested=True, item=3)
+@example(entry="Poly", slot=0, hostile="huge", nested=False, item=0)
+@example(entry="Poly", slot=0, hostile="short", nested=False, item=0)
 def test_every_entry_point_reads_or_refuses_user_data(entry, slot, hostile, nested, item):
     """One data argument of a valid call, or one item of it, replaced by a
     hostile value: the call returns, or raises an EngineError.  Where the

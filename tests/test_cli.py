@@ -21,7 +21,7 @@ import walkerspin
 from walkerspin import cli
 from walkerspin.cli import SUITES, main
 from walkerspin.congruence import MAX_STEPS
-from walkerspin.poly import Poly
+from walkerspin.poly import ZERO, Poly
 from walkerspin.spincoeff import COEFF_NAMES, Frame
 
 from support import corpus_metrics, count_packed, value_parts
@@ -104,6 +104,17 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:") and "not valid UTF-8" in err
         assert "Traceback" not in err
+
+    def test_frobenius_disagreement_is_internal(self, spec, capsys, monkeypatch):
+        # l wedge dl vanishes exactly when the screen-integrable relations hold
+        def bumped(cov):
+            return {(0, 1, 2): Poly.const(1), (0, 1, 3): ZERO, (0, 2, 3): ZERO, (1, 2, 3): ZERO}
+
+        monkeypatch.setattr("walkerspin.nullgeom.frobenius_residual", bumped)
+        code, out, err = run(capsys, "analyze", spec(MIXED))
+        assert code == 3 and out == ""
+        assert err.startswith("internal inconsistency: Frobenius residual")
+        assert len(err.splitlines()) == 1
 
     def test_unknown_key(self, spec, capsys):
         code, out, err = run(capsys, "analyze", spec({**CUBIC, "d": "y"}))
@@ -520,6 +531,20 @@ class TestClassify:
             code, out, err = run(capsys, command, path, "--point", f"0,{value},0,0")
             assert code == 2 and out == "", value
             assert err.startswith("error: bad value in --point") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--point", "--base", "--v0", "--end", "--step"])
+    def test_non_decimal_exponent_digit_is_bad_input(self, spec, capsys, flag):
+        # '²' is a digit to str.isdigit, but not to int() or Fraction()
+        flags = {"--v0": "0,0,1,0", "--end": "1", "--step": "0.5", "--base": "0,0,0,0"}
+        if flag == "--point":
+            argv = ["classify", spec(CUBIC), "--point", "1e²,0,0,0"]
+        else:
+            flags[flag] = "1e²" if flag in ("--end", "--step") else "1e²,0,0,0"
+            argv = ["congruence", spec(CUBIC), *(x for pair in flags.items() for x in pair),
+                    "--out", "-"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad value in {flag}") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["classify", "analyze"])
     def test_value_too_large_to_print(self, spec, capsys, command):

@@ -38,10 +38,12 @@ from walkerspin.congruence import (
     _N_ENTRIES,
     _check_span,
     _half_grid,
+    _matrices,
     _rk4_connecting,
     _rk4_jacobi,
     _row_stream,
     _sample_columns,
+    _screen,
     _transport_columns,
 )
 from walkerspin.cli import main
@@ -58,6 +60,7 @@ from walkerspin.walker import WalkerMetric
 
 from support import (
     assert_names_a_witness,
+    corpus_metrics,
     csv_writer_trace,
     float_rows,
     random_metric_functions,
@@ -447,6 +450,24 @@ class TestRiccati:
     def test_flat(self):
         assert riccati_residual(FLAT).is_zero
 
+    def test_corpus_closures_match_the_term_by_term_sum(self):
+        """On the 25 acceptance-corpus metrics the closures equal dA/du +
+        A^2 + B summed product by product, and vanish."""
+        def closure(a, b):
+            size = range(len(a))
+            return tuple(
+                tuple(a[i][j].diff("u") + sum((a[i][k] * a[k][j] for k in size), ZERO)
+                      + b[i][j] for j in size)
+                for i in size
+            )
+
+        for w in corpus_metrics():
+            m, n = _matrices(Analysis(w))
+            rep = riccati_residual(w)
+            assert rep.m_residual == closure(m, n)
+            assert rep.p_residual == closure(_screen(m), _screen(n))
+            assert rep.is_zero
+
     @pytest.mark.parametrize("sample", [{"base": (1, 2, 3, 4)}, {"v": 0.5}], ids=["base", "v"])
     def test_lone_sample_coordinate_refused(self, sample):
         """A sample point needs both the base and the offset; one alone is
@@ -633,6 +654,37 @@ class TestShapes:
         rep = shape_decompositions(1.0, 0.0, 0.0, 0.0)
         assert rep.eigenvalues == (0.0, 1.0)
 
+    def test_int_past_the_float_range_refused(self):
+        # as a float past that range already was
+        with pytest.raises(InputError, match="shape data"):
+            shape_decompositions(1, 0, 10**400, 0)
+
+    def test_float_data_gives_exact_parts(self):
+        rep = shape_decompositions(0.1, 0.2, 0.3, 0.4)
+        assert rep.dilation[0][0] == (Fraction(0.1) + Fraction(0.2)) / 2
+        assert type(rep.dilation[0][0]) is Fraction
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e150, 1e150), st.fractions()), min_size=4, max_size=4))
+    def test_parts_rebuild_exactly_for_floats_and_rationals(self, vals):
+        rho, rho_t, sigma, sigma_t = exact = [Fraction(x) for x in vals]
+        rep = shape_decompositions(*vals)
+        p = ((rho, sigma), (sigma_t, rho_t))
+        assert rep.p_matrix == p
+        parts = (rep.dilation, rep.shear, rep.rotation, rep.boost)
+        assert all(sum(part[a][b] for part in parts) == p[a][b]
+                   for a in range(2) for b in range(2))
+        assert rep.t_matrix == ((-sigma_t, -rho), (-rho_t, -sigma))
+        h, omega = ((0, -1), (-1, 0)), ((0, 1), (-1, 0))
+        assert all(rep.t_shear[a][b] + rep.t_trace_coeff * h[a][b]
+                   + rep.t_skew_coeff * omega[a][b] == rep.t_matrix[a][b]
+                   for a in range(2) for b in range(2))
+        # a float gives what the Fraction it holds gives, types included
+        same = shape_decompositions(*exact)
+        assert rep == same
+        assert [type(x) for x in _flat(rep)] == [type(x) for x in _flat(same)]
+        assert all(type(x) is Fraction for x in _flat(rep._replace(eigenvalues=())))
+
     @pytest.mark.parametrize(
         "vals",
         [(math.inf, 0, 0, 0), (0.0, math.nan, 0, 0), (1.0, 0, 10**400, 0), (10**400, 0, 0, 0),
@@ -642,6 +694,12 @@ class TestShapes:
     def test_unrepresentable_data_is_input_error(self, vals):
         with pytest.raises(InputError):
             shape_decompositions(*vals)
+
+
+def _flat(value):
+    if isinstance(value, tuple):
+        return [x for item in value for x in _flat(item)]
+    return [value]
 
 
 HUGE = 10**400

@@ -25,6 +25,7 @@ from walkerspin.poly import (
     CurvePoly,
     ExponentLimitError,
     ExprSyntaxError,
+    PoleError,
     Poly,
     RationalFunction,
     _as_poly,
@@ -600,7 +601,7 @@ def _edited_text(draw):
     text = draw(_expr_text())
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(text)))
-        ch = draw(st.sampled_from("()+-*/^ 0129uvxyw_."))
+        ch = draw(st.sampled_from("()+-*/^ 0129²uvxyw_."))
         text = draw(st.sampled_from([
             text[:i] + ch + text[i:], text[:i] + text[i + 1:], text[:i] + ch + text[i + 1:],
         ]))
@@ -676,6 +677,68 @@ def test_floats_are_read_exactly():
             Poly.const(value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("u^²", "exponent must be a nonnegative integer (position 2)"),
+    ("²", "unexpected character '²' (position 0)"),
+    ("3/²", "expected integer denominator after '/' (position 2)"),
+    ("1" * 5000, "integer literal has too many digits (position 0)"),
+    ("u + 3/" + "7" * 5000, "integer literal has too many digits (position 6)"),
+], ids=["superscript-exponent", "superscript", "superscript-denominator", "long-literal",
+        "long-denominator"])
+def test_parse_refuses_what_int_cannot_read(text, message):
+    # '²' is a digit to str.isdigit, but not to int(); int() also refuses
+    # a literal past the interpreter's digit limit
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_poly(text)
+    assert str(err.value) == message
+
+
+def test_exponent_read_without_its_leading_zeros():
+    assert parse_poly("u^" + "0" * 5000 + "1") == Poly.variable("u")
+    assert parse_poly("u^" + "0" * 5000) == Poly.const(1)
+    # other scripts' decimal digits are digits to int() and Fraction()
+    assert parse_poly("٣*u^٢") == parse_poly("3*u^2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+@example("u^²")
+@example("1" * 5000)
+def test_parse_returns_a_poly_or_refuses(text):
+    try:
+        value = parse_poly(text)
+    except EngineError:
+        return
+    assert isinstance(value, Poly)
+
+
+@pytest.mark.parametrize("terms, message", [
+    (5, "polynomial terms must be a mapping, got int"),
+    ([(1,)], "polynomial terms must be a mapping, got list"),
+    ({(1, 2, 3): 1}, "bad exponent tuple (1, 2, 3)"),
+    ({(1, 2, 3, -1): 1}, "bad exponent tuple (1, 2, 3, -1)"),
+    ({7: 1}, "bad exponent tuple 7"),
+], ids=["int", "list", "three-exponents", "negative-exponent", "int-key"])
+def test_poly_terms_refused_as_input(terms, message):
+    with pytest.raises(InputError) as err:
+        Poly(terms)
+    assert str(err.value) == message
+
+
+def test_pole_is_input_and_still_a_zero_division():
+    u = Poly.variable("u")
+    f = RationalFunction(Poly.const(1), 1 + u)
+    with pytest.raises(PoleError, match="denominator vanishes") as err:
+        f.eval_at((-1, 0, 0, 0))
+    assert isinstance(err.value, InputError) and isinstance(err.value, ZeroDivisionError)
+    assert f.eval_at((1, 0, 0, 0)) == Fraction(1, 2)
+    # dividing by a zero polynomial is the engine's fault, not bad input
+    for divide in (lambda: f / Poly.zero(), lambda: RationalFunction(Poly.const(1), Poly.zero())):
+        with pytest.raises(ZeroDivisionError) as err:
+            divide()
+        assert not isinstance(err.value, EngineError)
+
+
 def test_parse_bounds_composed_exponents():
     # each operand within the bound, but not the product: refused before
     # the product is formed, so a tower of powers costs nothing
@@ -735,7 +798,7 @@ def test_degree_and_constants():
 
 def test_constructor_refuses_bad_exponents():
     for exps in ((1.5, 0, 0, 0), (0, 0, 1.0, 0), (0, Fraction(1), 0, 0), (0, 0, 0, "1")):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="bad exponent tuple"):
             Poly({exps: 1})
     for exps in ((EXPONENT_LIMIT, 0, 0, 0), (0, 0, 0, EXPONENT_LIMIT), (0, 2**70, 0, 0)):
         with pytest.raises(ExponentLimitError):
