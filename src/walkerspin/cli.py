@@ -38,7 +38,7 @@ from .curvature import (
 from .errors import InputError, InternalInconsistencyError
 from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
 from .nullgeom import distribution_report, relation_suite
-from .poly import MAX_EXPONENT, Poly, _digit_bound, _float, _refused_digits
+from .poly import MAX_EXPONENT, Poly, _bounded_int, _digit_bound, _float, _refused_digits
 from .spincoeff import COEFF_NAMES, Frame
 from .walker import WalkerMetric, christoffel
 
@@ -69,6 +69,8 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid UTF-8: {err}") from err
     except RecursionError as err:
         raise InputError(f"{path} is nested too deeply") from err
+    except InputError:  # from _json_object, and also a ValueError
+        raise
     except ValueError as err:
         # malformed JSON, or an integer literal past the digit limit
         raise InputError(f"{path} is not valid JSON: {err}") from err
@@ -85,11 +87,10 @@ def _parse_value(text: str, flag: str) -> Fraction:
     mantissa, _, exponent = text.lower().partition("e")
     if sum(ch.isdecimal() for ch in mantissa) > MAX_EXPONENT:
         raise InputError(f"bad value in {flag}: more than {MAX_EXPONENT} digits")
-    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
-    # digit count first: int() refuses literals over 4300 digits
-    if len(magnitude) > len(str(MAX_EXPONENT)) or (
-        magnitude.isdecimal() and int(magnitude) > MAX_EXPONENT
-    ):
+    # Fraction() reads an exponent of decimal digits, signed, with
+    # underscores between them and whitespace after them
+    magnitude = exponent.lstrip("+-").replace("_", "").rstrip()
+    if magnitude.isdecimal() and _bounded_int(magnitude, MAX_EXPONENT) is None:
         raise InputError(f"bad value in {flag}: exponent exceeds {MAX_EXPONENT}")
     try:
         return Fraction(text)

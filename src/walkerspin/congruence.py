@@ -21,9 +21,11 @@ stepper, the deviation one in its 8-dimensional first-order form: a step
 reads three rows and computes all four stages as straight-line float
 expressions on locals, in the operation order of a generic stepper, so
 it makes no call and builds no list per stage.  A connecting state is a
-named tuple, so the tuples the steppers produce are the states; the CLI
-checks them against `connecting_oracle`, and the CSV is streamed row by
-row.
+named tuple, but the steppers yield plain tuples: `integrate_connecting`
+(and `integrate_jacobi`, from each half of its 8-tuples) builds a
+``ConnectingState`` from each in a second pass, as `connecting_oracle`
+does from its closed-form values.  The CLI checks the states against
+`connecting_oracle`, and the CSV is streamed row by row.
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ exact largest exponent, at most ``MAX_EXPONENT``, so text whose terms
 cancel to a small power is read, and no product it forms reaches the limit.
 
 Every module reads user data by the input rules kept here: ``_fraction``,
-``_sequence``, ``_point`` and ``_float`` (see ``errors``).
+``_sequence``, ``_point``, ``_float`` and ``_bounded_int`` (see ``errors``).
 
 ``Poly.terms`` maps each exponent tuple to its ``Fraction`` coefficient.
 It is built on first access, cached, and read-only by convention.
@@ -105,10 +105,8 @@ MAX_TERMS = 10_000
 MAX_TERM_PAIRS = 1_000_000
 
 
-class ExprSyntaxError(InputError, ValueError):
-    """Raised on malformed polynomial text; carries the offending position.
-    It is input to refuse like any other (an EngineError), and stays a
-    ValueError for callers that catch that."""
+class ExprSyntaxError(InputError):
+    """Raised on malformed polynomial text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (position {position})")
@@ -116,9 +114,7 @@ class ExprSyntaxError(InputError, ValueError):
 
 
 class PoleError(InputError, ZeroDivisionError):
-    """Raised when a rational function is evaluated where its denominator
-    vanishes.  It is input to refuse (an EngineError), and stays a
-    ZeroDivisionError for callers that catch that."""
+    """Raised when a rational function is evaluated at a pole."""
 
 
 def _fraction(value) -> Fraction:
@@ -148,6 +144,14 @@ def _point(coords) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return tuple(map(_fraction, coords))
 
 
+def _bounded_int(digits: str, limit: int) -> int | None:
+    """The decimal digits as an int, or None past limit.  int() reads at most
+    one digit more than limit has, after every leading zero of any script."""
+    start = next((i for i, ch in enumerate(digits) if int(ch)), len(digits))
+    value = int(digits[start:start + len(str(limit)) + 1] or "0")
+    return value if value <= limit else None
+
+
 def _float(value, what: str) -> float:
     """float(value); one too large for a float is an InputError."""
     try:
@@ -163,10 +167,8 @@ _MASK = EXPONENT_LIMIT - 1
 _SHIFTS = (48, 32, 16, 0)
 
 
-class ExponentLimitError(InputError, ValueError):
-    """Raised when an exponent, or the bound of a product or power, reaches
-    ``EXPONENT_LIMIT``.  It is input to refuse (an EngineError), and stays a
-    ValueError for callers that catch that."""
+class ExponentLimitError(InputError):
+    """Raised when an exponent, or a product's or power's bound, reaches EXPONENT_LIMIT."""
 
 
 def _pack(exps: Exponents) -> int:
@@ -235,8 +237,8 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}")
+        if name not in VARIABLES:  # a tuple, so an unhashable name is refused too
+            raise InputError(f"unknown variable {name!r}")
         return _poly({1 << _SHIFTS[_VAR_INDEX[name]]: 1}, 1, 1)
 
     @property
@@ -372,7 +374,7 @@ class Poly:
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+            raise InputError("exponent must be a nonnegative integer")
         c = self.constant_value()
         if c is not None:
             return Poly.const(c**exponent)
@@ -388,8 +390,8 @@ class Poly:
 
     def diff(self, var: str) -> "Poly":
         """Partial derivative with respect to one of u, v, x, y."""
-        if var not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {var!r}")
+        if var not in VARIABLES:
+            raise InputError(f"unknown variable {var!r}")
         shift = _SHIFTS[_VAR_INDEX[var]]
         step = 1 << shift
         out: dict[int, int] = {}
@@ -801,11 +803,10 @@ class _Parser:
             digits = self.read_digits()
             if digits is None:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", exp_pos)
-            # digit count first: int() refuses literals over 4300 digits
-            digits = digits.lstrip("0") or "0"
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            e = _bounded_int(digits, MAX_EXPONENT)
+            if e is None:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
-            base = self.power(base, int(digits))
+            base = self.power(base, e)
         return base if sign > 0 else -base
 
     def power(self, base: Poly, e: int) -> Poly:
@@ -1135,12 +1136,7 @@ class RationalFunction:
     __slots__ = ("num", "factors", "_den")
 
     def __init__(self, num, den=ONE):
-        num, den = _as_poly(num), _as_poly(den)
-        if not (isinstance(num, Poly) and isinstance(den, Poly)):
-            raise TypeError("a RationalFunction is a quotient of two polynomials")
-        value = _quotient(num, {}, den)
-        self.num, self.factors = (value, {}) if isinstance(value, Poly) else (
-            value.num, value.factors)
+        self.num, self.factors = _parts(_as_poly(num) / _as_poly(den))
         self._den = None
 
     @property

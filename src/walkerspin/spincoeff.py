@@ -80,6 +80,9 @@ class SpinCoefficientSet(NamedTuple):
         return {name: getattr(self, name) for name in COEFF_NAMES}
 
     def with_values(self, **updates) -> "SpinCoefficientSet":
+        for name in updates:
+            if name not in COEFF_NAMES:
+                raise InputError(f"unknown coefficient {name!r}")
         return self._replace(**{k: _as_poly(v) for k, v in updates.items()})
 
 
@@ -466,10 +469,17 @@ def lower_index(field: DyadSpinorField, pos: int) -> DyadSpinorField:
     return _epsilon_move(field, pos, {UP: DN, UP_P: DN_P}, 1, "can only lower an upper index")
 
 
+def _position(field: DyadSpinorField, pos) -> int:
+    """pos, when it names an index of field."""
+    if not isinstance(pos, int) or pos not in range(len(field.indices)):
+        raise InputError(f"no index at position {pos!r} of a valence-{len(field.indices)} field")
+    return pos
+
+
 def _epsilon_move(field, pos, kinds, kept, message) -> DyadSpinorField:
     """The index at pos turned into ``kinds`` of its kind: component i
     becomes component 1 - i, negated unless 1 - i is ``kept``."""
-    kind = field.indices[pos]
+    kind = field.indices[_position(field, pos)]
     if kind not in kinds:
         raise InputError(message)
     indices = field.indices[:pos] + (kinds[kind],) + field.indices[pos + 1:]
@@ -482,7 +492,8 @@ def _epsilon_move(field, pos, kinds, kept, message) -> DyadSpinorField:
 
 def contract(field: DyadSpinorField, pos_up: int, pos_dn: int) -> DyadSpinorField:
     """Plain-sum contraction of an upper index with a lower index."""
-    up_kind, dn_kind = field.indices[pos_up], field.indices[pos_dn]
+    up_kind = field.indices[_position(field, pos_up)]
+    dn_kind = field.indices[_position(field, pos_dn)]
     valid = (up_kind == UP and dn_kind == DN) or (up_kind == UP_P and dn_kind == DN_P)
     if not valid:
         raise InputError("contraction needs an upper and a lower index of the same kind")

@@ -22,7 +22,7 @@ Matrix4 = tuple[tuple[Poly, ...], ...]
 def _vec(components) -> Vector:
     out = tuple(components)
     if len(out) != 4:
-        raise ValueError("vectors have four components")
+        raise InputError("vectors have four components")
     return out
 
 

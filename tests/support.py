@@ -71,8 +71,8 @@ class ReferenceParser:
     forming every power and product by ``Poly.__mul__``, each bounded by its
     exact largest exponent: the reference for the parser's one-term paths.
     Digits are decimal digits (``str.isdecimal``), as ``int()`` reads them;
-    an exponent is read without its leading zeros, and a literal ``int()``
-    refuses for its length is refused at its first digit."""
+    an exponent is read without its leading zero digits, of any script, and
+    a literal ``int()`` refuses for its length is refused at its first digit."""
 
     def __init__(self, text: str):
         self.text = text
@@ -140,8 +140,9 @@ class ReferenceParser:
             digits = self.read_digits()
             if digits is None:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", exp_pos)
-            # digit count first: int() refuses literals over 4300 digits
-            digits = digits.lstrip("0") or "0"
+            # each digit in ASCII, then the digit count: int() refuses
+            # literals over 4300 digits
+            digits = "".join(str(int(ch)) for ch in digits).lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ExprSyntaxError(f"exponent exceeds {MAX_EXPONENT}", exp_pos)
             power = ONE

@@ -6,6 +6,7 @@ so these tests pin the targets.
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import inspect
@@ -24,9 +25,19 @@ import walkerspin
 from walkerspin import cli
 from walkerspin.congruence import TRACE_KEYS, propagation_matrices
 from walkerspin.curvature import walker_curvature_components
-from walkerspin.errors import EngineError
-from walkerspin.poly import ONE, ZERO, Poly
-from walkerspin.spincoeff import Frame
+from walkerspin.errors import EngineError, InputError
+from walkerspin.poly import ONE, ZERO, Poly, RationalFunction
+from walkerspin.spincoeff import (
+    DN,
+    DN_P,
+    UP,
+    UP_P,
+    DyadSpinorField,
+    Frame,
+    contract,
+    lower_index,
+    raise_index,
+)
 from walkerspin.walker import WalkerMetric, scale_normalization, tetrad_transform
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +134,59 @@ def test_input_rules_have_one_owner():
                 assert all(a.name.split(".")[-1] != "Sequence" for a in node.names), path.name
 
 
+# One refusal type: a builtin exception raised in the engine is one of
+# these, kept on purpose (a zero divisor is an engine fault; the hash and
+# mapping protocols ask for the other two).  Every other refusal is an
+# EngineError subclass.
+_BUILTIN_RAISES = {
+    ("poly.py", "_quotient", "ZeroDivisionError"),
+    ("poly.py", "RationalFunction.__truediv__", "ZeroDivisionError"),
+    ("poly.py", "RationalFunction.__hash__", "TypeError"),
+    ("spincoeff.py", "SpinCoefficientSet.get", "KeyError"),
+}
+
+
+def _builtin_raises(path):
+    """(file, qualified function name, class) of each raise of a builtin
+    exception class in the module at path."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.add((path.name, ".".join(scope), exc.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_only_the_kept_builtin_raises_remain():
+    found = set().union(*map(_builtin_raises, sorted((SRC / "walkerspin").glob("*.py"))))
+    assert found == _BUILTIN_RAISES
+
+
+def test_every_input_error_is_a_value_error():
+    assert issubclass(InputError, ValueError)
+    # so no other class needs ValueError as a second base
+    assert {
+        (path.name, node.name)
+        for path in sorted((SRC / "walkerspin").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "ValueError" for b in node.bases)
+    } == {("errors.py", "InputError")}
+    # a rational argument is divided, not refused
+    r = RationalFunction(1, 1 + Poly.variable("u"))
+    assert RationalFunction(r, 1) == r
+    assert RationalFunction(1, r) == 1 + Poly.variable("u")
+
+
 # The library's input contract: an argument that carries user data is read
 # or refused with an EngineError.  Each entry point below has a valid call,
 # and each of its data arguments a kind.  A kind names the hostile values
@@ -135,12 +199,13 @@ _HOSTILE = {
     "inf": math.inf,
     "nan": math.nan,
     "huge": 10**400,
+    "negative": -1,
     "short": (0.0, 0.5, 1.0),
     "nested": ((0, 1), (2, 3)),
 }
 _ACCEPTS = {
-    "number": {"huge"}, "text": {"text"}, "base": {"none"}, "grid": {"short"}, "matrix": {"nested"},
-    "terms": {"none"},
+    "number": {"huge", "negative"}, "text": {"text"}, "base": {"none"}, "grid": {"short"},
+    "matrix": {"nested"}, "terms": {"none"},
 }
 _ITEMS = {
     "point": "number", "base": "number", "grid": "number", "sequence": "number",
@@ -162,12 +227,30 @@ def _entry_points():
     state = ("sequence", (0.0, 1.0, 0.0, 0.5))
     grid = ("grid", (0.0, 0.25, 0.5, 0.75, 1.0))
     span = (("number", 1.0), ("number", 0.5))
+    # a keyword is text: each hostile name is given as its str()
+    with_values = an.frame.coeffs.with_values
+    u, v, x, y = map(Poly.variable, "uvxy")
+    lower = DyadSpinorField((DN, DN_P), {(0, 0): u, (0, 1): v, (1, 0): x, (1, 1): y})
+    upper = DyadSpinorField((UP, UP_P), lower.comps)
+    mixed = DyadSpinorField((UP_P, DN_P), {(0, 0): u, (1, 1): y})
     return {
         "Poly.eval_at": (p.eval_at, [point]),
         "Poly.along_u": (p.along_u, [point]),
         "RationalFunction.eval_at": (rf.eval_at, [point]),
         "RationalFunction.eval_at pole": (pole.eval_at, [("point", (1, 1, Fraction(1, 2), -1))]),
         "Poly": (Poly, [("terms", {(1, 0, 2, 0): -3, (0, 0, 0, 0): Fraction(1, 2)})]),
+        "Poly.variable": (Poly.variable, [("name", "u")]),
+        "Poly.diff": (p.diff, [("name", "x")]),
+        "RationalFunction.diff": (rf.diff, [("name", "u")]),
+        "Poly **": (lambda e: p**e, [("exponent", 3)]),
+        "RationalFunction **": (lambda e: rf**e, [("exponent", 2)]),
+        "RationalFunction": (RationalFunction, [("number", rf), ("number", pole)]),
+        "SpinCoefficientSet.with_values": (
+            lambda name, value: with_values(**{str(name): value}),
+            [("name", "rho_t"), ("number", Fraction(1, 2))]),
+        "raise_index": (lambda pos: raise_index(lower, pos), [("position", 1)]),
+        "lower_index": (lambda pos: lower_index(upper, pos), [("position", 1)]),
+        "contract": (lambda *pos: contract(mixed, *pos), [("position", 0), ("position", 1)]),
         "parse_poly": (walkerspin.parse_poly, [("text", "u*v - 1/2")]),
         "integrate_connecting": (
             lambda V0, v_end, step, base: walkerspin.integrate_connecting(
@@ -244,6 +327,19 @@ def _hostile(name, valid):
 @example(entry="RationalFunction.eval_at pole", slot=0, hostile="huge", nested=True, item=3)
 @example(entry="Poly", slot=0, hostile="huge", nested=False, item=0)
 @example(entry="Poly", slot=0, hostile="short", nested=False, item=0)
+@example(entry="Poly.variable", slot=0, hostile="text", nested=False, item=0)
+@example(entry="Poly.diff", slot=0, hostile="huge", nested=False, item=0)
+@example(entry="Poly.diff", slot=0, hostile="set", nested=False, item=0)
+@example(entry="RationalFunction.diff", slot=0, hostile="text", nested=False, item=0)
+@example(entry="Poly **", slot=0, hostile="negative", nested=False, item=0)
+@example(entry="Poly **", slot=0, hostile="inf", nested=False, item=0)
+@example(entry="RationalFunction **", slot=0, hostile="negative", nested=False, item=0)
+@example(entry="RationalFunction", slot=1, hostile="huge", nested=False, item=0)
+@example(entry="SpinCoefficientSet.with_values", slot=0, hostile="text", nested=False, item=0)
+@example(entry="raise_index", slot=0, hostile="negative", nested=False, item=0)
+@example(entry="raise_index", slot=0, hostile="huge", nested=False, item=0)
+@example(entry="lower_index", slot=0, hostile="negative", nested=False, item=0)
+@example(entry="contract", slot=1, hostile="negative", nested=False, item=0)
 def test_every_entry_point_reads_or_refuses_user_data(entry, slot, hostile, nested, item):
     """One data argument of a valid call, or one item of it, replaced by a
     hostile value: the call returns, or raises an EngineError.  Where the

@@ -546,6 +546,12 @@ class TestClassify:
         assert code == 2 and out == ""
         assert err.startswith(f"error: bad value in {flag}") and len(err.splitlines()) == 1
 
+    def test_exponent_read_without_leading_zeros_of_any_script(self, spec, capsys):
+        # Fraction("1e٠٠٠٠٠1") == 10: Arabic-Indic zeros are zeros to int()
+        code, out, err = run(capsys, "classify", spec(CUBIC), "--point", "1e٠٠٠٠٠1,0,0,0")
+        assert code == 0, err
+        assert "point = (10, 0, 0, 0)" in out
+
     @pytest.mark.parametrize("command", ["classify", "analyze"])
     def test_value_too_large_to_print(self, spec, capsys, command):
         path = spec({"a": "u^6*v", "b": "u^4*x^3", "c": "u*y"})

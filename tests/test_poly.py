@@ -700,6 +700,18 @@ def test_exponent_read_without_its_leading_zeros():
     assert parse_poly("٣*u^٢") == parse_poly("3*u^2")
 
 
+@pytest.mark.parametrize("zeros", ["٠" * 5, "٠" * 5000, "0٠０" * 1000],
+                         ids=["five", "five-thousand", "three-scripts"])
+def test_exponent_read_without_leading_zeros_of_any_script(zeros):
+    # Arabic-Indic and fullwidth zeros are zeros to int(), as ASCII ones are
+    value = parse_poly("u^" + zeros + "1")
+    assert value == Poly.variable("u") and value._top == 1
+    assert parse_poly("u^" + zeros + "1000") == Poly.variable("u") ** 1000
+    with pytest.raises(ExprSyntaxError, match=r"exponent exceeds 1000 \(position 2\)"):
+        parse_poly("u^" + zeros + "1001")
+    assert reference_parse("u^" + zeros + "1") == Poly.variable("u")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text())
 @example("u^²")

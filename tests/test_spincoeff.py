@@ -573,6 +573,28 @@ class TestDyadCalculus:
         with pytest.raises(InputError):
             contract(DyadSpinorField((UP, UP), {}), 0, 1)
 
+    def test_index_positions_are_read_or_refused(self):
+        # a position names an index of the field: a negative one would
+        # slice the component keys at the wrong place
+        u, v, x, y = map(Poly.variable, "uvxy")
+        f = DyadSpinorField((DN, DN_P), {(0, 0): u, (0, 1): v, (1, 0): x, (1, 1): y})
+        h = DyadSpinorField((UP, UP_P), f.comps)
+        g = DyadSpinorField((UP_P, DN_P), {(0, 0): u, (1, 1): y})
+        assert contract(g, 0, 1) == DyadSpinorField.scalar(u + y)
+        assert raise_index(f, 1).indices == (DN, UP_P)
+        assert lower_index(h, 1).indices == (UP, DN_P)
+        for pos in (-1, -2, -3, 2, 5, 10**400, 1.0, None, "0"):
+            with pytest.raises(InputError, match="no index at position"):
+                raise_index(f, pos)
+            with pytest.raises(InputError, match="no index at position"):
+                lower_index(h, pos)
+            with pytest.raises(InputError, match="no index at position"):
+                contract(g, pos, 1)
+            with pytest.raises(InputError, match="no index at position"):
+                contract(g, 0, pos)
+        with pytest.raises(InputError, match="no index at position 5"):
+            raise_index(DyadSpinorField((DN,), {}), 5)
+
 
 def test_coefficient_set_helpers():
     s = SpinCoefficientSet().with_values(kappa=parse_poly("u"), gamma_tp=parse_poly("v"))
@@ -587,6 +609,15 @@ def test_coefficient_set_helpers():
     r = tilde_relabel(s)
     assert r.kappa_t == s.kappa
     assert r.gamma_p == s.gamma_tp
+
+
+def test_with_values_names_an_unknown_coefficient():
+    # named as get names it, and still the ValueError it was
+    s = SpinCoefficientSet()
+    with pytest.raises(InputError, match="^unknown coefficient 'nosuch'$"):
+        s.with_values(nosuch=1)
+    with pytest.raises(ValueError, match="'lambda_'"):
+        s.with_values(kappa=1, lambda_=2)
 
 
 def _frame_digest(coeffs, t) -> str:
