@@ -6,13 +6,10 @@ from .congruence import (
     CoefficientTrace,
     ConnectingState,
     connecting_oracle,
-    curvature_free_solution,
     integrate_connecting,
     integrate_jacobi,
     riccati_residual,
-    shape_decompositions,
     sigma_omega_forms,
-    special_flows,
     write_trace_csv,
 )
 from .curvature import (
@@ -32,12 +29,10 @@ from .curvature import (
     walker_curvature_components,
 )
 from .errors import (
-    CausticError,
     DegenerateTetradError,
     EngineError,
     InputError,
     InternalInconsistencyError,
-    PatternError,
 )
 from .heavenly import (
     HeavenlyPotential,

@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from itertools import chain
 
-from .congruence import connecting_oracle, integrate_connecting, write_trace_csv
+from .congruence import _closures, connecting_oracle, integrate_connecting, write_trace_csv
 from .curvature import (
     Analysis,
     WeylTypeReport,
@@ -38,8 +38,8 @@ from .curvature import (
 from .errors import InputError, InternalInconsistencyError
 from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
 from .nullgeom import distribution_report, relation_suite
-from .poly import MAX_EXPONENT, Poly, _bounded_int, _digit_bound, _float, _refused_digits
-from .spincoeff import COEFF_NAMES, Frame
+from .poly import MAX_EXPONENT, ZERO, Poly, _bounded_int, _digit_bound, _float, _refused_digits
+from .spincoeff import COEFF_NAMES, Frame, _check
 from .walker import WalkerMetric, christoffel
 
 SUITES = ("3.4", "3.1", "bianchi", "relations")
@@ -262,6 +262,12 @@ def cmd_verify(args, out) -> int:
             **{args.perturb: frame.coeffs.get(args.perturb) + 1}
         )
         frame = frame._replace(coeffs=bumped)
+    # the transport closures tie the coefficients to the curvature; on the
+    # untouched frame a nonzero entry is an engine fault, whatever the suite
+    for name, closure in zip("MP", _closures(an)):
+        for i, row in enumerate(closure):
+            for j, value in enumerate(row):
+                _check(f"Riccati closure {name}[{i}][{j}]", value, ZERO)
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = [

@@ -14,18 +14,20 @@ is the only numerical error in a trace.
 
 The transport matrix M (z' = M z) and the curvature matrix N (z'' = -N z)
 are each written once, as a table of nonzero entries that the sampling,
-the integrators, the Riccati closures and the pointwise matrices all read.
-One layout helper turns a table and its sampled columns into a lazy stream
-of rows, twelve signed entries each.  Each system has one fused RK4
-stepper, the deviation one in its 8-dimensional first-order form: a step
-reads three rows and computes all four stages as straight-line float
-expressions on locals, in the operation order of a generic stepper, so
-it makes no call and builds no list per stage.  A connecting state is a
-named tuple, but the steppers yield plain tuples: `integrate_connecting`
-(and `integrate_jacobi`, from each half of its 8-tuples) builds a
-``ConnectingState`` from each in a second pass, as `connecting_oracle`
-does from its closed-form values.  The CLI checks the states against
-`connecting_oracle`, and the CSV is streamed row by row.
+the integrators and the Riccati closures read.  The closures
+dM/du + M^2 + N = 0 (and the same for the screen blocks) are exact, and
+`verify` checks each of their 20 entries.  One layout helper turns a
+table and its sampled columns into a lazy stream of rows, twelve signed
+entries each.  Each system has one fused RK4 stepper, the deviation one
+in its 8-dimensional first-order form: a step reads three rows and
+computes all four stages as straight-line float expressions on locals, in
+the operation order of a generic stepper, so it makes no call and builds
+no list per stage.  A connecting state is a named tuple, but the steppers
+yield plain tuples: `integrate_connecting` (and `integrate_jacobi`, from
+each half of its 8-tuples) builds a ``ConnectingState`` from each in a
+second pass, as `connecting_oracle` does from its closed-form values.  The
+CLI checks the states against `connecting_oracle`, and the CSV is
+streamed row by row.
 """
 
 from __future__ import annotations
@@ -38,15 +40,9 @@ from itertools import islice, repeat
 from typing import NamedTuple
 
 from .curvature import Analysis, CurvatureSpinors
-from .errors import (
-    CausticError,
-    InputError,
-    InternalInconsistencyError,
-    PatternError,
-)
+from .errors import InputError, InternalInconsistencyError
 from .poly import (
     HALF,
-    VARIABLES,
     ZERO,
     Poly,
     Value,
@@ -76,8 +72,6 @@ TRACE_KEYS = (
 )
 
 CSV_HEADER = "v,eta,zeta,zetatilde,nu,rho,rhotilde,sigma,sigmatilde"
-
-FLOW_KINDS = ("dilation", "rotation", "boost", "inverse-scale")
 
 # Largest number of integration steps v_end / step may ask for.
 MAX_STEPS = 1_000_000
@@ -210,16 +204,6 @@ class JacobiPath(NamedTuple):
     states: tuple
     derivatives: tuple
     trace: CoefficientTrace
-
-
-class PropagationMatrices(NamedTuple):
-    """Transport and curvature matrices evaluated at one point."""
-
-    m: tuple
-    p: tuple
-    n: tuple
-    q: tuple
-    point: tuple
 
 
 def _transport_columns(s: SpinCoefficientSet) -> dict[str, Value]:
@@ -536,14 +520,6 @@ def integrate_jacobi(w: WalkerMetric, V0, V0p, v_end, step, base=None) -> Jacobi
     )
 
 
-def propagation_matrices(w: WalkerMetric, point) -> PropagationMatrices:
-    """All four matrices of the transport/deviation systems at one point."""
-    pt = _point(point)
-    m, n = (_evaluate(a, pt, name) for a, name in zip(_matrices(Analysis(w)), "MN"))
-    point = tuple(_float(c, f"coordinate {x} of the point") for x, c in zip(VARIABLES, pt))
-    return PropagationMatrices(m=m, p=_screen(m), n=n, q=_screen(n), point=point)
-
-
 class RiccatiReport(NamedTuple):
     m_residual: tuple
     p_residual: tuple
@@ -557,28 +533,33 @@ class RiccatiReport(NamedTuple):
         )
 
 
+def _closure(a, b):
+    """dA/du + A^2 + B: the derivative along the congruence is the
+    first-coordinate partial."""
+    size = range(len(a))
+    return tuple(
+        tuple(dot(((a[i][k], a[k][j]) for k in size), a[i][j].diff("u")) + b[i][j]
+              for j in size)
+        for i in size
+    )
+
+
+def _closures(an: Analysis) -> tuple[tuple, tuple]:
+    """The Riccati closures of an analysis's canonical frame, each an exact
+    identity: dM/du + M^2 + N and the same for the screen blocks P of M and
+    Q of N.  The one owner of the closure, which `verify` checks."""
+    m, n = _matrices(an)
+    return _closure(m, n), _closure(_screen(m), _screen(n))
+
+
 def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
-    """Exact residual of the matrix transport closures: the parameter
-    derivative of each matrix plus its square plus the curvature matrix."""
-    m, n = _matrices(Analysis(w))
-
-    def closure(a, b):
-        # dA/du + A^2 + B: the derivative along the congruence is the
-        # first-coordinate partial
-        size = range(len(a))
-        return tuple(
-            tuple(
-                dot(((a[i][k], a[k][j]) for k in size), a[i][j].diff("u")) + b[i][j]
-                for j in size
-            )
-            for i in size
-        )
-
-    m_res = closure(m, n)
-    p_res = closure(_screen(m), _screen(n))
-    m_sample = p_sample = None
+    """Exact residual of the matrix transport closures (`_closures`),
+    sampled as floats at parameter v along the curve through base when
+    both are given."""
     if (base is None) != (v is None):
         raise InputError("a residual sample needs both base and v")
+    m_res, p_res = _closures(Analysis(w))
+    m_sample = p_sample = None
     if base is not None:
         # the congruence flows along the first coordinate only
         pt = _point(base)
@@ -586,118 +567,6 @@ def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
         m_sample = _evaluate(m_res, pt, "M residual")
         p_sample = _evaluate(p_res, pt, "P residual")
     return RiccatiReport(m_res, p_res, m_sample, p_sample)
-
-
-def _fraction_matrix(m0):
-    rows = [tuple(map(_fraction, _sequence(row, "matrix row")))
-            for row in _sequence(m0, "matrix")]
-    size = len(rows)
-    if size == 0 or any(len(r) != size for r in rows):
-        raise InputError("matrix must be square")
-    return rows, size
-
-
-def _invert(rows, size):
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[size:] for row in aug]
-
-
-def curvature_free_solution(m0, v):
-    """Closed-form propagated matrix when the curvature matrix vanishes:
-    M(v) = M0 (M0 v + 1)^-1, in exact rational arithmetic."""
-    rows, size = _fraction_matrix(m0)
-    vf = _fraction(v)
-    shifted = [
-        [vf * rows[i][j] + (1 if i == j else 0) for j in range(size)]
-        for i in range(size)
-    ]
-    inverse = _invert(shifted, size)
-    if inverse is None:
-        raise CausticError(v)
-    out = tuple(
-        tuple(sum(rows[i][k] * inverse[k][j] for k in range(size)) for j in range(size))
-        for i in range(size)
-    )
-    if size == 2:
-        # scalar cross-check on the top-left entry
-        det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        den = 1 + vf * (rows[0][0] + rows[1][1]) + vf * vf * det
-        if out[0][0] != (rows[0][0] + vf * det) / den:
-            raise InternalInconsistencyError("scalar flow disagrees with matrix flow")
-    return out
-
-
-def _pattern_violation(kind: str, tr: CoefficientTrace) -> str | None:
-    v = tr.values
-    zero = lambda key: all(x == 0.0 for x in v[key])
-    if kind == "dilation":
-        if not zero("sigma") or not zero("sigma_t"):
-            return "sigma and sigma~ must vanish"
-        if v["rho"] != v["rho_t"]:
-            return "rho must equal rho~"
-    elif kind == "rotation":
-        if not zero("rho") or not zero("rho_t"):
-            return "rho and rho~ must vanish"
-        if any(st != -s for s, st in zip(v["sigma"], v["sigma_t"])):
-            return "sigma~ must equal -sigma"
-    elif kind == "boost":
-        if not zero("rho") or not zero("rho_t"):
-            return "rho and rho~ must vanish"
-        if v["sigma"] != v["sigma_t"]:
-            return "sigma~ must equal sigma"
-    else:
-        if not zero("sigma") or not zero("sigma_t"):
-            return "sigma and sigma~ must vanish"
-    return None
-
-
-def special_flows(kind: str, integrals, X0, trace: CoefficientTrace | None = None):
-    """Closed-form screen flow for one of the special coefficient patterns.
-
-    `integrals` is the accumulated coefficient integral: a single number
-    except for the inverse-scale pattern, which takes one per diagonal.
-    """
-    if kind not in FLOW_KINDS:
-        raise InputError(f"unknown flow kind {kind!r}; expected one of {FLOW_KINDS}")
-    x0 = _finite(X0, "X0")
-    if len(x0) != 2:
-        raise InputError("X0 must be two finite screen components")
-    if trace is not None:
-        violation = _pattern_violation(kind, trace)
-        if violation is not None:
-            raise PatternError(f"{kind} pattern violated: {violation}")
-    ints = _finite(integrals if kind == "inverse-scale" else (integrals,), "integrals")
-    if kind == "inverse-scale" and len(ints) != 2:
-        raise InputError("inverse-scale needs a pair of integrals")
-    try:
-        return _finite(_screen_flow(kind, ints, x0), "flowed screen vector")
-    except OverflowError as exc:
-        raise InputError("flowed screen vector: not a float") from exc
-
-
-def _screen_flow(kind, ints, x0) -> tuple[float, float]:
-    if kind == "inverse-scale":
-        return (math.exp(ints[0]) * x0[0], math.exp(ints[1]) * x0[1])
-    t = ints[0]
-    if kind == "dilation":
-        scale = math.exp(t)
-        return (scale * x0[0], scale * x0[1])
-    if kind == "rotation":
-        cos_t, sin_t = math.cos(t), math.sin(t)
-        return (cos_t * x0[0] - sin_t * x0[1], sin_t * x0[0] + cos_t * x0[1])
-    cosh_t, sinh_t = math.cosh(t), math.sinh(t)
-    return (cosh_t * x0[0] + sinh_t * x0[1], sinh_t * x0[0] + cosh_t * x0[1])
 
 
 class SigmaOmega(NamedTuple):
@@ -742,88 +611,6 @@ def sigma_omega_forms(first, second) -> SigmaOmega:
         sigma_path.append(sig)
         omega_path.append(omega)
     return SigmaOmega(first.grid, tuple(sigma_path), tuple(omega_path))
-
-
-class ShapeReport(NamedTuple):
-    """Additive decomposition of the screen shape data at a point."""
-
-    p_matrix: tuple
-    dilation: tuple
-    shear: tuple
-    rotation: tuple
-    boost: tuple
-    eigenvalues: tuple
-    divergence: object
-    skew_square: object
-    sym_square: object
-    t_matrix: tuple
-    t_shear: tuple
-    t_trace_coeff: object
-    t_skew_coeff: object
-
-
-def shape_decompositions(rho, rho_t, sigma, sigma_t) -> ShapeReport:
-    """The parts of the screen shape data, exact: a float is read as the
-    rational it holds.  Only the eigenvalues are floats (or complex), from the
-    trace and discriminant rounded once; values past the float range are refused."""
-    vals = (rho, rho_t, sigma, sigma_t)
-    _finite_count(vals, "shape data")
-    rho, rho_t, sigma, sigma_t = map(_fraction, vals)
-
-    p = ((rho, sigma), (sigma_t, rho_t))
-    d = HALF * (rho + rho_t)
-    s = HALF * (rho - rho_t)
-    i = HALF * (sigma_t - sigma)
-    hc = HALF * (sigma_t + sigma)
-    divergence = rho + rho_t
-    skew_square = -HALF * (rho - rho_t) * (rho - rho_t)
-    sym_square = 2 * sigma * sigma_t + HALF * (rho + rho_t) * (rho + rho_t)
-    trace, disc = _finite(
-        (rho + rho_t, (rho - rho_t) * (rho - rho_t) + 4 * sigma * sigma_t), "shape data")
-    dilation = ((d, 0 * d), (0 * d, d))
-    shear = ((s, 0 * s), (0 * s, -s))
-    rot = ((0 * i, -i), (i, 0 * i))
-    boost = ((0 * hc, hc), (hc, 0 * hc))
-    for a in range(2):
-        for b in range(2):
-            total = dilation[a][b] + shear[a][b] + rot[a][b] + boost[a][b]
-            if total != p[a][b]:
-                raise InternalInconsistencyError("shape parts do not rebuild the matrix")
-
-    if disc >= 0:
-        root = math.sqrt(disc)
-        eigenvalues = ((trace - root) / 2, (trace + root) / 2)
-    else:
-        root = math.sqrt(-disc)
-        eigenvalues = (complex(trace, -root) / 2, complex(trace, root) / 2)
-
-    t_matrix = ((-sigma_t, -rho), (-rho_t, -sigma))
-    t_shear = ((-sigma_t, 0 * sigma), (0 * sigma, -sigma))
-    t_trace = HALF * (rho + rho_t)
-    t_skew = HALF * (rho_t - rho)
-    h_mat = ((0, -1), (-1, 0))
-    omega_mat = ((0, 1), (-1, 0))
-    for a in range(2):
-        for b in range(2):
-            total = t_shear[a][b] + t_trace * h_mat[a][b] + t_skew * omega_mat[a][b]
-            if total != t_matrix[a][b]:
-                raise InternalInconsistencyError("shape parts do not rebuild the matrix")
-
-    return ShapeReport(
-        p_matrix=p,
-        dilation=dilation,
-        shear=shear,
-        rotation=rot,
-        boost=boost,
-        eigenvalues=eigenvalues,
-        divergence=divergence,
-        skew_square=skew_square,
-        sym_square=sym_square,
-        t_matrix=t_matrix,
-        t_shear=t_shear,
-        t_trace_coeff=t_trace,
-        t_skew_coeff=t_skew,
-    )
 
 
 def write_trace_csv(path, stream) -> None:

@@ -34,15 +34,3 @@ class DegenerateTetradError(InputError):
 
 class InternalInconsistencyError(EngineError):
     """Two independent internal computation routes disagreed."""
-
-
-class CausticError(EngineError):
-    """A closed-form flow hit a singular matrix; carries the parameter value."""
-
-    def __init__(self, v):
-        super().__init__(f"singular matrix (caustic) at parameter {v}")
-        self.v = v
-
-
-class PatternError(InputError):
-    """Coefficient data does not match the special pattern a flow requires."""

@@ -927,12 +927,12 @@ ONE = Poly.const(1)
 
 
 def _as_poly(value):
-    """A Poly or RationalFunction as is; an int or Fraction as a constant
-    Poly; anything else is an InputError.  The one coercion, for entry
-    points that take bare scalars."""
+    """A Poly or RationalFunction as is; an int, a Fraction or a float as a
+    constant Poly, read by ``_fraction``; anything else is an InputError.
+    The one coercion, for entry points that take bare scalars."""
     if isinstance(value, (Poly, RationalFunction)):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction, float)):
         return Poly.const(value)
     raise InputError(f"expected a polynomial or a rational number, got {type(value).__name__}")
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import walkerspin
 from walkerspin import cli
-from walkerspin.congruence import TRACE_KEYS, propagation_matrices
+from walkerspin.congruence import TRACE_KEYS
 from walkerspin.curvature import walker_curvature_components
 from walkerspin.errors import EngineError, InputError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction
@@ -134,6 +134,36 @@ def test_input_rules_have_one_owner():
                 assert all(a.name.split(".")[-1] != "Sequence" for a in node.names), path.name
 
 
+def _unused_imports(path):
+    """The names a module imports and never reads.  A string annotation is
+    read as the expression it holds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AnnAssign)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return imported - read
+
+
+# A deleted routine can leave its imports behind; only the package's
+# __init__.py imports names to re-export them.
+def test_no_module_imports_an_unused_name():
+    unused = {
+        path.name: sorted(_unused_imports(path))
+        for path in sorted((SRC / "walkerspin").glob("*.py")) if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 # One refusal type: a builtin exception raised in the engine is one of
 # these, kept on purpose (a zero divisor is an engine fault; the hash and
 # mapping protocols ask for the other two).  Every other refusal is an
@@ -191,8 +221,8 @@ def test_every_input_error_is_a_value_error():
 # or refused with an EngineError.  Each entry point below has a valid call,
 # and each of its data arguments a kind.  A kind names the hostile values
 # it may still accept (a huge int is a number, "1234" is text, None is the
-# origin as a base, three parameters make a grid, two pairs a matrix) and,
-# for a container, the kind of its items.
+# origin as a base, three parameters make a grid) and, for a container,
+# the kind of its items.
 _HOSTILE = {
     "none": None,
     "text": "1234",
@@ -205,11 +235,11 @@ _HOSTILE = {
 }
 _ACCEPTS = {
     "number": {"huge", "negative"}, "text": {"text"}, "base": {"none"}, "grid": {"short"},
-    "matrix": {"nested"}, "terms": {"none"},
+    "terms": {"none"},
 }
 _ITEMS = {
     "point": "number", "base": "number", "grid": "number", "sequence": "number",
-    "matrix": "sequence", "columns": "sequence", "constants": "number", "spec": "text",
+    "columns": "sequence", "constants": "number", "spec": "text",
     "terms": "number",
 }
 
@@ -266,17 +296,8 @@ def _entry_points():
             lambda *args: walkerspin.CoefficientTrace.from_metric(w, *args), [base, grid]),
         "CoefficientTrace.constant": (walkerspin.CoefficientTrace.constant, [
             ("constants", {"rho": 0.5, "sigma": -1.0}), *span]),
-        "special_flows": (walkerspin.special_flows, [
-            ("choice", "dilation"), ("number", 0.5), ("sequence", (1.0, 2.0))]),
-        "special_flows inverse-scale": (walkerspin.special_flows, [
-            ("choice", "inverse-scale"), ("sequence", (0.5, 0.25)), ("sequence", (1.0, 2.0))]),
-        "shape_decompositions": (walkerspin.shape_decompositions, [
-            ("number", Fraction(1, 2)), ("number", 2), ("number", -1), ("number", 3)]),
-        "curvature_free_solution": (walkerspin.curvature_free_solution, [
-            ("matrix", ((1, 0), (0, 2))), ("number", Fraction(1, 3))]),
         "riccati_residual": (
             lambda *args: walkerspin.riccati_residual(w, *args), [base, ("number", 2)]),
-        "propagation_matrices": (lambda pt: propagation_matrices(w, pt), [point]),
         "classify_sd_weyl": (lambda pt: walkerspin.classify_sd_weyl(an, pt), [point]),
         "frobenius_residual": (walkerspin.frobenius_residual, [
             ("sequence", (p, ONE, ZERO, Poly.parse("x")))]),
@@ -316,13 +337,10 @@ def _hostile(name, valid):
 @example(entry="Poly.eval_at", slot=0, hostile="set", nested=False, item=0)
 @example(entry="Poly.eval_at", slot=0, hostile="text", nested=False, item=0)
 @example(entry="riccati_residual", slot=1, hostile="text", nested=False, item=0)
-@example(entry="shape_decompositions", slot=0, hostile="text", nested=False, item=0)
 @example(entry="integrate_connecting", slot=0, hostile="text", nested=False, item=0)
 @example(entry="integrate_connecting", slot=0, hostile="set", nested=False, item=0)
 @example(entry="CoefficientTrace.from_metric", slot=1, hostile="text", nested=False, item=0)
 @example(entry="connecting_oracle", slot=2, hostile="text", nested=False, item=0)
-@example(entry="special_flows", slot=2, hostile="set", nested=False, item=0)
-@example(entry="curvature_free_solution", slot=0, hostile="set", nested=False, item=0)
 @example(entry="frobenius_residual", slot=0, hostile="none", nested=False, item=0)
 @example(entry="RationalFunction.eval_at pole", slot=0, hostile="huge", nested=True, item=3)
 @example(entry="Poly", slot=0, hostile="huge", nested=False, item=0)

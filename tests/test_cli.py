@@ -218,6 +218,40 @@ class TestVerify:
         assert code == 2
         assert "unknown coefficient" in err
 
+    # the metric of the fault injection in ROADMAP Baseline
+    FAULTED = {"a": "u*v*x+x^2*y-3*u^2", "b": "y^3-u*v+x", "c": "u*y^2-v*x"}
+
+    @pytest.mark.parametrize("component, entry", [("Lambda", "M[0][3]"), ("Psi0", "M[1][2]")])
+    def test_curvature_fault_breaks_the_riccati_closure(self, spec, capsys, monkeypatch,
+                                                         component, entry):
+        """A curvature component off by one where it is assembled is an
+        engine fault for every suite: the transport closure dM/du + M^2 + N
+        ties N to the coefficients, and the entry it breaks is nonzero."""
+        components = walkerspin.curvature.walker_curvature_components
+
+        def bumped(w, frame):
+            c = components(w, frame)
+            return c._replace(**{component: getattr(c, component) + 1})
+
+        monkeypatch.setattr(walkerspin.curvature, "walker_curvature_components", bumped)
+        path = spec(self.FAULTED)
+        for suite in ("all",) + SUITES:
+            code, out, err = run(capsys, "verify", path, "--suite", suite)
+            assert (code, out) == (3, "")
+            # the entry is a nonzero constant, so the first point tried
+            assert err == (
+                f"internal inconsistency: redundant routes for Riccati closure {entry} "
+                "disagree: the difference has 1 numerator terms and is nonzero at "
+                "(u, v, x, y) = (0, 0, 0, 0)\n"
+            )
+
+    def test_perturbed_coefficient_keeps_the_closure(self, spec, capsys):
+        """The closure reads the untouched frame, so a perturbed coefficient
+        is still a failed identity, exit 1, and not an engine fault."""
+        code, out, err = run(capsys, "verify", spec(self.FAULTED), "--perturb", "rho")
+        assert code == 1 and err == ""
+        assert "FAIL " in out and out.rstrip().endswith("verdict: fail")
+
     # SHA-256 of the full report and the exit code; alpha_tp and the others
     # make FAIL lines in suite 3.1, so their content is pinned too
     GOLDEN = {
@@ -661,8 +695,10 @@ class TestParser:
     @pytest.mark.parametrize("text, message", [
         ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
         ('{"a": "0", "b": "0", "c": "0", "label": ' + "9" * 5000 + "}", "digits"),
-        ('{"a": "0", "b": "0", "c": "0", "label": "\\ud800"}', "lone surrogate"),
-        ('{"a": "0", "b": "0", "c": "0", "a": "u"}', "duplicate key 'a'"),
+        # whole lines: the object hook's refusal, not re-wrapped as invalid JSON
+        ('{"a": "0", "b": "0", "c": "0", "label": "\\ud800"}',
+         "error: key 'label' holds a lone surrogate\n"),
+        ('{"a": "0", "b": "0", "c": "0", "a": "u"}', "error: duplicate key 'a' in JSON object\n"),
     ], ids=["deep", "long-int", "surrogate", "duplicate"])
     def test_bad_json(self, capsys, tmp_path, text, message):
         path = tmp_path / "bad.json"
@@ -671,7 +707,10 @@ class TestParser:
         code, out, err = run(capsys, "classify", str(path))
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+        if message.startswith("error: "):
+            assert err == message
+        else:
+            assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
 
 
 

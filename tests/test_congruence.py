@@ -25,18 +25,15 @@ from walkerspin.congruence import (
     ConnectingPath,
     ConnectingState,
     connecting_oracle,
-    curvature_free_solution,
     integrate_connecting,
     integrate_jacobi,
-    propagation_matrices,
     riccati_residual,
-    shape_decompositions,
     sigma_omega_forms,
-    special_flows,
     write_trace_csv,
     _M_ENTRIES,
     _N_ENTRIES,
     _check_span,
+    _evaluate,
     _half_grid,
     _matrices,
     _rk4_connecting,
@@ -48,12 +45,7 @@ from walkerspin.congruence import (
 )
 from walkerspin.cli import main
 from walkerspin.curvature import Analysis, classify_sd_weyl, walker_curvature_components
-from walkerspin.errors import (
-    CausticError,
-    InputError,
-    InternalInconsistencyError,
-    PatternError,
-)
+from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.poly import ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame
 from walkerspin.walker import WalkerMetric
@@ -370,7 +362,7 @@ class TestJacobiIntegration:
 
     def test_agrees_with_connecting_transport(self):
         V0 = (0.0, 0.0, 1.0, 0.0)
-        m0 = propagation_matrices(QUADRATIC, ORIGIN).m
+        m0 = _evaluate(_matrices(Analysis(QUADRATIC))[0], ORIGIN, "M")
         v0p = [sum(m0[i][k] * V0[k] for k in range(4)) for i in range(4)]
         jac = integrate_jacobi(QUADRATIC, V0, v0p, 1.0, 1e-2)
         con = integrate_connecting(QUADRATIC, V0, v_end=1.0, step=1e-2)
@@ -410,33 +402,34 @@ class TestJacobiIntegration:
         )
 
 
+def matrices_at(w, point):
+    """M and N on w's canonical frame at point, as floats."""
+    return tuple(_evaluate(a, point, name) for a, name in zip(_matrices(Analysis(w)), "MN"))
+
+
 class TestPropagationMatrices:
     def test_cubic_profile_entries(self):
-        pm = propagation_matrices(WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO), (1, 0, 0, 0))
-        assert pm.p == ((0.0, -1.5), (0.0, 0.0))
-        assert pm.m[1][2] == -1.5
-        assert all(pm.m[i][0] == 0.0 for i in range(4))
-        assert pm.n[3] == (0.0, 0.0, 0.0, 0.0)
+        m, n = matrices_at(WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO), (1, 0, 0, 0))
+        assert _screen(m) == ((0.0, -1.5), (0.0, 0.0))
+        assert m[1][2] == -1.5
+        assert all(m[i][0] == 0.0 for i in range(4))
+        assert n[3] == (0.0, 0.0, 0.0, 0.0)
 
     def test_curvature_blocks(self):
-        pm = propagation_matrices(QUADRATIC, ORIGIN)
+        m, n = matrices_at(QUADRATIC, ORIGIN)
         # the screen curvature block carries the leading quartic component
-        assert pm.q == ((0.0, 1.0), (0.0, 0.0))
-        assert pm.n[1][2] == 1.0
+        assert _screen(n) == ((0.0, 1.0), (0.0, 0.0))
+        assert n[1][2] == 1.0
 
     def test_linear_profile_is_curvature_free(self):
-        pm = propagation_matrices(WalkerMetric(a=ZERO, b=P("2*u"), c=ZERO), ORIGIN)
-        assert all(x == 0.0 for row in pm.n for x in row)
-        assert pm.m[1][2] == -1.0
+        m, n = matrices_at(WalkerMetric(a=ZERO, b=P("2*u"), c=ZERO), ORIGIN)
+        assert all(x == 0.0 for row in n for x in row)
+        assert m[1][2] == -1.0
 
     def test_overflowing_entry_is_input_error(self):
         w = WalkerMetric(a=P("u^3*v"), b=P("x^2*u"), c=P("u*y"))
         with pytest.raises(InputError, match=r"^M\[\d\]\[\d\] overflows a float$"):
-            propagation_matrices(w, (10**200, 1, 1, 1))
-
-    def test_overflowing_point_is_input_error(self):
-        with pytest.raises(InputError, match="^coordinate u of the point overflows a float$"):
-            propagation_matrices(FLAT, (10**400, 0, 0, 0))
+            matrices_at(w, (10**200, 1, 1, 1))
 
 
 class TestRiccati:
@@ -486,89 +479,6 @@ class TestRiccati:
         assert (s.sigma_t.diff("u") + s.sigma_t * (s.rho + s.rho_t) + curv.PsiT0).is_zero
 
 
-class TestCurvatureFreeSolution:
-    def test_scalar_value(self):
-        out = curvature_free_solution(((1, 0), (0, 0)), 1)
-        assert out[0][0] == Fraction(1, 2)
-        assert out[1][1] == 0
-
-    def test_zero_matrix(self):
-        assert curvature_free_solution(((0, 0), (0, 0)), 5) == ((0, 0), (0, 0))
-
-    def test_nilpotent_is_stationary(self):
-        assert curvature_free_solution(((0, 7), (0, 0)), 3) == ((0, 7), (0, 0))
-
-    def test_walker_transport_matrix_is_stationary(self):
-        m0 = propagation_matrices(WalkerMetric(a=ZERO, b=P("2*u"), c=ZERO), ORIGIN).m
-        out = curvature_free_solution(m0, 3)
-        assert out == tuple(tuple(Fraction(x) for x in row) for row in m0)
-
-    def test_caustic(self):
-        with pytest.raises(CausticError) as info:
-            curvature_free_solution(((-1, 0), (0, 0)), 1)
-        assert info.value.v == 1
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InputError):
-            curvature_free_solution(((1, 0, 0), (0, 1, 0)), 1)
-
-    @pytest.mark.parametrize("m0", [5, (1, 2), None])
-    def test_rejects_non_iterable(self, m0):
-        with pytest.raises(InputError):
-            curvature_free_solution(m0, 1)
-
-
-class TestSpecialFlows:
-    def test_quarter_turn(self):
-        out = special_flows("rotation", math.pi / 2, (1.0, 0.0))
-        assert abs(out[0]) <= 1e-15 and abs(out[1] - 1.0) <= 1e-15
-
-    def test_trivial_dilation(self):
-        assert special_flows("dilation", 0.0, (2.5, -1.0)) == (2.5, -1.0)
-
-    def test_inverse_scale(self):
-        out = special_flows("inverse-scale", (math.log(2), -math.log(2)), (1.0, 1.0))
-        assert abs(out[0] - 2.0) <= 1e-12 and abs(out[1] - 0.5) <= 1e-12
-
-    def test_boost_matches_integration(self):
-        trace = CoefficientTrace.constant({"sigma": 0.5, "sigma_t": 0.5}, 1.0, 1e-3)
-        path = integrate_connecting(trace, (0.0, 1.0, 0.0, 0.0))
-        flowed = special_flows("boost", 0.5, (1.0, 0.0), trace=trace)
-        assert abs(path.states[-1].zeta - flowed[0]) <= 1e-8
-        assert abs(path.states[-1].zeta_t - flowed[1]) <= 1e-8
-
-    def test_pattern_enforcement(self):
-        boost_trace = CoefficientTrace.constant({"sigma": 0.5, "sigma_t": 0.5}, 1.0, 0.5)
-        with pytest.raises(PatternError):
-            special_flows("rotation", 1.0, (1.0, 0.0), trace=boost_trace)
-        with pytest.raises(PatternError):
-            special_flows("dilation", 1.0, (1.0, 0.0), trace=boost_trace)
-
-    @pytest.mark.parametrize("kind, values, violation", [
-        ("dilation", {"rho": 1.0, "rho_t": 2.0}, "rho must equal rho~"),
-        ("rotation", {"rho": 1.0, "rho_t": 1.0}, "rho and rho~ must vanish"),
-        ("boost", {"rho": 1.0, "rho_t": 1.0}, "rho and rho~ must vanish"),
-        ("boost", {"sigma": 0.5, "sigma_t": -0.5}, "sigma~ must equal sigma"),
-        ("inverse-scale", {"sigma": 0.5}, "sigma and sigma~ must vanish"),
-    ])
-    def test_each_pattern_violation_is_named(self, kind, values, violation):
-        trace = CoefficientTrace.constant(values, 1.0, 0.5)
-        integrals = (0.0, 0.0) if kind == "inverse-scale" else 0.0
-        with pytest.raises(PatternError) as exc:
-            special_flows(kind, integrals, (1.0, 0.0), trace=trace)
-        assert str(exc.value) == f"{kind} pattern violated: {violation}"
-
-    def test_argument_validation(self):
-        with pytest.raises(InputError):
-            special_flows("spiral", 1.0, (1.0, 0.0))
-        with pytest.raises(InputError):
-            special_flows("inverse-scale", 1.0, (1.0, 0.0))
-        with pytest.raises(InputError):
-            special_flows("boost", 1.0, (1.0, 0.0, 0.0))
-        with pytest.raises(InputError, match="pair of integrals"):
-            special_flows("inverse-scale", (1.0,), (1.0, 0.0))
-
-
 class TestSigmaOmega:
     def test_deviation_pair_conserves_sigma(self):
         first = integrate_jacobi(QUADRATIC, (0, 0, 1, 0), (1, 0, 0, 0), 1.0, 1e-2)
@@ -616,92 +526,6 @@ class TestSigmaOmega:
             sigma_omega_forms(a, d)
 
 
-class TestShapes:
-    def test_pure_dilation(self):
-        rep = shape_decompositions(1, 1, 0, 0)
-        assert rep.dilation == ((1, 0), (0, 1))
-        assert rep.shear == ((0, 0), (0, 0))
-        assert rep.rotation == ((0, 0), (0, 0))
-        assert rep.boost == ((0, 0), (0, 0))
-        assert rep.eigenvalues == (1.0, 1.0)
-        assert rep.divergence == 2
-
-    def test_pure_rotation_complex_spectrum(self):
-        rep = shape_decompositions(0, 0, 1, -1)
-        assert rep.rotation == ((0, 1), (-1, 0))
-        assert rep.boost == ((0, 0), (0, 0))
-        assert rep.eigenvalues == (complex(0, -1), complex(0, 1))
-        assert rep.sym_square == -2
-
-    def test_cubic_profile_point(self):
-        s = Frame.walker(WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO)).coeffs
-        point = (1, 0, 0, 0)
-        rep = shape_decompositions(
-            s.rho.eval_at(point),
-            s.rho_t.eval_at(point),
-            s.sigma.eval_at(point),
-            s.sigma_t.eval_at(point),
-        )
-        assert rep.p_matrix == ((0, Fraction(-3, 2)), (0, 0))
-        assert rep.eigenvalues == (0.0, 0.0)
-
-    def test_t_split_reconstruction(self):
-        rep = shape_decompositions(Fraction(1, 3), Fraction(-1, 5), Fraction(2, 7), 2)
-        assert rep.t_matrix == ((-2, Fraction(-1, 3)), (Fraction(1, 5), Fraction(-2, 7)))
-        assert rep.t_trace_coeff == Fraction(1, 3) / 2 + Fraction(-1, 5) / 2
-
-    def test_real_distinct_spectrum(self):
-        rep = shape_decompositions(1.0, 0.0, 0.0, 0.0)
-        assert rep.eigenvalues == (0.0, 1.0)
-
-    def test_int_past_the_float_range_refused(self):
-        # as a float past that range already was
-        with pytest.raises(InputError, match="shape data"):
-            shape_decompositions(1, 0, 10**400, 0)
-
-    def test_float_data_gives_exact_parts(self):
-        rep = shape_decompositions(0.1, 0.2, 0.3, 0.4)
-        assert rep.dilation[0][0] == (Fraction(0.1) + Fraction(0.2)) / 2
-        assert type(rep.dilation[0][0]) is Fraction
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.floats(-1e150, 1e150), st.fractions()), min_size=4, max_size=4))
-    def test_parts_rebuild_exactly_for_floats_and_rationals(self, vals):
-        rho, rho_t, sigma, sigma_t = exact = [Fraction(x) for x in vals]
-        rep = shape_decompositions(*vals)
-        p = ((rho, sigma), (sigma_t, rho_t))
-        assert rep.p_matrix == p
-        parts = (rep.dilation, rep.shear, rep.rotation, rep.boost)
-        assert all(sum(part[a][b] for part in parts) == p[a][b]
-                   for a in range(2) for b in range(2))
-        assert rep.t_matrix == ((-sigma_t, -rho), (-rho_t, -sigma))
-        h, omega = ((0, -1), (-1, 0)), ((0, 1), (-1, 0))
-        assert all(rep.t_shear[a][b] + rep.t_trace_coeff * h[a][b]
-                   + rep.t_skew_coeff * omega[a][b] == rep.t_matrix[a][b]
-                   for a in range(2) for b in range(2))
-        # a float gives what the Fraction it holds gives, types included
-        same = shape_decompositions(*exact)
-        assert rep == same
-        assert [type(x) for x in _flat(rep)] == [type(x) for x in _flat(same)]
-        assert all(type(x) is Fraction for x in _flat(rep._replace(eigenvalues=())))
-
-    @pytest.mark.parametrize(
-        "vals",
-        [(math.inf, 0, 0, 0), (0.0, math.nan, 0, 0), (1.0, 0, 10**400, 0), (10**400, 0, 0, 0),
-         # finite floats whose half-sums or squares overflow
-         (1e308, 1e308, 0.0, 0.0), (1e200, 0, 1e200, 1e200)],
-    )
-    def test_unrepresentable_data_is_input_error(self, vals):
-        with pytest.raises(InputError):
-            shape_decompositions(*vals)
-
-
-def _flat(value):
-    if isinstance(value, tuple):
-        return [x for item in value for x in _flat(item)]
-    return [value]
-
-
 HUGE = 10**400
 
 
@@ -710,11 +534,8 @@ HUGE = 10**400
     [
         lambda: connecting_oracle(QUADRATIC, ORIGIN, (0, 0, 1, 0), [math.inf]),
         lambda: riccati_residual(QUADRATIC, ORIGIN, math.inf),
-        lambda: curvature_free_solution(((1, 0), (0, 1)), math.inf),
-        lambda: propagation_matrices(QUADRATIC, (math.inf, 0, 0, 0)),
         lambda: integrate_connecting(QUADRATIC, (HUGE, 0, 0, 0), v_end=1.0, step=0.1),
         lambda: integrate_jacobi(QUADRATIC, ORIGIN, (HUGE, 0, 0, 0), 1.0, 0.1),
-        lambda: special_flows("dilation", 1.0, (HUGE, 0)),
         lambda: classify_sd_weyl(Analysis(QUADRATIC), (math.inf, 0, 0, 0)),
         lambda: classify_sd_weyl(Analysis(QUADRATIC), ("a", 0, 0, 0)),
         lambda: classify_sd_weyl(Analysis(QUADRATIC), (None, 0, 0, 0)),
@@ -722,11 +543,8 @@ HUGE = 10**400
     ids=[
         "connecting_oracle",
         "riccati_residual",
-        "curvature_free_solution",
-        "propagation_matrices",
         "integrate_connecting",
         "integrate_jacobi",
-        "special_flows",
         "classify_sd_weyl-inf",
         "classify_sd_weyl-text",
         "classify_sd_weyl-none",
@@ -740,14 +558,11 @@ def test_unrepresentable_input_is_input_error(call):
 
 
 def test_unrepresentable_span_and_flow_are_input_errors():
+    """A span past the float range, or not a number, is refused before the
+    connecting flow is integrated."""
     for v_end, step in ((HUGE, 1.0), (1.0, HUGE), ("x", 0.1), (None, 0.1)):
         with pytest.raises(InputError):
             integrate_connecting(QUADRATIC, (0, 0, 1, 0), v_end=v_end, step=step)
-    for kind, integrals in (("dilation", 1e3), ("boost", -1e3), ("inverse-scale", (1e3, 0))):
-        with pytest.raises(InputError):
-            special_flows(kind, integrals, (1.0, 0.0))
-    with pytest.raises(InputError):
-        special_flows("rotation", math.inf, (1.0, 0.0))
 
 
 # signed zeros, subnormals, the largest floats and short decimals

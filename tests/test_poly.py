@@ -865,7 +865,8 @@ def test_zero_factor_refused_at_the_exponent_limit():
 def test_as_poly_refuses_what_is_not_a_polynomial_or_rational():
     p = parse_poly("u - v")
     assert _as_poly(p) is p and _as_poly(Fraction(1, 2)) == Poly.const(Fraction(1, 2))
-    for value in (None, 1.5, "u", [1]):
+    assert _as_poly(1.5) == Poly.const(Fraction(3, 2))
+    for value in (None, "u", [1]):
         with pytest.raises(InputError, match="expected a polynomial or a rational number"):
             _as_poly(value)
 
