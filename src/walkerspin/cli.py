@@ -21,15 +21,15 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 from .congruence import _closures, connecting_oracle, integrate_connecting, write_trace_csv
 from .curvature import (
     Analysis,
     WeylTypeReport,
+    _field_sums,
     bianchi_contracted_residual,
     classify_sd_weyl,
-    commutator_residuals_from_fields,
     commutator_vector_fields,
     field_equation_residuals,
     ricci_tensor,
@@ -38,9 +38,18 @@ from .curvature import (
 from .errors import InputError, InternalInconsistencyError
 from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
 from .nullgeom import distribution_report, relation_suite
-from .poly import MAX_EXPONENT, ZERO, Poly, _bounded_int, _digit_bound, _float, _refused_digits
+from .poly import (
+    MAX_EXPONENT,
+    ZERO,
+    _bounded_int,
+    _digit_bound,
+    _float,
+    _pack,
+    _poly,
+    _refused_digits,
+)
 from .spincoeff import COEFF_NAMES, Frame, _check
-from .walker import WalkerMetric, christoffel
+from .walker import COORDS, WalkerMetric, christoffel
 
 SUITES = ("3.4", "3.1", "bianchi", "relations")
 RELATION_FAMILIES = ("canonical", "surface-orthogonal", "distribution-parallel")
@@ -94,8 +103,10 @@ def _parse_value(text: str, flag: str) -> Fraction:
         raise InputError(f"bad value in {flag}: exponent exceeds {MAX_EXPONENT}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         raise InputError(f"bad value in {flag}: {err}") from err
+    except ZeroDivisionError as err:
+        raise InputError(f"bad value in {flag}: {text.strip()} has a zero denominator") from err
 
 
 def _parse_tuple(text: str, flag: str) -> tuple[Fraction, ...]:
@@ -200,15 +211,16 @@ def cmd_analyze(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _monomials_to_degree(limit: int):
-    out = []
-    for total in range(limit + 1):
-        for eu in range(total + 1):
-            for ev in range(total - eu + 1):
-                for ex in range(total - eu - ev + 1):
-                    ey = total - eu - ev - ex
-                    out.append(Poly({(eu, ev, ex, ey): Fraction(1)}))
-    return out
+@functools.cache
+def _commutator_probes():
+    """Report labels and gradients (d/du, d/dv, d/dx, d/dy) of the 35
+    monomials of degree at most 3, the test functions of suite 3.1, by
+    degree and then exponents; built once per process, as the parser is."""
+    exponents = sorted((e for e in product(range(4), repeat=4) if sum(e) <= 3),
+                       key=lambda e: (sum(e), e))
+    monomials = [_poly({_pack(e): 1}, 1, max(e)) for e in exponents]
+    return (tuple(map(str, monomials)),
+            tuple(tuple(mono.diff(name) for name in COORDS) for mono in monomials))
 
 
 def _suite_items(name: str, frame: Frame, curv):
@@ -217,19 +229,20 @@ def _suite_items(name: str, frame: Frame, curv):
         return [("3.4", lambda: field_equation_residuals(frame, curv))]
     if name == "3.1":
         def run_commutators():
-            fields = commutator_vector_fields(frame)
-            out = {}
-            for mono in _monomials_to_degree(3):
-                label = str(mono)
-                for key, value in commutator_residuals_from_fields(fields, mono).items():
-                    out[f"{key} @ {label}"] = value
-            return out
+            labels, grads = _commutator_probes()
+            sums = _field_sums(commutator_vector_fields(frame), grads)
+            return {
+                f"{key} @ {label}": value
+                for label, residuals in zip(labels, sums)
+                for key, value in residuals.items()
+            }
 
         return [("3.1", run_commutators)]
     if name == "bianchi":
         def run_bianchi():
             ricci = ricci_tensor(christoffel(frame.metric))
-            scalar = scalar_curvature(frame.metric, ricci)
+            # the tensor scalar is a second route to the unperturbed S
+            scalar = _check("S", scalar_curvature(frame.metric, ricci), curv.S)
             resid = bianchi_contracted_residual(frame.metric, ricci, scalar)
             return {f"component {i}": value for i, value in enumerate(resid)}
 
@@ -250,14 +263,15 @@ def _suite_items(name: str, frame: Frame, curv):
 
 def cmd_verify(args, out) -> int:
     an = Analysis(_load_metric(args.spec))
+    # refused before the frame and curvature are built
+    if args.perturb is not None and args.perturb not in COEFF_NAMES:
+        raise InputError(
+            f"unknown coefficient {args.perturb!r}; use one of {', '.join(COEFF_NAMES)}"
+        )
     # curvature of the untouched frame, so an injected error shows up as
     # failed identities, not as an engine fault
     w, frame, curv = an.w, an.frame, an.curvature
     if args.perturb is not None:
-        if args.perturb not in COEFF_NAMES:
-            raise InputError(
-                f"unknown coefficient {args.perturb!r}; use one of {', '.join(COEFF_NAMES)}"
-            )
         bumped = frame.coeffs.with_values(
             **{args.perturb: frame.coeffs.get(args.perturb) + 1}
         )

@@ -475,8 +475,19 @@ def commutator_vector_fields(frame: Frame):
 def commutator_residuals_from_fields(fields, f):
     """The six residuals of ``commutator_residuals(frame, f)``, derived from
     ``fields = commutator_vector_fields(frame)`` as sum_i V^i * df/dx^i."""
-    grad = [f.diff(name) for name in COORDS]
-    return {key: dot(zip(comps, grad)) for key, comps in fields.items()}
+    [residuals] = _field_sums(fields, [[f.diff(name) for name in COORDS]])
+    return residuals
+
+
+def _field_sums(fields, grads):
+    """For each gradient (df/du, df/dv, df/dx, df/dy) of ``grads``, the map
+    key -> sum_i V^i * df/dx^i over the components V of ``fields[key]``,
+    added left to right.  Zero components are dropped once per field, so a
+    vanishing field sums nothing and is ZERO at every gradient."""
+    live = [(key, [(i, comp) for i, comp in enumerate(comps) if not comp.is_zero])
+            for key, comps in fields.items()]
+    return [{key: dot((comp, grad[i]) for i, comp in comps) for key, comps in live}
+            for grad in grads]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from walkerspin import poly
+from walkerspin.curvature import commutator_vector_fields
 from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.poly import (
     _VAR_INDEX,
@@ -468,6 +469,19 @@ def monomials_to_degree(limit: int):
             for ev in range(total - eu + 1):
                 for ex in range(total - eu - ev + 1):
                     out.append(Poly({(eu, ev, ex, total - eu - ev - ex): Fraction(1)}))
+    return out
+
+
+def reference_commutator_suite(frame):
+    """Suite 3.1 of ``verify`` monomial by monomial: for each monomial f of
+    degree at most 3 and each commutator residual field V, the sum
+    sum_i V^i * df/dx^i over all four components, keyed "pair @ f"."""
+    fields = commutator_vector_fields(frame)
+    out = {}
+    for mono in monomials_to_degree(3):
+        grad = [mono.diff(name) for name in COORDS]
+        for key, comps in fields.items():
+            out[f"{key} @ {mono}"] = dot(zip(comps, grad))
     return out
 
 

@@ -213,10 +213,15 @@ class TestVerify:
         point = tuple(int(c) for c in match.group(3).split(","))
         assert diff.eval_at(point) != 0
 
-    def test_unknown_coefficient(self, spec, capsys):
-        code, _, err = run(capsys, "verify", spec(FLAT), "--perturb", "bogus")
-        assert code == 2
-        assert "unknown coefficient" in err
+    def test_unknown_coefficient(self, spec, capsys, monkeypatch):
+        # refused before the curvature is built
+        def unbuilt(w, frame):
+            raise AssertionError("curvature built before the refusal")
+
+        monkeypatch.setattr(walkerspin.curvature, "walker_curvature_components", unbuilt)
+        code, out, err = run(capsys, "verify", spec(FLAT), "--perturb", "bogus")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown coefficient 'bogus'; use one of {', '.join(COEFF_NAMES)}\n"
 
     # the metric of the fault injection in ROADMAP Baseline
     FAULTED = {"a": "u*v*x+x^2*y-3*u^2", "b": "y^3-u*v+x", "c": "u*y^2-v*x"}
@@ -244,6 +249,29 @@ class TestVerify:
                 "disagree: the difference has 1 numerator terms and is nonzero at "
                 "(u, v, x, y) = (0, 0, 0, 0)\n"
             )
+
+    def test_scalar_fault_disagrees_with_the_tensor_scalar(self, spec, capsys, monkeypatch):
+        """S off by one where it is assembled disagrees with the scalar of
+        the tensor-route Ricci tensor, which suite bianchi forms; the other
+        suites do not read S."""
+        components = walkerspin.curvature.walker_curvature_components
+
+        def bumped(w, frame):
+            c = components(w, frame)
+            return c._replace(S=c.S + 1)
+
+        monkeypatch.setattr(walkerspin.curvature, "walker_curvature_components", bumped)
+        path = spec(self.FAULTED)
+        for suite in ("all", "bianchi"):
+            code, out, err = run(capsys, "verify", path, "--suite", suite)
+            assert (code, out) == (3, "")
+            assert err == (
+                "internal inconsistency: redundant routes for S disagree: the difference "
+                "has 1 numerator terms and is nonzero at (u, v, x, y) = (0, 0, 0, 0)\n"
+            )
+        for suite in ("3.4", "3.1", "relations"):
+            code, _, err = run(capsys, "verify", path, "--suite", suite)
+            assert (code, err) == (0, "")
 
     def test_perturbed_coefficient_keeps_the_closure(self, spec, capsys):
         """The closure reads the untouched frame, so a perturbed coefficient
@@ -579,6 +607,22 @@ class TestClassify:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"error: bad value in {flag}") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value, literal", [
+        ("--point", "1,2,3,1/0", "1/0"), ("--base", "0, -7/00 ,0,0", "-7/00"),
+        ("--v0", "0,0,1/0,0", "1/0"), ("--end", "1/0", "1/0"), ("--step", " 3/0_0", "3/0_0"),
+    ])
+    def test_zero_denominator_is_named(self, spec, capsys, flag, value, literal):
+        flags = {"--v0": "0,0,1,0", "--end": "1", "--step": "0.5", "--base": "0,0,0,0"}
+        if flag == "--point":
+            argv = ["classify", spec(CUBIC), "--point", value]
+        else:
+            flags[flag] = value
+            argv = ["congruence", spec(CUBIC), *(x for pair in flags.items() for x in pair),
+                    "--out", "-"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad value in {flag}: {literal} has a zero denominator\n"
 
     def test_exponent_read_without_leading_zeros_of_any_script(self, spec, capsys):
         # Fraction("1e٠٠٠٠٠1") == 10: Arabic-Indic zeros are zeros to int()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkerspin import spincoeff
+from walkerspin import cli, spincoeff
 from walkerspin.curvature import (
     Analysis,
     CurvatureSpinors,
@@ -53,6 +53,7 @@ from support import (
     random_potential,
     random_symmetric_tensor,
     reference_commutator_residuals,
+    reference_commutator_suite,
     ricci_by_sixteen_entries,
     riemann,
     scaled_frame,
@@ -184,6 +185,25 @@ def test_verify_work_counts(monkeypatch, w, fresh, products):
     multiplied = counting(monkeypatch, Poly, "__mul__")
     ricci_tensor(ch)
     assert 0 < len(multiplied) <= products
+
+
+@pytest.mark.parametrize("w", [FRAMES_METRIC, dense_metric(5)], ids=["frames", "dense-5"])
+def test_commutator_suite_work_counts(monkeypatch, w):
+    # The table of monomial labels and gradients is built once per process,
+    # and on an unperturbed frame every residual field vanishes, so after
+    # the fields suite 3.1 takes no derivative and forms no product (140
+    # derivatives and 210 sums of products before).
+    frame = Frame.walker(w)
+    fields = commutator_vector_fields(frame)
+    monkeypatch.setattr(cli, "commutator_vector_fields", lambda f: fields)
+    [(_, run)] = cli._suite_items("3.1", frame, None)
+    run()
+    derived = counting(monkeypatch, Poly, "diff")
+    multiplied = counting(monkeypatch, Poly, "__mul__")
+    residuals = run()
+    assert len(residuals) == 210 and all(value is ZERO for value in residuals.values())
+    assert derived == [] and multiplied == []
+    assert cli._commutator_probes.cache_info().misses == 1
 
 
 def _ricci_and_scalar(w):
@@ -454,6 +474,30 @@ def test_commutator_residuals_from_fields_match_direct_route():
                 assert derived[key] == value, (key, str(f))
                 assert str(derived[key]) == str(value), (key, str(f))
                 nonzero += not value.is_zero
+    assert nonzero > 1000
+
+
+def test_commutator_suite_matches_the_monomial_loop():
+    # verify's suite 3.1 reads one table of gradients and drops each
+    # field's zero components once; the loop over monomials is the
+    # reference, key for key, in order and with the same representatives,
+    # on the corpus, on three of its frames bumped by each coefficient and
+    # on a dense metric
+    frames = [Frame.walker(w) for w in corpus_metrics()]
+    cases = frames + [Frame.walker(dense_metric(3))]
+    for frame in frames[:3]:
+        for name in COEFF_NAMES:
+            bumped = frame.coeffs.with_values(**{name: frame.coeffs.get(name) + 1})
+            cases.append(frame._replace(coeffs=bumped))
+    nonzero = 0
+    for frame in cases:
+        [(_, run)] = cli._suite_items("3.1", frame, None)
+        suite = run()
+        reference = reference_commutator_suite(frame)
+        assert list(suite) == list(reference)
+        for key, value in reference.items():
+            assert suite[key] == value and str(suite[key]) == str(value), key
+            nonzero += not value.is_zero
     assert nonzero > 1000
 
 
