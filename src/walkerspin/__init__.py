@@ -18,7 +18,6 @@ from .curvature import (
     bianchi_contracted_residual,
     classify_sd_weyl,
     commutator_residuals,
-    commutator_residuals_from_fields,
     commutator_vector_fields,
     field_equation_residuals,
     phi_lambda_from_ricci,
@@ -50,14 +49,11 @@ from .nullgeom import (
     classify_type_III,
     distribution_report,
     frobenius_residual,
-    integrability_residual,
-    kerr_check,
     multiple_spinor_differential_test,
     primed_spinor,
     recurrence_forms,
     relation_suite,
     ricci_conditions,
-    weyl_quartic,
 )
 from .poly import (
     ExprSyntaxError,
@@ -81,7 +77,6 @@ from .walker import (
     WalkerMetric,
     assemble_metric,
     christoffel,
-    ivdw_symbols,
     tetrad_covectors,
     validate_tetrad,
     walker_tetrad,

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InputError
-from .poly import HALF, ONE, ZERO, Poly, Value, _point, dot
+from .poly import HALF, ONE, QUARTER, ZERO, Poly, Value, _point, dot
 from .spincoeff import _COMPANION_OPS, Frame, _check
 from .walker import (
     COORDS,
@@ -161,27 +161,40 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
     """All curvature dyad components of the canonical frame of ``w``.
 
     Every component that admits more than one first-order expression is
-    computed along each route and compared exactly.
+    computed along each route and compared exactly.  Psi0 ... Psi4 are
+    also compared with their closed forms in second derivatives of a, b
+    and c (Davidov, Diaz-Ramos, Garcia-Rio et al., J. Geom. Phys. 57,
+    2007), the metric route ``heavenly.psi_components`` reads.
     """
     s = frame.coeffs
     D, A, dl, Dp = frame.ops.signed(_COMPANION_OPS[""])
 
     a, b, c = w.a, w.b, w.c
-    a11 = a.diff("u").diff("u")
-    b22 = b.diff("v").diff("v")
-    c12 = c.diff("u").diff("v")
-    c11 = c.diff("u").diff("u")
+    a_u, b_u, c_u = a.diff("u"), b.diff("u"), c.diff("u")
+    a11, a12, a22 = a_u.diff("u"), a_u.diff("v"), a.diff("v").diff("v")
+    b11, b12, b22 = b_u.diff("u"), b_u.diff("v"), b.diff("v").diff("v")
+    c11, c12, c22 = c_u.diff("u"), c_u.diff("v"), c.diff("v").diff("v")
 
-    Psi0 = -D(s.sigma)
-    Psi1 = _check("Psi1", D(s.beta), -((D(s.tau) + A(s.sigma)) * HALF))
+    Psi0 = _check("Psi0", -D(s.sigma), b11 * HALF)
+    Psi1 = _check(
+        "Psi1",
+        D(s.beta),
+        -((D(s.tau) + A(s.sigma)) * HALF),
+        (b12 - c11) * QUARTER,
+    )
     Psi2 = _check(
         "Psi2",
         (D(s.gamma) + A(s.beta - s.tau)) * THIRD,
         (D(s.gamma + s.rho_p) + A(s.beta)) * THIRD,
         (a11 + b22 - 4 * c12) * Fraction(1, 12),
     )
-    Psi3 = _check("Psi3", A(s.gamma), (A(s.rho_p) - D(s.kappa_p)) * HALF)
-    Psi4 = -A(s.kappa_p)
+    Psi3 = _check(
+        "Psi3",
+        A(s.gamma),
+        (A(s.rho_p) - D(s.kappa_p)) * HALF,
+        (a12 - c22) * QUARTER,
+    )
+    Psi4 = _check("Psi4", -A(s.kappa_p), a22 * HALF)
 
     S = _check(
         "scalar",
@@ -423,8 +436,9 @@ def commutator_residuals(frame: Frame, f):
     minus it on the tilde and tilde-primed companions.
 
     This is the direct route, one call per scalar.  ``verify`` derives its
-    3.1 suite from ``commutator_vector_fields`` instead; the tests compare
-    the two routes and keep this one as the guard.
+    3.1 suite from ``commutator_vector_fields`` through ``_field_sums``
+    instead; the tests compare the two routes and keep this one as the
+    guard.
     """
 
     def lie(p, q):
@@ -470,13 +484,6 @@ def commutator_vector_fields(frame: Frame):
     """
     on_coords = [commutator_residuals(frame, Poly.variable(name)) for name in COORDS]
     return {key: tuple(r[key] for r in on_coords) for key in on_coords[0]}
-
-
-def commutator_residuals_from_fields(fields, f):
-    """The six residuals of ``commutator_residuals(frame, f)``, derived from
-    ``fields = commutator_vector_fields(frame)`` as sum_i V^i * df/dx^i."""
-    [residuals] = _field_sums(fields, [[f.diff(name) for name in COORDS]])
-    return residuals
 
 
 def _field_sums(fields, grads):

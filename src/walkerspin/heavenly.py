@@ -225,23 +225,17 @@ def master_identity_residual(p: HeavenlyPotential) -> Poly:
 def psi_components(p: HeavenlyPotential) -> tuple:
     """The unprimed quartic components, by two routes.
 
-    The metric route reads second derivatives of the built metric
+    The metric route is the built metric's curvature, whose components
+    are already checked against their second derivatives of the metric
     functions; the operator route applies four parameter derivatives to
-    a shifted potential. Both are computed and compared.
+    a shifted potential.  Both are compared.
     """
-    w = p.metric
-    sixth = Fraction(1, 6)
-    direct = (
-        HALF * _d(w.b, "u", "u"),
-        HALF * _d(w.b, "u", "v"),
-        sixth * (_d(w.b, "v", "v") - 2 * _d(w.c, "u", "v")),
-        HALF * _d(w.a, "u", "v"),
-        HALF * _d(w.a, "v", "v"),
-    )
+    curv = p.analysis.curvature
     shifted = p.theta - Fraction(1, 24) * _UUVV * p.h
     return tuple(
-        _check(f"quartic component Psi{m}", value, -_d(shifted, *"u" * (4 - m), *"v" * m))
-        for m, value in enumerate(direct)
+        _check(f"quartic component Psi{m}", curv.psi(m),
+               -_d(shifted, *"u" * (4 - m), *"v" * m))
+        for m in range(5)
     )
 
 

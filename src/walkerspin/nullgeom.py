@@ -1,5 +1,6 @@
 """Primed direction fields: integrability, recurrence data, and the
-differential tests attached to the second curvature family.
+differential test attached to the second curvature family; the coefficient
+relation suites and the classification of the canonical distribution.
 
 A direction field is a projective spinor with one primed index; the
 canonical distribution of a metric in Walker form corresponds to the
@@ -43,9 +44,6 @@ class PrimedSpinor(NamedTuple):
     def field(self) -> DyadSpinorField:
         return DyadSpinorField((UP_P,), {(0,): self.p, (1,): self.q})
 
-    def lowered(self) -> tuple:
-        return (-self.q, self.p)
-
     def dual(self) -> tuple:
         """The spinor xi with pi_lowered . xi = 1.
 
@@ -74,8 +72,7 @@ class RecurrenceForms(NamedTuple):
     field's derivative with the field itself, keyed by the direction
     whose coefficient they are; omega and eta are the unprimed parts of
     their factorizations over the field, which exist when the field is
-    integrable.  s_one_form and t_one_form are the same covectors in
-    coordinate components.  integrability is s_form contracted once more
+    integrable.  integrability is s_form contracted once more
     with the field: the obstruction to the field's totally null two-planes
     being surface-forming.
     """
@@ -85,21 +82,12 @@ class RecurrenceForms(NamedTuple):
     omega: tuple
     eta: tuple
     divergence: tuple
-    s_one_form: tuple
-    t_one_form: tuple
     pairing: Value
     integrability: DyadSpinorField
 
     @property
     def s_form_vanishes(self) -> bool:
         return all(v.is_zero for v in self.s_form.values())
-
-
-def _covector_from_pairs(vals: dict, covs) -> tuple:
-    """Coordinate components from dyad-pair components over the tetrad
-    covectors ``covs``, valid for unit-normalized tetrads."""
-    weights = (vals[(1, 1)], vals[(0, 0)], -vals[(1, 0)], -vals[(0, 1)])
-    return tuple(dot(zip(weights, legs)) for legs in zip(*covs))
 
 
 def recurrence_forms(
@@ -151,50 +139,20 @@ def recurrence_forms(
     eta_up = (eta[1], -eta[0])
     pairing = 2 * dot(zip(eta_up, omega))
 
-    s_one = t_one = None
-    if frame.tetrad.chi * frame.tetrad.chi_t == ONE:
-        covs = frame.covectors
-        s_one, t_one = _covector_from_pairs(s_vals, covs), _covector_from_pairs(t_vals, covs)
-
     return RecurrenceForms(
         s_form=_pair_dict(s_vals),
         t_form=_pair_dict(t_vals),
         omega=omega,
         eta=eta,
         divergence=div,
-        s_one_form=s_one,
-        t_one_form=t_one,
         pairing=pairing,
         integrability=integ,
     )
 
 
-def integrability_residual(pi: PrimedSpinor, frame: Frame) -> DyadSpinorField:
-    """Obstruction to the field's totally null two-planes being
-    surface-forming: the derivative of the field, contracted with two
-    copies of itself.  Zero also characterizes the planes as recurrent
-    along themselves."""
-    return recurrence_forms(pi, frame, check_integrable=False).integrability
-
-
 # ---------------------------------------------------------------------------
-# Algebraic tests against the curvature components.
+# Differential test against the curvature components.
 # ---------------------------------------------------------------------------
-
-
-def weyl_quartic(pi: PrimedSpinor, curv: CurvatureSpinors) -> Value:
-    """Full contraction of the second quartic family with the field;
-    zero exactly when the field is a principal direction."""
-    return dot((comb(4, k) * curv.psi_t(k), pi.p ** (4 - k) * pi.q**k) for k in range(5))
-
-
-def principal_spinor_residual(pi: PrimedSpinor, curv: CurvatureSpinors) -> tuple:
-    """Triple contraction; both components vanish exactly when the field
-    is a repeated root of the quartic."""
-    return tuple(
-        dot((comb(3, j) * curv.psi_t(j + i), pi.p ** (3 - j) * pi.q**j) for j in range(4))
-        for i in (0, 1)
-    )
 
 
 def _psi_t_field(curv: CurvatureSpinors) -> DyadSpinorField:
@@ -221,7 +179,7 @@ def multiple_spinor_differential_test(
     """Differential criterion accompanying a root of the stated
     multiplicity: the divergence of the quartic family, saturated with
     5 - multiplicity copies of the field."""
-    if multiplicity not in (2, 3, 4):
+    if type(multiplicity) is not int or multiplicity not in (2, 3, 4):
         raise InputError("multiplicity must be 2, 3 or 4")
     psit = _psi_t_field(curv)
     grad = dyad_covariant_derivative(psit, frame)
@@ -288,46 +246,6 @@ def ricci_conditions(
     )
 
 
-class KerrReport(NamedTuple):
-    hypothesis: tuple
-    hypothesis_holds: bool
-    frobenius: dict
-    conclusion_holds: bool
-
-
-def kerr_check(pi: PrimedSpinor, frame: Frame, curv: CurvatureSpinors) -> KerrReport:
-    """Instance check of the implication: if the double contraction of
-    the mixed block with an integrable field vanishes, the planes
-    orthogonal to its recurrence covector are themselves integrable.
-
-    Refuses a field whose recurrence covector vanishes identically,
-    since then there is no orthogonal plane field to speak of.
-    """
-    rec = recurrence_forms(pi, frame)
-    if rec.s_form_vanishes:
-        raise InputError(
-            "recurrence covector vanishes identically; the orthogonal "
-            "plane field is undefined"
-        )
-    if rec.s_one_form is None:
-        raise InputError("the implication check needs a unit-normalized frame")
-    hypothesis = ricci_conditions(pi, curv).double
-    hyp_holds = all(v.is_zero for v in hypothesis)
-    frob = frobenius_residual(rec.s_one_form)
-    concl_holds = all(v.is_zero for v in frob.values())
-    if hyp_holds and not concl_holds:
-        raise InternalInconsistencyError(
-            "hypothesis of the integrability implication holds but the "
-            "conclusion residual is nonzero"
-        )
-    return KerrReport(
-        hypothesis=hypothesis,
-        hypothesis_holds=hyp_holds,
-        frobenius=frob,
-        conclusion_holds=concl_holds,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exterior algebra and coefficient relation suites.
 # ---------------------------------------------------------------------------
@@ -351,17 +269,12 @@ def frobenius_residual(cov) -> dict:
 _SUITES = (
     "canonical",
     "surface-orthogonal",
-    "flat-connection",
     "distribution-parallel",
-    "integrable-pair",
     "screen-integrable",
-    "affine-section",
 )
 
 
-def relation_suite(
-    s: SpinCoefficientSet, suite: str, curv: CurvatureSpinors | None = None
-) -> dict:
+def relation_suite(s: SpinCoefficientSet, suite: str) -> dict:
     """Residuals of a named family of coefficient relations."""
     if suite == "canonical":
         return {
@@ -375,32 +288,13 @@ def relation_suite(
             "tau + alpha~ + beta": s.tau + s.alpha_t + s.beta,
             "tau~ + alpha + beta~": s.tau_t + s.alpha + s.beta_t,
         }
-    if suite == "flat-connection":
-        names = ("kappa", "rho", "alpha", "epsilon", "tau_p", "sigma_p",
-                 "epsilon_t", "beta_t")
-        return {name: s.get(name) for name in names}
     if suite == "distribution-parallel":
         return {name: s.get(name) for name in ("kappa_t", "sigma_t", "rho_t", "tau_t")}
-    if suite == "integrable-pair":
-        out = {name: s.get(name) for name in
-               ("kappa", "kappa_t", "epsilon", "epsilon_t", "tau_p", "tau_tp")}
-        out["tau + alpha~ + beta"] = s.tau + s.alpha_t + s.beta
-        out["tau~ + alpha + beta~"] = s.tau_t + s.alpha + s.beta_t
-        out["rho - rho~"] = s.rho - s.rho_t
-        return out
     if suite == "screen-integrable":
         return {
             "kappa": s.kappa,
             "kappa~": s.kappa_t,
             "rho - rho~": s.rho - s.rho_t,
-        }
-    if suite == "affine-section":
-        if curv is None:
-            raise InputError("the affine-section suite needs curvature components")
-        return {
-            "beta~": s.beta_t,
-            "alpha + 1": s.alpha + ONE,
-            "PsiT2 + 2*Lambda - 2*alpha~": curv.PsiT2 + 2 * curv.Lambda - 2 * s.alpha_t,
         }
     raise InputError(
         f"unknown suite {suite!r}; available: {', '.join(_SUITES)}"

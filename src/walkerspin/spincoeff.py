@@ -76,9 +76,6 @@ class SpinCoefficientSet(NamedTuple):
             raise KeyError(f"unknown coefficient {name!r}")
         return getattr(self, name)
 
-    def as_dict(self) -> dict[str, Value]:
-        return {name: getattr(self, name) for name in COEFF_NAMES}
-
     def with_values(self, **updates) -> "SpinCoefficientSet":
         for name in updates:
             if name not in COEFF_NAMES:
@@ -435,10 +432,6 @@ class DyadSpinorField:
             table[key] = _as_poly(value)
         self.indices = indices
         self.comps = table
-
-    @classmethod
-    def scalar(cls, value) -> "DyadSpinorField":
-        return cls((), {(): value})
 
     def component(self, *key) -> Value:
         return self.comps[tuple(key)]

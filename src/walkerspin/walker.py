@@ -220,38 +220,6 @@ def validate_tetrad(mt: MetricTensor, t: Tetrad):
     return cov
 
 
-class IvdWSymbols(NamedTuple):
-    """Soldering-form matrices up[a][A][A'] and their inverses down[a][A][A'],
-    read off a tetrad: down[a] = ((l^a, m^a), (mt^a, n^a)) holds the legs
-    and up[a] = ((n_a, -mt_a), (-m_a, l_a)) the lowered legs."""
-
-    up: tuple
-    down: tuple
-
-
-def ivdw_symbols(w: WalkerMetric) -> IvdWSymbols:
-    t = walker_tetrad(w)
-    l_, n_, m_, mt_ = tetrad_covectors(assemble_metric(w), t)
-    down = tuple(((t.l[a], t.m[a]), (t.mt[a], t.n[a])) for a in range(4))
-    up = tuple(((n_[a], -mt_[a]), (-m_[a], l_[a])) for a in range(4))
-    return IvdWSymbols(up=up, down=down)
-
-
-def vector_to_spinor_matrix(symbols: IvdWSymbols, V: Vector):
-    """V^a -> V^{AA'} as a 2x2 matrix of rational functions."""
-    return tuple(
-        tuple(dot((V[a], symbols.up[a][A][Ap]) for a in range(4)) for Ap in range(2))
-        for A in range(2)
-    )
-
-
-def spinor_matrix_to_vector(symbols: IvdWSymbols, M) -> Vector:
-    return _vec(
-        dot((M[A][Ap], symbols.down[a][A][Ap]) for A in range(2) for Ap in range(2))
-        for a in range(4)
-    )
-
-
 class DirectionalOps:
     """Scalar directional derivatives D, Delta, delta, Dp of a tetrad,
     each along the leg ``LEG_OF`` names, taken by name through ``apply``

@@ -154,6 +154,43 @@ def _unused_imports(path):
     return imported - read
 
 
+def _loaded_names(path):
+    """The names the module at path reads, as a variable or an attribute,
+    outside the definition of a function or class of that name."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in inside:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return read
+
+
+# parse_poly is Poly.parse under a shorter name, kept for the tests that call it
+_UNREAD_EXPORTS = {"parse_poly"}
+
+
+# An exported name has a reader: another part of the engine, a release
+# criterion or the benchmark.  Tests of the name alone do not count.
+def test_every_public_name_has_a_reader():
+    readers = [path for path in sorted((SRC / "walkerspin").glob("*.py"))
+               if path.name != "__init__.py"]
+    readers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    read = set().union(*map(_loaded_names, readers))
+    assert sorted(set(walkerspin.__all__) - read) == sorted(_UNREAD_EXPORTS)
+
+
 # A deleted routine can leave its imports behind; only the package's
 # __init__.py imports names to re-export them.
 def test_no_module_imports_an_unused_name():
@@ -312,6 +349,10 @@ def _entry_points():
                 ("number", 1)]),
         "primed_spinor": (walkerspin.primed_spinor, [
             ("number", Poly.parse("u")), ("number", 1)]),
+        "multiple_spinor_differential_test": (
+            lambda q: walkerspin.multiple_spinor_differential_test(
+                walkerspin.primed_spinor(1, 0), q, an.curvature, an.frame),
+            [("multiplicity", 2)]),
         "WalkerMetric.from_dict": (WalkerMetric.from_dict, [
             ("spec", {"a": "u*v", "b": "x^3", "c": "u*y", "label": "m"})]),
         "HeavenlyPotential.from_dict": (walkerspin.HeavenlyPotential.from_dict, [
@@ -358,6 +399,7 @@ def _hostile(name, valid):
 @example(entry="raise_index", slot=0, hostile="huge", nested=False, item=0)
 @example(entry="lower_index", slot=0, hostile="negative", nested=False, item=0)
 @example(entry="contract", slot=1, hostile="negative", nested=False, item=0)
+@example(entry="multiple_spinor_differential_test", slot=0, hostile="inf", nested=False, item=0)
 def test_every_entry_point_reads_or_refuses_user_data(entry, slot, hostile, nested, item):
     """One data argument of a valid call, or one item of it, replaced by a
     hostile value: the call returns, or raises an EngineError.  Where the

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walkerspin import curvature
 from walkerspin.curvature import Analysis, classify_sd_weyl
 from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.heavenly import (
@@ -178,6 +179,18 @@ class TestPsiComponents:
     def test_low_parameter_degree_vanishes(self):
         p = HeavenlyPotential(theta=P("u^2*v*x^5 + u*v*y + u^3"))
         assert psi_components(p) == (ZERO,) * 5
+
+    def test_a_curvature_fault_disagrees_with_the_operator_route(self, monkeypatch):
+        # the metric route is the curvature owner's Psi0 ... Psi4
+        build = curvature.walker_curvature_components
+
+        def bumped(w, frame):
+            curv = build(w, frame)
+            return curv._replace(Psi0=curv.Psi0 + 1)
+
+        monkeypatch.setattr(curvature, "walker_curvature_components", bumped)
+        with pytest.raises(InternalInconsistencyError, match="quartic component Psi0"):
+            psi_components(HeavenlyPotential(theta=P("u^4*v + u*v^3*x")))
 
     def test_matches_curvature_engine(self):
         rng = random.Random(13)

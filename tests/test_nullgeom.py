@@ -1,5 +1,5 @@
-"""Direction-field analysis: integrability, recurrence covectors,
-principal-direction tests, and the distribution diagnostics."""
+"""Direction-field analysis: integrability, recurrence covectors, the
+differential multiplicity test, and the distribution diagnostics."""
 
 import random
 
@@ -10,31 +10,20 @@ from hypothesis import strategies as st
 from walkerspin.curvature import Analysis, walker_curvature_components
 from walkerspin.errors import InputError, InternalInconsistencyError
 from walkerspin.nullgeom import (
-    KerrReport,
     classify_type_I,
     classify_type_III,
     distribution_report,
     frobenius_residual,
-    integrability_residual,
-    kerr_check,
     multiple_spinor_differential_test,
     null_plane_curvature_identities,
     primed_spinor,
-    principal_spinor_residual,
     recurrence_forms,
     relation_suite,
     ricci_conditions,
-    weyl_quartic,
 )
 from walkerspin.poly import ONE, ZERO, RationalFunction, parse_poly
 from walkerspin.spincoeff import Frame, dyad_covariant_derivative, lower_index
-from walkerspin.walker import (
-    WalkerMetric,
-    aligned_ricci_residuals,
-    assemble_metric,
-    scale_normalization,
-    walker_tetrad,
-)
+from walkerspin.walker import WalkerMetric, aligned_ricci_residuals
 
 from support import assert_names_a_witness, random_metric_functions
 
@@ -57,26 +46,26 @@ def test_spinor_validation():
     with pytest.raises(InputError):
         primed_spinor(ZERO, ZERO)
     pi = primed_spinor(P("v"), P("x"))
-    lo = pi.lowered()
     du = pi.dual()
-    # normalization pi_lowered . dual = 1
-    assert lo[0] * du[0] + lo[1] * du[1] == RF(ONE)
+    # normalization pi_lowered . dual = 1, with pi_lowered = (-q, p)
+    assert -pi.q * du[0] + pi.p * du[1] == RF(ONE)
 
 
 class TestIntegrability:
     def test_constant_directions_flat(self, flat_frame):
         for p, q in ((ONE, ZERO), (ZERO, ONE), (ONE, ONE)):
-            res = integrability_residual(primed_spinor(p, q), flat_frame)
-            assert res.is_zero
+            rec = recurrence_forms(primed_spinor(p, q), flat_frame, check_integrable=False)
+            assert rec.integrability.is_zero
 
     def test_varying_field_flat_obstructed(self, flat_frame):
-        res = integrability_residual(primed_spinor(ONE, P("u")), flat_frame)
+        res = recurrence_forms(primed_spinor(ONE, P("u")), flat_frame,
+                               check_integrable=False).integrability
         assert res.component(0) == RF(ONE)
         assert res.component(1).is_zero
 
     def test_varying_field_flat_integrable(self, flat_frame):
-        res = integrability_residual(primed_spinor(P("v"), P("x")), flat_frame)
-        assert res.is_zero
+        rec = recurrence_forms(primed_spinor(P("v"), P("x")), flat_frame, check_integrable=False)
+        assert rec.integrability.is_zero
 
     def test_residual_is_the_double_contraction(self, flat_frame):
         """Read off the recurrence forms, the residual equals the derivative
@@ -88,16 +77,16 @@ class TestIntegrability:
             dpi = dyad_covariant_derivative(pi_up, flat_frame)
             want = [sum((pi_up.component(b) * pi_low.component(c) * dpi.component(B, b, c)
                          for b in (0, 1) for c in (0, 1)), ZERO) for B in (0, 1)]
-            res = integrability_residual(pi, flat_frame)
+            res = recurrence_forms(pi, flat_frame, check_integrable=False).integrability
             assert [res.component(B) for B in (0, 1)] == want
-            assert recurrence_forms(pi, flat_frame, check_integrable=False).integrability == res
 
     def test_canonical_direction_all_metrics(self):
         rng = random.Random(31)
         for _ in range(3):
             a, b, c = random_metric_functions(rng, 3)
             frame = Frame.walker(WalkerMetric(a=a, b=b, c=c))
-            assert integrability_residual(primed_spinor(ONE, ZERO), frame).is_zero
+            rec = recurrence_forms(primed_spinor(ONE, ZERO), frame, check_integrable=False)
+            assert rec.integrability.is_zero
 
 
 class TestRecurrenceForms:
@@ -115,8 +104,6 @@ class TestRecurrenceForms:
         assert rec.s_form["D"].is_zero and rec.s_form["delta"].is_zero
         assert rec.omega[0].is_zero and rec.omega[1] == RF(ONE)
         assert rec.eta[0].is_zero and rec.eta[1] == RF(ONE)
-        # coordinate components: v dx - x dv
-        assert [str(c) for c in rec.s_one_form] == ["0", "-x", "v", "0"]
         assert rec.pairing.is_zero
 
     def test_rejects_non_integrable_field(self, flat_frame):
@@ -160,35 +147,27 @@ class TestRecurrenceForms:
 class TestWeylPrincipalTests:
     def test_flat_everything_vanishes(self):
         curv = Analysis(FLAT).curvature
-        pi = primed_spinor(P("u+1"), P("x*y"))
-        assert weyl_quartic(pi, curv).is_zero
-        assert all(v.is_zero for v in principal_spinor_residual(pi, curv))
+        assert all(curv.psi(k).is_zero and curv.psi_t(k).is_zero for k in range(5))
 
     def test_canonical_direction_is_repeated_root(self):
+        # the canonical direction (1, 0) is a root of the second quartic
+        # family of multiplicity at least two: PsiT0 = PsiT1 = 0
         w = WalkerMetric(a=P("u*y^2"), b=ZERO, c=ZERO)
         curv = Analysis(w).curvature
-        pi = primed_spinor(ONE, ZERO)
-        assert weyl_quartic(pi, curv).is_zero
-        assert all(v.is_zero for v in principal_spinor_residual(pi, curv))
+        assert curv.PsiT0.is_zero and curv.PsiT1.is_zero
         # multiplicity is exactly three here: the next component survives
         assert curv.PsiT2.is_zero and not curv.PsiT3.is_zero
-
-    def test_quartic_expansion_generic_direction(self):
-        w = WalkerMetric(a=P("u*y^2"), b=ZERO, c=ZERO)
-        curv = Analysis(w).curvature
-        p, q = RF(P("v")), RF(P("x"))
-        expected = (
-            4 * curv.PsiT3 * p * q * q * q + curv.PsiT4 * q * q * q * q
-        )
-        assert weyl_quartic(primed_spinor(p, q), curv) == expected
 
 
 class TestDifferentialMultiplicity:
     def test_multiplicity_validation(self):
         curv = Analysis(FLAT).curvature
         frame = Frame.walker(FLAT)
-        with pytest.raises(InputError):
-            multiple_spinor_differential_test(primed_spinor(ONE, ZERO), 5, curv, frame)
+        # a float that equals an allowed multiplicity is refused too
+        for multiplicity in (5, 2.0, 3.0):
+            with pytest.raises(InputError, match="multiplicity must be 2, 3 or 4"):
+                multiple_spinor_differential_test(
+                    primed_spinor(ONE, ZERO), multiplicity, curv, frame)
 
     def test_vanishing_quartic_family_trivial(self):
         w = WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO)
@@ -243,33 +222,6 @@ class TestRicciConditions:
         assert_names_a_witness(str(err.value), "a_uu - b_vv", diff)
 
 
-class TestKerrCheck:
-    def test_flat_instance(self, flat_frame):
-        curv = Analysis(FLAT).curvature
-        rep = kerr_check(primed_spinor(P("v"), P("x")), flat_frame, curv)
-        assert isinstance(rep, KerrReport)
-        assert rep.hypothesis_holds and rep.conclusion_holds
-
-    def test_curved_instance(self):
-        w = WalkerMetric(a=ZERO, b=ZERO, c=P("2*x"))
-        frame = Frame.walker(w)
-        curv = walker_curvature_components(w, frame)
-        rep = kerr_check(primed_spinor(P("v"), P("x")), frame, curv)
-        assert rep.hypothesis_holds and rep.conclusion_holds
-
-    def test_recurrent_direction_refused(self, flat_frame):
-        curv = Analysis(FLAT).curvature
-        with pytest.raises(InputError):
-            kerr_check(primed_spinor(ONE, ZERO), flat_frame, curv)
-
-    def test_non_unit_frame_refused(self):
-        mt = assemble_metric(FLAT)
-        frame = Frame.from_tetrad(mt, scale_normalization(walker_tetrad(FLAT), P("1 + u"), ONE))
-        curv = Analysis(FLAT).curvature
-        with pytest.raises(InputError, match="unit-normalized frame"):
-            kerr_check(primed_spinor(P("v"), P("x")), frame, curv)
-
-
 class TestFrobenius:
     def test_coordinate_covector(self):
         assert all(v.is_zero for v in frobenius_residual((ZERO, ZERO, ONE, ZERO)).values())
@@ -295,23 +247,10 @@ class TestRelationSuites:
         rng = random.Random(seed)
         a, b, c = random_metric_functions(rng, 3)
         s = Frame.walker(WalkerMetric(a=a, b=b, c=c)).coeffs
-        for suite in ("canonical", "surface-orthogonal", "flat-connection",
-                      "distribution-parallel", "integrable-pair",
+        for suite in ("canonical", "surface-orthogonal", "distribution-parallel",
                       "screen-integrable"):
             residuals = relation_suite(s, suite)
             assert all(v.is_zero for v in residuals.values()), suite
-
-    def test_affine_section_measures_frame_misfit(self):
-        w = WalkerMetric(a=ZERO, b=ZERO, c=P("u*v"))
-        frame = Frame.walker(w)
-        curv = walker_curvature_components(w, frame)
-        res = relation_suite(frame.coeffs, "affine-section", curv)
-        assert res["beta~"].is_zero
-        assert res["alpha + 1"] == RF(ONE)
-
-    def test_affine_section_needs_curvature(self, flat_frame):
-        with pytest.raises(InputError):
-            relation_suite(flat_frame.coeffs, "affine-section")
 
     def test_unknown_suite(self, flat_frame):
         with pytest.raises(InputError):
@@ -385,5 +324,4 @@ def test_canonical_direction_differential_condition(seed):
     frame = Frame.walker(w)
     curv = walker_curvature_components(w, frame)
     pi = primed_spinor(ONE, ZERO)
-    assert all(v.is_zero for v in principal_spinor_residual(pi, curv))
     assert multiple_spinor_differential_test(pi, 2, curv, frame).is_zero

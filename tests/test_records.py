@@ -34,7 +34,7 @@ NAMED_TUPLES = _named_tuples()
 
 
 def test_every_immutable_record_is_a_named_tuple():
-    assert len(NAMED_TUPLES) == 25
+    assert len(NAMED_TUPLES) == 23
     assert all(hasattr(cls, "_fields") for cls in NAMED_TUPLES)
 
 

@@ -1,4 +1,4 @@
-"""Metric assembly, connection, tetrad, and soldering-form behaviour."""
+"""Metric assembly, connection, tetrad and directional-operator behaviour."""
 
 from __future__ import annotations
 
@@ -17,13 +17,10 @@ from walkerspin.walker import (
     WalkerMetric,
     assemble_metric,
     christoffel,
-    ivdw_symbols,
     scale_normalization,
-    spinor_matrix_to_vector,
     tetrad_covectors,
     tetrad_transform,
     validate_tetrad,
-    vector_to_spinor_matrix,
     walker_tetrad,
 )
 
@@ -31,7 +28,6 @@ from support import (
     covariant_derivative_vector,
     directional_vector_derivative,
     random_metric_functions,
-    random_poly,
 )
 
 
@@ -121,34 +117,6 @@ def test_degenerate_tetrad_rejected():
     broken = type(t)(l=t.l, n=t.l, m=t.m, mt=t.mt)  # n replaced by l
     with pytest.raises(DegenerateTetradError):
         validate_tetrad(mt, broken)
-
-
-def test_ivdw_mutual_inverses_and_tetrad_match():
-    for w in sample_metrics(4):
-        sym = ivdw_symbols(w)
-        t = walker_tetrad(w)
-        for i in range(4):
-            for j in range(4):
-                total = Poly.zero()
-                for A in range(2):
-                    for Ap in range(2):
-                        total = total + sym.up[i][A][Ap] * sym.down[j][A][Ap]
-                assert total == (ONE if i == j else ZERO)
-        # Dyad products of the soldering forms reproduce the tetrad.
-        expected = {(0, 0): t.l, (1, 1): t.n, (0, 1): t.m, (1, 0): t.mt}
-        for (A, Ap), vec in expected.items():
-            comps = [RationalFunction(sym.down[a][A][Ap]) for a in range(4)]
-            assert list(vec) == comps
-
-
-def test_ivdw_round_trip_on_random_vectors():
-    rng = random.Random(23)
-    for w in sample_metrics(3):
-        sym = ivdw_symbols(w)
-        V = tuple(RationalFunction(random_poly(rng, max_degree=2)) for _ in range(4))
-        M = vector_to_spinor_matrix(sym, V)
-        back = spinor_matrix_to_vector(sym, M)
-        assert list(back) == list(V)
 
 
 def test_directional_operators_closed_form():
