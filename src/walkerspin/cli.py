@@ -41,11 +41,10 @@ from .nullgeom import distribution_report, relation_suite
 from .poly import (
     MAX_EXPONENT,
     ZERO,
+    Poly,
     _bounded_int,
     _digit_bound,
     _float,
-    _pack,
-    _poly,
     _refused_digits,
 )
 from .spincoeff import COEFF_NAMES, Frame, _check
@@ -218,7 +217,7 @@ def _commutator_probes():
     degree and then exponents; built once per process, as the parser is."""
     exponents = sorted((e for e in product(range(4), repeat=4) if sum(e) <= 3),
                        key=lambda e: (sum(e), e))
-    monomials = [_poly({_pack(e): 1}, 1, max(e)) for e in exponents]
+    monomials = [Poly({e: 1}) for e in exponents]
     return (tuple(map(str, monomials)),
             tuple(tuple(mono.diff(name) for name in COORDS) for mono in monomials))
 

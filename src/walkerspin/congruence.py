@@ -22,19 +22,20 @@ entries each.  Each system has one fused RK4 stepper, the deviation one
 in its 8-dimensional first-order form: a step reads three rows and
 computes all four stages as straight-line float expressions on locals, in
 the operation order of a generic stepper, so it makes no call and builds
-no list per stage.  A connecting state is a named tuple, but the steppers
-yield plain tuples: `integrate_connecting` (and `integrate_jacobi`, from
-each half of its 8-tuples) builds a ``ConnectingState`` from each in a
-second pass, as `connecting_oracle` does from its closed-form values.  The
-CLI checks the states against `connecting_oracle`, and the CSV is
-streamed row by row.
+no list per stage.  Both integrators take a metric and sample their own
+trace on the grid that `_half_grid`, the one grid builder, makes and
+checks.  A connecting state is a named tuple, but the steppers yield
+plain tuples: `integrate_connecting` (and `integrate_jacobi`, from each
+half of its 8-tuples) builds a ``ConnectingState`` from each in a second
+pass, as `connecting_oracle` does from its closed-form values.  The CLI
+checks the states against `connecting_oracle`, and the CSV is streamed
+row by row.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
 from fractions import Fraction
 from itertools import islice, repeat
 from typing import NamedTuple
@@ -46,8 +47,6 @@ from .poly import (
     ZERO,
     Poly,
     Value,
-    _float,
-    _fraction,
     _point,
     _ratio,
     _refused_digits,
@@ -94,20 +93,15 @@ _N_ENTRIES = (
 
 
 def _finite(values, what) -> tuple[float, ...]:
-    _finite_count(values, what)
-    return tuple(map(float, values))
-
-
-def _finite_count(samples, what) -> int:
-    """The length of a sequence of finite real numbers, read as given;
-    anything else is refused."""
+    """A sequence of finite real numbers, as floats; anything else is
+    refused."""
     try:
-        finite = all(map(math.isfinite, samples))
+        finite = all(map(math.isfinite, values))
     except (TypeError, OverflowError) as exc:
         raise InputError(f"{what}: not a float") from exc
     if not finite:
         raise InputError(f"{what}: nonfinite value")
-    return len(_sequence(samples, what))
+    return tuple(map(float, _sequence(values, what)))
 
 
 def _check_span(v_end, step) -> tuple[float, float]:
@@ -129,6 +123,9 @@ def _half_grid(v_end, step):
     h2 = (v_end / n) / 2
     grid = [j * h2 for j in range(2 * n + 1)]
     grid[-1] = v_end
+    # a subnormal span can halve to a step of zero
+    if not all(map(operator.lt, grid, grid[1:])):
+        raise InputError("trace grid must be strictly increasing")
     return tuple(grid)
 
 
@@ -148,31 +145,12 @@ def _as_state(v) -> ConnectingState:
     return ConnectingState._make(comps)
 
 
-# a typing.NamedTuple may not override __new__, so the fields come from a
-# collections.namedtuple base
-class CoefficientTrace(namedtuple("CoefficientTrace", "grid values")):
-    """Double-precision coefficient samples along one integral curve,
-    validated whenever one is built, ``_make`` and ``_replace`` included."""
+class CoefficientTrace(NamedTuple):
+    """Double-precision samples of the TRACE_KEYS columns along one
+    integral curve, one per grid parameter."""
 
-    __slots__ = ()
-
-    def __new__(cls, grid, values):
-        if not isinstance(values, dict) or set(values) != set(TRACE_KEYS):
-            raise InputError(f"trace must carry exactly the keys {TRACE_KEYS}")
-        # kept as given: a float copy adds a tuple per column and changes an int grid's steps
-        npts = _finite_count(grid, "trace grid")
-        if npts < 3 or npts % 2 == 0:
-            raise InputError("trace grid must hold an odd number (>= 3) of samples")
-        if not all(map(operator.lt, grid, grid[1:])):
-            raise InputError("trace grid must be strictly increasing")
-        for key, samples in values.items():
-            if _finite_count(samples, f"trace column {key!r}") != npts:
-                raise InputError(f"trace column {key!r} does not match the grid")
-        return super().__new__(cls, grid, values)
-
-    @classmethod
-    def _make(cls, iterable) -> "CoefficientTrace":
-        return cls(*iterable)
+    grid: tuple
+    values: dict
 
     @classmethod
     def from_metric(cls, w: WalkerMetric, base, grid) -> "CoefficientTrace":
@@ -182,15 +160,6 @@ class CoefficientTrace(namedtuple("CoefficientTrace", "grid values")):
     def from_frame(cls, frame: Frame, base, grid) -> "CoefficientTrace":
         values = _sample_columns(_transport_columns(frame.coeffs), base, grid)
         return cls(grid=_finite(grid, "curve parameters"), values=values)
-
-    @classmethod
-    def constant(cls, values, v_end: float, step: float) -> "CoefficientTrace":
-        if not isinstance(values, dict) or not set(values) <= set(TRACE_KEYS):
-            raise InputError(f"trace values must be a dict with keys among {TRACE_KEYS}")
-        grid = _half_grid(v_end, step)
-        cols = {k: _finite((values.get(k, 0.0),), f"trace value {k!r}") * len(grid)
-                for k in TRACE_KEYS}
-        return cls(grid=grid, values=cols)
 
 
 class ConnectingPath(NamedTuple):
@@ -256,14 +225,6 @@ def _matrices(an: Analysis):
     return (
         _matrix(_M_ENTRIES, _transport_columns(an.frame.coeffs)),
         _matrix(_N_ENTRIES, _curvature_columns(an.curvature)),
-    )
-
-
-def _evaluate(a, pt, name) -> tuple:
-    """The entries of the matrix `name` at pt, as floats."""
-    return tuple(
-        tuple(_float(e.eval_at(pt), f"{name}[{i}][{k}]") for k, e in enumerate(row))
-        for i, row in enumerate(a)
     )
 
 
@@ -407,33 +368,12 @@ def _rk4_jacobi(rows, s, grid) -> list[tuple]:
     return states
 
 
-def _check_midpoints(grid) -> None:
-    # halving before adding: (t0 + t1) / 2 overflows near the float maximum
-    for t0, tm, t1 in zip(grid[::2], grid[1::2], grid[2::2]):
-        if abs(tm - (t0 / 2 + t1 / 2)) > 1e-9 * (abs(t1 - t0) + 1.0):
-            raise InputError("trace grid must sample step midpoints")
-
-
-def integrate_connecting(source, V0, v_end=None, step=None, base=None) -> ConnectingPath:
-    """Fourth-order fixed-step propagation of a connecting state.
-
-    `source` is either a metric (the trace is built by exact sampling
-    along the curve through `base`, the origin if None) or a prebuilt
-    CoefficientTrace, which fixes its own grid and curve, so `v_end`,
-    `step` and `base` are refused with it.
-    """
+def integrate_connecting(w: WalkerMetric, V0, v_end, step, base=None) -> ConnectingPath:
+    """Fourth-order fixed-step propagation of a connecting state along the
+    curve through `base` (the origin if None), over the coefficients
+    sampled exactly on the half-step grid of `v_end` and `step`."""
     state0 = _as_state(V0)
-    if isinstance(source, WalkerMetric):
-        if v_end is None or step is None:
-            raise InputError("v_end and step are required with a metric source")
-        trace = CoefficientTrace.from_metric(source, base, _half_grid(v_end, step))
-    elif isinstance(source, CoefficientTrace):
-        if v_end is not None or step is not None or base is not None:
-            raise InputError("v_end, step and base cannot be given with a prebuilt trace")
-        trace = source
-    else:
-        raise InputError("source must be a WalkerMetric or a CoefficientTrace")
-    _check_midpoints(trace.grid)
+    trace = CoefficientTrace.from_metric(w, base, _half_grid(v_end, step))
     rows = _row_stream(_M_ENTRIES, trace.values)
     states = _rk4_connecting(rows, state0, trace.grid)
     return ConnectingPath(
@@ -523,8 +463,6 @@ def integrate_jacobi(w: WalkerMetric, V0, V0p, v_end, step, base=None) -> Jacobi
 class RiccatiReport(NamedTuple):
     m_residual: tuple
     p_residual: tuple
-    m_sample: tuple | None
-    p_sample: tuple | None
 
     @property
     def is_zero(self) -> bool:
@@ -552,21 +490,9 @@ def _closures(an: Analysis) -> tuple[tuple, tuple]:
     return _closure(m, n), _closure(_screen(m), _screen(n))
 
 
-def riccati_residual(w: WalkerMetric, base=None, v=None) -> RiccatiReport:
-    """Exact residual of the matrix transport closures (`_closures`),
-    sampled as floats at parameter v along the curve through base when
-    both are given."""
-    if (base is None) != (v is None):
-        raise InputError("a residual sample needs both base and v")
-    m_res, p_res = _closures(Analysis(w))
-    m_sample = p_sample = None
-    if base is not None:
-        # the congruence flows along the first coordinate only
-        pt = _point(base)
-        pt = (pt[0] + _fraction(v),) + pt[1:]
-        m_sample = _evaluate(m_res, pt, "M residual")
-        p_sample = _evaluate(p_res, pt, "P residual")
-    return RiccatiReport(m_res, p_res, m_sample, p_sample)
+def riccati_residual(w: WalkerMetric) -> RiccatiReport:
+    """Exact residual of the matrix transport closures (`_closures`)."""
+    return RiccatiReport(*_closures(Analysis(w)))
 
 
 class SigmaOmega(NamedTuple):

@@ -14,7 +14,8 @@ finite float, never text; an ordered argument is a sequence, not a str, a
 set, a mapping or an iterator; a point is four numbers.  ``Poly(terms)``
 takes a mapping from four nonnegative int exponents to numbers.  A literal
 in polynomial text is decimal digits that int() can read.  Engine objects
-(WalkerMetric, Frame, Tetrad, Analysis) are typed, not checked.
+(WalkerMetric, Frame, Tetrad, Analysis, CoefficientTrace) are typed, not
+checked.
 """
 
 from __future__ import annotations

@@ -159,12 +159,8 @@ class HeavenlyInvariants(NamedTuple):
 
 def invariants(p: HeavenlyPotential) -> HeavenlyInvariants:
     """The scalar building blocks of the curvature of the built metric."""
-    w = p.metric
-    s_val = _check(
-        "scalar curvature S against 2h",
-        2 * p.h,
-        _d(w.a, "u", "u") + _d(w.b, "v", "v") + 2 * _d(w.c, "u", "v"),
-    )
+    # walker_curvature_components checks S against a_uu + b_vv + 2 c_uv
+    s_val = _check("scalar curvature S against 2h", 2 * p.h, p.analysis.curvature.S)
     big_p = (
         _d(p.theta, "u", "x")
         + _d(p.theta, "v", "y")

@@ -82,7 +82,6 @@ class RecurrenceForms(NamedTuple):
     omega: tuple
     eta: tuple
     divergence: tuple
-    pairing: Value
     integrability: DyadSpinorField
 
     @property
@@ -136,16 +135,12 @@ def recurrence_forms(
     square = dot((dpi_low.comps[key], raised.comps[key]) for key in product((0, 1), repeat=3))
     _check("derivative square", square, ZERO)
 
-    eta_up = (eta[1], -eta[0])
-    pairing = 2 * dot(zip(eta_up, omega))
-
     return RecurrenceForms(
         s_form=_pair_dict(s_vals),
         t_form=_pair_dict(t_vals),
         omega=omega,
         eta=eta,
         divergence=div,
-        pairing=pairing,
         integrability=integ,
     )
 

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import walkerspin
 from walkerspin import cli
-from walkerspin.congruence import TRACE_KEYS
 from walkerspin.curvature import walker_curvature_components
 from walkerspin.errors import EngineError, InputError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction
@@ -276,7 +275,7 @@ _ACCEPTS = {
 }
 _ITEMS = {
     "point": "number", "base": "number", "grid": "number", "sequence": "number",
-    "columns": "sequence", "constants": "number", "spec": "text",
+    "spec": "text",
     "terms": "number",
 }
 
@@ -327,14 +326,8 @@ def _entry_points():
             lambda *args: walkerspin.integrate_jacobi(w, *args), [state, state, *span, base]),
         "connecting_oracle": (
             lambda *args: walkerspin.connecting_oracle(w, *args), [base, state, grid]),
-        "CoefficientTrace": (walkerspin.CoefficientTrace, [
-            grid, ("columns", {k: (0.0, 0.0, 1.0, 0.0, 0.0) for k in TRACE_KEYS})]),
         "CoefficientTrace.from_metric": (
             lambda *args: walkerspin.CoefficientTrace.from_metric(w, *args), [base, grid]),
-        "CoefficientTrace.constant": (walkerspin.CoefficientTrace.constant, [
-            ("constants", {"rho": 0.5, "sigma": -1.0}), *span]),
-        "riccati_residual": (
-            lambda *args: walkerspin.riccati_residual(w, *args), [base, ("number", 2)]),
         "classify_sd_weyl": (lambda pt: walkerspin.classify_sd_weyl(an, pt), [point]),
         "frobenius_residual": (walkerspin.frobenius_residual, [
             ("sequence", (p, ONE, ZERO, Poly.parse("x")))]),
@@ -377,7 +370,6 @@ def _hostile(name, valid):
        item=st.integers(0, 7))
 @example(entry="Poly.eval_at", slot=0, hostile="set", nested=False, item=0)
 @example(entry="Poly.eval_at", slot=0, hostile="text", nested=False, item=0)
-@example(entry="riccati_residual", slot=1, hostile="text", nested=False, item=0)
 @example(entry="integrate_connecting", slot=0, hostile="text", nested=False, item=0)
 @example(entry="integrate_connecting", slot=0, hostile="set", nested=False, item=0)
 @example(entry="CoefficientTrace.from_metric", slot=1, hostile="text", nested=False, item=0)

@@ -21,10 +21,10 @@ import walkerspin
 from walkerspin import cli
 from walkerspin.cli import SUITES, main
 from walkerspin.congruence import MAX_STEPS
-from walkerspin.poly import ZERO, Poly
+from walkerspin.poly import ONE, ZERO, Poly
 from walkerspin.spincoeff import COEFF_NAMES, Frame
 
-from support import corpus_metrics, count_packed, value_parts
+from support import assert_names_a_witness, corpus_metrics, count_packed, value_parts
 
 FLAT = {"a": "0", "b": "0", "c": "0", "label": "flat"}
 CUBIC = {"a": "0", "b": "u^3", "c": "0"}
@@ -494,6 +494,22 @@ class TestHeavenly:
         code, out, err = run(capsys, "heavenly", spec({**UVX_POT, "H": "0", "label": "uvx"}))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "unknown keys: ['H']" in err
+
+    def test_scalar_fault_disagrees_with_2h(self, spec, capsys, monkeypatch):
+        """S off by one where it is assembled disagrees with 2h, the scalar
+        the potential prescribes."""
+        components = walkerspin.curvature.walker_curvature_components
+
+        def bumped(w, frame):
+            c = components(w, frame)
+            return c._replace(S=c.S + 1)
+
+        monkeypatch.setattr(walkerspin.curvature, "walker_curvature_components", bumped)
+        code, out, err = run(capsys, "heavenly", spec({**UVX_POT, "theta": "u^2*v*x + v^3*y"}))
+        assert (code, out) == (3, "")
+        prefix = "internal inconsistency: "
+        assert err.startswith(prefix) and err.endswith("\n")
+        assert_names_a_witness(err[len(prefix):-1], "scalar curvature S against 2h", -ONE)
 
     def test_identity_only(self, spec, capsys):
         code, out, _ = run(capsys, "heavenly", spec(UVX_POT), "--check", "identity")
@@ -1076,6 +1092,17 @@ def test_congruence_span_takes_rational_literals(tmp_path):
         assert code == 0, err.getvalue()
         outputs.append(out.getvalue())
     assert outputs[0] == outputs[1]
+
+
+def test_congruence_refuses_a_span_whose_half_step_rounds_to_zero(spec, capsys):
+    """The half step of a one-step span at the smallest subnormal is 0.0,
+    so the grid would repeat a parameter; it is refused before sampling."""
+    argv = ["congruence", spec(MIXED), "--v0=0,1,0,0", "--out=-"]
+    code, out, err = run(capsys, *argv, "--end=5e-324", "--step=5e-324")
+    assert (code, out, err) == (2, "", "error: trace grid must be strictly increasing\n")
+    code, out, err = run(capsys, *argv, "--end=1e-320", "--step=1e-321")
+    assert code == 0, err
+    assert len(out.splitlines()) == 13  # the header, 11 states, the oracle error
 
 
 def run_module(*argv, **kwargs) -> subprocess.CompletedProcess:

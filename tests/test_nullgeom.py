@@ -104,7 +104,6 @@ class TestRecurrenceForms:
         assert rec.s_form["D"].is_zero and rec.s_form["delta"].is_zero
         assert rec.omega[0].is_zero and rec.omega[1] == RF(ONE)
         assert rec.eta[0].is_zero and rec.eta[1] == RF(ONE)
-        assert rec.pairing.is_zero
 
     def test_rejects_non_integrable_field(self, flat_frame):
         with pytest.raises(InputError):
@@ -122,13 +121,6 @@ class TestRecurrenceForms:
             assert scaled.s_form[key] == lam * lam * base.s_form[key]
         for A in (0, 1):
             assert scaled.omega[A] == lam * base.omega[A]
-
-    def test_pairing_is_scale_sensitive(self, flat_frame):
-        # The scalar 2*eta.omega is not invariant under rescaling the
-        # field, even though integrability is; the adapted scaling above
-        # gives zero, this one does not.
-        rec = recurrence_forms(primed_spinor(P("u*v"), P("u*x")), flat_frame)
-        assert rec.pairing == RF(P("-2*u*v"))
 
     def test_rescaled_frame_matches_coefficient_formula(self):
         from walkerspin.spincoeff import transform_coefficients
