@@ -7,10 +7,13 @@ it is the line (u0 + t, v0, x0, y0).  Every sampled quantity is a
 polynomial in u, v, x, y on a canonical frame, so it is restricted to the
 curve once, exactly, as a polynomial in t with integer coefficients over
 one denominator.  Each sample on the half-step grid is then that
-polynomial's exact value at the float-derived rational t, computed by
-integer Horner and rounded to a float once.  The closed-form oracle
-restricts two polynomials in a, b and c the same way.  Integration error
-is the only numerical error in a trace.
+polynomial's exact value at the float-derived rational t, rounded to a
+float once; a column's samples are batches of integer Horner over the
+grid, each batch one loop with no call per point.  The grid's ratios are
+formed only when some column varies along the curve (or the grid is not
+all floats): a constant column's samples are its one value.  The
+closed-form oracle restricts two polynomials in a, b and c the same way.
+Integration error is the only numerical error in a trace.
 
 The transport matrix M (z' = M z) and the curvature matrix N (z'' = -N z)
 are each written once, as a table of nonzero entries that the sampling,
@@ -25,11 +28,11 @@ the operation order of a generic stepper, so it makes no call and builds
 no list per stage.  Both integrators take a metric and sample their own
 trace on the grid that `_half_grid`, the one grid builder, makes and
 checks.  A connecting state is a named tuple, but the steppers yield
-plain tuples: `integrate_connecting` (and `integrate_jacobi`, from each
-half of its 8-tuples) builds a ``ConnectingState`` from each in a second
-pass, as `connecting_oracle` does from its closed-form values.  The CLI
+plain tuples: one helper, `_states`, builds the records from them in C,
+for `integrate_connecting`, for each half of `integrate_jacobi`'s
+8-tuples, and for `connecting_oracle`'s closed-form values.  The CLI
 checks the states against `connecting_oracle`, and the CSV is streamed
-row by row.
+row by row, each row one ``%`` format over its nine columns.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ TRACE_KEYS = (
 )
 
 CSV_HEADER = "v,eta,zeta,zetatilde,nu,rho,rhotilde,sigma,sigmatilde"
+_CSV_ROW = ",".join(["%r"] * len(CSV_HEADER.split(","))) + "\n"
 
 # Largest number of integration steps v_end / step may ask for.
 MAX_STEPS = 1_000_000
@@ -138,6 +142,13 @@ class ConnectingState(NamedTuple):
     nu: float
 
 
+def _states(rows) -> tuple[ConnectingState, ...]:
+    """A ``ConnectingState`` from each 4-tuple of floats in ``rows``, built
+    in C: ``tuple.__new__`` makes each record with no Python call per row,
+    and so without ``_make``'s length check."""
+    return tuple(map(tuple.__new__, repeat(ConnectingState), rows))
+
+
 def _as_state(v) -> ConnectingState:
     comps = _finite(v, "connecting state")
     if len(comps) != 4:
@@ -154,11 +165,7 @@ class CoefficientTrace(NamedTuple):
 
     @classmethod
     def from_metric(cls, w: WalkerMetric, base, grid) -> "CoefficientTrace":
-        return cls.from_frame(Frame.walker(w), base, grid)
-
-    @classmethod
-    def from_frame(cls, frame: Frame, base, grid) -> "CoefficientTrace":
-        values = _sample_columns(_transport_columns(frame.coeffs), base, grid)
+        values = _sample_columns(_transport_columns(Frame.walker(w).coeffs), base, grid)
         return cls(grid=_finite(grid, "curve parameters"), values=values)
 
 
@@ -376,9 +383,7 @@ def integrate_connecting(w: WalkerMetric, V0, v_end, step, base=None) -> Connect
     trace = CoefficientTrace.from_metric(w, base, _half_grid(v_end, step))
     rows = _row_stream(_M_ENTRIES, trace.values)
     states = _rk4_connecting(rows, state0, trace.grid)
-    return ConnectingPath(
-        grid=trace.grid[::2], states=tuple(map(ConnectingState._make, states)), trace=trace
-    )
+    return ConnectingPath(grid=trace.grid[::2], states=_states(states), trace=trace)
 
 
 def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, ...]:
@@ -398,7 +403,7 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     eta = Fraction(eta0) + ((c0 - w.c) * zt + (w.a - a0) * nu) * HALF
     zeta = Fraction(zeta0) + ((b0 - w.b) * zt + (w.c - c0) * nu) * HALF
     eta, zeta = _sample_columns({"eta": eta, "zeta": zeta}, pt0, ts).values()
-    return tuple(map(ConnectingState._make, zip(eta, zeta, repeat(zeta_t0), repeat(nu0))))
+    return _states(zip(eta, zeta, repeat(zeta_t0), repeat(nu0)))
 
 
 def _base_point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -406,34 +411,56 @@ def _base_point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return _point((0, 0, 0, 0) if base is None else base)
 
 
-def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
-    """Float samples of each column at every grid parameter along the curve
-    through `base`, the origin if None.  Canonical-frame columns are
-    polynomials; each is restricted to the curve once and evaluated exactly
-    at each parameter, taken as a (p, q) pair.  The largest bit lengths of
-    p and of q are taken once, so a column whose samples could pass the
-    rule of ``_refused_digits`` is refused before any sample is formed."""
-    pt0 = _base_point(base)
-    grid = _sequence(grid, "curve parameters")
+def _grid_ratios(grid) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The numerators and the denominators of the grid parameters, each
+    p/q in lowest terms with q > 0.  A grid that is not all floats is read
+    by ``_ratio``.  The (p, q) pairs are dropped on return, so a long grid
+    holds only the two columns."""
     try:
         ratios = list(map(float.as_integer_ratio, grid))
     except TypeError:  # not every parameter is a float
         ratios = list(map(_ratio, grid))
     except (ValueError, OverflowError) as exc:
         raise InputError("nonfinite curve parameter") from exc
-    # the largest magnitude has the largest bit length
-    p_bits = max(map(abs, map(operator.itemgetter(0), ratios)), default=0).bit_length()
-    q_bits = max(map(operator.itemgetter(1), ratios), default=0).bit_length()
-    out = {}
+    return tuple(map(operator.itemgetter(0), ratios)), tuple(map(operator.itemgetter(1), ratios))
+
+
+def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
+    """Float samples of each column at every grid parameter along the curve
+    through `base`, the origin if None.  Canonical-frame columns are
+    polynomials; each is restricted to the curve first, once.  When some
+    column varies along the curve, or the grid is not all finite floats,
+    every parameter is taken as a (p, q) pair, and each column is one
+    ``CurvePoly.floats`` call over them; a grid that is not all floats
+    takes the exact route of ``_ratio``.  The largest bit lengths of p and
+    of q are taken once, so a column whose samples could pass the rule of
+    ``_refused_digits`` is refused before any sample is formed.  When every
+    column is constant along the curve and the grid is all finite floats,
+    no ratio is formed: each column's value is its value at t = 0, and its
+    digit bound reads no bit length, so the refusals are the same."""
+    pt0 = _base_point(base)
+    grid = _sequence(grid, "curve parameters")
+    curves = {}
     for key, col in columns.items():
         if not isinstance(col, Poly):
             raise InternalInconsistencyError(f"{key} not polynomial on a canonical frame")
-        curve = col.along_u(pt0)
+        curves[key] = col.along_u(pt0)
+    if (any(len(curve.coeffs) > 1 for curve in curves.values())
+            or not {float}.issuperset(map(type, grid))
+            or not all(map(math.isfinite, grid))):
+        ps, qs = _grid_ratios(grid)
+        # the largest magnitude has the largest bit length
+        p_bits = max(map(abs, ps), default=0).bit_length()
+        q_bits = max(qs, default=0).bit_length()
+    else:
+        ps, qs, p_bits, q_bits = (0,) * len(grid), (1,) * len(grid), 0, 0
+    out = {}
+    for key, curve in curves.items():
         limit = _refused_digits(curve.digit_bound(p_bits, q_bits))
         if limit:
             raise InputError(f"{key} has more than {limit} digits along the curve")
         try:
-            out[key] = curve.floats(ratios)
+            out[key] = curve.floats(ps, qs)
         except OverflowError as exc:
             raise InputError(f"{key} overflows a float along the curve") from exc
     return out
@@ -442,20 +469,21 @@ def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
 def integrate_jacobi(w: WalkerMetric, V0, V0p, v_end, step, base=None) -> JacobiPath:
     """Second-order deviation system integrated as an 8-dimensional
     first-order one, along the curve through `base` (the origin if None);
-    returns states and their parameter derivatives."""
+    returns states and their parameter derivatives.  The columns of M and
+    of N are sampled in one pass, on one set of grid ratios."""
     z0 = _as_state(V0)
     y0 = _as_state(V0p)
     grid = _half_grid(v_end, step)
     an = Analysis(w)
-    trace = CoefficientTrace.from_frame(an.frame, base, grid)
-    rows = _row_stream(
-        _N_ENTRIES, _sample_columns(_curvature_columns(an.curvature), base, grid)
+    values = _sample_columns(
+        {**_transport_columns(an.frame.coeffs), **_curvature_columns(an.curvature)}, base, grid
     )
-    states = _rk4_jacobi(rows, z0 + y0, grid)
+    trace = CoefficientTrace(grid=grid, values={key: values[key] for key in TRACE_KEYS})
+    states = _rk4_jacobi(_row_stream(_N_ENTRIES, values), z0 + y0, grid)
     return JacobiPath(
         grid=grid[::2],
-        states=tuple(ConnectingState._make(s[:4]) for s in states),
-        derivatives=tuple(ConnectingState._make(s[4:]) for s in states),
+        states=_states(map(operator.itemgetter(slice(4)), states)),
+        derivatives=_states(map(operator.itemgetter(slice(4, None)), states)),
         trace=trace,
     )
 
@@ -542,16 +570,15 @@ def sigma_omega_forms(first, second) -> SigmaOmega:
 def write_trace_csv(path, stream) -> None:
     """One row per accepted step; floats printed in shortest
     round-trip form so identical runs give identical bytes.  Rows are
-    streamed, not built into one string.  A finite float's repr holds no
-    comma, quote or line break, so no field needs CSV quoting."""
+    streamed, not built into one string: each is one ``%`` format over
+    its nine columns, every column read through ``float``, so an int
+    grid still prints as floats.  A finite float's repr holds no comma,
+    quote or line break, so no field needs CSV quoting."""
     tr = path.trace.values
-    rows = zip(
+    columns = (
         path.grid,
-        path.states,
+        *(map(operator.itemgetter(i), path.states) for i in range(4)),
         *(islice(tr[key], 0, None, 2) for key in ("rho", "rho_t", "sigma", "sigma_t")),
     )
     stream.write(CSV_HEADER + "\n")
-    stream.writelines(
-        ",".join(map(repr, map(float, (t, *state, rho, rho_t, sigma, sigma_t)))) + "\n"
-        for t, state, rho, rho_t, sigma, sigma_t in rows
-    )
+    stream.writelines(map(_CSV_ROW.__mod__, zip(*(map(float, col) for col in columns))))

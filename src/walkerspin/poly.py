@@ -57,6 +57,10 @@ integer coefficients of u^a it leaves, and ``along_u`` Horner in u0 + t,
 the restriction t -> p(u0 + t, v0, x0, y0) as a ``CurvePoly``: integer
 coefficients of t^k over one denominator, evaluated by integer Horner.
 Its float values, rounded once from the exact value, are the only floats.
+``_horner`` is that one Horner: one loop over a batch of points t = p/q,
+with no call per point, so ``CurvePoly.floats`` hands it a grid in
+batches of ``_HORNER_BATCH`` points and ``eval_at`` and ``ratio_at`` a
+single point.
 
 A ``RationalFunction`` keeps its denominator as a map from factor to
 multiplicity: a product adds multiplicities, a sum works over each factor
@@ -80,7 +84,9 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isfinite, lcm
+from operator import mul, truediv
 from typing import Iterable, Union
 
 from .errors import InputError
@@ -428,7 +434,7 @@ class Poly:
         """Exact evaluation at a point (``_point``), in coordinate order:
         Horner in u over the coefficients of ``_u_restriction``."""
         u0, g, scale = self._u_restriction(point)
-        num, den = _horner(g, u0.numerator, u0.denominator)
+        (num,), (den,) = _horner(g, (u0.numerator,), (u0.denominator,))
         return Fraction(num, scale * den)
 
     def along_u(self, base: Sequence[Scalar]) -> "CurvePoly":
@@ -515,14 +521,30 @@ def _ratio(t) -> tuple[int, int]:
     return t.numerator, t.denominator
 
 
-def _horner(coeffs, p: int, q: int) -> tuple[int, int]:
-    """sum_k coeffs[k] (p/q)^k, q > 0, as a numerator over q^degree, by
-    homogenised Horner, acc = acc*p + c_k*q^j, in integers throughout."""
-    acc, qj = (coeffs[-1], 1) if coeffs else (0, 1)
-    for c in coeffs[-2::-1]:
-        qj *= q
-        acc = acc * p + c * qj
-    return acc, qj
+# Points per ``_horner`` batch in ``CurvePoly.floats``: a batch lists the
+# numerator and the power of q of each of its points, so batches keep those
+# lists short at any grid length, and a batch of 2048 costs per point what
+# a single batch over a grid of 20 001 points does.
+_HORNER_BATCH = 2048
+
+
+def _horner(coeffs, ps, qs) -> tuple[list[int], list[int]]:
+    """sum_k coeffs[k] (p/q)^k at each point t = p/q, p and q read in step
+    from the sequences ``ps`` and ``qs`` (q > 0), as numerators over
+    q^degree, by homogenised Horner, acc = acc*p + c_k*q^j, in integers
+    throughout.  One loop runs over the whole batch, so no point costs a
+    call.  Returns the numerators and the powers q^degree, as two lists."""
+    top = coeffs[-1] if coeffs else 0
+    rest = coeffs[-2::-1]
+    nums, qjs = [], []
+    for p, q in zip(ps, qs):
+        acc, qj = top, 1
+        for c in rest:
+            qj *= q
+            acc = acc * p + c * qj
+        nums.append(acc)
+        qjs.append(qj)
+    return nums, qjs
 
 
 class CurvePoly:
@@ -545,7 +567,7 @@ class CurvePoly:
 
     def ratio_at(self, p: int, q: int) -> tuple[int, int]:
         """The value at t = p/q, q > 0, as (numerator, denominator)."""
-        num, qj = _horner(self.coeffs, p, q)
+        (num,), (qj,) = _horner(self.coeffs, (p,), (q,))
         return num, self.den * qj
 
     def digit_bound(self, p_bits: int, q_bits: int) -> int:
@@ -556,15 +578,21 @@ class CurvePoly:
         """The exact value at t; a float t counts as the rational it holds."""
         return Fraction(*self.ratio_at(*_ratio(t)))
 
-    def floats(self, ratios) -> tuple[float, ...]:
-        """The value at each t = p/q of a sequence of (p, q) pairs, rounded
-        once: int true division rounds correctly, so each equals
-        float(value_at(p/q)) bit for bit."""
+    def floats(self, ps, qs) -> tuple[float, ...]:
+        """The value at each t = p/q, p and q read in step from the
+        sequences ``ps`` and ``qs``, rounded once: int true division rounds
+        correctly, so each equals float(value_at(p/q)) bit for bit.  The
+        points go to ``_horner`` in batches of ``_HORNER_BATCH``."""
         if len(self.coeffs) <= 1:
             num, den = self.ratio_at(0, 1)
-            return (num / den,) * len(ratios)
+            return (num / den,) * len(ps)
         coeffs, den = self.coeffs, self.den
-        return tuple(num / (den * qj) for num, qj in (_horner(coeffs, p, q) for p, q in ratios))
+        out: list[float] = []
+        for i in range(0, len(ps), _HORNER_BATCH):
+            j = i + _HORNER_BATCH
+            nums, qjs = _horner(coeffs, ps[i:j], qs[i:j])
+            out += map(truediv, nums, map(mul, repeat(den), qjs))
+        return tuple(out)
 
 
 def _reduced(num: dict[int, int], den: int, top: int) -> Poly:

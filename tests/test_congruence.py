@@ -64,6 +64,9 @@ P = parse_poly
 
 FLAT = WalkerMetric(a=ZERO, b=ZERO, c=ZERO)
 QUADRATIC = WalkerMetric(a=ZERO, b=P("u^2"), c=ZERO)
+# sigma, tau, gamma + gamma~ and alpha~ + beta are nonzero, and constant
+# along every curve
+CONSTANT_ALONG_U = WalkerMetric(a=P("u*x"), b=P("u*y"), c=P("u*v"))
 ORIGIN = (0, 0, 0, 0)
 
 
@@ -156,6 +159,52 @@ class TestExactSampling:
                 want = [float(rf.eval_at((pt0[0] + Fraction(t),) + pt0[1:])) for t in grid]
                 assert [x.hex() for x in samples[key]] == [x.hex() for x in want]
 
+    def test_constant_columns_sample_as_beside_a_varying_one(self):
+        """Columns constant along the curve, on a finite float grid, are
+        sampled without grid ratios; beside a varying column the same
+        columns are sampled over the ratios.  Both give the pointwise
+        values, bit for bit."""
+        columns = _transport_columns(Frame.walker(CONSTANT_ALONG_U).coeffs)
+        base = (Fraction(1, 3), Fraction(-2, 3), Fraction(5, 7), Fraction(3, 11))
+        assert all(len(col.along_u(base).coeffs) <= 1 for col in columns.values())
+        assert sum(not col.is_zero for col in columns.values()) == 4
+        grid = _half_grid(1.0, 0.1)
+        alone = _sample_columns(columns, base, grid)
+        beside = _sample_columns({**columns, "u": P("u")}, base, grid)
+        assert len(set(beside["u"])) == len(grid)
+        for key, col in columns.items():
+            want = [float(col.eval_at((base[0] + Fraction(t),) + base[1:])).hex() for t in grid]
+            assert [x.hex() for x in alone[key]] == want
+            assert [x.hex() for x in beside[key]] == want
+
+    def test_python_calls_do_not_grow_with_the_grid(self):
+        """Columns are sampled as batches, and states and CSV rows built in
+        C: no Python function runs once per grid point."""
+        w = WalkerMetric(a=P("u^2*v + x"), b=P("y^3 - u^3*x"), c=P("u*y^2 + u^2"))
+        base = (Fraction(1, 2), Fraction(1, 3), 1, 2)
+
+        def python_calls(step):
+            calls = [0]
+
+            def count(frame, event, arg):
+                if event == "call":
+                    calls[0] += 1
+
+            # a collection may run Python-level gc callbacks mid-call
+            gc.disable()
+            sys.setprofile(count)
+            try:
+                path = integrate_connecting(w, (1.0, 1.0, 1.0, 1.0), 1.0, step, base=base)
+                connecting_oracle(w, base, path.states[0], path.grid)
+                write_trace_csv(path, io.StringIO())
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return calls[0]
+
+        python_calls(0.1)  # the first call fills caches that later calls reuse
+        assert python_calls(0.1) == python_calls(1e-3)
+
     def test_rational_parameters_match_per_point_references(self):
         """Parameters that are not all floats take the exact Fraction route."""
         grid = (0, Fraction(1, 2), 1)
@@ -201,6 +250,9 @@ class TestExactSampling:
         w = WalkerMetric(a=ZERO, b=P("u^3"), c=ZERO)
         with pytest.raises(InputError):
             CoefficientTrace.from_metric(w, (10**200, 0, 0, 0), (0.0, 0.5, 1.0))
+        # sigma = -y/2 is constant along the curve: no grid ratio is formed
+        with pytest.raises(InputError, match="sigma overflows a float along the curve"):
+            CoefficientTrace.from_metric(CONSTANT_ALONG_U, (0, 0, 0, 10**400), (0.0, 0.5, 1.0))
 
     def test_samples_past_the_digit_bound_refused_before_evaluation(self):
         # a grid float here has a denominator near 2^1000, so one sample of
@@ -210,6 +262,9 @@ class TestExactSampling:
         with pytest.raises(InputError, match="digits along the curve"):
             CoefficientTrace.from_metric(w, ORIGIN, _half_grid(1e-300, 1e-301))
         assert time.perf_counter() - start < 2
+        # a column constant along the curve keeps the bound on a float grid
+        with pytest.raises(InputError, match="sigma has more than \\d+ digits along the curve"):
+            CoefficientTrace.from_metric(CONSTANT_ALONG_U, (0, 0, 0, 10**20000), (0.0, 0.5, 1.0))
 
     def test_step_count_bound(self):
         # checked on the span alone: a broken bound would build the grid
@@ -235,16 +290,20 @@ class TestTraces:
         assert len(grid) == 21 and grid[-1] == 1e-320
         assert all(t0 < t1 for t0, t1 in zip(grid, grid[1:]))
 
-    @pytest.mark.parametrize("grid, message", [
-        (("a", "b", "c"), "not a finite rational: str"),
-        ((0.0, 1.0, math.inf), "nonfinite curve parameter"),
-        ((0, 10**400, 10**401), "curve parameters: not a float"),
-        (None, "curve parameters: not a sequence"),
+    @pytest.mark.parametrize("grid, flat_message, varying_message", [
+        (("a", "b", "c"), "not a finite rational: str", None),
+        ((0.0, 1.0, math.inf), "nonfinite curve parameter", None),
+        ((0, 10**400, 10**401), "curve parameters: not a float",
+         "sigma overflows a float along the curve"),
+        (None, "curve parameters: not a sequence", None),
     ], ids=["strings", "infinite", "huge-ints", "none"])
-    def test_grid_of_non_floats_refused(self, grid, message):
-        # every column of the flat metric is zero, so no sample overflows
-        with pytest.raises(InputError, match=message):
-            CoefficientTrace.from_metric(FLAT, ORIGIN, grid)
+    def test_grid_of_non_floats_refused(self, grid, flat_message, varying_message):
+        # every column of the flat metric is zero, so no sample overflows;
+        # sigma = -u varies along the quadratic metric's curve, so its
+        # samples at the huge ints overflow first
+        for w, message in ((FLAT, flat_message), (QUADRATIC, varying_message or flat_message)):
+            with pytest.raises(InputError, match=message):
+                CoefficientTrace.from_metric(w, ORIGIN, grid)
 
     def test_grid_and_columns_stored_as_given(self):
         grid, column = (0, Fraction(1, 2), 1), [0, 1, 2]

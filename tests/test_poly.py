@@ -28,6 +28,7 @@ from walkerspin.poly import (
     PoleError,
     Poly,
     RationalFunction,
+    _HORNER_BATCH,
     _as_poly,
     _digit_bound,
     _exact_quotient,
@@ -181,16 +182,25 @@ def test_digit_bound_bounds_the_evaluated_value(p, q, pt):
         assert len(str(exact.denominator)) <= bound
 
 
+# distinct float, Fraction and int parameters, with different denominators
+BATCH = (0.1, Fraction(-7, 3), 2, -1.5, Fraction(5, 64), 2.0 ** -60, -3, Fraction(11, 9))
+
+
 def curve_checks(p: Poly, base, t) -> None:
     """The restriction of p to the u line through base against eval_at:
-    exact at t, and rounded to the same float bit for bit."""
+    exact at t, and rounded to the same float bit for bit.  One ``floats``
+    batch covers t among distinct parameters, so a value carried from one
+    point to the next would show."""
     curve = p.along_u(base)
     assert curve.den > 0 and gcd(curve.den, *curve.coeffs) == 1
     assert not curve.coeffs or curve.coeffs[-1]
     exact = p.eval_at((base[0] + Fraction(t), *base[1:]))
     assert curve.value_at(t) == exact
-    ratio = Fraction(t).as_integer_ratio()
-    assert [x.hex() for x in curve.floats([ratio, ratio])] == [float(exact).hex()] * 2
+    batch = (*BATCH[:3], t, *BATCH[3:])
+    ps, qs = zip(*(Fraction(s).as_integer_ratio() for s in batch))
+    got = [x.hex() for x in curve.floats(ps, qs)]
+    assert got == [float(curve.value_at(s)).hex() for s in batch]
+    assert got[3] == float(exact).hex()
 
 
 @given(polys, points, params)
@@ -215,13 +225,23 @@ def test_curve_restriction_edge_cases():
         curve_checks(parse_poly("v*x^2*y - 1/3"), base, t)
     zero = Poly.zero().along_u(base)
     assert zero.coeffs == () and zero.den == 1
-    assert zero.floats([(1, 2)] * 3) == (0.0, 0.0, 0.0)
+    assert zero.floats((1,) * 3, (2,) * 3) == (0.0, 0.0, 0.0)
     # (u0 + t)^2 * v with u0 = -1/3, v = 5/2: 5/18 - 5/3 t + 5/2 t^2
     curve = parse_poly("u^2*v").along_u(base)
     assert (curve.coeffs, curve.den) == ((5, -30, 45), 18)
     # u*x + 2*u vanishes on the line, where x = -2
     assert parse_poly("u*x + 2*u").along_u(base).coeffs == ()
     assert CurvePoly([2, 4, 0, 0], 6).coeffs == (1, 2)
+
+
+def test_curve_floats_across_batches():
+    """A grid longer than two Horner batches, with a ragged last batch:
+    every point equals its exact value, rounded once."""
+    curve = parse_poly("u^3*v - 2*u*x + 1/3*y").along_u((Fraction(-1, 3), Fraction(5, 2), 2, 7))
+    ts = [k / 7 - 300 for k in range(2 * _HORNER_BATCH + 5)]
+    ps, qs = zip(*map(float.as_integer_ratio, ts))
+    got = [x.hex() for x in curve.floats(ps, qs)]
+    assert got == [float(curve.value_at(t)).hex() for t in ts]
 
 
 def test_restriction_kernel_at_high_u_degree():
