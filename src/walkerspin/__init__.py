@@ -5,6 +5,7 @@ from types import ModuleType as _ModuleType
 from .congruence import (
     CoefficientTrace,
     ConnectingState,
+    StateColumns,
     connecting_oracle,
     integrate_connecting,
     integrate_jacobi,

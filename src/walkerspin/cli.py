@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 from .congruence import _closures, connecting_oracle, integrate_connecting, write_trace_csv
 from .curvature import (
@@ -324,13 +324,15 @@ def cmd_congruence(args, out) -> int:
 
     exact = connecting_oracle(w, base, path.states[0], path.grid)
     # max is exact: it picks the largest error over every state and
-    # component, whatever order they are visited in
-    worst = max(map(abs, map(
-        operator.sub, chain.from_iterable(path.states), chain.from_iterable(exact)
-    )))
+    # component, whatever order they are visited in, so column by column
+    worst = max(
+        max(map(abs, map(operator.sub, got, want)))
+        for got, want in zip(path.states.columns, exact.columns)
+    )
 
     if args.out == "-":
-        # streamed, not buffered: a long trace is never held in memory
+        # streamed, not buffered: the CSV text is never held in memory,
+        # and the trace only as the path's float columns
         with _writing_stdout() as stdout:
             write_trace_csv(path, stdout)
     else:

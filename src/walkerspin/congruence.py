@@ -6,14 +6,12 @@ so a curve is fixed by its base point and an affine parameter offset t:
 it is the line (u0 + t, v0, x0, y0).  Every sampled quantity is a
 polynomial in u, v, x, y on a canonical frame, so it is restricted to the
 curve once, exactly, as a polynomial in t with integer coefficients over
-one denominator.  Each sample on the half-step grid is then that
-polynomial's exact value at the float-derived rational t, rounded to a
-float once; a column's samples are batches of integer Horner over the
-grid, each batch one loop with no call per point.  The grid's ratios are
-formed only when some column varies along the curve (or the grid is not
-all floats): a constant column's samples are its one value.  The
-closed-form oracle restricts two polynomials in a, b and c the same way.
-Integration error is the only numerical error in a trace.
+one denominator.  Each sample is then that polynomial's exact value at the
+float-derived rational t, rounded to a float once: a varying column's
+samples are batches of integer Horner, with no call per point, and a
+column constant along the curve is rounded once.  The closed-form oracle
+restricts two polynomials in a, b and c the same way.  Integration error
+is the only numerical error in a trace.
 
 The transport matrix M (z' = M z) and the curvature matrix N (z'' = -N z)
 are each written once, as a table of nonzero entries that the sampling,
@@ -25,20 +23,29 @@ entries each.  Each system has one fused RK4 stepper, the deviation one
 in its 8-dimensional first-order form: a step reads three rows and
 computes all four stages as straight-line float expressions on locals, in
 the operation order of a generic stepper, so it makes no call and builds
-no list per stage.  Both integrators take a metric and sample their own
-trace on the grid that `_half_grid`, the one grid builder, makes and
-checks.  A connecting state is a named tuple, but the steppers yield
-plain tuples: one helper, `_states`, builds the records from them in C,
-for `integrate_connecting`, for each half of `integrate_jacobi`'s
-8-tuples, and for `connecting_oracle`'s closed-form values.  The CLI
-checks the states against `connecting_oracle`, and the CSV is streamed
-row by row, each row one ``%`` format over its nine columns.
+no list per stage.
+
+Both integrators run on one chunked driver, `_integrate`, over the lazy
+grid that `_half_grid`, the one grid builder, checks.  A chunk of
+`_CHUNK` steps samples its 2 _CHUNK + 1 grid points (the last shared with
+the next chunk) and runs the stepper from the state the chunk before
+ended in.  What a path keeps is float columns (``array('d')``): the grid,
+the states and the trace columns that the CSV and `sigma_omega_forms`
+read, each at every step.  A chunk's samples and state tuples go with it,
+so a call holds 8 bytes per kept value and nothing the cyclic GC scans.
+`_Sampler` refuses the inputs, with the messages, that sampling every
+column over the whole grid before the first step would.  A path's states
+are a `StateColumns`, a read-only view that builds a `ConnectingState`
+per row on read; `connecting_oracle` returns one too, and the CLI
+compares the two column by column.  The CSV is written from the columns
+after the last step, each row one ``%`` format over its nine columns.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from fractions import Fraction
 from itertools import islice, repeat
 from typing import NamedTuple
@@ -75,9 +82,22 @@ TRACE_KEYS = (
 
 CSV_HEADER = "v,eta,zeta,zetatilde,nu,rho,rhotilde,sigma,sigmatilde"
 _CSV_ROW = ",".join(["%r"] * len(CSV_HEADER.split(","))) + "\n"
+# The trace columns of a path: the four the CSV prints, then the four more
+# that `sigma_omega_forms` reads.
+_CSV_KEYS = ("rho", "rho_t", "sigma", "sigma_t")
+_KEPT_KEYS = _CSV_KEYS + ("tau", "tau_t", "aplus", "atplus")
 
 # Largest number of integration steps v_end / step may ask for.
 MAX_STEPS = 1_000_000
+
+# Steps per chunk of `_integrate`, and half the grid points per slice of
+# `_Sampler`.  A chunk's transient objects (up to 17 sample tuples of
+# 2K + 1 floats, the grid ratios, K + 1 state tuples) take about 2 kB per
+# step of K, so K = 256 keeps them near 0.5 MB, while the few calls a
+# chunk makes (two more per varying column) cost little beside its steps:
+# on a 10^5-step call with four varying columns, K = 128 to 512 run
+# equally fast, and K = 32 about 10 % slower.
+_CHUNK = 256
 
 # The nonzero entries of M and N in the basis l, m~, m, n, row by row, as
 # (column, sign, column name); M's names are TRACE_KEYS and N's are the
@@ -120,17 +140,49 @@ def _check_span(v_end, step) -> tuple[float, float]:
     return v_end, step
 
 
-def _half_grid(v_end, step):
+def _zeros(size: int) -> array:
+    """A float column of `size` zeros, allocated at its full size once, so
+    filling it slice by slice never grows it."""
+    return array("d", [0.0]) * size
+
+
+class _HalfGrid:
+    """The points j * h2, j = 0 .. 2n, of a half-step grid, the last one
+    v_end, formed on read: a slice is a list formed in C, and the grid
+    holds no point.  The driver reads it by slices only."""
+
+    __slots__ = ("n", "h2", "v_end")
+
+    def __init__(self, n: int, h2: float, v_end: float):
+        self.n, self.h2, self.v_end = n, h2, v_end
+
+    def __len__(self) -> int:
+        return 2 * self.n + 1
+
+    def __getitem__(self, j):
+        last = 2 * self.n
+        index = range(last + 1)[j]
+        if isinstance(j, slice):
+            points = list(map(operator.mul, index, repeat(self.h2)))
+            if last in index:
+                points[index.index(last)] = self.v_end
+            return points
+        return self.v_end if index == last else index * self.h2
+
+
+def _half_grid(v_end, step) -> _HalfGrid:
     """Uniform grid with midpoints, ending exactly at v_end."""
     v_end, step = _check_span(v_end, step)
     n = max(1, round(v_end / step))
     h2 = (v_end / n) / 2
-    grid = [j * h2 for j in range(2 * n + 1)]
-    grid[-1] = v_end
-    # a subnormal span can halve to a step of zero
-    if not all(map(operator.lt, grid, grid[1:])):
+    # j * h2 rounds monotonically, and h2 is more than an ulp of j * h2 for
+    # every j below 2^51, so once h2 > 0 the points before the last rise
+    # strictly.  A subnormal span can halve to a step of zero, or round
+    # its step up so far that the last point, v_end, is not past the one
+    # before it.
+    if not (0.0 < h2 and (2 * n - 1) * h2 < v_end):
         raise InputError("trace grid must be strictly increasing")
-    return tuple(grid)
+    return _HalfGrid(n, h2, v_end)
 
 
 class ConnectingState(NamedTuple):
@@ -142,13 +194,6 @@ class ConnectingState(NamedTuple):
     nu: float
 
 
-def _states(rows) -> tuple[ConnectingState, ...]:
-    """A ``ConnectingState`` from each 4-tuple of floats in ``rows``, built
-    in C: ``tuple.__new__`` makes each record with no Python call per row,
-    and so without ``_make``'s length check."""
-    return tuple(map(tuple.__new__, repeat(ConnectingState), rows))
-
-
 def _as_state(v) -> ConnectingState:
     comps = _finite(v, "connecting state")
     if len(comps) != 4:
@@ -156,29 +201,86 @@ def _as_state(v) -> ConnectingState:
     return ConnectingState._make(comps)
 
 
-class CoefficientTrace(NamedTuple):
-    """Double-precision samples of the TRACE_KEYS columns along one
-    integral curve, one per grid parameter."""
+class _Constant:
+    """A float column of one value, stored once."""
 
-    grid: tuple
+    __slots__ = ("value", "length")
+
+    def __init__(self, value: float, length: int):
+        self.value, self.length = value, length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, k):
+        index = range(self.length)[k]
+        return _Constant(self.value, len(index)) if isinstance(k, slice) else self.value
+
+    def __iter__(self):
+        return repeat(self.value, self.length)
+
+
+class StateColumns:
+    """Connecting states read from four float columns (eta, zeta, zeta~,
+    nu), one row per step: item k is the ``ConnectingState`` of row k,
+    built on read, and iteration builds them in C.  Equal to another view
+    or to a tuple with the same states; ``columns`` gives the columns."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        return tuple.__new__(ConnectingState, [col[k] for col in self.columns])
+
+    def __iter__(self):
+        return map(tuple.__new__, repeat(ConnectingState), zip(*self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, (StateColumns, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<StateColumns of {len(self)} states>"
+
+
+class CoefficientTrace(NamedTuple):
+    """Double-precision samples of TRACE_KEYS columns along one integral
+    curve, one per grid parameter, as ``array('d')`` columns."""
+
+    grid: array
     values: dict
 
     @classmethod
     def from_metric(cls, w: WalkerMetric, base, grid) -> "CoefficientTrace":
+        """Every TRACE_KEYS column of w's canonical frame at each parameter
+        in `grid`, along the curve through `base` (the origin if None)."""
         values = _sample_columns(_transport_columns(Frame.walker(w).coeffs), base, grid)
-        return cls(grid=_finite(grid, "curve parameters"), values=values)
+        return cls(grid=array("d", _finite(grid, "curve parameters")), values=values)
 
 
 class ConnectingPath(NamedTuple):
-    grid: tuple
-    states: tuple
+    """The grid at each step, the state there, and the trace of the
+    columns the CSV and `sigma_omega_forms` read, on the same grid."""
+
+    grid: array
+    states: StateColumns
     trace: CoefficientTrace
 
 
 class JacobiPath(NamedTuple):
-    grid: tuple
-    states: tuple
-    derivatives: tuple
+    """As `ConnectingPath`, with the states' parameter derivatives."""
+
+    grid: array
+    states: StateColumns
+    derivatives: StateColumns
     trace: CoefficientTrace
 
 
@@ -266,6 +368,8 @@ def _row_stream(entries, samples):
             row_cols[k - 1] = col if sign > 0 else map(operator.neg, col)
         cols += row_cols
     return zip(*cols)
+
+
 
 
 def _rk4_connecting(rows, z, grid) -> list[tuple]:
@@ -375,18 +479,174 @@ def _rk4_jacobi(rows, s, grid) -> list[tuple]:
     return states
 
 
+
+def _overflow(key: str) -> InputError:
+    return InputError(f"{key} overflows a float along the curve")
+
+
+class _Sampler:
+    """Float samples of columns along the curve through `base` (the origin
+    if None), formed slice by slice over `grid`.
+
+    Canonical-frame columns are polynomials; each is restricted to the
+    curve once, and one constant along it is rounded once.  When some
+    column varies, or the grid is not all finite floats, every parameter
+    is taken as a (p, q) pair in lowest terms, q > 0; a grid that is not
+    all floats takes the exact route of ``_ratio``.  Then one streamed
+    pass over the whole grid, storing no pair, takes the largest bit
+    lengths of p and of q, so a column whose samples could pass the rule
+    of ``_refused_digits`` is refused before any sample is formed.  On a
+    finite float grid with every column constant no pair is formed, and
+    the digit bound reads no bit length.
+
+    Every refusal is the one that sampling each column over the whole
+    grid in turn gives (see `refuse`), although the samples are formed one
+    slice at a time."""
+
+    def __init__(self, columns, base, grid):
+        pt0 = _base_point(base)
+        if not isinstance(grid, _HalfGrid):
+            grid = _sequence(grid, "curve parameters")
+        self.grid = grid
+        self.curves = {}
+        for key, col in columns.items():
+            if not isinstance(col, Poly):
+                raise InternalInconsistencyError(f"{key} not polynomial on a canonical frame")
+            self.curves[key] = col.along_u(pt0)
+        self.fractions = False
+        # a half grid is finite floats by construction
+        self.by_ratio = (any(len(curve.coeffs) > 1 for curve in self.curves.values())
+                         or not isinstance(grid, _HalfGrid)
+                         and (not {float}.issuperset(map(type, grid))
+                              or not all(map(math.isfinite, grid))))
+        p_bits = q_bits = 0
+        if self.by_ratio:
+            p_max = q_max = 0
+            for lo in range(0, len(grid), 2 * _CHUNK):
+                ps, qs = self._ratios(grid[lo:lo + 2 * _CHUNK])
+                # the largest magnitude has the largest bit length
+                p_max = max(p_max, max(map(abs, ps), default=0))
+                q_max = max(q_max, max(qs, default=0))
+            p_bits, q_bits = p_max.bit_length(), q_max.bit_length()
+        for i, (key, curve) in enumerate(self.curves.items()):
+            limit = _refused_digits(curve.digit_bound(p_bits, q_bits))
+            if limit:
+                self.refuse(0, list(self.curves)[:i])
+                raise InputError(f"{key} has more than {limit} digits along the curve")
+        self.constants = {}
+        for key, curve in self.curves.items():
+            if len(curve.coeffs) <= 1:
+                num, den = curve.ratio_at(0, 1)
+                try:
+                    self.constants[key] = num / den
+                except OverflowError:
+                    self.refuse(0)
+                    raise _overflow(key) from None
+
+    def _ratios(self, points) -> tuple[list[int], list[int]]:
+        """The numerators and the denominators of `points`.  Once a slice
+        holds a parameter that is not a float, it and every later slice are
+        read by ``_ratio``, so the first parameter refused is the one a
+        pass over the whole grid refuses first."""
+        if not self.fractions:
+            try:
+                ratios = list(map(float.as_integer_ratio, points))
+            except TypeError:  # not every parameter is a float
+                self.fractions = True
+            except (ValueError, OverflowError) as exc:
+                raise InputError("nonfinite curve parameter") from exc
+        if self.fractions:
+            ratios = list(map(_ratio, points))
+        return list(map(operator.itemgetter(0), ratios)), list(map(operator.itemgetter(1), ratios))
+
+    def sample(self, lo: int, hi: int) -> tuple[list, dict[str, tuple[float, ...]]]:
+        """The parameters grid[lo:hi] and each column's samples there."""
+        points = self.grid[lo:hi]
+        if self.by_ratio:
+            ps, qs = self._ratios(points)
+        out = {}
+        for key, curve in self.curves.items():
+            if key in self.constants:
+                out[key] = (self.constants[key],) * len(points)
+                continue
+            try:
+                out[key] = curve.floats(ps, qs)
+            except OverflowError:
+                self.refuse(lo)
+                raise _overflow(key) from None
+        return points, out
+
+    def refuse(self, lo: int, keys=None) -> None:
+        """Refuse the first of `keys` (every column if None), in column
+        order, whose samples at grid[lo:] overflow a float, if one does.
+        With every column sampled at grid[:lo] already, that is the refusal
+        of sampling each column over the whole grid in turn."""
+        for key in self.curves if keys is None else keys:
+            curve = self.curves[key]
+            try:
+                if len(curve.coeffs) <= 1:
+                    curve.floats((), ())  # rounds the constant, at no parameter
+                    continue
+                for start in range(lo, len(self.grid), 2 * _CHUNK):
+                    curve.floats(*self._ratios(self.grid[start:start + 2 * _CHUNK]))
+            except OverflowError as exc:
+                raise _overflow(key) from exc
+
+
+def _sample_columns(columns, base, grid) -> dict[str, array]:
+    """Float samples of each column at every grid parameter along the curve
+    through `base`, the origin if None, as ``array('d')`` columns; see
+    `_Sampler` for the refusals."""
+    sampler = _Sampler(columns, base, grid)
+    size = len(sampler.grid)
+    out = {key: _zeros(size) for key in columns}
+    for lo in range(0, size, 2 * _CHUNK):
+        _, samples = sampler.sample(lo, lo + 2 * _CHUNK)
+        for key, col in out.items():
+            col[lo:lo + 2 * _CHUNK] = array("d", samples[key])
+    return out
+
+
+def _integrate(sampler: _Sampler, entries, stepper, state) -> tuple[CoefficientTrace, list]:
+    """Run `stepper` from `state` over the rows of `entries` on the sampler's
+    half grid, `_CHUNK` steps at a time: a chunk samples its grid points,
+    and the stepper carries the state the chunk before ended in.  Returns
+    the trace of the _KEPT_KEYS columns and the state columns, each a float
+    array over the steps.  A nonfinite step is refused as it is after
+    every sample has been formed: a later sample's refusal comes first."""
+    n = sampler.grid.n
+    grid = _zeros(n + 1)
+    kept = {key: _zeros(n + 1) for key in _KEPT_KEYS}
+    states = [_zeros(n + 1) for _ in state]
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        points, samples = sampler.sample(2 * lo, 2 * hi + 1)
+        try:
+            rows = stepper(_row_stream(entries, samples), state, points)
+        except InputError:
+            sampler.refuse(2 * hi + 1)
+            raise
+        state = rows[-1]
+        grid[lo:hi + 1] = array("d", points[::2])
+        for col, values in zip(states, zip(*rows)):
+            col[lo:hi + 1] = array("d", values)
+        for key, col in kept.items():
+            col[lo:hi + 1] = array("d", samples[key][::2])
+    return CoefficientTrace(grid=grid, values=kept), states
+
+
 def integrate_connecting(w: WalkerMetric, V0, v_end, step, base=None) -> ConnectingPath:
     """Fourth-order fixed-step propagation of a connecting state along the
     curve through `base` (the origin if None), over the coefficients
     sampled exactly on the half-step grid of `v_end` and `step`."""
     state0 = _as_state(V0)
-    trace = CoefficientTrace.from_metric(w, base, _half_grid(v_end, step))
-    rows = _row_stream(_M_ENTRIES, trace.values)
-    states = _rk4_connecting(rows, state0, trace.grid)
-    return ConnectingPath(grid=trace.grid[::2], states=_states(states), trace=trace)
+    grid = _half_grid(v_end, step)
+    sampler = _Sampler(_transport_columns(Frame.walker(w).coeffs), base, grid)
+    trace, states = _integrate(sampler, _M_ENTRIES, _rk4_connecting, state0)
+    return ConnectingPath(grid=trace.grid, states=StateColumns(states), trace=trace)
 
 
-def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, ...]:
+def connecting_oracle(w: WalkerMetric, base, V0, ts) -> StateColumns:
     """Closed-form connecting states at each curve parameter in `ts`, along
     the curve through `base` (the origin if None).
 
@@ -395,6 +655,7 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     eta = eta0 + ((c(base) - c) zeta~0 + (a - a(base)) nu0) / 2 and
     zeta = zeta0 + ((b(base) - b) zeta~0 + (c - c(base)) nu0) / 2,
     each restricted to the curve once and rounded once per parameter.
+    The two constant columns are stored once.
     """
     eta0, zeta0, zeta_t0, nu0 = _as_state(V0)
     pt0 = _base_point(base)
@@ -403,7 +664,7 @@ def connecting_oracle(w: WalkerMetric, base, V0, ts) -> tuple[ConnectingState, .
     eta = Fraction(eta0) + ((c0 - w.c) * zt + (w.a - a0) * nu) * HALF
     zeta = Fraction(zeta0) + ((b0 - w.b) * zt + (w.c - c0) * nu) * HALF
     eta, zeta = _sample_columns({"eta": eta, "zeta": zeta}, pt0, ts).values()
-    return _states(zip(eta, zeta, repeat(zeta_t0), repeat(nu0)))
+    return StateColumns((eta, zeta, _Constant(zeta_t0, len(eta)), _Constant(nu0, len(eta))))
 
 
 def _base_point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -411,79 +672,23 @@ def _base_point(base) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return _point((0, 0, 0, 0) if base is None else base)
 
 
-def _grid_ratios(grid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The numerators and the denominators of the grid parameters, each
-    p/q in lowest terms with q > 0.  A grid that is not all floats is read
-    by ``_ratio``.  The (p, q) pairs are dropped on return, so a long grid
-    holds only the two columns."""
-    try:
-        ratios = list(map(float.as_integer_ratio, grid))
-    except TypeError:  # not every parameter is a float
-        ratios = list(map(_ratio, grid))
-    except (ValueError, OverflowError) as exc:
-        raise InputError("nonfinite curve parameter") from exc
-    return tuple(map(operator.itemgetter(0), ratios)), tuple(map(operator.itemgetter(1), ratios))
-
-
-def _sample_columns(columns, base, grid) -> dict[str, tuple[float, ...]]:
-    """Float samples of each column at every grid parameter along the curve
-    through `base`, the origin if None.  Canonical-frame columns are
-    polynomials; each is restricted to the curve first, once.  When some
-    column varies along the curve, or the grid is not all finite floats,
-    every parameter is taken as a (p, q) pair, and each column is one
-    ``CurvePoly.floats`` call over them; a grid that is not all floats
-    takes the exact route of ``_ratio``.  The largest bit lengths of p and
-    of q are taken once, so a column whose samples could pass the rule of
-    ``_refused_digits`` is refused before any sample is formed.  When every
-    column is constant along the curve and the grid is all finite floats,
-    no ratio is formed: each column's value is its value at t = 0, and its
-    digit bound reads no bit length, so the refusals are the same."""
-    pt0 = _base_point(base)
-    grid = _sequence(grid, "curve parameters")
-    curves = {}
-    for key, col in columns.items():
-        if not isinstance(col, Poly):
-            raise InternalInconsistencyError(f"{key} not polynomial on a canonical frame")
-        curves[key] = col.along_u(pt0)
-    if (any(len(curve.coeffs) > 1 for curve in curves.values())
-            or not {float}.issuperset(map(type, grid))
-            or not all(map(math.isfinite, grid))):
-        ps, qs = _grid_ratios(grid)
-        # the largest magnitude has the largest bit length
-        p_bits = max(map(abs, ps), default=0).bit_length()
-        q_bits = max(qs, default=0).bit_length()
-    else:
-        ps, qs, p_bits, q_bits = (0,) * len(grid), (1,) * len(grid), 0, 0
-    out = {}
-    for key, curve in curves.items():
-        limit = _refused_digits(curve.digit_bound(p_bits, q_bits))
-        if limit:
-            raise InputError(f"{key} has more than {limit} digits along the curve")
-        try:
-            out[key] = curve.floats(ps, qs)
-        except OverflowError as exc:
-            raise InputError(f"{key} overflows a float along the curve") from exc
-    return out
-
-
 def integrate_jacobi(w: WalkerMetric, V0, V0p, v_end, step, base=None) -> JacobiPath:
     """Second-order deviation system integrated as an 8-dimensional
     first-order one, along the curve through `base` (the origin if None);
     returns states and their parameter derivatives.  The columns of M and
-    of N are sampled in one pass, on one set of grid ratios."""
+    of N are sampled together, on one set of grid ratios per chunk."""
     z0 = _as_state(V0)
     y0 = _as_state(V0p)
     grid = _half_grid(v_end, step)
     an = Analysis(w)
-    values = _sample_columns(
+    sampler = _Sampler(
         {**_transport_columns(an.frame.coeffs), **_curvature_columns(an.curvature)}, base, grid
     )
-    trace = CoefficientTrace(grid=grid, values={key: values[key] for key in TRACE_KEYS})
-    states = _rk4_jacobi(_row_stream(_N_ENTRIES, values), z0 + y0, grid)
+    trace, states = _integrate(sampler, _N_ENTRIES, _rk4_jacobi, z0 + y0)
     return JacobiPath(
-        grid=grid[::2],
-        states=_states(map(operator.itemgetter(slice(4)), states)),
-        derivatives=_states(map(operator.itemgetter(slice(4, None)), states)),
+        grid=trace.grid,
+        states=StateColumns(states[:4]),
+        derivatives=StateColumns(states[4:]),
         trace=trace,
     )
 
@@ -523,6 +728,7 @@ def riccati_residual(w: WalkerMetric) -> RiccatiReport:
     return RiccatiReport(*_closures(Analysis(w)))
 
 
+
 class SigmaOmega(NamedTuple):
     grid: tuple
     sigma: tuple
@@ -548,18 +754,16 @@ def sigma_omega_forms(first, second) -> SigmaOmega:
         raise InputError("cannot mix deviation and connecting paths")
     tr = first.trace.values
     sigma_path, omega_path = [], []
-    for k in range(len(first.grid)):
-        v, w = first.states[k], second.states[k]
+    for k, (v, w) in enumerate(zip(first.states, second.states)):
         omega = v.zeta * w.zeta_t - v.zeta_t * w.zeta
         if jacobi:
             dv, dw = first.derivatives[k], second.derivatives[k]
             sig = (_metric_pairing(v, dw) - _metric_pairing(w, dv)) / 2
         else:
-            j = 2 * k
             sig = (
-                (tr["rho"][j] - tr["rho_t"][j]) * omega
-                + (tr["tau_t"][j] + tr["aplus"][j]) * (v.nu * w.zeta - v.zeta * w.nu)
-                + (tr["tau"][j] + tr["atplus"][j])
+                (tr["rho"][k] - tr["rho_t"][k]) * omega
+                + (tr["tau_t"][k] + tr["aplus"][k]) * (v.nu * w.zeta - v.zeta * w.nu)
+                + (tr["tau"][k] + tr["atplus"][k])
                 * (v.nu * w.zeta_t - v.zeta_t * w.nu)
             ) / 2
         sigma_path.append(sig)
@@ -568,17 +772,12 @@ def sigma_omega_forms(first, second) -> SigmaOmega:
 
 
 def write_trace_csv(path, stream) -> None:
-    """One row per accepted step; floats printed in shortest
-    round-trip form so identical runs give identical bytes.  Rows are
-    streamed, not built into one string: each is one ``%`` format over
-    its nine columns, every column read through ``float``, so an int
-    grid still prints as floats.  A finite float's repr holds no comma,
-    quote or line break, so no field needs CSV quoting."""
+    """One row per step, from the path's float columns; floats printed in
+    shortest round-trip form so identical runs give identical bytes.  Rows
+    are streamed, not built into one string: each is one ``%`` format over
+    its nine columns.  A finite float's repr holds no comma, quote or line
+    break, so no field needs CSV quoting."""
     tr = path.trace.values
-    columns = (
-        path.grid,
-        *(map(operator.itemgetter(i), path.states) for i in range(4)),
-        *(islice(tr[key], 0, None, 2) for key in ("rho", "rho_t", "sigma", "sigma_t")),
-    )
+    columns = (path.grid, *path.states.columns, *(tr[key] for key in _CSV_KEYS))
     stream.write(CSV_HEADER + "\n")
-    stream.writelines(map(_CSV_ROW.__mod__, zip(*(map(float, col) for col in columns))))
+    stream.writelines(map(_CSV_ROW.__mod__, zip(*columns)))

@@ -616,7 +616,7 @@ def csv_writer_trace(path, stream) -> None:
     tr = path.trace.values
     columns = (tr["rho"], tr["rho_t"], tr["sigma"], tr["sigma_t"])
     for k, t in enumerate(path.grid):
-        row = (t, *path.states[k], *(col[2 * k] for col in columns))
+        row = (t, *path.states[k], *(col[k] for col in columns))
         writer.writerow(repr(float(x)) for x in row)
 
 

@@ -6,15 +6,17 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import time
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walkerspin.congruence import (
@@ -24,6 +26,7 @@ from walkerspin.congruence import (
     CoefficientTrace,
     ConnectingPath,
     ConnectingState,
+    StateColumns,
     connecting_oracle,
     integrate_connecting,
     integrate_jacobi,
@@ -42,10 +45,11 @@ from walkerspin.congruence import (
     _screen,
     _transport_columns,
 )
+from walkerspin import congruence
 from walkerspin.cli import main
 from walkerspin.curvature import Analysis, classify_sd_weyl, walker_curvature_components
 from walkerspin.errors import InputError, InternalInconsistencyError
-from walkerspin.poly import ZERO, RationalFunction, _float, parse_poly
+from walkerspin.poly import ZERO, Poly, RationalFunction, _float, parse_poly
 from walkerspin.spincoeff import Frame
 from walkerspin.walker import WalkerMetric
 
@@ -81,16 +85,23 @@ def oracle_error(w, V0, step, v_end=1.0, base=ORIGIN):
     return worst
 
 
+def state_columns(rows) -> StateColumns:
+    """The view over the float columns of rows of four components."""
+    return StateColumns(array("d", col) for col in zip(*rows))
+
+
 def constant_path(values, V0, v_end, step) -> ConnectingPath:
     """The connecting path over constant coefficients (values[key], or 0.0)
-    on the half-step grid, by the fused stepper.  A metric's canonical frame
-    cannot reach some of these: rho, rho~, sigma~, tau~, kappa, kappa~ and
-    alpha + beta~ vanish there."""
+    on the half-step grid, by the fused stepper, with every TRACE_KEYS
+    column at each step.  A metric's canonical frame cannot reach some of
+    these: rho, rho~, sigma~, tau~, kappa, kappa~ and alpha + beta~ vanish
+    there."""
     grid = _half_grid(v_end, step)
-    trace = CoefficientTrace(grid, {k: (float(values.get(k, 0.0)),) * len(grid)
-                                    for k in TRACE_KEYS})
-    states = _rk4_connecting(_row_stream(_M_ENTRIES, trace.values), V0, grid)
-    return ConnectingPath(grid[::2], tuple(map(ConnectingState._make, states)), trace)
+    samples = {k: (float(values.get(k, 0.0)),) * len(grid) for k in TRACE_KEYS}
+    states = _rk4_connecting(_row_stream(_M_ENTRIES, samples), V0, grid)
+    steps = array("d", grid[::2])
+    trace = CoefficientTrace(steps, {k: array("d", col[::2]) for k, col in samples.items()})
+    return ConnectingPath(steps, state_columns(states), trace)
 
 
 def reference_oracle(w, base, V0, t) -> ConnectingState:
@@ -179,11 +190,13 @@ class TestExactSampling:
 
     def test_python_calls_do_not_grow_with_the_grid(self):
         """Columns are sampled as batches, and states and CSV rows built in
-        C: no Python function runs once per grid point."""
+        C: no Python function runs once per grid point.  A call grows only
+        by a fixed number of calls per chunk of `_CHUNK` steps (and per
+        oracle slice of 2 `_CHUNK` points)."""
         w = WalkerMetric(a=P("u^2*v + x"), b=P("y^3 - u^3*x"), c=P("u*y^2 + u^2"))
         base = (Fraction(1, 2), Fraction(1, 3), 1, 2)
 
-        def python_calls(step):
+        def python_calls(steps):
             calls = [0]
 
             def count(frame, event, arg):
@@ -194,7 +207,7 @@ class TestExactSampling:
             gc.disable()
             sys.setprofile(count)
             try:
-                path = integrate_connecting(w, (1.0, 1.0, 1.0, 1.0), 1.0, step, base=base)
+                path = integrate_connecting(w, (1.0, 1.0, 1.0, 1.0), 1.0, 1.0 / steps, base=base)
                 connecting_oracle(w, base, path.states[0], path.grid)
                 write_trace_csv(path, io.StringIO())
             finally:
@@ -202,8 +215,18 @@ class TestExactSampling:
                 gc.enable()
             return calls[0]
 
-        python_calls(0.1)  # the first call fills caches that later calls reuse
-        assert python_calls(0.1) == python_calls(1e-3)
+        k = congruence._CHUNK
+        python_calls(10)  # the first call fills caches that later calls reuse
+        # up to 2 k points, a grid is one slice for each pass
+        assert python_calls(10) == python_calls(k - 1)
+        # m k steps are m chunks of integration and m + 1 slices of the
+        # digit bound's pass over the 2 m k + 1 grid points; the oracle
+        # samples the m k + 1 steps in slices of 2 k points, so 2 at m = 2
+        # and 3, and 3 at m = 4 and 5
+        calls = {m: python_calls(m * k) for m in (2, 3, 4, 5)}
+        per_chunk = calls[3] - calls[2]
+        assert calls[5] - calls[4] == per_chunk <= 20
+        assert 0 < calls[4] - calls[3] - per_chunk <= 10
 
     def test_rational_parameters_match_per_point_references(self):
         """Parameters that are not all floats take the exact Fraction route."""
@@ -213,13 +236,13 @@ class TestExactSampling:
             pt0 = tuple(Fraction(c) for c in base)
             for key, col in _transport_columns(Frame.walker(w).coeffs).items():
                 want = tuple(float(col.eval_at((pt0[0] + t,) + pt0[1:])) for t in grid)
-                assert trace.values[key] == want
+                assert tuple(trace.values[key]) == want
             assert connecting_oracle(w, base, V0, grid) == tuple(
                 reference_oracle(w, base, V0, t) for t in grid
             )
 
     def test_oracle_and_trace_read_base_none_as_the_origin(self):
-        grid = _half_grid(1.0, 0.25)
+        grid = tuple(_half_grid(1.0, 0.25))
         for w, _, V0 in random_curves(15, 3):
             assert connecting_oracle(w, None, V0, grid) == connecting_oracle(w, ORIGIN, V0, grid)
             assert (CoefficientTrace.from_metric(w, None, grid)
@@ -234,11 +257,17 @@ class TestExactSampling:
                 CoefficientTrace.from_metric(QUADRATIC, None, grid)
 
     def test_trace_and_jacobi_sampling_agree(self):
+        """Both integrators keep the same trace columns at each step: the
+        samples of the whole half-step grid at its even points."""
         w = WalkerMetric(a=P("u*y^2 - 1/3*v"), b=P("u^3 - x"), c=P("u^2*v"))
         base = (Fraction(-1, 2), Fraction(2, 3), -1, Fraction(5, 4))
-        trace = CoefficientTrace.from_metric(w, base, _half_grid(1.0, 0.1))
+        trace = CoefficientTrace.from_metric(w, base, tuple(_half_grid(1.0, 0.1)))
         jac = integrate_jacobi(w, (0, 1, 0, 0), (0, 0, 0, 0), 1.0, 0.1, base=base)
-        assert jac.trace == trace
+        con = integrate_connecting(w, (0, 1, 0, 0), 1.0, 0.1, base=base)
+        assert jac.trace == con.trace
+        assert jac.grid == con.grid == trace.grid[::2]
+        assert set(jac.trace.values) < set(TRACE_KEYS)
+        assert jac.trace.values == {key: trace.values[key][::2] for key in jac.trace.values}
 
     def test_non_polynomial_column_is_an_inconsistency(self):
         rf = RationalFunction(P("u"), P("1 + v"))
@@ -266,6 +295,26 @@ class TestExactSampling:
         with pytest.raises(InputError, match="sigma has more than \\d+ digits along the curve"):
             CoefficientTrace.from_metric(CONSTANT_ALONG_U, (0, 0, 0, 10**20000), (0.0, 0.5, 1.0))
 
+    def test_digit_bound_reads_the_whole_grid(self):
+        """Two columns past the digit bound, on a grid of several slices:
+        sigma (degree 299 along the curve) passes it only with the last
+        parameter's denominator, 2^1000, and gplus (a constant of 20 001
+        digits) at any parameter.  The bound over the whole grid names
+        sigma, first in column order, as sampling every column at once
+        did; a bound over the first slice alone would name gplus.  A
+        refusal names the first column that sampling column by column
+        refuses, also where an earlier one overflows instead."""
+        w = WalkerMetric(a=Poly({(2, 0, 0, 0): 10**20000}), b=P("u^300"), c=ZERO)
+        head = (0.5,) * (4 * congruence._CHUNK)
+        with pytest.raises(InputError, match=r"^gplus has more than \d+ digits along the curve$"):
+            CoefficientTrace.from_metric(w, ORIGIN, head)
+        with pytest.raises(InputError, match=r"^sigma has more than \d+ digits along the curve$"):
+            CoefficientTrace.from_metric(w, ORIGIN, head + (2.0 ** -1000,))
+        # a column before gplus that overflows a float is still named first
+        w = w._replace(b=Poly({(2, 0, 0, 0): 2**1024}))
+        with pytest.raises(InputError, match="^sigma overflows a float along the curve$"):
+            CoefficientTrace.from_metric(w, ORIGIN, (0.0, 0.5, 1.0))
+
     def test_step_count_bound(self):
         # checked on the span alone: a broken bound would build the grid
         _check_span(float(MAX_STEPS), 1.0)
@@ -278,8 +327,8 @@ class TestTraces:
     def test_metric_sampling_is_exact(self):
         trace = CoefficientTrace.from_metric(QUADRATIC, ORIGIN, (0.0, 0.25, 0.5))
         # sigma = -u along this curve
-        assert trace.values["sigma"] == (0.0, -0.25, -0.5)
-        assert trace.values["rho"] == (0.0, 0.0, 0.0)
+        assert tuple(trace.values["sigma"]) == (0.0, -0.25, -0.5)
+        assert tuple(trace.values["rho"]) == (0.0, 0.0, 0.0)
 
     def test_grid_validation(self):
         """The half-step grid is the one a trace is sampled on; a subnormal
@@ -303,6 +352,15 @@ class TestTraces:
         # samples at the huge ints overflow first
         for w, message in ((FLAT, flat_message), (QUADRATIC, varying_message or flat_message)):
             with pytest.raises(InputError, match=message):
+                CoefficientTrace.from_metric(w, ORIGIN, grid)
+
+    def test_a_mixed_grid_is_read_exactly_to_its_end(self):
+        """An int in the first slice sends every later slice down the exact
+        route, as one pass over the whole grid did, so an infinite float
+        in a later slice is refused as not a finite rational."""
+        grid = (0,) + (0.5,) * (4 * congruence._CHUNK) + (math.inf,)
+        for w in (FLAT, QUADRATIC):
+            with pytest.raises(InputError, match="^not a finite rational: inf$"):
                 CoefficientTrace.from_metric(w, ORIGIN, grid)
 
     def test_grid_and_columns_stored_as_given(self):
@@ -566,6 +624,99 @@ def test_unrepresentable_span_and_flow_are_input_errors():
             integrate_connecting(QUADRATIC, (0, 0, 1, 0), v_end=v_end, step=step)
 
 
+@pytest.mark.parametrize("a, v0", [
+    ("0", "0,0,0,0"),
+    (f"{2**1030}*u^2", "0,0,0,0"),
+    (f"{2**1100}*u", "0,0,0,0"),
+    ("0", "1e308,1e308,1e308,1e308"),
+], ids=["last-chunk", "earlier-column-later-chunk", "constant-later-column",
+        "nonfinite-first-step"])
+def test_refusal_is_that_of_sampling_every_column_first(tmp_path, capsys, a, v0):
+    """sigma = -2^1024 t rounds past the largest float only at t = 1, the
+    last grid point, in the last of several chunks.  The call refuses
+    with nothing on stdout, naming sigma as sampling every column before
+    the first step did: also when gplus, a later column, overflows from
+    the first chunk on or is a constant past the float range, and when
+    the first step is already nonfinite."""
+    spec = tmp_path / "metric.json"
+    spec.write_text(json.dumps({"a": a, "b": f"{2**1024}*u^2", "c": "0"}))
+    assert 1000 > 2 * congruence._CHUNK
+    code = main(["congruence", str(spec), f"--v0={v0}", "--end=1", "--step=1e-3", "--out", "-"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: sigma overflows a float along the curve\n")
+
+
+def test_outputs_do_not_depend_on_the_chunk_size(tmp_path, capsys, monkeypatch):
+    """Chunks of 1, 7 and `_CHUNK` steps give the same CSV bytes, report
+    and Jacobi states, bit for bit."""
+    metric = {"a": "u^3*v - 2/3*x*y + u*y^2", "b": "u^4 - x*v + 1/2",
+              "c": "u^2*x - 3*v*y^2 + u"}
+    spec, csv = tmp_path / "metric.json", tmp_path / "trace.csv"
+    spec.write_text(json.dumps(metric))
+    w = WalkerMetric.from_dict(metric)
+    base = (Fraction(1, 3), Fraction(-1, 2), 2, Fraction(-3, 4))
+    outputs = []
+    for size in (1, 7, congruence._CHUNK):
+        monkeypatch.setattr(congruence, "_CHUNK", size)
+        code = main(["congruence", str(spec), "--v0=1,-2,1/2,3", "--base=1/3,-1/2,2,-3/4",
+                     "--end=1", "--step=0.02", "--out", str(csv)])
+        jac = integrate_jacobi(w, (1.0, -2.0, 0.5, 3.0), (0.25, 0.0, -1.0, 0.5), 1.0, 0.02,
+                               base=base)
+        states = [float.hex(x) for s, d in zip(jac.states, jac.derivatives) for x in s + d]
+        outputs.append((code, capsys.readouterr().out, csv.read_bytes(), states))
+    assert outputs[0][0] == 0 and len(outputs[0][3]) == 51 * 8
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_peak_memory_grows_by_the_kept_columns():
+    """integrate + oracle + CSV hold float columns: the path's 13 (the
+    grid, 4 states, 8 trace columns) and the oracle's 2 varying ones, at
+    8 B a value, so an added step raises the peak by 120 B.  A chunk's
+    samples and states do not grow with the step count."""
+    w = WalkerMetric(a=P("u^2*v + x"), b=P("y^3 - u^3*x"), c=P("u*y^2 + u^2"))
+    base = (Fraction(1, 2), Fraction(1, 3), 1, 2)
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            path = integrate_connecting(w, (1.0, 1.0, 1.0, 1.0), 1.0, 1.0 / steps, base=base)
+            exact = connecting_oracle(w, base, path.states[0], path.grid)
+            with open(os.devnull, "w") as sink:
+                write_trace_csv(path, sink)
+            assert len(exact) == steps + 1
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # the first call fills caches that later calls reuse
+    small, large = peak(10_000), peak(40_000)
+    assert (large - small) / 30_000 <= 128, (small, large)
+
+
+@settings(max_examples=300, deadline=None)
+@given(units=st.integers(1, 5000), n=st.integers(1, 3000),
+       scale=st.sampled_from((5e-324, 1e-310, 1.0, 1e300)))
+@example(units=3683, n=1820, scale=5e-324)  # a step rounded up past the end
+@example(units=1, n=1, scale=5e-324)  # a half step of zero
+def test_half_grid_refuses_what_its_point_list_refuses(units, n, scale):
+    """The grid's check on h2 and its last two points refuses the spans
+    whose whole point list is not strictly increasing, and the points it
+    reads are that list's."""
+    v_end = units * scale
+    step = v_end / n
+    if not step > 0.0:
+        return
+    count = max(1, round(v_end / step))
+    h2 = (v_end / count) / 2
+    points = [j * h2 for j in range(2 * count + 1)]
+    points[-1] = v_end
+    if all(p < q for p, q in zip(points, points[1:])):
+        assert list(_half_grid(v_end, step)) == points
+    else:
+        with pytest.raises(InputError, match="^trace grid must be strictly increasing$"):
+            _half_grid(v_end, step)
+
+
 # signed zeros, subnormals, the largest floats and short decimals
 FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-05,
                1.0, -1.5, 1e300, -1e300, 1.7976931348623157e308)
@@ -743,7 +894,7 @@ CONSTANT_SAMPLES = {
 def _guard_run(stepper, steps):
     """A stepper run, row layout included, on constant samples over
     `steps` steps, as a call of no arguments."""
-    grid = _half_grid(1.0, 1.0 / steps)
+    grid = _half_grid(1.0, 1.0 / steps)[:]
     samples = {key: (x,) * len(grid) for key, x in CONSTANT_SAMPLES.items()}
     if stepper is _rk4_connecting:
         samples.update((key, (0.0,) * len(grid)) for key in TRACE_KEYS if key not in samples)
@@ -807,7 +958,7 @@ def test_transport_columns_name_a_nonzero_epsilon():
 
 class TestCsv:
     def test_matches_csv_writer_rendering(self):
-        grid = (0, 1e-05, 0.5, 0.75, 2)  # the writer prints ints as floats
+        grid = (0, 1e-05, 0.5, 0.75, 2)  # a float column holds ints as floats
         values = dict.fromkeys(TRACE_KEYS, (0.0,) * 5)
         values.update(
             rho=(-0.0, 5e-324, 1e300, 1e-05, 0.0),
@@ -815,14 +966,15 @@ class TestCsv:
             sigma=(1e300, -5e-324, 1, 1e-05, -0.0),
             sigma_t=(5e-324, -0.0, 1e-05, 2.5, 1e300),
         )
-        trace = CoefficientTrace(grid=grid, values=values)
-        states = (
-            ConnectingState(-0.0, 5e-324, 1e300, 1e-05),
-            ConnectingState(1e-05, -0.0, -5e-324, -1e300),
-            ConnectingState(0.0, 1.0, 2.5, -3.0),
-        )
+        steps = array("d", grid[::2])
+        trace = CoefficientTrace(steps, {k: array("d", col[::2]) for k, col in values.items()})
+        states = state_columns((
+            (-0.0, 5e-324, 1e300, 1e-05),
+            (1e-05, -0.0, -5e-324, -1e300),
+            (0.0, 1.0, 2.5, -3.0),
+        ))
         paths = (
-            ConnectingPath(grid=grid[::2], states=states, trace=trace),
+            ConnectingPath(grid=steps, states=states, trace=trace),
             constant_path({"rho": -0.0, "sigma": 1e-05, "tau": 5e-324},
                           (1e-05, -0.0, 5e-324, 1e300), 1, 0.25),
             integrate_connecting(QUADRATIC, (0.0, -0.0, 1.0, 1e-05), v_end=0.1, step=0.01),
