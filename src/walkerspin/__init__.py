@@ -21,7 +21,6 @@ from .curvature import (
     commutator_residuals,
     commutator_vector_fields,
     field_equation_residuals,
-    phi_lambda_from_ricci,
     prime_curvature,
     ricci_tensor,
     scalar_curvature,

@@ -32,8 +32,6 @@ from .curvature import (
     classify_sd_weyl,
     commutator_vector_fields,
     field_equation_residuals,
-    ricci_tensor,
-    scalar_curvature,
 )
 from .errors import InputError, InternalInconsistencyError
 from .heavenly import HeavenlyPotential, einstein_check, master_identity_residual
@@ -48,7 +46,7 @@ from .poly import (
     _refused_digits,
 )
 from .spincoeff import COEFF_NAMES, Frame, _check
-from .walker import COORDS, WalkerMetric, christoffel
+from .walker import COORDS, WalkerMetric
 
 SUITES = ("3.4", "3.1", "bianchi", "relations")
 RELATION_FAMILIES = ("canonical", "surface-orthogonal", "distribution-parallel")
@@ -222,10 +220,12 @@ def _commutator_probes():
             tuple(tuple(mono.diff(name) for name in COORDS) for mono in monomials))
 
 
-def _suite_items(name: str, frame: Frame, curv):
-    """Ordered (key, thunk) pairs; each thunk returns a zero-testable value."""
+def _suite_items(name: str, frame: Frame, an: Analysis):
+    """Ordered (key, thunk) pairs; each thunk returns a zero-testable value.
+    ``frame`` is the frame under test; the curvature and the tensor route
+    are ``an``'s, of the unperturbed frame."""
     if name == "3.4":
-        return [("3.4", lambda: field_equation_residuals(frame, curv))]
+        return [("3.4", lambda: field_equation_residuals(frame, an.curvature))]
     if name == "3.1":
         def run_commutators():
             labels, grads = _commutator_probes()
@@ -239,10 +239,7 @@ def _suite_items(name: str, frame: Frame, curv):
         return [("3.1", run_commutators)]
     if name == "bianchi":
         def run_bianchi():
-            ricci = ricci_tensor(christoffel(frame.metric))
-            # the tensor scalar is a second route to the unperturbed S
-            scalar = _check("S", scalar_curvature(frame.metric, ricci), curv.S)
-            resid = bianchi_contracted_residual(frame.metric, ricci, scalar)
+            resid = bianchi_contracted_residual(an.frame.metric, an.ricci, an.scalar)
             return {f"component {i}": value for i, value in enumerate(resid)}
 
         return [("bianchi", run_bianchi)]
@@ -267,9 +264,10 @@ def cmd_verify(args, out) -> int:
         raise InputError(
             f"unknown coefficient {args.perturb!r}; use one of {', '.join(COEFF_NAMES)}"
         )
-    # curvature of the untouched frame, so an injected error shows up as
-    # failed identities, not as an engine fault
-    w, frame, curv = an.w, an.frame, an.curvature
+    # the suites read the curvature and tensor route of the untouched
+    # frame, so an injected error shows up as failed identities, not as an
+    # engine fault
+    w, frame = an.w, an.frame
     if args.perturb is not None:
         bumped = frame.coeffs.with_values(
             **{args.perturb: frame.coeffs.get(args.perturb) + 1}
@@ -284,7 +282,7 @@ def cmd_verify(args, out) -> int:
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = [
-        (suite, [run() for _, run in _suite_items(suite, frame, curv)])
+        (suite, [run() for _, run in _suite_items(suite, frame, an)])
         for suite in suites
     ]
 

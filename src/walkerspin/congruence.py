@@ -63,7 +63,7 @@ from .poly import (
     _sequence,
     dot,
 )
-from .spincoeff import Frame, SpinCoefficientSet, _check
+from .spincoeff import SpinCoefficientSet, _check
 from .walker import WalkerMetric
 
 TRACE_KEYS = (
@@ -262,7 +262,7 @@ class CoefficientTrace(NamedTuple):
     def from_metric(cls, w: WalkerMetric, base, grid) -> "CoefficientTrace":
         """Every TRACE_KEYS column of w's canonical frame at each parameter
         in `grid`, along the curve through `base` (the origin if None)."""
-        values = _sample_columns(_transport_columns(Frame.walker(w).coeffs), base, grid)
+        values = _sample_columns(_transport_columns(Analysis(w).frame.coeffs), base, grid)
         return cls(grid=array("d", _finite(grid, "curve parameters")), values=values)
 
 
@@ -641,7 +641,7 @@ def integrate_connecting(w: WalkerMetric, V0, v_end, step, base=None) -> Connect
     sampled exactly on the half-step grid of `v_end` and `step`."""
     state0 = _as_state(V0)
     grid = _half_grid(v_end, step)
-    sampler = _Sampler(_transport_columns(Frame.walker(w).coeffs), base, grid)
+    sampler = _Sampler(_transport_columns(Analysis(w).frame.coeffs), base, grid)
     trace, states = _integrate(sampler, _M_ENTRIES, _rk4_connecting, state0)
     return ConnectingPath(grid=trace.grid, states=StateColumns(states), trace=trace)
 

@@ -19,14 +19,7 @@ from typing import NamedTuple
 from .errors import InputError
 from .poly import HALF, ONE, QUARTER, ZERO, Poly, Value, _point, dot
 from .spincoeff import _COMPANION_OPS, Frame, _check
-from .walker import (
-    COORDS,
-    Christoffel,
-    MetricTensor,
-    Tetrad,
-    WalkerMetric,
-    bilinear,
-)
+from .walker import COORDS, Christoffel, MetricTensor, WalkerMetric, bilinear, christoffel
 
 THIRD = Fraction(1, 3)
 
@@ -258,8 +251,13 @@ def walker_curvature_components(w: WalkerMetric, frame: Frame) -> CurvatureSpino
 
 
 class Analysis:
-    """Owner of a metric's canonical frame and curvature, each built once.
-    Two analyses are equal only if they are the same object."""
+    """Owner of a metric's layers, each built once and only on first read:
+    the canonical frame, its curvature, and the tensor route, that is the
+    Ricci tensor (``ricci``), the scalar curvature (``scalar``, checked
+    against the curvature's S) and Phi_ij and Lambda paired from them on
+    the frame's legs (``phi_lambda``).  Christoffel symbols are built only
+    when a tensor-route layer is read.  Two analyses are equal only if
+    they are the same object."""
 
     def __init__(self, w: WalkerMetric):
         self.w = w
@@ -272,36 +270,39 @@ class Analysis:
     def curvature(self) -> CurvatureSpinors:
         return walker_curvature_components(self.w, self.frame)
 
+    @cached_property
+    def ricci(self):
+        return ricci_tensor(christoffel(self.frame.metric))
 
-def phi_lambda_from_ricci(ricci, scalar: Poly, mt: MetricTensor, t: Tetrad):
-    """Trace-free Ricci dyad components and the scalar multiple.
+    @cached_property
+    def scalar(self) -> Poly:
+        # the tensor scalar is a second route to the curvature's S
+        return _check("S", scalar_curvature(self.frame.metric, self.ricci), self.curvature.S)
 
-    Valid only for unit normalization; the dyad dictionary used here
-    presumes it, so anything else is refused.
-    """
-    if t.chi * t.chi_t != ONE:
-        raise InputError("Ricci dyad components require unit normalization")
-    phi_ab = [
-        [
-            (ricci[a][b_] - scalar * Fraction(1, 4) * mt.g[a][b_]) * HALF
-            for b_ in range(4)
+    @cached_property
+    def phi_lambda(self):
+        """Trace-free Ricci dyad components and the scalar multiple from the
+        tensor route.  The dyad dictionary presumes unit normalization,
+        which the canonical tetrad has."""
+        g, scalar = self.frame.metric.g, self.scalar
+        phi_ab = [
+            [(self.ricci[a][b] - scalar * QUARTER * g[a][b]) * HALF for b in range(4)]
+            for a in range(4)
         ]
-        for a in range(4)
-    ]
 
-    def pairing(V, W):
-        return bilinear(phi_ab, V, W)
+        def pairing(V, W):
+            return bilinear(phi_ab, V, W)
 
-    l, n, m, mtld = t.l, t.n, t.m, t.mt
-    phi11 = _check("Phi11 (completeness of the trace-free Ricci pairing)",
-                   pairing(l, n), pairing(m, mtld))
-    phi = (
-        (pairing(l, l), pairing(l, m), pairing(m, m)),
-        (pairing(l, mtld), phi11, pairing(m, n)),
-        (pairing(mtld, mtld), pairing(mtld, n), pairing(n, n)),
-    )
-    lam = scalar * Fraction(-1, 24)
-    return phi, lam
+        t = self.frame.tetrad
+        l, n, m, mtld = t.l, t.n, t.m, t.mt
+        phi11 = _check("Phi11 (completeness of the trace-free Ricci pairing)",
+                       pairing(l, n), pairing(m, mtld))
+        phi = (
+            (pairing(l, l), pairing(l, m), pairing(m, m)),
+            (pairing(l, mtld), phi11, pairing(m, n)),
+            (pairing(mtld, mtld), pairing(mtld, n), pairing(n, n)),
+        )
+        return phi, scalar * Fraction(-1, 24)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from walkerspin.curvature import (
     classify_sd_weyl,
     commutator_residuals,
     field_equation_residuals,
-    phi_lambda_from_ricci,
     ricci_tensor,
-    scalar_curvature,
     walker_curvature_components,
 )
 from walkerspin.heavenly import (
@@ -173,12 +171,10 @@ def test_criterion_05_curvature_cross_route():
     """Tensor-route mixed components and scalar agree exactly with the
     coefficient route; the two scalar identities pin the curvature
     scalar twice over; the contracted divergence identity is zero."""
-    metrics, frames = corpus()
-    for w, frame, curv in zip(metrics, frames, curvatures()):
-        ch = christoffel(frame.metric)
-        ricci = ricci_tensor(ch)
-        scalar = scalar_curvature(frame.metric, ricci)
-        phi, lam = phi_lambda_from_ricci(ricci, scalar, frame.metric, frame.tetrad)
+    metrics, _ = corpus()
+    for w, curv in zip(metrics, curvatures()):
+        an = Analysis(w)
+        phi, lam = an.phi_lambda
         for i in range(3):
             for j in range(3):
                 assert phi[i][j] == curv.Phi[i][j], (i, j, w)
@@ -186,7 +182,7 @@ def test_criterion_05_curvature_cross_route():
         twelve = Fraction(1, 12)
         assert curv.PsiT2 == twelve * curv.S
         assert curv.PsiT2 == -2 * curv.Lambda
-        for entry in bianchi_contracted_residual(frame.metric, ricci, scalar):
+        for entry in bianchi_contracted_residual(an.frame.metric, an.ricci, an.scalar):
             assert entry == ZERO
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import walkerspin
 from walkerspin import cli
-from walkerspin.curvature import walker_curvature_components
+from walkerspin.curvature import Analysis
 from walkerspin.errors import EngineError, InputError
 from walkerspin.poly import ONE, ZERO, Poly, RationalFunction
 from walkerspin.spincoeff import (
@@ -32,7 +32,6 @@ from walkerspin.spincoeff import (
     UP,
     UP_P,
     DyadSpinorField,
-    Frame,
     contract,
     lower_index,
     raise_index,
@@ -83,14 +82,17 @@ def test_span_targets_exist():
 
 
 def test_suite_items_contract():
-    w = WalkerMetric(a=Poly.parse("u*v"), b=Poly.parse("x^3"), c=Poly.parse("u*y"))
-    frame = Frame.walker(w)
-    curv = walker_curvature_components(w, frame)
+    # the harness passes the three arguments through: the frame under test
+    # and the analysis whose curvature and tensor route the suites read
+    an = Analysis(WalkerMetric(a=Poly.parse("u*v"), b=Poly.parse("x^3"), c=Poly.parse("u*y")))
     for name in cli.SUITES:
-        items = cli._suite_items(name, frame, curv)
+        items = cli._suite_items(name, an.frame, an)
         assert items
         for key, thunk in items:
             assert isinstance(key, str) and callable(thunk)
+            residuals = thunk()
+            assert residuals and all(isinstance(k, str) for k in residuals), (name, key)
+            assert all(value.is_zero for value in residuals.values()), (name, key)
 
 
 # The records are named tuples and plain classes: ``dataclasses`` and the
@@ -190,13 +192,13 @@ def test_every_public_name_has_a_reader():
     assert sorted(set(walkerspin.__all__) - read) == sorted(_UNREAD_EXPORTS)
 
 
-# A deleted routine can leave its imports behind; only the package's
-# __init__.py imports names to re-export them.
+# A deleted routine or a migrated test can leave its imports behind; only
+# the package's __init__.py imports names to re-export them.
 def test_no_module_imports_an_unused_name():
-    unused = {
-        path.name: sorted(_unused_imports(path))
-        for path in sorted((SRC / "walkerspin").glob("*.py")) if path.name != "__init__.py"
-    }
+    paths = [path for path in sorted((SRC / "walkerspin").glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    unused = {f"{path.parent.name}/{path.name}": sorted(_unused_imports(path)) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

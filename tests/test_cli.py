@@ -161,7 +161,7 @@ class TestVerify:
         assert "verdict: fail" in out
 
     def test_corrupted_ricci_fails_bianchi(self, spec, capsys, monkeypatch):
-        ricci_tensor = walkerspin.cli.ricci_tensor
+        ricci_tensor = walkerspin.curvature.ricci_tensor
         bump = walkerspin.Poly.parse("u*x")
 
         def corrupted(ch):
@@ -170,7 +170,7 @@ class TestVerify:
             rows[3][2] = rows[3][2] + bump
             return rows
 
-        monkeypatch.setattr(walkerspin.cli, "ricci_tensor", corrupted)
+        monkeypatch.setattr(walkerspin.curvature, "ricci_tensor", corrupted)
         code, out, _ = run(capsys, "verify", spec(MIXED), "--suite", "bianchi")
         assert code == 1
         assert "FAIL bianchi component " in out
@@ -804,9 +804,12 @@ def test_dense_verify_packs(spec, capsys, monkeypatch):
 # Every layer a command may build, by module; "Frame.walker" is a classmethod.
 LAYERS = {
     "walker": ("christoffel",),
-    "curvature": ("walker_curvature_components",),
+    "curvature": ("walker_curvature_components", "ricci_tensor", "scalar_curvature"),
     "heavenly": ("build_metric", "validate_potential", "invariants"),
 }
+# The frame, its curvature and the tensor route that suite bianchi reads.
+TENSOR_ROUTE = ("Frame.walker", "walker_curvature_components", "christoffel", "ricci_tensor",
+                "scalar_curvature")
 # What one derivative of a direction field builds, counted beside LAYERS.
 FIELD_LAYERS = {
     "spincoeff": ("dyad_covariant_derivative", "connection_matrices"),
@@ -844,22 +847,33 @@ def layer_counts(monkeypatch):
 @pytest.mark.parametrize("argv, built", [
     (["analyze", "metric"], {"Frame.walker": 1, "walker_curvature_components": 1}),
     (["classify", "metric"], {"Frame.walker": 1, "walker_curvature_components": 1}),
-    (["verify", "metric"],
-     {"Frame.walker": 1, "walker_curvature_components": 1, "christoffel": 1}),
+    (["verify", "metric"], dict.fromkeys(TENSOR_ROUTE, 1)),
+    (["verify", "metric", "--perturb", "sigma"], dict.fromkeys(TENSOR_ROUTE, 1)),
+    (["verify", "metric", "--suite", "3.4"],
+     {"Frame.walker": 1, "walker_curvature_components": 1}),
     (["congruence", "metric", "--v0", "0,0,1,0", "--end", "0.2", "--step", "0.1",
       "--out", "-"], {"Frame.walker": 1}),
     (["heavenly", "potential", "--check", "all"],
      {"build_metric": 1, "validate_potential": 1, "invariants": 1,
       "Frame.walker": 1, "walker_curvature_components": 1}),
-], ids=["analyze", "classify", "verify", "congruence", "heavenly"])
+], ids=["analyze", "classify", "verify", "verify-perturb", "verify-3.4", "congruence",
+        "heavenly"])
 def test_each_layer_built_once(spec, capsys, layer_counts, argv, built):
     paths = {"metric": spec(MIXED), "potential": spec(UVX_POT, "potential.json")}
     code, _, _ = run(capsys, *(paths.get(arg, arg) for arg in argv))
-    assert code == 0
+    assert code == (1 if "--perturb" in argv else 0)
     names = ["Frame.walker"] + [name for names in LAYERS.values() for name in names]
     assert {name: layer_counts[name] for name in names} == {
         name: built.get(name, 0) for name in names
     }
+
+
+def test_analysis_builds_the_tensor_route_once(layer_counts):
+    an = walkerspin.Analysis(walkerspin.WalkerMetric.from_dict(MIXED))
+    an.phi_lambda
+    an.scalar
+    an.scalar
+    assert {name: layer_counts[name] for name in TENSOR_ROUTE} == dict.fromkeys(TENSOR_ROUTE, 1)
 
 
 def test_distribution_report_derives_the_field_once(spec, capsys, layer_counts):

@@ -15,7 +15,6 @@ from walkerspin.curvature import (
     commutator_residuals,
     commutator_vector_fields,
     field_equation_residuals,
-    phi_lambda_from_ricci,
     prime_curvature,
     ricci_tensor,
     scalar_curvature,
@@ -279,13 +278,9 @@ def test_bianchi_divergence_makes_few_products(monkeypatch, spec):
 
 def test_tensor_route_matches_coefficient_route():
     for w in sample_metrics(3, seed=203):
-        mt = assemble_metric(w)
-        ch = christoffel(mt)
-        t = walker_tetrad(w)
-        ricci = ricci_tensor(ch)
-        scalar = scalar_curvature(mt, ricci)
-        phi, lam = phi_lambda_from_ricci(ricci, scalar, mt, t)
-        curv = Analysis(w).curvature
+        an = Analysis(w)
+        phi, lam = an.phi_lambda
+        curv = an.curvature
         for i in range(3):
             for j in range(3):
                 assert phi[i][j] == curv.Phi[i][j], (i, j)
@@ -299,28 +294,10 @@ def test_structural_zeroes_via_tensor_route():
     # The canonical frame kills one whole column of the mixed block; the
     # tensor route must reproduce those zeroes independently.
     for w in sample_metrics(3, seed=204):
-        mt = assemble_metric(w)
-        ch = christoffel(mt)
-        t = walker_tetrad(w)
-        ricci = ricci_tensor(ch)
-        phi, _ = phi_lambda_from_ricci(ricci, scalar_curvature(mt, ricci), mt, t)
+        phi, _ = Analysis(w).phi_lambda
         assert phi[0][0] == RF_ZERO
         assert phi[1][0] == RF_ZERO
         assert phi[2][0] == RF_ZERO
-
-
-def test_phi_requires_unit_normalization():
-    from walkerspin.walker import scale_normalization
-
-    w = sample_metrics(1, seed=205)[0]
-    mt = assemble_metric(w)
-    ch = christoffel(mt)
-    scaled = scale_normalization(
-        walker_tetrad(w), RationalFunction(Poly.const(2)), RationalFunction(ONE)
-    )
-    ricci = ricci_tensor(ch)
-    with pytest.raises(InputError):
-        phi_lambda_from_ricci(ricci, scalar_curvature(mt, ricci), mt, scaled)
 
 
 def test_field_equation_residuals_vanish():
