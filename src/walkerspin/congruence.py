@@ -37,8 +37,11 @@ so a call holds 8 bytes per kept value and nothing the cyclic GC scans.
 column over the whole grid before the first step would.  A path's states
 are a `StateColumns`, a read-only view that builds a `ConnectingState`
 per row on read; `connecting_oracle` returns one too, and the CLI
-compares the two column by column.  The CSV is written from the columns
-after the last step, each row one ``%`` format over its nine columns.
+compares the two column by column, a pair of columns constant along the
+path (by their bits, see `_constant`) by one subtraction.  The CSV is
+written from the columns after the last step, in blocks of `_CHUNK` rows:
+a constant column's repr is formatted once, into the row format, and
+``%`` formats only the columns that vary.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ TRACE_KEYS = (
 )
 
 CSV_HEADER = "v,eta,zeta,zetatilde,nu,rho,rhotilde,sigma,sigmatilde"
-_CSV_ROW = ",".join(["%r"] * len(CSV_HEADER.split(","))) + "\n"
 # The trace columns of a path: the four the CSV prints, then the four more
 # that `sigma_omega_forms` reads.
 _CSV_KEYS = ("rho", "rho_t", "sigma", "sigma_t")
@@ -96,7 +98,9 @@ MAX_STEPS = 1_000_000
 # step of K, so K = 256 keeps them near 0.5 MB, while the few calls a
 # chunk makes (two more per varying column) cost little beside its steps:
 # on a 10^5-step call with four varying columns, K = 128 to 512 run
-# equally fast, and K = 32 about 10 % slower.
+# equally fast, and K = 32 about 10 % slower.  It is also the rows per
+# write of `write_trace_csv` and the values per slice of `_constant`:
+# 4096-row blocks raised a flow benchmark's peak RSS by 0.5 MB.
 _CHUNK = 256
 
 # The nonzero entries of M and N in the basis l, m~, m, n, row by row, as
@@ -771,13 +775,43 @@ def sigma_omega_forms(first, second) -> SigmaOmega:
     return SigmaOmega(first.grid, tuple(sigma_path), tuple(omega_path))
 
 
+def _constant(col) -> bool:
+    """Whether every value of the float column `col` has the bits of its
+    first, so -0.0 and 0.0 differ.  The column is read `_CHUNK` values at a
+    time, each slice's bytes compared with the first value's repeated, so
+    no copy of the whole column is made."""
+    first = (array("d", col[:1]) * _CHUNK).tobytes()
+    for lo in range(0, len(col), _CHUNK):
+        part = array("d", col[lo:lo + _CHUNK]).tobytes()
+        if part != first[:len(part)]:
+            return False
+    return True
+
+
 def write_trace_csv(path, stream) -> None:
     """One row per step, from the path's float columns; floats printed in
-    shortest round-trip form so identical runs give identical bytes.  Rows
-    are streamed, not built into one string: each is one ``%`` format over
-    its nine columns.  A finite float's repr holds no comma, quote or line
-    break, so no field needs CSV quoting."""
+    shortest round-trip form so identical runs give identical bytes.  A
+    finite float's repr holds no comma, quote or line break, so no field
+    needs CSV quoting, and no ``%``, so the repr of a column constant along
+    the path (by its bits, see `_constant`) sits in the row format once and
+    ``%`` formats only the varying columns.  Rows are streamed, one write
+    per block of `_CHUNK` rows, and a block with no varying column is the
+    one row repeated."""
     tr = path.trace.values
     columns = (path.grid, *path.states.columns, *(tr[key] for key in _CSV_KEYS))
     stream.write(CSV_HEADER + "\n")
-    stream.writelines(map(_CSV_ROW.__mod__, zip(*columns)))
+    size = len(columns[0])
+    if not size:
+        return
+    varying, fields = [], []
+    for col in columns:
+        if _constant(col):
+            fields.append(repr(col[0]))
+        else:
+            varying.append(col)
+            fields.append("%r")
+    row = ",".join(fields) + "\n"
+    rows = map(row.__mod__, zip(*varying))
+    for lo in range(0, size, _CHUNK):
+        k = min(_CHUNK, size - lo)
+        stream.write("".join(islice(rows, k)) if varying else row * k)

@@ -620,6 +620,22 @@ def csv_writer_trace(path, stream) -> None:
         writer.writerow(repr(float(x)) for x in row)
 
 
+def oracle_error(w, V0, step, v_end=1.0, base=(0, 0, 0, 0)) -> float:
+    """Reference for the congruence command's ``max oracle error``: the
+    largest error of any component of any integrated state against the
+    closed-form oracle, state by state."""
+    from walkerspin.congruence import connecting_oracle, integrate_connecting
+
+    path = integrate_connecting(w, V0, v_end=v_end, step=step, base=base)
+    worst = 0.0
+    for state, exact in zip(path.states, connecting_oracle(w, base, V0, path.grid)):
+        worst = max(
+            worst,
+            max(abs(x - y) for x, y in zip(state, exact)),
+        )
+    return worst
+
+
 def reference_raise_index(field, pos: int):
     """The two-branch epsilon raise that ``raise_index`` replaced, kept as
     the reference for the one shared index move."""

@@ -36,6 +36,7 @@ from walkerspin.congruence import (
     _M_ENTRIES,
     _N_ENTRIES,
     _check_span,
+    _constant,
     _half_grid,
     _matrices,
     _rk4_connecting,
@@ -58,6 +59,7 @@ from support import (
     corpus_metrics,
     csv_writer_trace,
     float_rows,
+    oracle_error,
     random_metric_functions,
     reference_rk4,
     reference_row_function,
@@ -72,17 +74,6 @@ QUADRATIC = WalkerMetric(a=ZERO, b=P("u^2"), c=ZERO)
 # along every curve
 CONSTANT_ALONG_U = WalkerMetric(a=P("u*x"), b=P("u*y"), c=P("u*v"))
 ORIGIN = (0, 0, 0, 0)
-
-
-def oracle_error(w, V0, step, v_end=1.0, base=ORIGIN):
-    path = integrate_connecting(w, V0, v_end=v_end, step=step, base=base)
-    worst = 0.0
-    for state, exact in zip(path.states, connecting_oracle(w, base, V0, path.grid)):
-        worst = max(
-            worst,
-            max(abs(x - y) for x, y in zip(state, exact)),
-        )
-    return worst
 
 
 def state_columns(rows) -> StateColumns:
@@ -150,6 +141,38 @@ def test_cli_oracle_error_is_the_per_state_maximum(tmp_path, capsys):
         assert code == 0
         want = f"max oracle error = {oracle_error(w, V0, 0.05, base=base)!r}"
         assert capsys.readouterr().out.splitlines()[-1] == want
+
+
+def test_cli_oracle_error_of_constant_columns(tmp_path, capsys):
+    """A pair of state columns that are each constant is compared by one
+    subtraction; the printed error is still the per-state reference's, bit
+    for bit, and so it is where only one column of a pair is constant."""
+    spec = tmp_path / "metric.json"
+    cases = (
+        (FLAT, "1,-2,1/2,3", ORIGIN),
+        # no u, so the metric functions are constant along every curve
+        (WalkerMetric(a=P("x^2 + v"), b=P("x*y"), c=P("v*y - x")), "1,-2,1/2,3",
+         (Fraction(1, 3), -1, 2, Fraction(1, 2))),
+        # the oracle's eta reaches 1 + 2^-52 at t = 1, while no RK4 step
+        # moves the path's eta off 1.0
+        (WalkerMetric(a=P("u"), b=ZERO, c=ZERO), "1,0,0,1/4000000000000000", ORIGIN),
+    )
+    pairs, errors = [], []
+    for w, v0, base in cases:
+        spec.write_text(json.dumps(w.to_dict()))
+        code = main(["congruence", str(spec), "--v0=" + v0, "--base=" + ",".join(map(str, base)),
+                     "--end=1", "--step=0.05", "--out", str(tmp_path / "trace.csv")])
+        assert code == 0
+        V0 = tuple(float(Fraction(c)) for c in v0.split(","))
+        errors.append(oracle_error(w, V0, 0.05, base=base))
+        assert capsys.readouterr().out.splitlines()[-1] == f"max oracle error = {errors[-1]!r}"
+        path = integrate_connecting(w, V0, v_end=1, step=0.05, base=base)
+        exact = connecting_oracle(w, base, V0, path.grid)
+        pairs.append([(_constant(got), _constant(want))
+                      for got, want in zip(path.states.columns, exact.columns)])
+    assert pairs[0] == pairs[1] == [(True, True)] * 4
+    assert pairs[2] == [(True, False)] + [(True, True)] * 3
+    assert errors == [0.0, 0.0, 2.0 ** -52]
 
 
 class TestExactSampling:
@@ -956,6 +979,49 @@ def test_transport_columns_name_a_nonzero_epsilon():
     assert_names_a_witness(str(err.value), "epsilon on a canonical frame", bump)
 
 
+def hand_path(columns) -> ConnectingPath:
+    """The path whose nine CSV columns (the grid, the four states, then rho,
+    rho~, sigma and sigma~) are `columns`, each kept as it is given."""
+    grid, *rest = columns
+    trace = CoefficientTrace(grid, dict(zip(("rho", "rho_t", "sigma", "sigma_t"), rest[4:])))
+    return ConnectingPath(grid, StateColumns(rest[:4]), trace)
+
+
+# one value per CSV column, each printed differently
+CSV_VALUES = (0.0, -0.0, 5e-324, -1e300, 1e-05, 2.5, 1 / 3, -7.0, 1e22)
+
+
+def varying_columns(rows):
+    """Nine columns of `rows` floats, no two values of a column alike."""
+    return [[(j - 1.5) * x + j / 7 for j in range(rows)] for x in CSV_VALUES]
+
+
+def mixed_columns(rows):
+    """The odd columns constant, the even ones varying."""
+    cols = varying_columns(rows)
+    return [[x] * rows if i % 2 else col for i, (x, col) in enumerate(zip(CSV_VALUES, cols))]
+
+
+def signed_zeros(rows, column):
+    """The mixed columns with column 1, constant there, replaced."""
+    cols = mixed_columns(rows)
+    cols[1] = column
+    return cols, [False, False] + [bool(i % 2) for i in range(2, 9)]
+
+
+# CSV columns of a number of rows, by the constant columns they hold, with
+# which of the nine are constant
+CSV_KINDS = {
+    "all constant": lambda rows: ([[x] * rows for x in CSV_VALUES], [True] * 9),
+    "none constant": lambda rows: (varying_columns(rows), [False] * 9),
+    "mix": lambda rows: (mixed_columns(rows), [bool(i % 2) for i in range(9)]),
+    "leading -0.0": lambda rows: signed_zeros(rows, [-0.0] + [0.0] * (rows - 1)),
+    "0.0 and -0.0": lambda rows: signed_zeros(rows, [0.0, -0.0] * (rows // 2) + [0.0] * (rows % 2)),
+    "last -0.0": lambda rows: signed_zeros(rows, [0.0] * (rows - 1) + [-0.0]),
+}
+CSV_ROWS = (2, congruence._CHUNK, congruence._CHUNK + 1, 3 * congruence._CHUNK + 5)
+
+
 class TestCsv:
     def test_matches_csv_writer_rendering(self):
         grid = (0, 1e-05, 0.5, 0.75, 2)  # a float column holds ints as floats
@@ -1012,3 +1078,41 @@ class TestCsv:
         rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
         for col in range(1, 9):
             assert len({row[col] for row in rows}) == 1
+
+    @pytest.mark.parametrize("rows", CSV_ROWS)
+    @pytest.mark.parametrize("kind", CSV_KINDS)
+    def test_block_writer_matches_csv_writer(self, kind, rows):
+        """Every path of the block writer gives the bytes of ``csv.writer``,
+        on tuple and on float array columns."""
+        columns, mask = CSV_KINDS[kind](rows)
+        assert [_constant(col) for col in columns] == mask
+        for container in (tuple, lambda col: array("d", col)):
+            path = hand_path(map(container, columns))
+            got, want = io.StringIO(), io.StringIO()
+            write_trace_csv(path, got)
+            csv_writer_trace(path, want)
+            assert got.getvalue() == want.getvalue()
+
+    def test_one_write_per_block(self):
+        """The header, then one write per block of `_CHUNK` rows, whether
+        some column varies or none does."""
+        k = congruence._CHUNK
+
+        class Counting:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        paths = [hand_path(CSV_KINDS[kind](rows)[0])
+                 for rows in CSV_ROWS for kind in ("all constant", "mix")]
+        paths.append(integrate_connecting(QUADRATIC, (1.0, 0.0, 1.0, 0.5), 1.0, 1 / (3 * k + 4)))
+        for path in paths:
+            rows = len(path.grid)
+            stream = Counting()
+            write_trace_csv(path, stream)
+            assert len(stream.writes) == 1 + -(-rows // k)
+            assert [text.count("\n") for text in stream.writes[1:]] == [
+                min(k, rows - lo) for lo in range(0, rows, k)
+            ]
