@@ -33,8 +33,8 @@ ended in.  What a path keeps is float columns (``array('d')``): the grid,
 the states and the trace columns that the CSV and `sigma_omega_forms`
 read, each at every step.  A chunk's samples and state tuples go with it,
 so a call holds 8 bytes per kept value and nothing the cyclic GC scans.
-`_Sampler` refuses the inputs, with the messages, that sampling every
-column over the whole grid before the first step would.  A path's states
+`_Sampler` decides every refusal of sampling, column by column, before
+the first step, so a refused call never steps.  A path's states
 are a `StateColumns`, a read-only view that builds a `ConnectingState`
 per row on read; `connecting_oracle` returns one too, and the CLI
 compares the two column by column, a pair of columns constant along the
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from array import array
 from fractions import Fraction
 from itertools import islice, repeat
@@ -60,6 +61,7 @@ from .poly import (
     ZERO,
     Poly,
     Value,
+    _horner,
     _point,
     _ratio,
     _refused_digits,
@@ -374,8 +376,6 @@ def _row_stream(entries, samples):
     return zip(*cols)
 
 
-
-
 def _rk4_connecting(rows, z, grid) -> list[tuple]:
     """Classical RK4 for z' = M z over a half-step grid, reading M's rows
     from `_row_stream`: each step runs between even indices k and k + 2
@@ -483,11 +483,6 @@ def _rk4_jacobi(rows, s, grid) -> list[tuple]:
     return states
 
 
-
-def _overflow(key: str) -> InputError:
-    return InputError(f"{key} overflows a float along the curve")
-
-
 class _Sampler:
     """Float samples of columns along the curve through `base` (the origin
     if None), formed slice by slice over `grid`.
@@ -503,9 +498,14 @@ class _Sampler:
     finite float grid with every column constant no pair is formed, and
     the digit bound reads no bit length.
 
-    Every refusal is the one that sampling each column over the whole
-    grid in turn gives (see `refuse`), although the samples are formed one
-    slice at a time."""
+    Every refusal is decided here, before any slice is sampled, and is
+    the one that sampling each column over the whole grid in turn gives:
+    column by column, the digit bound, then a constant's rounding, then,
+    for a varying column c(t) = sum c_k t^k / den, the exact bound
+    B = sum |c_k| T^k / den, T the largest |t| on the grid.  No sample
+    passes B, so only a column whose B passes the largest float is
+    sampled over the whole grid, slice by slice, its samples dropped.
+    So `sample` cannot refuse."""
 
     def __init__(self, columns, base, grid):
         pt0 = _base_point(base)
@@ -532,20 +532,26 @@ class _Sampler:
                 p_max = max(p_max, max(map(abs, ps), default=0))
                 q_max = max(q_max, max(qs, default=0))
             p_bits, q_bits = p_max.bit_length(), q_max.bit_length()
-        for i, (key, curve) in enumerate(self.curves.items()):
-            limit = _refused_digits(curve.digit_bound(p_bits, q_bits))
-            if limit:
-                self.refuse(0, list(self.curves)[:i])
-                raise InputError(f"{key} has more than {limit} digits along the curve")
+            # every parameter is a number now; the last of a half grid is
+            # its largest
+            t_p, t_q = _ratio(grid.v_end if isinstance(grid, _HalfGrid)
+                              else max(map(abs, grid), default=0))
         self.constants = {}
         for key, curve in self.curves.items():
-            if len(curve.coeffs) <= 1:
-                num, den = curve.ratio_at(0, 1)
-                try:
+            limit = _refused_digits(curve.digit_bound(p_bits, q_bits))
+            if limit:
+                raise InputError(f"{key} has more than {limit} digits along the curve")
+            try:
+                if len(curve.coeffs) <= 1:
+                    num, den = curve.ratio_at(0, 1)
                     self.constants[key] = num / den
-                except OverflowError:
-                    self.refuse(0)
-                    raise _overflow(key) from None
+                    continue
+                (bound,), (qj,) = _horner(list(map(abs, curve.coeffs)), (t_p,), (t_q,))
+                if bound > int(sys.float_info.max) * curve.den * qj:
+                    for lo in range(0, len(grid), 2 * _CHUNK):
+                        curve.floats(*self._ratios(grid[lo:lo + 2 * _CHUNK]))
+            except OverflowError:
+                raise InputError(f"{key} overflows a float along the curve") from None
 
     def _ratios(self, points) -> tuple[list[int], list[int]]:
         """The numerators and the denominators of `points`.  Once a slice
@@ -568,33 +574,11 @@ class _Sampler:
         points = self.grid[lo:hi]
         if self.by_ratio:
             ps, qs = self._ratios(points)
-        out = {}
-        for key, curve in self.curves.items():
-            if key in self.constants:
-                out[key] = (self.constants[key],) * len(points)
-                continue
-            try:
-                out[key] = curve.floats(ps, qs)
-            except OverflowError:
-                self.refuse(lo)
-                raise _overflow(key) from None
-        return points, out
-
-    def refuse(self, lo: int, keys=None) -> None:
-        """Refuse the first of `keys` (every column if None), in column
-        order, whose samples at grid[lo:] overflow a float, if one does.
-        With every column sampled at grid[:lo] already, that is the refusal
-        of sampling each column over the whole grid in turn."""
-        for key in self.curves if keys is None else keys:
-            curve = self.curves[key]
-            try:
-                if len(curve.coeffs) <= 1:
-                    curve.floats((), ())  # rounds the constant, at no parameter
-                    continue
-                for start in range(lo, len(self.grid), 2 * _CHUNK):
-                    curve.floats(*self._ratios(self.grid[start:start + 2 * _CHUNK]))
-            except OverflowError as exc:
-                raise _overflow(key) from exc
+        return points, {
+            key: ((self.constants[key],) * len(points) if key in self.constants
+                  else curve.floats(ps, qs))
+            for key, curve in self.curves.items()
+        }
 
 
 def _sample_columns(columns, base, grid) -> dict[str, array]:
@@ -616,8 +600,9 @@ def _integrate(sampler: _Sampler, entries, stepper, state) -> tuple[CoefficientT
     half grid, `_CHUNK` steps at a time: a chunk samples its grid points,
     and the stepper carries the state the chunk before ended in.  Returns
     the trace of the _KEPT_KEYS columns and the state columns, each a float
-    array over the steps.  A nonfinite step is refused as it is after
-    every sample has been formed: a later sample's refusal comes first."""
+    array over the steps.  Every sampling refusal came before the first
+    step (see `_Sampler`), so a nonfinite step is refused where it is
+    taken."""
     n = sampler.grid.n
     grid = _zeros(n + 1)
     kept = {key: _zeros(n + 1) for key in _KEPT_KEYS}
@@ -625,11 +610,7 @@ def _integrate(sampler: _Sampler, entries, stepper, state) -> tuple[CoefficientT
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         points, samples = sampler.sample(2 * lo, 2 * hi + 1)
-        try:
-            rows = stepper(_row_stream(entries, samples), state, points)
-        except InputError:
-            sampler.refuse(2 * hi + 1)
-            raise
+        rows = stepper(_row_stream(entries, samples), state, points)
         state = rows[-1]
         grid[lo:hi + 1] = array("d", points[::2])
         for col, values in zip(states, zip(*rows)):
@@ -730,7 +711,6 @@ def _closures(an: Analysis) -> tuple[tuple, tuple]:
 def riccati_residual(w: WalkerMetric) -> RiccatiReport:
     """Exact residual of the matrix transport closures (`_closures`)."""
     return RiccatiReport(*_closures(Analysis(w)))
-
 
 
 class SigmaOmega(NamedTuple):

@@ -669,6 +669,96 @@ def test_refusal_is_that_of_sampling_every_column_first(tmp_path, capsys, a, v0)
     assert (code, out, err) == (2, "", "error: sigma overflows a float along the curve\n")
 
 
+DIGIT_LIMIT = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+@pytest.mark.parametrize("a, b, end, step, message", [
+    ("0", f"{2**1024}*u^2", "1", "1e-3", "sigma overflows a float along the curve"),
+    (f"{2**1030}*u^2", f"{2**1024}*u^2", "1", "1e-3", "sigma overflows a float along the curve"),
+    (f"{2**1100}*u", f"{2**1024}*u^2", "1", "1e-3", "sigma overflows a float along the curve"),
+    ("0", "u^300", "1e-300", "1e-303", f"sigma has more than {DIGIT_LIMIT} digits along the curve"),
+], ids=["last-chunk", "earlier-column-later-chunk", "constant-later-column", "digit-bound"])
+def test_a_refused_call_never_steps(tmp_path, capsys, monkeypatch, a, b, end, step, message):
+    """Every refusal of sampling is decided before the first step, so the
+    refusals of `test_refusal_is_that_of_sampling_every_column_first` and
+    a digit refusal of a column of degree 299 on a grid of denominators
+    near 2^1000 call the stepper no time, with the same stderr line."""
+    calls = []
+    stepper = congruence._rk4_connecting
+
+    def counted(*args):
+        calls.append(len(calls))
+        return stepper(*args)
+
+    monkeypatch.setattr(congruence, "_rk4_connecting", counted)
+    spec = tmp_path / "metric.json"
+    spec.write_text(json.dumps({"a": a, "b": b, "c": "0"}))
+    code = main(["congruence", str(spec), "--v0=0,0,0,0", f"--end={end}", f"--step={step}",
+                 "--out", "-"])
+    out, err = capsys.readouterr()
+    assert (code, out, err, calls) == (2, "", f"error: {message}\n", [])
+
+
+def test_a_bound_past_the_largest_float_with_no_sample_past_it(tmp_path, capsys):
+    """b = 2^1022 (u^5 - u^4) gives sigma = -2^1021 (5t^4 - 4t^3), whose
+    bound 9 * 2^1021 on [0, 1] passes the largest float, though no sample
+    does: the column is sampled over the whole grid before the first
+    step, and the call is accepted, its CSV bytes pinned by their
+    SHA-256."""
+    spec, csv = tmp_path / "metric.json", tmp_path / "trace.csv"
+    spec.write_text(json.dumps({"a": "0", "b": f"{2**1022}*(u^5-u^4)", "c": "0"}))
+    code = main(["congruence", str(spec), "--v0=1,0,0,0", "--end=1", "--step=1e-3",
+                 "--out", str(csv)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[-3:] == ["steps: 1000", f"trace written to {csv}",
+                                     "max oracle error = 0.0"]
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "f324bc7dfda480a211ebc13cf75c731059373e07e469120f4143de675d0acc81"
+    )
+
+
+# signed coefficients from 1 to about 2^1100 in magnitude, so that a
+# column's values fall on both sides of the largest float
+big_coefficients = st.builds(lambda m, e: m << e, st.integers(-2**12, 2**12), st.integers(0, 1088))
+curve_grids = st.one_of(
+    st.lists(st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -1.5, 1.0, 1e300, -1e300)),
+                       st.floats(-4.0, 4.0)), max_size=12),
+    st.lists(st.fractions(-4, 4, max_denominator=10**6), max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(columns=st.lists(st.lists(big_coefficients, min_size=1, max_size=7), min_size=1,
+                        max_size=3),
+       den=st.sampled_from((1, 3, 2**40, 7**30)), grid=curve_grids)
+# no sample overflows, though the bound 9 * 2^1021 passes the largest float
+@example(columns=[[0, 0, 0, 4 << 1021, -5 << 1021]], den=1, grid=[0.0, 0.25, 0.5, 0.75, 1.0])
+# the signed sum at T = 1 is 0, the sample at t = 0 overflows
+@example(columns=[[-2**1100, 2**1100]], den=1, grid=[0.0, 1.0])
+# the bound 2^1024 is below twice the largest float, the sample at t = 1 overflows
+@example(columns=[[0, 2**1024]], den=1, grid=[0.5, 1.0])
+def test_sampling_refuses_exactly_where_a_sample_overflows(columns, den, grid):
+    """`_sample_columns` refuses, naming the first column in order, exactly
+    when a per-point reference ``float(curve.value_at(t))`` overflows, and
+    otherwise gives the reference's samples bit for bit."""
+    polys = {
+        f"c{i}": Poly({(k, 0, 0, 0): Fraction(c, den) for k, c in enumerate(coeffs) if c})
+        for i, coeffs in enumerate(columns)
+    }
+    expected = {}
+    for key, poly in polys.items():
+        curve = poly.along_u(ORIGIN)
+        try:
+            expected[key] = [float(curve.value_at(t)).hex() for t in grid]
+        except OverflowError:
+            with pytest.raises(InputError, match=f"^{key} overflows a float along the curve$"):
+                _sample_columns(polys, ORIGIN, grid)
+            return
+    got = _sample_columns(polys, ORIGIN, grid)
+    assert {key: [x.hex() for x in col] for key, col in got.items()} == expected
+
+
 def test_outputs_do_not_depend_on_the_chunk_size(tmp_path, capsys, monkeypatch):
     """Chunks of 1, 7 and `_CHUNK` steps give the same CSV bytes, report
     and Jacobi states, bit for bit."""
